@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import ExactMatrix
-from .mpoly import MPoly
+from .mpoly import ExactDivisionError, MPoly
 from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_S
 from .rat import Rat
 from .ratfunc import FracField, RatFunc, mpoly_gcd
@@ -298,7 +298,7 @@ def _strip_factors(poly: MPoly, factors: list) -> tuple:
             try:
                 poly = poly.exact_div(f)
                 n += 1
-            except Exception:
+            except ExactDivisionError:
                 break
         if n:
             counts[name] = n
@@ -461,7 +461,7 @@ def constraint_analysis(d: int, chi1: int = None, chi2: int = None):
         try:
             c2 = s.num2.exact_div(P1)
             c1 = s.num1.exact_div(P1 * x * (dd - x))
-        except Exception:
+        except ExactDivisionError:
             structure_ok = False
             continue
         if not (c2.is_constant() and c1.is_constant()):

@@ -131,15 +131,6 @@ class MPoly:
             terms[tuple(ne)] = c
         return MPoly(vars, terms, self.domain)
 
-    def rename_vars(self, mapping: dict) -> "MPoly":
-        new_names = [mapping.get(v, v) for v in self.vars]
-        if len(set(new_names)) != len(new_names):
-            raise ValueError("rename collides")
-        order = canonical_vars(new_names)
-        perm = [new_names.index(v) for v in order]
-        terms = {tuple(e[i] for i in perm): c for e, c in self.terms.items()}
-        return MPoly(order, terms, self.domain)
-
     def _aligned(self, other):
         if isinstance(other, MPoly):
             if other.vars == self.vars:

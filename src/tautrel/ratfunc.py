@@ -1,12 +1,22 @@
 """Rational functions: the fraction field of the rational-coefficient
 polynomial ring, normalized so equality is representational.
 
-The gcd underneath is a subresultant polynomial remainder sequence on
-the last live variable, recursing through contents variable by
-variable; no factorization is ever needed.
+The gcd underneath is the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
+J. Symb. Comp. 7, 1989): with denominators cleared, the last live
+variable is evaluated at a large integer xi, the gcd of the images is
+taken recursively down to an integer gcd, and a candidate is rebuilt
+from its symmetric xi-adic digits.  A candidate is accepted only once
+exact division shows that it divides both inputs; with xi above twice
+the smaller coefficient norm, such a candidate is the gcd.  When a few
+values of xi fail, the subresultant polynomial remainder sequence on the
+last live variable (recursing through contents variable by variable)
+computes it instead; that path also serves as the reference in tests.
+No factorization is ever needed.
 """
 
 from __future__ import annotations
+
+import math
 
 from .mpoly import MPoly, canonical_vars
 from .rat import QQ, Rat, is_rational, rat
@@ -45,7 +55,7 @@ def _prem(A: dict, B: dict) -> dict:
 def _dict_content(coeffs: dict) -> MPoly:
     acc = None
     for c in coeffs.values():
-        acc = c if acc is None else mpoly_gcd(acc, c)
+        acc = c if acc is None else subresultant_gcd(acc, c)
         if acc.is_constant():
             break
     _, prim = acc.rational_content()
@@ -78,21 +88,32 @@ def _subresultant_pp_gcd(A: dict, B: dict, one: MPoly) -> dict:
             h = (g**delta).exact_div(h ** (delta - 1))
 
 
-def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Primitive, positive-leading gcd of two rational-coefficient MPolys."""
+def _gcd_args(f: MPoly, g: MPoly):
+    """Align f and g on a common variable tuple and settle the trivial
+    cases: (f, g, gcd or None)."""
     if f.domain is not QQ or g.domain is not QQ:
         raise TypeError("gcd is defined over the rational coefficient domain")
     vars = canonical_vars(f.vars + g.vars)
     f = f.with_vars(vars)
     g = g.with_vars(vars)
     if f.is_zero() and g.is_zero():
-        return MPoly.constant(0, vars)
+        return f, g, MPoly.constant(0, vars)
     if f.is_zero():
-        return g.rational_content()[1]
+        return f, g, g.rational_content()[1]
     if g.is_zero():
-        return f.rational_content()[1]
+        return f, g, f.rational_content()[1]
     if f.is_constant() or g.is_constant():
-        return MPoly.constant(1, vars)
+        return f, g, MPoly.constant(1, vars)
+    return f, g, None
+
+
+def subresultant_gcd(f: MPoly, g: MPoly) -> MPoly:
+    """The gcd of mpoly_gcd by the subresultant remainder sequence: the
+    fallback of the heuristic and its reference."""
+    f, g, done = _gcd_args(f, g)
+    if done is not None:
+        return done
+    vars = f.vars
     main = None
     for name in reversed(vars):
         if f.degree_in(name) > 0 or g.degree_in(name) > 0:
@@ -101,12 +122,12 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     fu = f.as_univariate(main)
     gu = g.as_univariate(main)
     if f.degree_in(main) == 0:
-        return mpoly_gcd(f, _dict_content(gu))
+        return subresultant_gcd(f, _dict_content(gu))
     if g.degree_in(main) == 0:
-        return mpoly_gcd(_dict_content(fu), g)
+        return subresultant_gcd(_dict_content(fu), g)
     cf = _dict_content(fu)
     cg = _dict_content(gu)
-    cont = mpoly_gcd(cf, cg)
+    cont = subresultant_gcd(cf, cg)
     ppf = _dict_exact_div(fu, cf)
     ppg = _dict_exact_div(gu, cg)
     one = MPoly.constant(1, tuple(v for v in vars if v != main))
@@ -115,6 +136,271 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     pp_gcd = _dict_exact_div(chain_tail, _dict_content(chain_tail))
     raw = MPoly.from_univariate(main, pp_gcd) * cont
     return raw.with_vars(vars).rational_content()[1]
+
+
+# -- heuristic gcd over the integers ------------------------------------------
+#
+# A polynomial in k variables with integer coefficients is held densely
+# and recursively: level 0 is an int, level k a list of level k-1
+# coefficients indexed by the degree in the k-th (outermost) variable,
+# with no zero at its end.  Zero is 0 at level 0 and [] above; both are
+# falsy.  Lists are never changed once built.
+
+HEU_GCD_MAX = 6  # values of xi tried before the fallback
+HEU_MAX_BITS = 1 << 16  # give up rather than evaluate to larger images
+
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _coeffs(p, k):
+    """The integer coefficients of p."""
+    if k == 0:
+        yield p
+    elif k == 1:
+        yield from p
+    else:
+        for c in p:
+            yield from _coeffs(c, k - 1)
+
+
+def _add(p, q, k):
+    if k == 0:
+        return p + q
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    if k == 1:
+        for i, c in enumerate(q):
+            out[i] += c
+    else:
+        for i, c in enumerate(q):
+            out[i] = _add(out[i], c, k - 1)
+    return _trim(out)
+
+
+def _scale(p, c: int, k):
+    if k == 0:
+        return p * c
+    if k == 1:
+        return [a * c for a in p]
+    return [_scale(a, c, k - 1) for a in p]
+
+
+def _quo_int(p, c: int, k):
+    """p / c for an integer c dividing every coefficient."""
+    if k == 0:
+        return p // c
+    if k == 1:
+        return [a // c for a in p]
+    return [_quo_int(a, c, k - 1) for a in p]
+
+
+def _mul(p, q, k):
+    if k == 0:
+        return p * q
+    if not p or not q:
+        return []
+    if k == 1:
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if a:
+                for j, b in enumerate(q):
+                    out[i + j] += a * b
+        return _trim(out)
+    out = [[]] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] = _add(out[i + j], _mul(a, b, k - 1), k - 1)
+    return _trim(out)
+
+
+def _exact_quo(p, q, k):
+    """p / q when q (nonzero) divides p over the integers, else None."""
+    if k == 0:
+        quo, rem = divmod(p, q)
+        return None if rem else quo
+    if not p:
+        return []
+    shift = len(p) - len(q)
+    if shift < 0:
+        return None
+    rem = list(p)
+    quo = [0 if k == 1 else []] * (shift + 1)
+    lead = q[-1]
+    dq = len(q) - 1
+    for i in range(shift, -1, -1):
+        c = rem[i + dq]
+        if not c:
+            continue
+        t = _exact_quo(c, lead, k - 1)
+        if t is None:
+            return None
+        quo[i] = t
+        if k == 1:
+            for j in range(dq):
+                rem[i + j] -= t * q[j]
+        else:
+            neg = _scale(t, -1, k - 1)
+            for j in range(dq):
+                if q[j]:
+                    rem[i + j] = _add(rem[i + j], _mul(neg, q[j], k - 1), k - 1)
+    if any(rem[:dq]):
+        return None
+    return quo
+
+
+def _eval_last(p, x: int, k):
+    """p with its outermost variable set to x (Horner)."""
+    if k == 1:
+        acc = 0
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+    acc = []
+    for c in reversed(p):
+        acc = _add(_scale(acc, x, k - 1), c, k - 1)
+    return acc
+
+
+def _split_digit(g, x: int, half: int, k):
+    """(r, s) with g = r + x*s and the coefficients of r in (-x/2, x/2]."""
+    if k == 0:
+        r = g % x
+        if r > half:
+            r -= x
+        return r, (g - r) // x
+    rs, ss = [], []
+    for c in g:
+        r, s = _split_digit(c, x, half, k - 1)
+        rs.append(r)
+        ss.append(s)
+    return _trim(rs), _trim(ss)
+
+
+def _interpolate(g, x: int, k):
+    """The level-k polynomial whose value at x is g (level k-1), read off
+    the symmetric x-adic digits of g."""
+    half = x // 2
+    out = []
+    while g:
+        r, g = _split_digit(g, x, half, k - 1)
+        out.append(r)
+    return out
+
+
+def _heu_gcd(A, B, k):
+    """(gcd, A/gcd, B/gcd) of nonzero level-k integer polynomials, or None
+    when GCDHEU gives up.  The gcd is exact up to sign, integer content
+    included, so an enclosing level can interpolate it."""
+    if k == 0:
+        g = math.gcd(A, B)
+        return g, A // g, B // g
+    cont = math.gcd(*_coeffs(A, k), *_coeffs(B, k))
+    if cont != 1:
+        A, B = _quo_int(A, cont, k), _quo_int(B, cont, k)
+    norm = min(max(map(abs, _coeffs(A, k))), max(map(abs, _coeffs(B, k))))
+    # above 2*norm + 1 a primitive candidate that divides both is the gcd
+    x = 2 * norm + 2
+    deg = max(len(A), len(B))
+    for _ in range(HEU_GCD_MAX):
+        if x.bit_length() * deg > HEU_MAX_BITS:
+            return None
+        a, b = _eval_last(A, x, k), _eval_last(B, x, k)
+        found = _heu_gcd(a, b, k - 1) if a and b else None
+        if found is not None:
+            g, ca, cb = found
+            h = _interpolate(g, x, k)
+            h = _quo_int(h, math.gcd(*_coeffs(h, k)), k)
+            qa = _exact_quo(A, h, k)
+            qb = None if qa is None else _exact_quo(B, h, k)
+            if qb is not None:
+                return _scale(h, cont, k), qa, qb
+            # the cofactor images give candidates of their own
+            qa = _interpolate(ca, x, k)
+            h = _exact_quo(A, qa, k)
+            qb = None if h is None else _exact_quo(B, h, k)
+            if qb is not None:
+                return _scale(h, cont, k), qa, qb
+            qb = _interpolate(cb, x, k)
+            h = _exact_quo(B, qb, k)
+            qa = None if h is None else _exact_quo(A, h, k)
+            if qa is not None:
+                return _scale(h, cont, k), qa, qb
+        x = x * 73794 // 27011  # about 2.73, the growth of the reference algorithm
+    return None
+
+
+def _to_dense(terms: dict, k):
+    """Level-k dense form of {exponent tuple of length k: int}."""
+    if k == 0:
+        return terms.get((), 0)
+    by_last: dict = {}
+    for e, c in terms.items():
+        by_last.setdefault(e[-1], {})[e[:-1]] = c
+    zero = 0 if k == 1 else []
+    out = [zero] * (max(by_last) + 1)
+    for p, sub in by_last.items():
+        out[p] = _to_dense(sub, k - 1)
+    return out
+
+
+def _dense_terms(p, k, tail=()):
+    """Inverse of _to_dense: yields (exponent tuple, int)."""
+    if k == 0:
+        if p:
+            yield tail, p
+        return
+    for i, c in enumerate(p):
+        yield from _dense_terms(c, k - 1, (i,) + tail)
+
+
+def _integer_dense(f: MPoly, live: tuple):
+    """f with denominators cleared, as a dense polynomial in the live
+    variables (positions in f.vars)."""
+    den = 1
+    for c in f.terms.values():
+        q = int(c.denominator)
+        den = den // math.gcd(den, q) * q
+    terms = {
+        tuple(e[i] for i in live): int(c.numerator) * (den // int(c.denominator))
+        for e, c in f.terms.items()
+    }
+    return _to_dense(terms, len(live))
+
+
+def _heuristic_gcd(f: MPoly, g: MPoly):
+    """GCDHEU on two non-constant polynomials over the same variables, or
+    None."""
+    vars = f.vars
+    live = tuple(
+        i for i, v in enumerate(vars) if f.degree_in(v) > 0 or g.degree_in(v) > 0
+    )
+    k = len(live)
+    found = _heu_gcd(_integer_dense(f, live), _integer_dense(g, live), k)
+    if found is None:
+        return None
+    terms = {}
+    for e, c in _dense_terms(found[0], k):
+        full = [0] * len(vars)
+        for i, p in zip(live, e):
+            full[i] = p
+        terms[tuple(full)] = Rat(c)
+    return MPoly(vars, terms).rational_content()[1]
+
+
+def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
+    """Primitive, positive-leading gcd of two rational-coefficient MPolys."""
+    f, g, done = _gcd_args(f, g)
+    if done is not None:
+        return done
+    h = _heuristic_gcd(f, g)
+    return h if h is not None else subresultant_gcd(f, g)
 
 
 class RatFunc:
@@ -298,12 +584,6 @@ class RatFunc:
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at the given point")
         return num / den
-
-    def rename_vars(self, mapping: dict) -> "RatFunc":
-        out = RatFunc.__new__(RatFunc)
-        out.num = self.num.rename_vars(mapping)
-        out.den = self.den.rename_vars(mapping)
-        return out
 
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == 1:

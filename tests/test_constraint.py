@@ -1,7 +1,10 @@
 import pytest
 
+from tautrel import constraint
 from tautrel.constraint import (
     EliminationFailure,
+    _chi1_junk_factors,
+    _strip_factors,
     constraint_analysis,
     constraint_slice,
 )
@@ -32,6 +35,31 @@ def test_symbolic_report_d5():
     assert rep.ok()
     assert all(rep.P1_checks.values())
     assert rep.P1_checks["both_coordinates_agree"]
+
+
+def _raise_on(divisor=None):
+    real = MPoly.exact_div
+
+    def exact_div(self, other):
+        if divisor is None or other == divisor:
+            raise RuntimeError("fault in exact_div")
+        return real(self, other)
+
+    return exact_div
+
+
+def test_exact_div_faults_propagate(monkeypatch):
+    x = MPoly.variable("chi1")
+    with monkeypatch.context() as m:
+        m.setattr(MPoly, "exact_div", _raise_on())
+        with pytest.raises(RuntimeError):
+            _strip_factors(x**2 * (5 - x), _chi1_junk_factors(5))
+    # with the slices cached, the slice-shape check is the first to divide by P1
+    P1 = constraint_analysis(5).P1
+    monkeypatch.delitem(constraint._REPORT_CACHE, 5)
+    monkeypatch.setattr(MPoly, "exact_div", _raise_on(P1))
+    with pytest.raises(RuntimeError):
+        constraint_analysis(5)
 
 
 def test_P1_range():

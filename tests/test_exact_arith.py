@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tautrel.cubicext import CubicField, NotInvertible, ext_invert, factor_t3_minus_r
 from tautrel.linalg import ExactMatrix, NonSquareDet
 from tautrel.mpoly import ExactDivisionError, MPoly
 from tautrel.rat import QQ, Rat, rat, rational_cube_root
-from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
+from tautrel import ratfunc
+from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd, subresultant_gcd
 
 VARS = ("d", "chi1", "chi2")
 
@@ -92,6 +93,65 @@ def test_gcd_products_random():
         assert h.rational_content()[1].divides(G)
         (f * h).exact_div(G)
         (g * h).exact_div(G)
+
+
+GCD_VARS = (("chi1",), ("d", "chi1"), ("d", "chi1", "chi2"))
+
+
+@st.composite
+def planted_gcd_pairs(draw):
+    """(f*h, g*h) over chi1, (d, chi1) or (d, chi1, chi2); coefficients are
+    integers or fractions, and terms may be few enough to give monomials."""
+    vars = draw(st.sampled_from(GCD_VARS))
+    coeffs = st.fractions(-20, 20, max_denominator=draw(st.sampled_from([1, 6])))
+    exps = st.tuples(*[st.integers(0, 2 if len(vars) == 3 else 3)] * len(vars))
+
+    def poly(max_terms):
+        terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms))
+        return MPoly(vars, {e: Rat(c.numerator, c.denominator) for e, c in terms.items()})
+
+    f, g, h = poly(4), poly(4), poly(3)
+    return f * h, g * h, h
+
+
+_d = MPoly.variable("d", ("d", "chi1"))
+_chi = MPoly.variable("chi1", ("d", "chi1"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_gcd_pairs())
+@example((16 * _d**2, 4 * _d * _chi, 4 * _d))
+@example((16 * _d**2, _d * (_chi + 1), _d))
+@example((6 * _chi**3 - 6 * _chi, (_chi - 1) * (_d - 2 * _chi) / 7, _chi - 1))
+def test_gcd_matches_subresultant_oracle(case):
+    A, B, h = case
+    G = mpoly_gcd(A, B)
+    oracle = subresultant_gcd(A, B)
+    assert G == oracle and G.vars == oracle.vars
+    if not (A.is_zero() or B.is_zero() or h.is_zero()):
+        assert h.rational_content()[1].divides(G)
+
+
+def test_gcd_fallback_when_heuristic_gives_up(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for vars in GCD_VARS:
+        for _ in range(8):
+            f, g, h = (rand_poly(rng, vars=vars) for _ in range(3))
+            if not (f.is_zero() or g.is_zero() or h.is_zero()):
+                cases.append((f * h, g * h))
+    expected = [mpoly_gcd(A, B) for A, B in cases]
+    fallbacks = []
+
+    def counted(f, g):
+        fallbacks.append(1)
+        return subresultant_gcd(f, g)
+
+    # no xi is small enough, so every non-trivial call gives up
+    monkeypatch.setattr(ratfunc, "HEU_MAX_BITS", 0)
+    monkeypatch.setattr(ratfunc, "subresultant_gcd", counted)
+    assert [mpoly_gcd(A, B) for A, B in cases] == expected
+    assert fallbacks
 
 
 def test_ratfunc_inverse_roundtrip_random():
