@@ -3,7 +3,7 @@ relation obstruction for moduli of one-dimensional plane sheaves."""
 
 __version__ = "0.1.0"
 
-from .rat import QQ, Rat, rat
+from .rat import QQ, Rat
 from .mpoly import MPoly, PolyDomain
 from .ratfunc import FracField, RatFunc, mpoly_gcd
 from .cubicext import CubicExt, CubicField, NotInvertible, ext_invert, factor_t3_minus_r
@@ -24,7 +24,6 @@ from .constraint import constraint_analysis
 __all__ = [
     "QQ",
     "Rat",
-    "rat",
     "MPoly",
     "PolyDomain",
     "FracField",

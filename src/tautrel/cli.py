@@ -42,7 +42,7 @@ def _coprime_chis(d: int) -> list:
 
 
 def _verify_pair(report: Report, d: int, chi: int) -> None:
-    from .obstruction import analyze_node, cubic_det
+    from .obstruction import NotNodal, analyze_node, cubic_det
 
     rel = build_relation_set(d, chi)
     loc = f"d={d},chi={chi}"
@@ -68,7 +68,7 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
         coeff = node["coefficient"]
         want = -Rat(chi * (d - chi) * (d - 2 * chi)) / Rat(4 * (d - 2) * d * d)
         report.add("nodal_coefficient", coeff == want, want, coeff, loc)
-    except Exception as e:  # NotNodal
+    except NotNodal as e:
         report.add("nodal_coefficient", False, "node at [0:0:1]", str(e), loc)
     report.add("detM1_nonzero", M[0].det() != 0, "nonzero", M[0].det(), loc)
     report.add("detM2_nonzero", M[1].det() != 0, "nonzero", M[1].det(), loc)

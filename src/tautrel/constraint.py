@@ -23,9 +23,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
-from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_S
+from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_AB, solve_S
 from .rat import Rat
-from .ratfunc import FracField, RatFunc, mpoly_gcd
+from .ratfunc import FracField, mpoly_gcd
 from .symbolic import symbolic_matrices_at
 
 
@@ -34,124 +34,6 @@ class EliminationFailure(ArithmeticError):
 
 
 UNI_FIELD = FracField(("chi1",))
-
-
-def _row_cleared(row: list, E) -> list:
-    """Scale an extension-valued row to denominator-free, content-free
-    form (kernels are scale-invariant row by row)."""
-    lcm = None
-    for e in row:
-        for c in e.coeffs:
-            if c.is_zero() or c.den.is_constant():
-                continue
-            if lcm is None:
-                lcm = c.den
-            else:
-                g = mpoly_gcd(lcm, c.den)
-                lcm = lcm * c.den.exact_div(g) if not g.is_constant() else lcm * c.den
-    if lcm is not None:
-        scale = E.coerce(RatFunc(lcm))
-        row = [e * scale for e in row]
-    content = None
-    for e in row:
-        for c in e.coeffs:
-            if c.is_zero():
-                continue
-            p = c.num
-            content = p if content is None else mpoly_gcd(content, p)
-            if content.is_constant():
-                content = None
-                break
-        if content is None and e is not row[0]:
-            break
-    if content is not None and not content.is_constant():
-        inv = RatFunc._raw(MPoly.constant(1, content.vars), content)
-        scale = E.coerce(inv)
-        row = [e * scale for e in row]
-    return row
-
-
-def _kernel_corank1(rows: list, ncols: int, E) -> list:
-    """Kernel vector of a system expected to have corank exactly 1,
-    via primitive fraction-free elimination with early verification."""
-    pivots = []  # (col, cleared row), mutually reduced on insert order
-    for raw in rows:
-        row = _row_cleared(raw, E)
-        for col, prow in pivots:
-            f = row[col]
-            if f.is_zero():
-                continue
-            lead = prow[col]
-            row = [lead * a - f * b for a, b in zip(row, prow)]
-            row = _row_cleared(row, E)
-        lead_col = next((c for c in range(ncols) if not row[c].is_zero()), None)
-        if lead_col is None:
-            continue
-        pivots.append((lead_col, row))
-        if len(pivots) == ncols - 1:
-            break
-    if len(pivots) != ncols - 1:
-        raise EliminationFailure(
-            f"system rank {len(pivots)} != {ncols - 1}: kernel not one-dimensional"
-        )
-    free = next(c for c in range(ncols) if c not in {p for p, _ in pivots})
-    v = [E.zero] * ncols
-    v[free] = E.one
-    for col, prow in sorted(pivots, key=lambda cr: cr[0], reverse=True):
-        acc = E.zero
-        for c in range(col + 1, ncols):
-            if not v[c].is_zero() and not prow[c].is_zero():
-                acc = acc + prow[c] * v[c]
-        v[col] = -acc / prow[col]
-    for raw in rows:
-        acc = E.zero
-        for a, b in zip(raw, v):
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
-        if not acc.is_zero():
-            raise EliminationFailure("kernel vector fails a residual equation")
-    return v
-
-
-def solve_AB_reduced(cand: CandidateS, M: list, Mp: list):
-    """(A, B^-1) for a Type II candidate via the i=1 block:
-    A^T = (sum_j s_1j M'_j) B^-1 M_1^-1, leaving an 18x9 homogeneous
-    system in the entries of B^-1 alone.  The result is canonical: the
-    solution line is normalized by a11 = s22."""
-    E = cand.field
-    Ms = [_lift_matrix(m, E) for m in M]
-    Ps = _s_combination(cand, Mp)
-    M1_inv = Ms[0].inverse()
-    rows = []
-    for i in (1, 2):
-        Q = M1_inv * Ms[i]
-        for r in range(3):
-            for c in range(3):
-                row = [E.zero] * 9
-                for k in range(3):
-                    for l in range(3):
-                        coeff = Ps[0][r, k] * Q[l, c]
-                        if l == c:
-                            coeff = coeff - Ps[i][r, k]
-                        row[3 * k + l] = row[3 * k + l] + coeff
-                rows.append(row)
-    bt = _kernel_corank1(rows, 9, E)
-    Bt = ExactMatrix(E, [[bt[3 * s + t] for t in range(3)] for s in range(3)])
-    At = Ps[0] * Bt * M1_inv
-    A = At.transpose()
-    anchor = A[0, 0]
-    if anchor.is_zero():
-        raise EliminationFailure("reduced solution has a11 = 0")
-    mu = cand.S[1, 1] / anchor
-    A = A.scale(mu)
-    Bt = Bt.scale(mu)
-    if A.det() != E.one or Bt.det() != E.one:
-        raise EliminationFailure("normalized solution does not have unit determinants")
-    At = A.transpose()
-    for i in range(3):
-        if not (At * Ms[i]) == (Ps[i] * Bt):
-            raise AssertionError("reduced A,B verification failed")
-    return A, Bt
 
 
 def _column0_elimination(cand: CandidateS, A: ExactMatrix, M, N, Np):
@@ -179,24 +61,11 @@ def _column0_elimination(cand: CandidateS, A: ExactMatrix, M, N, Np):
     pivot_eqs = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
     held_back = [(0, 0), (0, 1)]
     leftover_eqs = [(0, 2), (1, 2)]
-    pivots = []  # list of (pivot_col, row of length 7), mutually reduced
+    rows = []
     for i, r in pivot_eqs:
         coeffs, cv, const = equation(i, r)
-        row = coeffs + [cv, const]
-        for col, prow in pivots:
-            f = row[col]
-            if not E.is_zero(f):
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((c for c in range(5) if not E.is_zero(row[c])), None)
-        if lead is None:
-            raise EliminationFailure(f"designated pivot equation ({i},{r}) degenerate")
-        inv = E.one / row[lead]
-        row = [x * inv for x in row]
-        for j, (col, prow) in enumerate(pivots):
-            f = prow[lead]
-            if not E.is_zero(f):
-                pivots[j] = (col, [a - f * b for a, b in zip(prow, row)])
-        pivots.append((lead, row))
+        rows.append(coeffs + [cv, const])
+    pivots, _ = ExactMatrix(E, rows).gauss_jordan(pivot_cols=range(5))
     if sorted(col for col, _ in pivots) != [0, 1, 2, 3, 4]:
         raise EliminationFailure(
             f"designated pivot equations degenerate: pivots {[c for c, _ in pivots]}"
@@ -271,8 +140,10 @@ def constraint_slice(d: int, b: int) -> ConstraintSlice:
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} slice candidates at chi'={b}")
     cand = cands[0]
-    A, _Bt = solve_AB_reduced(cand, M, Mp)
-    residuals, leftovers = _column0_elimination(cand, A, M, N, Np)
+    ab = solve_AB(cand, M, Mp)
+    if ab.status != "solution":
+        raise EliminationFailure(f"(A, B) system gives {ab.status} at chi'={b}")
+    residuals, leftovers = _column0_elimination(cand, ab.A, M, N, Np)
     (AA, BB), (CC, DD) = residuals
     constraint = AA * DD - BB * CC
     c0, c1, c2 = constraint.coeffs
@@ -368,7 +239,7 @@ def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
     residual pair compatible, and is the full extended system solvable?
     Solvability must imply compatibility (the pair is a necessary
     condition)."""
-    from .obstruction import solve_AB, solve_UV
+    from .obstruction import solve_UV
     from .relations import build_relation_set
     from .truncation import matrices_M, matrices_N
 

@@ -1,9 +1,15 @@
 """Exact dense linear algebra over any field in the coefficient tower.
 
-Everything is plain Gaussian elimination with exact division; pivots are
-the first nonzero entry in column order, so results are deterministic.
-A cofactor determinant is kept alongside the elimination determinant as
-an independent cross-check.
+All elimination except the determinant's runs through one row-by-row
+Gauss-Jordan loop, ExactMatrix.gauss_jordan.  The pivot rule: rows are
+visited in a given order (top to bottom by default); each is reduced
+against the pivot rows found so far, then pivots on its first nonzero
+entry among the columns allowed to hold a pivot, taken in a given order
+(all columns, left to right, by default); a row with no such entry is
+set aside.  With the defaults the pivot rows, sorted by column, are the
+unique reduced row echelon form.  Division is exact, so every result is
+deterministic.  det runs its own forward elimination, and a cofactor
+determinant is kept alongside it as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -39,13 +45,18 @@ class ExactMatrix:
             m.data[i][i] = field.one
         return m
 
-    def copy(self) -> "ExactMatrix":
-        out = ExactMatrix.__new__(ExactMatrix)
-        out.field = self.field
-        out.rows = self.rows
-        out.cols = self.cols
-        out.data = [row[:] for row in self.data]
+    @classmethod
+    def _of(cls, field, data):
+        """Wrap rows that already hold elements of field, without coercion."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.data = data
+        out.rows = len(data)
+        out.cols = len(data[0]) if data else 0
         return out
+
+    def copy(self) -> "ExactMatrix":
+        return ExactMatrix._of(self.field, [row[:] for row in self.data])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -131,50 +142,66 @@ class ExactMatrix:
 
     # -- elimination ------------------------------------------------------
 
+    def gauss_jordan(self, visit=None, pivot_cols=None, with_transform=False):
+        """Row-by-row Gauss-Jordan elimination, the one elimination loop.
+
+        visit: the row indices in the order they are visited (default:
+        all rows, top to bottom).  pivot_cols: the columns that may hold
+        a pivot, in search order (default: all columns, left to right).
+        Each visited row is reduced against the pivot rows found so far
+        and pivots on its first nonzero entry among pivot_cols; it is
+        scaled to 1 there and its pivot column is cleared from the
+        earlier pivot rows.  A row with no such entry is set aside.
+
+        Returns (pivots, rest): pivots lists (column, row) in the order
+        found, the rows reduced against each other; rest lists the rows
+        set aside, each reduced against the pivots found before it.  With
+        with_transform every row carries self.rows further entries: the
+        combination of the rows of self that it equals.
+        """
+        is_zero = self._is_zero
+        one = self.field.one
+        order = range(self.rows) if visit is None else visit
+        cols = range(self.cols) if pivot_cols is None else pivot_cols
+        pivots, rest = [], []
+        for k in order:
+            row = list(self.data[k])
+            if with_transform:
+                row += [self.field.zero] * self.rows
+                row[self.cols + k] = one
+            for col, prow in pivots:
+                f = row[col]
+                if not is_zero(f):
+                    row = [a - f * b for a, b in zip(row, prow)]
+            lead = next((c for c in cols if not is_zero(row[c])), None)
+            if lead is None:
+                rest.append(row)
+                continue
+            inv = one / row[lead]
+            row = [x * inv for x in row]
+            for i, (col, prow) in enumerate(pivots):
+                f = prow[lead]
+                if not is_zero(f):
+                    pivots[i] = (col, [a - f * b for a, b in zip(prow, row)])
+            pivots.append((lead, row))
+        return pivots, rest
+
     def rref(self, with_transform: bool = False):
         """Reduced row echelon form.
 
         Returns (R, pivots) or (R, pivots, T) with T @ self == R.
         """
-        R = self.copy()
-        T = ExactMatrix.identity(self.field, self.rows) if with_transform else None
-        pivots = []
-        pr = 0
-        for col in range(self.cols):
-            pivot_row = None
-            for i in range(pr, self.rows):
-                if not self._is_zero(R.data[i][col]):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            R.data[pr], R.data[pivot_row] = R.data[pivot_row], R.data[pr]
-            if T is not None:
-                T.data[pr], T.data[pivot_row] = T.data[pivot_row], T.data[pr]
-            inv = self.field.one / R.data[pr][col]
-            R.data[pr] = [x * inv for x in R.data[pr]]
-            if T is not None:
-                T.data[pr] = [x * inv for x in T.data[pr]]
-            for i in range(self.rows):
-                if i == pr:
-                    continue
-                f = R.data[i][col]
-                if self._is_zero(f):
-                    continue
-                R.data[i] = [a - f * b for a, b in zip(R.data[i], R.data[pr])]
-                if T is not None:
-                    T.data[i] = [a - f * b for a, b in zip(T.data[i], T.data[pr])]
-            pivots.append(col)
-            pr += 1
-            if pr == self.rows:
-                break
-        if with_transform:
-            return R, pivots, T
-        return R, pivots
+        found, rest = self.gauss_jordan(with_transform=with_transform)
+        found.sort(key=lambda cr: cr[0])
+        pivots = [col for col, _ in found]
+        rows = [row for _, row in found] + rest
+        if not with_transform:
+            return ExactMatrix._of(self.field, rows), pivots
+        R = ExactMatrix._of(self.field, [row[:self.cols] for row in rows])
+        return R, pivots, ExactMatrix._of(self.field, [row[self.cols:] for row in rows])
 
     def rank(self) -> int:
-        _, pivots = self.rref()
-        return len(pivots)
+        return len(self.gauss_jordan()[0])
 
     def det(self, method: str = "elimination"):
         if self.rows != self.cols:
@@ -236,14 +263,20 @@ class ExactMatrix:
 
     def kernel(self) -> list:
         """Basis of the right kernel, as lists of field elements."""
-        R, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
+        return self._kernel(self.gauss_jordan()[0])
+
+    def _kernel(self, pivots: list) -> list:
+        """Kernel basis read off the pivot rows of gauss_jordan, one
+        vector per free column, in column order."""
+        taken = {col for col, _ in pivots}
         basis = []
-        for f in free:
+        for f in range(self.cols):
+            if f in taken:
+                continue
             v = [self.field.zero] * self.cols
             v[f] = self.field.one
-            for row, p in enumerate(pivots):
-                v[p] = -R.data[row][f]
+            for col, row in pivots:
+                v[col] = -row[f]
             basis.append(v)
         return basis
 
@@ -252,26 +285,26 @@ class ExactMatrix:
 
         Returns (particular, kernel_basis, certificate): certificate is
         None when solvable, otherwise a row combination lam with
-        lam @ self == 0 and lam @ rhs != 0 (and particular is None).
+        lam @ self == 0 and lam @ rhs == 1 (and particular is None).
+        One elimination of [self | rhs], pivoting left of the bar, gives
+        all three.
         """
         if len(rhs) != self.rows:
             raise DimensionMismatch("rhs length mismatch")
-        aug = ExactMatrix(
+        n = self.cols
+        aug = ExactMatrix._of(
             self.field,
             [self.data[i] + [self.field.coerce(rhs[i])] for i in range(self.rows)],
         )
-        R, pivots, T = aug.rref(with_transform=True)
-        if pivots and pivots[-1] == self.cols:
-            bad_row = len(pivots) - 1
-            certificate = T.data[bad_row]
-            return None, None, certificate
-        x = [self.field.zero] * self.cols
-        for row, p in enumerate(pivots):
-            x[p] = R.data[row][self.cols]
-        return x, self.kernel(), None
-
-    def to_lists(self):
-        return [row[:] for row in self.data]
+        pivots, rest = aug.gauss_jordan(pivot_cols=range(n), with_transform=True)
+        for row in rest:
+            if not self._is_zero(row[n]):
+                inv = self.field.one / row[n]
+                return None, None, [x * inv for x in row[n + 1:]]
+        x = [self.field.zero] * n
+        for col, row in pivots:
+            x[col] = row[n]
+        return x, self._kernel(pivots), None
 
     def __repr__(self):
         body = "; ".join(

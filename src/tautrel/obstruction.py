@@ -6,9 +6,9 @@ A^T M_i B = sum_j s_ij M'_j.  Comparing coefficients of the determinant
 pencil identity det(sum x_i M_i) = det(sum_ij x_i s_ij M'_j) classifies
 S into two vanishing patterns; each pattern is solved over a cubic
 extension (one candidate per irreducible factor of t^3 - r), the linear
-system for (A, B^-1) is solved exactly, and finally the extended system
-for (U, V) decides solvability.  Witnesses and inconsistency
-certificates are re-verified by direct substitution.
+system for B^-1 is solved exactly (A follows from the i=1 equation), and
+finally the extended system for (U, V) decides solvability.  Witnesses
+and inconsistency certificates are re-verified by direct substitution.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class BadTriple(ValueError):
 
 
 class NoCandidate(ArithmeticError):
-    pass
-
-
-class EliminationFailure(ArithmeticError):
     pass
 
 
@@ -367,14 +363,36 @@ def _ab_system(cand: CandidateS, M: list, Mp: list):
 def solve_AB(cand: CandidateS, M: list, Mp: list) -> ABResult:
     """Solve A^T M_i = (sum_j s_ij M'_j) B^-1 exactly.
 
-    Type II candidates are normalized so a11 = s22 (top-left entry of A
-    equals the middle entry of S) and det(A) = det(B) = 1.
+    M_1 is invertible (det M_1 = -X^2/(16 d^6) with X = chi(d-chi)(d-2chi),
+    and analyze_node has rejected X = 0), so the i=1 equation gives
+    A^T = P_1 B^-1 M_1^-1 and the i=2, 3 equations leave an 18x9
+    homogeneous system in the entries of B^-1 alone; its kernel has the
+    dimension of the full 27x18 system's.  The solution line is
+    normalized so a11 = s22 (top-left entry of A equals the middle entry
+    of S) and det(A) = det(B) = 1.  When the kernel is trivial the
+    27x18 system yields the a33 certificate.
     """
     E = cand.field
-    system, eq_index = _ab_system(cand, M, Mp)
-    kernel = system.kernel()
+    Ms = [_lift_matrix(m, E) for m in M]
+    Ps = _s_combination(cand, Mp)
+    M1_inv = Ms[0].inverse()
+    rows = []
+    for i in (1, 2):
+        Q = M1_inv * Ms[i]
+        for r in range(3):
+            for c in range(3):
+                row = [E.zero] * 9
+                for k in range(3):
+                    for l in range(3):
+                        coeff = Ps[0][r, k] * Q[l, c]
+                        if l == c:
+                            coeff = coeff - Ps[i][r, k]
+                        row[3 * k + l] = row[3 * k + l] + coeff
+                rows.append(row)
+    kernel = ExactMatrix(E, rows).kernel()
     dim = len(kernel)
     if dim == 0:
+        system, eq_index = _ab_system(cand, M, Mp)
         certificate = _a33_certificate(cand, system, eq_index)
         return ABResult("no_invertible", 0, certificate=certificate)
     if dim > 1:
@@ -383,24 +401,25 @@ def solve_AB(cand: CandidateS, M: list, Mp: list) -> ABResult:
             certificate={"note": f"kernel dimension {dim} (expected 1)"},
         )
     vec = kernel[0]
-    anchor = vec[0]
+    Bt = ExactMatrix(E, [[vec[3 * s + t] for t in range(3)] for s in range(3)])
+    A = (Ps[0] * Bt * M1_inv).transpose()
+    anchor = A[0, 0]
     if anchor.is_zero():
         return ABResult(
             "anomaly", 1, certificate={"note": "kernel vector has a11 = 0"}
         )
     mu = cand.S[1, 1] / anchor
-    A = ExactMatrix(E, [[vec[3 * s + t] * mu for t in range(3)] for s in range(3)])
-    Bt = ExactMatrix(E, [[vec[9 + 3 * s + t] * mu for t in range(3)] for s in range(3)])
+    A = A.scale(mu)
+    Bt = Bt.scale(mu)
     if A.det() != E.one or Bt.det() != E.one:
         return ABResult(
             "anomaly", 1,
             certificate={"note": "normalized solution has det(A) or det(B^-1) != 1"},
         )
     B = Bt.inverse()
-    Ps = _s_combination(cand, Mp)
     At = A.transpose()
     for i in range(3):
-        if not (At * _lift_matrix(M[i], E) * B) == Ps[i]:
+        if not (At * Ms[i] * B) == Ps[i]:
             raise AssertionError("A, B verification failed: witness unsound")
     return ABResult("solution", 1, A=A, B=B, Btilde=Bt)
 
@@ -416,36 +435,17 @@ def _a33_certificate(cand: CandidateS, system: ExactMatrix, eq_index: list) -> d
     a pure a33 multiple are set aside so a33 stays free."""
     E = cand.field
     drop = eq_index.index((0, 0, 1))
-    # column order: everything else first, a33 (index 8) last
-    order = [c for c in range(18) if c != 8] + [8]
     # equations visited row-major across the three matrix equations;
     # under this pivot recipe the forcing coefficient comes out as
     # -4 chi (d-chi)(d-2chi) / (d ((d-2) d^2 + 24 d chi' - 24 chi'^2)),
     # i.e. exactly 2/(d-4) times the coefficient of the reference
     # elimination (an exact, tested relation)
     visit = sorted(
-        range(len(system.data)),
+        (k for k in range(len(system.data)) if k != drop),
         key=lambda k: (eq_index[k][1], eq_index[k][2], eq_index[k][0]),
     )
-    pivots: list = []  # (column, reduced row)
-    for k in visit:
-        if k == drop or len(pivots) >= 17:
-            continue
-        row = system.data[k][:]
-        for col, prow in pivots:
-            f = row[col]
-            if not f.is_zero():
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((c for c in order[:-1] if not row[c].is_zero()), None)
-        if lead is None:
-            continue
-        inv = E.one / row[lead]
-        row = [x * inv for x in row]
-        for i, (col, prow) in enumerate(pivots):
-            f = prow[lead]
-            if not f.is_zero():
-                pivots[i] = (col, [a - f * b for a, b in zip(prow, row)])
-        pivots.append((lead, row))
+    not_a33 = [c for c in range(18) if c != 8]
+    pivots, _ = system.gauss_jordan(visit=visit, pivot_cols=not_a33)
     if len(pivots) != 17:
         return {"note": f"only {len(pivots)} pivots found (expected 17)"}
     # solution line: a33 = 1, pivot unknowns from the reduced rows

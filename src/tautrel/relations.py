@@ -92,22 +92,6 @@ def enumerate_partitions(ell: int, predicate=None) -> list:
     return out
 
 
-def partition_count(ell: int) -> int:
-    return len(enumerate_partitions(ell))
-
-
-def truncation_filter(d: int, ell: int):
-    """Parts filter keeping partitions that can reach monomials with one
-    generator of degree >= d-2 and small rest: a largest part >= d-2
-    with the remaining parts summing to at most ell - (d-2)."""
-
-    def keep(pt: PartitionTuple) -> bool:
-        parts = pt.parts()
-        return bool(parts) and parts[0] >= d - 2 and sum(parts[1:]) <= ell - (d - 2)
-
-    return keep
-
-
 # -- the beta-twisted factors -----------------------------------------------
 
 
@@ -268,17 +252,6 @@ class RelationSet:
             "R2": str(self.R2),
             "R3": str(self.R3),
         }
-
-
-def _field_context(d: int, symbolic_chi: bool):
-    if symbolic_chi:
-        field = FracField(("chi1",))
-        ctx = TautContext(field, d)
-        chi = field.gen("chi1")
-    else:
-        ctx = TautContext(QQ, d)
-        chi = None
-    return ctx, chi
 
 
 def _coeff_matrix(polys, monos, field) -> ExactMatrix:

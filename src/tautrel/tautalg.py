@@ -42,12 +42,6 @@ def gen_key(gen):
     return (k + j - 1, k)
 
 
-def gen_compare(a, b) -> int:
-    """-1, 0 or 1 according to the ordering of two generators."""
-    ka, kb = gen_key(a), gen_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def gen_str(gen) -> str:
     k, j = gen
     return f"c{k}({j})"
@@ -85,34 +79,6 @@ def mono_str(mono: tuple) -> str:
         parts.append(gen_str(g) if run == 1 else f"{gen_str(g)}^{run}")
         i += run
     return "*".join(parts)
-
-
-def monomial_basis(degree: int, max_gen_degree: int) -> list:
-    """All monomials of the given degree over generators of degree
-    <= max_gen_degree, sorted descending under the ordering."""
-    gens_desc = []
-    for deg in range(max_gen_degree, 0, -1):
-        if deg == 1:
-            gens_desc += [(2, 0), (0, 2)]
-        else:
-            gens_desc += [(deg + 1, 0), (deg, 1), (deg - 1, 2)]
-    gens_desc.sort(key=gen_key, reverse=True)
-    out = []
-
-    def build(prefix, start, remaining):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for i in range(start, len(gens_desc)):
-            g = gens_desc[i]
-            if gen_degree(g) <= remaining:
-                prefix.append(g)
-                build(prefix, i, remaining - gen_degree(g))
-                prefix.pop()
-
-    build([], 0, degree)
-    out.sort(key=mono_key, reverse=True)
-    return out
 
 
 # -- the graded algebra ----------------------------------------------------
@@ -194,10 +160,6 @@ class GradedPoly:
 
     def coeff(self, mono: tuple):
         return self.terms.get(tuple(mono), self.ctx.domain.zero)
-
-    def is_homogeneous(self):
-        degs = {mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> int:
         if not self.terms:

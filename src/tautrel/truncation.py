@@ -23,17 +23,17 @@ class CheckpointMismatch(AssertionError):
     pass
 
 
-def t2_basis(d: int) -> list:
+def t2_basis() -> list:
     """Ordered basis of the degree-2 generator block: rows s = 0, 1, 2."""
     return [((3 - s, s),) for s in range(3)]
 
 
-def tk_basis(d: int, k: int) -> list:
+def tk_basis(k: int) -> list:
     """Ordered basis of the degree-k generator block (k >= 2)."""
     return [((k + 1 - t, t),) for t in range(3)]
 
 
-def sym2_basis(d: int) -> list:
+def sym2_basis() -> list:
     """Ordered basis of squares of degree-1 generators."""
     a, b = (2, 0), (0, 2)
     mk = lambda u, v: tuple(sorted((u, v), key=gen_key, reverse=True))
@@ -45,14 +45,14 @@ def matrices_M(rel: RelationSet) -> list:
     basis: M_i[s][t] = [c_{d-1-s}(s) c_{3-t}(t)] R_i.  This is the
     orientation under which the change-of-relations equation reads
     A^T M_i B = sum_j s_ij M'_j."""
-    left = tk_basis(rel.d, rel.d - 2)
-    right = t2_basis(rel.d)
+    left = tk_basis(rel.d - 2)
+    right = t2_basis()
     return [project_block(R, left, right) for R in rel.relations]
 
 
 def matrices_N(rel: RelationSet) -> list:
-    left = tk_basis(rel.d, rel.d - 2)
-    right = sym2_basis(rel.d)
+    left = tk_basis(rel.d - 2)
+    right = sym2_basis()
     return [project_block(R, left, right) for R in rel.relations]
 
 

@@ -51,6 +51,25 @@ def test_verify_pass_and_rejections():
     assert "NotCoprime" in err
 
 
+def test_verify_node_errors(monkeypatch):
+    from tautrel import obstruction
+
+    def not_nodal(cubic, field):
+        raise obstruction.NotNodal("zero cubic")
+
+    monkeypatch.setattr(obstruction, "analyze_node", not_nodal)
+    code, out, _ = run_cli("verify", "--d", "5", "--chi", "1")
+    assert code == 1
+    assert "zero cubic" in out
+
+    def broken(cubic, field):
+        raise RuntimeError("fault in analyze_node")
+
+    monkeypatch.setattr(obstruction, "analyze_node", broken)
+    with pytest.raises(RuntimeError, match="fault in analyze_node"):
+        run_cli("verify", "--d", "5", "--chi", "1")
+
+
 def test_verify_symbolic_mode():
     code, out, _ = run_cli("verify", "--d", "5", "--chi", "1", "--mode", "symbolic")
     assert code == 0

@@ -29,6 +29,12 @@ def test_rat_invariants():
     assert str(rat(-3, 2)) == "-3/2"
 
 
+def test_rat_submodule_not_shadowed():
+    import tautrel.rat as r
+
+    assert r.__name__ == "tautrel.rat" and r.rat is rat
+
+
 def test_rational_cube_root():
     assert rational_cube_root(rat(27, 8)) == rat(3, 2)
     assert rational_cube_root(rat(-8)) == -2
@@ -215,6 +221,98 @@ def test_cubic_field_over_function_field():
     assert t**3 == E.coerce(r)
     e = E.one + t
     assert e * e.inverse() == E.one
+
+
+def rref_oracle(M: ExactMatrix, cols=None):
+    """The column-by-column elimination with row swaps that ExactMatrix.rref
+    ran before the row-by-row loop: (R, pivots), pivoting only in cols."""
+    R = M.copy()
+    pivots = []
+    pr = 0
+    for col in range(M.cols) if cols is None else cols:
+        pivot_row = next((i for i in range(pr, M.rows) if R.data[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        R.data[pr], R.data[pivot_row] = R.data[pivot_row], R.data[pr]
+        inv = 1 / R.data[pr][col]
+        R.data[pr] = [x * inv for x in R.data[pr]]
+        for i in range(M.rows):
+            f = R.data[i][col]
+            if i != pr and f != 0:
+                R.data[i] = [a - f * b for a, b in zip(R.data[i], R.data[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == M.rows:
+            break
+    return R, pivots
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Rat(0))
+
+
+@st.composite
+def qq_systems(draw):
+    """(A, b) over QQ: A = C @ B has rank at most r, and b is A @ x
+    (solvable) or drawn freely (usually not, when A is rank deficient)."""
+    small = st.integers(-3, 3)
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(m, n)))
+    B = [[draw(small) for _ in range(n)] for _ in range(r)]
+    C = [[Rat(draw(small), draw(st.integers(1, 3))) for _ in range(r)] for _ in range(m)]
+    A = ExactMatrix(QQ, [[dot(C[i], [B[k][j] for k in range(r)]) for j in range(n)]
+                         for i in range(m)])
+    if draw(st.booleans()):
+        x = [Rat(draw(small)) for _ in range(n)]
+        b = [dot(row, x) for row in A.data]
+    else:
+        b = [Rat(draw(small)) for _ in range(m)]
+    return A, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(qq_systems())
+def test_elimination_kernel_against_oracle(system):
+    A, b = system
+    R, pivots, T = A.rref(with_transform=True)
+    assert (R, pivots) == rref_oracle(A) == A.rref()
+    assert T * A == R
+    assert A.rank() == len(pivots)
+    kernel = A.kernel()
+    assert len(kernel) == A.cols - len(pivots)
+    assert all(dot(row, v) == 0 for v in kernel for row in A.data)
+    x, ker, cert = A.solve(b)
+    if cert is None:
+        assert [dot(row, x) for row in A.data] == b
+        assert ker == kernel
+    else:
+        assert x is None
+        assert all(dot(cert, [row[j] for row in A.data]) == 0 for j in range(A.cols))
+        assert dot(cert, b) != 0
+
+
+def test_gauss_jordan_pins_row_greedy_recipe():
+    # pivots only left of the bar; the solution line fixes z = 1 and reads
+    # the pivot unknowns off the reduced rows (the a33 certificate recipe)
+    M = ExactMatrix(QQ, [[0, 1, 0], [0, 1, 1], [1, 0, 0]])
+    pivots, rest = M.gauss_jordan(pivot_cols=[0, 1])
+    assert [col for col, _ in pivots] == [1, 0]
+    assert rest == [[0, 0, 1]]
+
+    def line(pivot_rows):
+        v = [Rat(0), Rat(0), Rat(1)]
+        for col, row in pivot_rows:
+            v[col] = -row[2]
+        return v
+
+    assert line(pivots) == [0, 0, 1]
+    # the column-by-column loop with row swaps takes the second row as the
+    # y pivot instead, and lands on another point
+    R, cols = rref_oracle(M, cols=[0, 1])
+    assert line(zip(cols, R.data)) == [0, -1, 1]
+    # the visit order decides which rows pivot
+    pivots, rest = M.gauss_jordan(visit=[1, 0, 2], pivot_cols=[0, 1])
+    assert line(pivots) == [0, -1, 1] and rest == [[0, 0, -1]]
 
 
 def test_linalg_examples():

@@ -17,14 +17,28 @@ from tautrel.relations import (
     expand_relation_by_partitions,
     mon1,
     mon2,
-    partition_count,
     relation_factor,
-    truncation_filter,
     verify_rank12,
     _coeff_matrix,
     _rref_relations,
 )
 from tautrel.tautalg import GradedPoly, TautContext, concrete_context, mono_key
+
+
+def partition_count(ell: int) -> int:
+    return len(enumerate_partitions(ell))
+
+
+def truncation_filter(d: int, ell: int):
+    """Parts filter keeping partitions that can reach monomials with one
+    generator of degree >= d-2 and small rest: a largest part >= d-2
+    with the remaining parts summing to at most ell - (d-2)."""
+
+    def keep(pt: PartitionTuple) -> bool:
+        parts = pt.parts()
+        return bool(parts) and parts[0] >= d - 2 and sum(parts[1:]) <= ell - (d - 2)
+
+    return keep
 
 
 def test_enumerate_partitions_small():

@@ -10,15 +10,48 @@ from tautrel.tautalg import (
     ZeroPolynomial,
     beta_pushforward,
     concrete_context,
-    gen_compare,
+    gen_degree,
     gen_key,
     mono_key,
     mono_str,
-    monomial_basis,
     project_block,
 )
 
 CTX = concrete_context(5)
+
+
+def gen_compare(a, b) -> int:
+    """-1, 0 or 1 according to the ordering of two generators."""
+    ka, kb = gen_key(a), gen_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def monomial_basis(degree: int, max_gen_degree: int) -> list:
+    """All monomials of the given degree over generators of degree
+    <= max_gen_degree, sorted descending under the ordering."""
+    gens_desc = []
+    for deg in range(max_gen_degree, 0, -1):
+        if deg == 1:
+            gens_desc += [(2, 0), (0, 2)]
+        else:
+            gens_desc += [(deg + 1, 0), (deg, 1), (deg - 1, 2)]
+    gens_desc.sort(key=gen_key, reverse=True)
+    out = []
+
+    def build(prefix, start, remaining):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for i in range(start, len(gens_desc)):
+            g = gens_desc[i]
+            if gen_degree(g) <= remaining:
+                prefix.append(g)
+                build(prefix, i, remaining - gen_degree(g))
+                prefix.pop()
+
+    build([], 0, degree)
+    out.sort(key=mono_key, reverse=True)
+    return out
 
 
 def P(coeff, *gens):
