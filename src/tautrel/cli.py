@@ -112,36 +112,47 @@ def _verify_symbolic(report: Report, d: int, chi: int) -> None:
     report.add("symbolic_evaluation_matches_concrete_N", okN, True, okN)
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
+def _chi_error(name: str, chi: int, d: int):
+    """Why verify cannot take chi at d, or None."""
+    if math.gcd(d, chi) != 1:
+        return f"NotCoprime: {name}={chi}, d={d}"
+    if not 0 < chi < d:
+        return f"0 < {name} < d required ({name}={chi}, d={d})"
+    return None
+
+
 def cmd_verify(args) -> int:
-    d_values = range(args.d, (args.dmax or args.d) + 1)
+    try:
+        fixed = None if args.chi in (None, "all") else int(args.chi)
+    except ValueError:
+        return _usage_error(f"--chi takes an integer or 'all' (got {args.chi!r})")
+    pairs = []
+    for d in range(args.d, (args.dmax or args.d) + 1):
+        if d < 5:
+            return _usage_error(f"d >= 5 required for relation checkpoints (got {d})")
+        for chi in _coprime_chis(d) if fixed is None else [fixed]:
+            err = _chi_error("chi", chi, d)
+            if err is None and args.chi2 is not None:
+                err = _chi_error("chi2", args.chi2, d)
+            if err:
+                return _usage_error(err)
+            pairs.append((d, chi))
     config = {"d": args.d, "dmax": args.dmax, "chi": args.chi,
               "chi2": args.chi2, "mode": args.mode}
     report = Report("verify", config)
     t0 = time.time()
-    for d in d_values:
-        if d < 5:
-            print(f"error: d >= 5 required for relation checkpoints (got {d})",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        chis = _coprime_chis(d) if args.chi in (None, "all") else [int(args.chi)]
-        for chi in chis:
-            if math.gcd(d, chi) != 1:
-                print(f"error: NotCoprime: chi={chi}, d={d}", file=sys.stderr)
-                return USAGE_ERROR
-            if not 0 < chi < d:
-                print(f"error: 0 < chi < d required (chi={chi}, d={d})",
-                      file=sys.stderr)
-                return USAGE_ERROR
-            if args.mode == "symbolic":
-                _verify_symbolic(report, d, chi)
-            else:
-                _verify_pair(report, d, chi)
-            if args.chi2 is not None:
-                if math.gcd(d, args.chi2) != 1:
-                    print(f"error: NotCoprime: chi2={args.chi2}, d={d}",
-                          file=sys.stderr)
-                    return USAGE_ERROR
-                _verify_triple(report, d, chi, args.chi2)
+    for d, chi in pairs:
+        if args.mode == "symbolic":
+            _verify_symbolic(report, d, chi)
+        else:
+            _verify_pair(report, d, chi)
+        if args.chi2 is not None:
+            _verify_triple(report, d, chi, args.chi2)
     report.timings["total"] = time.time() - t0
     _write_output(report.render(args.format), args.out)
     return 0 if report.passed else MATH_ERROR
@@ -149,13 +160,14 @@ def cmd_verify(args) -> int:
 
 def cmd_decide(args) -> int:
     config = {"d": args.d, "chi1": args.chi1, "chi2": args.chi2}
+    if args.d < 1:
+        return _usage_error(f"d >= 1 required (got {args.d})")
     report = Report("decide", config)
     t0 = time.time()
     try:
         v = decide(args.d, args.chi1, args.chi2)
     except NotCoprime as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(str(e))
     report.results.append(v.to_json())
     report.add("verdict_matches_congruence", v.agrees,
                "NoObstruction" if v.expected_isomorphic else "ObstructionFound",
@@ -173,8 +185,9 @@ def _sweep_worker(task):
 
 def cmd_sweep(args) -> int:
     if not (5 <= args.dmin <= args.dmax):
-        print("error: need 5 <= dmin <= dmax", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("need 5 <= dmin <= dmax")
+    if args.jobs is not None and args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1 (got {args.jobs})")
     config = {"dmin": args.dmin, "dmax": args.dmax, "jobs": args.jobs}
     report = Report("sweep", config)
     tasks = [
@@ -219,8 +232,7 @@ def cmd_emit(args) -> int:
                     ],
                 }
     except (ValueError, NotCoprime) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(str(e))
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     else:
@@ -228,8 +240,7 @@ def cmd_emit(args) -> int:
     try:
         _write_output(text, args.out)
     except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"cannot write {args.out}: {e}")
     return 0
 
 
@@ -316,8 +327,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     if args.command == "emit" and args.what in ("relations", "matrices") and args.chi is None:
-        print("error: --chi required", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("--chi required")
     return args.fn(args)
 
 

@@ -6,9 +6,17 @@ When r is a perfect cube c^3 over the base, t^3 - r splits as
 extension; solvability questions downstream are invariant under the
 choice within a Galois orbit, so one representative per factor is
 enough.
+
+Multiplication never divides: the field precomputes the fold of its
+monic modulus, t^deg = -(m_0 + m_1 t + ... + m_{deg-1} t^{deg-1}), and a
+product is the schoolbook product of the two coefficient tuples (zero
+coefficients skipped) with the degrees >= deg folded back from the top.
+Zero tests use the coefficients' truth value.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .rat import QQ, rat, rational_cube_root
 
@@ -21,16 +29,9 @@ class NotInvertible(ArithmeticError):
 
 
 def _trim(coeffs: list) -> tuple:
-    while coeffs and _is_zero_elt(coeffs[-1]):
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _is_zero_elt(x) -> bool:
-    z = getattr(x, "is_zero", None)
-    if callable(z):
-        return z()
-    return x == 0
 
 
 def upoly_add(a, b):
@@ -120,6 +121,7 @@ class CubicField:
         _, rem = upoly_divmod(tuple(t3), modulus, monic=True)
         if rem:
             raise ValueError("modulus does not divide t^3 - r")
+        self.fold = [(i, -c) for i, c in enumerate(modulus[:-1]) if c]
         self.zero = CubicExt(self, (base.zero,) * self.deg)
         self.one = CubicExt(self, (base.one,) + (base.zero,) * (self.deg - 1))
 
@@ -151,7 +153,7 @@ class CubicField:
         parts = []
         for p in range(self.deg, -1, -1):
             c = self.modulus[p]
-            if _is_zero_elt(c):
+            if not c:
                 continue
             body = names.get(p, "")
             if p == 0:
@@ -186,17 +188,17 @@ class CubicExt:
         self.coeffs = tuple(coeffs)
 
     def is_zero(self) -> bool:
-        return all(_is_zero_elt(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def _other(self, x):
         return self.field.coerce(x)
 
     def __add__(self, other):
         o = self._other(other)
-        return CubicExt(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return CubicExt(self.field, tuple(map(add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -204,18 +206,31 @@ class CubicExt:
         return CubicExt(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._other(other))
+        o = self._other(other)
+        return CubicExt(self.field, tuple(map(sub, self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._other(other)
-        zero = self.field.base.zero
-        prod = upoly_mul(_trim(list(self.coeffs)), _trim(list(o.coeffs)), zero)
-        _, rem = upoly_divmod(prod, self.field.modulus, monic=True)
-        padded = list(rem) + [zero] * (self.field.deg - len(rem))
-        return CubicExt(self.field, tuple(padded))
+        field = self.field
+        n = field.deg
+        zero = field.base.zero
+        prod = [zero] * (2 * n - 1)  # a slot still holding zero is unwritten
+        ys = self._other(other).coeffs
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(ys):
+                    if y:
+                        acc = prod[i + j]
+                        prod[i + j] = x * y if acc is zero else acc + x * y
+        for p in range(2 * n - 2, n - 1, -1):
+            c = prod[p]
+            if c:
+                for i, f in field.fold:
+                    acc = prod[p - n + i]
+                    prod[p - n + i] = c * f if acc is zero else acc + c * f
+        return CubicExt(field, prod[:n])
 
     __rmul__ = __mul__
 
@@ -265,13 +280,13 @@ class CubicExt:
         return self.coeffs[0]
 
     def is_base(self) -> bool:
-        return all(_is_zero_elt(c) for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def __str__(self):
         names = ["", "t", "t^2"]
         parts = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero_elt(c):
+            if not c:
                 continue
             if i == 0:
                 parts.append(str(c))

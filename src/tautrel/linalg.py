@@ -7,12 +7,16 @@ against the pivot rows found so far, then pivots on its first nonzero
 entry among the columns allowed to hold a pivot, taken in a given order
 (all columns, left to right, by default); a row with no such entry is
 set aside.  With the defaults the pivot rows, sorted by column, are the
-unique reduced row echelon form.  Division is exact, so every result is
-deterministic.  det runs its own forward elimination, and a cofactor
-determinant is kept alongside it as an independent cross-check.
+unique reduced row echelon form.  Rows are updated only where the row
+they subtract is nonzero, so zero entries cost no arithmetic; entries
+are tested for zero by their truth value.  Division is exact, so every
+result is deterministic.  det runs its own forward elimination, and a
+cofactor determinant is kept alongside it as an independent cross-check.
 """
 
 from __future__ import annotations
+
+from array import array
 
 
 class DimensionMismatch(ValueError):
@@ -77,12 +81,6 @@ class ExactMatrix:
 
     def __hash__(self):
         return hash(tuple(tuple(r) for r in self.data))
-
-    def _is_zero(self, x) -> bool:
-        z = getattr(self.field, "is_zero", None)
-        if z is not None:
-            return z(x)
-        return x == self.field.zero
 
     # -- arithmetic -----------------------------------------------------
 
@@ -158,32 +156,41 @@ class ExactMatrix:
         set aside, each reduced against the pivots found before it.  With
         with_transform every row carries self.rows further entries: the
         combination of the rows of self that it equals.
+
+        A row is updated only on the support (nonzero columns, transform
+        ones included) of the row it subtracts.  Pivot rows keep theirs,
+        recomputed on change, as index arrays: lists would hold an int each.
         """
-        is_zero = self._is_zero
         one = self.field.one
         order = range(self.rows) if visit is None else visit
         cols = range(self.cols) if pivot_cols is None else pivot_cols
-        pivots, rest = [], []
+        pivots, supports, rest = [], [], []
         for k in order:
             row = list(self.data[k])
             if with_transform:
                 row += [self.field.zero] * self.rows
                 row[self.cols + k] = one
-            for col, prow in pivots:
+            for (col, prow), supp in zip(pivots, supports):
                 f = row[col]
-                if not is_zero(f):
-                    row = [a - f * b for a, b in zip(row, prow)]
-            lead = next((c for c in cols if not is_zero(row[c])), None)
+                if f:
+                    for j in supp:
+                        row[j] = row[j] - f * prow[j]
+            lead = next((c for c in cols if row[c]), None)
             if lead is None:
                 rest.append(row)
                 continue
             inv = one / row[lead]
-            row = [x * inv for x in row]
+            supp = array('l', [j for j, x in enumerate(row) if x])
+            for j in supp:
+                row[j] = row[j] * inv
             for i, (col, prow) in enumerate(pivots):
                 f = prow[lead]
-                if not is_zero(f):
-                    pivots[i] = (col, [a - f * b for a, b in zip(prow, row)])
+                if f:
+                    for j in supp:
+                        prow[j] = prow[j] - f * row[j]
+                    supports[i] = array('l', [j for j, x in enumerate(prow) if x])
             pivots.append((lead, row))
+            supports.append(supp)
         return pivots, rest
 
     def rref(self, with_transform: bool = False):
@@ -214,7 +221,7 @@ class ExactMatrix:
         for col in range(n):
             pivot_row = None
             for i in range(col, n):
-                if not self._is_zero(M.data[i][col]):
+                if M.data[i][col]:
                     pivot_row = i
                     break
             if pivot_row is None:
@@ -227,7 +234,7 @@ class ExactMatrix:
             inv = self.field.one / p
             for i in range(col + 1, n):
                 f = M.data[i][col]
-                if self._is_zero(f):
+                if not f:
                     continue
                 f = f * inv
                 M.data[i] = [a - f * b for a, b in zip(M.data[i], M.data[col])]
@@ -241,7 +248,7 @@ class ExactMatrix:
         sign = self.field.one
         for j in range(n):
             c = self.data[0][j]
-            if not self._is_zero(c):
+            if c:
                 minor = ExactMatrix(
                     self.field,
                     [
@@ -298,7 +305,7 @@ class ExactMatrix:
         )
         pivots, rest = aug.gauss_jordan(pivot_cols=range(n), with_transform=True)
         for row in rest:
-            if not self._is_zero(row[n]):
+            if row[n]:
                 inv = self.field.one / row[n]
                 return None, None, [x * inv for x in row[n + 1:]]
         x = [self.field.zero] * n

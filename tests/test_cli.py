@@ -51,6 +51,33 @@ def test_verify_pass_and_rejections():
     assert "NotCoprime" in err
 
 
+def assert_usage_error(*argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_non_integer_chi():
+    assert_usage_error("verify", "--d", "5", "--chi", "abc")
+
+
+def test_verify_rejects_chi2_out_of_range():
+    assert_usage_error("verify", "--d", "5", "--chi", "1", "--chi2", "7")
+
+
+def test_decide_rejects_zero_d():
+    assert_usage_error("decide", "--d", "0", "--chi1", "1", "--chi2", "1")
+
+
+def test_decide_rejects_negative_d():
+    assert_usage_error("decide", "--d", "-5", "--chi1", "1", "--chi2", "2")
+
+
+def test_sweep_rejects_zero_jobs():
+    assert_usage_error("sweep", "--dmin", "5", "--dmax", "5", "--jobs", "0")
+
+
 def test_verify_node_errors(monkeypatch):
     from tautrel import obstruction
 
@@ -167,3 +194,12 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert "NoObstruction" in proc.stdout
+
+
+def test_python_dash_m_entrypoint():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tautrel", "verify", "--d", "5", "--chi", "1"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0
+    assert "overall: pass" in proc.stdout

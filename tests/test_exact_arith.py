@@ -3,7 +3,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tautrel.cubicext import CubicField, NotInvertible, ext_invert, factor_t3_minus_r
+from tautrel.cubicext import (
+    CubicField,
+    NotInvertible,
+    _trim,
+    ext_invert,
+    factor_t3_minus_r,
+    upoly_divmod,
+    upoly_mul,
+)
 from tautrel.linalg import ExactMatrix, NonSquareDet
 from tautrel.mpoly import ExactDivisionError, MPoly
 from tautrel.rat import QQ, Rat, rat, rational_cube_root
@@ -223,6 +231,64 @@ def test_cubic_field_over_function_field():
     assert e * e.inverse() == E.one
 
 
+def mul_oracle(a, b):
+    """The product CubicExt.__mul__ computed before the fold: upoly_mul,
+    then upoly_divmod by the modulus, then padding to deg coefficients."""
+    E = a.field
+    zero = E.base.zero
+    prod = upoly_mul(_trim(list(a.coeffs)), _trim(list(b.coeffs)), zero)
+    _, rem = upoly_divmod(prod, E.modulus, monic=True)
+    return tuple(rem) + (zero,) * (E.deg - len(rem))
+
+
+_F1 = FracField(("chi1",))
+_X = _F1.gen("chi1")
+# the linear and quadratic factors of a rational cube, t^3 - r for a
+# non-cube, and t^3 - r over Q(chi1)
+ORACLE_FIELDS = (factor_t3_minus_r(rat(-8, 27), QQ) + factor_t3_minus_r(rat(5, 3), QQ)
+                 + factor_t3_minus_r((_X - 2) / 3, _F1))
+
+
+def _rat_coeffs():
+    # zero is planted about half the time
+    return st.one_of(st.just(Rat(0)), st.fractions(-9, 9, max_denominator=4).map(
+        lambda f: Rat(f.numerator, f.denominator)))
+
+
+@st.composite
+def ext_elements(draw, E):
+    if E.base is QQ:
+        coeffs = [draw(_rat_coeffs()) for _ in range(E.deg)]
+    else:
+        coeffs = [(draw(_rat_coeffs()) + draw(_rat_coeffs()) * _X)
+                  / (1 + draw(_rat_coeffs()) * _X) for _ in range(E.deg)]
+    return E.from_coeffs(coeffs)
+
+
+@st.composite
+def ext_operand_pairs(draw):
+    E = draw(st.sampled_from(ORACLE_FIELDS))
+    return draw(ext_elements(E)), draw(ext_elements(E))
+
+
+def test_oracle_fields_cover_three_modulus_shapes():
+    assert [(E.deg, E.base is QQ) for E in ORACLE_FIELDS] == [
+        (1, True), (2, True), (3, True), (3, False)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ext_operand_pairs())
+def test_cubic_arith_matches_division_oracle(case):
+    a, b = case
+    E = a.field
+    assert (a * b).coeffs == mul_oracle(a, b)
+    assert (b * a).coeffs == mul_oracle(b, a)
+    assert len((a * b).coeffs) == E.deg
+    assert (a - b).coeffs == (a + (-b)).coeffs
+    for x in (a, b, a - a):
+        assert x.is_zero() == all(E.base.is_zero(c) for c in x.coeffs) == (not x)
+
+
 def rref_oracle(M: ExactMatrix, cols=None):
     """The column-by-column elimination with row swaps that ExactMatrix.rref
     ran before the row-by-row loop: (R, pivots), pivoting only in cols."""
@@ -252,26 +318,43 @@ def dot(u, v):
 
 
 @st.composite
-def qq_systems(draw):
-    """(A, b) over QQ: A = C @ B has rank at most r, and b is A @ x
-    (solvable) or drawn freely (usually not, when A is rank deficient)."""
+def sparse_ext_elements(draw, E):
+    """Elements of a cubic extension of QQ, zero about half the time."""
+    if draw(st.booleans()):
+        return E.zero
+    small = st.sampled_from([0, 0, 1, -1, 2, -3])
+    return E.from_coeffs([Rat(draw(small), draw(st.integers(1, 2))) for _ in range(E.deg)])
+
+
+@st.composite
+def systems(draw):
+    """(A, b) over QQ or over one of the cubic extensions of QQ in
+    ORACLE_FIELDS: A = C @ B has rank at most r, and b is A @ x (solvable)
+    or drawn freely (usually not, when A is rank deficient).  Over the
+    extensions B and C are sparse, so A has many zero entries."""
+    F = draw(st.sampled_from([QQ] + [E for E in ORACLE_FIELDS if E.base is QQ]))
     small = st.integers(-3, 3)
+    if F is QQ:
+        entries = small.map(Rat)
+        factors = st.builds(Rat, small, st.integers(1, 3))
+    else:
+        entries = factors = sparse_ext_elements(F)
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     r = draw(st.integers(0, min(m, n)))
-    B = [[draw(small) for _ in range(n)] for _ in range(r)]
-    C = [[Rat(draw(small), draw(st.integers(1, 3))) for _ in range(r)] for _ in range(m)]
-    A = ExactMatrix(QQ, [[dot(C[i], [B[k][j] for k in range(r)]) for j in range(n)]
-                         for i in range(m)])
+    B = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    C = [[draw(factors) for _ in range(r)] for _ in range(m)]
+    A = ExactMatrix(F, [[dot(C[i], [B[k][j] for k in range(r)]) for j in range(n)]
+                        for i in range(m)])
     if draw(st.booleans()):
-        x = [Rat(draw(small)) for _ in range(n)]
-        b = [dot(row, x) for row in A.data]
+        x = [draw(entries) for _ in range(n)]
+        b = [F.coerce(dot(row, x)) for row in A.data]
     else:
-        b = [Rat(draw(small)) for _ in range(m)]
+        b = [F.coerce(draw(entries)) for _ in range(m)]
     return A, b
 
 
-@settings(max_examples=150, deadline=None)
-@given(qq_systems())
+@settings(max_examples=250, deadline=None)
+@given(systems())
 def test_elimination_kernel_against_oracle(system):
     A, b = system
     R, pivots, T = A.rref(with_transform=True)
@@ -289,6 +372,24 @@ def test_elimination_kernel_against_oracle(system):
         assert x is None
         assert all(dot(cert, [row[j] for row in A.data]) == 0 for j in range(A.cols))
         assert dot(cert, b) != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.booleans())
+@example((ExactMatrix(QQ, [[1, 1], [0, 1]]), [Rat(1), Rat(1)]), False)
+def test_gauss_jordan_leaves_matrix_unchanged(system, with_transform):
+    # pivot rows are updated in place, so they must be copies of the data
+    A, b = system
+    before = [row[:] for row in A.data]
+    rows = list(A.data)
+    visit = list(reversed(range(A.rows)))
+    pivots, rest = A.gauss_jordan(visit=visit, with_transform=with_transform)
+    assert A.data == before and all(r is s for r, s in zip(A.data, rows))
+    assert not any(row is r for _, row in pivots for r in A.data)
+    assert A.gauss_jordan(visit=visit, with_transform=with_transform) == (pivots, rest)
+    A.rref(with_transform=True)
+    A.solve(b)
+    assert A.data == before
 
 
 def test_gauss_jordan_pins_row_greedy_recipe():
