@@ -178,9 +178,21 @@ def cmd_decide(args) -> int:
 
 
 def _sweep_worker(task):
+    """The verdict row of one pair, or an error row that names the pair,
+    the exception type and the frame that raised it, so that one failing
+    pair keeps the others."""
     d, c1, c2 = task
-    v = decide(d, c1, c2)
-    return v.to_json()
+    try:
+        return decide(d, c1, c2).to_json()
+    except Exception as e:  # reported as a failed check, never dropped
+        tb = e.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        return {"d": d, "chi1": c1, "chi2": c2, "error": type(e).__name__,
+                "message": str(e),
+                "raised_at": f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} "
+                             f"in {code.co_name}"}
 
 
 def cmd_sweep(args) -> int:
@@ -204,9 +216,14 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_worker(t) for t in tasks]
     rows.sort(key=lambda r: (r["d"], r["chi1"], r["chi2"]))
     report.results = rows
-    agree = sum(1 for r in rows if r["agrees"])
+    agree = sum(1 for r in rows if r.get("agrees"))
     report.add("agreement", agree == len(rows), f"{len(rows)}/{len(rows)}",
                f"{agree}/{len(rows)}")
+    for r in rows:
+        if "error" in r:
+            report.add("decide_error", False, "a verdict",
+                       f"{r['error']}: {r['message']} (raised at {r['raised_at']})",
+                       f"d={r['d']},chi1={r['chi1']},chi2={r['chi2']}")
     report.timings["total"] = time.time() - t0
     _write_output(report.render(args.format), args.out)
     return 0 if report.passed else MATH_ERROR
@@ -326,8 +343,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
-    if args.command == "emit" and args.what in ("relations", "matrices") and args.chi is None:
-        return _usage_error("--chi required")
+    if args.command == "emit" and args.chi is None:
+        if args.what in ("relations", "matrices"):
+            return _usage_error("--chi required")
+        if args.chi2 is not None:
+            return _usage_error("--chi2 needs --chi")
     return args.fn(args)
 
 

@@ -111,14 +111,19 @@ class ExactMatrix:
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape mismatch")
             zero = self.field.zero
+            right = other.data
             out = []
-            for i in range(self.rows):
+            for lrow in self.data:
+                # zero left entries contribute nothing; each sum starts
+                # at its first product
+                support = [(x, right[k]) for k, x in enumerate(lrow) if x]
                 row = []
                 for j in range(other.cols):
-                    acc = zero
-                    for k in range(self.cols):
-                        acc = acc + self.data[i][k] * other.data[k][j]
-                    row.append(acc)
+                    acc = None
+                    for x, rrow in support:
+                        p = x * rrow[j]
+                        acc = p if acc is None else acc + p
+                    row.append(zero if acc is None else acc)
                 out.append(row)
             return ExactMatrix(self.field, out)
         c = self.field.coerce(other)

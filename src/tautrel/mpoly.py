@@ -12,7 +12,7 @@ solver keeps polynomials in unknowns over a rational function field.
 
 from __future__ import annotations
 
-from .rat import QQ, Rat, is_rational, rat
+from .rat import QQ, ZZ, Rat, is_rational
 
 _FIXED_VAR_ORDER = ("d", "chi1", "chi2", "x1", "x2", "x3", "t")
 _VAR_RANK = {name: i for i, name in enumerate(_FIXED_VAR_ORDER)}
@@ -399,37 +399,48 @@ def _dom_is_zero(domain, c) -> bool:
 
 
 class PolyDomain:
-    """Coefficient domain whose elements are rational-coefficient MPolys.
+    """Coefficient domain whose elements are MPolys over `base` (QQ, or
+    ZZ for a fraction-free computation).
 
     Used when an entire graded-algebra computation should stay inside a
     polynomial ring (e.g. coefficients polynomial in chi at concrete d),
-    deferring divisions to the linear-algebra stage.
+    deferring divisions to the linear-algebra stage.  Coercing an MPoly
+    over the other base maps each coefficient through base.coerce, so a
+    non-integral coefficient raises on the way into ZZ.
     """
 
-    def __init__(self, vars):
+    def __init__(self, vars, base=QQ):
         self.vars = canonical_vars(vars)
-        self.zero = MPoly.constant(0, self.vars)
-        self.one = MPoly.constant(1, self.vars)
+        self.base = base
+        self.zero = MPoly.constant(0, self.vars, base)
+        self.one = MPoly.constant(1, self.vars, base)
 
     def coerce(self, x):
         if isinstance(x, MPoly):
-            if x.domain is not QQ:
-                raise TypeError("PolyDomain holds rational-coefficient polynomials")
+            if x.domain is not self.base:
+                if x.domain not in (QQ, ZZ):
+                    raise TypeError("PolyDomain holds polynomials over QQ or ZZ")
+                conv = self.base.coerce
+                x = MPoly(x.vars, {e: conv(c) for e, c in x.terms.items()}, self.base)
             return x.with_vars(self.vars) if x.vars != self.vars else x
-        return MPoly.constant(rat(x), self.vars)
+        return MPoly.constant(self.base.coerce(x), self.vars, self.base)
 
     def gen(self, name: str) -> MPoly:
-        return MPoly.variable(name, self.vars)
+        return MPoly.variable(name, self.vars, self.base)
 
     @staticmethod
     def is_zero(x) -> bool:
         return x.is_zero()
 
     def __repr__(self):
-        return f"QQ[{', '.join(self.vars)}]"
+        return f"{self.base!r}[{', '.join(self.vars)}]"
 
     def __eq__(self, other):
-        return isinstance(other, PolyDomain) and other.vars == self.vars
+        return (
+            isinstance(other, PolyDomain)
+            and other.vars == self.vars
+            and other.base is self.base
+        )
 
     def __hash__(self):
-        return hash(("PolyDomain", self.vars))
+        return hash(("PolyDomain", self.vars, repr(self.base)))

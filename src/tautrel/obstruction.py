@@ -102,9 +102,16 @@ def _pencil_rhs_poly(Cp: dict, field) -> MPoly:
             e[3 + 3 * i + j] = 1
             terms[tuple(e)] = field.one
         y.append(MPoly(vars, terms, field))
+    # powers[j][e] = y_j^e, e = 0..3, shared by the ten monomials
+    powers = []
+    for yj in y:
+        pw = [MPoly.constant(1, vars, field)]
+        for _ in range(3):
+            pw.append(pw[-1] * yj)
+        powers.append(pw)
     acc = MPoly.constant(0, vars, field)
     for (p, q, r), c in Cp.items():
-        acc = acc + (y[0] ** p) * (y[1] ** q) * (y[2] ** r) * c
+        acc = acc + powers[0][p] * powers[1][q] * powers[2][r] * c
     return acc
 
 

@@ -83,3 +83,32 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+class IntegerRing:
+    """Ring descriptor for Python ints, the coefficients of a
+    fraction-free computation.  coerce refuses a non-integral value
+    instead of truncating it, and it never hands back a Rat, so products
+    with an int scalar stay ints."""
+
+    zero = 0
+    one = 1
+
+    @staticmethod
+    def coerce(x):
+        if type(x) is int:
+            return x
+        q = rat(x)
+        if q.denominator != 1:
+            raise ValueError(f"{q} is not an integer")
+        return int(q.numerator)
+
+    @staticmethod
+    def is_zero(x) -> bool:
+        return x == 0
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = IntegerRing()

@@ -8,6 +8,18 @@ m*E_m = sum_k k!*F_k*E_{m-k}.  Pushing forward the degree d+1 and d+2
 pieces yields the nine relations R_a^n, R_b^n, R_c^n; eliminating the
 nine monomials that involve generators of degree d-1 and d leaves the
 three canonical relations R_1, R_2, R_3 in row echelon form.
+
+The recurrence runs fraction-free.  With D the lcm of the coefficient
+denominators of F_1..F_upto, the factors H_k = k! D^k F_k have integer
+coefficients, and G_m = m! D^m E_m obeys
+G_m = sum_k ((m-1)!/(m-k)!) H_k G_{m-k}  (multiply the recurrence by
+(m-1)! D^m).  The weights (m-1)!/(m-k)! are integers for k >= 1, so
+every G_m is computed with integer additions and multiplications only.
+Since G_m = m! D^m E_m holds exactly, the coefficients of E_m are those
+of G_m over m! D^m; each output coefficient is divided once, as
+Rat(num, den), the (d-3)! normalization and its sign folded into den.
+In symbolic chi the coefficients are polynomials in chi over ZZ, and
+their integer coefficients are divided in the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from dataclasses import dataclass
 
 from .linalg import ExactMatrix
 from .mpoly import MPoly, PolyDomain
-from .rat import QQ, Rat
+from .rat import QQ, ZZ, Rat
 from .ratfunc import FracField, RatFunc
 from .tautalg import (
     BetaClass,
@@ -140,25 +152,64 @@ def relation_factor(s: int, n: int, d, chi, ctx: TautContext) -> BetaClass:
     return BetaClass(diff, b1, b2)
 
 
-def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> list:
-    """E_0..E_upto with E = exp(sum_k (k-1)! F_k), graded pieces."""
-    E = [BetaClass.one(ctx)]
-    kfact_F = [None]
-    for k in range(1, upto + 1):
-        kfact_F.append(relation_factor(k, n, d, chi, ctx) * Rat(math.factorial(k)))
+def _coeff_denominator(c) -> int:
+    """Least common denominator of a Rat or of an MPoly's coefficients."""
+    if isinstance(c, MPoly):
+        return math.lcm(*(v.denominator for v in c.terms.values()))
+    return c.denominator
+
+
+def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
+    """(G, D): G_0..G_upto with G_m = m! D^m E_m, E = exp(sum_k (k-1)! F_k).
+
+    D is the lcm of the coefficient denominators of F_1..F_upto; G runs
+    over the integers (ints, or MPolys over ZZ in symbolic chi).
+    """
+    F = [relation_factor(k, n, d, chi, ctx) for k in range(1, upto + 1)]
+    D = 1
+    for f in F:
+        for part in (f.b0, f.b1, f.b2):
+            for c in part.terms.values():
+                D = math.lcm(D, _coeff_denominator(c))
+    dom = ctx.domain
+    ring = PolyDomain(dom.vars, ZZ) if isinstance(dom, PolyDomain) else ZZ
+    zctx = TautContext(ring, d)
+    H = [None]
+    for k, f in enumerate(F, start=1):
+        s = math.factorial(k) * D**k
+        H.append(BetaClass(*(
+            p.map_coeffs(lambda c: ring.coerce(c * s), zctx) for p in (f.b0, f.b1, f.b2)
+        )))
+    G = [BetaClass.one(zctx)]
     for m in range(1, upto + 1):
-        acc = BetaClass.zero(ctx)
+        acc = BetaClass.zero(zctx)
+        w = 1  # (m-1)!/(m-k)!
         for k in range(1, m + 1):
-            acc = acc + kfact_F[k] * E[m - k]
-        E.append(acc.scale_div(m))
-    return E
+            hk = H[k] if w == 1 else H[k] * w
+            acc = acc + hk * G[m - k]
+            w *= m - k
+        G.append(acc)
+    return G, D
+
+
+def _divided(p: GradedPoly, den: int, ctx: TautContext) -> GradedPoly:
+    """The integer-coefficient p divided by den, over ctx (QQ or QQ[vars])."""
+    if isinstance(ctx.domain, PolyDomain):
+        terms = {m: MPoly(c.vars, {e: Rat(v, den) for e, v in c.terms.items()})
+                 for m, c in p.terms.items()}
+    else:
+        terms = {m: Rat(c, den) for m, c in p.terms.items()}
+    return GradedPoly(ctx, terms)
 
 
 def expand_relation(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
     """The full left-hand side of the generating identity in degree ell."""
     if ell not in (d + 1, d + 2):
         raise UnsupportedEll(f"ell must be d+1 or d+2, got {ell} for d={d}")
-    return _exp_series(n, d, chi, ctx, ell)[ell]
+    G, D = _exp_series(n, d, chi, ctx, ell)
+    den = math.factorial(ell) * D**ell
+    g = G[ell]
+    return BetaClass(*(_divided(p, den, ctx) for p in (g.b0, g.b1, g.b2)))
 
 
 def expand_relation_by_partitions(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
@@ -324,14 +375,17 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
     # factorial occurring among the contributing partitions, with the
     # sign that orients the ell = d+2 construction consistently.  This
     # is the normalization under which det1 and det2 take their
-    # canonical closed forms (verified across d = 5..10).
-    fact = Rat(math.factorial(d - 3))
+    # canonical closed forms (verified across d = 5..10).  It is folded
+    # into the one division of the scaled pieces G_ell = ell! D^ell E_ell.
+    fact = math.factorial(d - 3)
     Ra, Rb, Rc = {}, {}, {}
     for n in (1, 2, 3):
-        E = _exp_series(n, d, chi_ring, ctx_ring, d + 2)
-        Ra[n] = lift(beta_pushforward(E[d + 1], 0).scale_div(fact))
-        Rb[n] = lift(beta_pushforward(E[d + 1], 1).scale_div(fact))
-        Rc[n] = lift(beta_pushforward(E[d + 2], 0).scale_div(-fact))
+        G, D = _exp_series(n, d, chi_ring, ctx_ring, d + 2)
+        den1 = math.factorial(d + 1) * D ** (d + 1) * fact
+        den2 = -math.factorial(d + 2) * D ** (d + 2) * fact
+        Ra[n] = lift(_divided(beta_pushforward(G[d + 1], 0), den1, ctx_ring))
+        Rb[n] = lift(_divided(beta_pushforward(G[d + 1], 1), den1, ctx_ring))
+        Rc[n] = lift(_divided(beta_pushforward(G[d + 2], 0), den2, ctx_ring))
 
     det1 = _coeff_matrix(
         [Ra[n] for n in (1, 2, 3)], [(g,) for g in high_generators(d)["deg_d_minus_1"]], field

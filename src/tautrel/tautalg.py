@@ -237,10 +237,6 @@ class GradedPoly:
             return GradedPoly(self.ctx, {})
         return GradedPoly(self.ctx, {m: v * c for m, v in self.terms.items()})
 
-    def scale_div(self, c) -> "GradedPoly":
-        c = self.ctx.domain.coerce(c)
-        return GradedPoly(self.ctx, {m: v / c for m, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, GradedPoly):
             return NotImplemented
@@ -329,9 +325,6 @@ class BetaClass:
         return BetaClass(self.b0 * other, self.b1 * other, self.b2 * other)
 
     __rmul__ = __mul__
-
-    def scale_div(self, c) -> "BetaClass":
-        return BetaClass(self.b0.scale_div(c), self.b1.scale_div(c), self.b2.scale_div(c))
 
     def __pow__(self, m: int):
         if m < 0:

@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from tautrel import cli
 from tautrel.cli import main
 
 
@@ -167,6 +170,100 @@ def test_sweep_small_serial_and_parallel_agree():
     )
     assert code2 == 0
     assert json.loads(out2)["results"] == rows
+
+
+def test_sweep_failing_pair_gives_error_row(monkeypatch):
+    from tautrel.obstruction import coprime_pairs
+
+    c1, c2 = coprime_pairs(5)[1]
+    real = cli.decide
+
+    def flaky(d, chi1, chi2):
+        if (d, chi1, chi2) == (5, c1, c2):
+            raise RuntimeError("injected fault")
+        return real(d, chi1, chi2)
+
+    monkeypatch.setattr(cli, "decide", flaky)
+    code, out, err = run_cli(
+        "sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1", "--format", "json"
+    )
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    rows = payload["results"]
+    assert len(rows) == 10
+    bad = [r for r in rows if "error" in r]
+    assert bad == [{"d": 5, "chi1": c1, "chi2": c2, "error": "RuntimeError",
+                    "message": "injected fault",
+                    "raised_at": bad[0]["raised_at"]}]
+    assert bad[0]["raised_at"].startswith("test_cli.py:")
+    assert bad[0]["raised_at"].endswith(" in flaky")
+    assert all(r["agrees"] for r in rows if "error" not in r)
+    failed = [c for c in payload["checks"] if c["status"] == "fail"]
+    assert {c["name"] for c in failed} == {"agreement", "decide_error"}
+    assert any(c.get("location") == f"d=5,chi1={c1},chi2={c2}" for c in failed)
+    code, out, _ = run_cli("sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1")
+    assert code == 1
+    assert "got RuntimeError: injected fault (raised at test_cli.py:" in out
+    assert f"in flaky)  (d=5,chi1={c1},chi2={c2})" in out
+
+
+def _coprime(draw, d):
+    return str(draw(st.sampled_from([c for c in range(1, d) if math.gcd(c, d) == 1])))
+
+
+@st.composite
+def cli_argv(draw):
+    """A valid command line with small d and chi (a cheap one: at most one
+    d, sweeps and verdict lists at d = 5), then up to two mutations: an
+    option dropped, a value dropped or made invalid, an unknown option."""
+    command = draw(st.sampled_from(["verify", "decide", "emit"] * 2 + ["sweep"]))
+    d = draw(st.sampled_from([5, 6, 7]))
+    opts = []
+    if command == "verify":
+        opts += [["--d", str(d)], ["--chi", _coprime(draw, d)]]
+        if draw(st.booleans()):
+            opts.append(["--chi2", _coprime(draw, d)])
+        if not draw(st.integers(0, 9)):
+            opts.append(["--mode", "symbolic"])
+    elif command == "decide":
+        opts += [["--d", str(d)], ["--chi1", _coprime(draw, d)], ["--chi2", _coprime(draw, d)]]
+    elif command == "sweep":
+        opts += [["--dmin", "5"], ["--dmax", "5"], ["--jobs", "1"]]
+    else:
+        what = draw(st.sampled_from(["relations", "matrices", "verdicts"]))
+        if what == "verdicts" and draw(st.integers(0, 2)):
+            opts += [["--chi", _coprime(draw, d)], ["--chi2", _coprime(draw, d)]]
+        elif what == "verdicts":
+            d = 5
+        else:
+            opts.append(["--chi", _coprime(draw, d)])
+        opts += [["--what", what], ["--d", str(d)]]
+    opts.append(["--format", draw(st.sampled_from(["json", "text"]))])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(opts) - 1))
+        kind = draw(st.sampled_from(["drop", "bare", "value", "unknown"]))
+        if kind == "drop":
+            opts.pop(i)
+        elif kind == "bare":
+            opts[i] = opts[i][:1]
+        elif kind == "value":
+            opts[i] = [opts[i][0], draw(st.sampled_from(["0", "-1", "4", "9", "x", "1.5", "all"]))]
+        else:
+            opts.append(["--nope"])
+        if not opts:
+            break
+    return [command] + [tok for opt in draw(st.permutations(opts)) for tok in opt]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+@example(["emit", "--what", "verdicts", "--d", "5", "--chi2", "1"])
+def test_cli_exit_code_contract(argv):
+    # exit 0, 1 or 2 for any input, and never an exception (a traceback
+    # when run as a program)
+    code, out, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_sweep_usage_error():

@@ -392,6 +392,25 @@ def test_gauss_jordan_leaves_matrix_unchanged(system, with_transform):
     assert A.data == before
 
 
+def product_oracle(A: ExactMatrix, B: ExactMatrix) -> list:
+    """The dense triple loop, every sum started at zero."""
+    return [[sum((A.data[i][k] * B.data[k][j] for k in range(A.cols)), A.field.zero)
+             for j in range(B.cols)] for i in range(A.rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+@example((ExactMatrix(QQ, [[0, 0], [0, 2]]), [Rat(0), Rat(1)]))
+def test_matrix_product_matches_dense_oracle(system):
+    A, _ = system
+    At = A.transpose()
+    for P, Q in ((A, At), (At, A)):
+        prod = (P * Q).data
+        want = product_oracle(P, Q)
+        assert prod == want
+        assert [[str(x) for x in row] for row in prod] == [[str(x) for x in row] for row in want]
+
+
 def test_gauss_jordan_pins_row_greedy_recipe():
     # pivots only left of the bar; the solution line fixes z = 1 and reads
     # the pivot unknowns off the reduced rows (the a33 certificate recipe)

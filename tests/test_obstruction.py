@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from tautrel.mpoly import MPoly
 from tautrel.obstruction import (
+    S_VARS,
     BadTriple,
     NotCoprime,
     NotNodal,
@@ -15,6 +17,7 @@ from tautrel.obstruction import (
     solve_AB,
     solve_S,
     solve_UV,
+    _pencil_rhs_poly,
 )
 from tautrel.rat import QQ, Rat
 from tautrel.relations import build_relation_set
@@ -87,6 +90,27 @@ def test_coeff_equation_triples():
         for e in reduced.terms
     }
     assert exps == {("s21", "s22", "s33")}
+
+
+def test_pencil_rhs_matches_power_by_power_oracle():
+    # the pencil polynomial built from shared powers y_j^0..y_j^3 equals
+    # the one built with fresh powers per monomial
+    vars = ("x1", "x2", "x3") + S_VARS
+    y = []
+    for j in range(3):
+        terms = {}
+        for i in range(3):
+            e = [0] * len(vars)
+            e[i] = e[3 + 3 * i + j] = 1
+            terms[tuple(e)] = Rat(1)
+        y.append(MPoly(vars, terms))
+    for chi in (1, 2):
+        Cp = cubic_det(blocks(5, chi)[0])
+        want = MPoly.constant(0, vars)
+        for (p, q, r), c in Cp.items():
+            want = want + (y[0] ** p) * (y[1] ** q) * (y[2] ** r) * c
+        got = _pencil_rhs_poly(Cp, QQ)
+        assert got == want and str(got) == str(want)
 
 
 def test_solve_S_type_II_witness_values():

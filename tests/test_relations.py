@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
-from tautrel.mpoly import PolyDomain
-from tautrel.rat import QQ, Rat
+from tautrel.mpoly import MPoly, PolyDomain
+from tautrel.rat import QQ, ZZ, Rat
 from tautrel.ratfunc import FracField
 from tautrel.relations import (
     PartitionTuple,
@@ -22,7 +23,7 @@ from tautrel.relations import (
     _coeff_matrix,
     _rref_relations,
 )
-from tautrel.tautalg import GradedPoly, TautContext, concrete_context, mono_key
+from tautrel.tautalg import BetaClass, GradedPoly, TautContext, concrete_context, mono_key
 
 
 def partition_count(ell: int) -> int:
@@ -39,6 +40,63 @@ def truncation_filter(d: int, ell: int):
         return bool(parts) and parts[0] >= d - 2 and sum(parts[1:]) <= ell - (d - 2)
 
     return keep
+
+
+def exp_series_oracle(n, d, chi, ctx, upto):
+    """E_0..E_upto by m*E_m = sum_k k!*F_k*E_{m-k} over the field itself:
+    the recurrence as it ran before the integer-scaled one."""
+    E = [BetaClass.one(ctx)]
+    kfact_F = [None]
+    for k in range(1, upto + 1):
+        kfact_F.append(relation_factor(k, n, d, chi, ctx) * Rat(math.factorial(k)))
+    for m in range(1, upto + 1):
+        acc = BetaClass.zero(ctx)
+        for k in range(1, m + 1):
+            acc = acc + kfact_F[k] * E[m - k]
+        E.append(acc * Rat(1, m))
+    return E
+
+
+def assert_same_expansion(n, d, chi, ctx):
+    oracle = exp_series_oracle(n, d, chi, ctx, d + 2)
+    for ell in (d + 1, d + 2):
+        fast, slow = expand_relation(ell, n, d, chi, ctx), oracle[ell]
+        for a, b in ((fast.b0, slow.b0), (fast.b1, slow.b1), (fast.b2, slow.b2)):
+            assert a == b
+            assert str(a) == str(b)
+
+
+@pytest.mark.parametrize("d", range(5, 11))
+def test_scaled_recurrence_matches_field_oracle(d):
+    chi = random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1])
+    for n in (1, 2, 3):
+        assert_same_expansion(n, d, Rat(chi), concrete_context(d))
+
+
+def test_scaled_recurrence_matches_field_oracle_symbolic_chi():
+    ring = PolyDomain(("chi1",))
+    for n in (1, 2, 3):
+        assert_same_expansion(n, 5, ring.gen("chi1"), TautContext(ring, 5))
+
+
+def test_integer_ring_refuses_non_integral_values():
+    assert ZZ.coerce(Rat(6, 3)) == 2 and type(ZZ.coerce(Rat(6, 3))) is int
+    with pytest.raises(ValueError):
+        ZZ.coerce(Rat(1, 2))
+    ring = PolyDomain(("chi1",), ZZ)
+    half_chi = MPoly.variable("chi1") * Rat(1, 2)
+    with pytest.raises(ValueError):
+        ring.coerce(half_chi)
+    assert ring.coerce(half_chi * 4).coeff((1,)) == 2
+
+
+def test_integer_scalars_stay_ints():
+    # an int scalar must not come back as a Rat through domain.coerce
+    ctx = TautContext(ZZ, 5)
+    p = GradedPoly.term(ctx, 3, [(2, 0)]) + GradedPoly.term(ctx, -2, [(0, 2)])
+    x = BetaClass(p, p * p, p) * 7
+    for part in (x.b0, x.b1, x.b2):
+        assert part.terms and all(type(c) is int for c in part.terms.values())
 
 
 def test_enumerate_partitions_small():
