@@ -19,7 +19,15 @@ Since G_m = m! D^m E_m holds exactly, the coefficients of E_m are those
 of G_m over m! D^m; each output coefficient is divided once, as
 Rat(num, den), the (d-3)! normalization and its sign folded into den.
 In symbolic chi the coefficients are polynomials in chi over ZZ, and
-their integer coefficients are divided in the same way.
+their integer coefficients are divided in the same way.  Of G_{d+2}
+only the beta^2 component is read (its pushforward gives R_c^n), so the
+build's last step computes only that component: three of the six
+products per k.  expand_relation computes all three.
+
+The build eliminates the twelve relations once and keeps the twelve
+pivot monomials it found.  verify_rank12 certifies rank 12 by the
+nonzero 12x12 minor of the twelve relations at those monomials, which
+needs no second elimination of the full matrix.
 """
 
 from __future__ import annotations
@@ -159,11 +167,15 @@ def _coeff_denominator(c) -> int:
     return c.denominator
 
 
-def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
+def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int,
+                top_b2_only: bool = False) -> tuple:
     """(G, D): G_0..G_upto with G_m = m! D^m E_m, E = exp(sum_k (k-1)! F_k).
 
     D is the lcm of the coefficient denominators of F_1..F_upto; G runs
-    over the integers (ints, or MPolys over ZZ in symbolic chi).
+    over the integers (ints, or MPolys over ZZ in symbolic chi).  With
+    top_b2_only the last step computes only the beta^2 component of
+    G_upto (three of the six products per k), and G[upto] is that
+    GradedPoly.
     """
     F = [relation_factor(k, n, d, chi, ctx) for k in range(1, upto + 1)]
     D = 1
@@ -182,11 +194,15 @@ def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
         )))
     G = [BetaClass.one(zctx)]
     for m in range(1, upto + 1):
-        acc = BetaClass.zero(zctx)
+        b2_only = top_b2_only and m == upto
+        acc = GradedPoly.zero(zctx) if b2_only else BetaClass.zero(zctx)
         w = 1  # (m-1)!/(m-k)!
         for k in range(1, m + 1):
-            hk = H[k] if w == 1 else H[k] * w
-            acc = acc + hk * G[m - k]
+            hk, g = (H[k] if w == 1 else H[k] * w), G[m - k]
+            if b2_only:
+                acc = acc + (hk.b0 * g.b2 + hk.b1 * g.b1 + hk.b2 * g.b0)
+            else:
+                acc = acc + hk * g
             w *= m - k
         G.append(acc)
     return G, D
@@ -258,8 +274,28 @@ def mon2(d: int) -> list:
     return singles + pairs
 
 
+def _twelve_rows(ctx: TautContext, Ra: dict, Rb: dict, Rc: dict) -> list:
+    """The 12 degree-d relations in their canonical order:
+    c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved), then Rb^n, Rc^n."""
+    c2 = GradedPoly.term(ctx, 1, [(2, 0)])
+    c0 = GradedPoly.term(ctx, 1, [(0, 2)])
+    rows = []
+    for n in (1, 2, 3):
+        rows.append(c2 * Ra[n])
+        rows.append(c0 * Ra[n])
+    for n in (1, 2, 3):
+        rows.append(Rb[n])
+    for n in (1, 2, 3):
+        rows.append(Rc[n])
+    return rows
+
+
 @dataclass
 class RelationSet:
+    """The relations at (d, chi).  pivot_monos are the twelve pivot
+    monomials that the build's elimination of the twelve relations
+    found, in column order."""
+
     d: int
     chi: object
     ctx: TautContext
@@ -271,26 +307,14 @@ class RelationSet:
     R3: GradedPoly
     det1: object
     det2: object
+    pivot_monos: tuple
 
     @property
     def relations(self):
         return (self.R1, self.R2, self.R3)
 
     def twelve_relations(self) -> list:
-        """The 12 degree-d relations in their canonical order:
-        c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved), then Rb^n, Rc^n."""
-        ctx = self.ctx
-        c2 = GradedPoly.term(ctx, 1, [(2, 0)])
-        c0 = GradedPoly.term(ctx, 1, [(0, 2)])
-        rows = []
-        for n in (1, 2, 3):
-            rows.append(c2 * self.Ra[n])
-            rows.append(c0 * self.Ra[n])
-        for n in (1, 2, 3):
-            rows.append(self.Rb[n])
-        for n in (1, 2, 3):
-            rows.append(self.Rc[n])
-        return rows
+        return _twelve_rows(self.ctx, self.Ra, self.Rb, self.Rc)
 
     def to_json(self) -> dict:
         return {
@@ -380,12 +404,13 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
     fact = math.factorial(d - 3)
     Ra, Rb, Rc = {}, {}, {}
     for n in (1, 2, 3):
-        G, D = _exp_series(n, d, chi_ring, ctx_ring, d + 2)
+        G, D = _exp_series(n, d, chi_ring, ctx_ring, d + 2, top_b2_only=True)
         den1 = math.factorial(d + 1) * D ** (d + 1) * fact
         den2 = -math.factorial(d + 2) * D ** (d + 2) * fact
         Ra[n] = lift(_divided(beta_pushforward(G[d + 1], 0), den1, ctx_ring))
         Rb[n] = lift(_divided(beta_pushforward(G[d + 1], 1), den1, ctx_ring))
-        Rc[n] = lift(_divided(beta_pushforward(G[d + 2], 0), den2, ctx_ring))
+        # G[d + 2] is the beta^2 component alone: its pushforward with j = 0
+        Rc[n] = lift(_divided(G[d + 2], den2, ctx_ring))
 
     det1 = _coeff_matrix(
         [Ra[n] for n in (1, 2, 3)], [(g,) for g in high_generators(d)["deg_d_minus_1"]], field
@@ -396,9 +421,7 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
     if field.is_zero(det1) or field.is_zero(det2):
         raise SingularCheckpoint(f"det1={det1}, det2={det2} at (d,chi)=({d},{chi})")
 
-    rel = RelationSet(d, chi if not symbolic_chi else "chi1", ctx, Ra, Rb, Rc,
-                      None, None, None, det1, det2)
-    reduced, pivot_monos, _ = _rref_relations(rel.twelve_relations(), field)
+    reduced, pivot_monos, _ = _rref_relations(_twelve_rows(ctx, Ra, Rb, Rc), field)
     if len(reduced) != 12:
         raise SingularCheckpoint(
             f"relation span has rank {len(reduced)} != 12 at (d,chi)=({d},{chi})"
@@ -412,7 +435,8 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
             "echelon leading monomials differ from the canonical ones: "
             + ", ".join(mono_str(m) for m in pivot_monos[9:12])
         )
-    rel.R1, rel.R2, rel.R3 = reduced[9], reduced[10], reduced[11]
+    rel = RelationSet(d, chi if not symbolic_chi else "chi1", ctx, Ra, Rb, Rc,
+                      *reduced[9:12], det1, det2, tuple(pivot_monos))
     _REL_CACHE[key] = rel
     return rel
 
@@ -422,13 +446,24 @@ def verify_rank12(d: int, chi: int, rel: RelationSet = None):
 
     Returns (ok, trace).  trace records the rank, the Mon1 minor
     determinant (must be det1^2) and the Mon2 minor determinant.
+
+    Twelve rows have rank at most 12, so a nonzero 12x12 minor proves
+    rank 12.  The minor taken is the one at the twelve pivot monomials
+    of the build's own elimination (by det, which runs its own forward
+    elimination), so the 12xN matrix is not eliminated a second time.
+    Only when that minor vanishes, or no pivots are recorded, is the
+    full rank computed, so a broken relation set reports its true rank.
     """
     if rel is None:
         rel = build_relation_set(d, chi)
     field = rel.ctx.domain
     rows = rel.twelve_relations()
-    monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    rank = _coeff_matrix(rows, monos, field).rank()
+    pivots = rel.pivot_monos
+    if len(pivots) == 12 and not field.is_zero(_coeff_matrix(rows, pivots, field).det()):
+        rank = 12
+    else:
+        monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
+        rank = _coeff_matrix(rows, monos, field).rank()
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
     m1 = _coeff_matrix(rows[0:6], mon1(d), field).det()

@@ -53,9 +53,25 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
         return m2
     if not m2:
         return m1
+    if len(m2) == 1:
+        return _mono_insert(m1, m2[0])
+    if len(m1) == 1:
+        return _mono_insert(m2, m1[0])
     out = list(m1) + list(m2)
     out.sort(key=gen_key, reverse=True)
     return tuple(out)
+
+
+def _mono_insert(mono: tuple, gen) -> tuple:
+    """mono * gen by one scan, gen_key compared inline: gen goes before
+    the first generator not above it (an equal key is an equal generator)."""
+    k, j = gen
+    deg = k + j
+    for i, (a, b) in enumerate(mono):
+        e = a + b
+        if e < deg or (e == deg and a <= k):
+            return mono[:i] + (gen,) + mono[i:]
+    return mono + (gen,)
 
 
 def mono_degree(mono: tuple) -> int:

@@ -21,8 +21,11 @@ from tautrel.relations import (
     relation_factor,
     verify_rank12,
     _coeff_matrix,
+    _divided,
+    _exp_series,
     _rref_relations,
 )
+from tautrel.linalg import ExactMatrix
 from tautrel.tautalg import BetaClass, GradedPoly, TautContext, concrete_context, mono_key
 
 
@@ -71,6 +74,21 @@ def test_scaled_recurrence_matches_field_oracle(d):
     chi = random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1])
     for n in (1, 2, 3):
         assert_same_expansion(n, d, Rat(chi), concrete_context(d))
+
+
+@pytest.mark.parametrize("d", range(5, 11))
+def test_build_top_step_b2_matches_field_oracle(d):
+    # build_relation_set's recurrence computes only the beta^2 component
+    # of G_{d+2}; divided by (d+2)! D^(d+2) it is the oracle's E_{d+2}.b2
+    chi = Rat(random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1]))
+    ctx = concrete_context(d)
+    for n in (1, 2, 3):
+        G, D = _exp_series(n, d, chi, ctx, d + 2, top_b2_only=True)
+        assert isinstance(G[d + 2], GradedPoly)
+        b2 = _divided(G[d + 2], math.factorial(d + 2) * D ** (d + 2), ctx)
+        slow = exp_series_oracle(n, d, chi, ctx, d + 2)[d + 2].b2
+        assert b2 == slow
+        assert str(b2) == str(slow)
 
 
 def test_scaled_recurrence_matches_field_oracle_symbolic_chi():
@@ -250,6 +268,34 @@ def test_verify_rank12_zero_relations_guard():
     ok, trace = verify_rank12(5, 1, broken)
     assert not ok
     assert trace["rank"] < 12
+
+
+def test_verify_rank12_runs_no_second_elimination(monkeypatch):
+    # the rank comes from the minor at the build's pivots, taken by det
+    rel = build_relation_set(7, 3)
+    assert len(rel.pivot_monos) == 12
+
+    def no_elimination(self, *args, **kwargs):
+        raise AssertionError("verify_rank12 eliminated the 12xN matrix again")
+
+    monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
+    ok, trace = verify_rank12(7, 3, rel)
+    assert ok
+    assert trace["rank"] == 12
+
+
+def test_verify_rank12_zeroed_relation_falls_back_to_rank():
+    import copy
+
+    rel = build_relation_set(5, 2)
+    for n in (1, 2, 3):
+        broken = copy.copy(rel)
+        broken.Rc = dict(rel.Rc)
+        broken.Rc[n] = GradedPoly.zero(rel.ctx)
+        ok, trace = verify_rank12(5, 2, broken)
+        assert not ok
+        assert trace["rank"] == 11
+    assert verify_rank12(5, 2, rel)[0]
 
 
 def test_rank12_full_matrix_rank():

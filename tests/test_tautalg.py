@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tautrel.rat import QQ, Rat
 from tautrel.tautalg import (
@@ -13,11 +14,24 @@ from tautrel.tautalg import (
     gen_degree,
     gen_key,
     mono_key,
+    mono_mul,
     mono_str,
     project_block,
 )
 
 CTX = concrete_context(5)
+
+
+def mono_mul_oracle(m1: tuple, m2: tuple) -> tuple:
+    """The sort-based merge: concatenate and re-sort by gen_key (oracle
+    for mono_mul's single-generator insertion)."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = list(m1) + list(m2)
+    out.sort(key=gen_key, reverse=True)
+    return tuple(out)
 
 
 def gen_compare(a, b) -> int:
@@ -179,3 +193,25 @@ def test_project_block():
 def test_mono_str():
     assert mono_str(((4, 0), (2, 0), (2, 0))) == "c4(0)*c2(0)^2"
     assert mono_str(()) == "1"
+
+
+# generators of degree 1..5, few enough that monomials repeat them
+GENS = [(k, j) for j in range(3) for k in range(7) if 1 <= k + j - 1 <= 5]
+monomials = st.lists(st.sampled_from(GENS), max_size=6).map(
+    lambda gens: tuple(sorted(gens, key=gen_key, reverse=True))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials, monomials)
+@example((), ())
+@example((), ((3, 0),))
+@example(((3, 0),), ((3, 0),))
+@example(((2, 0),), ((0, 2),))
+@example(((4, 0), (3, 1), (3, 1), (0, 2)), ((3, 1),))
+@example(((4, 0), (3, 1), (0, 2)), ((6, 0), (0, 2)))
+def test_mono_mul_matches_sort_oracle(m1, m2):
+    for a, b in ((m1, m2), (m2, m1)):
+        got = mono_mul(a, b)
+        assert type(got) is tuple
+        assert got == mono_mul_oracle(a, b)
