@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
 from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_AB, solve_S
-from .rat import Rat
+from .rat import QQ, Rat
 from .ratfunc import FracField, mpoly_gcd
 from .symbolic import symbolic_matrices_at
 
@@ -102,7 +102,7 @@ class ConstraintSlice:
     Its coordinate along 1 vanishes identically; the t and t^2
     coordinates are rational functions whose common vanishing is the
     compatibility condition of the held-back pair (num1, num2 are their
-    canonical numerators)."""
+    canonical numerators, over QQ)."""
 
     d: int
     b: int
@@ -153,7 +153,7 @@ def constraint_slice(d: int, b: int) -> ConstraintSlice:
         )
     if c1.is_zero() and c2.is_zero():
         raise EliminationFailure(f"slice constraint vanished identically at chi'={b}")
-    out = ConstraintSlice(d, b, c1.num, c2.num, len(leftovers))
+    out = ConstraintSlice(d, b, c1.num.over(QQ), c2.num.over(QQ), len(leftovers))
     _SLICE_CACHE[key] = out
     return out
 

@@ -7,10 +7,16 @@ used for leading terms, serialization and golden-file comparisons.
 
 Coefficients default to exact rationals; a polynomial may instead carry
 coefficients from another exact field (its ``domain``), which is how the
-solver keeps polynomials in unknowns over a rational function field.
+solver keeps polynomials in unknowns over a rational function field, or
+Python ints (the ring ZZ), which is how rational functions hold their
+numerators and denominators.  Coefficients are tested for zero by their
+truth value, which every domain in the tower supports.
 """
 
 from __future__ import annotations
+
+import math
+from operator import add
 
 from .rat import QQ, ZZ, Rat, is_rational
 
@@ -38,7 +44,17 @@ class MPoly:
     def __init__(self, vars, terms, domain=QQ):
         self.vars = tuple(vars)
         self.domain = domain
-        self.terms = {e: c for e, c in terms.items() if not _dom_is_zero(domain, c)}
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def _of(cls, vars: tuple, terms: dict, domain=QQ) -> "MPoly":
+        """Internal: wrap terms whose coefficients are known to be nonzero
+        domain elements, without filtering or copying them."""
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.terms = terms
+        out.domain = domain
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -46,9 +62,9 @@ class MPoly:
     def constant(cls, value, vars=(), domain=QQ):
         vars = tuple(vars)
         value = domain.coerce(value)
-        if _dom_is_zero(domain, value):
-            return cls(vars, {}, domain)
-        return cls(vars, {(0,) * len(vars): value}, domain)
+        if not value:
+            return cls._of(vars, {}, domain)
+        return cls._of(vars, {(0,) * len(vars): value}, domain)
 
     @classmethod
     def variable(cls, name, vars=None, domain=QQ):
@@ -129,7 +145,7 @@ class MPoly:
                 if p:
                     ne[idx[i]] = p
             terms[tuple(ne)] = c
-        return MPoly(vars, terms, self.domain)
+        return MPoly._of(vars, terms, self.domain)
 
     def _aligned(self, other):
         if isinstance(other, MPoly):
@@ -144,23 +160,22 @@ class MPoly:
     def __add__(self, other):
         a, b = self._aligned(other)
         terms = dict(a.terms)
-        dom = a.domain
         for e, c in b.terms.items():
             s = terms.get(e)
             if s is None:
                 terms[e] = c
             else:
                 s = s + c
-                if _dom_is_zero(dom, s):
-                    del terms[e]
-                else:
+                if s:
                     terms[e] = s
-        return MPoly(a.vars, terms, dom)
+                else:
+                    del terms[e]
+        return MPoly._of(a.vars, terms, a.domain)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()}, self.domain)
+        return MPoly._of(self.vars, {e: -c for e, c in self.terms.items()}, self.domain)
 
     def __sub__(self, other):
         a, b = self._aligned(other)
@@ -172,21 +187,21 @@ class MPoly:
     def __mul__(self, other):
         if not isinstance(other, MPoly):
             c = self.domain.coerce(other)
-            if _dom_is_zero(self.domain, c):
-                return MPoly(self.vars, {}, self.domain)
-            return MPoly(self.vars, {e: v * c for e, v in self.terms.items()}, self.domain)
+            if not c:
+                return MPoly._of(self.vars, {}, self.domain)
+            # every domain in the tower is an integral domain
+            return MPoly._of(self.vars, {e: v * c for e, v in self.terms.items()}, self.domain)
         a, b = self._aligned(other)
-        dom = a.domain
         if len(a.terms) < len(b.terms):
             a, b = b, a
         terms = {}
         for e2, c2 in b.terms.items():
             for e1, c1 in a.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 p = c1 * c2
                 s = terms.get(e)
                 terms[e] = p if s is None else s + p
-        return MPoly(a.vars, {e: c for e, c in terms.items() if not _dom_is_zero(dom, c)}, dom)
+        return MPoly._of(a.vars, {e: c for e, c in terms.items() if c}, a.domain)
 
     __rmul__ = __mul__
 
@@ -208,7 +223,7 @@ class MPoly:
                 raise TypeError("division by a non-constant polynomial; use exact_div")
             scalar = scalar.constant_value()
         c = self.domain.coerce(scalar)
-        if _dom_is_zero(self.domain, c):
+        if not c:
             raise ZeroDivisionError("division by zero scalar")
         return MPoly(self.vars, {e: v / c for e, v in self.terms.items()}, self.domain)
 
@@ -217,7 +232,7 @@ class MPoly:
             a, b = self._aligned(other)
             return a.terms == b.terms
         if is_rational(other):
-            return (self - other).is_zero()
+            return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):
@@ -299,20 +314,41 @@ class MPoly:
             raise TypeError("content defined over the rational domain only")
         if not self.terms:
             return Rat(0), self
-        from math import gcd
-
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            num_gcd = gcd(num_gcd, int(c.numerator))
+            num_gcd = math.gcd(num_gcd, int(c.numerator))
             d = int(c.denominator)
-            den_lcm = den_lcm // gcd(den_lcm, d) * d
+            den_lcm = den_lcm // math.gcd(den_lcm, d) * d
         content = Rat(num_gcd, den_lcm)
         _, lead = self.leading()
         if lead < 0:
             content = -content
-        prim = MPoly(self.vars, {e: c / content for e, c in self.terms.items()}, QQ)
+        prim = MPoly._of(self.vars, {e: c / content for e, c in self.terms.items()}, QQ)
         return content, prim
+
+    def integer_content(self):
+        """(content, primitive) over ZZ: content*primitive == self, the
+        primitive part has coprime coefficients and a positive leading
+        coefficient."""
+        if self.domain is not ZZ:
+            raise TypeError("integer content defined over ZZ only")
+        if not self.terms:
+            return 0, self
+        content = math.gcd(*self.terms.values())
+        if self.leading()[1] < 0:
+            content = -content
+        return content, MPoly._of(
+            self.vars, {e: c // content for e, c in self.terms.items()}, ZZ
+        )
+
+    def over(self, domain) -> "MPoly":
+        """The same polynomial with its coefficients coerced into domain
+        (ZZ.coerce refuses a non-integral coefficient)."""
+        if domain is self.domain:
+            return self
+        conv = domain.coerce
+        return MPoly._of(self.vars, {e: conv(c) for e, c in self.terms.items()}, domain)
 
     def exact_div(self, divisor: "MPoly") -> "MPoly":
         """Exact polynomial quotient; raises ExactDivisionError otherwise."""
@@ -391,13 +427,6 @@ def _is_unit_str(s: str) -> bool:
     return s == "1"
 
 
-def _dom_is_zero(domain, c) -> bool:
-    z = getattr(domain, "is_zero", None)
-    if z is not None:
-        return z(c)
-    return c == domain.zero
-
-
 class PolyDomain:
     """Coefficient domain whose elements are MPolys over `base` (QQ, or
     ZZ for a fraction-free computation).
@@ -420,8 +449,7 @@ class PolyDomain:
             if x.domain is not self.base:
                 if x.domain not in (QQ, ZZ):
                     raise TypeError("PolyDomain holds polynomials over QQ or ZZ")
-                conv = self.base.coerce
-                x = MPoly(x.vars, {e: conv(c) for e, c in x.terms.items()}, self.base)
+                x = x.over(self.base)
             return x.with_vars(self.vars) if x.vars != self.vars else x
         return MPoly.constant(self.base.coerce(x), self.vars, self.base)
 

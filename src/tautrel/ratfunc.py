@@ -1,17 +1,30 @@
 """Rational functions: the fraction field of the rational-coefficient
 polynomial ring, normalized so equality is representational.
 
+A RatFunc holds its numerator and denominator as polynomials over ZZ
+(Python ints) with no common factor over the integers, content included,
+and the denominator's leading coefficient positive.  That is the same
+normal form as "polynomial gcd cancelled, both parts integer primitive
+with coprime contents", so str, == and hash read as they would over QQ.
+Values leave the integers only at the QQ boundary: eval and as_rational
+return Rats, and the public mpoly_gcd takes and returns polynomials over
+QQ.
+
 The gcd underneath is the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
-J. Symb. Comp. 7, 1989): with denominators cleared, the last live
-variable is evaluated at a large integer xi, the gcd of the images is
-taken recursively down to an integer gcd, and a candidate is rebuilt
-from its symmetric xi-adic digits.  A candidate is accepted only once
-exact division shows that it divides both inputs; with xi above twice
-the smaller coefficient norm, such a candidate is the gcd.  When a few
-values of xi fail, the subresultant polynomial remainder sequence on the
-last live variable (recursing through contents variable by variable)
-computes it instead; that path also serves as the reference in tests.
-No factorization is ever needed.
+J. Symb. Comp. 7, 1989): the last live variable is evaluated at a large
+integer xi, the gcd of the images is taken recursively down to an
+integer gcd, and a candidate is rebuilt from its symmetric xi-adic
+digits.  A candidate is accepted only once exact division shows that it
+divides both inputs; with xi above twice the smaller coefficient norm,
+such a candidate is the gcd.  That division yields both cofactors, and
+RatFunc cancels with them directly: it never divides a polynomial by
+the gcd itself.  Sums use Henrici's scheme, so the gcd taken is that of
+the denominators and of a factor of it, not of the full numerator and
+denominator.  When a few values of xi fail, the subresultant polynomial
+remainder sequence on the last live variable (recursing through
+contents variable by variable) computes the gcd over QQ instead, and
+exact division gives the cofactors; that path also serves as the
+reference in tests.  No factorization is ever needed.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .mpoly import MPoly, canonical_vars
-from .rat import QQ, Rat, is_rational, rat
+from .rat import QQ, ZZ, Rat, is_rational, rat
 
 
 def _prem(A: dict, B: dict) -> dict:
@@ -360,38 +373,41 @@ def _dense_terms(p, k, tail=()):
         yield from _dense_terms(c, k - 1, (i,) + tail)
 
 
-def _integer_dense(f: MPoly, live: tuple):
-    """f with denominators cleared, as a dense polynomial in the live
+def _dense(f: MPoly, live: tuple):
+    """The integer polynomial f as a dense polynomial in its live
     variables (positions in f.vars)."""
-    den = 1
-    for c in f.terms.values():
-        q = int(c.denominator)
-        den = den // math.gcd(den, q) * q
-    terms = {
-        tuple(e[i] for i in live): int(c.numerator) * (den // int(c.denominator))
-        for e, c in f.terms.items()
-    }
-    return _to_dense(terms, len(live))
+    if len(live) == len(f.vars):
+        return _to_dense(f.terms, len(live))
+    return _to_dense({tuple(e[i] for i in live): c for e, c in f.terms.items()}, len(live))
 
 
-def _heuristic_gcd(f: MPoly, g: MPoly):
-    """GCDHEU on two non-constant polynomials over the same variables, or
-    None."""
+def _sparse(p, k: int, vars: tuple, live: tuple) -> MPoly:
+    """Inverse of _dense: the MPoly over ZZ in vars."""
+    if len(live) == len(vars):
+        return MPoly._of(vars, dict(_dense_terms(p, k)), ZZ)
+    terms = {}
+    for e, c in _dense_terms(p, k):
+        full = [0] * len(vars)
+        for i, q in zip(live, e):
+            full[i] = q
+        terms[tuple(full)] = c
+    return MPoly._of(vars, terms, ZZ)
+
+
+def _heu_cofactors(f: MPoly, g: MPoly):
+    """GCDHEU on two non-constant integer polynomials over the same
+    variables: (h, f/h, g/h) over ZZ with h their gcd over the integers
+    (content included, sign unspecified), or None when it gives up."""
     vars = f.vars
     live = tuple(
-        i for i, v in enumerate(vars) if f.degree_in(v) > 0 or g.degree_in(v) > 0
+        i for i in range(len(vars))
+        if any(e[i] for e in f.terms) or any(e[i] for e in g.terms)
     )
     k = len(live)
-    found = _heu_gcd(_integer_dense(f, live), _integer_dense(g, live), k)
+    found = _heu_gcd(_dense(f, live), _dense(g, live), k)
     if found is None:
         return None
-    terms = {}
-    for e, c in _dense_terms(found[0], k):
-        full = [0] * len(vars)
-        for i, p in zip(live, e):
-            full[i] = p
-        terms[tuple(full)] = Rat(c)
-    return MPoly(vars, terms).rational_content()[1]
+    return tuple(_sparse(p, k, vars, live) for p in found)
 
 
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -399,23 +415,73 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     f, g, done = _gcd_args(f, g)
     if done is not None:
         return done
-    h = _heuristic_gcd(f, g)
-    return h if h is not None else subresultant_gcd(f, g)
+    found = _heu_cofactors(f.rational_content()[1].over(ZZ), g.rational_content()[1].over(ZZ))
+    if found is None:
+        return subresultant_gcd(f, g)
+    return found[0].integer_content()[1].over(QQ)
+
+
+def _quo(f: MPoly, c: int) -> MPoly:
+    return MPoly._of(f.vars, {e: v // c for e, v in f.terms.items()}, ZZ)
+
+
+def _cofactors(a: MPoly, b: MPoly) -> tuple:
+    """(h, a/h, b/h) for nonzero integer polynomials over the same
+    variables, h their gcd over the integers (content included, sign
+    unspecified): GCDHEU's own cofactors, or the subresultant gcd and
+    exact division when GCDHEU gives up."""
+    h = None
+    if not (a.is_constant() or b.is_constant()):
+        found = _heu_cofactors(a, b)
+        if found is not None:
+            return found
+        a, b = a.over(QQ), b.over(QQ)
+        h = subresultant_gcd(a, b)
+        # h is primitive, so by Gauss's lemma the quotients are integral
+        a, b, h = a.exact_div(h).over(ZZ), b.exact_div(h).over(ZZ), h.over(ZZ)
+    c = math.gcd(*a.terms.values(), *b.terms.values())
+    if c != 1:
+        a, b = _quo(a, c), _quo(b, c)
+    return (MPoly.constant(c, a.vars, ZZ) if h is None else h * c), a, b
+
+
+def _integral(num: MPoly, den: MPoly) -> tuple:
+    """num and den over ZZ, both multiplied by the least positive integer
+    that clears their denominators."""
+    if num.domain is ZZ and den.domain is ZZ:
+        return num, den
+    for p in (num, den):
+        if p.domain is not QQ and p.domain is not ZZ:
+            raise TypeError("rational functions take polynomials over QQ or ZZ")
+    scale = math.lcm(*(int(c.denominator) for p in (num, den) for c in p.terms.values()))
+    return tuple(
+        MPoly._of(
+            p.vars,
+            {e: int(c.numerator) * (scale // int(c.denominator)) for e, c in p.terms.items()},
+            ZZ,
+        )
+        for p in (num, den)
+    )
 
 
 class RatFunc:
-    """Canonical num/den pair: poly gcd cancelled, both parts integer
-    primitive with coprime contents, denominator leading coefficient
-    positive under graded lex."""
+    """Canonical num/den pair of polynomials over ZZ (Python ints) with
+    no common factor over the integers, content included, and the
+    denominator's leading coefficient positive under graded lex.
+
+    Equivalently: the polynomial gcd cancelled, both parts integer
+    primitive up to coprime integer contents.  Operands are cancelled
+    with the cofactors GCDHEU returns along with the gcd, so no
+    polynomial division is needed unless GCDHEU gives up."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = MPoly.constant(1, num.vars if isinstance(num, MPoly) else ())
         if not isinstance(num, MPoly):
             num = MPoly.constant(rat(num))
-        if not isinstance(den, MPoly):
+        if den is None:
+            den = MPoly.constant(1, num.vars, ZZ)
+        elif not isinstance(den, MPoly):
             den = MPoly.constant(rat(den))
         vars = canonical_vars(num.vars + den.vars)
         num = num.with_vars(vars)
@@ -423,20 +489,10 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num = num
-            self.den = MPoly.constant(1, vars)
+            self.num = MPoly._of(vars, {}, ZZ)
+            self.den = MPoly.constant(1, vars, ZZ)
             return
-        # constant numerator or denominator needs no polynomial gcd
-        if not (num.is_constant() or den.is_constant()):
-            g = mpoly_gcd(num, den)
-            if not g.is_constant():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        cn, pn = num.rational_content()
-        cd, pd = den.rational_content()
-        ratio = cn / cd
-        self.num = pn * Rat(ratio.numerator)
-        self.den = pd * Rat(ratio.denominator)
+        self.num, self.den = _signed(*_cofactors(*_integral(num, den))[1:])
 
     @classmethod
     def _raw(cls, num: MPoly, den: MPoly) -> "RatFunc":
@@ -445,6 +501,14 @@ class RatFunc:
         out.num = num
         out.den = den
         return out
+
+    @classmethod
+    def _of_rational(cls, q, vars: tuple) -> "RatFunc":
+        q = rat(q)
+        return cls._raw(
+            MPoly.constant(int(q.numerator), vars, ZZ),
+            MPoly.constant(int(q.denominator), vars, ZZ),
+        )
 
     # -- queries ---------------------------------------------------------
 
@@ -460,9 +524,7 @@ class RatFunc:
     def as_rational(self):
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        if self.num.is_zero():
-            return Rat(0)
-        return self.num.constant_value() / self.den.constant_value()
+        return Rat(self.num.constant_value(), self.den.constant_value())
 
     @property
     def vars(self):
@@ -476,19 +538,32 @@ class RatFunc:
         if isinstance(other, MPoly):
             return RatFunc(other)
         if is_rational(other):
-            return RatFunc(MPoly.constant(rat(other), self.vars))
+            return RatFunc._of_rational(other, self.vars)
         return NotImplemented
-
-    def _den_is_one(self) -> bool:
-        return self.den.is_constant()
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.vars == o.vars:
+            if not o.num:
+                return self
+            if not self.num:
+                return o
         if self.den == o.den:
             return RatFunc(self.num + o.num, self.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        # Henrici: with h = gcd(b, d), a/b + c/d = t/(h b' d') for
+        # t = a d' + c b', and t is coprime to b' d'
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if self.vars != o.vars:
+            vars = canonical_vars(self.vars + o.vars)
+            a, b, c, d = (p.with_vars(vars) for p in (a, b, c, d))
+        h, b, d = _cofactors(b, d)
+        t = a * d + c * b
+        if not t:
+            return RatFunc(t)
+        _, t, h = _cofactors(t, h)
+        return RatFunc._raw(*_signed(t, b * d * h))
 
     __radd__ = __add__
 
@@ -513,24 +588,11 @@ class RatFunc:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return RatFunc(MPoly.constant(0, self.vars))
-        # cross-cancel before multiplying to keep intermediates small
-        a, b, c, d = self.num, self.den, o.num, o.den
-        if not (a.is_constant() or d.is_constant()):
-            g = mpoly_gcd(a, d)
-            if not g.is_constant():
-                a = a.exact_div(g)
-                d = d.exact_div(g)
-        if not (c.is_constant() or b.is_constant()):
-            g = mpoly_gcd(c, b)
-            if not g.is_constant():
-                c = c.exact_div(g)
-                b = b.exact_div(g)
-        num = a * c
-        den = b * d
-        cn, pn = num.rational_content()
-        cd, pd = den.rational_content()
-        ratio = cn / cd
-        return RatFunc._raw(pn * Rat(ratio.numerator), pd * Rat(ratio.denominator))
+        # cross-cancel before multiplying: with a/b and c/d in lowest
+        # terms, a'c'/(b'd') is in lowest terms too
+        _, a, d = _cofactors(*self.num._aligned(o.den))
+        _, c, b = _cofactors(*o.num._aligned(self.den))
+        return RatFunc._raw(*_signed(a * c, b * d))
 
     __rmul__ = __mul__
 
@@ -550,10 +612,10 @@ class RatFunc:
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("inverting zero")
-            return RatFunc(self.den, self.num) ** (-n)
+            return RatFunc._raw(*_signed(self.den, self.num)) ** (-n)
         if n == 0:
             return RatFunc(MPoly.constant(1, self.vars))
-        # powers of a canonical pair are canonical (Gauss's lemma)
+        # powers of a coprime pair are coprime (Gauss's lemma)
         return RatFunc._raw(self.num**n, self.den**n)
 
     def __eq__(self, other):
@@ -573,8 +635,8 @@ class RatFunc:
         A full rational assignment returns a Rat; otherwise a RatFunc in
         the remaining variables.
         """
-        num = self.num.eval(assignment)
-        den = self.den.eval(assignment)
+        num = self.num.over(QQ).eval(assignment)
+        den = self.den.over(QQ).eval(assignment)
         if isinstance(num, MPoly) or isinstance(den, MPoly):
             if not isinstance(num, MPoly):
                 num = MPoly.constant(num)
@@ -600,6 +662,11 @@ class RatFunc:
         return f"RatFunc({self.__str__()!r})"
 
 
+def _signed(num: MPoly, den: MPoly) -> tuple:
+    """(num, den), both negated when den's leading coefficient is negative."""
+    return (-num, -den) if den.leading()[1] < 0 else (num, den)
+
+
 class FracField:
     """Field descriptor for rational functions in a fixed variable set."""
 
@@ -614,7 +681,7 @@ class FracField:
         if isinstance(x, MPoly):
             return RatFunc(x)
         if is_rational(x):
-            return RatFunc(MPoly.constant(rat(x), self.vars))
+            return RatFunc._of_rational(x, self.vars)
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
     def gen(self, name: str) -> RatFunc:

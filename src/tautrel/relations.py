@@ -195,16 +195,21 @@ def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int,
     G = [BetaClass.one(zctx)]
     for m in range(1, upto + 1):
         b2_only = top_b2_only and m == upto
-        acc = GradedPoly.zero(zctx) if b2_only else BetaClass.zero(zctx)
+        # the sum over k accumulates in place, in dicts owned by this step
+        acc = [{}] if b2_only else [{}, {}, {}]
         w = 1  # (m-1)!/(m-k)!
         for k in range(1, m + 1):
             hk, g = (H[k] if w == 1 else H[k] * w), G[m - k]
             if b2_only:
-                acc = acc + (hk.b0 * g.b2 + hk.b1 * g.b1 + hk.b2 * g.b0)
+                parts = (hk.b0 * g.b2 + hk.b1 * g.b1 + hk.b2 * g.b0,)
             else:
-                acc = acc + hk * g
+                prod = hk * g
+                parts = (prod.b0, prod.b1, prod.b2)
+            for terms, part in zip(acc, parts):
+                GradedPoly.add_into(terms, part)
             w *= m - k
-        G.append(acc)
+        parts = [GradedPoly(zctx, terms) for terms in acc]
+        G.append(parts[0] if b2_only else BetaClass(*parts))
     return G, D
 
 
@@ -330,7 +335,11 @@ class RelationSet:
 
 
 def _coeff_matrix(polys, monos, field) -> ExactMatrix:
-    return ExactMatrix(field, [[p.coeff(m) for m in monos] for p in polys])
+    data = [[p.coeff(m) for m in monos] for p in polys]
+    if all(p.ctx.domain == field for p in polys):
+        # the coefficients are elements of field already
+        return ExactMatrix._of(field, data)
+    return ExactMatrix(field, data)
 
 
 def _rref_relations(rows, field):

@@ -206,19 +206,25 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check(other)
-        dom = self.ctx.domain
         terms = dict(self.terms)
+        self.add_into(terms, other)
+        return GradedPoly(self.ctx, terms)
+
+    @staticmethod
+    def add_into(terms: dict, other: "GradedPoly") -> None:
+        """Add other to the term dict terms in place (the caller owns
+        terms), dropping coefficients that cancel."""
+        is_zero = other.ctx.domain.is_zero
         for m, c in other.terms.items():
             s = terms.get(m)
             if s is None:
                 terms[m] = c
             else:
                 s = s + c
-                if dom.is_zero(s):
+                if is_zero(s):
                     del terms[m]
                 else:
                     terms[m] = s
-        return GradedPoly(self.ctx, terms)
 
     def __neg__(self):
         return GradedPoly(self.ctx, {m: -c for m, c in self.terms.items()})

@@ -1,0 +1,191 @@
+"""RatFunc over ZZ against the QQ reference, its GCDHEU fallback, the QQ
+boundary, and the nonzero-terms invariant of MPoly._of."""
+
+import operator
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ratfunc_oracle import OracleRatFunc
+from tautrel import ratfunc
+from tautrel.constraint import constraint_slice
+from tautrel.mpoly import MPoly
+from tautrel.rat import QQ, ZZ, Rat
+from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
+
+GCD_VARS = (("chi1",), ("d", "chi1"), ("d", "chi1", "chi2"))
+RAT = type(Rat(0))
+# a point where no factor drawn below vanishes is found among these
+POINTS = ({"d": Rat(7, 3), "chi1": Rat(-5, 2), "chi2": Rat(11, 7)},
+          {"d": Rat(13), "chi1": Rat(2, 9), "chi2": Rat(-3)})
+
+
+def _is_zz(p: MPoly) -> bool:
+    return p.domain is ZZ and all(type(c) is int and c for c in p.terms.values())
+
+
+def _qq(rf) -> tuple:
+    return rf.num.over(QQ), rf.den.over(QQ)
+
+
+@st.composite
+def ratfunc_pairs(draw):
+    """Two numerator/denominator pairs over chi1, (d, chi1) or (d, chi1,
+    chi2) with non-integral rational coefficients; h is planted in both
+    parts of the first, and in the second's denominator and the first's
+    numerator, so construction, products and sums all cancel."""
+    vars = draw(st.sampled_from(GCD_VARS))
+    coeffs = st.fractions(-12, 12, max_denominator=draw(st.sampled_from([1, 5])))
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+
+    def poly(min_terms, max_terms):
+        terms = draw(st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms))
+        return MPoly(vars, {e: Rat(c.numerator, c.denominator) for e, c in terms.items()})
+
+    f, g, h, k = poly(0, 3), poly(1, 3), poly(1, 2), poly(0, 3)
+    if g.is_zero() or h.is_zero():
+        g = h = MPoly.constant(Rat(3, 2), vars)
+    return (f * h * g, g * h * 6), (k * g, h * Rat(-2, 3))
+
+
+def _agrees(new, old):
+    assert str(new) == str(old)
+    assert _is_zz(new.num) and _is_zz(new.den)
+    assert new.num.vars == old.num.vars and new.den.vars == old.den.vars
+    n, d = _qq(new)
+    assert n * old.den == old.num * d
+    assert hash(new) == hash((old.num, old.den))
+    for pt in POINTS:
+        if old.den.eval(pt) != 0:
+            v = new.eval(pt)
+            assert type(v) is RAT and v == old.eval(pt)
+            break
+
+
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+_d = MPoly.variable("d", ("d", "chi1"))
+_x = MPoly.variable("chi1", ("d", "chi1"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(ratfunc_pairs(), st.integers(-2, 3))
+@example((((_d - _x) * 4, (_d - _x) * (_x + 1) * 6), (_x + 1, (_d - _x) / 3)), -1)
+@example(((_x * 0, _d), (_d * Rat(1, 2), _x * Rat(-4, 7))), 2)
+def test_ratfunc_matches_qq_oracle(pairs, n):
+    (a_num, a_den), (b_num, b_den) = pairs
+    a, b = RatFunc(a_num, a_den), RatFunc(b_num, b_den)
+    oa, ob = OracleRatFunc(a_num, a_den), OracleRatFunc(b_num, b_den)
+    _agrees(a, oa)
+    _agrees(b, ob)
+    for op in OPS:
+        if op is operator.truediv and b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a / b
+            continue
+        _agrees(op(a, b), op(oa, ob))
+    _agrees(a * Rat(-5, 4), oa * Rat(-5, 4))
+    _agrees(a + 3, oa + 3)
+    if n >= 0 or not a.is_zero():
+        _agrees(a**n, oa**n)
+
+
+def _fallback_cases():
+    d = MPoly.variable("d", ("d", "chi1", "chi2"))
+    x = MPoly.variable("chi1", ("d", "chi1", "chi2"))
+    y = MPoly.variable("chi2", ("d", "chi1", "chi2"))
+    h = (d - 2 * x) * (y + 1)
+    return [
+        (h * (d + Rat(1, 3)), h * x * 4),
+        ((x**2 - y**2) * 6, (x + y) * (d - 2) * Rat(9, 2)),
+        (d**3 - x * y, (d - y) ** 2),
+        ((d - 2 * x) * Rat(2, 5), h),
+    ]
+
+
+def _ops_on(cases):
+    out = []
+    for num, den in cases:
+        r = RatFunc(num, den)
+        s = RatFunc(den + 1, num * 2)
+        out += [r, r + s, r - s, r * s, r / s, r**-2]
+    return out
+
+
+def test_ratfunc_fallback_gives_same_results(monkeypatch):
+    cases = _fallback_cases()
+    expected = _ops_on(cases)
+    fallbacks = []
+    real = ratfunc.subresultant_gcd
+
+    def counted(f, g):
+        fallbacks.append(1)
+        return real(f, g)
+
+    # no xi is small enough, so every non-trivial gcd takes the fallback
+    monkeypatch.setattr(ratfunc, "HEU_MAX_BITS", 0)
+    monkeypatch.setattr(ratfunc, "subresultant_gcd", counted)
+    got = _ops_on(cases)
+    assert fallbacks
+    for r, e in zip(got, expected):
+        assert str(r) == str(e) and r == e and hash(r) == hash(e)
+        assert _is_zz(r.num) and _is_zz(r.den)
+
+
+def test_rational_boundary_returns_rat():
+    F = FracField(("d", "chi1"))
+    assert type(F.coerce(Rat(2, 3)).as_rational()) is RAT
+    third = RatFunc(MPoly.constant(1, ("d",)), MPoly.constant(3, ("d",)))
+    assert third.as_rational() == Rat(1, 3) and type(third.as_rational()) is RAT
+    assert type(RatFunc(MPoly.constant(6, ("d",))).as_rational()) is RAT
+    assert type(F.zero.as_rational()) is RAT
+    r = (F.gen("d") + 1) / (F.gen("chi1") * 2)
+    v = r.eval({"d": 3, "chi1": 2})
+    assert v == 1 and type(v) is RAT
+    v = r.eval({"d": Rat(1, 2), "chi1": 5})
+    assert v == Rat(3, 20) and type(v) is RAT
+    partial = r.eval({"d": Rat(1, 2)})
+    assert isinstance(partial, RatFunc) and _is_zz(partial.num)
+    # an integer polynomial compares with a non-integral rational
+    assert third.den == 3 and third.den != Rat(1, 3) and (r.num == Rat(1, 2)) is False
+
+
+def test_qq_boundary_of_slices_and_gcd():
+    s = constraint_slice(5, 2)
+    assert s.num1.domain is QQ and s.num2.domain is QQ
+    assert all(type(c) is RAT for c in s.num2.terms.values())
+    x = MPoly.variable("chi1")
+    g = mpoly_gcd((x - 1) * (x + Rat(1, 2)), (x + Rat(1, 2)) * 4)
+    assert g.domain is QQ and str(g) == "2*chi1 + 1"
+
+
+@st.composite
+def mpolys(draw, vars=("d", "chi1")):
+    domain = draw(st.sampled_from([QQ, ZZ]))
+    coeffs = st.integers(-3, 3) if domain is ZZ else st.fractions(-3, 3, max_denominator=3)
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=5))
+    return MPoly(vars, {e: domain.coerce(c) for e, c in terms.items()}, domain)
+
+
+def _no_zero_terms(p: MPoly):
+    assert all(c for c in p.terms.values()), p.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_of_outputs_hold_no_zero_coefficient(data):
+    a = data.draw(mpolys())
+    b = data.draw(mpolys().filter(lambda p: p.domain is a.domain))
+    c = data.draw(st.integers(-2, 2))
+    # (a + b)(a - b) and a + (-a) + b plant cancellations
+    for p in (a * b, (a + b) * (a - b), -a, a * c, c * b, a + b, a + (-a) + b, a - a):
+        _no_zero_terms(p)
+    if a.domain is QQ and a.terms:
+        content, prim = a.rational_content()
+        _no_zero_terms(prim)
+        assert prim * content == a
+    if a.domain is ZZ and a.terms:
+        content, prim = a.integer_content()
+        _no_zero_terms(prim)
+        assert prim * content == a and prim.leading()[1] > 0
