@@ -1,7 +1,11 @@
 """Exact dense linear algebra over any field in the coefficient tower.
 
 All elimination except the determinant's runs through one row-by-row
-Gauss-Jordan loop, ExactMatrix.gauss_jordan.  The pivot rule: rows are
+Gauss-Jordan loop, ExactMatrix.gauss_jordan, over any field, and its
+fraction-free twin over the integers, int_gauss_jordan, which
+eliminates the twelve degree-d relations over QQ once their rows are
+cleared of denominators (relations._rref_relations, and the fallback
+rank of relations.verify_rank12).  The pivot rule: rows are
 visited in a given order (top to bottom by default); each is reduced
 against the pivot rows found so far, then pivots on its first nonzero
 entry among the columns allowed to hold a pivot, taken in a given order
@@ -17,6 +21,55 @@ cofactor determinant is kept alongside it as an independent cross-check.
 from __future__ import annotations
 
 from array import array
+from math import gcd
+
+
+def int_gauss_jordan(rows) -> list:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Rows are visited top to bottom, each pivoting on its first nonzero
+    entry (the default rule of ExactMatrix.gauss_jordan), but none is
+    scaled to 1: against a pivot row prow with pivot p, a row holding f
+    in that column becomes (p/g) row - (f/g) prow, g = gcd(f, p), over
+    its content, and a new pivot's column is cleared from the earlier
+    pivot rows the same way.  Rows that reduce to zero are dropped; the
+    input rows are not changed.
+
+    Returns the pivot rows sorted by column, as (col, row), each
+    primitive, positive at its pivot and zero at every other pivot:
+    divided by its pivot entry, it is the row of the RREF over QQ.
+    """
+    pivots = []
+    for row in rows:
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = _int_reduce(row, prow, f, prow[col])
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        c = gcd(*row)
+        if row[lead] < 0:
+            c = -c
+        row = [x // c for x in row] if c != 1 else list(row)
+        p = row[lead]
+        for i, (col, prow) in enumerate(pivots):
+            f = prow[lead]
+            if f:
+                pivots[i] = (col, _int_reduce(prow, row, f, p))
+        pivots.append((lead, row))
+    pivots.sort(key=lambda cr: cr[0])
+    return pivots
+
+
+def _int_reduce(row, prow, f, p) -> list:
+    """(p/g) row - (f/g) prow over its content, g = gcd(f, p): the entry
+    at prow's pivot, where row holds f and prow holds p, becomes zero."""
+    g = gcd(f, p)
+    a, b = p // g, f // g
+    out = [a * x - b * y for x, y in zip(row, prow)]
+    c = gcd(*out)  # 0 when row was a multiple of prow
+    return [x // c for x in out] if c > 1 else out
 
 
 class DimensionMismatch(ValueError):

@@ -25,9 +25,17 @@ build's last step computes only that component: three of the six
 products per k.  expand_relation computes all three.
 
 The build eliminates the twelve relations once and keeps the twelve
-pivot monomials it found.  verify_rank12 certifies rank 12 by the
-nonzero 12x12 minor of the twelve relations at those monomials, which
-needs no second elimination of the full matrix.
+pivot monomials it found.  Over QQ the elimination is fraction-free:
+each relation's coefficient row is scaled by the lcm of its own
+denominators to an integer row, linalg.int_gauss_jordan reduces the
+rows to primitive pivot rows, and only R_1, R_2, R_3 (rows 9-11) are
+divided by their pivot entries back into rationals; the result is the
+reduced row echelon form over QQ, which is unique.  In symbolic chi
+(over QQ(chi1)) ExactMatrix.rref eliminates them.  verify_rank12
+certifies rank 12 by the nonzero 12x12 minor of the twelve relations
+at those monomials, which needs no second elimination of the full
+matrix; only when that minor vanishes does it take the full rank, by
+the same elimination.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, int_gauss_jordan
 from .mpoly import MPoly, PolyDomain
 from .rat import QQ, ZZ, Rat
 from .ratfunc import FracField, RatFunc
@@ -43,6 +51,7 @@ from .tautalg import (
     BetaClass,
     GradedPoly,
     TautContext,
+    _sum_products,
     beta_pushforward,
     gen_key,
     mono_key,
@@ -201,7 +210,7 @@ def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int,
         for k in range(1, m + 1):
             hk, g = (H[k] if w == 1 else H[k] * w), G[m - k]
             if b2_only:
-                parts = (hk.b0 * g.b2 + hk.b1 * g.b1 + hk.b2 * g.b0,)
+                parts = (_sum_products(hk.b0 * g.b2, hk.b1 * g.b1, hk.b2 * g.b0),)
             else:
                 prod = hk * g
                 parts = (prod.b0, prod.b1, prod.b2)
@@ -342,23 +351,46 @@ def _coeff_matrix(polys, monos, field) -> ExactMatrix:
     return ExactMatrix(field, data)
 
 
-def _rref_relations(rows, field):
+def _integer_rows(polys, monos) -> list:
+    """The coefficient rows of relations over QQ at monos, each scaled by
+    the lcm of its own denominators: integer rows spanning the same lines."""
+    index = {m: j for j, m in enumerate(monos)}
+    out = []
+    for p in polys:
+        lcd = math.lcm(*(c.denominator for c in p.terms.values()))
+        row = [0] * len(monos)
+        for m, c in p.terms.items():
+            row[index[m]] = c.numerator * (lcd // c.denominator)
+        out.append(row)
+    return out
+
+
+def _rref_relations(rows, field, keep: slice = slice(None)):
     """RREF of relation vectors over the occurring degree-d monomials.
 
-    Returns (reduced GradedPolys, pivot monomials, ordered monomials).
+    Returns (reduced GradedPolys, pivot monomials, ordered monomials);
+    the pivot monomials are all of them, the reduced rows only those
+    that keep selects, in pivot order.  Over QQ the rows are cleared of
+    denominators and eliminated fraction-free by int_gauss_jordan; only
+    the kept rows are divided by their pivots into Rats.  Over QQ(chi1),
+    the symbolic-chi mode, ExactMatrix.rref eliminates them.
     """
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    mat = _coeff_matrix(rows, monos, field)
-    R, pivots = mat.rref()
     ctx = rows[0].ctx
-    reduced = []
-    for i in range(len(pivots)):
-        terms = {}
-        for j, m in enumerate(monos):
-            c = R.data[i][j]
-            if not field.is_zero(c):
-                terms[m] = c
-        reduced.append(GradedPoly(ctx, terms))
+    if field is QQ:
+        found = int_gauss_jordan(_integer_rows(rows, monos))
+        pivots = [col for col, _ in found]
+        reduced = [
+            GradedPoly(ctx, {m: Rat(c, row[col]) for m, c in zip(monos, row) if c})
+            for col, row in found[keep]
+        ]
+    else:
+        R, pivots = _coeff_matrix(rows, monos, field).rref()
+        is_zero = field.is_zero
+        reduced = [
+            GradedPoly(ctx, {m: c for m, c in zip(monos, row) if not is_zero(c)})
+            for row in R.data[:len(pivots)][keep]
+        ]
     return reduced, [monos[p] for p in pivots], monos
 
 
@@ -430,10 +462,12 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
     if field.is_zero(det1) or field.is_zero(det2):
         raise SingularCheckpoint(f"det1={det1}, det2={det2} at (d,chi)=({d},{chi})")
 
-    reduced, pivot_monos, _ = _rref_relations(_twelve_rows(ctx, Ra, Rb, Rc), field)
-    if len(reduced) != 12:
+    # only R1..R3, rows 9-11 of the echelon form, are kept
+    reduced, pivot_monos, _ = _rref_relations(
+        _twelve_rows(ctx, Ra, Rb, Rc), field, keep=slice(9, 12))
+    if len(pivot_monos) != 12:
         raise SingularCheckpoint(
-            f"relation span has rank {len(reduced)} != 12 at (d,chi)=({d},{chi})"
+            f"relation span has rank {len(pivot_monos)} != 12 at (d,chi)=({d},{chi})"
         )
     expected_pivots = [
         tuple(sorted(((d - 1, 0), u), key=gen_key, reverse=True))
@@ -445,7 +479,7 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
             + ", ".join(mono_str(m) for m in pivot_monos[9:12])
         )
     rel = RelationSet(d, chi if not symbolic_chi else "chi1", ctx, Ra, Rb, Rc,
-                      *reduced[9:12], det1, det2, tuple(pivot_monos))
+                      *reduced, det1, det2, tuple(pivot_monos))
     _REL_CACHE[key] = rel
     return rel
 
@@ -461,7 +495,8 @@ def verify_rank12(d: int, chi: int, rel: RelationSet = None):
     of the build's own elimination (by det, which runs its own forward
     elimination), so the 12xN matrix is not eliminated a second time.
     Only when that minor vanishes, or no pivots are recorded, is the
-    full rank computed, so a broken relation set reports its true rank.
+    full rank computed (by the build's own elimination, fraction-free
+    over QQ), so a broken relation set reports its true rank.
     """
     if rel is None:
         rel = build_relation_set(d, chi)
@@ -471,8 +506,8 @@ def verify_rank12(d: int, chi: int, rel: RelationSet = None):
     if len(pivots) == 12 and not field.is_zero(_coeff_matrix(rows, pivots, field).det()):
         rank = 12
     else:
-        monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-        rank = _coeff_matrix(rows, monos, field).rank()
+        # only the pivots are read: no row is divided back
+        rank = len(_rref_relations(rows, field, keep=slice(0))[1])
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
     m1 = _coeff_matrix(rows[0:6], mon1(d), field).det()

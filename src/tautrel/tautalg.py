@@ -341,8 +341,9 @@ class BetaClass:
     def __mul__(self, other):
         if isinstance(other, BetaClass):
             b0 = self.b0 * other.b0
-            b1 = self.b0 * other.b1 + self.b1 * other.b0
-            b2 = self.b0 * other.b2 + self.b1 * other.b1 + self.b2 * other.b0
+            b1 = _sum_products(self.b0 * other.b1, self.b1 * other.b0)
+            b2 = _sum_products(self.b0 * other.b2, self.b1 * other.b1,
+                               self.b2 * other.b0)
             return BetaClass(b0, b1, b2)
         return BetaClass(self.b0 * other, self.b1 * other, self.b2 * other)
 
@@ -368,6 +369,15 @@ class BetaClass:
 
     def __str__(self):
         return f"({self.b0}) + ({self.b1})*beta + ({self.b2})*beta^2"
+
+
+def _sum_products(first: GradedPoly, *rest: GradedPoly) -> GradedPoly:
+    """first + rest[0] + ..., added into first's term dict: the operands
+    must be fresh products, owned by the caller.  The terms and their
+    order are those of the public +, without its copy per sum."""
+    for p in rest:
+        GradedPoly.add_into(first.terms, p)
+    return first
 
 
 def beta_pushforward(x: BetaClass, j: int) -> GradedPoly:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from tautrel.cubicext import (
     upoly_divmod,
     upoly_mul,
 )
-from tautrel.linalg import ExactMatrix, NonSquareDet
+from tautrel.linalg import ExactMatrix, NonSquareDet, int_gauss_jordan
 from tautrel.mpoly import ExactDivisionError, MPoly
 from tautrel.rat import QQ, Rat, rat, rational_cube_root
 from tautrel import ratfunc
@@ -433,6 +434,52 @@ def test_gauss_jordan_pins_row_greedy_recipe():
     # the visit order decides which rows pivot
     pivots, rest = M.gauss_jordan(visit=[1, 0, 2], pivot_cols=[0, 1])
     assert line(pivots) == [0, -1, 1] and rest == [[0, 0, -1]]
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer rows of planted rank at most r (A = C @ B), with zero
+    rows, duplicate rows and zero columns put in, and each row scaled
+    by a sign and a small or huge factor; entries reach past 2^200."""
+    huge = st.integers(2**200, 2**210)
+    entries = st.one_of(st.integers(-4, 4), huge, huge.map(lambda x: -x))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    r = draw(st.integers(0, min(m, n)))
+    B = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    C = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(m)]
+    rows = [[sum(C[i][k] * B[k][j] for k in range(r)) for j in range(n)]
+            for i in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = list(draw(st.sampled_from(rows))) if draw(st.booleans()) else [0] * n
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, len(rows[0])))
+        for row in rows:
+            row.insert(j, 0)
+    factors = st.sampled_from([1, -1, 3, -6, 2**201, -(2**203)])
+    return [[f * x for x in row] for row, f in zip(rows, [draw(factors) for _ in rows])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows())
+@example([[0, 0], [0, 0]])
+@example([[-2, 4, 6], [-1, 2, 3], [0, 0, -5]])
+@example([[0, -3, 2**205], [0, -3, 2**205], [7, 0, 1]])
+def test_int_gauss_jordan_matches_field_rref(rows):
+    before = [row[:] for row in rows]
+    found = int_gauss_jordan(rows)
+    assert rows == before
+    M = ExactMatrix(QQ, rows)
+    R, pivots = M.rref()
+    R_oracle, pivots_oracle = rref_oracle(M)
+    cols = [col for col, _ in found]
+    assert cols == pivots == pivots_oracle
+    divided = [[Rat(x, row[col]) for x in row] for col, row in found]
+    assert divided == R.data[:len(pivots)] == R_oracle.data[:len(pivots)]
+    for col, row in found:
+        assert math.gcd(*row) == 1
+        assert row[col] > 0
+        assert all(row[c] == 0 for c in cols if c != col)
 
 
 def test_linalg_examples():

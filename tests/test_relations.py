@@ -318,6 +318,42 @@ def test_rref_uniqueness_under_row_permutation():
         assert reduced[9:12] == list(rel.relations)
 
 
+@pytest.mark.parametrize("d, chi", [(5, 1), (9, 2), (11, 4), (13, 5)])
+def test_build_matches_field_rref(d, chi):
+    # the fraction-free build against ExactMatrix.rref over Fraction
+    rel = build_relation_set(d, chi)
+    rows = rel.twelve_relations()
+    monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
+    R, pivots = _coeff_matrix(rows, monos, QQ).rref()
+    assert rel.pivot_monos == tuple(monos[p] for p in pivots)
+    for i, got in zip(range(9, 12), rel.relations):
+        want = GradedPoly(rel.ctx, {m: c for m, c in zip(monos, R.data[i]) if c})
+        assert str(got) == str(want)
+
+
+def test_cold_build_runs_no_field_elimination(monkeypatch):
+    # over QQ the build and verify_rank12's fallback rank eliminate
+    # fraction-free; ExactMatrix.gauss_jordan is not called
+    import copy
+
+    from tautrel import relations
+
+    monkeypatch.setattr(relations, "_REL_CACHE", {})
+
+    def no_elimination(self, *args, **kwargs):
+        raise AssertionError("the 12xN matrix was eliminated over the field")
+
+    monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
+    rel = build_relation_set(7, 3)
+    assert len(rel.pivot_monos) == 12
+    assert verify_rank12(7, 3, rel)[0]
+    broken = copy.copy(rel)
+    broken.Rc = dict(rel.Rc)
+    broken.Rc[2] = GradedPoly.zero(rel.ctx)
+    ok, trace = verify_rank12(7, 3, broken)
+    assert not ok and trace["rank"] == 11
+
+
 def test_duality_covariance_of_relation_span():
     for (d, chi) in [(5, 1), (5, 2), (7, 2), (8, 3)]:
         rel = build_relation_set(d, chi)

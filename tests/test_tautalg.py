@@ -215,3 +215,37 @@ def test_mono_mul_matches_sort_oracle(m1, m2):
         got = mono_mul(a, b)
         assert type(got) is tuple
         assert got == mono_mul_oracle(a, b)
+
+
+def beta_mul_oracle(x: BetaClass, y: BetaClass) -> BetaClass:
+    """The product summed with the public +, which copies a dict per sum."""
+    return BetaClass(
+        x.b0 * y.b0,
+        x.b0 * y.b1 + x.b1 * y.b0,
+        x.b0 * y.b2 + x.b1 * y.b1 + x.b2 * y.b0,
+    )
+
+
+def test_beta_mul_matches_plus_oracle_and_keeps_operands():
+    # few generators and small coefficients, so the sums cancel terms
+    rng = random.Random(11)
+    gens = [(2, 0), (0, 2), (3, 0), (2, 1)]
+
+    def rand_poly():
+        p = GradedPoly.zero(CTX)
+        for _ in range(rng.randint(0, 4)):
+            p = p + P(rng.randint(-2, 2), *rng.sample(gens, rng.randint(1, 2)))
+        return p
+
+    def snapshot(x):
+        return [list(part.terms.items()) for part in (x.b0, x.b1, x.b2)]
+
+    for _ in range(60):
+        x = BetaClass(rand_poly(), rand_poly(), rand_poly())
+        y = BetaClass(rand_poly(), rand_poly(), rand_poly())
+        before = snapshot(x), snapshot(y)
+        got, want = x * y, beta_mul_oracle(x, y)
+        assert (snapshot(x), snapshot(y)) == before
+        # the same terms in the same key order
+        assert snapshot(got) == snapshot(want)
+        assert got.b1 is not x.b1 and got.b2 is not y.b2
