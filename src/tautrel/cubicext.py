@@ -7,18 +7,34 @@ extension; solvability questions downstream are invariant under the
 choice within a Galois orbit, so one representative per factor is
 enough.
 
-Multiplication never divides: the field precomputes the fold of its
-monic modulus, t^deg = -(m_0 + m_1 t + ... + m_{deg-1} t^{deg-1}), and a
-product is the schoolbook product of the two coefficient tuples (zero
-coefficients skipped) with the degrees >= deg folded back from the top.
-Zero tests use the coefficients' truth value.
+Over QQ an element holds integer numerators over one positive common
+denominator, normalized so that the numerators and the denominator have
+gcd 1 (zero is 0/1).  The field scales the fold of its monic modulus to
+integers once: t^p for deg <= p <= 2 deg - 2 reduced mod m, over one
+common denominator.  A product is then the schoolbook product of the
+numerators (zero numerators skipped), the top degrees folded in with
+those integer rows, and one gcd of the results and the denominator; a
+sum cross-multiplies the denominators and needs no gcd when they are
+coprime.  No Rat is built on the way.  The normal form is unique, so
+coeffs (Rats, each numerator over the denominator, reduced) are the
+coefficients the former one-Rat-per-coefficient form held, and str,
+== and hash, which read them or compare the normal forms, are unchanged.
+inverse runs the extended gcd with the modulus over Rats.
+
+Over any other base (Q(chi1) in constraint) an element holds one base
+coefficient per power of t, and a product folds the top degrees back
+with the modulus itself.  Zero tests use the coefficients' truth value.
 """
 
 from __future__ import annotations
 
+import math
 from operator import add, sub
 
-from .rat import QQ, rat, rational_cube_root
+from .rat import QQ, Rat, RationalField, rat, rational_cube_root
+
+
+_RAT = type(Rat(0))
 
 
 class NotInvertible(ArithmeticError):
@@ -121,23 +137,47 @@ class CubicField:
         _, rem = upoly_divmod(tuple(t3), modulus, monic=True)
         if rem:
             raise ValueError("modulus does not divide t^3 - r")
-        self.fold = [(i, -c) for i, c in enumerate(modulus[:-1]) if c]
-        self.zero = CubicExt(self, (base.zero,) * self.deg)
-        self.one = CubicExt(self, (base.one,) + (base.zero,) * (self.deg - 1))
+        self.integral = isinstance(base, RationalField)
+        if self.integral:
+            self._scale_fold()
+        else:
+            self.fold = [(i, -c) for i, c in enumerate(modulus[:-1]) if c]
+        self.zero = self.coerce(base.zero)
+        self.one = self.coerce(base.one)
+
+    def _scale_fold(self):
+        """The fold over QQ, scaled to integers: t^p for deg <= p <=
+        2 deg - 2 reduced mod m is (sum_i f_pi t^i) / fold_den, with one
+        positive common denominator; int_fold lists (p, [(i, f_pi)]) over
+        the nonzero f_pi."""
+        n, zero, one = self.deg, self.base.zero, self.base.one
+        reduced = [upoly_divmod((zero,) * p + (one,), self.modulus, monic=True)[1]
+                   for p in range(n, 2 * n - 1)]
+        self.fold_den = den = math.lcm(*(c.denominator for red in reduced for c in red))
+        self.int_fold = [
+            (p, [(i, int(c.numerator) * (den // int(c.denominator)))
+                 for i, c in enumerate(red) if c])
+            for p, red in zip(range(n, 2 * n - 1), reduced)
+        ]
 
     def coerce(self, x) -> "CubicExt":
         if isinstance(x, CubicExt):
             if x.field is not self and x.field != self:
                 raise TypeError("element from a different extension")
             return x
-        c = self.base.coerce(x)
-        return CubicExt(self, (c,) + (self.base.zero,) * (self.deg - 1))
+        if not self.integral:
+            return _ext(self, (self.base.coerce(x),) + (self.base.zero,) * (self.deg - 1), None)
+        pad = (0,) * (self.deg - 1)
+        if type(x) is int:
+            return _ext(self, (x,) + pad, 1)
+        c = x if type(x) is _RAT else self.base.coerce(x)
+        return _ext(self, (int(c.numerator),) + pad, int(c.denominator))
 
     def from_coeffs(self, coeffs) -> "CubicExt":
         coeffs = [self.base.coerce(c) for c in coeffs]
         _, rem = upoly_divmod(tuple(coeffs), self.modulus, monic=True)
         padded = list(rem) + [self.base.zero] * (self.deg - len(rem))
-        return CubicExt(self, tuple(padded))
+        return CubicExt(self, padded)
 
     @property
     def t(self) -> "CubicExt":
@@ -179,72 +219,109 @@ class CubicField:
 
 
 class CubicExt:
-    """Element of a CubicField, stored as coefficients of 1, t, t^2."""
+    """Element of a CubicField: the coefficients of 1, t, t^2.
 
-    __slots__ = ("field", "coeffs")
+    Over QQ, num holds integer numerators over den, one positive common
+    denominator, with gcd(*num, den) = 1.  Over any other base, den is
+    None and num holds the coefficients themselves.  CubicExt(field,
+    coeffs) takes coefficients in the base; coeffs gives them back.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        coeffs = tuple(coeffs)
+        if not field.integral:
+            self.num, self.den = coeffs, None
+            return
+        coeffs = [field.base.coerce(c) for c in coeffs]
+        den = math.lcm(*(int(c.denominator) for c in coeffs))
+        self.num = tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        if self.den is None:
+            return self.num
+        return tuple(Rat(n, self.den) for n in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def _other(self, x):
+        if type(x) is CubicExt and x.field is self.field:
+            return x
         return self.field.coerce(x)
 
     def __add__(self, other):
         o = self._other(other)
-        return CubicExt(self.field, tuple(map(add, self.coeffs, o.coeffs)))
+        if self.den is None:
+            return _ext(self.field, tuple(map(add, self.num, o.num)), None)
+        return _int_sum(self.field, self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CubicExt(self.field, tuple(-a for a in self.coeffs))
+        return _ext(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._other(other)
-        return CubicExt(self.field, tuple(map(sub, self.coeffs, o.coeffs)))
+        if self.den is None:
+            return _ext(self.field, tuple(map(sub, self.num, o.num)), None)
+        return _int_sum(self.field, self.num, self.den, [-y for y in o.num], o.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         field = self.field
+        o = self._other(other)
+        if self.den is None:
+            return _ext(field, _fold_mul(field, self.num, o.num), None)
         n = field.deg
-        zero = field.base.zero
-        prod = [zero] * (2 * n - 1)  # a slot still holding zero is unwritten
-        ys = self._other(other).coeffs
-        for i, x in enumerate(self.coeffs):
+        prod = [0] * (2 * n - 1)
+        ys = o.num
+        for i, x in enumerate(self.num):
             if x:
                 for j, y in enumerate(ys):
                     if y:
-                        acc = prod[i + j]
-                        prod[i + j] = x * y if acc is zero else acc + x * y
-        for p in range(2 * n - 2, n - 1, -1):
-            c = prod[p]
-            if c:
-                for i, f in field.fold:
-                    acc = prod[p - n + i]
-                    prod[p - n + i] = c * f if acc is zero else acc + c * f
-        return CubicExt(field, prod[:n])
+                        prod[i + j] += x * y
+        low = prod[:n]
+        den = self.den * o.den
+        if any(prod[n:]):
+            scale = field.fold_den
+            if scale != 1:
+                low = [scale * c for c in low]
+                den *= scale
+            for p, row in field.int_fold:
+                c = prod[p]
+                if c:
+                    for i, f in row:
+                        low[i] += c * f
+        return _normalized(field, low, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CubicExt":
         if self.is_zero():
             raise NotInvertible("zero is not invertible")
-        base = self.field.base
-        g, u, _ = upoly_xgcd(_trim(list(self.coeffs)), self.field.modulus, base.one)
+        field = self.field
+        if self.den is not None and self.is_base():
+            c = self.num[0]
+            sign = 1 if c > 0 else -1
+            return _ext(field, (sign * self.den,) + self.num[1:], sign * c)
+        base = field.base
+        g, u, _ = upoly_xgcd(_trim(list(self.coeffs)), field.modulus, base.one)
         if len(g) != 1:
-            raise NotInvertible(f"{self} is a zero divisor mod {self.field.modulus_str()}")
+            raise NotInvertible(f"{self} is a zero divisor mod {field.modulus_str()}")
         scale = g[0]
         inv = tuple(c / scale for c in u)
-        padded = list(inv) + [base.zero] * (self.field.deg - len(inv))
-        return CubicExt(self.field, tuple(padded[: self.field.deg]))
+        padded = list(inv) + [base.zero] * (field.deg - len(inv))
+        return CubicExt(field, padded[: field.deg])
 
     def __truediv__(self, other):
         return self * self._other(other).inverse()
@@ -270,7 +347,9 @@ class CubicExt:
             o = self._other(other)
         except TypeError:
             return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
+        if self.den is not None:
+            return self.den == o.den and self.num == o.num
+        return all(a == b for a, b in zip(self.num, o.num))
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -280,7 +359,7 @@ class CubicExt:
         return self.coeffs[0]
 
     def is_base(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __str__(self):
         names = ["", "t", "t^2"]
@@ -296,6 +375,61 @@ class CubicExt:
 
     def __repr__(self):
         return f"CubicExt({self.__str__()!r})"
+
+
+_new = object.__new__
+
+
+def _ext(field, num, den) -> CubicExt:
+    """Wrap a representation already in normal form."""
+    e = _new(CubicExt)
+    e.field = field
+    e.num = num
+    e.den = den
+    return e
+
+
+def _normalized(field, num: list, den: int) -> CubicExt:
+    """num / den over QQ with the common factor removed (den > 0)."""
+    g = math.gcd(*num, den)
+    if g != 1:
+        return _ext(field, tuple(x // g for x in num), den // g)
+    return _ext(field, tuple(num), den)
+
+
+def _int_sum(field, xs, dx: int, ys, dy: int) -> CubicExt:
+    """xs/dx + ys/dy, both in normal form.  With coprime denominators the
+    sum needs no cancellation: a prime of dx does not divide dy, so it
+    divides each numerator as it divides the xs, which it does not all."""
+    if dx == dy:
+        return _normalized(field, list(map(add, xs, ys)), dx)
+    g = math.gcd(dx, dy)
+    if g == 1:
+        return _ext(field, tuple(x * dy + y * dx for x, y in zip(xs, ys)), dx * dy)
+    a, b = dy // g, dx // g
+    return _normalized(field, [x * a + y * b for x, y in zip(xs, ys)], dx * a)
+
+
+def _fold_mul(field, xs, ys) -> tuple:
+    """The product over a non-rational base: the schoolbook product of the
+    coefficient tuples (zero coefficients skipped), the degrees >= deg
+    folded back from the top."""
+    n = field.deg
+    zero = field.base.zero
+    prod = [zero] * (2 * n - 1)  # a slot still holding zero is unwritten
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                if y:
+                    acc = prod[i + j]
+                    prod[i + j] = x * y if acc is zero else acc + x * y
+    for p in range(2 * n - 2, n - 1, -1):
+        c = prod[p]
+        if c:
+            for i, f in field.fold:
+                acc = prod[p - n + i]
+                prod[p - n + i] = c * f if acc is zero else acc + c * f
+    return tuple(prod[:n])
 
 
 def ext_invert(e: CubicExt) -> CubicExt:

@@ -145,13 +145,13 @@ def _coeff_equations_table(C: dict, Cp: dict, field) -> dict:
     return out
 
 
-def assert_type_split(C: dict, Cp: dict, field) -> None:
-    """The completeness of the Type I / Type II case split: after the
+def assert_type_split(eqs: dict, field) -> None:
+    """The completeness of the Type I / Type II case split, read from the
+    ten coefficient equations eqs of a pencil pair: after the
     node forces the last row to (0, 0, s33), the (0,2,1) and (2,0,1)
     equations are nonzero multiples of s21*s22*s33 and s12*s11*s33, and
     the (1,1,1) equation pins s33*(s11*s22 + s12*s21) to a nonzero
     value, so s33 != 0 and one of the two off/diagonal pairs vanishes."""
-    eqs = _coeff_equations_table(C, Cp, field)
     zeros = {svar(2, 0): 0, svar(2, 1): 0}
 
     def reduced_support(key):
@@ -259,16 +259,25 @@ def _cube_value(eq: MPoly, zeros: dict, unknown: str, base):
     return -b / a
 
 
-def solve_S(stype: str, M: list, Mp: list, base=None) -> list:
-    """All candidates of the given type ('I' or 'II'), one per
-    irreducible factor of the relevant t^3 - r."""
-    field = base if base is not None else M[0].field
+def _pencil(M: list, Mp: list, field) -> tuple:
+    """(C, Cp, eqs): the pencil cubics det(sum x_i M_i) and det(sum x_j
+    M'_j), both checked nodal, and their ten coefficient equations in
+    the s_ij, checked to split into Type I and Type II."""
     C = cubic_det(M)
     Cp = cubic_det(Mp)
     analyze_node(C, field)
     analyze_node(Cp, field)
-    assert_type_split(C, Cp, field)
     eqs = _coeff_equations_table(C, Cp, field)
+    assert_type_split(eqs, field)
+    return C, Cp, eqs
+
+
+def solve_S(stype: str, M: list, Mp: list, base=None, pencil: tuple = None) -> list:
+    """All candidates of the given type ('I' or 'II'), one per
+    irreducible factor of the relevant t^3 - r.  pencil, when given, is
+    _pencil(M, Mp, base): a caller solving both types computes it once."""
+    field = base if base is not None else M[0].field
+    C, Cp, eqs = _pencil(M, Mp, field) if pencil is None else pencil
     tau = C[(1, 1, 1)] / Cp[(1, 1, 1)]
 
     zeros = {svar(2, 0): 0, svar(2, 1): 0}
@@ -486,55 +495,79 @@ class UVResult:
     certificate: list = None
 
 
-def _uv_system(cand: CandidateS, A: ExactMatrix, M: list, N: list, Np: list):
+def solve_UV(cand: CandidateS, A: ExactMatrix, M: list, N: list, Np: list) -> UVResult:
+    """Solve A^T M_i U + A^T N_i V = sum_j s_ij N'_j for U, V."""
     E = cand.field
     At = A.transpose()
     AM = [At * _lift_matrix(m, E) for m in M]
     AN = [At * _lift_matrix(n, E) for n in N]
-    Ps = _s_combination(cand, Np)
-    rows, rhs, eq_index = [], [], []
-    for i in range(3):
-        for r in range(3):
-            for c in range(3):
-                row = [E.zero] * 18
-                for k in range(3):
-                    row[3 * k + c] = AM[i][r, k]
-                    row[9 + 3 * k + c] = AN[i][r, k]
-                rows.append(row)
-                rhs.append(Ps[i][r, c])
-                eq_index.append((i, r, c))
-    return ExactMatrix(E, rows), rhs, eq_index
+    return _solve_uv_block(E, AM, AN, _s_combination(cand, Np))
 
 
-def solve_UV(cand: CandidateS, A: ExactMatrix, M: list, N: list, Np: list) -> UVResult:
-    """Solve A^T M_i U + A^T N_i V = sum_j s_ij N'_j for U, V."""
-    E = cand.field
-    system, rhs, _ = _uv_system(cand, A, M, N, Np)
-    x, _, certificate = system.solve(rhs)
-    if certificate is not None:
-        # re-verify: the combination annihilates the system but not the rhs
-        zero = E.zero
-        for col in range(18):
-            acc = zero
-            for lam, row in zip(certificate, system.data):
-                acc = acc + lam * row[col]
-            if not acc.is_zero():
-                raise AssertionError("inconsistency certificate unsound")
-        acc = zero
-        for lam, b in zip(certificate, rhs):
-            acc = acc + lam * b
-        if acc.is_zero():
-            raise AssertionError("inconsistency certificate unsound (rhs)")
-        return UVResult("inconsistent", certificate=certificate)
-    U = ExactMatrix(E, [[x[3 * s + t] for t in range(3)] for s in range(3)])
-    V = ExactMatrix(E, [[x[9 + 3 * s + t] for t in range(3)] for s in range(3)])
-    At = A.transpose()
-    Ps = _s_combination(cand, Np)
+def _solve_uv_block(E, AM: list, AN: list, Ps: list) -> UVResult:
+    """Solve AM_i U + AN_i V = Ps_i (i = 0, 1, 2) as one 9x6 block.
+
+    Row 9i + 3r + c of the 27x18 system, entry (r, c) of equation i,
+    reads sum_k AM_i[r, k] U[k, c] + AN_i[r, k] V[k, c] = Ps_i[r, c], in
+    the unknowns U[k, c] (column 3k + c) and V[k, c] (column 9 + 3k + c).
+    It involves column c of U and V alone, with coefficients free of c:
+    the system is three copies of the block whose row 3i + r is
+    (AM_i[r, :], AN_i[r, :]), copy c with the right-hand sides Ps_i[r, c].
+    One gauss_jordan of [block | Ps_i[r, 0..2]] with a 9-column
+    transform, pivoting left of the bar, runs the three eliminations.
+
+    The certificate is the one ExactMatrix.solve of the 27x18 system
+    returns.  That elimination visits rows 9i + 3r + c in order, so each
+    copy's rows in the block's (i, r) order; a row of copy c is never
+    changed by a pivot row of another copy, which is zero in its
+    columns.  So it runs the block's elimination three times
+    interleaved, step for step: each copy has the block's pivots and
+    set-aside rows, its right-hand-side column and its transform rows
+    3q + c for block row q.  Its first set-aside row with a nonzero
+    right-hand side is therefore the block's first set-aside row, in
+    (i, r) order, with a nonzero right-hand side, at the first such c;
+    solve returns it over that entry, as here.
+    """
+    block = ExactMatrix._of(E, [AM[i].data[r] + AN[i].data[r] + Ps[i].data[r]
+                                for i in range(3) for r in range(3)])
+    pivots, rest = block.gauss_jordan(pivot_cols=range(6), with_transform=True)
+    for row in rest:
+        for c in range(3):
+            if row[6 + c]:
+                inv = E.one / row[6 + c]
+                certificate = [E.zero] * 27
+                for q, lam in enumerate(row[9:]):
+                    certificate[3 * q + c] = lam * inv
+                _check_uv_certificate(E, AM, AN, Ps, certificate)
+                return UVResult("inconsistent", certificate=certificate)
+    X = [[E.zero] * 3 for _ in range(6)]  # rows: U then V; free unknowns 0
+    for k, row in pivots:
+        X[k] = row[6:9]
+    U, V = ExactMatrix._of(E, X[:3]), ExactMatrix._of(E, X[3:])
     for i in range(3):
-        lhs = At * _lift_matrix(M[i], E) * U + At * _lift_matrix(N[i], E) * V
-        if not lhs == Ps[i]:
+        if not AM[i] * U + AN[i] * V == Ps[i]:
             raise AssertionError("U, V verification failed: witness unsound")
     return UVResult("solvable", U=U, V=V)
+
+
+def _check_uv_certificate(E, AM: list, AN: list, Ps: list, lam: list) -> None:
+    """lam, over the rows 9i + 3r + c of the 27x18 system, annihilates
+    every unknown column (U[k, c], V[k, c]) but not the right-hand side."""
+    rhs = E.zero
+    for c in range(3):
+        cols = [E.zero] * 6
+        for i in range(3):
+            for r in range(3):
+                w = lam[9 * i + 3 * r + c]
+                if w:
+                    for k in range(3):
+                        cols[k] = cols[k] + w * AM[i][r, k]
+                        cols[3 + k] = cols[3 + k] + w * AN[i][r, k]
+                    rhs = rhs + w * Ps[i][r, c]
+        if any(cols):
+            raise AssertionError("inconsistency certificate unsound")
+    if rhs.is_zero():
+        raise AssertionError("inconsistency certificate unsound (rhs)")
 
 
 # -- the decision ----------------------------------------------------------------
@@ -605,8 +638,9 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     witness = None
     outcomes = {"I": [], "II": []}
 
+    pencil = _pencil(M, Mp, M[0].field)
     for stype in ("I", "II"):
-        for cand in solve_S(stype, M, Mp):
+        for cand in solve_S(stype, M, Mp, pencil=pencil):
             label = f"type_{stype}[{cand.root_label}]"
             ab = solve_AB(cand, M, Mp)
             kernel_dims[label] = ab.kernel_dim

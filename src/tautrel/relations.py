@@ -49,6 +49,7 @@ from .rat import QQ, ZZ, Rat
 from .ratfunc import FracField, RatFunc
 from .tautalg import (
     BetaClass,
+    DegreeMismatch,
     GradedPoly,
     TautContext,
     _sum_products,
@@ -288,11 +289,14 @@ def mon2(d: int) -> list:
     return singles + pairs
 
 
+# the degree-1 generators c2(0) and c0(2) that multiply Ra^n
+_RA_FACTORS = ((2, 0), (0, 2))
+
+
 def _twelve_rows(ctx: TautContext, Ra: dict, Rb: dict, Rc: dict) -> list:
     """The 12 degree-d relations in their canonical order:
     c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved), then Rb^n, Rc^n."""
-    c2 = GradedPoly.term(ctx, 1, [(2, 0)])
-    c0 = GradedPoly.term(ctx, 1, [(0, 2)])
+    c2, c0 = (GradedPoly.term(ctx, 1, [g]) for g in _RA_FACTORS)
     rows = []
     for n in (1, 2, 3):
         rows.append(c2 * Ra[n])
@@ -341,6 +345,28 @@ class RelationSet:
             "R2": str(self.R2),
             "R3": str(self.R3),
         }
+
+
+def _twelve_entries(rel: RelationSet, monos) -> list:
+    """The coefficients of the twelve relations at monos, rows in the
+    order of _twelve_rows, without forming the products g Ra^n: a
+    generator g multiplies monomials injectively, so the coefficient of
+    m in g Ra^n is that of m/g in Ra^n, and zero when g does not divide m."""
+    zero = rel.ctx.domain.zero
+    rows = []
+    for n in (1, 2, 3):
+        for g in _RA_FACTORS:
+            R = rel.Ra[n]
+            rows.append([R.coeff(_without(m, g)) if g in m else zero for m in monos])
+    for R in [rel.Rb[n] for n in (1, 2, 3)] + [rel.Rc[n] for n in (1, 2, 3)]:
+        rows.append([R.coeff(m) for m in monos])
+    return rows
+
+
+def _without(mono: tuple, gen) -> tuple:
+    """mono with one factor gen removed (gen divides mono)."""
+    i = mono.index(gen)
+    return mono[:i] + mono[i + 1:]
 
 
 def _coeff_matrix(polys, monos, field) -> ExactMatrix:
@@ -478,6 +504,11 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
             "echelon leading monomials differ from the canonical ones: "
             + ", ".join(mono_str(m) for m in pivot_monos[9:12])
         )
+    # checked once here, so the block projections compare their bases
+    # with d instead of re-reading every term
+    for R in reduced:
+        if R.degree() != d:
+            raise DegreeMismatch(f"relation of degree {R.degree()} != d={d}")
     rel = RelationSet(d, chi if not symbolic_chi else "chi1", ctx, Ra, Rb, Rc,
                       *reduced, det1, det2, tuple(pivot_monos))
     _REL_CACHE[key] = rel
@@ -496,22 +527,24 @@ def verify_rank12(d: int, chi: int, rel: RelationSet = None):
     elimination), so the 12xN matrix is not eliminated a second time.
     Only when that minor vanishes, or no pivots are recorded, is the
     full rank computed (by the build's own elimination, fraction-free
-    over QQ), so a broken relation set reports its true rank.
+    over QQ), so a broken relation set reports its true rank.  The
+    minors' entries are read from Ra^n, Rb^n, Rc^n (_twelve_entries);
+    the twelve relations themselves are formed only for that full rank.
     """
     if rel is None:
         rel = build_relation_set(d, chi)
     field = rel.ctx.domain
-    rows = rel.twelve_relations()
     pivots = rel.pivot_monos
-    if len(pivots) == 12 and not field.is_zero(_coeff_matrix(rows, pivots, field).det()):
+    if len(pivots) == 12 and not field.is_zero(
+            ExactMatrix._of(field, _twelve_entries(rel, pivots)).det()):
         rank = 12
     else:
         # only the pivots are read: no row is divided back
-        rank = len(_rref_relations(rows, field, keep=slice(0))[1])
+        rank = len(_rref_relations(rel.twelve_relations(), field, keep=slice(0))[1])
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
-    m1 = _coeff_matrix(rows[0:6], mon1(d), field).det()
-    m2 = _coeff_matrix(rows[6:12], mon2(d), field).det()
+    m1 = ExactMatrix._of(field, _twelve_entries(rel, mon1(d))[0:6]).det()
+    m2 = ExactMatrix._of(field, _twelve_entries(rel, mon2(d))[6:12]).det()
     ok = rank == 12 and m1 == rel.det1 * rel.det1 and not field.is_zero(m2)
     trace = {
         "rank": rank,

@@ -392,16 +392,19 @@ def beta_pushforward(x: BetaClass, j: int) -> GradedPoly:
     raise ValueError("j must be 0, 1 or 2")
 
 
-def project_block(p: GradedPoly, left_basis, right_basis) -> ExactMatrix:
+def project_block(p: GradedPoly, left_basis, right_basis, degree: int = None) -> ExactMatrix:
     """Matrix of coefficients of (left monomial)*(right monomial) in p.
 
     Basis entries may be generators (k, j) or full monomials; the
-    degrees must tile the degree of p.
+    degrees must tile the degree of p.  degree, when given, is that
+    degree, p being known to be homogeneous of it (as a RelationSet's
+    relations are: the build checks them once); otherwise p.degree()
+    checks p's terms.
     """
     left = [_as_mono(b) for b in left_basis]
     right = [_as_mono(b) for b in right_basis]
     if p.terms:
-        deg = p.degree()
+        deg = p.degree() if degree is None else degree
         for l in left:
             for r in right:
                 if mono_degree(l) + mono_degree(r) != deg:

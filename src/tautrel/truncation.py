@@ -47,13 +47,13 @@ def matrices_M(rel: RelationSet) -> list:
     A^T M_i B = sum_j s_ij M'_j."""
     left = tk_basis(rel.d - 2)
     right = t2_basis()
-    return [project_block(R, left, right) for R in rel.relations]
+    return [project_block(R, left, right, rel.d) for R in rel.relations]
 
 
 def matrices_N(rel: RelationSet) -> list:
     left = tk_basis(rel.d - 2)
     right = sym2_basis()
-    return [project_block(R, left, right) for R in rel.relations]
+    return [project_block(R, left, right, rel.d) for R in rel.relations]
 
 
 @dataclass

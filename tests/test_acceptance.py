@@ -1,7 +1,10 @@
 """Acceptance suite: every criterion runs at its stated range with exact
 (zero-tolerance) comparisons and prints one pass/fail line."""
 
+import hashlib
+import json
 import math
+import os
 import random
 
 import pytest
@@ -131,12 +134,20 @@ def test_criterion_6_type_I_contradiction():
     _report(6, "Type I a33 contradiction d=5..8, all coprime pairs", ok)
 
 
+# sha256 of each verdict's canonical JSON (sorted keys, no spaces)
+DECIDE_DIGESTS = os.path.join(os.path.dirname(__file__), "fixtures", "decide_d5_8.sha256.json")
+
+
 def test_criterion_7_congruence_sweep():
-    ok = True
+    with open(DECIDE_DIGESTS) as fh:
+        digests = json.load(fh)
+    ok = len(digests) == 44
     for d in range(5, 9):
         for (c1, c2) in coprime_pairs(d):
             v = decide(d, c1, c2)
             ok = ok and v.agrees
+            body = json.dumps(v.to_json(), sort_keys=True, separators=(",", ":"))
+            ok = ok and hashlib.sha256(body.encode()).hexdigest() == digests.pop(f"{d} {c1} {c2}", None)
             if c1 == c2 and v.verdict == "NoObstruction":
                 w = v.witness
                 ident = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
@@ -146,7 +157,8 @@ def test_criterion_7_congruence_sweep():
                 sgn = [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
                 smat = [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]]
                 ok = ok and w["S"] == smat and w["A"] == sgn and w["B"] == sgn
-    _report(7, "verdict = congruence with reference witnesses, sweep d=5..8", ok)
+    ok = ok and not digests
+    _report(7, "verdict = congruence with reference witnesses and recorded digests, sweep d=5..8", ok)
 
 
 def test_criterion_8_P1_property_suite():

@@ -1,0 +1,94 @@
+"""CubicExt over QQ, integer numerators over one common denominator,
+against the coefficient-tuple reference arithmetic."""
+
+import math
+
+from hypothesis import example, given, settings, strategies as st
+
+from cubicext_oracle import OracleCubicExt
+from tautrel.cubicext import CubicExt, factor_t3_minus_r
+from tautrel.rat import QQ, Rat
+
+# the irreducible t^3 - 5/3, both factors of t^3 + 8/27 = (t + 2/3)(t^2 -
+# 2/3 t + 4/9), and t^3 - 2, whose fold needs no scaling
+FIELDS = (factor_t3_minus_r(Rat(5, 3), QQ) + factor_t3_minus_r(Rat(-8, 27), QQ)
+          + factor_t3_minus_r(Rat(2), QQ))
+BIG = 2**130
+
+
+def test_fields_cover_every_modulus_shape():
+    assert [E.deg for E in FIELDS] == [3, 1, 2, 3]
+    assert [E.fold_den for E in FIELDS] == [3, 1, 9, 1]
+
+
+def _in_normal_form(x: CubicExt):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(n) is int for n in x.num) and len(x.num) == x.field.deg
+    assert math.gcd(*x.num, x.den) == 1
+
+
+def _agrees(x: CubicExt, o: OracleCubicExt):
+    _in_normal_form(x)
+    assert x.coeffs == o.coeffs
+    assert str(x) == str(o)
+    assert hash(x) == hash(o)
+    assert bool(x) == bool(o) == (not x.is_zero())
+    assert x.is_base() == (not any(o.coeffs[1:]))
+    assert x.base_part() == o.coeffs[0] and type(x.base_part()) is type(Rat(0))
+
+
+# rationals with planted zeros, small ones and ones past 2^100
+rationals = st.one_of(
+    st.just(Rat(0)),
+    st.fractions(-9, 9, max_denominator=6),
+    st.builds(lambda n, d: Rat(n, d), st.integers(-BIG, BIG), st.integers(1, BIG)),
+).map(lambda f: Rat(f.numerator, f.denominator))
+
+
+@st.composite
+def operands(draw):
+    E = draw(st.sampled_from(FIELDS))
+    a = CubicExt(E, [draw(rationals) for _ in range(E.deg)])
+    b = CubicExt(E, [draw(rationals) for _ in range(E.deg)])
+    return a, b, draw(rationals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(operands())
+@example((CubicExt(FIELDS[0], [0, Rat(1, 3), 0]), CubicExt(FIELDS[0], [Rat(3), 0, 0]), Rat(0)))
+@example((FIELDS[2].zero, FIELDS[2].t, Rat(-7, 2**101)))
+def test_integer_arith_matches_coefficient_oracle(case):
+    a, b, q = case
+    oa, ob = OracleCubicExt.of(a), OracleCubicExt.of(b)
+    _agrees(a, oa)
+    _agrees(b, ob)
+    _agrees(a + b, oa + ob)
+    _agrees(a - b, oa - ob)
+    _agrees(a * b, oa * ob)
+    _agrees(b * a, ob * oa)
+    _agrees(-a, -oa)
+    _agrees(a * a * a, oa ** 3)
+    _agrees(a ** 3, oa ** 3)
+    _agrees(a + q, oa + q)
+    _agrees(q - a, oa._other(q) - oa)
+    _agrees(a * q, oa * q)
+    assert (a == b) == (oa == ob) and (a == a + 0) and (a == q) == (oa == q)
+    assert (a == b) <= (hash(a) == hash(b))
+    for x, ox in ((a, oa), (b, ob)):
+        if ox:
+            _agrees(x.inverse(), ox.inverse())
+            _agrees(x ** -2, ox ** -2)
+            _agrees(b / x, ob / ox)
+            _agrees(q / x, oa._other(q) / ox)
+    if q:
+        _agrees(a / q, oa / q)
+
+
+def test_constructor_and_coerce_give_the_normal_form():
+    E = FIELDS[0]
+    x = CubicExt(E, [Rat(2, 6), Rat(-4, 6), 0])
+    assert x.num == (1, -2, 0) and x.den == 3
+    assert E.coerce(Rat(-10, 4)).num == (-5, 0, 0) and E.coerce(Rat(-10, 4)).den == 2
+    assert E.zero.num == (0, 0, 0) and E.zero.den == 1
+    assert (x - x).den == 1 and str(E.zero) == "0"
+    assert E.t ** 3 == E.coerce(Rat(5, 3))

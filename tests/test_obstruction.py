@@ -1,7 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tautrel import obstruction
+from tautrel.cubicext import factor_t3_minus_r
+from tautrel.linalg import ExactMatrix
 from tautrel.mpoly import MPoly
 from tautrel.obstruction import (
     S_VARS,
@@ -12,14 +16,19 @@ from tautrel.obstruction import (
     analyze_node,
     coeff_equation,
     congruent,
+    coprime_pairs,
     cubic_det,
     decide,
     solve_AB,
     solve_S,
     solve_UV,
+    _lift_matrix,
     _pencil_rhs_poly,
+    _s_combination,
+    _solve_uv_block,
 )
 from tautrel.rat import QQ, Rat
+from uv_oracle import uv_oracle
 from tautrel.relations import build_relation_set
 from tautrel.truncation import matrices_M, matrices_N
 
@@ -223,3 +232,124 @@ def test_kernel_dims_recorded():
     v = decide(5, 1, 1)
     assert any(k.startswith("type_II") and dim == 1 for k, dim in v.kernel_dims.items())
     assert any(k.startswith("type_I") and dim == 0 for k, dim in v.kernel_dims.items())
+
+
+def test_decide_computes_the_pencil_once(monkeypatch):
+    calls = []
+
+    def counted(Cp, field):
+        calls.append(field)
+        return _pencil_rhs_poly(Cp, field)
+
+    monkeypatch.setattr(obstruction, "_pencil_rhs_poly", counted)
+    for pair in [(1, 2), (1, 1), (1, 4)]:
+        calls.clear()
+        v = decide(5, *pair)
+        assert v.agrees and len(calls) == 1
+    calls.clear()
+    M, _ = blocks(5, 1)
+    assert len(solve_S("II", M, M)) == 2 and len(calls) == 1
+
+
+def _same_uv(got, want):
+    status, U, V, certificate = want
+    assert got.status == status
+    if status == "solvable":
+        assert got.U == U and got.V == V
+        assert [str(x) for row in got.U.data + got.V.data for x in row] == [
+            str(x) for row in U.data + V.data for x in row]
+    else:
+        assert got.certificate == certificate
+        assert [str(x) for x in got.certificate] == [str(x) for x in certificate]
+
+
+def test_solve_UV_matches_full_system_oracle():
+    # every candidate that reaches solve_UV in the sweep d = 5..8
+    seen = []
+    for d in range(5, 9):
+        for a, b in coprime_pairs(d):
+            (M, N), (Mp, Np) = blocks(d, a), blocks(d, b)
+            for stype in ("I", "II"):
+                for cand in solve_S(stype, M, Mp):
+                    ab = solve_AB(cand, M, Mp)
+                    if ab.status != "solution":
+                        continue
+                    E, At = cand.field, ab.A.transpose()
+                    AM = [At * _lift_matrix(m, E) for m in M]
+                    AN = [At * _lift_matrix(n, E) for n in N]
+                    want = uv_oracle(E, AM, AN, _s_combination(cand, Np))
+                    got = solve_UV(cand, ab.A, M, N, Np)
+                    _same_uv(got, want)
+                    seen.append(got.status)
+    # one solvable candidate per congruent pair, the others inconsistent
+    assert len(seen) == 72 and seen.count("solvable") == 24
+
+
+UV_FIELDS = factor_t3_minus_r(Rat(5, 3), QQ) + factor_t3_minus_r(Rat(-8, 27), QQ)
+
+
+@st.composite
+def uv_block_systems(draw):
+    """AM_i, AN_i, Ps_i over an extension: block rows drawn at random, as
+    zero, or as combinations of earlier rows, a column possibly zeroed or
+    repeated; Ps_i = AM_i U0 + AN_i V0 (solvable) or drawn freely, with
+    some right-hand-side columns kept consistent."""
+    E = draw(st.sampled_from(UV_FIELDS))
+    small = st.fractions(-3, 3, max_denominator=3).map(lambda f: Rat(f.numerator, f.denominator))
+
+    def elem():
+        if draw(st.booleans()):
+            return E.zero
+        return E.from_coeffs([draw(small) for _ in range(E.deg)])
+
+    rows = []
+    for _ in range(9):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([E.zero] * 6)
+        elif kind == "random":
+            rows.append([elem() for _ in range(6)])
+        else:
+            p, q = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = elem(), elem()
+            rows.append([a * x + b * y for x, y in zip(p, q)])
+    col_op = draw(st.sampled_from(["none", "zero", "repeat"]))
+    j, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    for row in rows:
+        if col_op == "zero":
+            row[j] = E.zero
+        elif col_op == "repeat":
+            row[j] = row[k]
+    AM = [ExactMatrix(E, [rows[3 * i + r][:3] for r in range(3)]) for i in range(3)]
+    AN = [ExactMatrix(E, [rows[3 * i + r][3:] for r in range(3)]) for i in range(3)]
+    U0 = ExactMatrix(E, [[elem() for _ in range(3)] for _ in range(3)])
+    V0 = ExactMatrix(E, [[elem() for _ in range(3)] for _ in range(3)])
+    consistent = [AM[i] * U0 + AN[i] * V0 for i in range(3)]
+    free = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    Ps = [ExactMatrix(E, [[elem() if free[c] else consistent[i][r, c] for c in range(3)]
+                          for r in range(3)]) for i in range(3)]
+    return E, AM, AN, Ps
+
+
+@settings(max_examples=50, deadline=None)
+@given(uv_block_systems())
+def test_uv_block_solve_matches_full_system_oracle(system):
+    E, AM, AN, Ps = system
+    _same_uv(_solve_uv_block(E, AM, AN, Ps), uv_oracle(E, AM, AN, Ps))
+
+
+def test_uv_block_solve_covers_both_outcomes():
+    E = UV_FIELDS[0]
+    t = E.t
+    I3 = ExactMatrix.identity(E, 3)
+    Z = ExactMatrix.zero(E, 3, 3)
+    T = ExactMatrix(E, [[t, 0, 1], [0, t * t, 0], [1, 0, 0]])
+    # U = T, V = I solves it, and only it: the i = 0 equation pins U
+    Ps = [T, T * T + I3, I3]
+    got = _solve_uv_block(E, [I3, T, Z], [Z, I3, I3], Ps)
+    assert got.status == "solvable" and got.U == T and got.V == I3
+    _same_uv(got, uv_oracle(E, [I3, T, Z], [Z, I3, I3], Ps))
+    # the same unknowns twice with different right-hand sides
+    got = _solve_uv_block(E, [I3, I3, Z], [Z, Z, Z], [I3, T, Z])
+    assert got.status == "inconsistent"
+    _same_uv(got, uv_oracle(E, [I3, I3, Z], [Z, Z, Z], [I3, T, Z]))

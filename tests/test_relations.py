@@ -24,9 +24,18 @@ from tautrel.relations import (
     _divided,
     _exp_series,
     _rref_relations,
+    _twelve_entries,
+    _twelve_rows,
 )
 from tautrel.linalg import ExactMatrix
-from tautrel.tautalg import BetaClass, GradedPoly, TautContext, concrete_context, mono_key
+from tautrel.tautalg import (
+    BetaClass,
+    DegreeMismatch,
+    GradedPoly,
+    TautContext,
+    concrete_context,
+    mono_key,
+)
 
 
 def partition_count(ell: int) -> int:
@@ -383,3 +392,47 @@ def test_det1_formula_range():
             rel = build_relation_set(d, chi)
             assert rel.det1 == det1_formula(d, chi)
             assert rel.det2 == det2_formula(d)
+
+
+@pytest.mark.parametrize("d, chi", [(5, 1), (9, 2), (11, 4), (13, 5)])
+def test_twelve_entries_match_the_products(d, chi):
+    # the entries verify_rank12 reads from Ra^n against the rows formed
+    # by multiplying out c2(0) Ra^n and c0(2) Ra^n
+    rel = build_relation_set(d, chi)
+    rows = _twelve_rows(rel.ctx, rel.Ra, rel.Rb, rel.Rc)
+    every = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
+    for monos in (rel.pivot_monos, mon1(d), mon2(d), every):
+        assert _twelve_entries(rel, monos) == [[p.coeff(m) for m in monos] for p in rows]
+
+
+def test_verify_rank12_forms_no_products(monkeypatch):
+    from tautrel import relations
+
+    def no_rows(*args):
+        raise AssertionError("the twelve relations were formed")
+
+    rel = build_relation_set(9, 2)
+    monkeypatch.setattr(relations, "_twelve_rows", no_rows)
+    ok, trace = verify_rank12(9, 2, rel)
+    assert ok and trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
+
+
+def test_build_checks_relation_degree(monkeypatch):
+    # the build checks R1..R3 homogeneous of degree d once, which lets the
+    # block projections compare their bases with d alone
+    from tautrel import relations
+
+    rel = build_relation_set(5, 1)
+    assert {R.degree() for R in rel.relations} == {5}
+    real = relations._rref_relations
+    c2 = GradedPoly.term(rel.ctx, 1, [(2, 0)])
+    # an inhomogeneous R1, and one homogeneous of degree d + 1
+    for alter in (lambda R: R + c2, lambda R: R * c2):
+        def altered(rows, field, keep=slice(None)):
+            reduced, pivots, monos = real(rows, field, keep)
+            return [alter(reduced[0])] + reduced[1:], pivots, monos
+
+        monkeypatch.setattr(relations, "_REL_CACHE", {})
+        monkeypatch.setattr(relations, "_rref_relations", altered)
+        with pytest.raises(DegreeMismatch):
+            build_relation_set(5, 1)

@@ -190,6 +190,22 @@ def test_project_block():
         project_block(p, [((2, 0),)], right)
 
 
+def test_project_block_with_known_degree():
+    # a caller that knows the degree skips p.degree(), but the bases are
+    # still compared with it
+    p = P(1, (4, 0), (3, 0)) + P(Rat(2, 3), (2, 2), (1, 2))
+    left = [((4, 0),), ((3, 1),), ((2, 2),)]
+    right = [((3, 0),), ((2, 1),), ((1, 2),)]
+    assert project_block(p, left, right, 5) == project_block(p, left, right)
+    with pytest.raises(DegreeMismatch):
+        project_block(p, [((2, 0),)], right, 5)
+    with pytest.raises(DegreeMismatch):
+        project_block(p, left, right, 6)
+    # without it, an inhomogeneous p is rejected
+    with pytest.raises(DegreeMismatch):
+        project_block(p + P(1, (2, 0)), left, right)
+
+
 def test_mono_str():
     assert mono_str(((4, 0), (2, 0), (2, 0))) == "c4(0)*c2(0)^2"
     assert mono_str(()) == "1"
