@@ -4,19 +4,12 @@ relation obstruction for moduli of one-dimensional plane sheaves."""
 __version__ = "0.1.0"
 
 from .rat import QQ, Rat
-from .mpoly import MPoly, PolyDomain
+from .mpoly import MPoly
 from .ratfunc import FracField, RatFunc, mpoly_gcd
-from .cubicext import CubicExt, CubicField, NotInvertible, ext_invert, factor_t3_minus_r
+from .cubicext import CubicExt, CubicField, NotInvertible, factor_t3_minus_r
 from .linalg import DimensionMismatch, ExactMatrix, NonSquareDet
 from .tautalg import BetaClass, GradedPoly, TautContext, beta_pushforward, project_block
-from .relations import (
-    RelationSet,
-    build_relation_set,
-    enumerate_partitions,
-    expand_relation,
-    relation_factor,
-    verify_rank12,
-)
+from .relations import RelationSet, build_relation_set, relation_factor, verify_rank12
 from .truncation import checkpoint_reference_M, matrices_M, matrices_N, truncation_block
 from .obstruction import Verdict, congruent, decide, solve_AB, solve_S, solve_UV
 from .constraint import constraint_analysis
@@ -25,14 +18,12 @@ __all__ = [
     "QQ",
     "Rat",
     "MPoly",
-    "PolyDomain",
     "FracField",
     "RatFunc",
     "mpoly_gcd",
     "CubicExt",
     "CubicField",
     "NotInvertible",
-    "ext_invert",
     "factor_t3_minus_r",
     "DimensionMismatch",
     "ExactMatrix",
@@ -44,8 +35,6 @@ __all__ = [
     "project_block",
     "RelationSet",
     "build_relation_set",
-    "enumerate_partitions",
-    "expand_relation",
     "relation_factor",
     "verify_rank12",
     "checkpoint_reference_M",

@@ -7,8 +7,7 @@
                  --out PATH [--format {json,text}]
 
 Exit codes: 0 all checks pass, 1 mathematical mismatch, 2 usage or IO
-error.  TAUTREL_FIXTURES overrides the golden-file directory used by
-the test suite.
+error.
 """
 
 from __future__ import annotations
@@ -286,13 +285,6 @@ def _write_output(text: str, out: str = None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def fixtures_dir() -> str:
-    override = os.environ.get("TAUTREL_FIXTURES")
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -201,20 +201,6 @@ class ConstraintReport:
             and all(row["agrees"] for row in self.pair_agreement)
         )
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "tautrel/constraint/1",
-            "d": self.d,
-            "slices": self.slice_values,
-            "P1": str(self.P1),
-            "P1_checks": self.P1_checks,
-            "structure_checks": self.structure_checks,
-            "slice_constants": {k: str(v) for k, v in self.slice_constants.items()},
-            "stripped": self.stripped,
-            "pairs_checked": len(self.pair_agreement),
-            "pairs_agree": all(r["agrees"] for r in self.pair_agreement),
-        }
-
 
 _REPORT_CACHE: dict = {}
 

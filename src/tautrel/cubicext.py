@@ -432,11 +432,6 @@ def _fold_mul(field, xs, ys) -> tuple:
     return tuple(prod[:n])
 
 
-def ext_invert(e: CubicExt) -> CubicExt:
-    """Inverse in the quotient ring, via extended gcd with the modulus."""
-    return e.inverse()
-
-
 def factor_t3_minus_r(r, base):
     """Moduli of the irreducible factors of t^3 - r over the base field.
 

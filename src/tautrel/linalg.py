@@ -14,8 +14,7 @@ set aside.  With the defaults the pivot rows, sorted by column, are the
 unique reduced row echelon form.  Rows are updated only where the row
 they subtract is nonzero, so zero entries cost no arithmetic; entries
 are tested for zero by their truth value.  Division is exact, so every
-result is deterministic.  det runs its own forward elimination, and a
-cofactor determinant is kept alongside it as an independent cross-check.
+result is deterministic.  det runs its own forward elimination.
 """
 
 from __future__ import annotations
@@ -94,13 +93,6 @@ class ExactMatrix:
     @classmethod
     def zero(cls, field, rows, cols):
         return cls(field, [[field.zero] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zero(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
 
     @classmethod
     def _of(cls, field, data):
@@ -265,14 +257,9 @@ class ExactMatrix:
         R = ExactMatrix._of(self.field, [row[:self.cols] for row in rows])
         return R, pivots, ExactMatrix._of(self.field, [row[self.cols:] for row in rows])
 
-    def rank(self) -> int:
-        return len(self.gauss_jordan()[0])
-
-    def det(self, method: str = "elimination"):
+    def det(self):
         if self.rows != self.cols:
             raise NonSquareDet(f"{self.rows}x{self.cols} matrix has no determinant")
-        if method == "cofactor":
-            return self._det_cofactor()
         M = self.copy()
         n = self.rows
         det = self.field.one
@@ -298,26 +285,6 @@ class ExactMatrix:
                 M.data[i] = [a - f * b for a, b in zip(M.data[i], M.data[col])]
         return det
 
-    def _det_cofactor(self):
-        n = self.rows
-        if n == 1:
-            return self.data[0][0]
-        acc = self.field.zero
-        sign = self.field.one
-        for j in range(n):
-            c = self.data[0][j]
-            if c:
-                minor = ExactMatrix(
-                    self.field,
-                    [
-                        [self.data[i][k] for k in range(n) if k != j]
-                        for i in range(1, n)
-                    ],
-                )
-                acc = acc + sign * c * minor._det_cofactor()
-            sign = -sign
-        return acc
-
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise NonSquareDet("only square matrices invert")
@@ -327,12 +294,10 @@ class ExactMatrix:
         return T
 
     def kernel(self) -> list:
-        """Basis of the right kernel, as lists of field elements."""
-        return self._kernel(self.gauss_jordan()[0])
-
-    def _kernel(self, pivots: list) -> list:
-        """Kernel basis read off the pivot rows of gauss_jordan, one
-        vector per free column, in column order."""
+        """Basis of the right kernel, as lists of field elements: read off
+        the pivot rows of gauss_jordan, one vector per free column, in
+        column order."""
+        pivots = self.gauss_jordan()[0]
         taken = {col for col, _ in pivots}
         basis = []
         for f in range(self.cols):
@@ -344,32 +309,6 @@ class ExactMatrix:
                 v[col] = -row[f]
             basis.append(v)
         return basis
-
-    def solve(self, rhs: list):
-        """Solve self @ x = rhs.
-
-        Returns (particular, kernel_basis, certificate): certificate is
-        None when solvable, otherwise a row combination lam with
-        lam @ self == 0 and lam @ rhs == 1 (and particular is None).
-        One elimination of [self | rhs], pivoting left of the bar, gives
-        all three.
-        """
-        if len(rhs) != self.rows:
-            raise DimensionMismatch("rhs length mismatch")
-        n = self.cols
-        aug = ExactMatrix._of(
-            self.field,
-            [self.data[i] + [self.field.coerce(rhs[i])] for i in range(self.rows)],
-        )
-        pivots, rest = aug.gauss_jordan(pivot_cols=range(n), with_transform=True)
-        for row in rest:
-            if row[n]:
-                inv = self.field.one / row[n]
-                return None, None, [x * inv for x in row[n + 1:]]
-        x = [self.field.zero] * n
-        for col, row in pivots:
-            x[col] = row[n]
-        return x, self._kernel(pivots), None
 
     def __repr__(self):
         body = "; ".join(

@@ -76,11 +76,6 @@ class MPoly:
         exp = tuple(1 if v == name else 0 for v in vars)
         return cls(vars, {exp: domain.one}, domain)
 
-    @classmethod
-    def from_dict(cls, vars, terms, domain=QQ):
-        vars = tuple(vars)
-        return cls(vars, {tuple(e): domain.coerce(c) for e, c in terms.items()}, domain)
-
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -96,11 +91,6 @@ class MPoly:
         """The coefficient of the constant monomial (poly need not be constant)."""
         zero_exp = (0,) * len(self.vars)
         return self.terms.get(zero_exp, self.domain.zero)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
         if not self.terms:
@@ -119,11 +109,6 @@ class MPoly:
 
     def coeff(self, exp) -> object:
         return self.terms.get(tuple(exp), self.domain.zero)
-
-    def coeff_of_monomial(self, assignment: dict):
-        """Coefficient of the monomial given as {var: power} (others zero)."""
-        exp = tuple(assignment.get(v, 0) for v in self.vars)
-        return self.terms.get(exp, self.domain.zero)
 
     # -- variable handling ---------------------------------------------
 
@@ -373,13 +358,6 @@ class MPoly:
             rem = rem - mono * b
         return MPoly(a.vars, qterms, dom)
 
-    def divides(self, other: "MPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ExactDivisionError:
-            return False
-
     # -- serialization ---------------------------------------------------
 
     def __str__(self):
@@ -426,49 +404,3 @@ def _coeff_is_negative(c) -> bool:
 def _is_unit_str(s: str) -> bool:
     return s == "1"
 
-
-class PolyDomain:
-    """Coefficient domain whose elements are MPolys over `base` (QQ, or
-    ZZ for a fraction-free computation).
-
-    Used when an entire graded-algebra computation should stay inside a
-    polynomial ring (e.g. coefficients polynomial in chi at concrete d),
-    deferring divisions to the linear-algebra stage.  Coercing an MPoly
-    over the other base maps each coefficient through base.coerce, so a
-    non-integral coefficient raises on the way into ZZ.
-    """
-
-    def __init__(self, vars, base=QQ):
-        self.vars = canonical_vars(vars)
-        self.base = base
-        self.zero = MPoly.constant(0, self.vars, base)
-        self.one = MPoly.constant(1, self.vars, base)
-
-    def coerce(self, x):
-        if isinstance(x, MPoly):
-            if x.domain is not self.base:
-                if x.domain not in (QQ, ZZ):
-                    raise TypeError("PolyDomain holds polynomials over QQ or ZZ")
-                x = x.over(self.base)
-            return x.with_vars(self.vars) if x.vars != self.vars else x
-        return MPoly.constant(self.base.coerce(x), self.vars, self.base)
-
-    def gen(self, name: str) -> MPoly:
-        return MPoly.variable(name, self.vars, self.base)
-
-    @staticmethod
-    def is_zero(x) -> bool:
-        return x.is_zero()
-
-    def __repr__(self):
-        return f"{self.base!r}[{', '.join(self.vars)}]"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyDomain)
-            and other.vars == self.vars
-            and other.base is self.base
-        )
-
-    def __hash__(self):
-        return hash(("PolyDomain", self.vars, repr(self.base)))

@@ -29,10 +29,6 @@ class NotNodal(ArithmeticError):
     pass
 
 
-class BadTriple(ValueError):
-    pass
-
-
 class NoCandidate(ArithmeticError):
     pass
 
@@ -113,14 +109,6 @@ def _pencil_rhs_poly(Cp: dict, field) -> MPoly:
     for (p, q, r), c in Cp.items():
         acc = acc + powers[0][p] * powers[1][q] * powers[2][r] * c
     return acc
-
-
-def coeff_equation(u: int, v: int, w: int, C: dict, Cp: dict, field) -> MPoly:
-    """[x1^u x2^v x3^w](C - C'(S^T x)) as a polynomial in the s_ij."""
-    if u < 0 or v < 0 or w < 0 or u + v + w != 3:
-        raise BadTriple(f"({u},{v},{w}) is not a degree-3 exponent triple")
-    rhs = _coeff_equations_table(C, Cp, field)
-    return rhs[(u, v, w)]
 
 
 def _coeff_equations_table(C: dict, Cp: dict, field) -> dict:
@@ -516,8 +504,11 @@ def _solve_uv_block(E, AM: list, AN: list, Ps: list) -> UVResult:
     One gauss_jordan of [block | Ps_i[r, 0..2]] with a 9-column
     transform, pivoting left of the bar, runs the three eliminations.
 
-    The certificate is the one ExactMatrix.solve of the 27x18 system
-    returns.  That elimination visits rows 9i + 3r + c in order, so each
+    The certificate is the one a general solve of the 27x18 system
+    returns: one gauss_jordan of [system | rhs] with a transform,
+    pivoting left of the bar, whose first set-aside row with a nonzero
+    right-hand side it takes (tests/uv_oracle.py keeps that solve).
+    That elimination visits rows 9i + 3r + c in order, so each
     copy's rows in the block's (i, r) order; a row of copy c is never
     changed by a pivot row of another copy, which is zero in its
     columns.  So it runs the block's elimination three times
@@ -694,16 +685,3 @@ def coprime_pairs(d: int) -> list:
     chis = [c for c in range(1, d) if math.gcd(c, d) == 1]
     return [(a, b) for a in chis for b in chis if a <= b]
 
-
-def sweep_rows(dmin: int, dmax: int, fault_hook=None) -> list:
-    """Serial sweep over all coprime pairs; fault_hook (tests only) may
-    perturb the truncation data to prove the guard trips."""
-    rows = []
-    for d in range(dmin, dmax + 1):
-        for c1, c2 in coprime_pairs(d):
-            if fault_hook is None:
-                v = decide(d, c1, c2)
-            else:
-                v = fault_hook(d, c1, c2)
-            rows.append(v.to_json())
-    return rows

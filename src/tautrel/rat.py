@@ -28,10 +28,6 @@ def rat(num, den=None):
     return Rat(num)
 
 
-def rat_str(q) -> str:
-    return str(q)
-
-
 def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) or type(x) is type(RAT_ZERO)
 

@@ -6,9 +6,8 @@ A RatFunc holds its numerator and denominator as polynomials over ZZ
 and the denominator's leading coefficient positive.  That is the same
 normal form as "polynomial gcd cancelled, both parts integer primitive
 with coprime contents", so str, == and hash read as they would over QQ.
-Values leave the integers only at the QQ boundary: eval and as_rational
-return Rats, and the public mpoly_gcd takes and returns polynomials over
-QQ.
+Values leave the integers only at the QQ boundary: eval returns Rats,
+and the public mpoly_gcd takes and returns polynomials over QQ.
 
 The gcd underneath is the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
 J. Symb. Comp. 7, 1989): the last live variable is evaluated at a large
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .mpoly import MPoly, canonical_vars
-from .rat import QQ, ZZ, Rat, is_rational, rat
+from .rat import QQ, ZZ, is_rational, rat
 
 
 def _prem(A: dict, B: dict) -> dict:
@@ -520,11 +519,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
-
-    def as_rational(self):
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return Rat(self.num.constant_value(), self.den.constant_value())
 
     @property
     def vars(self):

@@ -18,20 +18,17 @@ every G_m is computed with integer additions and multiplications only.
 Since G_m = m! D^m E_m holds exactly, the coefficients of E_m are those
 of G_m over m! D^m; each output coefficient is divided once, as
 Rat(num, den), the (d-3)! normalization and its sign folded into den.
-In symbolic chi the coefficients are polynomials in chi over ZZ, and
-their integer coefficients are divided in the same way.  Of G_{d+2}
-only the beta^2 component is read (its pushforward gives R_c^n), so the
-build's last step computes only that component: three of the six
-products per k.  expand_relation computes all three.
+Of G_{d+2} only the beta^2 component is read (its pushforward gives
+R_c^n), so the last step computes only that component: three of the
+six products per k.
 
 The build eliminates the twelve relations once and keeps the twelve
-pivot monomials it found.  Over QQ the elimination is fraction-free:
-each relation's coefficient row is scaled by the lcm of its own
-denominators to an integer row, linalg.int_gauss_jordan reduces the
-rows to primitive pivot rows, and only R_1, R_2, R_3 (rows 9-11) are
-divided by their pivot entries back into rationals; the result is the
-reduced row echelon form over QQ, which is unique.  In symbolic chi
-(over QQ(chi1)) ExactMatrix.rref eliminates them.  verify_rank12
+pivot monomials it found.  The elimination is fraction-free: each
+relation's coefficient row is scaled by the lcm of its own denominators
+to an integer row, linalg.int_gauss_jordan reduces the rows to
+primitive pivot rows, and only R_1, R_2, R_3 (rows 9-11) are divided by
+their pivot entries back into rationals; the result is the reduced row
+echelon form over QQ, which is unique.  verify_rank12
 certifies rank 12 by the nonzero 12x12 minor of the twelve relations
 at those monomials, which needs no second elimination of the full
 matrix; only when that minor vanishes does it take the full rank, by
@@ -41,12 +38,11 @@ the same elimination.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .linalg import ExactMatrix, int_gauss_jordan
-from .mpoly import MPoly, PolyDomain
 from .rat import QQ, ZZ, Rat
-from .ratfunc import FracField, RatFunc
 from .tautalg import (
     BetaClass,
     DegreeMismatch,
@@ -60,78 +56,11 @@ from .tautalg import (
 )
 
 
-class UnsupportedEll(ValueError):
-    pass
-
-
 class SingularCheckpoint(ArithmeticError):
     """A determinant checkpoint vanished: invalid input or an upstream bug."""
 
 
-# -- partitions -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionTuple:
-    """Multiplicity vector (m_1, ..., m_ell) with sum s*m_s = ell."""
-
-    m: tuple
-
-    @property
-    def ell(self) -> int:
-        return sum((s + 1) * ms for s, ms in enumerate(self.m))
-
-    def parts(self) -> tuple:
-        out = []
-        for s in range(len(self.m), 0, -1):
-            out.extend([s] * self.m[s - 1])
-        return tuple(out)
-
-    def coefficient(self):
-        """prod_s ((s-1)!)^{m_s} / (m_s)! as an exact rational."""
-        num = 1
-        den = 1
-        for s, ms in enumerate(self.m, start=1):
-            if ms:
-                num *= math.factorial(s - 1) ** ms
-                den *= math.factorial(ms)
-        return Rat(num, den)
-
-
-def enumerate_partitions(ell: int, predicate=None) -> list:
-    """All partition tuples of ell, optionally filtered on their parts."""
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    out = []
-
-    def descend(parts, largest, remaining):
-        if remaining == 0:
-            m = [0] * ell
-            for p in parts:
-                m[p - 1] += 1
-            pt = PartitionTuple(tuple(m))
-            if predicate is None or predicate(pt):
-                out.append(pt)
-            return
-        for p in range(min(largest, remaining), 0, -1):
-            parts.append(p)
-            descend(parts, p, remaining - p)
-            parts.pop()
-
-    descend([], ell, ell)
-    return out
-
-
 # -- the beta-twisted factors -----------------------------------------------
-
-
-def _d_inverse(ctx: TautContext):
-    d = ctx.d
-    if isinstance(d, MPoly):
-        if not d.is_constant():
-            raise TypeError("polynomial-domain context requires concrete d")
-        return ctx.domain.coerce(Rat(1) / d.constant_value())
-    return ctx.domain.one / d
 
 
 def _ctilde(ctx, coeff, k, j) -> GradedPoly:
@@ -162,7 +91,7 @@ def relation_factor(s: int, n: int, d, chi, ctx: TautContext) -> BetaClass:
         raise ValueError("s must be >= 1")
     dom = ctx.domain
     chi = dom.coerce(chi)
-    d_inv = _d_inverse(ctx)
+    d_inv = dom.one / ctx.d
     half_a = dom.coerce(Rat(2 * n - 5, 2)) * ctx.d + chi
     diff = _ctilde(ctx, dom.one, s, 1) + _ctilde(ctx, -half_a * d_inv, s - 1, 2)
     b1 = _b_class(ctx, s - 1, n, chi, d_inv)
@@ -170,41 +99,30 @@ def relation_factor(s: int, n: int, d, chi, ctx: TautContext) -> BetaClass:
     return BetaClass(diff, b1, b2)
 
 
-def _coeff_denominator(c) -> int:
-    """Least common denominator of a Rat or of an MPoly's coefficients."""
-    if isinstance(c, MPoly):
-        return math.lcm(*(v.denominator for v in c.terms.values()))
-    return c.denominator
-
-
-def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int,
-                top_b2_only: bool = False) -> tuple:
+def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
     """(G, D): G_0..G_upto with G_m = m! D^m E_m, E = exp(sum_k (k-1)! F_k).
 
     D is the lcm of the coefficient denominators of F_1..F_upto; G runs
-    over the integers (ints, or MPolys over ZZ in symbolic chi).  With
-    top_b2_only the last step computes only the beta^2 component of
-    G_upto (three of the six products per k), and G[upto] is that
-    GradedPoly.
+    over the integers.  The last step computes only the beta^2
+    component of G_upto (three of the six products per k): G[upto] is
+    that GradedPoly, every earlier G[m] a BetaClass.
     """
     F = [relation_factor(k, n, d, chi, ctx) for k in range(1, upto + 1)]
     D = 1
     for f in F:
         for part in (f.b0, f.b1, f.b2):
             for c in part.terms.values():
-                D = math.lcm(D, _coeff_denominator(c))
-    dom = ctx.domain
-    ring = PolyDomain(dom.vars, ZZ) if isinstance(dom, PolyDomain) else ZZ
-    zctx = TautContext(ring, d)
+                D = math.lcm(D, c.denominator)
+    zctx = TautContext(ZZ, d)
     H = [None]
     for k, f in enumerate(F, start=1):
         s = math.factorial(k) * D**k
         H.append(BetaClass(*(
-            p.map_coeffs(lambda c: ring.coerce(c * s), zctx) for p in (f.b0, f.b1, f.b2)
+            p.map_coeffs(lambda c: ZZ.coerce(c * s), zctx) for p in (f.b0, f.b1, f.b2)
         )))
     G = [BetaClass.one(zctx)]
     for m in range(1, upto + 1):
-        b2_only = top_b2_only and m == upto
+        b2_only = m == upto
         # the sum over k accumulates in place, in dicts owned by this step
         acc = [{}] if b2_only else [{}, {}, {}]
         w = 1  # (m-1)!/(m-k)!
@@ -224,42 +142,8 @@ def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int,
 
 
 def _divided(p: GradedPoly, den: int, ctx: TautContext) -> GradedPoly:
-    """The integer-coefficient p divided by den, over ctx (QQ or QQ[vars])."""
-    if isinstance(ctx.domain, PolyDomain):
-        terms = {m: MPoly(c.vars, {e: Rat(v, den) for e, v in c.terms.items()})
-                 for m, c in p.terms.items()}
-    else:
-        terms = {m: Rat(c, den) for m, c in p.terms.items()}
-    return GradedPoly(ctx, terms)
-
-
-def expand_relation(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
-    """The full left-hand side of the generating identity in degree ell."""
-    if ell not in (d + 1, d + 2):
-        raise UnsupportedEll(f"ell must be d+1 or d+2, got {ell} for d={d}")
-    G, D = _exp_series(n, d, chi, ctx, ell)
-    den = math.factorial(ell) * D**ell
-    g = G[ell]
-    return BetaClass(*(_divided(p, den, ctx) for p in (g.b0, g.b1, g.b2)))
-
-
-def expand_relation_by_partitions(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
-    """Independent expander: the literal sum over partition tuples of
-    scaled factor powers (test oracle for expand_relation)."""
-    total = BetaClass.zero(ctx)
-    factors: dict = {}
-    for pt in enumerate_partitions(ell):
-        term = BetaClass.one(ctx)
-        for s, ms in enumerate(pt.m, start=1):
-            if not ms:
-                continue
-            f = factors.get(s)
-            if f is None:
-                f = relation_factor(s, n, d, chi, ctx)
-                factors[s] = f
-            term = term * f**ms
-        total = total + term * pt.coefficient()
-    return total
+    """The integer-coefficient p divided by den, over ctx."""
+    return GradedPoly(ctx, {m: Rat(c, den) for m, c in p.terms.items()})
 
 
 # -- relation sets -----------------------------------------------------------
@@ -315,7 +199,7 @@ class RelationSet:
     found, in column order."""
 
     d: int
-    chi: object
+    chi: int
     ctx: TautContext
     Ra: dict
     Rb: dict
@@ -369,12 +253,9 @@ def _without(mono: tuple, gen) -> tuple:
     return mono[:i] + mono[i + 1:]
 
 
-def _coeff_matrix(polys, monos, field) -> ExactMatrix:
-    data = [[p.coeff(m) for m in monos] for p in polys]
-    if all(p.ctx.domain == field for p in polys):
-        # the coefficients are elements of field already
-        return ExactMatrix._of(field, data)
-    return ExactMatrix(field, data)
+def _coeff_matrix(polys, monos) -> ExactMatrix:
+    """The coefficients of relations over QQ at monos, one row each."""
+    return ExactMatrix._of(QQ, [[p.coeff(m) for m in monos] for p in polys])
 
 
 def _integer_rows(polys, monos) -> list:
@@ -391,77 +272,46 @@ def _integer_rows(polys, monos) -> list:
     return out
 
 
-def _rref_relations(rows, field, keep: slice = slice(None)):
-    """RREF of relation vectors over the occurring degree-d monomials.
+def _rref_relations(rows, keep: slice = slice(None)):
+    """RREF of relation vectors over QQ at the occurring degree-d monomials.
 
     Returns (reduced GradedPolys, pivot monomials, ordered monomials);
     the pivot monomials are all of them, the reduced rows only those
-    that keep selects, in pivot order.  Over QQ the rows are cleared of
+    that keep selects, in pivot order.  The rows are cleared of
     denominators and eliminated fraction-free by int_gauss_jordan; only
-    the kept rows are divided by their pivots into Rats.  Over QQ(chi1),
-    the symbolic-chi mode, ExactMatrix.rref eliminates them.
+    the kept rows are divided by their pivots into Rats.
     """
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
     ctx = rows[0].ctx
-    if field is QQ:
-        found = int_gauss_jordan(_integer_rows(rows, monos))
-        pivots = [col for col, _ in found]
-        reduced = [
-            GradedPoly(ctx, {m: Rat(c, row[col]) for m, c in zip(monos, row) if c})
-            for col, row in found[keep]
-        ]
-    else:
-        R, pivots = _coeff_matrix(rows, monos, field).rref()
-        is_zero = field.is_zero
-        reduced = [
-            GradedPoly(ctx, {m: c for m, c in zip(monos, row) if not is_zero(c)})
-            for row in R.data[:len(pivots)][keep]
-        ]
-    return reduced, [monos[p] for p in pivots], monos
+    found = int_gauss_jordan(_integer_rows(rows, monos))
+    reduced = [
+        GradedPoly(ctx, {m: Rat(c, row[col]) for m, c in zip(monos, row) if c})
+        for col, row in found[keep]
+    ]
+    return reduced, [monos[col] for col, _ in found], monos
 
 
 _REL_CACHE: dict = {}
 
 
-def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> RelationSet:
-    """Compute the relation set at (d, chi); chi symbolic when requested.
+def build_relation_set(d: int, chi: int) -> RelationSet:
+    """Compute the relation set at (d, chi).
 
-    Concrete mode requires d >= 5, gcd(d, chi) = 1 and 0 < chi < d.
+    Requires d >= 5, an integer chi, gcd(d, chi) = 1 and 0 < chi < d.
     """
     if d < 5:
         raise ValueError("d >= 5 required")
-    key = (d, "sym" if symbolic_chi else int(chi))
+    chi = operator.index(chi)  # a float or Fraction raises, not truncates
+    if math.gcd(d, chi) != 1:
+        raise ValueError(f"chi={chi} not coprime to d={d}")
+    if not 0 < chi < d:
+        raise ValueError("0 < chi < d required")
+    key = (d, chi)
     hit = _REL_CACHE.get(key)
     if hit is not None:
         return hit
-    if not symbolic_chi:
-        chi = int(chi)
-        if math.gcd(d, chi) != 1:
-            raise ValueError(f"chi={chi} not coprime to d={d}")
-        if not 0 < chi < d:
-            raise ValueError("0 < chi < d required")
 
-    # expansion over a polynomial coefficient ring (no divisions), then
-    # lifted into the fraction field for the elimination
-    if symbolic_chi:
-        ring = PolyDomain(("chi1",))
-        ctx_ring = TautContext(ring, d)
-        chi_ring = ring.gen("chi1")
-        field = FracField(("chi1",))
-        ctx = TautContext(field, d)
-
-        def lift(p: GradedPoly) -> GradedPoly:
-            return p.map_coeffs(lambda c: RatFunc(c), ctx)
-
-    else:
-        ctx_ring = TautContext(QQ, d)
-        chi_ring = Rat(chi)
-        field = QQ
-        ctx = ctx_ring
-
-        def lift(p: GradedPoly) -> GradedPoly:
-            return p
-
+    ctx = TautContext(QQ, d)
     # Relations are rescaled by (-1)^(ell-d-1) (d-3)!: the smallest
     # factorial occurring among the contributing partitions, with the
     # sign that orients the ell = d+2 construction consistently.  This
@@ -471,26 +321,24 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
     fact = math.factorial(d - 3)
     Ra, Rb, Rc = {}, {}, {}
     for n in (1, 2, 3):
-        G, D = _exp_series(n, d, chi_ring, ctx_ring, d + 2, top_b2_only=True)
+        G, D = _exp_series(n, d, Rat(chi), ctx, d + 2)
         den1 = math.factorial(d + 1) * D ** (d + 1) * fact
         den2 = -math.factorial(d + 2) * D ** (d + 2) * fact
-        Ra[n] = lift(_divided(beta_pushforward(G[d + 1], 0), den1, ctx_ring))
-        Rb[n] = lift(_divided(beta_pushforward(G[d + 1], 1), den1, ctx_ring))
+        Ra[n] = _divided(beta_pushforward(G[d + 1], 0), den1, ctx)
+        Rb[n] = _divided(beta_pushforward(G[d + 1], 1), den1, ctx)
         # G[d + 2] is the beta^2 component alone: its pushforward with j = 0
-        Rc[n] = lift(_divided(G[d + 2], den2, ctx_ring))
+        Rc[n] = _divided(G[d + 2], den2, ctx)
 
     det1 = _coeff_matrix(
-        [Ra[n] for n in (1, 2, 3)], [(g,) for g in high_generators(d)["deg_d_minus_1"]], field
+        [Ra[n] for n in (1, 2, 3)], [(g,) for g in high_generators(d)["deg_d_minus_1"]]
     ).det()
-    det2 = _coeff_matrix(
-        [Rb[1], Rb[2], Rb[3], Rc[1], Rc[2], Rc[3]], mon2(d), field
-    ).det()
-    if field.is_zero(det1) or field.is_zero(det2):
+    det2 = _coeff_matrix([Rb[1], Rb[2], Rb[3], Rc[1], Rc[2], Rc[3]], mon2(d)).det()
+    if not det1 or not det2:
         raise SingularCheckpoint(f"det1={det1}, det2={det2} at (d,chi)=({d},{chi})")
 
     # only R1..R3, rows 9-11 of the echelon form, are kept
     reduced, pivot_monos, _ = _rref_relations(
-        _twelve_rows(ctx, Ra, Rb, Rc), field, keep=slice(9, 12))
+        _twelve_rows(ctx, Ra, Rb, Rc), keep=slice(9, 12))
     if len(pivot_monos) != 12:
         raise SingularCheckpoint(
             f"relation span has rank {len(pivot_monos)} != 12 at (d,chi)=({d},{chi})"
@@ -509,8 +357,7 @@ def build_relation_set(d: int, chi=None, symbolic_chi: bool = False) -> Relation
     for R in reduced:
         if R.degree() != d:
             raise DegreeMismatch(f"relation of degree {R.degree()} != d={d}")
-    rel = RelationSet(d, chi if not symbolic_chi else "chi1", ctx, Ra, Rb, Rc,
-                      *reduced, det1, det2, tuple(pivot_monos))
+    rel = RelationSet(d, chi, ctx, Ra, Rb, Rc, *reduced, det1, det2, tuple(pivot_monos))
     _REL_CACHE[key] = rel
     return rel
 
@@ -533,19 +380,17 @@ def verify_rank12(d: int, chi: int, rel: RelationSet = None):
     """
     if rel is None:
         rel = build_relation_set(d, chi)
-    field = rel.ctx.domain
     pivots = rel.pivot_monos
-    if len(pivots) == 12 and not field.is_zero(
-            ExactMatrix._of(field, _twelve_entries(rel, pivots)).det()):
+    if len(pivots) == 12 and ExactMatrix._of(QQ, _twelve_entries(rel, pivots)).det():
         rank = 12
     else:
         # only the pivots are read: no row is divided back
-        rank = len(_rref_relations(rel.twelve_relations(), field, keep=slice(0))[1])
+        rank = len(_rref_relations(rel.twelve_relations(), keep=slice(0))[1])
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
-    m1 = ExactMatrix._of(field, _twelve_entries(rel, mon1(d))[0:6]).det()
-    m2 = ExactMatrix._of(field, _twelve_entries(rel, mon2(d))[6:12]).det()
-    ok = rank == 12 and m1 == rel.det1 * rel.det1 and not field.is_zero(m2)
+    m1 = ExactMatrix._of(QQ, _twelve_entries(rel, mon1(d))[0:6]).det()
+    m2 = ExactMatrix._of(QQ, _twelve_entries(rel, mon2(d))[6:12]).det()
+    ok = rank == 12 and m1 == rel.det1 * rel.det1 and m2 != 0
     trace = {
         "rank": rank,
         "mon1_minor_det": m1,

@@ -13,7 +13,6 @@ pushforward vanishes).
 from __future__ import annotations
 
 from .linalg import ExactMatrix
-from .rat import QQ
 
 
 class FieldMismatch(TypeError):
@@ -121,10 +120,6 @@ class TautContext:
 
     def __repr__(self):
         return f"TautContext({self.domain!r}, d={self.d})"
-
-
-def concrete_context(d: int) -> TautContext:
-    return TautContext(QQ, d)
 
 
 class GradedPoly:
@@ -277,14 +272,6 @@ class GradedPoly:
                 out[m] = v
         return GradedPoly(ctx, out)
 
-    def dual_involution(self) -> "GradedPoly":
-        """The algebra involution c_k(j) -> (-1)^k c_k(j)."""
-        out = {}
-        for m, c in self.terms.items():
-            sign = sum(k for k, _ in m) & 1
-            out[m] = -c if sign else c
-        return GradedPoly(self.ctx, out)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -311,11 +298,6 @@ class BetaClass:
         self.b0 = b0
         self.b1 = b1
         self.b2 = b2
-
-    @classmethod
-    def zero(cls, ctx) -> "BetaClass":
-        z = GradedPoly.zero(ctx)
-        return cls(z, z, z)
 
     @classmethod
     def one(cls, ctx) -> "BetaClass":

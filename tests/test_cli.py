@@ -271,16 +271,22 @@ def test_sweep_usage_error():
     assert code == 2
 
 
-def test_sweep_fault_injection_reports_mismatch():
-    from tautrel.obstruction import Verdict, sweep_rows
+def test_sweep_fault_injection_reports_mismatch(monkeypatch):
+    from tautrel.obstruction import Verdict, congruent
 
     def faulty(d, c1, c2):
-        from tautrel.obstruction import congruent
-
+        # wrong for every congruent pair
         return Verdict(d, c1, c2, "ObstructionFound", congruent(d, c1, c2))
 
-    rows = sweep_rows(5, 5, fault_hook=faulty)
-    assert any(not r["agrees"] for r in rows)
+    monkeypatch.setattr(cli, "decide", faulty)
+    code, out, _ = run_cli(
+        "sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert any(not r["agrees"] for r in payload["results"])
+    agreement = [c for c in payload["checks"] if c["name"] == "agreement"]
+    assert len(agreement) == 1 and agreement[0]["status"] == "fail"
 
 
 def test_console_script_entrypoint():

@@ -28,7 +28,7 @@ def test_slice_structure_d5():
 
 def test_symbolic_report_d5():
     rep = constraint_analysis(5)
-    assert rep.P1 == MPoly.from_dict(
+    assert rep.P1 == MPoly(
         ("chi1",),
         {(4,): 1705, (3,): -17050, (2,): 55772, (1,): -65735, (0,): 16200},
     )

@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from linalg_oracle import det_cofactor, identity, rank, solve
 from tautrel.cubicext import (
     CubicField,
     NotInvertible,
     _trim,
-    ext_invert,
     factor_t3_minus_r,
     upoly_divmod,
     upoly_mul,
@@ -20,6 +20,14 @@ from tautrel import ratfunc
 from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd, subresultant_gcd
 
 VARS = ("d", "chi1", "chi2")
+
+
+def divides(a: MPoly, b: MPoly) -> bool:
+    try:
+        b.exact_div(a)
+        return True
+    except ExactDivisionError:
+        return False
 
 
 def rand_poly(rng, maxdeg=2, nterms=3, vars=VARS):
@@ -105,7 +113,7 @@ def test_gcd_products_random():
         if f.is_zero() or g.is_zero() or h.is_zero():
             continue
         G = mpoly_gcd(f * h, g * h)
-        assert h.rational_content()[1].divides(G)
+        assert divides(h.rational_content()[1], G)
         (f * h).exact_div(G)
         (g * h).exact_div(G)
 
@@ -144,7 +152,7 @@ def test_gcd_matches_subresultant_oracle(case):
     oracle = subresultant_gcd(A, B)
     assert G == oracle and G.vars == oracle.vars
     if not (A.is_zero() or B.is_zero() or h.is_zero()):
-        assert h.rational_content()[1].divides(G)
+        assert divides(h.rational_content()[1], G)
 
 
 def test_gcd_fallback_when_heuristic_gives_up(monkeypatch):
@@ -193,12 +201,12 @@ def test_exact_div_error():
 def test_ext_invert_examples():
     E = factor_t3_minus_r(2, QQ)[0]
     t = E.t
-    assert ext_invert(t) == E.from_coeffs([0, 0, rat(1, 2)])
-    assert ext_invert(E.one) == E.one
+    assert t.inverse() == E.from_coeffs([0, 0, rat(1, 2)])
+    assert E.one.inverse() == E.one
     e = E.one + t
-    assert e * ext_invert(e) == E.one
+    assert e * e.inverse() == E.one
     with pytest.raises(NotInvertible):
-        ext_invert(E.zero)
+        E.zero.inverse()
 
 
 def test_ext_invert_involution_random():
@@ -208,7 +216,7 @@ def test_ext_invert_involution_random():
         e = E.from_coeffs([rat(rng.randint(-4, 4)) for _ in range(3)])
         if e.is_zero():
             continue
-        assert ext_invert(ext_invert(e)) == e
+        assert e.inverse().inverse() == e
 
 
 def test_cube_factorization_cases():
@@ -361,11 +369,11 @@ def test_elimination_kernel_against_oracle(system):
     R, pivots, T = A.rref(with_transform=True)
     assert (R, pivots) == rref_oracle(A) == A.rref()
     assert T * A == R
-    assert A.rank() == len(pivots)
+    assert rank(A) == len(pivots)
     kernel = A.kernel()
     assert len(kernel) == A.cols - len(pivots)
     assert all(dot(row, v) == 0 for v in kernel for row in A.data)
-    x, ker, cert = A.solve(b)
+    x, ker, cert = solve(A, b)
     if cert is None:
         assert [dot(row, x) for row in A.data] == b
         assert ker == kernel
@@ -389,7 +397,7 @@ def test_gauss_jordan_leaves_matrix_unchanged(system, with_transform):
     assert not any(row is r for _, row in pivots for r in A.data)
     assert A.gauss_jordan(visit=visit, with_transform=with_transform) == (pivots, rest)
     A.rref(with_transform=True)
-    A.solve(b)
+    solve(A, b)
     assert A.data == before
 
 
@@ -483,7 +491,7 @@ def test_int_gauss_jordan_matches_field_rref(rows):
 
 
 def test_linalg_examples():
-    I3 = ExactMatrix.identity(QQ, 3)
+    I3 = identity(QQ, 3)
     assert I3.det() == 1
     M = ExactMatrix(QQ, [[1, 2], [3, 4]])
     assert M.det() == -2
@@ -501,17 +509,17 @@ def test_rref_idempotence_and_det_oracle_random():
             R, piv = M.rref()
             R2, piv2 = R.rref()
             assert R == R2 and piv == piv2
-            assert M.rank() == R.rank()
-            assert M.det() == M.det(method="cofactor")
+            assert rank(M) == rank(R)
+            assert M.det() == det_cofactor(M)
 
 
 def test_solve_and_kernel():
     A = ExactMatrix(QQ, [[1, 2, 3], [2, 4, 6]])
     assert len(A.kernel()) == 2
-    x, ker, cert = A.solve([1, 2])
+    x, ker, cert = solve(A, [1, 2])
     assert cert is None
     assert x[0] + 2 * x[1] + 3 * x[2] == 1
-    x, ker, cert = A.solve([1, 3])
+    x, ker, cert = solve(A, [1, 3])
     assert x is None and cert is not None
     assert cert[0] * 1 + cert[1] * 3 != 0
     assert cert[0] * 1 + cert[1] * 2 == 0

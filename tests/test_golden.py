@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from tautrel.cli import fixtures_dir, main
+from tautrel.cli import main
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def emit_to(tmp_path, *argv):
@@ -25,22 +27,15 @@ def emit_to(tmp_path, *argv):
     ],
 )
 def test_emit_matches_golden(tmp_path, fixture, argv):
-    golden = os.path.join(fixtures_dir(), fixture)
+    golden = os.path.join(FIXTURES, fixture)
     assert os.path.exists(golden), f"missing fixture {golden}"
     fresh = emit_to(tmp_path, *argv)
     with open(golden, "rb") as fh:
         assert fresh == fh.read()
 
 
-def test_fixtures_dir_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("TAUTREL_FIXTURES", str(tmp_path))
-    assert fixtures_dir() == str(tmp_path)
-    monkeypatch.delenv("TAUTREL_FIXTURES")
-    assert fixtures_dir().endswith(os.path.join("tautrel", "fixtures"))
-
-
 def test_decide_golden_structure():
-    golden = os.path.join(fixtures_dir(), "decide_d5_1_2.json")
+    golden = os.path.join(FIXTURES, "decide_d5_1_2.json")
     with open(golden) as fh:
         payload = json.load(fh)
     v = payload["results"][0]

@@ -9,12 +9,10 @@ from tautrel.linalg import ExactMatrix
 from tautrel.mpoly import MPoly
 from tautrel.obstruction import (
     S_VARS,
-    BadTriple,
     NotCoprime,
     NotNodal,
     a33_coefficient_formula,
     analyze_node,
-    coeff_equation,
     congruent,
     coprime_pairs,
     cubic_det,
@@ -22,12 +20,14 @@ from tautrel.obstruction import (
     solve_AB,
     solve_S,
     solve_UV,
+    _coeff_equations_table,
     _lift_matrix,
     _pencil_rhs_poly,
     _s_combination,
     _solve_uv_block,
 )
 from tautrel.rat import QQ, Rat
+from linalg_oracle import identity
 from uv_oracle import uv_oracle
 from tautrel.relations import build_relation_set
 from tautrel.truncation import matrices_M, matrices_N
@@ -90,9 +90,10 @@ def test_coeff_equation_triples():
     M, _ = blocks(5, 1)
     Mp, _ = blocks(5, 2)
     C, Cp = cubic_det(M), cubic_det(Mp)
-    with pytest.raises(BadTriple):
-        coeff_equation(2, 2, 0, C, Cp, QQ)
-    eq = coeff_equation(0, 2, 1, C, Cp, QQ)
+    eqs = _coeff_equations_table(C, Cp, QQ)
+    # one equation per degree-3 exponent triple
+    assert sorted(eqs) == sorted((u, v, 3 - u - v) for u in range(4) for v in range(4 - u))
+    eq = eqs[(0, 2, 1)]
     reduced = eq.eval({"s31": 0, "s32": 0})
     exps = {
         tuple(sorted(v for v, p in zip(reduced.vars, e) for _ in range(p)))
@@ -130,7 +131,7 @@ def test_solve_S_type_II_witness_values():
     ident = cands[0]
     assert ident.r == 1
     E = ident.field
-    assert ident.S == __import__("tautrel.linalg", fromlist=["ExactMatrix"]).ExactMatrix.identity(E, 3)
+    assert ident.S == identity(E, 3)
     # chi + chi' = d: the sign matrix
     Mp, _ = blocks(5, 4)
     cands = solve_S("II", M, Mp)
@@ -158,8 +159,8 @@ def test_solve_AB_type_II_witnesses():
     ab = solve_AB(cands[0], M, M)
     assert ab.status == "solution" and ab.kernel_dim == 1
     E = cands[0].field
-    assert ab.A == ExactMatrix.identity(E, 3)
-    assert ab.B == ExactMatrix.identity(E, 3)
+    assert ab.A == identity(E, 3)
+    assert ab.B == identity(E, 3)
     Mp, Np = blocks(5, 4)
     cands = solve_S("II", M, Mp)
     ab = solve_AB(cands[0], M, Mp)
@@ -341,7 +342,7 @@ def test_uv_block_solve_matches_full_system_oracle(system):
 def test_uv_block_solve_covers_both_outcomes():
     E = UV_FIELDS[0]
     t = E.t
-    I3 = ExactMatrix.identity(E, 3)
+    I3 = identity(E, 3)
     Z = ExactMatrix.zero(E, 3, 3)
     T = ExactMatrix(E, [[t, 0, 1], [0, t * t, 0], [1, 0, 0]])
     # U = T, V = I solves it, and only it: the i = 0 equation pins U

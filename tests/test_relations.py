@@ -1,21 +1,24 @@
 import math
 import random
 
+from fractions import Fraction
+
 import pytest
 
-from tautrel.mpoly import MPoly, PolyDomain
-from tautrel.rat import QQ, ZZ, Rat
-from tautrel.ratfunc import FracField
-from tautrel.relations import (
+from linalg_oracle import rank
+from relations_oracle import (
     PartitionTuple,
-    SingularCheckpoint,
-    UnsupportedEll,
-    build_relation_set,
-    det1_formula,
-    det2_formula,
+    beta_zero,
+    dual_involution,
     enumerate_partitions,
     expand_relation,
     expand_relation_by_partitions,
+)
+from tautrel.rat import QQ, ZZ, Rat
+from tautrel.relations import (
+    build_relation_set,
+    det1_formula,
+    det2_formula,
     mon1,
     mon2,
     relation_factor,
@@ -33,7 +36,6 @@ from tautrel.tautalg import (
     DegreeMismatch,
     GradedPoly,
     TautContext,
-    concrete_context,
     mono_key,
 )
 
@@ -62,7 +64,7 @@ def exp_series_oracle(n, d, chi, ctx, upto):
     for k in range(1, upto + 1):
         kfact_F.append(relation_factor(k, n, d, chi, ctx) * Rat(math.factorial(k)))
     for m in range(1, upto + 1):
-        acc = BetaClass.zero(ctx)
+        acc = beta_zero(ctx)
         for k in range(1, m + 1):
             acc = acc + kfact_F[k] * E[m - k]
         E.append(acc * Rat(1, m))
@@ -82,7 +84,7 @@ def assert_same_expansion(n, d, chi, ctx):
 def test_scaled_recurrence_matches_field_oracle(d):
     chi = random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1])
     for n in (1, 2, 3):
-        assert_same_expansion(n, d, Rat(chi), concrete_context(d))
+        assert_same_expansion(n, d, Rat(chi), TautContext(QQ, d))
 
 
 @pytest.mark.parametrize("d", range(5, 11))
@@ -90,9 +92,9 @@ def test_build_top_step_b2_matches_field_oracle(d):
     # build_relation_set's recurrence computes only the beta^2 component
     # of G_{d+2}; divided by (d+2)! D^(d+2) it is the oracle's E_{d+2}.b2
     chi = Rat(random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1]))
-    ctx = concrete_context(d)
+    ctx = TautContext(QQ, d)
     for n in (1, 2, 3):
-        G, D = _exp_series(n, d, chi, ctx, d + 2, top_b2_only=True)
+        G, D = _exp_series(n, d, chi, ctx, d + 2)
         assert isinstance(G[d + 2], GradedPoly)
         b2 = _divided(G[d + 2], math.factorial(d + 2) * D ** (d + 2), ctx)
         slow = exp_series_oracle(n, d, chi, ctx, d + 2)[d + 2].b2
@@ -100,21 +102,10 @@ def test_build_top_step_b2_matches_field_oracle(d):
         assert str(b2) == str(slow)
 
 
-def test_scaled_recurrence_matches_field_oracle_symbolic_chi():
-    ring = PolyDomain(("chi1",))
-    for n in (1, 2, 3):
-        assert_same_expansion(n, 5, ring.gen("chi1"), TautContext(ring, 5))
-
-
 def test_integer_ring_refuses_non_integral_values():
     assert ZZ.coerce(Rat(6, 3)) == 2 and type(ZZ.coerce(Rat(6, 3))) is int
     with pytest.raises(ValueError):
         ZZ.coerce(Rat(1, 2))
-    ring = PolyDomain(("chi1",), ZZ)
-    half_chi = MPoly.variable("chi1") * Rat(1, 2)
-    with pytest.raises(ValueError):
-        ring.coerce(half_chi)
-    assert ring.coerce(half_chi * 4).coeff((1,)) == 2
 
 
 def test_integer_scalars_stay_ints():
@@ -170,7 +161,7 @@ def test_truncation_filter_seven_partitions():
 
 def test_relation_factor_coefficients():
     # coefficient of c_s(1) in the beta^0 part carries the (-1)^(s+1) twist
-    ctx = concrete_context(5)
+    ctx = TautContext(QQ, 5)
     f = relation_factor(1, 1, 5, 1, ctx)
     # s=1: c_1(1) resolves to zero, so only the c_0(2) term survives
     assert list(f.b0.terms) == [((0, 2),)]
@@ -187,7 +178,7 @@ def test_factor_reassembles_top_coefficient():
     # the beta^0 part plus the next factor's beta^1 part reassembles the
     # full top combination: its c_2(1)-coefficient at (n,d,chi)=(1,5,1)
     # is -(3 - n - chi/d) = -9/5 in the sign-twisted convention
-    ctx = concrete_context(5)
+    ctx = TautContext(QQ, 5)
     a2 = relation_factor(2, 1, 5, 1, ctx).b0 + relation_factor(3, 1, 5, 1, ctx).b1
     assert a2.coeff(((2, 1),)) == -Rat(9, 5)
 
@@ -196,23 +187,15 @@ def test_single_generator_term_comes_from_one_partition():
     # the lone degree-ell generator in the beta^1 component can only
     # arise from the single-part partition, with coefficient (ell-1)!
     d, ell = 5, 6
-    ctx = concrete_context(d)
+    ctx = TautContext(QQ, d)
     x = expand_relation(ell, 1, d, 1, ctx)
     sign = Rat(-1) ** (ell + 1)
     assert x.b1.coeff(((ell, 0),)) == sign * Rat(math.factorial(ell - 1))
 
 
-def test_expand_relation_requires_valid_ell():
-    ctx = concrete_context(5)
-    with pytest.raises(UnsupportedEll):
-        expand_relation(5, 1, 5, 1, ctx)
-    with pytest.raises(UnsupportedEll):
-        expand_relation(8, 1, 5, 1, ctx)
-
-
 @pytest.mark.parametrize("d,ell", [(5, 6), (5, 7), (6, 7), (6, 8)])
 def test_expand_relation_matches_partition_sum_oracle(d, ell):
-    ctx = concrete_context(d)
+    ctx = TautContext(QQ, d)
     for n in (1, 2, 3):
         fast = expand_relation(ell, n, d, 1, ctx)
         naive = expand_relation_by_partitions(ell, n, d, 1, ctx)
@@ -221,7 +204,7 @@ def test_expand_relation_matches_partition_sum_oracle(d, ell):
 
 def test_beta2_component_degree():
     d = 5
-    ctx = concrete_context(d)
+    ctx = TautContext(QQ, d)
     x = expand_relation(d + 1, 1, d, 1, ctx)
     assert x.b2.degree() == d - 1
     assert x.b1.degree() == d
@@ -257,6 +240,11 @@ def test_build_relation_set_validation():
         build_relation_set(6, 2)
     with pytest.raises(ValueError):
         build_relation_set(5, 7)
+    # a non-integer chi is refused, not truncated to int(chi)
+    for chi in (1.5, Fraction(7, 2)):
+        with pytest.raises(TypeError):
+            build_relation_set(5, chi)
+    assert build_relation_set(5, 1).chi == 1 and build_relation_set(5, 1).det1 == -972
 
 
 def test_verify_rank12():
@@ -311,7 +299,7 @@ def test_rank12_full_matrix_rank():
     rel = build_relation_set(5, 1)
     rows = rel.twelve_relations()
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    assert _coeff_matrix(rows, monos, QQ).rank() == 12
+    assert rank(_coeff_matrix(rows, monos)) == 12
 
 
 def test_rref_uniqueness_under_row_permutation():
@@ -323,7 +311,7 @@ def test_rref_uniqueness_under_row_permutation():
     for _ in range(3):
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        reduced, pivots, _ = _rref_relations(shuffled, QQ)
+        reduced, pivots, _ = _rref_relations(shuffled)
         assert reduced[9:12] == list(rel.relations)
 
 
@@ -333,7 +321,7 @@ def test_build_matches_field_rref(d, chi):
     rel = build_relation_set(d, chi)
     rows = rel.twelve_relations()
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    R, pivots = _coeff_matrix(rows, monos, QQ).rref()
+    R, pivots = _coeff_matrix(rows, monos).rref()
     assert rel.pivot_monos == tuple(monos[p] for p in pivots)
     for i, got in zip(range(9, 12), rel.relations):
         want = GradedPoly(rel.ctx, {m: c for m, c in zip(monos, R.data[i]) if c})
@@ -367,21 +355,9 @@ def test_duality_covariance_of_relation_span():
     for (d, chi) in [(5, 1), (5, 2), (7, 2), (8, 3)]:
         rel = build_relation_set(d, chi)
         rel2 = build_relation_set(d, d - chi)
-        rows = [R.dual_involution() for R in rel.relations] + list(rel2.relations)
+        rows = [dual_involution(R) for R in rel.relations] + list(rel2.relations)
         monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-        assert _coeff_matrix(rows, monos, QQ).rank() == 3
-
-
-def test_symbolic_chi_mode_consistency():
-    rel = build_relation_set(5, symbolic_chi=True)
-    conc = build_relation_set(5, 2)
-    # evaluating the symbolic determinants at chi=2 matches concrete mode
-    assert rel.det1.eval({"chi1": 2}) == conc.det1
-    assert rel.det2.eval({"chi1": 2}) == conc.det2
-    for Rs, Rc in zip(rel.relations, conc.relations):
-        assert set(Rs.terms) >= set(Rc.terms)
-        for m, c in Rs.terms.items():
-            assert c.eval({"chi1": 2}) == Rc.coeff(m)
+        assert rank(_coeff_matrix(rows, monos)) == 3
 
 
 def test_det1_formula_range():
@@ -428,8 +404,8 @@ def test_build_checks_relation_degree(monkeypatch):
     c2 = GradedPoly.term(rel.ctx, 1, [(2, 0)])
     # an inhomogeneous R1, and one homogeneous of degree d + 1
     for alter in (lambda R: R + c2, lambda R: R * c2):
-        def altered(rows, field, keep=slice(None)):
-            reduced, pivots, monos = real(rows, field, keep)
+        def altered(rows, keep=slice(None)):
+            reduced, pivots, monos = real(rows, keep)
             return [alter(reduced[0])] + reduced[1:], pivots, monos
 
         monkeypatch.setattr(relations, "_REL_CACHE", {})

@@ -41,21 +41,17 @@ def test_symbolic_blocks_specialize_to_concrete():
 
 
 def test_symbolic_chi_slice_matches_symbolic_chi_mode():
-    # symbolic in chi at concrete d equals the concrete-d symbolic-chi
-    # relation pipeline projected to the blocks
+    # the blocks symbolic in chi at concrete d, evaluated at each coprime
+    # chi, equal the blocks of the relation set built at that chi
     d = 5
-    rel = build_relation_set(d, symbolic_chi=True)
-    Mc, Nc = matrices_M(rel), matrices_N(rel)
     Me, Ne = symbolic_matrices_at(d, None)
     for chi in (1, 2, 3, 4):
         if math.gcd(chi, d) != 1:
             continue
+        rel = build_relation_set(d, chi)
+        Mc, Nc = matrices_M(rel), matrices_N(rel)
         for i in range(3):
             for s in range(3):
                 for t in range(3):
-                    a = Me[i][s, t].eval({"chi1": chi})
-                    b = Mc[i][s, t].eval({"chi1": chi})
-                    assert a == b
-                    a = Ne[i][s, t].eval({"chi1": chi})
-                    b = Nc[i][s, t].eval({"chi1": chi})
-                    assert a == b
+                    assert Me[i][s, t].eval({"chi1": chi}) == Mc[i][s, t]
+                    assert Ne[i][s, t].eval({"chi1": chi}) == Nc[i][s, t]
