@@ -39,8 +39,7 @@ UNI_FIELD = FracField(("chi1",))
 def _column0_elimination(cand: CandidateS, A: ExactMatrix, M, N, Np):
     """Residuals of the two held-back equations after expressing
     (u0, u1, u2, v0, v1) in terms of v2 := the bottom entry of V's first
-    column.  Returns ((AA, BB), (CC, DD)) and the leftover residuals of
-    the unused designated equations."""
+    column.  Returns ((AA, BB), (CC, DD))."""
     E = cand.field
     Ps = _s_combination(cand, Np)
     A_inv_t = A.inverse().transpose()
@@ -56,11 +55,9 @@ def _column0_elimination(cand: CandidateS, A: ExactMatrix, M, N, Np):
     # and the full i=3 block eliminate the five unknowns, leaving four
     # equations, of which the first two rows of the i=1 block are the
     # residual pair.  (This split makes the chi-only content of the two
-    # residual-resultant coordinates agree; the other two leftovers are
-    # reported, not folded in.)
+    # residual-resultant coordinates agree; the other two are not used.)
     pivot_eqs = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
     held_back = [(0, 0), (0, 1)]
-    leftover_eqs = [(0, 2), (1, 2)]
     rows = []
     for i, r in pivot_eqs:
         coeffs, cv, const = equation(i, r)
@@ -82,14 +79,7 @@ def _column0_elimination(cand: CandidateS, A: ExactMatrix, M, N, Np):
             cst = cst - coeffs[col] * pc
         return lin, cst
 
-    residuals = [residual_of(i, r) for i, r in held_back]
-    leftovers = [residual_of(i, r) for i, r in leftover_eqs]
-    leftovers = [
-        (lin, cst)
-        for lin, cst in leftovers
-        if not (E.is_zero(lin) and E.is_zero(cst))
-    ]
-    return residuals, leftovers
+    return [residual_of(i, r) for i, r in held_back]
 
 
 # -- chi'-slices ---------------------------------------------------------------
@@ -108,7 +98,6 @@ class ConstraintSlice:
     b: int
     num1: MPoly
     num2: MPoly
-    leftover_count: int
 
 
 _SLICE_CACHE: dict = {}
@@ -143,8 +132,7 @@ def constraint_slice(d: int, b: int) -> ConstraintSlice:
     ab = solve_AB(cand, M, Mp)
     if ab.status != "solution":
         raise EliminationFailure(f"(A, B) system gives {ab.status} at chi'={b}")
-    residuals, leftovers = _column0_elimination(cand, ab.A, M, N, Np)
-    (AA, BB), (CC, DD) = residuals
+    (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A, M, N, Np)
     constraint = AA * DD - BB * CC
     c0, c1, c2 = constraint.coeffs
     if not c0.is_zero():
@@ -153,7 +141,7 @@ def constraint_slice(d: int, b: int) -> ConstraintSlice:
         )
     if c1.is_zero() and c2.is_zero():
         raise EliminationFailure(f"slice constraint vanished identically at chi'={b}")
-    out = ConstraintSlice(d, b, c1.num.over(QQ), c2.num.over(QQ), len(leftovers))
+    out = ConstraintSlice(d, b, c1.num.over(QQ), c2.num.over(QQ))
     _SLICE_CACHE[key] = out
     return out
 
@@ -161,38 +149,30 @@ def constraint_slice(d: int, b: int) -> ConstraintSlice:
 # -- recovery of the factors -----------------------------------------------------
 
 
-def _strip_factors(poly: MPoly, factors: list) -> tuple:
-    counts = {}
-    for name, f in factors:
-        n = 0
+def _strip_factors(poly: MPoly, factors: list) -> MPoly:
+    """poly with every power of each factor divided out."""
+    for f in factors:
         while True:
             try:
                 poly = poly.exact_div(f)
-                n += 1
             except ExactDivisionError:
                 break
-        if n:
-            counts[name] = n
-    return poly, counts
+    return poly
 
 
 def _chi1_junk_factors(d: int) -> list:
     x = MPoly.variable("chi1")
     dd = MPoly.constant(d, ("chi1",))
-    return [("chi1", x), ("d-chi1", dd - x), ("d-2chi1", dd - 2 * x)]
+    return [x, dd - x, dd - 2 * x]
 
 
 @dataclass
 class ConstraintReport:
     d: int
-    slice_values: list
     P1: MPoly = None
     P1_checks: dict = dc_field(default_factory=dict)
     structure_checks: dict = dc_field(default_factory=dict)
-    slice_constants: dict = dc_field(default_factory=dict)
-    stripped: dict = dc_field(default_factory=dict)
     pair_agreement: list = dc_field(default_factory=list)
-    leftover_counts: dict = dc_field(default_factory=dict)
 
     def ok(self) -> bool:
         return (
@@ -205,7 +185,7 @@ class ConstraintReport:
 _REPORT_CACHE: dict = {}
 
 
-def _recover_P1(d: int, nums: list) -> tuple:
+def _recover_P1(d: int, nums: list) -> MPoly:
     """Strip the chi-only trivial factors from the common divisor of the
     given slice numerators and normalize the sign at 0."""
     acc = None
@@ -213,11 +193,11 @@ def _recover_P1(d: int, nums: list) -> tuple:
         acc = p if acc is None else mpoly_gcd(acc, p)
         if acc.is_constant():
             break
-    P1, counts = _strip_factors(acc.rational_content()[1], _chi1_junk_factors(d))
+    P1 = _strip_factors(acc.rational_content()[1], _chi1_junk_factors(d))
     P1 = P1.rational_content()[1]
     if not P1.is_constant() and P1.eval({"chi1": 0}) < 0:
         P1 = -P1
-    return P1, counts
+    return P1
 
 
 def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
@@ -240,8 +220,7 @@ def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
             rows.append({"branch": cand.root_label, "ab": ab.status})
             continue
         E = cand.field
-        residuals, _ = _column0_elimination(cand, ab.A, M, N, Np)
-        (AA, BB), (CC, DD) = residuals
+        (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A, M, N, Np)
         resultant = AA * DD - BB * CC
         # compatibility of the 2x1 affine pair in v31
         if AA.is_zero() and CC.is_zero():
@@ -291,16 +270,13 @@ def constraint_analysis(d: int, chi1: int = None, chi2: int = None):
         return _REPORT_CACHE[d]
 
     valid_bs = [b for b in range(1, d) if 2 * b != d]
-    slice_values = valid_bs[:3]
-    slices = [constraint_slice(d, b) for b in slice_values]
-    report = ConstraintReport(d=d, slice_values=slice_values)
-    report.leftover_counts = {s.b: s.leftover_count for s in slices}
+    slices = [constraint_slice(d, b) for b in valid_bs[:3]]
+    report = ConstraintReport(d=d)
 
     # P1 from the t^2 coordinate, cross-validated against the t one
-    P1, stripped2 = _recover_P1(d, [s.num2 for s in slices])
-    P1_alt, stripped1 = _recover_P1(d, [s.num1 for s in slices])
+    P1 = _recover_P1(d, [s.num2 for s in slices])
+    P1_alt = _recover_P1(d, [s.num1 for s in slices])
     report.P1 = P1
-    report.stripped = {"from_num2": stripped2, "from_num1": stripped1}
     x = MPoly.variable("chi1")
     dd = MPoly.constant(d, ("chi1",))
     report.P1_checks = {
@@ -324,7 +300,6 @@ def constraint_analysis(d: int, chi1: int = None, chi2: int = None):
         if not (c2.is_constant() and c1.is_constant()):
             structure_ok = False
             continue
-        report.slice_constants[s.b] = (c1.constant_value(), c2.constant_value())
         if c1.constant_value() == 0 or c2.constant_value() == 0:
             constants_nonzero = False
 

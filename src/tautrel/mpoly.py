@@ -107,9 +107,6 @@ class MPoly:
         e = max(self.terms, key=lambda e: (sum(e), e))
         return e, self.terms[e]
 
-    def coeff(self, exp) -> object:
-        return self.terms.get(tuple(exp), self.domain.zero)
-
     # -- variable handling ---------------------------------------------
 
     def with_vars(self, vars) -> "MPoly":

@@ -178,39 +178,38 @@ class CandidateS:
     tau: object
 
 
-def _eval_into(eq: MPoly, assignment: dict, E: CubicField):
-    """Evaluate an s-variable polynomial with values in the extension."""
-    acc = E.zero
-    for e, c in eq.terms.items():
-        term = E.coerce(c)
-        for name, p in zip(eq.vars, e):
-            if p:
-                val = assignment[name]
-                term = term * (val**p if p > 1 else val)
-        acc = acc + term
-    return acc
-
-
 def _partial(eq: MPoly, assignment: dict, E: CubicField) -> dict:
     """Evaluate all assigned variables, keeping unassigned exponents:
-    {reduced exponent key: extension value}."""
+    {reduced exponent key: nonzero extension value}, empty when eq
+    vanishes.  Each power of an assigned value is built once per call
+    (exponents are at most 3), and a term with a variable assigned zero
+    is skipped."""
+    powers = []  # per variable: None if unassigned, [] if zero, else its powers
+    for name, top in zip(eq.vars, map(max, zip(*eq.terms))):
+        val = assignment.get(name)
+        if val is None or not val:
+            powers.append(None if val is None else [])
+        else:
+            powers.append([None, val] + [val**p for p in range(2, top + 1)])
     out: dict = {}
-    free = [v for v in eq.vars if v not in assignment]
     for e, c in eq.terms.items():
-        term = E.coerce(c)
-        key = []
-        for name, p in zip(eq.vars, e):
+        key, factors = [], []
+        for name, p, pw in zip(eq.vars, e, powers):
             if not p:
                 continue
-            if name in assignment:
-                val = assignment[name]
-                term = term * (val**p if p > 1 else val)
-            else:
+            if pw is None:
                 key.extend([name] * p)
-        key = tuple(sorted(key))
-        prev = out.get(key)
-        val = term if prev is None else prev + term
-        out[key] = val
+            elif not pw:
+                break
+            else:
+                factors.append(pw[p])
+        else:
+            term = E.coerce(c)
+            for f in factors:
+                term = term * f
+            key = tuple(sorted(key))
+            prev = out.get(key)
+            out[key] = term if prev is None else prev + term
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -304,7 +303,7 @@ def solve_S(stype: str, M: list, Mp: list, base=None, pencil: tuple = None) -> l
         s23 = _solve_linear(eqs[(1, 2, 0)], assignment, "s23", E)
         assignment["s23"] = s23 if s23 is not None else E.zero
         for key, eq in eqs.items():
-            if not _eval_into(eq, assignment, E).is_zero():
+            if _partial(eq, assignment, E):  # every variable is assigned
                 raise NoCandidate(f"pencil equation {key} violated for type {stype}")
         S = ExactMatrix(
             E, [[assignment[svar(i, j)] for j in range(3)] for i in range(3)]

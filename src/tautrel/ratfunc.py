@@ -517,9 +517,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     @property
     def vars(self):
         return self.num.vars

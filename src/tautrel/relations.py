@@ -22,6 +22,19 @@ Of G_{d+2} only the beta^2 component is read (its pushforward gives
 R_c^n), so the last step computes only that component: three of the
 six products per k.
 
+The recurrence runs on packed exponent vectors (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  Each generator c_k(j) of F_1..F_upto, upto =
+d+2, owns a field of upto.bit_length() bits of one Python int, in
+ascending gen_key order, so a monomial is an int and a product of
+monomials one int addition.  No field carries: every generator has
+degree >= 1 and the beta^i component of G_m is homogeneous of degree
+m - i <= upto, so no exponent exceeds upto < 2^bits.  The build does
+not assume this: unpacking checks each output monomial's degree, which
+a carry would lower.  Only the output monomials are unpacked into
+tuples, once each, in descending order; the rest of the package sees
+tuple monomials only.
+
 The build eliminates the twelve relations once and keeps the twelve
 pivot monomials it found.  The elimination is fraction-free: each
 relation's coefficient row is scaled by the lcm of its own denominators
@@ -39,6 +52,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .linalg import ExactMatrix, int_gauss_jordan
@@ -48,8 +62,9 @@ from .tautalg import (
     DegreeMismatch,
     GradedPoly,
     TautContext,
-    _sum_products,
+    _mono_insert,
     beta_pushforward,
+    gen_degree,
     gen_key,
     mono_key,
     mono_str,
@@ -99,51 +114,123 @@ def relation_factor(s: int, n: int, d, chi, ctx: TautContext) -> BetaClass:
     return BetaClass(diff, b1, b2)
 
 
+# b0 + b1*beta + b2*beta^2 with {packed monomial: int} components
+_PackedBeta = namedtuple("_PackedBeta", "b0 b1 b2")
+
+
+class _Packing:
+    """Packed exponent vectors over a fixed set of generators.
+
+    Generator i, in ascending gen_key order, owns bits [i*bits, (i+1)*bits)
+    of a Python int, so a monomial is one int and a product of monomials
+    one int addition.  The exponents of a product are sums of exponents:
+    they stay exact as long as none passes limit < 1 << bits, which the
+    caller guarantees and unpack checks.  The highest generator sits in
+    the highest field, so the packed ints order monomials as mono_key
+    does.  Every generator must have a degree in 1..limit.
+    """
+
+    __slots__ = ("gens", "bits", "degs", "shift", "top")
+
+    def __init__(self, gens, limit: int):
+        self.gens = sorted(gens, key=gen_key)
+        self.bits = limit.bit_length()
+        self.degs = [gen_degree(g) for g in self.gens]
+        if not all(1 <= deg <= limit for deg in self.degs):
+            raise DegreeMismatch(f"a packed generator of degree outside 1..{limit}")
+        self.shift = {g: i * self.bits for i, g in enumerate(self.gens)}
+        self.top = len(self.gens) * self.bits
+
+    def pack(self, mono) -> int:
+        shift = self.shift
+        return sum(1 << shift[g] for g in mono)
+
+    def unpack(self, m: int, degree: int) -> tuple:
+        """The tuple monomial (generators descending) of the packed m,
+        which must have degree degree.  Only the nonzero fields are
+        read, from the highest set bit down.  A carry out of a field
+        takes 1 << bits from the exponent of a generator of degree >= 1
+        and adds one to a generator of degree <= limit < 1 << bits, so
+        it lowers the degree: the degree check sees every carry.
+        """
+        if m >> self.top:
+            raise DegreeMismatch("a packed exponent carried past the last field")
+        gens, bits, degs = self.gens, self.bits, self.degs
+        out = []
+        deg = 0
+        while m:
+            i = (m.bit_length() - 1) // bits
+            low = i * bits
+            e = m >> low
+            m -= e << low
+            out += (gens[i],) * e
+            deg += e * degs[i]
+        if deg != degree:
+            raise DegreeMismatch(
+                f"packed monomial of degree {deg} != {degree}: an exponent passed its field")
+        return tuple(out)
+
+
 def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
-    """(G, D): G_0..G_upto with G_m = m! D^m E_m, E = exp(sum_k (k-1)! F_k).
+    """(G, D, packing): G_0..G_upto with G_m = m! D^m E_m, E = exp(sum_k (k-1)! F_k).
 
     D is the lcm of the coefficient denominators of F_1..F_upto; G runs
-    over the integers.  The last step computes only the beta^2
-    component of G_upto (three of the six products per k): G[upto] is
-    that GradedPoly, every earlier G[m] a BetaClass.
+    over the integers, on monomials packed by packing.  G[m] is a
+    _PackedBeta of {packed monomial: int} dicts, except that the last
+    step computes only the beta^2 component of G_upto (three of the six
+    products per k): G[upto] is that dict.
     """
-    F = [relation_factor(k, n, d, chi, ctx) for k in range(1, upto + 1)]
+    F = [(f.b0, f.b1, f.b2) for f in
+         (relation_factor(k, n, d, chi, ctx) for k in range(1, upto + 1))]
     D = 1
     for f in F:
-        for part in (f.b0, f.b1, f.b2):
+        for part in f:
             for c in part.terms.values():
                 D = math.lcm(D, c.denominator)
-    zctx = TautContext(ZZ, d)
+    # every generator has degree >= 1 and G_m's beta^i component is
+    # homogeneous of degree m - i, so no exponent exceeds upto < 1 << bits
+    packing = _Packing({g for f in F for part in f for m in part.terms for g in m}, upto)
     H = [None]
     for k, f in enumerate(F, start=1):
         s = math.factorial(k) * D**k
-        H.append(BetaClass(*(
-            p.map_coeffs(lambda c: ZZ.coerce(c * s), zctx) for p in (f.b0, f.b1, f.b2)
-        )))
-    G = [BetaClass.one(zctx)]
+        H.append([[(packing.pack(m), ZZ.coerce(c * s)) for m, c in part.terms.items()]
+                  for part in f])
+    G = [_PackedBeta({0: 1}, {}, {})]
     for m in range(1, upto + 1):
-        b2_only = m == upto
-        # the sum over k accumulates in place, in dicts owned by this step
-        acc = [{}] if b2_only else [{}, {}, {}]
+        comps = (2,) if m == upto else (0, 1, 2)
+        # the sum over k accumulates in place; beta^i gets h_a g_{i-a}
+        acc = [defaultdict(int) for _ in comps]
         w = 1  # (m-1)!/(m-k)!
         for k in range(1, m + 1):
-            hk, g = (H[k] if w == 1 else H[k] * w), G[m - k]
-            if b2_only:
-                parts = (_sum_products(hk.b0 * g.b2, hk.b1 * g.b1, hk.b2 * g.b0),)
-            else:
-                prod = hk * g
-                parts = (prod.b0, prod.b1, prod.b2)
-            for terms, part in zip(acc, parts):
-                GradedPoly.add_into(terms, part)
+            h, g = H[k], G[m - k]
+            for i, out in zip(comps, acc):
+                for a in range(i + 1):
+                    _mul_into(out, h[a], g[i - a], w)
             w *= m - k
-        parts = [GradedPoly(zctx, terms) for terms in acc]
-        G.append(parts[0] if b2_only else BetaClass(*parts))
-    return G, D
+        parts = [{mono: c for mono, c in terms.items() if c} for terms in acc]
+        G.append(parts[0] if m == upto else _PackedBeta(*parts))
+    return G, D, packing
 
 
-def _divided(p: GradedPoly, den: int, ctx: TautContext) -> GradedPoly:
-    """The integer-coefficient p divided by den, over ctx."""
-    return GradedPoly(ctx, {m: Rat(c, den) for m, c in p.terms.items()})
+def _mul_into(out: defaultdict, h: list, g: dict, w: int) -> None:
+    """out += w h g on packed monomials: h a list of (monomial,
+    coefficient) pairs, g a dict.  One int addition per product of
+    monomials and no call per term; out keeps the zeros of cancelled
+    sums, for the caller to drop once."""
+    g_terms = g.items()
+    for mh, ch in h:
+        ch *= w
+        for mg, cg in g_terms:
+            out[mh + mg] += ch * cg
+
+
+def _divided(terms: dict, den: int, packing: _Packing, degree: int,
+             ctx: TautContext) -> GradedPoly:
+    """The packed integer terms, of the given degree, divided by den over
+    ctx, in descending monomial order."""
+    unpack = packing.unpack
+    return GradedPoly(ctx, {unpack(m, degree): Rat(c, den)
+                            for m, c in sorted(terms.items(), reverse=True)})
 
 
 # -- relation sets -----------------------------------------------------------
@@ -179,12 +266,13 @@ _RA_FACTORS = ((2, 0), (0, 2))
 
 def _twelve_rows(ctx: TautContext, Ra: dict, Rb: dict, Rc: dict) -> list:
     """The 12 degree-d relations in their canonical order:
-    c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved), then Rb^n, Rc^n."""
-    c2, c0 = (GradedPoly.term(ctx, 1, [g]) for g in _RA_FACTORS)
+    c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved), then Rb^n, Rc^n.  A
+    generator g multiplies monomials injectively, so g Ra^n is Ra^n with
+    each monomial relabelled and its coefficient kept."""
     rows = []
     for n in (1, 2, 3):
-        rows.append(c2 * Ra[n])
-        rows.append(c0 * Ra[n])
+        for g in _RA_FACTORS:
+            rows.append(GradedPoly(ctx, {_mono_insert(m, g): c for m, c in Ra[n].terms.items()}))
     for n in (1, 2, 3):
         rows.append(Rb[n])
     for n in (1, 2, 3):
@@ -321,13 +409,13 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     fact = math.factorial(d - 3)
     Ra, Rb, Rc = {}, {}, {}
     for n in (1, 2, 3):
-        G, D = _exp_series(n, d, Rat(chi), ctx, d + 2)
+        G, D, packing = _exp_series(n, d, Rat(chi), ctx, d + 2)
         den1 = math.factorial(d + 1) * D ** (d + 1) * fact
         den2 = -math.factorial(d + 2) * D ** (d + 2) * fact
-        Ra[n] = _divided(beta_pushforward(G[d + 1], 0), den1, ctx)
-        Rb[n] = _divided(beta_pushforward(G[d + 1], 1), den1, ctx)
+        Ra[n] = _divided(beta_pushforward(G[d + 1], 0), den1, packing, d - 1, ctx)
+        Rb[n] = _divided(beta_pushforward(G[d + 1], 1), den1, packing, d, ctx)
         # G[d + 2] is the beta^2 component alone: its pushforward with j = 0
-        Rc[n] = _divided(G[d + 2], den2, ctx)
+        Rc[n] = _divided(G[d + 2], den2, packing, d, ctx)
 
     det1 = _coeff_matrix(
         [Ra[n] for n in (1, 2, 3)], [(g,) for g in high_generators(d)["deg_d_minus_1"]]

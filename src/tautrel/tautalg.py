@@ -47,18 +47,13 @@ def gen_str(gen) -> str:
 
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    """Merge two monomials (tuples of generators sorted descending)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m2) == 1:
-        return _mono_insert(m1, m2[0])
-    if len(m1) == 1:
-        return _mono_insert(m2, m1[0])
-    out = list(m1) + list(m2)
-    out.sort(key=gen_key, reverse=True)
-    return tuple(out)
+    """Merge two monomials (tuples of generators sorted descending): the
+    generators of the shorter inserted into the longer one by one."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    for gen in m2:
+        m1 = _mono_insert(m1, gen)
+    return m1
 
 
 def _mono_insert(mono: tuple, gen) -> tuple:
@@ -202,14 +197,7 @@ class GradedPoly:
             return NotImplemented
         self._check(other)
         terms = dict(self.terms)
-        self.add_into(terms, other)
-        return GradedPoly(self.ctx, terms)
-
-    @staticmethod
-    def add_into(terms: dict, other: "GradedPoly") -> None:
-        """Add other to the term dict terms in place (the caller owns
-        terms), dropping coefficients that cancel."""
-        is_zero = other.ctx.domain.is_zero
+        is_zero = self.ctx.domain.is_zero
         for m, c in other.terms.items():
             s = terms.get(m)
             if s is None:
@@ -220,6 +208,7 @@ class GradedPoly:
                     del terms[m]
                 else:
                     terms[m] = s
+        return GradedPoly(self.ctx, terms)
 
     def __neg__(self):
         return GradedPoly(self.ctx, {m: -c for m, c in self.terms.items()})
@@ -262,16 +251,6 @@ class GradedPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def map_coeffs(self, fn, new_ctx=None) -> "GradedPoly":
-        ctx = new_ctx if new_ctx is not None else self.ctx
-        dom = ctx.domain
-        out = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if not dom.is_zero(v):
-                out[m] = v
-        return GradedPoly(ctx, out)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -299,17 +278,9 @@ class BetaClass:
         self.b1 = b1
         self.b2 = b2
 
-    @classmethod
-    def one(cls, ctx) -> "BetaClass":
-        z = GradedPoly.zero(ctx)
-        return cls(GradedPoly.const(ctx, 1), z, z)
-
     @property
     def ctx(self):
         return self.b0.ctx
-
-    def is_zero(self) -> bool:
-        return self.b0.is_zero() and self.b1.is_zero() and self.b2.is_zero()
 
     def __add__(self, other):
         return BetaClass(self.b0 + other.b0, self.b1 + other.b1, self.b2 + other.b2)
@@ -323,9 +294,8 @@ class BetaClass:
     def __mul__(self, other):
         if isinstance(other, BetaClass):
             b0 = self.b0 * other.b0
-            b1 = _sum_products(self.b0 * other.b1, self.b1 * other.b0)
-            b2 = _sum_products(self.b0 * other.b2, self.b1 * other.b1,
-                               self.b2 * other.b0)
+            b1 = self.b0 * other.b1 + self.b1 * other.b0
+            b2 = self.b0 * other.b2 + self.b1 * other.b1 + self.b2 * other.b0
             return BetaClass(b0, b1, b2)
         return BetaClass(self.b0 * other, self.b1 * other, self.b2 * other)
 
@@ -334,7 +304,8 @@ class BetaClass:
     def __pow__(self, m: int):
         if m < 0:
             raise ValueError("negative beta power")
-        result = BetaClass.one(self.ctx)
+        z = GradedPoly.zero(self.ctx)
+        result = BetaClass(GradedPoly.const(self.ctx, 1), z, z)
         base = self
         while m:
             if m & 1:
@@ -351,15 +322,6 @@ class BetaClass:
 
     def __str__(self):
         return f"({self.b0}) + ({self.b1})*beta + ({self.b2})*beta^2"
-
-
-def _sum_products(first: GradedPoly, *rest: GradedPoly) -> GradedPoly:
-    """first + rest[0] + ..., added into first's term dict: the operands
-    must be fresh products, owned by the caller.  The terms and their
-    order are those of the public +, without its copy per sum."""
-    for p in rest:
-        GradedPoly.add_into(first.terms, p)
-    return first
 
 
 def beta_pushforward(x: BetaClass, j: int) -> GradedPoly:

@@ -1,13 +1,13 @@
 """Reference expansions of the generating identity for the tests.
 
 expand_relation is the full degree-ell piece E_ell of the exponential
-series, all three beta components, read from the integer recurrence of
-tautrel.relations._exp_series run one step further (that run computes
-only the beta^2 component of its last step).  expand_relation_by_partitions
+series, all three beta components, read from the packed integer
+recurrence of tautrel.relations._exp_series run one step further (that
+run computes only the beta^2 component of its last step).  expand_relation_by_partitions
 is the literal sum over partition tuples of products of factor powers,
 an expander independent of the recurrence.  dual_involution is the
 algebra involution c_k(j) -> (-1)^k c_k(j) on the relations, and
-beta_zero the zero beta class.
+beta_zero and beta_one the zero and unit beta classes.
 """
 
 import math
@@ -71,10 +71,10 @@ def enumerate_partitions(ell: int, predicate=None) -> list:
 
 def expand_relation(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
     """The full left-hand side of the generating identity in degree ell."""
-    G, D = _exp_series(n, d, chi, ctx, ell + 1)
+    G, D, packing = _exp_series(n, d, chi, ctx, ell + 1)
     den = math.factorial(ell) * D**ell
-    g = G[ell]
-    return BetaClass(*(_divided(p, den, ctx) for p in (g.b0, g.b1, g.b2)))
+    # the beta^i component of G_ell has degree ell - i
+    return BetaClass(*(_divided(p, den, packing, ell - i, ctx) for i, p in enumerate(G[ell])))
 
 
 def expand_relation_by_partitions(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
@@ -82,7 +82,7 @@ def expand_relation_by_partitions(ell: int, n: int, d: int, chi, ctx: TautContex
     total = beta_zero(ctx)
     factors: dict = {}
     for pt in enumerate_partitions(ell):
-        term = BetaClass.one(ctx)
+        term = beta_one(ctx)
         for s, ms in enumerate(pt.m, start=1):
             if not ms:
                 continue
@@ -98,6 +98,11 @@ def expand_relation_by_partitions(ell: int, n: int, d: int, chi, ctx: TautContex
 def beta_zero(ctx: TautContext) -> BetaClass:
     z = GradedPoly.zero(ctx)
     return BetaClass(z, z, z)
+
+
+def beta_one(ctx: TautContext) -> BetaClass:
+    z = GradedPoly.zero(ctx)
+    return BetaClass(GradedPoly.const(ctx, 1), z, z)
 
 
 def dual_involution(p: GradedPoly) -> GradedPoly:

@@ -23,7 +23,6 @@ def test_slice_structure_d5():
     s = constraint_slice(5, 2)
     assert s.num1.degree_in("chi1") == 6
     assert s.num2.degree_in("chi1") == 4
-    assert s.leftover_count == 2
 
 
 def test_symbolic_report_d5():

@@ -1,15 +1,30 @@
 """Layout guard: every public name in src/tautrel has a caller in src/.
 
 A public module-level function or class counts as used when some other
-place in src/tautrel names it (as a name, or as a module attribute); a
-public non-dunder method when some other place reads `.name`.  The
-package's __init__.py is not read, and references inside the definition
-itself (recursion, a method calling itself) do not count.  Docstrings and
-comments are not code and are not searched.
+place in src/tautrel names it (as a name, or as a module attribute).  A
+public non-dunder method C.name counts as used when some other place
+reads `.name` from a receiver whose class resolves to C: the class itself
+(`C.name`), `self` or `cls` inside C's methods, or a module-level
+instance of C (`QQ.name`), a subclass inheriting the method included.
+
+A read from a receiver of unknown class (a local, an argument, a call's
+result) counts for C only when no other src class owns an attribute
+called `name` (a method, a class attribute, a slot, a dataclass field or
+a `self.name` assignment) and no builtin type has one.  Such a name is
+shared: a read of `.zero` may be QQ.zero, CubicField.zero or
+GradedPoly.zero.  SHARED lists, for each shared name that is read from
+receivers of unknown class, the classes whose method those reads reach.
+A class that is not listed needs a resolved reference.
+
+The package's __init__.py is not read, and references inside the
+definition itself (recursion, a method calling itself) do not count.
+Docstrings and comments are not code and are not searched.
 """
 
 import ast
 import os
+import shutil
+from fractions import Fraction
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tautrel")
 
@@ -19,11 +34,27 @@ ALLOWED = {
     "constraint.ConstraintReport.ok": "the verdict perfbench reads from constraint_analysis",
 }
 
+# shared method name -> the classes whose method is read through receivers
+# of unknown class
+SHARED = {
+    "add": {"Report"},
+    "coerce": {"RationalField", "IntegerRing", "FracField", "CubicField"},
+    "eval": {"MPoly", "RatFunc"},
+    "inverse": {"ExactMatrix", "CubicExt"},
+    "is_zero": {"RationalField", "IntegerRing", "MPoly", "RatFunc", "FracField",
+                "CubicExt", "CubicField", "GradedPoly"},
+    "scale": {"ExactMatrix", "GradedPoly"},
+    "to_json": {"Check", "Report", "RelationSet", "TruncationBlock", "Verdict"},
+}
 
-def _modules():
-    for fname in sorted(os.listdir(SRC)):
+BUILTIN_ATTRS = frozenset().union(
+    *(dir(t) for t in (int, Fraction, dict, list, tuple, str, set, frozenset)))
+
+
+def _modules(src):
+    for fname in sorted(os.listdir(src)):
         if fname.endswith(".py") and fname != "__init__.py":
-            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+            with open(os.path.join(src, fname), encoding="utf-8") as fh:
                 yield fname[:-3], ast.parse(fh.read())
 
 
@@ -31,43 +62,186 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _definitions(mod: str, tree: ast.Module):
-    """(qualified name, kind, bare name, first line, last line) of each
-    public module-level function or class and each public method."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    """(qualified name, class or None, bare name, first line, last line) of
+    each public module-level function or class and each public method."""
     for node in tree.body:
-        if not isinstance(node, defs) or not _public(node.name):
+        if not isinstance(node, _FUNCS + (ast.ClassDef,)) or not _public(node.name):
             continue
-        yield f"{mod}.{node.name}", "name", node.name, node.lineno, node.end_lineno
+        yield f"{mod}.{node.name}", None, node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs[:2]) and _public(item.name):
-                    yield (f"{mod}.{node.name}.{item.name}", "attr", item.name,
+                if isinstance(item, _FUNCS) and _public(item.name):
+                    yield (f"{mod}.{node.name}.{item.name}", node.name, item.name,
                            item.lineno, item.end_lineno)
 
 
-def _references(tree: ast.Module):
-    """(kind, name, line) of each use of a name or an attribute."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield "name", node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield "attr", node.attr, node.lineno
+def _owned(cls: ast.ClassDef):
+    """The attribute names a class owns: its methods, class attributes and
+    fields, slots, and the attributes its methods assign on self."""
+    for item in cls.body:
+        if isinstance(item, _FUNCS):
+            yield item.name
+        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id
+                    if t.id == "__slots__":
+                        for c in ast.walk(item.value):
+                            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                                yield c.value
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr
+
+
+class _Layout:
+    def __init__(self, src):
+        self.trees = dict(_modules(src))
+        self.classes = {}  # class name -> ClassDef
+        self.instances = {}  # module-level instance name -> class name
+        self.modules = set()  # names bound to imported modules
+        for tree in self.trees.values():
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    self.classes[node.name] = node
+                elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                      and isinstance(node.value.func, ast.Name)):
+                    for t in node.targets:
+                        if isinstance(t, ast.Name):
+                            self.instances[t.id] = node.value.func.id
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    self.modules.update((a.asname or a.name).split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module is None:
+                    self.modules.update(a.asname or a.name for a in node.names)
+        self.owners = {}  # attribute name -> classes owning it
+        for name, cls in self.classes.items():
+            for attr in _owned(cls):
+                self.owners.setdefault(attr, set()).add(name)
+
+    def methods(self, cls: str) -> set:
+        return {i.name for i in self.classes[cls].body if isinstance(i, _FUNCS)}
+
+    def resolve(self, cls: str, attr: str):
+        """The class, cls or a base, whose method attr cls reaches."""
+        seen = set()
+        while cls in self.classes and cls not in seen:
+            seen.add(cls)
+            if attr in self.methods(cls):
+                return cls
+            bases = [b.id for b in self.classes[cls].bases if isinstance(b, ast.Name)]
+            cls = next((b for b in bases if b in self.classes), None)
+        return None
+
+    def shared(self, attr: str) -> bool:
+        return len(self.owners.get(attr, ())) > 1 or attr in BUILTIN_ATTRS
+
+    def references(self):
+        """(module, kind, name, receiver class or None, line) of each use
+        of a name ("name") or an attribute ("attr" of a class's instance,
+        "module" of a module, "unknown" of anything else)."""
+        for mod, tree in self.trees.items():
+            yield from self._visit(mod, tree, None)
+
+    def _visit(self, mod, node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from self._visit(mod, child, child.name)
+                continue
+            if isinstance(child, ast.Name):
+                yield mod, "name", child.id, None, child.lineno
+            elif isinstance(child, ast.Attribute):
+                recv = child.value
+                kind, cls = "unknown", None
+                if isinstance(recv, ast.Name):
+                    if recv.id in ("self", "cls") and owner is not None:
+                        kind, cls = "attr", owner
+                    elif recv.id in self.classes:
+                        kind, cls = "attr", recv.id
+                    elif self.instances.get(recv.id) in self.classes:
+                        kind, cls = "attr", self.instances[recv.id]
+                    elif recv.id in self.modules:
+                        kind = "module"
+                yield mod, kind, child.attr, cls, child.lineno
+            yield from self._visit(mod, child, owner)
+
+    def missing(self, allowed=ALLOWED, shared=SHARED) -> list:
+        """The public names with no caller in src/, allow-listed ones aside."""
+        refs = list(self.references())
+        out = []
+        for mod, tree in self.trees.items():
+            for qual, cls, name, first, last in _definitions(mod, tree):
+                def counts(ref):
+                    m, kind, n, rcls, line = ref
+                    if n != name or (m == mod and first <= line <= last):
+                        return False
+                    if cls is None:
+                        return kind in ("name", "module")
+                    if kind == "attr":
+                        return self.resolve(rcls, name) == cls
+                    if kind == "unknown":
+                        if self.shared(name):
+                            return cls in shared.get(name, ())
+                        return True
+                    return False
+                if qual not in allowed and not any(map(counts, refs)):
+                    out.append(qual)
+        return out
+
+    def defined(self) -> set:
+        return {q for mod, tree in self.trees.items() for q, *_ in _definitions(mod, tree)}
 
 
 def test_every_public_name_has_a_caller_in_src():
-    trees = dict(_modules())
-    refs = [(mod, ref) for mod, tree in trees.items() for ref in _references(tree)]
-    defined, missing = set(), []
-    for mod, tree in trees.items():
-        for qual, kind, name, first, last in _definitions(mod, tree):
-            defined.add(qual)
-            kinds = ("name", "attr") if kind == "name" else ("attr",)
-            used = any(
-                k in kinds and n == name and not (m == mod and first <= line <= last)
-                for m, (k, n, line) in refs
-            )
-            if not used and qual not in ALLOWED:
-                missing.append(qual)
+    layout = _Layout(SRC)
+    missing = layout.missing()
     assert not missing, "public names with no caller in src/: " + ", ".join(missing)
-    assert set(ALLOWED) <= defined, "stale allow-list entries"
+    assert set(ALLOWED) <= layout.defined(), "stale allow-list entries"
+
+
+def test_shared_names_are_shared_and_owned():
+    layout = _Layout(SRC)
+    for name, classes in SHARED.items():
+        assert layout.shared(name), f"{name} is not shared"
+        for cls in classes:
+            assert name in layout.methods(cls), f"{cls} has no method {name}"
+
+
+def _with_method(tmp_path, cls: str, method: str) -> str:
+    """A copy of src/tautrel with method added to cls (in tautalg)."""
+    src = tmp_path / "tautrel"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "tautalg.py"
+    text = path.read_text()
+    head = f"class {cls}:\n"
+    assert text.count(head) == 1
+    path.write_text(text.replace(head, head + method, 1))
+    return str(src)
+
+
+def test_guard_flags_an_uncalled_method_whose_name_is_read_elsewhere(tmp_path):
+    # .zero is read from QQ, domains and GradedPoly; none of these reads
+    # reaches BetaClass
+    src = _with_method(tmp_path, "BetaClass", (
+        "    @classmethod\n"
+        "    def zero(cls, ctx):\n"
+        "        z = GradedPoly.zero(ctx)\n"
+        "        return cls(z, z, z)\n\n"))
+    assert _Layout(src).missing() == ["tautalg.BetaClass.zero"]
+
+
+def test_guard_counts_a_call_through_the_class(tmp_path):
+    src = _with_method(tmp_path, "BetaClass", (
+        "    @classmethod\n"
+        "    def zero(cls, ctx):\n"
+        "        z = GradedPoly.zero(ctx)\n"
+        "        return cls(z, z, z)\n\n"
+        "    def cleared(self):\n"
+        "        return BetaClass.zero(self.ctx)\n\n"))
+    assert _Layout(src).missing() == ["tautalg.BetaClass.cleared"]

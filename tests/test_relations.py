@@ -8,6 +8,7 @@ import pytest
 from linalg_oracle import rank
 from relations_oracle import (
     PartitionTuple,
+    beta_one,
     beta_zero,
     dual_involution,
     enumerate_partitions,
@@ -59,7 +60,7 @@ def truncation_filter(d: int, ell: int):
 def exp_series_oracle(n, d, chi, ctx, upto):
     """E_0..E_upto by m*E_m = sum_k k!*F_k*E_{m-k} over the field itself:
     the recurrence as it ran before the integer-scaled one."""
-    E = [BetaClass.one(ctx)]
+    E = [beta_one(ctx)]
     kfact_F = [None]
     for k in range(1, upto + 1):
         kfact_F.append(relation_factor(k, n, d, chi, ctx) * Rat(math.factorial(k)))
@@ -94,9 +95,9 @@ def test_build_top_step_b2_matches_field_oracle(d):
     chi = Rat(random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1]))
     ctx = TautContext(QQ, d)
     for n in (1, 2, 3):
-        G, D = _exp_series(n, d, chi, ctx, d + 2)
-        assert isinstance(G[d + 2], GradedPoly)
-        b2 = _divided(G[d + 2], math.factorial(d + 2) * D ** (d + 2), ctx)
+        G, D, packing = _exp_series(n, d, chi, ctx, d + 2)
+        assert isinstance(G[d + 2], dict)
+        b2 = _divided(G[d + 2], math.factorial(d + 2) * D ** (d + 2), packing, d, ctx)
         slow = exp_series_oracle(n, d, chi, ctx, d + 2)[d + 2].b2
         assert b2 == slow
         assert str(b2) == str(slow)

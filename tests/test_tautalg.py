@@ -133,7 +133,7 @@ def test_beta_nilpotency():
     beta = BetaClass(z, GradedPoly.const(CTX, 1), z)
     beta2 = beta * beta
     assert beta2.b2 == GradedPoly.const(CTX, 1)
-    assert (beta2 * beta).is_zero()
+    assert beta2 * beta == BetaClass(z, z, z)
 
 
 def test_beta_binomial():
