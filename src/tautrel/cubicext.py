@@ -19,7 +19,8 @@ coprime.  No Rat is built on the way.  The normal form is unique, so
 coeffs (Rats, each numerator over the denominator, reduced) are the
 coefficients the former one-Rat-per-coefficient form held, and str,
 == and hash, which read them or compare the normal forms, are unchanged.
-inverse runs the extended gcd with the modulus over Rats.
+inverse takes the first column of the adjugate of the integer
+multiplication matrix over its determinant (_int_inverse).
 
 Over any other base (Q(chi1) in constraint) an element holds one base
 coefficient per power of t, and a product folds the top degrees back
@@ -290,19 +291,10 @@ class CubicExt:
                 for j, y in enumerate(ys):
                     if y:
                         prod[i + j] += x * y
-        low = prod[:n]
         den = self.den * o.den
         if any(prod[n:]):
-            scale = field.fold_den
-            if scale != 1:
-                low = [scale * c for c in low]
-                den *= scale
-            for p, row in field.int_fold:
-                c = prod[p]
-                if c:
-                    for i, f in row:
-                        low[i] += c * f
-        return _normalized(field, low, den)
+            return _normalized(field, _int_fold(field, prod), den * field.fold_den)
+        return _normalized(field, prod[:n], den)
 
     __rmul__ = __mul__
 
@@ -310,10 +302,12 @@ class CubicExt:
         if self.is_zero():
             raise NotInvertible("zero is not invertible")
         field = self.field
-        if self.den is not None and self.is_base():
-            c = self.num[0]
-            sign = 1 if c > 0 else -1
-            return _ext(field, (sign * self.den,) + self.num[1:], sign * c)
+        if self.den is not None:
+            if self.is_base():
+                c = self.num[0]
+                sign = 1 if c > 0 else -1
+                return _ext(field, (sign * self.den,) + self.num[1:], sign * c)
+            return _int_inverse(self)
         base = field.base
         g, u, _ = upoly_xgcd(_trim(list(self.coeffs)), field.modulus, base.one)
         if len(g) != 1:
@@ -408,6 +402,46 @@ def _int_sum(field, xs, dx: int, ys, dy: int) -> CubicExt:
         return _ext(field, tuple(x * dy + y * dx for x, y in zip(xs, ys)), dx * dy)
     a, b = dy // g, dx // g
     return _normalized(field, [x * a + y * b for x, y in zip(xs, ys)], dx * a)
+
+
+def _int_fold(field, prod: list) -> list:
+    """fold_den * (prod mod m): the integer coefficients of degree < deg
+    of the integer polynomial prod, of degree <= 2 deg - 2, reduced by
+    the modulus and scaled by fold_den."""
+    n, scale = field.deg, field.fold_den
+    low = [scale * c for c in prod[:n]] if scale != 1 else prod[:n]
+    for p, row in field.int_fold:
+        c = prod[p]
+        if c:
+            for i, f in row:
+                low[i] += c * f
+    return low
+
+
+def _int_inverse(x: CubicExt) -> CubicExt:
+    """x^-1 over QQ, x = num/den not rational (so deg is 2 or 3), from
+    the integer matrix A whose column j is fold_den * (num t^j mod m).
+    Multiplication by x is A / (den fold_den), so x^-1, the solution y of
+    x y = 1, is den fold_den adj(A) e_0 / det A: the first column of the
+    adjugate over the determinant.  det A = 0 exactly when num shares a
+    factor with the modulus."""
+    field = x.field
+    n = field.deg
+    cols = [_int_fold(field, [0] * j + list(x.num) + [0] * (n - 1 - j)) for j in range(n)]
+    if n == 2:
+        (a, c), (b, d) = cols  # A = [[a, b], [c, d]]
+        adj = [d, -c]
+        det = a * d - b * c
+    else:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols  # row i of A: ai, bi, ci
+        adj = [b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2]
+        det = a0 * adj[0] + b0 * adj[1] + c0 * adj[2]
+    if not det:
+        raise NotInvertible(f"{x} is a zero divisor mod {field.modulus_str()}")
+    k = x.den * field.fold_den
+    if det < 0:
+        k, det = -k, -det
+    return _normalized(field, [k * c for c in adj], det)
 
 
 def _fold_mul(field, xs, ys) -> tuple:

@@ -3,8 +3,8 @@
 All elimination except the determinant's runs through one row-by-row
 Gauss-Jordan loop, ExactMatrix.gauss_jordan, over any field, and its
 fraction-free twin over the integers, int_gauss_jordan, which
-eliminates the twelve degree-d relations over QQ once their rows are
-cleared of denominators (relations._rref_relations, and the fallback
+eliminates the twelve degree-d relations over QQ as packed integer
+numerator rows (relations._eliminate, for the build and the fallback
 rank of relations.verify_rank12).  The pivot rule: rows are
 visited in a given order (top to bottom by default); each is reduced
 against the pivot rows found so far, then pivots on its first nonzero
@@ -36,7 +36,9 @@ def int_gauss_jordan(rows) -> list:
 
     Returns the pivot rows sorted by column, as (col, row), each
     primitive, positive at its pivot and zero at every other pivot:
-    divided by its pivot entry, it is the row of the RREF over QQ.
+    divided by its pivot entry, it is the row of the RREF over QQ.  So
+    the output does not change when an input row is scaled by a nonzero
+    integer, negative ones included.
     """
     pivots = []
     for row in rows:

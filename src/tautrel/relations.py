@@ -16,36 +16,50 @@ G_m = sum_k ((m-1)!/(m-k)!) H_k G_{m-k}  (multiply the recurrence by
 (m-1)! D^m).  The weights (m-1)!/(m-k)! are integers for k >= 1, so
 every G_m is computed with integer additions and multiplications only.
 Since G_m = m! D^m E_m holds exactly, the coefficients of E_m are those
-of G_m over m! D^m; each output coefficient is divided once, as
-Rat(num, den), the (d-3)! normalization and its sign folded into den.
-Of G_{d+2} only the beta^2 component is read (its pushforward gives
-R_c^n), so the last step computes only that component: three of the
-six products per k.
+of G_m over m! D^m.  Of G_{d+2} only the beta^2 component is read (its
+pushforward gives R_c^n), so the last step computes only that
+component: three of the six products per k.
 
 The recurrence runs on packed exponent vectors (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007).  Each generator c_k(j) of F_1..F_upto, upto =
-d+2, owns a field of upto.bit_length() bits of one Python int, in
-ascending gen_key order, so a monomial is an int and a product of
-monomials one int addition.  No field carries: every generator has
-degree >= 1 and the beta^i component of G_m is homogeneous of degree
-m - i <= upto, so no exponent exceeds upto < 2^bits.  The build does
-not assume this: unpacking checks each output monomial's degree, which
-a carry would lower.  Only the output monomials are unpacked into
-tuples, once each, in descending order; the rest of the package sees
-tuple monomials only.
+vectors", CASC 2007).  One packing serves the whole build: each
+generator c_k(j) of the factors F_1..F_upto of n = 1, 2, 3, upto = d+2,
+owns a field of one Python int, in ascending gen_key order, so a
+monomial is an int, a product of monomials one int addition, and the
+packed ints order monomials as mono_key does.  A field holds
+upto.bit_length() value bits and one guard bit above them.  After each
+recurrence step every monomial of G_m is tested against the guard bits,
+which detects any overflow: the monomials of each product passed the
+test before (the factors' ones have exponents 0 and 1), so their
+exponents are below 2^bits; the sum of two such exponents is below
+2^(bits+1), so it fits in the field with its guard bit, carries into no
+other field, and sets the guard bit exactly when it leaves the value
+bits.  No build trips it (every generator has degree >= 1 and the
+beta^i component of G_m is homogeneous of degree m - i, so no exponent
+exceeds upto < 2^bits), but the build does not assume this.
 
-The build eliminates the twelve relations once and keeps the twelve
-pivot monomials it found.  The elimination is fraction-free: each
-relation's coefficient row is scaled by the lcm of its own denominators
-to an integer row, linalg.int_gauss_jordan reduces the rows to
-primitive pivot rows, and only R_1, R_2, R_3 (rows 9-11) are divided by
-their pivot entries back into rationals; the result is the reduced row
-echelon form over QQ, which is unique.  verify_rank12
-certifies rank 12 by the nonzero 12x12 minor of the twelve relations
-at those monomials, which needs no second elimination of the full
-matrix; only when that minor vanishes does it take the full rank, by
-the same elimination.
+The twelve relations are packed integer rows: the numerators of Ra^n,
+Rb^n and Rc^n as the recurrence leaves them, {packed monomial: int},
+each over one denominator, (d+1)! D^(d+1) for the pushforwards of
+G_{d+1} and -(d+2)! D^(d+2) for that of G_{d+2}, the (d-3)!
+normalization and its sign folded in.  c2(0) Ra^n and c0(2) Ra^n add
+the generator's unit to each key of Ra^n.  The columns are the distinct
+packed monomials in descending order, which is descending mono_key
+order, and linalg.int_gauss_jordan eliminates the rows as they are:
+its pivot rows are primitive and positive at the pivot, so its output
+does not change when an input row is scaled by a nonzero integer,
+negative ones included.  Only R_1, R_2, R_3 (rows 9-11) are divided by
+their pivot entries into rationals; the result is the reduced row
+echelon form over QQ, which is unique.  Only the output is unpacked
+into tuples: the nonzero monomials of R_1..R_3 and the twelve pivot
+monomials, each checked to have degree d.  det1, det2 and the minors of
+verify_rank12 pack the monomials they read, look them up, and divide
+one numerator by its row's denominator.
+
+verify_rank12 certifies rank 12 by the nonzero 12x12 minor of the
+twelve relations at the build's pivot monomials, which needs no second
+elimination; only when that minor vanishes does it take the full rank,
+by the same elimination of the same integer rows.
 """
 
 from __future__ import annotations
@@ -54,6 +68,8 @@ import math
 import operator
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 
 from .linalg import ExactMatrix, int_gauss_jordan
 from .rat import QQ, ZZ, Rat
@@ -62,11 +78,9 @@ from .tautalg import (
     DegreeMismatch,
     GradedPoly,
     TautContext,
-    _mono_insert,
     beta_pushforward,
     gen_degree,
     gen_key,
-    mono_key,
     mono_str,
 )
 
@@ -114,6 +128,17 @@ def relation_factor(s: int, n: int, d, chi, ctx: TautContext) -> BetaClass:
     return BetaClass(diff, b1, b2)
 
 
+def _factors(n: int, d: int, chi, ctx: TautContext, upto: int) -> list:
+    """F_1..F_upto at (n, d, chi), each as its (b0, b1, b2) components."""
+    return [(f.b0, f.b1, f.b2) for f in
+            (relation_factor(k, n, d, chi, ctx) for k in range(1, upto + 1))]
+
+
+def _generators(F) -> set:
+    """The generators occurring in the factors F."""
+    return {g for f in F for part in f for m in part.terms for g in m}
+
+
 # b0 + b1*beta + b2*beta^2 with {packed monomial: int} components
 _PackedBeta = namedtuple("_PackedBeta", "b0 b1 b2")
 
@@ -121,46 +146,57 @@ _PackedBeta = namedtuple("_PackedBeta", "b0 b1 b2")
 class _Packing:
     """Packed exponent vectors over a fixed set of generators.
 
-    Generator i, in ascending gen_key order, owns bits [i*bits, (i+1)*bits)
-    of a Python int, so a monomial is one int and a product of monomials
-    one int addition.  The exponents of a product are sums of exponents:
-    they stay exact as long as none passes limit < 1 << bits, which the
-    caller guarantees and unpack checks.  The highest generator sits in
-    the highest field, so the packed ints order monomials as mono_key
-    does.  Every generator must have a degree in 1..limit.
+    Generator i, in ascending gen_key order, owns the field of width =
+    bits + 1 bits at shift i*width of a Python int: bits value bits,
+    bits = limit.bit_length(), so exponents up to limit fit, and a guard
+    bit above them.  A monomial is one int and a product of monomials
+    one int addition, exact as long as no exponent reaches its guard bit
+    (check).  The highest generator sits in the highest field, so the
+    packed ints order monomials as mono_key does.  Every generator must
+    have a degree in 1..limit.
     """
 
-    __slots__ = ("gens", "bits", "degs", "shift", "top")
+    __slots__ = ("gens", "bits", "width", "degs", "shift", "guard", "top")
 
     def __init__(self, gens, limit: int):
         self.gens = sorted(gens, key=gen_key)
         self.bits = limit.bit_length()
+        self.width = width = self.bits + 1
         self.degs = [gen_degree(g) for g in self.gens]
         if not all(1 <= deg <= limit for deg in self.degs):
             raise DegreeMismatch(f"a packed generator of degree outside 1..{limit}")
-        self.shift = {g: i * self.bits for i, g in enumerate(self.gens)}
-        self.top = len(self.gens) * self.bits
+        self.shift = {g: i * width for i, g in enumerate(self.gens)}
+        self.guard = sum(1 << (s + self.bits) for s in self.shift.values())
+        self.top = len(self.gens) * width
 
     def pack(self, mono) -> int:
         shift = self.shift
         return sum(1 << shift[g] for g in mono)
 
+    def check(self, monos) -> None:
+        """Raise DegreeMismatch when some packed monomial of monos has an
+        exponent that reached its guard bit: one OR over the monomials,
+        one AND with the guard bits."""
+        if reduce(operator.or_, monos, 0) & self.guard:
+            raise DegreeMismatch("a packed exponent reached the guard bit of its field")
+
     def unpack(self, m: int, degree: int) -> tuple:
         """The tuple monomial (generators descending) of the packed m,
         which must have degree degree.  Only the nonzero fields are
-        read, from the highest set bit down.  A carry out of a field
-        takes 1 << bits from the exponent of a generator of degree >= 1
-        and adds one to a generator of degree <= limit < 1 << bits, so
-        it lowers the degree: the degree check sees every carry.
+        read, from the highest set bit down.  An exponent that reached
+        its guard bit or left the last field is refused; one that
+        carried into the next field took 1 << width from the exponent of
+        a generator of degree >= 1 and added one to a generator of degree
+        <= limit < 1 << width, so it lowered the degree, which is checked.
         """
-        if m >> self.top:
-            raise DegreeMismatch("a packed exponent carried past the last field")
-        gens, bits, degs = self.gens, self.bits, self.degs
+        if m & self.guard or m >> self.top:
+            raise DegreeMismatch("a packed exponent passed the value bits of its field")
+        gens, width, degs = self.gens, self.width, self.degs
         out = []
         deg = 0
         while m:
-            i = (m.bit_length() - 1) // bits
-            low = i * bits
+            i = (m.bit_length() - 1) // width
+            low = i * width
             e = m >> low
             m -= e << low
             out += (gens[i],) * e
@@ -171,25 +207,24 @@ class _Packing:
         return tuple(out)
 
 
-def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
-    """(G, D, packing): G_0..G_upto with G_m = m! D^m E_m, E = exp(sum_k (k-1)! F_k).
+def _exp_series(F, packing: _Packing) -> tuple:
+    """(G, D): G_0..G_upto with G_m = m! D^m E_m, E = exp(sum_k (k-1)! F_k),
+    upto = len(F).
 
-    D is the lcm of the coefficient denominators of F_1..F_upto; G runs
-    over the integers, on monomials packed by packing.  G[m] is a
-    _PackedBeta of {packed monomial: int} dicts, except that the last
-    step computes only the beta^2 component of G_upto (three of the six
-    products per k): G[upto] is that dict.
+    D is the lcm of the coefficient denominators of the factors F; G
+    runs over the integers, on monomials packed by packing, which must
+    hold every generator of F.  G[m] is a _PackedBeta of {packed
+    monomial: int} dicts, except that the last step computes only the
+    beta^2 component of G_upto (three of the six products per k): G[upto]
+    is that dict.  Every monomial of every step is checked against the
+    guard bits of packing (see the module docstring).
     """
-    F = [(f.b0, f.b1, f.b2) for f in
-         (relation_factor(k, n, d, chi, ctx) for k in range(1, upto + 1))]
+    upto = len(F)
     D = 1
     for f in F:
         for part in f:
             for c in part.terms.values():
                 D = math.lcm(D, c.denominator)
-    # every generator has degree >= 1 and G_m's beta^i component is
-    # homogeneous of degree m - i, so no exponent exceeds upto < 1 << bits
-    packing = _Packing({g for f in F for part in f for m in part.terms for g in m}, upto)
     H = [None]
     for k, f in enumerate(F, start=1):
         s = math.factorial(k) * D**k
@@ -208,8 +243,10 @@ def _exp_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
                     _mul_into(out, h[a], g[i - a], w)
             w *= m - k
         parts = [{mono: c for mono, c in terms.items() if c} for terms in acc]
+        for part in parts:
+            packing.check(part)
         G.append(parts[0] if m == upto else _PackedBeta(*parts))
-    return G, D, packing
+    return G, D
 
 
 def _mul_into(out: defaultdict, h: list, g: dict, w: int) -> None:
@@ -222,15 +259,6 @@ def _mul_into(out: defaultdict, h: list, g: dict, w: int) -> None:
         ch *= w
         for mg, cg in g_terms:
             out[mh + mg] += ch * cg
-
-
-def _divided(terms: dict, den: int, packing: _Packing, degree: int,
-             ctx: TautContext) -> GradedPoly:
-    """The packed integer terms, of the given degree, divided by den over
-    ctx, in descending monomial order."""
-    unpack = packing.unpack
-    return GradedPoly(ctx, {unpack(m, degree): Rat(c, den)
-                            for m, c in sorted(terms.items(), reverse=True)})
 
 
 # -- relation sets -----------------------------------------------------------
@@ -264,34 +292,59 @@ def mon2(d: int) -> list:
 _RA_FACTORS = ((2, 0), (0, 2))
 
 
-def _twelve_rows(ctx: TautContext, Ra: dict, Rb: dict, Rc: dict) -> list:
-    """The 12 degree-d relations in their canonical order:
-    c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved), then Rb^n, Rc^n.  A
-    generator g multiplies monomials injectively, so g Ra^n is Ra^n with
-    each monomial relabelled and its coefficient kept."""
-    rows = []
-    for n in (1, 2, 3):
+def _twelve_rows(packing: _Packing, Ra, Rb, Rc, den1, den2) -> tuple:
+    """(rows, dens): the 12 degree-d relations in their canonical order,
+    c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved), then Rb^n, Rc^n, as
+    packed numerator rows, row i over dens[i].  A generator g multiplies
+    monomials injectively, so g Ra^n is Ra^n with g's unit added to each
+    key and its coefficients kept."""
+    rows, dens = [], []
+    for R, den in zip(Ra, den1):
         for g in _RA_FACTORS:
-            rows.append(GradedPoly(ctx, {_mono_insert(m, g): c for m, c in Ra[n].terms.items()}))
-    for n in (1, 2, 3):
-        rows.append(Rb[n])
-    for n in (1, 2, 3):
-        rows.append(Rc[n])
-    return rows
+            unit = packing.pack((g,))
+            rows.append({m + unit: c for m, c in R.items()})
+            dens.append(den)
+    return rows + Rb + Rc, dens + den1 + den2
+
+
+def _eliminate(rows) -> tuple:
+    """(found, columns): int_gauss_jordan of the packed integer rows, its
+    (col, row) pivot rows over columns, the distinct packed monomials of
+    the rows in descending (mono_key) order.  No row is divided by its
+    denominator: the pivot rows do not depend on how an input row is
+    scaled."""
+    columns = sorted(set().union(*rows), reverse=True)
+    index = {m: j for j, m in enumerate(columns)}
+    dense = []
+    for row in rows:
+        out = [0] * len(columns)
+        for m, c in row.items():
+            out[index[m]] = c
+        dense.append(out)
+    return int_gauss_jordan(dense), columns
+
+
+def _entries(packing: _Packing, rows, dens, monos) -> list:
+    """The rational coefficients of the packed rows (row i over dens[i])
+    at the tuple monomials monos, one numerator divided per entry."""
+    keys = [packing.pack(m) for m in monos]
+    return [[Rat(row.get(k, 0), den) for k in keys] for row, den in zip(rows, dens)]
 
 
 @dataclass
 class RelationSet:
-    """The relations at (d, chi).  pivot_monos are the twelve pivot
-    monomials that the build's elimination of the twelve relations
-    found, in column order."""
+    """The relations at (d, chi).  rows are the twelve degree-d relations
+    in the order of _twelve_rows, as {packed monomial: int} numerator
+    rows over packing, row i over dens[i]; pivot_monos are the twelve
+    pivot monomials that the build's elimination of those rows found, in
+    column order."""
 
     d: int
     chi: int
     ctx: TautContext
-    Ra: dict
-    Rb: dict
-    Rc: dict
+    packing: _Packing
+    rows: tuple
+    dens: tuple
     R1: GradedPoly
     R2: GradedPoly
     R3: GradedPoly
@@ -302,9 +355,6 @@ class RelationSet:
     @property
     def relations(self):
         return (self.R1, self.R2, self.R3)
-
-    def twelve_relations(self) -> list:
-        return _twelve_rows(self.ctx, self.Ra, self.Rb, self.Rc)
 
     def to_json(self) -> dict:
         return {
@@ -317,66 +367,6 @@ class RelationSet:
             "R2": str(self.R2),
             "R3": str(self.R3),
         }
-
-
-def _twelve_entries(rel: RelationSet, monos) -> list:
-    """The coefficients of the twelve relations at monos, rows in the
-    order of _twelve_rows, without forming the products g Ra^n: a
-    generator g multiplies monomials injectively, so the coefficient of
-    m in g Ra^n is that of m/g in Ra^n, and zero when g does not divide m."""
-    zero = rel.ctx.domain.zero
-    rows = []
-    for n in (1, 2, 3):
-        for g in _RA_FACTORS:
-            R = rel.Ra[n]
-            rows.append([R.coeff(_without(m, g)) if g in m else zero for m in monos])
-    for R in [rel.Rb[n] for n in (1, 2, 3)] + [rel.Rc[n] for n in (1, 2, 3)]:
-        rows.append([R.coeff(m) for m in monos])
-    return rows
-
-
-def _without(mono: tuple, gen) -> tuple:
-    """mono with one factor gen removed (gen divides mono)."""
-    i = mono.index(gen)
-    return mono[:i] + mono[i + 1:]
-
-
-def _coeff_matrix(polys, monos) -> ExactMatrix:
-    """The coefficients of relations over QQ at monos, one row each."""
-    return ExactMatrix._of(QQ, [[p.coeff(m) for m in monos] for p in polys])
-
-
-def _integer_rows(polys, monos) -> list:
-    """The coefficient rows of relations over QQ at monos, each scaled by
-    the lcm of its own denominators: integer rows spanning the same lines."""
-    index = {m: j for j, m in enumerate(monos)}
-    out = []
-    for p in polys:
-        lcd = math.lcm(*(c.denominator for c in p.terms.values()))
-        row = [0] * len(monos)
-        for m, c in p.terms.items():
-            row[index[m]] = c.numerator * (lcd // c.denominator)
-        out.append(row)
-    return out
-
-
-def _rref_relations(rows, keep: slice = slice(None)):
-    """RREF of relation vectors over QQ at the occurring degree-d monomials.
-
-    Returns (reduced GradedPolys, pivot monomials, ordered monomials);
-    the pivot monomials are all of them, the reduced rows only those
-    that keep selects, in pivot order.  The rows are cleared of
-    denominators and eliminated fraction-free by int_gauss_jordan; only
-    the kept rows are divided by their pivots into Rats.
-    """
-    monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    ctx = rows[0].ctx
-    found = int_gauss_jordan(_integer_rows(rows, monos))
-    reduced = [
-        GradedPoly(ctx, {m: Rat(c, row[col]) for m, c in zip(monos, row) if c})
-        for col, row in found[keep]
-    ]
-    return reduced, [monos[col] for col, _ in found], monos
 
 
 _REL_CACHE: dict = {}
@@ -400,52 +390,60 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
         return hit
 
     ctx = TautContext(QQ, d)
+    factors = [_factors(n, d, Rat(chi), ctx, d + 2) for n in (1, 2, 3)]
+    # one packing for n = 1, 2, 3, so the twelve rows share their columns
+    packing = _Packing(set().union(*map(_generators, factors)), d + 2)
     # Relations are rescaled by (-1)^(ell-d-1) (d-3)!: the smallest
     # factorial occurring among the contributing partitions, with the
     # sign that orients the ell = d+2 construction consistently.  This
     # is the normalization under which det1 and det2 take their
     # canonical closed forms (verified across d = 5..10).  It is folded
-    # into the one division of the scaled pieces G_ell = ell! D^ell E_ell.
+    # into the denominators of the scaled pieces G_ell = ell! D^ell E_ell.
     fact = math.factorial(d - 3)
-    Ra, Rb, Rc = {}, {}, {}
-    for n in (1, 2, 3):
-        G, D, packing = _exp_series(n, d, Rat(chi), ctx, d + 2)
-        den1 = math.factorial(d + 1) * D ** (d + 1) * fact
-        den2 = -math.factorial(d + 2) * D ** (d + 2) * fact
-        Ra[n] = _divided(beta_pushforward(G[d + 1], 0), den1, packing, d - 1, ctx)
-        Rb[n] = _divided(beta_pushforward(G[d + 1], 1), den1, packing, d, ctx)
+    Ra, Rb, Rc, den1, den2 = [], [], [], [], []
+    for F in factors:
+        G, D = _exp_series(F, packing)
+        den1.append(math.factorial(d + 1) * D ** (d + 1) * fact)
+        den2.append(-math.factorial(d + 2) * D ** (d + 2) * fact)
+        Ra.append(beta_pushforward(G[d + 1], 0))
+        Rb.append(beta_pushforward(G[d + 1], 1))
         # G[d + 2] is the beta^2 component alone: its pushforward with j = 0
-        Rc[n] = _divided(G[d + 2], den2, packing, d, ctx)
+        Rc.append(G[d + 2])
 
-    det1 = _coeff_matrix(
-        [Ra[n] for n in (1, 2, 3)], [(g,) for g in high_generators(d)["deg_d_minus_1"]]
-    ).det()
-    det2 = _coeff_matrix([Rb[1], Rb[2], Rb[3], Rc[1], Rc[2], Rc[3]], mon2(d)).det()
+    singles = [(g,) for g in high_generators(d)["deg_d_minus_1"]]
+    det1 = ExactMatrix._of(QQ, _entries(packing, Ra, den1, singles)).det()
+    det2 = ExactMatrix._of(QQ, _entries(packing, Rb + Rc, den1 + den2, mon2(d))).det()
     if not det1 or not det2:
         raise SingularCheckpoint(f"det1={det1}, det2={det2} at (d,chi)=({d},{chi})")
 
-    # only R1..R3, rows 9-11 of the echelon form, are kept
-    reduced, pivot_monos, _ = _rref_relations(
-        _twelve_rows(ctx, Ra, Rb, Rc), keep=slice(9, 12))
-    if len(pivot_monos) != 12:
+    rows, dens = _twelve_rows(packing, Ra, Rb, Rc, den1, den2)
+    found, columns = _eliminate(rows)
+    if len(found) != 12:
         raise SingularCheckpoint(
-            f"relation span has rank {len(pivot_monos)} != 12 at (d,chi)=({d},{chi})"
+            f"relation span has rank {len(found)} != 12 at (d,chi)=({d},{chi})"
         )
-    expected_pivots = [
+    # only the output is unpacked, each monomial checked to have degree d
+    unpack = packing.unpack
+    pivot_monos = tuple(unpack(columns[col], d) for col, _ in found)
+    expected_pivots = tuple(
         tuple(sorted(((d - 1, 0), u), key=gen_key, reverse=True))
         for u in [(3, 0), (2, 1), (1, 2)]
-    ]
+    )
     if pivot_monos[9:12] != expected_pivots:
         raise SingularCheckpoint(
             "echelon leading monomials differ from the canonical ones: "
             + ", ".join(mono_str(m) for m in pivot_monos[9:12])
         )
-    # checked once here, so the block projections compare their bases
-    # with d instead of re-reading every term
-    for R in reduced:
-        if R.degree() != d:
-            raise DegreeMismatch(f"relation of degree {R.degree()} != d={d}")
-    rel = RelationSet(d, chi, ctx, Ra, Rb, Rc, *reduced, det1, det2, tuple(pivot_monos))
+    # only R1..R3, rows 9-11 of the echelon form, are divided by their
+    # pivots; a column that several of them hold is unpacked once
+    kept = found[9:12]
+    every = range(len(columns))
+    held = set().union(*(compress(every, row) for _, row in kept))
+    monos = {j: unpack(columns[j], d) for j in held}
+    reduced = [GradedPoly(ctx, {monos[j]: Rat(row[j], row[col]) for j in compress(every, row)})
+               for col, row in kept]
+    rel = RelationSet(d, chi, ctx, packing, tuple(rows), tuple(dens), *reduced,
+                      det1, det2, pivot_monos)
     _REL_CACHE[key] = rel
     return rel
 
@@ -461,23 +459,24 @@ def verify_rank12(d: int, chi: int, rel: RelationSet = None):
     of the build's own elimination (by det, which runs its own forward
     elimination), so the 12xN matrix is not eliminated a second time.
     Only when that minor vanishes, or no pivots are recorded, is the
-    full rank computed (by the build's own elimination, fraction-free
-    over QQ), so a broken relation set reports its true rank.  The
-    minors' entries are read from Ra^n, Rb^n, Rc^n (_twelve_entries);
-    the twelve relations themselves are formed only for that full rank.
+    full rank computed, by the build's own elimination of the same
+    integer rows, so a broken relation set reports its true rank.  The
+    minors' entries are point reads of the packed rows (_entries).
     """
     if rel is None:
         rel = build_relation_set(d, chi)
     pivots = rel.pivot_monos
-    if len(pivots) == 12 and ExactMatrix._of(QQ, _twelve_entries(rel, pivots)).det():
+    def entries(monos):
+        return _entries(rel.packing, rel.rows, rel.dens, monos)
+
+    if len(pivots) == 12 and ExactMatrix._of(QQ, entries(pivots)).det():
         rank = 12
     else:
-        # only the pivots are read: no row is divided back
-        rank = len(_rref_relations(rel.twelve_relations(), keep=slice(0))[1])
+        rank = len(_eliminate(rel.rows)[0])
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
-    m1 = ExactMatrix._of(QQ, _twelve_entries(rel, mon1(d))[0:6]).det()
-    m2 = ExactMatrix._of(QQ, _twelve_entries(rel, mon2(d))[6:12]).det()
+    m1 = ExactMatrix._of(QQ, entries(mon1(d))[0:6]).det()
+    m2 = ExactMatrix._of(QQ, entries(mon2(d))[6:12]).det()
     ok = rank == 12 and m1 == rel.det1 * rel.det1 and m2 != 0
     trace = {
         "rank": rank,

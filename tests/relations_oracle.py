@@ -1,21 +1,46 @@
-"""Reference expansions of the generating identity for the tests.
+"""Reference expansions and the reference relation build for the tests.
 
 expand_relation is the full degree-ell piece E_ell of the exponential
 series, all three beta components, read from the packed integer
 recurrence of tautrel.relations._exp_series run one step further (that
 run computes only the beta^2 component of its last step).  expand_relation_by_partitions
 is the literal sum over partition tuples of products of factor powers,
-an expander independent of the recurrence.  dual_involution is the
-algebra involution c_k(j) -> (-1)^k c_k(j) on the relations, and
-beta_zero and beta_one the zero and unit beta classes.
+an expander independent of the recurrence.  oracle_relation_set is the
+build as it ran before it kept packed integer rows to the end: each
+expansion packed on its own, every output coefficient divided into a
+Rat, tuple monomials sorted by mono_key, each relation's row scaled by
+the lcm of its own denominators before the integer elimination, det1
+and det2 read from tuple-monomial GradedPolys.  twelve_relations unpacks
+the twelve packed rows of a RelationSet into tuple-monomial GradedPolys.
+dual_involution is the algebra involution c_k(j) -> (-1)^k c_k(j) on the
+relations, and beta_zero and beta_one the zero and unit beta classes.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from tautrel.rat import Rat
-from tautrel.relations import _divided, _exp_series, relation_factor
-from tautrel.tautalg import BetaClass, GradedPoly, TautContext
+from tautrel.linalg import ExactMatrix, int_gauss_jordan
+from tautrel.rat import QQ, Rat
+from tautrel.relations import (
+    _RA_FACTORS,
+    _exp_series,
+    _factors,
+    _generators,
+    _Packing,
+    high_generators,
+    mon2,
+    relation_factor,
+)
+from tautrel.tautalg import (
+    BetaClass,
+    GradedPoly,
+    TautContext,
+    _mono_insert,
+    beta_pushforward,
+    gen_key,
+    mono_key,
+)
 
 
 @dataclass(frozen=True)
@@ -69,12 +94,30 @@ def enumerate_partitions(ell: int, predicate=None) -> list:
     return out
 
 
+def packed_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
+    """(G, D, packing): the packed recurrence for n alone, on a packing
+    of its own factors' generators."""
+    F = _factors(n, d, chi, ctx, upto)
+    packing = _Packing(_generators(F), upto)
+    G, D = _exp_series(F, packing)
+    return G, D, packing
+
+
+def divided(terms: dict, den: int, packing: _Packing, degree: int,
+            ctx: TautContext) -> GradedPoly:
+    """The packed integer terms, of the given degree, divided by den over
+    ctx, in descending monomial order."""
+    unpack = packing.unpack
+    return GradedPoly(ctx, {unpack(m, degree): Rat(c, den)
+                            for m, c in sorted(terms.items(), reverse=True)})
+
+
 def expand_relation(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
     """The full left-hand side of the generating identity in degree ell."""
-    G, D, packing = _exp_series(n, d, chi, ctx, ell + 1)
+    G, D, packing = packed_series(n, d, chi, ctx, ell + 1)
     den = math.factorial(ell) * D**ell
     # the beta^i component of G_ell has degree ell - i
-    return BetaClass(*(_divided(p, den, packing, ell - i, ctx) for i, p in enumerate(G[ell])))
+    return BetaClass(*(divided(p, den, packing, ell - i, ctx) for i, p in enumerate(G[ell])))
 
 
 def expand_relation_by_partitions(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
@@ -112,3 +155,75 @@ def dual_involution(p: GradedPoly) -> GradedPoly:
         sign = sum(k for k, _ in m) & 1
         out[m] = -c if sign else c
     return GradedPoly(p.ctx, out)
+
+
+# -- the reference relation build ---------------------------------------------
+
+
+def coeff_matrix(polys, monos) -> ExactMatrix:
+    """The coefficients of relations over QQ at monos, one row each."""
+    return ExactMatrix._of(QQ, [[p.coeff(m) for m in monos] for p in polys])
+
+
+def integer_rows(polys, monos) -> list:
+    """The coefficient rows of relations over QQ at monos, each scaled by
+    the lcm of its own denominators: integer rows spanning the same lines."""
+    index = {m: j for j, m in enumerate(monos)}
+    out = []
+    for p in polys:
+        lcd = math.lcm(*(c.denominator for c in p.terms.values()))
+        row = [0] * len(monos)
+        for m, c in p.terms.items():
+            row[index[m]] = c.numerator * (lcd // c.denominator)
+        out.append(row)
+    return out
+
+
+def rref_relations(rows, keep: slice = slice(None)):
+    """(reduced GradedPolys, pivot monomials, ordered monomials) of the
+    relations rows over QQ: the rows cleared of denominators and
+    eliminated by int_gauss_jordan at their monomials sorted by mono_key,
+    only the kept reduced rows divided by their pivots."""
+    monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
+    ctx = rows[0].ctx
+    found = int_gauss_jordan(integer_rows(rows, monos))
+    reduced = [
+        GradedPoly(ctx, {m: Rat(c, row[col]) for m, c in zip(monos, row) if c})
+        for col, row in found[keep]
+    ]
+    return reduced, [monos[col] for col, _ in found], monos
+
+
+def twelve_relations(rel) -> list:
+    """The twelve packed rows of rel as tuple-monomial GradedPolys."""
+    return [divided(row, den, rel.packing, rel.d, rel.ctx)
+            for row, den in zip(rel.rows, rel.dens)]
+
+
+def oracle_relation_set(d: int, chi: int):
+    """The twelve relations (rows), R1..R3, det1, det2 and pivot_monos of
+    the relation set at (d, chi), by the reference build."""
+    ctx = TautContext(QQ, d)
+    fact = math.factorial(d - 3)
+    Ra, Rb, Rc = {}, {}, {}
+    for n in (1, 2, 3):
+        G, D, packing = packed_series(n, d, Rat(chi), ctx, d + 2)
+        den1 = math.factorial(d + 1) * D ** (d + 1) * fact
+        den2 = -math.factorial(d + 2) * D ** (d + 2) * fact
+        Ra[n] = divided(beta_pushforward(G[d + 1], 0), den1, packing, d - 1, ctx)
+        Rb[n] = divided(beta_pushforward(G[d + 1], 1), den1, packing, d, ctx)
+        Rc[n] = divided(G[d + 2], den2, packing, d, ctx)
+    det1 = coeff_matrix([Ra[n] for n in (1, 2, 3)],
+                        [(g,) for g in high_generators(d)["deg_d_minus_1"]]).det()
+    det2 = coeff_matrix([Rb[1], Rb[2], Rb[3], Rc[1], Rc[2], Rc[3]], mon2(d)).det()
+    rows = [GradedPoly(ctx, {_mono_insert(m, g): c for m, c in Ra[n].terms.items()})
+            for n in (1, 2, 3) for g in _RA_FACTORS]
+    rows += [Rb[n] for n in (1, 2, 3)] + [Rc[n] for n in (1, 2, 3)]
+    reduced, pivot_monos, _ = rref_relations(rows, keep=slice(9, 12))
+    for R in reduced:
+        assert R.degree() == d
+    assert len(pivot_monos) == 12
+    assert pivot_monos[9:12] == [tuple(sorted(((d - 1, 0), u), key=gen_key, reverse=True))
+                                 for u in [(3, 0), (2, 1), (1, 2)]]
+    return SimpleNamespace(rows=rows, R1=reduced[0], R2=reduced[1], R3=reduced[2],
+                           det1=det1, det2=det2, pivot_monos=tuple(pivot_monos))

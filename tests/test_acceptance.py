@@ -10,7 +10,12 @@ import random
 import pytest
 
 from linalg_oracle import det_cofactor, rank
-from relations_oracle import dual_involution, expand_relation, expand_relation_by_partitions
+from relations_oracle import (
+    coeff_matrix,
+    dual_involution,
+    expand_relation,
+    expand_relation_by_partitions,
+)
 from tautrel.obstruction import (
     a33_coefficient_formula,
     analyze_node,
@@ -29,7 +34,6 @@ from tautrel.relations import (
     mon1,
     mon2,
     verify_rank12,
-    _coeff_matrix,
 )
 from tautrel.tautalg import TautContext, mono_key
 from tautrel.truncation import checkpoint_reference_M, matrices_M, reference_M_templates
@@ -229,7 +233,7 @@ def test_criterion_9_property_suites():
         rel2 = build_relation_set(d, d - chi)
         rows = [dual_involution(R) for R in rel.relations] + list(rel2.relations)
         monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-        ok = ok and rank(_coeff_matrix(rows, monos)) == 3
+        ok = ok and rank(coeff_matrix(rows, monos)) == 3
 
     # naive-expansion oracle equality
     for (d, ell) in [(5, 6), (5, 7), (6, 7), (6, 8)]:

@@ -3,10 +3,11 @@ against the coefficient-tuple reference arithmetic."""
 
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubicext_oracle import OracleCubicExt
-from tautrel.cubicext import CubicExt, factor_t3_minus_r
+from tautrel.cubicext import CubicExt, CubicField, NotInvertible, factor_t3_minus_r
 from tautrel.rat import QQ, Rat
 
 # the irreducible t^3 - 5/3, both factors of t^3 + 8/27 = (t + 2/3)(t^2 -
@@ -82,6 +83,35 @@ def test_integer_arith_matches_coefficient_oracle(case):
             _agrees(q / x, oa._other(q) / ox)
     if q:
         _agrees(a / q, oa / q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda E: st.lists(rationals, min_size=E.deg, max_size=E.deg).map(lambda c: CubicExt(E, c))))
+@example(CubicExt(FIELDS[0], [0, 0, Rat(-1, 7)]))
+@example(CubicExt(FIELDS[2], [Rat(2, 3), 1]))  # t + 2/3: a unit mod t^2 - 2/3 t + 4/9
+def test_integer_inverse_matches_xgcd_oracle(x):
+    # the adjugate inverse against the extended gcd over Rats, for the
+    # irreducible cubic moduli and the linear and quadratic split ones
+    ox = OracleCubicExt.of(x)
+    if not ox:
+        with pytest.raises(NotInvertible):
+            x.inverse()
+        return
+    inv = x.inverse()
+    _agrees(inv, ox.inverse())
+    assert x * inv == x.field.one
+
+
+def test_integer_inverse_refuses_a_zero_divisor():
+    # t^3 - 8 = (t - 2)(t^2 + 2t + 4), kept whole: t - 2 and t^2 + 2t + 4
+    # have no inverse, t + 2 has one
+    E = CubicField(QQ, Rat(8), (Rat(-8), 0, 0, 1))
+    for zero_divisor in ([-2, 1, 0], [4, 2, 1], [Rat(-4, 3), Rat(2, 3), 0]):
+        with pytest.raises(NotInvertible):
+            CubicExt(E, zero_divisor).inverse()
+    x = CubicExt(E, [2, 1, 0])
+    _agrees(x.inverse(), OracleCubicExt.of(x).inverse())
 
 
 def test_constructor_and_coerce_give_the_normal_form():

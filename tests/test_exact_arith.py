@@ -490,6 +490,17 @@ def test_int_gauss_jordan_matches_field_rref(rows):
         assert all(row[c] == 0 for c in cols if c != col)
 
 
+@settings(max_examples=200, deadline=None)
+@given(integer_rows(), st.lists(st.integers(-(2**70), 2**70).filter(bool), min_size=8, max_size=8))
+@example([[2, -4, 6], [1, 1, 0]], [-3, 7] + [1] * 6)
+def test_int_gauss_jordan_ignores_row_scaling(rows, scales):
+    # the relation build hands int_gauss_jordan numerator rows that are
+    # not cleared of their denominators, some of them negative
+    assert len(rows) <= len(scales)
+    scaled = [[f * x for x in row] for row, f in zip(rows, scales)]
+    assert int_gauss_jordan(scaled) == int_gauss_jordan(rows)
+
+
 def test_linalg_examples():
     I3 = identity(QQ, 3)
     assert I3.det() == 1

@@ -1,5 +1,6 @@
-"""The packed exponent vectors of the relation expansion
-(relations._Packing, relations._mul_into) against tuple monomials."""
+"""The packed exponent vectors of the relation build (relations._Packing,
+relations._mul_into, relations._exp_series) against tuple monomials,
+and the guard bit of each field."""
 
 import random
 from collections import defaultdict
@@ -8,9 +9,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_tautalg import mono_mul_oracle
+from tautrel import relations
 from tautrel.rat import QQ, Rat
-from tautrel.relations import _exp_series, _mul_into, _Packing, relation_factor
-from tautrel.tautalg import DegreeMismatch, TautContext, gen_degree, gen_key, mono_degree, mono_key
+from tautrel.relations import (
+    _exp_series,
+    _factors,
+    _generators,
+    _mul_into,
+    _Packing,
+    build_relation_set,
+)
+from tautrel.tautalg import (
+    DegreeMismatch,
+    GradedPoly,
+    TautContext,
+    gen_degree,
+    gen_key,
+    mono_degree,
+    mono_key,
+)
 
 
 def generators(limit: int) -> list:
@@ -27,7 +44,7 @@ def descending(gens) -> tuple:
 def test_round_trip_reaches_exponent_d_plus_2(d):
     limit = d + 2
     p = _Packing(generators(limit), limit)
-    assert p.bits == limit.bit_length()
+    assert p.bits == limit.bit_length() and p.width == p.bits + 1
     low, high = p.gens[0], p.gens[-1]
     monos = [(g,) * limit for g in p.gens] + [(high,) * limit + (low,) * limit]
     rng = random.Random(d)
@@ -36,19 +53,38 @@ def test_round_trip_reaches_exponent_d_plus_2(d):
         monos.append(descending(g for g in gens for _ in range(rng.randint(1, limit))))
     for m in monos:
         assert p.unpack(p.pack(m), mono_degree(m)) == m
+    p.check([p.pack(m) for m in monos])  # exponent limit reaches no guard bit
     # the packed ints order monomials as mono_key does
     assert sorted(monos, key=p.pack) == sorted(monos, key=mono_key)
 
 
 def test_exp_series_packs_the_generators_of_the_factors():
+    # the build's one packing holds exactly the generators of the factors,
+    # the same for n = 1, 2, 3
     d = 6
+    rel = build_relation_set(d, 1)
     ctx = TautContext(QQ, d)
-    _, _, p = _exp_series(1, d, Rat(1), ctx, d + 2)
-    factors = [relation_factor(k, 1, d, Rat(1), ctx) for k in range(1, d + 3)]
-    gens = {g for f in factors for part in (f.b0, f.b1, f.b2) for m in part.terms for g in m}
-    assert p.gens == sorted(gens, key=gen_key)
-    assert p.bits == (d + 2).bit_length()
-    assert max(map(gen_degree, p.gens)) == d + 2
+    for n in (1, 2, 3):
+        gens = _generators(_factors(n, d, Rat(1), ctx, d + 2))
+        assert rel.packing.gens == sorted(gens, key=gen_key)
+    assert rel.packing.bits == (d + 2).bit_length()
+    assert max(map(gen_degree, rel.packing.gens)) == d + 2
+
+
+def test_one_packing_per_build(monkeypatch):
+    # the twelve rows share their columns because the three expansions
+    # and the rows are packed by one _Packing
+    made = []
+
+    class Counted(_Packing):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(relations, "_REL_CACHE", {})
+    monkeypatch.setattr(relations, "_Packing", Counted)
+    rel = build_relation_set(7, 2)
+    assert made == [rel.packing]
 
 
 def test_unpack_refuses_an_exponent_past_its_field():
@@ -64,6 +100,26 @@ def test_unpack_refuses_an_exponent_past_its_field():
         p.unpack(p.pack((top,) * 4), 4 * gen_degree(top))
     with pytest.raises(DegreeMismatch):
         _Packing([(2, 0), (5, 0)], 3)  # c5(0) has degree 4 > 3
+
+
+def _power_series(gen, upto: int, limit: int):
+    """_exp_series of the factors F_1 = gen, F_2..F_upto = 0, on a
+    packing of c0(2) and c2(0) with exponents up to limit: G_m's beta^0
+    component is m! gen^m."""
+    ctx = TautContext(QQ, 5)
+    zero = GradedPoly.zero(ctx)
+    F = [(GradedPoly.term(ctx, 1, [gen]), zero, zero)] + [(zero, zero, zero)] * (upto - 1)
+    return _exp_series(F, _Packing([(0, 2), (2, 0)], limit))
+
+
+@pytest.mark.parametrize("gen", [(0, 2), (2, 0)])  # the inner and the last field
+def test_guard_bit_fires_on_an_exponent_past_its_field(gen):
+    # 2-bit value fields: gen^3 fits, gen^4 sets the guard bit
+    shift = _Packing([(0, 2), (2, 0)], 3).shift[gen]
+    G, D = _power_series(gen, 4, 3)
+    assert D == 1 and G[3].b0 == {3 << shift: 1}
+    with pytest.raises(DegreeMismatch, match="guard bit"):
+        _power_series(gen, 5, 3)
 
 
 LIMIT = 6

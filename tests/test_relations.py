@@ -10,10 +10,15 @@ from relations_oracle import (
     PartitionTuple,
     beta_one,
     beta_zero,
+    coeff_matrix,
+    divided,
     dual_involution,
     enumerate_partitions,
     expand_relation,
     expand_relation_by_partitions,
+    oracle_relation_set,
+    packed_series,
+    twelve_relations,
 )
 from tautrel.rat import QQ, ZZ, Rat
 from tautrel.relations import (
@@ -24,12 +29,8 @@ from tautrel.relations import (
     mon2,
     relation_factor,
     verify_rank12,
-    _coeff_matrix,
-    _divided,
-    _exp_series,
-    _rref_relations,
-    _twelve_entries,
-    _twelve_rows,
+    _eliminate,
+    _entries,
 )
 from tautrel.linalg import ExactMatrix
 from tautrel.tautalg import (
@@ -95,9 +96,9 @@ def test_build_top_step_b2_matches_field_oracle(d):
     chi = Rat(random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1]))
     ctx = TautContext(QQ, d)
     for n in (1, 2, 3):
-        G, D, packing = _exp_series(n, d, chi, ctx, d + 2)
+        G, D, packing = packed_series(n, d, chi, ctx, d + 2)
         assert isinstance(G[d + 2], dict)
-        b2 = _divided(G[d + 2], math.factorial(d + 2) * D ** (d + 2), packing, d, ctx)
+        b2 = divided(G[d + 2], math.factorial(d + 2) * D ** (d + 2), packing, d, ctx)
         slow = exp_series_oracle(n, d, chi, ctx, d + 2)[d + 2].b2
         assert b2 == slow
         assert str(b2) == str(slow)
@@ -261,8 +262,7 @@ def test_verify_rank12_zero_relations_guard():
     import copy
 
     broken = copy.copy(rel)
-    z = GradedPoly.zero(rel.ctx)
-    broken.Ra = {1: z, 2: z, 3: z}
+    broken.rows = ({},) * 6 + rel.rows[6:]  # c2(0) Ra^n and c0(2) Ra^n zeroed
     ok, trace = verify_rank12(5, 1, broken)
     assert not ok
     assert trace["rank"] < 12
@@ -288,8 +288,7 @@ def test_verify_rank12_zeroed_relation_falls_back_to_rank():
     rel = build_relation_set(5, 2)
     for n in (1, 2, 3):
         broken = copy.copy(rel)
-        broken.Rc = dict(rel.Rc)
-        broken.Rc[n] = GradedPoly.zero(rel.ctx)
+        broken.rows = rel.rows[:8 + n] + ({},) + rel.rows[9 + n:]  # Rc^n zeroed
         ok, trace = verify_rank12(5, 2, broken)
         assert not ok
         assert trace["rank"] == 11
@@ -298,31 +297,45 @@ def test_verify_rank12_zeroed_relation_falls_back_to_rank():
 
 def test_rank12_full_matrix_rank():
     rel = build_relation_set(5, 1)
-    rows = rel.twelve_relations()
+    rows = twelve_relations(rel)
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    assert rank(_coeff_matrix(rows, monos)) == 12
+    assert rank(coeff_matrix(rows, monos)) == 12
 
 
 def test_rref_uniqueness_under_row_permutation():
     import random
 
     rel = build_relation_set(5, 2)
-    rows = rel.twelve_relations()
+    rows = list(rel.rows)
+    want = _eliminate(rows)
     rng = random.Random(3)
     for _ in range(3):
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        reduced, pivots, _ = _rref_relations(shuffled)
-        assert reduced[9:12] == list(rel.relations)
+        assert _eliminate(shuffled) == want
+
+
+@pytest.mark.parametrize("d, chi", [(5, 1), (9, 8), (13, 2), (16, 3)])
+def test_packed_rows_build_matches_reference_build(d, chi):
+    # the build on packed integer rows against the reference build over
+    # tuple monomials and Rats (relations_oracle.oracle_relation_set)
+    rel = build_relation_set(d, chi)
+    ref = oracle_relation_set(d, chi)
+    assert twelve_relations(rel) == ref.rows
+    for got, want in zip(rel.relations, (ref.R1, ref.R2, ref.R3)):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert str(got) == str(want)
+    assert (rel.det1, rel.det2) == (ref.det1, ref.det2)
+    assert rel.pivot_monos == ref.pivot_monos
 
 
 @pytest.mark.parametrize("d, chi", [(5, 1), (9, 2), (11, 4), (13, 5)])
 def test_build_matches_field_rref(d, chi):
     # the fraction-free build against ExactMatrix.rref over Fraction
     rel = build_relation_set(d, chi)
-    rows = rel.twelve_relations()
+    rows = twelve_relations(rel)
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    R, pivots = _coeff_matrix(rows, monos).rref()
+    R, pivots = coeff_matrix(rows, monos).rref()
     assert rel.pivot_monos == tuple(monos[p] for p in pivots)
     for i, got in zip(range(9, 12), rel.relations):
         want = GradedPoly(rel.ctx, {m: c for m, c in zip(monos, R.data[i]) if c})
@@ -346,8 +359,7 @@ def test_cold_build_runs_no_field_elimination(monkeypatch):
     assert len(rel.pivot_monos) == 12
     assert verify_rank12(7, 3, rel)[0]
     broken = copy.copy(rel)
-    broken.Rc = dict(rel.Rc)
-    broken.Rc[2] = GradedPoly.zero(rel.ctx)
+    broken.rows = rel.rows[:10] + ({},) + rel.rows[11:]  # Rc^2 zeroed
     ok, trace = verify_rank12(7, 3, broken)
     assert not ok and trace["rank"] == 11
 
@@ -358,7 +370,7 @@ def test_duality_covariance_of_relation_span():
         rel2 = build_relation_set(d, d - chi)
         rows = [dual_involution(R) for R in rel.relations] + list(rel2.relations)
         monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-        assert rank(_coeff_matrix(rows, monos)) == 3
+        assert rank(coeff_matrix(rows, monos)) == 3
 
 
 def test_det1_formula_range():
@@ -373,13 +385,14 @@ def test_det1_formula_range():
 
 @pytest.mark.parametrize("d, chi", [(5, 1), (9, 2), (11, 4), (13, 5)])
 def test_twelve_entries_match_the_products(d, chi):
-    # the entries verify_rank12 reads from Ra^n against the rows formed
-    # by multiplying out c2(0) Ra^n and c0(2) Ra^n
+    # the entries verify_rank12 reads from the packed rows against the
+    # rows unpacked into tuple monomials
     rel = build_relation_set(d, chi)
-    rows = _twelve_rows(rel.ctx, rel.Ra, rel.Rb, rel.Rc)
+    rows = twelve_relations(rel)
     every = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
     for monos in (rel.pivot_monos, mon1(d), mon2(d), every):
-        assert _twelve_entries(rel, monos) == [[p.coeff(m) for m in monos] for p in rows]
+        got = _entries(rel.packing, rel.rows, rel.dens, monos)
+        assert got == [[p.coeff(m) for m in monos] for p in rows]
 
 
 def test_verify_rank12_forms_no_products(monkeypatch):
@@ -395,21 +408,22 @@ def test_verify_rank12_forms_no_products(monkeypatch):
 
 
 def test_build_checks_relation_degree(monkeypatch):
-    # the build checks R1..R3 homogeneous of degree d once, which lets the
-    # block projections compare their bases with d alone
+    # every monomial the build unpacks, of R1..R3 and the pivots, is
+    # checked to have degree d, which lets the block projections compare
+    # their bases with d alone
     from tautrel import relations
 
     rel = build_relation_set(5, 1)
     assert {R.degree() for R in rel.relations} == {5}
-    real = relations._rref_relations
-    c2 = GradedPoly.term(rel.ctx, 1, [(2, 0)])
-    # an inhomogeneous R1, and one homogeneous of degree d + 1
-    for alter in (lambda R: R + c2, lambda R: R * c2):
-        def altered(rows, keep=slice(None)):
-            reduced, pivots, monos = real(rows, keep)
-            return [alter(reduced[0])] + reduced[1:], pivots, monos
+    real = relations._eliminate
+    c2 = rel.packing.pack(((2, 0),))
+    # R1..R3 homogeneous of degree d + 1, and inhomogeneous
+    for alter in (lambda j, m: m + c2, lambda j, m: m + c2 if j % 2 else m):
+        def altered(rows):
+            found, columns = real(rows)
+            return found, [alter(j, m) for j, m in enumerate(columns)]
 
         monkeypatch.setattr(relations, "_REL_CACHE", {})
-        monkeypatch.setattr(relations, "_rref_relations", altered)
+        monkeypatch.setattr(relations, "_eliminate", altered)
         with pytest.raises(DegreeMismatch):
             build_relation_set(5, 1)
