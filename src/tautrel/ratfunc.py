@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .mpoly import MPoly, canonical_vars
-from .rat import QQ, ZZ, is_rational, rat
+from .rat import QQ, ZZ, Rat, is_rational, rat
 
 
 def _prem(A: dict, B: dict) -> dict:
@@ -621,22 +621,30 @@ class RatFunc:
     # -- substitution -------------------------------------------------------
 
     def eval(self, assignment: dict):
-        """Substitute rationals (or polynomials) for variables.
+        """Substitute rationals for variables.
 
-        A full rational assignment returns a Rat; otherwise a RatFunc in
-        the remaining variables.
+        A full assignment returns a Rat; otherwise a RatFunc in the
+        remaining variables.  The values are put over one common
+        denominator q, v = p/q, and substituted into the integer
+        numerator and denominator, both times q^m for m the larger of
+        their degrees in the assigned variables: that keeps them integer
+        polynomials and leaves their quotient unchanged.
         """
-        num = self.num.over(QQ).eval(assignment)
-        den = self.den.over(QQ).eval(assignment)
-        if isinstance(num, MPoly) or isinstance(den, MPoly):
-            if not isinstance(num, MPoly):
-                num = MPoly.constant(num)
-            if not isinstance(den, MPoly):
-                den = MPoly.constant(den)
-            return RatFunc(num, den)
-        if den == 0:
+        vars = self.vars
+        at = [i for i, v in enumerate(vars) if v in assignment]
+        keep = [i for i, v in enumerate(vars) if v not in assignment]
+        vals = [rat(assignment[vars[i]]) for i in at]
+        q = math.lcm(*(int(v.denominator) for v in vals))
+        ps = [int(v.numerator) * (q // int(v.denominator)) for v in vals]
+        m = max(sum(e[i] for i in at) for p in (self.num, self.den) for e in p.terms)
+        num = _substituted(self.num, at, ps, q, m, keep)
+        den = _substituted(self.den, at, ps, q, m, keep)
+        if keep:
+            rest = tuple(vars[i] for i in keep)
+            return RatFunc(MPoly._of(rest, num, ZZ), MPoly._of(rest, den, ZZ))
+        if not den:
             raise ZeroDivisionError("denominator vanishes at the given point")
-        return num / den
+        return Rat(num.get((), 0), den[()])
 
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == 1:
@@ -651,6 +659,24 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.__str__()!r})"
+
+
+def _substituted(f: MPoly, at: list, ps: list, q: int, m: int, keep: list) -> dict:
+    """q^m f over ZZ with the variables at positions at set to p/q, m at
+    least f's degree in them: {exponents of the kept variables: int}."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        s = 0
+        for i, p in zip(at, ps):
+            k = e[i]
+            if k:
+                c *= p**k
+                s += k
+        if s != m and q != 1:
+            c *= q ** (m - s)
+        key = tuple(e[i] for i in keep)
+        out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _signed(num: MPoly, den: MPoly) -> tuple:

@@ -1,16 +1,75 @@
 """Truncated relation computation with d symbolic.
 
-Only monomials with exactly one generator of degree d-2, d-1 or d and a
-small remainder of degree <= 2 can reach the coefficient blocks, so the
-expansion is restricted to partitions with a single large part (>= d-2):
-seven partitions for ell = d+1, twelve for ell = d+2.
-
 Internally everything is written in the sign-twisted generator basis
 (ct_k(j) = (-1)^(k+1) c_k(j)), whose structure constants are rational in
 d; each extracted monomial carries exactly one symbolic-index generator,
 so the global parity factor of the conversion back to the plain basis
 cancels against the echelon normalization and only per-column signs
 remain.
+
+Truncation.  The relation of degree ell = d + delta (delta = 1, 2) is
+the degree-ell piece of exp(sum_s (s-1)! F_s) (see relations), a sum
+over the partitions of ell of prod_s ((s-1)! F_s)^m_s / m_s!, rescaled
+by (d-3)!.  Each term of the factor F_s is beta^i (i <= 2) times a
+generator of degree s - i or, for s = i, the scalar ct_0(1) = -d.
+The 27 tracked columns are the degree-d monomials with one generator of
+degree d-2, d-1 or d (the large generator) and small generators of
+total degree <= 2.  For d >= 5 a small generator has degree <= 2 <
+d-2, so in every product reaching a tracked column exactly one factor
+supplies the large generator, and its index is >= d-2.  Hence, for
+every d >= 5:
+
+- a partition with no part >= d-2 contributes nothing.  The others are
+  split as (L, rest) with L = d + a >= d-2 and rest a partition of
+  delta - a <= delta + 2: seven pairs for ell = d+1, twelve for d+2
+  (truncated_partition_parts);
+- the terms of a partition are grouped by the part L that supplies the
+  large generator.  With L of multiplicity m, F_L^m / m! contributes
+  m * top(F_L) * F_L^(m-1) / m! = top(F_L) * F_L^(m-1) / (m-1)!, which
+  is the weight of the pair (L, rest): (L-1)!/(d-3)! = (d+a-1)!/(d-3)!
+  for the large factor (_large_ratio, a polynomial in d as a >= -2) and
+  prod_s (s-1)!^m_s / m_s! over rest.  A partition with two distinct
+  parts >= d-2 (only for d <= 6, e.g. 4 + 3 at d = 5, ell = 7) appears
+  once per such part, each time with that part supplying the large
+  generator, so no term is counted twice or missed;
+- within a pair the large factor keeps only its terms with a generator
+  of degree d-2..d (_top_ct), the small factors (indices <= 4) only
+  those with a generator of degree <= 2 (_small_ct), and products only
+  small degree <= 2 and beta^i with i <= 2 (beta^3 = 0).  Every dropped
+  term either reaches no tracked column or is counted in the pair whose
+  large part supplies the large generator.
+
+Laurent polynomials.  Every coefficient of the expansion has a
+denominator that is a power of d times an integer: the factor
+coefficients ha/d, c1 = (2-n) - chi1/d, q = ha*hb/(2 d^2) and -1/2 and
+the factorial weights.  So the expansion runs on Laurent polynomials in
+(d, chi1), {(e_d, e_chi1): int} with e_d possibly negative, and a
+truncated polynomial holds its Laurent coefficients over one positive
+integer denominator: a product adds exponents and multiplies the
+denominators, a sum merges dicts over the lcm, and no gcd is taken.
+Each entry of the 12x27 matrix becomes a RatFunc once, with its column
+sign folded into the denominator: with k = max(0, -min e_d), it is
+(d^k lau) / (den d^k).  When k > 0 some term of d^k lau is free of d,
+so d does not divide it; the irreducible factors of den d^k are d and
+primes, so the only common factor left is the integer gcd of den and
+the coefficients.  Dividing it out, with the sign on den, gives the
+canonical pair of RatFunc directly.
+
+Exact specialization.  The 12x27 matrix A over QQ(d, chi1) has its
+pivots on columns 0..11 (symbolic_MN checks this), so its echelon form
+is P^-1 A for the 12x12 submatrix P on those columns, and
+
+    det P = d^4 chi1^2 (d-1)^5 (d-2)^14 (d-chi1)^2 (d-2 chi1)^2 / 4
+
+(recomputed in the tests).  At a coprime 0 < chi < d with d >= 5 no
+factor vanishes: d, d-1, d-2 >= 3; chi1 = chi > 0 and d - chi > 0; and
+d = 2 chi would make chi a common divisor of d and chi, so chi = 1 and
+d = 2.  The entries of A have denominators 2^a d^k, nonzero there too.
+So each entry of P^-1 A = adj(P) A / det P, whose reduced denominator
+divides det P times some 2^a d^k, is defined at (d, chi), and its
+value is the entry of P(d, chi)^-1 A(d, chi), the echelon form of the
+specialized matrix: symbolic_matrices_at is exact at every such point,
+not only at the sampled ones.
 """
 
 from __future__ import annotations
@@ -19,20 +78,22 @@ import math
 from functools import lru_cache
 
 from .linalg import ExactMatrix
-from .rat import Rat
-from .ratfunc import FracField
+from .mpoly import MPoly
+from .rat import ZZ, Rat
+from .ratfunc import FracField, RatFunc
 from .tautalg import gen_key
 
 SYM_FIELD = FracField(("d", "chi1"))
-_D = SYM_FIELD.gen("d")
-_CHI = SYM_FIELD.gen("chi1")
 _ZERO = SYM_FIELD.zero
-_ONE = SYM_FIELD.one
 
 # generators: ("top", a, j) means index d+a; ("sm", k, j) a concrete index.
-# Terms: {(large_or_None, small_tuple, beta): RatFunc}
+# A Laurent polynomial is {(e_d, e_chi1): coeff} with e_d possibly
+# negative.  A truncated polynomial is (terms, den): terms
+# {(large_or_None, small_tuple, beta): Laurent polynomial with int
+# coefficients} over one positive integer den.
 
 _SMALL_DEGREE_CAP = 2
+_ONE = {(0, 0): Rat(1)}
 
 
 def _small_gen_key(g):
@@ -44,10 +105,61 @@ def _small_degree(small) -> int:
     return sum(k + j - 1 for _, k, j in small)
 
 
-def _trunc_mul(p: dict, q: dict) -> dict:
+# -- Laurent polynomials in (d, chi1) ------------------------------------
+
+
+def _laurent_mul_into(out: dict, p: dict, q: dict) -> None:
+    """out += p*q, exponents added; zero coefficients may be left in out."""
+    for (a1, b1), x in p.items():
+        for (a2, b2), y in q.items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, 0) + x * y
+
+
+def _laurent_add_into(out: dict, p: dict) -> None:
+    """out += p; zero coefficients may be left in out."""
+    for e, x in p.items():
+        out[e] = out.get(e, 0) + x
+
+
+def _nonzero(lau: dict) -> dict:
+    return {e: x for e, x in lau.items() if x}
+
+
+def _nonzero_terms(poly: dict) -> dict:
+    """poly with zero coefficients, and keys left with none, dropped."""
+    return {key: lau for key, c in poly.items() if (lau := _nonzero(c))}
+
+
+def _scaled(lau: dict, c) -> dict:
+    return {e: c * x for e, x in lau.items()}
+
+
+def _laurent_ratfunc(lau: dict, den: int) -> RatFunc:
+    """The canonical RatFunc lau/den, for int coefficients and den != 0,
+    with no polynomial gcd: see the module docstring."""
+    lau = _nonzero(lau)
+    if not lau:
+        return _ZERO
+    k = max(0, -min(a for a, _ in lau))
+    g = math.gcd(den, *lau.values())
+    if den < 0:
+        g = -g
+    vars = SYM_FIELD.vars
+    return RatFunc._raw(
+        MPoly._of(vars, {(a + k, b): x // g for (a, b), x in lau.items()}, ZZ),
+        MPoly._of(vars, {(k, 0): den // g}, ZZ),
+    )
+
+
+# -- the truncated expansion -----------------------------------------------
+
+
+def _trunc_mul(p: tuple, q: tuple) -> tuple:
+    (pt, pden), (qt, qden) = p, q
     out: dict = {}
-    for (l1, s1, b1), c1 in p.items():
-        for (l2, s2, b2), c2 in q.items():
+    for (l1, s1, b1), c1 in pt.items():
+        for (l2, s2, b2), c2 in qt.items():
             if l1 is not None and l2 is not None:
                 continue
             b = b1 + b2
@@ -57,27 +169,22 @@ def _trunc_mul(p: dict, q: dict) -> dict:
             if _small_degree(small) > _SMALL_DEGREE_CAP:
                 continue
             key = (l1 if l1 is not None else l2, small, b)
-            c = c1 * c2
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return {k: c for k, c in out.items() if not c.is_zero()}
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            _laurent_mul_into(acc, c1, c2)
+    return _nonzero_terms(out), pden * qden
 
 
-def _add_term(poly: dict, key, coeff) -> None:
-    if coeff.is_zero():
-        return
-    prev = poly.get(key)
-    val = coeff if prev is None else prev + coeff
-    if val.is_zero():
-        poly.pop(key, None)
-    else:
-        poly[key] = val
+def _add_term(poly: dict, key, coeff: dict) -> None:
+    _laurent_add_into(poly.setdefault(key, {}), coeff)
 
 
-def _small_ct(poly: dict, beta: int, coeff, k: int, j: int) -> None:
+def _small_ct(poly: dict, beta: int, coeff: dict, k: int, j: int) -> None:
     """Append coeff * ct_k(j) (small index) to the beta-component."""
     if (k, j) == (0, 1):
-        _add_term(poly, (None, (), beta), coeff * (-_D))
+        # ct_0(1) = -d
+        _add_term(poly, (None, (), beta), {(a + 1, b): -x for (a, b), x in coeff.items()})
         return
     if (k, j) in ((1, 0), (1, 1)) or k + j - 1 <= 0:
         return
@@ -86,54 +193,50 @@ def _small_ct(poly: dict, beta: int, coeff, k: int, j: int) -> None:
     _add_term(poly, (None, (("sm", k, j),), beta), coeff)
 
 
-def _top_ct(poly: dict, beta: int, coeff, a: int, j: int) -> None:
+def _top_ct(poly: dict, beta: int, coeff: dict, a: int, j: int) -> None:
     """Append coeff * ct_{d+a}(j); kept only in the target degree window."""
     if a + j - 1 in (-2, -1, 0):
         _add_term(poly, (("top", a, j), (), beta), coeff)
 
 
-def _coeff_c1(n: int):
-    return SYM_FIELD.coerce(2 - n) - _CHI / _D
+def _coeff_ha(n: int) -> dict:
+    """ha/d = (2n-5)/2 + chi1/d, for ha = ((2n-5)/2) d + chi1."""
+    return {(0, 0): Rat(2 * n - 5, 2), (-1, 1): Rat(1)}
 
 
-def _coeff_q(n: int):
-    ha = SYM_FIELD.coerce(Rat(2 * n - 5, 2)) * _D + _CHI
-    hb = SYM_FIELD.coerce(Rat(2 * n - 3, 2)) * _D + _CHI
-    return ha * hb / (_D * _D * 2)
+def _coeff_c1(n: int) -> dict:
+    """(2-n) - chi1/d."""
+    return _nonzero({(0, 0): Rat(2 - n), (-1, 1): Rat(-1)})
 
 
-def _small_factor(n: int, s: int) -> dict:
-    """Truncation of the beta-class factor with small index s."""
+def _coeff_q(n: int) -> dict:
+    """ha*hb/(2 d^2), hb = ((2n-3)/2) d + chi1 being ha at n+1."""
+    out: dict = {}
+    _laurent_mul_into(out, _coeff_ha(n), _coeff_ha(n + 1))
+    return _nonzero(_scaled(out, Rat(1, 2)))
+
+
+def _factor(n: int, s: int, ct) -> tuple:
+    """Truncation of the beta-class factor with index s (ct = _small_ct)
+    or d + s (ct = _top_ct), as a truncated polynomial."""
     poly: dict = {}
-    ha = SYM_FIELD.coerce(Rat(2 * n - 5, 2)) * _D + _CHI
-    _small_ct(poly, 0, _ONE, s, 1)
-    _small_ct(poly, 0, -ha / _D, s - 1, 2)
     c1, q = _coeff_c1(n), _coeff_q(n)
-    _small_ct(poly, 1, _ONE, s, 0)
-    _small_ct(poly, 1, c1, s - 1, 1)
-    _small_ct(poly, 1, q, s - 2, 2)
-    half = SYM_FIELD.coerce(Rat(-1, 2))
-    _small_ct(poly, 2, half, s - 1, 0)
-    _small_ct(poly, 2, half * c1, s - 2, 1)
-    _small_ct(poly, 2, half * q, s - 3, 2)
-    return poly
-
-
-def _large_factor(n: int, a: int) -> dict:
-    """Truncation of the factor with symbolic index d + a."""
-    poly: dict = {}
-    ha = SYM_FIELD.coerce(Rat(2 * n - 5, 2)) * _D + _CHI
-    c1, q = _coeff_c1(n), _coeff_q(n)
-    _top_ct(poly, 0, _ONE, a, 1)
-    _top_ct(poly, 0, -ha / _D, a - 1, 2)
-    _top_ct(poly, 1, _ONE, a, 0)
-    _top_ct(poly, 1, c1, a - 1, 1)
-    _top_ct(poly, 1, q, a - 2, 2)
-    half = SYM_FIELD.coerce(Rat(-1, 2))
-    _top_ct(poly, 2, half, a - 1, 0)
-    _top_ct(poly, 2, half * c1, a - 2, 1)
-    _top_ct(poly, 2, half * q, a - 3, 2)
-    return poly
+    half = Rat(-1, 2)
+    ct(poly, 0, _ONE, s, 1)
+    ct(poly, 0, _scaled(_coeff_ha(n), -1), s - 1, 2)
+    ct(poly, 1, _ONE, s, 0)
+    ct(poly, 1, c1, s - 1, 1)
+    ct(poly, 1, q, s - 2, 2)
+    ct(poly, 2, _scaled(_ONE, half), s - 1, 0)
+    ct(poly, 2, _scaled(c1, half), s - 2, 1)
+    ct(poly, 2, _scaled(q, half), s - 3, 2)
+    poly = _nonzero_terms(poly)
+    den = math.lcm(*(int(x.denominator) for lau in poly.values() for x in lau.values()))
+    terms = {
+        key: {e: int(x.numerator) * (den // int(x.denominator)) for e, x in lau.items()}
+        for key, lau in poly.items()
+    }
+    return terms, den
 
 
 def truncated_partition_parts(delta: int) -> list:
@@ -158,43 +261,49 @@ def _small_partitions(n: int, largest: int = None) -> list:
     return out
 
 
-def _large_ratio(a: int):
+def _large_ratio(a: int) -> dict:
     """(d+a-1)! / (d-3)! as a polynomial in d."""
-    acc = _ONE
+    acc = {(0, 0): 1}
     for off in range(-2, a):
-        acc = acc * (_D + SYM_FIELD.coerce(off))
+        nxt: dict = {}
+        _laurent_mul_into(nxt, acc, {(1, 0): 1, (0, 0): off})
+        acc = _nonzero(nxt)
     return acc
 
 
 @lru_cache(maxsize=None)
 def _sym_relation(kind: str, n: int) -> tuple:
-    """Truncated relation as a tuple of (key, RatFunc) pairs, in the
-    twisted basis.  kind: 'a' (beta^2 of d+1), 'b' (beta^1 of d+1),
-    'c' (beta^2 of d+2, with the orientation sign)."""
+    """Truncated relation in the twisted basis, as (den, ((key, items),
+    ...)): the coefficient of key is the Laurent polynomial dict(items)
+    over the integer den.  kind: 'a' (beta^2 of d+1), 'b' (beta^1 of
+    d+1), 'c' (beta^2 of d+2, with the orientation sign)."""
     delta = 1 if kind in ("a", "b") else 2
     want_beta = 1 if kind == "b" else 2
-    sign = Rat(1) if delta == 1 else Rat(-1)
-    total: dict = {}
-    smalls = {s: _small_factor(n, s) for s in (1, 2, 3, 4)}
+    sign = 1 if delta == 1 else -1
+    smalls = {s: _factor(n, s, _small_ct) for s in (1, 2, 3, 4)}
+    pieces = []
     for parts in truncated_partition_parts(delta):
         (_, a), small_parts = parts[0], parts[1:]
-        coeff = _large_ratio(a) * sign
         mults: dict = {}
         for s in small_parts:
             mults[s] = mults.get(s, 0) + 1
-        num, den = 1, 1
+        num, den = sign, 1
         for s, m in mults.items():
             num *= math.factorial(s - 1) ** m
             den *= math.factorial(m)
-        coeff = coeff * SYM_FIELD.coerce(Rat(num, den))
-        poly = _large_factor(n, a)
+        poly = _factor(n, a, _top_ct)
         for s in small_parts:
             poly = _trunc_mul(poly, smalls[s])
-        for (large, small, beta), c in poly.items():
-            if beta != want_beta:
-                continue
-            _add_term(total, (large, small), c * coeff)
-    return tuple(total.items())
+        terms, pden = poly
+        pieces.append((terms, pden * den, _scaled(_large_ratio(a), num)))
+    den = math.lcm(*(pden for _, pden, _ in pieces))
+    total: dict = {}
+    for terms, pden, ratio in pieces:
+        ratio = _scaled(ratio, den // pden)
+        for (large, small, beta), c in terms.items():
+            if beta == want_beta:
+                _laurent_mul_into(total.setdefault((large, small), {}), c, ratio)
+    return den, tuple((key, tuple(lau.items())) for key, lau in _nonzero_terms(total).items())
 
 
 # -- extraction of the block matrices ------------------------------------
@@ -232,31 +341,34 @@ def _column_keys():
     return ordered
 
 
-def _col_sign(large, small) -> Rat:
+def _col_sign(large, small) -> int:
     """Twisted-to-plain conversion sign, global parity factor dropped."""
     a, _j = large
     s = (a + 1) & 1
     for k, _ in small:
         s ^= (k + 1) & 1
-    return Rat(-1) if s else Rat(1)
+    return -1 if s else 1
 
 
-def _coeff_at(rel: dict, large, small):
-    a, j = large
-    key = (("top", a, j), tuple(("sm", k, jj) for k, jj in small))
-    return rel.get(key, _ZERO)
-
-
-@lru_cache(maxsize=1)
-def symbolic_MN() -> tuple:
-    """(M_1..M_3, N_1..N_3) as 3x3 matrices of rational functions in
-    (d, chi1), from the truncated symbolic pipeline."""
+def _sym_matrix() -> tuple:
+    """The 12x27 matrix over QQ(d, chi1) whose echelon form holds the
+    blocks, and its 27 column keys.  Rows: c2(0)*Ra^n and c0(2)*Ra^n for
+    n = 1, 2, 3, then Rb^1..Rb^3 and Rc^1..Rc^3.  Each entry is one
+    Laurent coefficient of a relation, turned into a RatFunc once with
+    its column sign applied."""
     cols = _column_keys()
-    rels = {
-        (kind, n): dict(_sym_relation(kind, n))
-        for kind in ("a", "b", "c")
-        for n in (1, 2, 3)
-    }
+    rels = {}
+    for kind in ("a", "b", "c"):
+        for n in (1, 2, 3):
+            den, terms = _sym_relation(kind, n)
+            rels[(kind, n)] = (den, dict(terms))
+
+    def entry(rel, large, small, sign):
+        den, terms = rel
+        a, j = large
+        lau = terms.get((("top", a, j), tuple(("sm", k, jj) for k, jj in small)))
+        return _ZERO if lau is None else _laurent_ratfunc(dict(lau), den * sign)
+
     rows = []
     # c2(0)*Ra and c0(2)*Ra rows: multiplying by a degree-1 generator
     # shifts the needed coefficient down by that generator
@@ -268,19 +380,22 @@ def symbolic_MN() -> tuple:
                 if mult in small:
                     reduced = list(small)
                     reduced.remove(mult)
-                    row.append(
-                        _coeff_at(ra, large, tuple(reduced)) * _col_sign(large, small)
-                    )
+                    row.append(entry(ra, large, tuple(reduced), _col_sign(large, small)))
                 else:
                     row.append(_ZERO)
             rows.append(row)
     for kind in ("b", "c"):
         for n in (1, 2, 3):
             rel = rels[(kind, n)]
-            rows.append(
-                [_coeff_at(rel, large, small) * _col_sign(large, small) for large, small in cols]
-            )
-    mat = ExactMatrix(SYM_FIELD, rows)
+            rows.append([entry(rel, large, small, _col_sign(large, small)) for large, small in cols])
+    return ExactMatrix(SYM_FIELD, rows), cols
+
+
+@lru_cache(maxsize=1)
+def symbolic_MN() -> tuple:
+    """(M_1..M_3, N_1..N_3) as 3x3 matrices of rational functions in
+    (d, chi1), from the truncated symbolic pipeline."""
+    mat, cols = _sym_matrix()
     R, pivots = mat.rref()
     if len(pivots) != 12 or pivots[9:12] != [9, 10, 11]:
         raise AssertionError(f"unexpected symbolic echelon pivots: {pivots}")

@@ -10,8 +10,8 @@ str and values must agree with it exactly.
 """
 
 from tautrel.mpoly import MPoly, canonical_vars
-from tautrel.rat import Rat, is_rational, rat
-from tautrel.ratfunc import mpoly_gcd
+from tautrel.rat import QQ, Rat, is_rational, rat
+from tautrel.ratfunc import RatFunc, mpoly_gcd
 
 
 def _normalized(num: MPoly, den: MPoly) -> tuple:
@@ -117,3 +117,20 @@ class OracleRatFunc:
         if len(self.den.terms) > 1:
             den = f"({den})"
         return f"{num}/{den}"
+
+
+def eval_over_qq(rf, assignment: dict):
+    """RatFunc.eval as it was before it substituted into the integer
+    polynomials: numerator and denominator converted to QQ and evaluated
+    by MPoly.eval, one MPoly per term for a partial assignment."""
+    num = rf.num.over(QQ).eval(assignment)
+    den = rf.den.over(QQ).eval(assignment)
+    if isinstance(num, MPoly) or isinstance(den, MPoly):
+        if not isinstance(num, MPoly):
+            num = MPoly.constant(num)
+        if not isinstance(den, MPoly):
+            den = MPoly.constant(den)
+        return RatFunc(num, den)
+    if den == 0:
+        raise ZeroDivisionError("denominator vanishes at the given point")
+    return num / den

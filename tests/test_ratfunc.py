@@ -6,7 +6,7 @@ import operator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratfunc_oracle import OracleRatFunc
+from ratfunc_oracle import OracleRatFunc, eval_over_qq
 from tautrel import ratfunc
 from tautrel.constraint import constraint_slice
 from tautrel.mpoly import MPoly
@@ -88,6 +88,35 @@ def test_ratfunc_matches_qq_oracle(pairs, n):
     _agrees(a + 3, oa + 3)
     if n >= 0 or not a.is_zero():
         _agrees(a**n, oa**n)
+
+
+values = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Rat, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 7])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratfunc_pairs(), st.data())
+def test_eval_matches_qq_path(pairs, data):
+    """eval over the integers against the old QQ path: full, partial and
+    empty assignments, rational values with denominators, zero
+    denominators included."""
+    for num, den in pairs:
+        r = RatFunc(num, den)
+        names = data.draw(st.lists(st.sampled_from(r.vars + ("chi2",)), unique=True))
+        drawn = {v: data.draw(values) for v in names}
+        for pt in ({"d": 2}, {"d": Rat(1, 2), "chi1": -1}, {}, drawn):
+            try:
+                want = eval_over_qq(r, pt)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    r.eval(pt)
+                continue
+            got = r.eval(pt)
+            assert type(got) is type(want) and got == want and str(got) == str(want)
+            if isinstance(got, RatFunc):
+                assert got.vars == want.vars and _is_zz(got.num) and _is_zz(got.den)
 
 
 def _fallback_cases():

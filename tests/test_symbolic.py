@@ -1,7 +1,15 @@
 import math
 
+from hypothesis import example, given, settings, strategies as st
+
+import symbolic_oracle
+from tautrel import symbolic
+from tautrel.linalg import ExactMatrix
+from tautrel.rat import Rat
 from tautrel.relations import build_relation_set
 from tautrel.symbolic import (
+    SYM_FIELD,
+    symbolic_MN,
     symbolic_matrices_at,
     truncated_partition_parts,
 )
@@ -55,3 +63,89 @@ def test_symbolic_chi_slice_matches_symbolic_chi_mode():
                 for t in range(3):
                     assert Me[i][s, t].eval({"chi1": chi}) == Mc[i][s, t]
                     assert Ne[i][s, t].eval({"chi1": chi}) == Nc[i][s, t]
+
+
+# -- the Laurent expansion against the RatFunc oracle ----------------------
+
+D, CHI = SYM_FIELD.gen("d"), SYM_FIELD.gen("chi1")
+
+
+def _as_ratfunc_by_field(lau: dict, den: int):
+    """lau/den built with RatFunc arithmetic, the reference for the
+    conversion."""
+    acc = SYM_FIELD.zero
+    for (a, b), c in lau.items():
+        acc = acc + SYM_FIELD.coerce(c) * D**a * CHI**b
+    return acc / den
+
+
+def test_sym_relations_match_ratfunc_oracle():
+    for kind in ("a", "b", "c"):
+        for n in (1, 2, 3):
+            den, terms = symbolic._sym_relation(kind, n)
+            got = {key: symbolic._laurent_ratfunc(dict(lau), den) for key, lau in terms}
+            want = symbolic_oracle.sym_relation(kind, n)
+            assert got.keys() == want.keys(), (kind, n)
+            for key, c in want.items():
+                assert got[key] == c and str(got[key]) == str(c), (kind, n, key)
+
+
+laurents = st.dictionaries(
+    st.tuples(st.integers(-3, 2), st.integers(0, 2)), st.integers(-9, 9), max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents, laurents, st.integers(1, 12), st.sampled_from([1, -1]))
+@example({(-2, 1): 6, (0, 0): -4}, {(1, 0): 3, (-1, 2): -2}, 4, -1)
+@example({(2, 0): 2, (1, 1): 4}, {(-3, 0): 1}, 6, 1)
+def test_laurent_helpers_match_ratfunc(p, q, den, sign):
+    rp, rq = _as_ratfunc_by_field(p, 1), _as_ratfunc_by_field(q, 1)
+    conv = symbolic._laurent_ratfunc(dict(p), den * sign)
+    assert conv == _as_ratfunc_by_field(p, den * sign)
+    assert str(conv) == str(_as_ratfunc_by_field(p, den * sign))
+    prod: dict = {}
+    symbolic._laurent_mul_into(prod, p, q)
+    assert symbolic._laurent_ratfunc(prod, den) == rp * rq / den
+    total = dict(p)
+    symbolic._laurent_add_into(total, q)
+    assert symbolic._laurent_ratfunc(total, den) == (rp + rq) / den
+
+
+def test_symbolic_cold_and_warm_agree():
+    def entries():
+        M, N = symbolic_MN()
+        return [str(x) for mat in M + N for row in mat.data for x in row]
+
+    warm = entries()
+    # the blocks again from the cached relations, then from nothing: a
+    # cache that handed out an object its reader changed would show here
+    symbolic_MN.cache_clear()
+    rebuilt = entries()
+    symbolic._sym_relation.cache_clear()
+    symbolic_MN.cache_clear()
+    cold = entries()
+    assert len(cold) == 54 and cold == rebuilt == warm
+
+
+# -- exact specialization: the pivot minor -----------------------------------
+
+
+def test_pivot_minor_has_no_zero_at_coprime_points():
+    mat, cols = symbolic._sym_matrix()
+    assert (mat.rows, mat.cols) == (12, 27) and len(cols) == 27
+    # the input denominators are 2^a d^k
+    for row in mat.data:
+        for x in row:
+            ((k, j), c), = x.den.terms.items()
+            assert j == 0 and c & (c - 1) == 0
+    # symbolic_MN's pivot check (twelve pivots, the last three on columns
+    # 9..11) puts the pivots on columns 0..11
+    minor = ExactMatrix(SYM_FIELD, [row[:12] for row in mat.data]).det()
+    factors = (D**4 * CHI**2 * (D - 1) ** 5 * (D - 2) ** 14
+               * (D - CHI) ** 2 * (D - 2 * CHI) ** 2)
+    assert minor / factors == SYM_FIELD.coerce(Rat(1, 4))
+    for d in range(5, 21):
+        for chi in range(1, d):
+            if math.gcd(d, chi) == 1:
+                assert minor.eval({"d": d, "chi1": chi}) != 0
