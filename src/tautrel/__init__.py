@@ -8,8 +8,7 @@ from .mpoly import MPoly
 from .ratfunc import FracField, RatFunc, mpoly_gcd
 from .cubicext import CubicExt, CubicField, NotInvertible, factor_t3_minus_r
 from .linalg import DimensionMismatch, ExactMatrix, NonSquareDet
-from .tautalg import BetaClass, GradedPoly, TautContext, beta_pushforward, project_block
-from .relations import RelationSet, build_relation_set, relation_factor, verify_rank12
+from .relations import RelationSet, build_relation_set, verify_rank12
 from .truncation import checkpoint_reference_M, matrices_M, matrices_N, truncation_block
 from .obstruction import Verdict, congruent, decide, solve_AB, solve_S, solve_UV
 from .constraint import constraint_analysis
@@ -28,14 +27,8 @@ __all__ = [
     "DimensionMismatch",
     "ExactMatrix",
     "NonSquareDet",
-    "BetaClass",
-    "GradedPoly",
-    "TautContext",
-    "beta_pushforward",
-    "project_block",
     "RelationSet",
     "build_relation_set",
-    "relation_factor",
     "verify_rank12",
     "checkpoint_reference_M",
     "matrices_M",

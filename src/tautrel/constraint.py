@@ -103,11 +103,6 @@ class ConstraintSlice:
 _SLICE_CACHE: dict = {}
 
 
-def _uni_blocks(d: int):
-    M, N = symbolic_matrices_at(d, None)
-    return M, N
-
-
 def _evaluated(mat: ExactMatrix, b: int) -> ExactMatrix:
     return ExactMatrix(
         UNI_FIELD,
@@ -122,7 +117,7 @@ def constraint_slice(d: int, b: int) -> ConstraintSlice:
         return _SLICE_CACHE[key]
     if b <= 0 or b >= d or 2 * b == d:
         raise ValueError(f"slice value b={b} degenerate for d={d}")
-    M, N = _uni_blocks(d)
+    M, N = symbolic_matrices_at(d, None)
     Mp = [_evaluated(m, b) for m in M]
     Np = [_evaluated(n, b) for n in N]
     cands = solve_S("II", M, Mp, base=UNI_FIELD)
@@ -244,28 +239,11 @@ def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
     return rows
 
 
-def constraint_analysis(d: int, chi1: int = None, chi2: int = None):
-    """Symbolic (chi1 = chi2 = None) or concrete constraint analysis.
-
-    Symbolic mode recovers the quartic P1 and verifies the structure of
-    the slice constraints; concrete mode reports, per cube-root branch,
-    the compatibility of the held-back residual pair against the direct
-    solvability of the extended system.
-    """
-    if chi1 is not None:
-        a = chi1 % d
-        b = chi2 % d
-        s = constraint_slice(d, b)
-        v1 = s.num1.eval({"chi1": Rat(a)})
-        v2 = s.num2.eval({"chi1": Rat(a)})
-        return {
-            "d": d,
-            "chi1": chi1,
-            "chi2": chi2,
-            "slice_constraint_values": (v1, v2),
-            "vanishes": v1 == 0 and v2 == 0,
-            "branches": _branch_pair_compatibility(d, a, b),
-        }
+def constraint_analysis(d: int) -> ConstraintReport:
+    """The constraint analysis at d, symbolic in chi: recovers the
+    quartic P1, verifies the structure of the slice constraints and,
+    at each congruent pair, the per-branch necessity of the held-back
+    pair."""
     if d in _REPORT_CACHE:
         return _REPORT_CACHE[d]
 

@@ -154,31 +154,27 @@ class ExactMatrix:
         )
 
     def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch("matrix product shape mismatch")
-            zero = self.field.zero
-            right = other.data
-            out = []
-            for lrow in self.data:
-                # zero left entries contribute nothing; each sum starts
-                # at its first product
-                support = [(x, right[k]) for k, x in enumerate(lrow) if x]
-                row = []
-                for j in range(other.cols):
-                    acc = None
-                    for x, rrow in support:
-                        p = x * rrow[j]
-                        acc = p if acc is None else acc + p
-                    row.append(zero if acc is None else acc)
-                out.append(row)
-            return ExactMatrix(self.field, out)
-        c = self.field.coerce(other)
-        return ExactMatrix(
-            self.field, [[x * c for x in row] for row in self.data]
-        )
-
-    __rmul__ = __mul__
+        """The matrix product; a scalar multiple is scale."""
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatch("matrix product shape mismatch")
+        zero = self.field.zero
+        right = other.data
+        out = []
+        for lrow in self.data:
+            # zero left entries contribute nothing; each sum starts at
+            # its first product
+            support = [(x, right[k]) for k, x in enumerate(lrow) if x]
+            row = []
+            for j in range(other.cols):
+                acc = None
+                for x, rrow in support:
+                    p = x * rrow[j]
+                    acc = p if acc is None else acc + p
+                row.append(zero if acc is None else acc)
+            out.append(row)
+        return ExactMatrix(self.field, out)
 
     def scale(self, c):
         c = self.field.coerce(c)

@@ -26,7 +26,7 @@ vectors", CASC 2007).  One packing serves the whole build: each
 generator c_k(j) of the factors F_1..F_upto of n = 1, 2, 3, upto = d+2,
 owns a field of one Python int, in ascending gen_key order, so a
 monomial is an int, a product of monomials one int addition, and the
-packed ints order monomials as mono_key does.  A field holds
+packed ints order monomials as the monomial order does.  A field holds
 upto.bit_length() value bits and one guard bit above them.  After each
 recurrence step every monomial of G_m is tested against the guard bits,
 which detects any overflow: the monomials of each product passed the
@@ -44,17 +44,23 @@ each over one denominator, (d+1)! D^(d+1) for the pushforwards of
 G_{d+1} and -(d+2)! D^(d+2) for that of G_{d+2}, the (d-3)!
 normalization and its sign folded in.  c2(0) Ra^n and c0(2) Ra^n add
 the generator's unit to each key of Ra^n.  The columns are the distinct
-packed monomials in descending order, which is descending mono_key
+packed monomials in descending order, which is the descending monomial
 order, and linalg.int_gauss_jordan eliminates the rows as they are:
 its pivot rows are primitive and positive at the pivot, so its output
 does not change when an input row is scaled by a nonzero integer,
-negative ones included.  Only R_1, R_2, R_3 (rows 9-11) are divided by
-their pivot entries into rationals; the result is the reduced row
-echelon form over QQ, which is unique.  Only the output is unpacked
-into tuples: the nonzero monomials of R_1..R_3 and the twelve pivot
-monomials, each checked to have degree d.  det1, det2 and the minors of
-verify_rank12 pack the monomials they read, look them up, and divide
+negative ones included.  R_1, R_2, R_3 are rows 9-11 of its output,
+kept packed, each over its pivot entry: divided by it they are the
+reduced row echelon form over QQ, which is unique.  The build unpacks
+the twelve pivot monomials and the monomials of R_1..R_3, each checked
+to have degree d.  Every coefficient is read by one point read,
+_entries: det1, det2, the minors of verify_rank12 and the M/N blocks
+of truncation pack the monomials they read, look them up, and divide
 one numerator by its row's denominator.
+
+The factors F_s come from tautalg.factor_table, the one definition of
+their eight terms and of the degenerate symbols that symbolic expands
+too: each coefficient is evaluated at (d, chi) and signed into the
+c_k(j) basis.
 
 verify_rank12 certifies rank 12 by the nonzero 12x12 minor of the
 twelve relations at the build's pivot monomials, which needs no second
@@ -72,16 +78,15 @@ from functools import reduce
 from itertools import compress
 
 from .linalg import ExactMatrix, int_gauss_jordan
+from .mpoly import _signed_term
 from .rat import QQ, ZZ, Rat
 from .tautalg import (
-    BetaClass,
     DegreeMismatch,
-    GradedPoly,
-    TautContext,
-    beta_pushforward,
+    factor_table,
     gen_degree,
     gen_key,
     mono_str,
+    twisted_symbol,
 )
 
 
@@ -92,51 +97,32 @@ class SingularCheckpoint(ArithmeticError):
 # -- the beta-twisted factors -----------------------------------------------
 
 
-def _ctilde(ctx, coeff, k, j) -> GradedPoly:
-    """coeff * (-1)^(k+1) c_k(j), degenerate symbols resolved."""
-    if (k + 1) & 1:
-        coeff = -coeff
-    return GradedPoly.term(ctx, coeff, [(k, j)])
-
-
-def _b_class(ctx, m: int, n: int, chi, d_inv) -> GradedPoly:
-    """B_m = ct_{m+1}(0) + (2-n-chi/d) ct_m(1) + q ct_{m-1}(2)."""
-    dom = ctx.domain
-    one = dom.one
-    c1 = dom.coerce(2 - n) - chi * d_inv
-    half_a = dom.coerce(Rat(2 * n - 5, 2)) * ctx.d + chi
-    half_b = dom.coerce(Rat(2 * n - 3, 2)) * ctx.d + chi
-    q = half_a * half_b * d_inv * d_inv * dom.coerce(Rat(1, 2))
-    out = _ctilde(ctx, one, m + 1, 0)
-    out = out + _ctilde(ctx, c1, m, 1)
-    out = out + _ctilde(ctx, q, m - 1, 2)
+def _factors(n: int, d: int, chi: int, upto: int) -> list:
+    """F_1..F_upto at (n, d, chi), each as its (b0, b1, b2) components
+    {tuple monomial: Rat}: the terms of factor_table evaluated at (d, chi)
+    and signed (-1)^(k+1) into the c_k(j) basis, the scalar ct_0(1) = -d
+    folded into the constant term."""
+    at = [(beta, sum(x * Rat(d) ** a * chi**b for (a, b), x in lau.items()), offset, j)
+          for beta, lau, offset, j in factor_table(n)]
+    out = []
+    for s in range(1, upto + 1):
+        parts = ({}, {}, {})
+        for beta, c, offset, j in at:
+            k = s + offset
+            sym = twisted_symbol(k, j)
+            if sym is None:
+                continue
+            if sym:
+                parts[beta][(sym,)] = c if k & 1 else -c
+            else:
+                parts[beta][()] = -d * c
+        out.append(parts)
     return out
-
-
-def relation_factor(s: int, n: int, d, chi, ctx: TautContext) -> BetaClass:
-    """The beta-class factor attached to index s:
-    (A_s - B_s) + B_{s-1}*beta - (1/2)B_{s-2}*beta^2."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    dom = ctx.domain
-    chi = dom.coerce(chi)
-    d_inv = dom.one / ctx.d
-    half_a = dom.coerce(Rat(2 * n - 5, 2)) * ctx.d + chi
-    diff = _ctilde(ctx, dom.one, s, 1) + _ctilde(ctx, -half_a * d_inv, s - 1, 2)
-    b1 = _b_class(ctx, s - 1, n, chi, d_inv)
-    b2 = _b_class(ctx, s - 2, n, chi, d_inv).scale(Rat(-1, 2))
-    return BetaClass(diff, b1, b2)
-
-
-def _factors(n: int, d: int, chi, ctx: TautContext, upto: int) -> list:
-    """F_1..F_upto at (n, d, chi), each as its (b0, b1, b2) components."""
-    return [(f.b0, f.b1, f.b2) for f in
-            (relation_factor(k, n, d, chi, ctx) for k in range(1, upto + 1))]
 
 
 def _generators(F) -> set:
     """The generators occurring in the factors F."""
-    return {g for f in F for part in f for m in part.terms for g in m}
+    return {g for f in F for part in f for m in part for g in m}
 
 
 # b0 + b1*beta + b2*beta^2 with {packed monomial: int} components
@@ -152,7 +138,8 @@ class _Packing:
     bit above them.  A monomial is one int and a product of monomials
     one int addition, exact as long as no exponent reaches its guard bit
     (check).  The highest generator sits in the highest field, so the
-    packed ints order monomials as mono_key does.  Every generator must
+    packed ints order monomials as the monomial order does: generator
+    by generator, highest first, by gen_key.  Every generator must
     have a degree in 1..limit.
     """
 
@@ -223,12 +210,12 @@ def _exp_series(F, packing: _Packing) -> tuple:
     D = 1
     for f in F:
         for part in f:
-            for c in part.terms.values():
+            for c in part.values():
                 D = math.lcm(D, c.denominator)
     H = [None]
     for k, f in enumerate(F, start=1):
         s = math.factorial(k) * D**k
-        H.append([[(packing.pack(m), ZZ.coerce(c * s)) for m, c in part.terms.items()]
+        H.append([[(packing.pack(m), ZZ.coerce(c * s)) for m, c in part.items()]
                   for part in f])
     G = [_PackedBeta({0: 1}, {}, {})]
     for m in range(1, upto + 1):
@@ -310,7 +297,7 @@ def _twelve_rows(packing: _Packing, Ra, Rb, Rc, den1, den2) -> tuple:
 def _eliminate(rows) -> tuple:
     """(found, columns): int_gauss_jordan of the packed integer rows, its
     (col, row) pivot rows over columns, the distinct packed monomials of
-    the rows in descending (mono_key) order.  No row is divided by its
+    the rows in descending (monomial) order.  No row is divided by its
     denominator: the pivot rows do not depend on how an input row is
     scaled."""
     columns = sorted(set().union(*rows), reverse=True)
@@ -326,8 +313,10 @@ def _eliminate(rows) -> tuple:
 
 def _entries(packing: _Packing, rows, dens, monos) -> list:
     """The rational coefficients of the packed rows (row i over dens[i])
-    at the tuple monomials monos, one numerator divided per entry."""
-    keys = [packing.pack(m) for m in monos]
+    at the tuple monomials monos, one numerator divided per entry.  A
+    monomial with a generator outside packing reads as 0."""
+    shift = packing.shift
+    keys = [packing.pack(m) if all(g in shift for g in m) else None for m in monos]
     return [[Rat(row.get(k, 0), den) for k in keys] for row, den in zip(rows, dens)]
 
 
@@ -335,38 +324,43 @@ def _entries(packing: _Packing, rows, dens, monos) -> list:
 class RelationSet:
     """The relations at (d, chi).  rows are the twelve degree-d relations
     in the order of _twelve_rows, as {packed monomial: int} numerator
-    rows over packing, row i over dens[i]; pivot_monos are the twelve
-    pivot monomials that the build's elimination of those rows found, in
-    column order."""
+    rows over packing, row i over dens[i]; R_rows are the canonical
+    relations R1, R2, R3 as rows 9-11 of the build's echelon form, each
+    {packed monomial: int} over its pivot entry R_pivots[i]; pivot_monos
+    are the twelve pivot monomials of that echelon form, in column
+    order.  Every coefficient is read by _entries."""
 
     d: int
     chi: int
-    ctx: TautContext
     packing: _Packing
     rows: tuple
     dens: tuple
-    R1: GradedPoly
-    R2: GradedPoly
-    R3: GradedPoly
+    R_rows: tuple
+    R_pivots: tuple
     det1: object
     det2: object
     pivot_monos: tuple
 
-    @property
-    def relations(self):
-        return (self.R1, self.R2, self.R3)
+    def leading_monos(self) -> list:
+        """The leading monomials of R1, R2, R3: each row's largest key."""
+        return [self.packing.unpack(max(row), self.d) for row in self.R_rows]
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "schema": "tautrel/relations/1",
             "d": self.d,
             "chi": str(self.chi),
             "det1": str(self.det1),
             "det2": str(self.det2),
-            "R1": str(self.R1),
-            "R2": str(self.R2),
-            "R3": str(self.R3),
         }
+        for i, (row, pivot) in enumerate(zip(self.R_rows, self.R_pivots), start=1):
+            # descending keys are descending monomials
+            parts = []
+            for m in sorted(row, reverse=True):
+                body = mono_str(self.packing.unpack(m, self.d))
+                parts.append(_signed_term(Rat(row[m], pivot), body, bool(parts)))
+            out[f"R{i}"] = "".join(parts) or "0"
+        return out
 
 
 _REL_CACHE: dict = {}
@@ -389,8 +383,7 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     if hit is not None:
         return hit
 
-    ctx = TautContext(QQ, d)
-    factors = [_factors(n, d, Rat(chi), ctx, d + 2) for n in (1, 2, 3)]
+    factors = [_factors(n, d, chi, d + 2) for n in (1, 2, 3)]
     # one packing for n = 1, 2, 3, so the twelve rows share their columns
     packing = _Packing(set().union(*map(_generators, factors)), d + 2)
     # Relations are rescaled by (-1)^(ell-d-1) (d-3)!: the smallest
@@ -405,9 +398,10 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
         G, D = _exp_series(F, packing)
         den1.append(math.factorial(d + 1) * D ** (d + 1) * fact)
         den2.append(-math.factorial(d + 2) * D ** (d + 2) * fact)
-        Ra.append(beta_pushforward(G[d + 1], 0))
-        Rb.append(beta_pushforward(G[d + 1], 1))
-        # G[d + 2] is the beta^2 component alone: its pushforward with j = 0
+        # the pushforward of x beta^j reads the beta^(2-j) component of x;
+        # G[d + 2] is the beta^2 component alone
+        Ra.append(G[d + 1].b2)
+        Rb.append(G[d + 1].b1)
         Rc.append(G[d + 2])
 
     singles = [(g,) for g in high_generators(d)["deg_d_minus_1"]]
@@ -434,15 +428,15 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
             "echelon leading monomials differ from the canonical ones: "
             + ", ".join(mono_str(m) for m in pivot_monos[9:12])
         )
-    # only R1..R3, rows 9-11 of the echelon form, are divided by their
-    # pivots; a column that several of them hold is unpacked once
+    # R1..R3, rows 9-11 of the echelon form, stay packed over their
+    # pivot entries; a column that several of them hold is checked once
     kept = found[9:12]
     every = range(len(columns))
-    held = set().union(*(compress(every, row) for _, row in kept))
-    monos = {j: unpack(columns[j], d) for j in held}
-    reduced = [GradedPoly(ctx, {monos[j]: Rat(row[j], row[col]) for j in compress(every, row)})
-               for col, row in kept]
-    rel = RelationSet(d, chi, ctx, packing, tuple(rows), tuple(dens), *reduced,
+    for j in set().union(*(compress(every, row) for _, row in kept)):
+        unpack(columns[j], d)
+    R_rows = tuple({columns[j]: row[j] for j in compress(every, row)} for _, row in kept)
+    R_pivots = tuple(row[col] for col, row in kept)
+    rel = RelationSet(d, chi, packing, tuple(rows), tuple(dens), R_rows, R_pivots,
                       det1, det2, pivot_monos)
     _REL_CACHE[key] = rel
     return rel

@@ -1,8 +1,7 @@
 """Deterministic run reports.
 
-The canonical body (config echo plus ordered checks) is byte-stable for
-a fixed configuration and tool version; wall-clock timings live in a
-separate field that is excluded from the canonical serialization.
+The body (config echo plus ordered checks) is byte-stable for a fixed
+configuration and tool version: it holds no wall-clock time.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class Report:
     config: dict
     checks: list = dc_field(default_factory=list)
     results: list = dc_field(default_factory=list)
-    timings: dict = dc_field(default_factory=dict)
 
     def add(self, name, ok, expected=None, actual=None, location=None):
         self.checks.append(
@@ -54,7 +52,7 @@ class Report:
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def canonical_body(self) -> dict:
+    def to_json(self) -> dict:
         body = {
             "schema": "tautrel/report/1",
             "version": __version__,
@@ -65,12 +63,6 @@ class Report:
         }
         if self.results:
             body["results"] = self.results
-        return body
-
-    def to_json(self, include_timings: bool = True) -> dict:
-        body = self.canonical_body()
-        if include_timings and self.timings:
-            body["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
         return body
 
     def render_text(self) -> str:
@@ -105,5 +97,5 @@ class Report:
 
     def render(self, format: str) -> str:
         if format == "json":
-            return json.dumps(self.to_json(include_timings=False), indent=2) + "\n"
+            return json.dumps(self.to_json(), indent=2) + "\n"
         return self.render_text() + "\n"

@@ -10,8 +10,10 @@ remain.
 Truncation.  The relation of degree ell = d + delta (delta = 1, 2) is
 the degree-ell piece of exp(sum_s (s-1)! F_s) (see relations), a sum
 over the partitions of ell of prod_s ((s-1)! F_s)^m_s / m_s!, rescaled
-by (d-3)!.  Each term of the factor F_s is beta^i (i <= 2) times a
-generator of degree s - i or, for s = i, the scalar ct_0(1) = -d.
+by (d-3)!.  Each term of the factor F_s (the eight terms of
+tautalg.factor_table, with its degenerate symbols) is beta^i (i <= 2)
+times a generator of degree s - i or, for s = i, the scalar
+ct_0(1) = -d.
 The 27 tracked columns are the degree-d monomials with one generator of
 degree d-2, d-1 or d (the large generator) and small generators of
 total degree <= 2.  For d >= 5 a small generator has degree <= 2 <
@@ -79,9 +81,9 @@ from functools import lru_cache
 
 from .linalg import ExactMatrix
 from .mpoly import MPoly
-from .rat import ZZ, Rat
+from .rat import ZZ
 from .ratfunc import FracField, RatFunc
-from .tautalg import gen_key
+from .tautalg import factor_table, gen_key, twisted_symbol
 
 SYM_FIELD = FracField(("d", "chi1"))
 _ZERO = SYM_FIELD.zero
@@ -93,7 +95,6 @@ _ZERO = SYM_FIELD.zero
 # coefficients} over one positive integer den.
 
 _SMALL_DEGREE_CAP = 2
-_ONE = {(0, 0): Rat(1)}
 
 
 def _small_gen_key(g):
@@ -182,15 +183,14 @@ def _add_term(poly: dict, key, coeff: dict) -> None:
 
 def _small_ct(poly: dict, beta: int, coeff: dict, k: int, j: int) -> None:
     """Append coeff * ct_k(j) (small index) to the beta-component."""
-    if (k, j) == (0, 1):
+    sym = twisted_symbol(k, j)
+    if sym is None:
+        return
+    if not sym:
         # ct_0(1) = -d
         _add_term(poly, (None, (), beta), {(a + 1, b): -x for (a, b), x in coeff.items()})
-        return
-    if (k, j) in ((1, 0), (1, 1)) or k + j - 1 <= 0:
-        return
-    if k + j - 1 > _SMALL_DEGREE_CAP:
-        return
-    _add_term(poly, (None, (("sm", k, j),), beta), coeff)
+    elif k + j - 1 <= _SMALL_DEGREE_CAP:
+        _add_term(poly, (None, (("sm", k, j),), beta), coeff)
 
 
 def _top_ct(poly: dict, beta: int, coeff: dict, a: int, j: int) -> None:
@@ -199,37 +199,13 @@ def _top_ct(poly: dict, beta: int, coeff: dict, a: int, j: int) -> None:
         _add_term(poly, (("top", a, j), (), beta), coeff)
 
 
-def _coeff_ha(n: int) -> dict:
-    """ha/d = (2n-5)/2 + chi1/d, for ha = ((2n-5)/2) d + chi1."""
-    return {(0, 0): Rat(2 * n - 5, 2), (-1, 1): Rat(1)}
-
-
-def _coeff_c1(n: int) -> dict:
-    """(2-n) - chi1/d."""
-    return _nonzero({(0, 0): Rat(2 - n), (-1, 1): Rat(-1)})
-
-
-def _coeff_q(n: int) -> dict:
-    """ha*hb/(2 d^2), hb = ((2n-3)/2) d + chi1 being ha at n+1."""
-    out: dict = {}
-    _laurent_mul_into(out, _coeff_ha(n), _coeff_ha(n + 1))
-    return _nonzero(_scaled(out, Rat(1, 2)))
-
-
 def _factor(n: int, s: int, ct) -> tuple:
     """Truncation of the beta-class factor with index s (ct = _small_ct)
-    or d + s (ct = _top_ct), as a truncated polynomial."""
+    or d + s (ct = _top_ct), as a truncated polynomial: the terms of
+    tautalg.factor_table, chi being chi1."""
     poly: dict = {}
-    c1, q = _coeff_c1(n), _coeff_q(n)
-    half = Rat(-1, 2)
-    ct(poly, 0, _ONE, s, 1)
-    ct(poly, 0, _scaled(_coeff_ha(n), -1), s - 1, 2)
-    ct(poly, 1, _ONE, s, 0)
-    ct(poly, 1, c1, s - 1, 1)
-    ct(poly, 1, q, s - 2, 2)
-    ct(poly, 2, _scaled(_ONE, half), s - 1, 0)
-    ct(poly, 2, _scaled(c1, half), s - 2, 1)
-    ct(poly, 2, _scaled(q, half), s - 3, 2)
+    for beta, coeff, offset, j in factor_table(n):
+        ct(poly, beta, coeff, s + offset, j)
     poly = _nonzero_terms(poly)
     den = math.lcm(*(int(x.denominator) for lau in poly.values() for x in lau.values()))
     terms = {

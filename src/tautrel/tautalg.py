@@ -1,26 +1,29 @@
-"""The free graded commutative algebra on the tautological generators
-c_k(j), the total ordering on them, and the beta-nilpotent extension
-used to model classes on the product with the dual plane.
+"""The tautological generators c_k(j), their total ordering and monomials,
+and the beta-twisted relation factor written once for every consumer.
 
 Generators are (k, j) pairs with j in {0, 1, 2} and cohomological degree
-k + j - 1.  The degenerate symbols are resolved eagerly whenever a term
-is built: c_1(0) and c_1(1) vanish, c_0(1) is the scalar d, and any
-other symbol of non-positive degree is zero (such symbols only arise
-from out-of-range indices in the relation factors, where the underlying
-pushforward vanishes).
+k + j - 1.  A monomial is a tuple of generators sorted descending.
+
+The factor F_s of the generating identity is written in the twisted
+symbols ct_k(j) = (-1)^(k+1) c_k(j):
+
+    F_s = (A_s - B_s) + B_{s-1} beta - (1/2) B_{s-2} beta^2,
+    A_s - B_s = ct_s(1) - (ha/d) ct_{s-1}(2),
+    B_m = ct_{m+1}(0) + c1 ct_m(1) + q ct_{m-1}(2),
+
+with ha = ((2n-5)/2) d + chi, hb = ((2n-3)/2) d + chi, c1 = (2-n) -
+chi/d and q = ha hb / (2 d^2).  factor_table lists its eight terms with
+their coefficients as Laurent polynomials in (d, chi); the relation
+build evaluates them at a concrete (d, chi), the symbolic pipeline keeps
+them.  The degenerate symbols are resolved by twisted_symbol: c_0(1) is
+the scalar d, c_1(0) and c_1(1) vanish, and so does every other symbol
+of non-positive degree (such symbols only arise from out-of-range
+indices in the factors, where the underlying pushforward vanishes).
 """
 
 from __future__ import annotations
 
-from .linalg import ExactMatrix
-
-
-class FieldMismatch(TypeError):
-    pass
-
-
-class ZeroPolynomial(ValueError):
-    pass
+from .rat import Rat
 
 
 class DegreeMismatch(ValueError):
@@ -72,10 +75,6 @@ def mono_degree(mono: tuple) -> int:
     return sum(gen_degree(g) for g in mono)
 
 
-def mono_key(mono: tuple):
-    return tuple(gen_key(g) for g in mono)
-
-
 def mono_str(mono: tuple) -> str:
     if not mono:
         return "1"
@@ -91,275 +90,43 @@ def mono_str(mono: tuple) -> str:
     return "*".join(parts)
 
 
-# -- the graded algebra ----------------------------------------------------
+# -- the beta-twisted factor ----------------------------------------------
 
 
-class TautContext:
-    """Coefficient domain plus the value of d used by degenerate symbols."""
-
-    __slots__ = ("domain", "d")
-
-    def __init__(self, domain, d):
-        self.domain = domain
-        self.d = domain.coerce(d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TautContext)
-            and other.domain == self.domain
-            and other.d == self.d
-        )
-
-    def __hash__(self):
-        return hash(("TautContext", id(self.domain)))
-
-    def __repr__(self):
-        return f"TautContext({self.domain!r}, d={self.d})"
+def twisted_symbol(k: int, j: int):
+    """ct_k(j) = (-1)^(k+1) c_k(j) with the degenerate symbols resolved:
+    None when it vanishes, () when it is the scalar ct_0(1) = -d, and
+    the generator (k, j) otherwise."""
+    if (k, j) == (0, 1):
+        return ()
+    if (k, j) in ((1, 0), (1, 1)) or k + j <= 1:
+        return None
+    return (k, j)
 
 
-class GradedPoly:
-    """Element of the free graded algebra over a pluggable coefficient
-    domain; terms map monomials to nonzero coefficients."""
+def factor_table(n: int) -> tuple:
+    """The eight terms of F_s at n as (beta, coefficient, offset, j): the
+    term coefficient * beta^beta * ct_{s+offset}(j), the coefficient a
+    Laurent polynomial {(e_d, e_chi): Rat} in (d, chi) (see the module
+    docstring)."""
+    a, b = Rat(2 * n - 5, 2), Rat(2 * n - 3, 2)
+    one = {(0, 0): Rat(1)}
+    ha = {(0, 0): a, (-1, 1): Rat(1)}  # ha/d
+    c1 = {(0, 0): Rat(2 - n), (-1, 1): Rat(-1)}
+    # q = (ha/d)(hb/d)/2, hb/d = b + chi/d
+    q = {(0, 0): a * b / 2, (-1, 1): (a + b) / 2, (-2, 2): Rat(1, 2)}
 
-    __slots__ = ("ctx", "terms")
+    def times(lau, c):
+        return {e: c * x for e, x in lau.items()}
 
-    def __init__(self, ctx: TautContext, terms: dict):
-        self.ctx = ctx
-        self.terms = terms
-
-    @classmethod
-    def zero(cls, ctx) -> "GradedPoly":
-        return cls(ctx, {})
-
-    @classmethod
-    def const(cls, ctx, value) -> "GradedPoly":
-        value = ctx.domain.coerce(value)
-        if ctx.domain.is_zero(value):
-            return cls(ctx, {})
-        return cls(ctx, {(): value})
-
-    @classmethod
-    def term(cls, ctx, coeff, gens) -> "GradedPoly":
-        """coeff * product of c_k(j) symbols, degenerate ones resolved."""
-        coeff = ctx.domain.coerce(coeff)
-        if ctx.domain.is_zero(coeff):
-            return cls(ctx, {})
-        mono = []
-        for k, j in gens:
-            deg = k + j - 1
-            if (k, j) == (0, 1):
-                coeff = coeff * ctx.d
-                continue
-            if (k, j) in ((1, 0), (1, 1)) or deg <= 0:
-                return cls(ctx, {})
-            mono.append((k, j))
-        mono.sort(key=gen_key, reverse=True)
-        return cls(ctx, {tuple(mono): coeff})
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coeff(self, mono: tuple):
-        return self.terms.get(tuple(mono), self.ctx.domain.zero)
-
-    def degree(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no degree")
-        degs = {mono_degree(m) for m in self.terms}
-        if len(degs) != 1:
-            raise DegreeMismatch(f"inhomogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def leading_term(self):
-        """(monomial, coefficient) maximal under the lexicographic
-        extension of the generator ordering."""
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        m = max(self.terms, key=mono_key)
-        return m, self.terms[m]
-
-    def monomials_desc(self) -> list:
-        return sorted(self.terms, key=mono_key, reverse=True)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _check(self, other):
-        if self.ctx != other.ctx:
-            raise FieldMismatch("operands over different coefficient contexts")
-
-    def __add__(self, other):
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        is_zero = self.ctx.domain.is_zero
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = c
-            else:
-                s = s + c
-                if is_zero(s):
-                    del terms[m]
-                else:
-                    terms[m] = s
-        return GradedPoly(self.ctx, terms)
-
-    def __neg__(self):
-        return GradedPoly(self.ctx, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, GradedPoly):
-            self._check(other)
-            dom = self.ctx.domain
-            a, b = self.terms, other.terms
-            if len(a) < len(b):
-                a, b = b, a
-            terms: dict = {}
-            for m2, c2 in b.items():
-                for m1, c1 in a.items():
-                    m = mono_mul(m1, m2)
-                    p = c1 * c2
-                    s = terms.get(m)
-                    terms[m] = p if s is None else s + p
-            return GradedPoly(
-                self.ctx, {m: c for m, c in terms.items() if not dom.is_zero(c)}
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "GradedPoly":
-        c = self.ctx.domain.coerce(c)
-        if self.ctx.domain.is_zero(c):
-            return GradedPoly(self.ctx, {})
-        return GradedPoly(self.ctx, {m: v * c for m, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        from .mpoly import _signed_term
-
-        parts = []
-        for m in self.monomials_desc():
-            parts.append(_signed_term(self.terms[m], mono_str(m) if m else "", bool(parts)))
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"GradedPoly({self.__str__()!r})"
-
-
-# -- the beta-nilpotent extension ------------------------------------------
-
-
-class BetaClass:
-    """b0 + b1*beta + b2*beta^2 with beta^3 = 0."""
-
-    __slots__ = ("b0", "b1", "b2")
-
-    def __init__(self, b0: GradedPoly, b1: GradedPoly, b2: GradedPoly):
-        self.b0 = b0
-        self.b1 = b1
-        self.b2 = b2
-
-    @property
-    def ctx(self):
-        return self.b0.ctx
-
-    def __add__(self, other):
-        return BetaClass(self.b0 + other.b0, self.b1 + other.b1, self.b2 + other.b2)
-
-    def __sub__(self, other):
-        return BetaClass(self.b0 - other.b0, self.b1 - other.b1, self.b2 - other.b2)
-
-    def __neg__(self):
-        return BetaClass(-self.b0, -self.b1, -self.b2)
-
-    def __mul__(self, other):
-        if isinstance(other, BetaClass):
-            b0 = self.b0 * other.b0
-            b1 = self.b0 * other.b1 + self.b1 * other.b0
-            b2 = self.b0 * other.b2 + self.b1 * other.b1 + self.b2 * other.b0
-            return BetaClass(b0, b1, b2)
-        return BetaClass(self.b0 * other, self.b1 * other, self.b2 * other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        if m < 0:
-            raise ValueError("negative beta power")
-        z = GradedPoly.zero(self.ctx)
-        result = BetaClass(GradedPoly.const(self.ctx, 1), z, z)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            if m > 1:
-                base = base * base
-            m >>= 1
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, BetaClass):
-            return NotImplemented
-        return self.b0 == other.b0 and self.b1 == other.b1 and self.b2 == other.b2
-
-    def __str__(self):
-        return f"({self.b0}) + ({self.b1})*beta + ({self.b2})*beta^2"
-
-
-def beta_pushforward(x: BetaClass, j: int) -> GradedPoly:
-    """Pushforward along the dual-plane factor of x * beta^j: the
-    coefficient of beta^2 survives and integrates to 1."""
-    if j == 0:
-        return x.b2
-    if j == 1:
-        return x.b1
-    if j == 2:
-        return x.b0
-    raise ValueError("j must be 0, 1 or 2")
-
-
-def project_block(p: GradedPoly, left_basis, right_basis, degree: int = None) -> ExactMatrix:
-    """Matrix of coefficients of (left monomial)*(right monomial) in p.
-
-    Basis entries may be generators (k, j) or full monomials; the
-    degrees must tile the degree of p.  degree, when given, is that
-    degree, p being known to be homogeneous of it (as a RelationSet's
-    relations are: the build checks them once); otherwise p.degree()
-    checks p's terms.
-    """
-    left = [_as_mono(b) for b in left_basis]
-    right = [_as_mono(b) for b in right_basis]
-    if p.terms:
-        deg = p.degree() if degree is None else degree
-        for l in left:
-            for r in right:
-                if mono_degree(l) + mono_degree(r) != deg:
-                    raise DegreeMismatch(
-                        f"{mono_str(l)}*{mono_str(r)} does not match degree {deg}"
-                    )
-    rows = [[p.coeff(mono_mul(l, r)) for r in right] for l in left]
-    return ExactMatrix(p.ctx.domain, rows)
-
-
-def _as_mono(b) -> tuple:
-    if b and isinstance(b[0], int):
-        return (tuple(b),)
-    return tuple(b)
+    half = Rat(-1, 2)
+    return (
+        (0, one, 0, 1),
+        (0, times(ha, -1), -1, 2),
+        (1, one, 0, 0),
+        (1, c1, -1, 1),
+        (1, q, -2, 2),
+        (2, times(one, half), -1, 0),
+        (2, times(c1, half), -2, 1),
+        (2, times(q, half), -3, 2),
+    )

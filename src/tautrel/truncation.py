@@ -3,10 +3,14 @@ the 3x3 matrices M_i on (degree-2 generator) x (degree-(d-2) generator)
 monomials and N_i on (squares of degree-1 generators) x (degree-(d-2)
 generator) monomials.
 
-The M_i have known closed forms which are kept here as templates and
-checked entry by entry; the N_i are produced by the pipeline itself
-and validated by an independent elimination path plus their downstream
-behaviour.
+Both blocks are point reads of the packed rows R1, R2, R3 of a
+RelationSet (relations._entries, the read that det1, det2 and the rank
+minors use): the entry at (left, right) is the coefficient of the
+product monomial, 0 when the product holds a generator outside the
+packing.  The M_i have known closed forms which are kept here as
+templates and checked entry by entry; the N_i are produced by the
+pipeline itself and validated by an independent elimination path plus
+their downstream behaviour.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 
 from .linalg import ExactMatrix
 from .rat import QQ
-from .relations import RelationSet, build_relation_set
-from .tautalg import gen_key, project_block
+from .relations import RelationSet, _entries, build_relation_set
+from .tautalg import DegreeMismatch, gen_key, mono_degree, mono_mul, mono_str
 
 
 class CheckpointMismatch(AssertionError):
@@ -45,15 +49,26 @@ def matrices_M(rel: RelationSet) -> list:
     basis: M_i[s][t] = [c_{d-1-s}(s) c_{3-t}(t)] R_i.  This is the
     orientation under which the change-of-relations equation reads
     A^T M_i B = sum_j s_ij M'_j."""
-    left = tk_basis(rel.d - 2)
-    right = t2_basis()
-    return [project_block(R, left, right, rel.d) for R in rel.relations]
+    return _blocks(rel, tk_basis(rel.d - 2), t2_basis())
 
 
 def matrices_N(rel: RelationSet) -> list:
-    left = tk_basis(rel.d - 2)
-    right = sym2_basis()
-    return [project_block(R, left, right, rel.d) for R in rel.relations]
+    return _blocks(rel, tk_basis(rel.d - 2), sym2_basis())
+
+
+def _blocks(rel: RelationSet, left, right) -> list:
+    """For each of R1, R2, R3 the matrix of its coefficients of
+    (left monomial)*(right monomial); the degrees of the bases must tile
+    the relations' degree d."""
+    for l in left:
+        for r in right:
+            if mono_degree(l) + mono_degree(r) != rel.d:
+                raise DegreeMismatch(
+                    f"{mono_str(l)}*{mono_str(r)} does not match degree {rel.d}")
+    monos = [mono_mul(l, r) for l in left for r in right]
+    n = len(right)
+    return [ExactMatrix._of(QQ, [vals[i:i + n] for i in range(0, len(vals), n)])
+            for vals in _entries(rel.packing, rel.R_rows, rel.R_pivots, monos)]
 
 
 @dataclass
@@ -145,7 +160,7 @@ def checkpoint_reference_M(d: int, chi: int, rel: RelationSet = None) -> dict:
     if rel is None:
         rel = build_relation_set(d, chi)
     computed = matrices_M(rel)
-    templates = reference_M_templates(d, chi, rel.ctx.domain)
+    templates = reference_M_templates(d, chi)
     checked = 0
     for i in range(3):
         for s in range(3):

@@ -10,16 +10,27 @@ build as it ran before it kept packed integer rows to the end: each
 expansion packed on its own, every output coefficient divided into a
 Rat, tuple monomials sorted by mono_key, each relation's row scaled by
 the lcm of its own denominators before the integer elimination, det1
-and det2 read from tuple-monomial GradedPolys.  twelve_relations unpacks
-the twelve packed rows of a RelationSet into tuple-monomial GradedPolys.
+and det2 read from tuple-monomial GradedPolys (tautalg_oracle).
+twelve_relations unpacks the twelve packed rows of a RelationSet into
+tuple-monomial GradedPolys.
 dual_involution is the algebra involution c_k(j) -> (-1)^k c_k(j) on the
 relations, and beta_zero and beta_one the zero and unit beta classes.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
+from tautalg_oracle import (
+    BetaClass,
+    GradedPoly,
+    TautContext,
+    as_poly,
+    beta_pushforward,
+    mono_key,
+    relation_factor,
+)
 from tautrel.linalg import ExactMatrix, int_gauss_jordan
 from tautrel.rat import QQ, Rat
 from tautrel.relations import (
@@ -30,17 +41,8 @@ from tautrel.relations import (
     _Packing,
     high_generators,
     mon2,
-    relation_factor,
 )
-from tautrel.tautalg import (
-    BetaClass,
-    GradedPoly,
-    TautContext,
-    _mono_insert,
-    beta_pushforward,
-    gen_key,
-    mono_key,
-)
+from tautrel.tautalg import _mono_insert, gen_key
 
 
 @dataclass(frozen=True)
@@ -94,30 +96,21 @@ def enumerate_partitions(ell: int, predicate=None) -> list:
     return out
 
 
-def packed_series(n: int, d: int, chi, ctx: TautContext, upto: int) -> tuple:
+def packed_series(n: int, d: int, chi: int, upto: int) -> tuple:
     """(G, D, packing): the packed recurrence for n alone, on a packing
     of its own factors' generators."""
-    F = _factors(n, d, chi, ctx, upto)
+    F = _factors(n, d, chi, upto)
     packing = _Packing(_generators(F), upto)
     G, D = _exp_series(F, packing)
     return G, D, packing
 
 
-def divided(terms: dict, den: int, packing: _Packing, degree: int,
-            ctx: TautContext) -> GradedPoly:
-    """The packed integer terms, of the given degree, divided by den over
-    ctx, in descending monomial order."""
-    unpack = packing.unpack
-    return GradedPoly(ctx, {unpack(m, degree): Rat(c, den)
-                            for m, c in sorted(terms.items(), reverse=True)})
-
-
 def expand_relation(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
     """The full left-hand side of the generating identity in degree ell."""
-    G, D, packing = packed_series(n, d, chi, ctx, ell + 1)
+    G, D, packing = packed_series(n, d, chi, ell + 1)
     den = math.factorial(ell) * D**ell
     # the beta^i component of G_ell has degree ell - i
-    return BetaClass(*(divided(p, den, packing, ell - i, ctx) for i, p in enumerate(G[ell])))
+    return BetaClass(*(as_poly(p, den, packing, ell - i, ctx) for i, p in enumerate(G[ell])))
 
 
 def expand_relation_by_partitions(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
@@ -196,23 +189,26 @@ def rref_relations(rows, keep: slice = slice(None)):
 
 def twelve_relations(rel) -> list:
     """The twelve packed rows of rel as tuple-monomial GradedPolys."""
-    return [divided(row, den, rel.packing, rel.d, rel.ctx)
+    ctx = TautContext(QQ, rel.d)
+    return [as_poly(row, den, rel.packing, rel.d, ctx)
             for row, den in zip(rel.rows, rel.dens)]
 
 
+@lru_cache(maxsize=None)
 def oracle_relation_set(d: int, chi: int):
     """The twelve relations (rows), R1..R3, det1, det2 and pivot_monos of
-    the relation set at (d, chi), by the reference build."""
+    the relation set at (d, chi), by the reference build (cached: the
+    callers only read it)."""
     ctx = TautContext(QQ, d)
     fact = math.factorial(d - 3)
     Ra, Rb, Rc = {}, {}, {}
     for n in (1, 2, 3):
-        G, D, packing = packed_series(n, d, Rat(chi), ctx, d + 2)
+        G, D, packing = packed_series(n, d, chi, d + 2)
         den1 = math.factorial(d + 1) * D ** (d + 1) * fact
         den2 = -math.factorial(d + 2) * D ** (d + 2) * fact
-        Ra[n] = divided(beta_pushforward(G[d + 1], 0), den1, packing, d - 1, ctx)
-        Rb[n] = divided(beta_pushforward(G[d + 1], 1), den1, packing, d, ctx)
-        Rc[n] = divided(G[d + 2], den2, packing, d, ctx)
+        Ra[n] = as_poly(beta_pushforward(G[d + 1], 0), den1, packing, d - 1, ctx)
+        Rb[n] = as_poly(beta_pushforward(G[d + 1], 1), den1, packing, d, ctx)
+        Rc[n] = as_poly(G[d + 2], den2, packing, d, ctx)
     det1 = coeff_matrix([Ra[n] for n in (1, 2, 3)],
                         [(g,) for g in high_generators(d)["deg_d_minus_1"]]).det()
     det2 = coeff_matrix([Rb[1], Rb[2], Rb[3], Rc[1], Rc[2], Rc[3]], mon2(d)).det()

@@ -16,6 +16,7 @@ from relations_oracle import (
     expand_relation,
     expand_relation_by_partitions,
 )
+from tautalg_oracle import TautContext, mono_key, reduced_relations
 from tautrel.obstruction import (
     a33_coefficient_formula,
     analyze_node,
@@ -35,7 +36,6 @@ from tautrel.relations import (
     mon2,
     verify_rank12,
 )
-from tautrel.tautalg import TautContext, mono_key
 from tautrel.truncation import checkpoint_reference_M, matrices_M, reference_M_templates
 
 
@@ -99,11 +99,12 @@ def test_criterion_4_rank_checkpoints():
             rel = build_relation_set(d, chi)
             good, trace = verify_rank12(d, chi, rel)
             ok = ok and good and trace["rank"] == 12
-            leads = [R.leading_term() for R in rel.relations]
+            leads = [R.leading_term() for R in reduced_relations(rel)]
             want = [
                 (((d - 1, 0), (4 - i, i - 1)), Rat(1)) for i in (1, 2, 3)
             ]
             ok = ok and leads == want
+            ok = ok and rel.leading_monos() == [m for m, _ in want]
     _report(4, "rank 12 and echelon leading terms d=5..8", ok)
 
 
@@ -231,7 +232,7 @@ def test_criterion_9_property_suites():
     for (d, chi) in [(5, 1), (5, 2), (6, 1), (7, 3), (8, 1)]:
         rel = build_relation_set(d, chi)
         rel2 = build_relation_set(d, d - chi)
-        rows = [dual_involution(R) for R in rel.relations] + list(rel2.relations)
+        rows = [dual_involution(R) for R in reduced_relations(rel)] + reduced_relations(rel2)
         monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
         ok = ok and rank(coeff_matrix(rows, monos)) == 3
 

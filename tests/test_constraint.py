@@ -3,6 +3,7 @@ import pytest
 from tautrel import constraint
 from tautrel.constraint import (
     EliminationFailure,
+    _branch_pair_compatibility,
     _chi1_junk_factors,
     _strip_factors,
     constraint_analysis,
@@ -74,14 +75,16 @@ def test_P1_range():
 
 
 def test_concrete_pair_reports():
-    rep = constraint_analysis(5, 1, 2)
-    assert rep["vanishes"] is False
-    (branch,) = rep["branches"]
+    # (chi1, chi2) = (1, 2): the chi'=2 slice pair does not vanish at
+    # chi1 = 1, and the one Type II branch is unsolvable
+    s = constraint_slice(5, 2)
+    assert (s.num1.eval({"chi1": 1}), s.num2.eval({"chi1": 1})) != (0, 0)
+    (branch,) = _branch_pair_compatibility(5, 1, 2)
     assert branch["uv_solvable"] is False
     assert branch["necessity_holds"] is True
 
-    rep = constraint_analysis(5, 1, 4)
-    rational = next(r for r in rep["branches"] if r["branch"].startswith("t +"))
+    rows = _branch_pair_compatibility(5, 1, 4)
+    rational = next(r for r in rows if r["branch"].startswith("t +"))
     assert rational["uv_solvable"] and rational["pair_compatible"]
     assert rational["resultant_vanishes"]
 

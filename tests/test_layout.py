@@ -12,7 +12,7 @@ result) counts for C only when no other src class owns an attribute
 called `name` (a method, a class attribute, a slot, a dataclass field or
 a `self.name` assignment) and no builtin type has one.  Such a name is
 shared: a read of `.zero` may be QQ.zero, CubicField.zero or
-GradedPoly.zero.  SHARED lists, for each shared name that is read from
+ExactMatrix.zero.  SHARED lists, for each shared name that is read from
 receivers of unknown class, the classes whose method those reads reach.
 A class that is not listed needs a resolved reference.
 
@@ -42,8 +42,7 @@ SHARED = {
     "eval": {"MPoly", "RatFunc"},
     "inverse": {"ExactMatrix", "CubicExt"},
     "is_zero": {"RationalField", "IntegerRing", "MPoly", "RatFunc", "FracField",
-                "CubicExt", "CubicField", "GradedPoly"},
-    "scale": {"ExactMatrix", "GradedPoly"},
+                "CubicExt", "CubicField"},
     "to_json": {"Check", "Report", "RelationSet", "TruncationBlock", "Verdict"},
 }
 
@@ -213,11 +212,11 @@ def test_shared_names_are_shared_and_owned():
             assert name in layout.methods(cls), f"{cls} has no method {name}"
 
 
-def _with_method(tmp_path, cls: str, method: str) -> str:
-    """A copy of src/tautrel with method added to cls (in tautalg)."""
+def _with_method(tmp_path, mod: str, cls: str, method: str) -> str:
+    """A copy of src/tautrel with method added to cls (in module mod)."""
     src = tmp_path / "tautrel"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    path = src / "tautalg.py"
+    path = src / f"{mod}.py"
     text = path.read_text()
     head = f"class {cls}:\n"
     assert text.count(head) == 1
@@ -226,22 +225,20 @@ def _with_method(tmp_path, cls: str, method: str) -> str:
 
 
 def test_guard_flags_an_uncalled_method_whose_name_is_read_elsewhere(tmp_path):
-    # .zero is read from QQ, domains and GradedPoly; none of these reads
-    # reaches BetaClass
-    src = _with_method(tmp_path, "BetaClass", (
+    # .zero is read from QQ, fields and ExactMatrix; none of these reads
+    # reaches Report
+    src = _with_method(tmp_path, "report", "Report", (
         "    @classmethod\n"
-        "    def zero(cls, ctx):\n"
-        "        z = GradedPoly.zero(ctx)\n"
-        "        return cls(z, z, z)\n\n"))
-    assert _Layout(src).missing() == ["tautalg.BetaClass.zero"]
+        "    def zero(cls, command):\n"
+        "        return cls(command, {})\n\n"))
+    assert _Layout(src).missing() == ["report.Report.zero"]
 
 
 def test_guard_counts_a_call_through_the_class(tmp_path):
-    src = _with_method(tmp_path, "BetaClass", (
+    src = _with_method(tmp_path, "report", "Report", (
         "    @classmethod\n"
-        "    def zero(cls, ctx):\n"
-        "        z = GradedPoly.zero(ctx)\n"
-        "        return cls(z, z, z)\n\n"
+        "    def zero(cls, command):\n"
+        "        return cls(command, {})\n\n"
         "    def cleared(self):\n"
-        "        return BetaClass.zero(self.ctx)\n\n"))
-    assert _Layout(src).missing() == ["tautalg.BetaClass.cleared"]
+        "        return Report.zero(self.command)\n\n"))
+    assert _Layout(src).missing() == ["report.Report.cleared"]

@@ -8,26 +8,20 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tautalg_oracle import mono_key
 from test_tautalg import mono_mul_oracle
 from tautrel import relations
-from tautrel.rat import QQ, Rat
+from tautrel.rat import Rat
 from tautrel.relations import (
     _exp_series,
     _factors,
     _generators,
     _mul_into,
     _Packing,
+    _entries,
     build_relation_set,
 )
-from tautrel.tautalg import (
-    DegreeMismatch,
-    GradedPoly,
-    TautContext,
-    gen_degree,
-    gen_key,
-    mono_degree,
-    mono_key,
-)
+from tautrel.tautalg import DegreeMismatch, gen_degree, gen_key, mono_degree
 
 
 def generators(limit: int) -> list:
@@ -63,9 +57,8 @@ def test_exp_series_packs_the_generators_of_the_factors():
     # the same for n = 1, 2, 3
     d = 6
     rel = build_relation_set(d, 1)
-    ctx = TautContext(QQ, d)
     for n in (1, 2, 3):
-        gens = _generators(_factors(n, d, Rat(1), ctx, d + 2))
+        gens = _generators(_factors(n, d, 1, d + 2))
         assert rel.packing.gens == sorted(gens, key=gen_key)
     assert rel.packing.bits == (d + 2).bit_length()
     assert max(map(gen_degree, rel.packing.gens)) == d + 2
@@ -102,13 +95,19 @@ def test_unpack_refuses_an_exponent_past_its_field():
         _Packing([(2, 0), (5, 0)], 3)  # c5(0) has degree 4 > 3
 
 
+def test_entries_read_zero_outside_the_packing():
+    p = _Packing([(0, 2), (2, 0)], 3)
+    square = ((2, 0), (2, 0))
+    rows = [{p.pack(square): 3}, {}]
+    monos = [square, ((3, 0),), ((2, 0), (0, 2))]
+    assert _entries(p, rows, [2, 5], monos) == [[Rat(3, 2), 0, 0], [0, 0, 0]]
+
+
 def _power_series(gen, upto: int, limit: int):
     """_exp_series of the factors F_1 = gen, F_2..F_upto = 0, on a
     packing of c0(2) and c2(0) with exponents up to limit: G_m's beta^0
     component is m! gen^m."""
-    ctx = TautContext(QQ, 5)
-    zero = GradedPoly.zero(ctx)
-    F = [(GradedPoly.term(ctx, 1, [gen]), zero, zero)] + [(zero, zero, zero)] * (upto - 1)
+    F = [({(gen,): Rat(1)}, {}, {})] + [({}, {}, {})] * (upto - 1)
     return _exp_series(F, _Packing([(0, 2), (2, 0)], limit))
 
 

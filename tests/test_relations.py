@@ -11,7 +11,6 @@ from relations_oracle import (
     beta_one,
     beta_zero,
     coeff_matrix,
-    divided,
     dual_involution,
     enumerate_partitions,
     expand_relation,
@@ -20,6 +19,17 @@ from relations_oracle import (
     packed_series,
     twelve_relations,
 )
+from tautalg_oracle import (
+    BetaClass,
+    GradedPoly,
+    TautContext,
+    as_poly,
+    factors_by_classes,
+    mono_key,
+    project_block,
+    reduced_relations,
+    relation_factor,
+)
 from tautrel.rat import QQ, ZZ, Rat
 from tautrel.relations import (
     build_relation_set,
@@ -27,19 +37,14 @@ from tautrel.relations import (
     det2_formula,
     mon1,
     mon2,
-    relation_factor,
     verify_rank12,
     _eliminate,
     _entries,
+    _factors,
 )
 from tautrel.linalg import ExactMatrix
-from tautrel.tautalg import (
-    BetaClass,
-    DegreeMismatch,
-    GradedPoly,
-    TautContext,
-    mono_key,
-)
+from tautrel.tautalg import DegreeMismatch, twisted_symbol
+from tautrel.truncation import matrices_M, matrices_N, sym2_basis, t2_basis, tk_basis
 
 
 def partition_count(ell: int) -> int:
@@ -96,9 +101,9 @@ def test_build_top_step_b2_matches_field_oracle(d):
     chi = Rat(random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1]))
     ctx = TautContext(QQ, d)
     for n in (1, 2, 3):
-        G, D, packing = packed_series(n, d, chi, ctx, d + 2)
+        G, D, packing = packed_series(n, d, chi, d + 2)
         assert isinstance(G[d + 2], dict)
-        b2 = divided(G[d + 2], math.factorial(d + 2) * D ** (d + 2), packing, d, ctx)
+        b2 = as_poly(G[d + 2], math.factorial(d + 2) * D ** (d + 2), packing, d, ctx)
         slow = exp_series_oracle(n, d, chi, ctx, d + 2)[d + 2].b2
         assert b2 == slow
         assert str(b2) == str(slow)
@@ -224,11 +229,13 @@ def test_det_checkpoints_examples():
 def test_relations_echelon_structure():
     d = 5
     rel = build_relation_set(d, 1)
-    leads = [R.leading_term() for R in rel.relations]
+    relations = reduced_relations(rel)
+    leads = [R.leading_term() for R in relations]
     assert leads[0] == (((d - 1, 0), (3, 0)), Rat(1))
     assert leads[1] == (((d - 1, 0), (2, 1)), Rat(1))
     assert leads[2] == (((d - 1, 0), (1, 2)), Rat(1))
-    for R in rel.relations:
+    assert rel.leading_monos() == [m for m, _ in leads]
+    for R in relations:
         assert R.degree() == d
         # eliminated monomials are gone
         for m in mon1(d) + mon2(d)[:3]:
@@ -322,7 +329,7 @@ def test_packed_rows_build_matches_reference_build(d, chi):
     rel = build_relation_set(d, chi)
     ref = oracle_relation_set(d, chi)
     assert twelve_relations(rel) == ref.rows
-    for got, want in zip(rel.relations, (ref.R1, ref.R2, ref.R3)):
+    for got, want in zip(reduced_relations(rel), (ref.R1, ref.R2, ref.R3)):
         assert list(got.terms.items()) == list(want.terms.items())
         assert str(got) == str(want)
     assert (rel.det1, rel.det2) == (ref.det1, ref.det2)
@@ -337,8 +344,8 @@ def test_build_matches_field_rref(d, chi):
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
     R, pivots = coeff_matrix(rows, monos).rref()
     assert rel.pivot_monos == tuple(monos[p] for p in pivots)
-    for i, got in zip(range(9, 12), rel.relations):
-        want = GradedPoly(rel.ctx, {m: c for m, c in zip(monos, R.data[i]) if c})
+    for i, got in zip(range(9, 12), reduced_relations(rel)):
+        want = GradedPoly(got.ctx, {m: c for m, c in zip(monos, R.data[i]) if c})
         assert str(got) == str(want)
 
 
@@ -368,7 +375,7 @@ def test_duality_covariance_of_relation_span():
     for (d, chi) in [(5, 1), (5, 2), (7, 2), (8, 3)]:
         rel = build_relation_set(d, chi)
         rel2 = build_relation_set(d, d - chi)
-        rows = [dual_involution(R) for R in rel.relations] + list(rel2.relations)
+        rows = [dual_involution(R) for R in reduced_relations(rel)] + reduced_relations(rel2)
         monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
         assert rank(coeff_matrix(rows, monos)) == 3
 
@@ -414,7 +421,7 @@ def test_build_checks_relation_degree(monkeypatch):
     from tautrel import relations
 
     rel = build_relation_set(5, 1)
-    assert {R.degree() for R in rel.relations} == {5}
+    assert {R.degree() for R in reduced_relations(rel)} == {5}
     real = relations._eliminate
     c2 = rel.packing.pack(((2, 0),))
     # R1..R3 homogeneous of degree d + 1, and inhomogeneous
@@ -427,3 +434,49 @@ def test_build_checks_relation_degree(monkeypatch):
         monkeypatch.setattr(relations, "_eliminate", altered)
         with pytest.raises(DegreeMismatch):
             build_relation_set(5, 1)
+
+
+# -- the factor table and the packed R1..R3 against the graded-algebra oracle --
+
+
+def test_twisted_symbol_resolves_the_degenerate_symbols():
+    assert twisted_symbol(0, 1) == ()  # the scalar ct_0(1) = -d
+    for k, j in [(1, 0), (1, 1), (0, 0), (-1, 2), (-2, 1)]:
+        assert twisted_symbol(k, j) is None
+    assert twisted_symbol(0, 2) == (0, 2) and twisted_symbol(2, 0) == (2, 0)
+
+
+@pytest.mark.parametrize("d", range(5, 21))
+def test_table_factors_match_the_graded_algebra_factors(d):
+    # relations._factors evaluates tautalg.factor_table at (d, chi) and
+    # signs it into the c_k(j) basis; relation_factor builds the same
+    # factor through GradedPoly and BetaClass
+    chis = [c for c in range(1, d) if math.gcd(c, d) == 1][:3]
+    for chi in chis:
+        for n in (1, 2, 3):
+            got = _factors(n, d, chi, d + 2)
+            want = factors_by_classes(n, d, chi, d + 2)
+            assert got == [tuple(part) for part in want]
+
+
+BLOCK_POINTS = [(5, 1), (9, 8), (13, 2), (16, 3)]
+
+
+@pytest.mark.parametrize("d, chi", BLOCK_POINTS)
+def test_point_read_blocks_match_projection_of_reference_relations(d, chi):
+    rel = build_relation_set(d, chi)
+    ref = oracle_relation_set(d, chi)
+    M, N = matrices_M(rel), matrices_N(rel)
+    for i, R in enumerate((ref.R1, ref.R2, ref.R3)):
+        assert M[i] == project_block(R, tk_basis(d - 2), t2_basis())
+        assert N[i] == project_block(R, tk_basis(d - 2), sym2_basis())
+
+
+@pytest.mark.parametrize("d, chi", BLOCK_POINTS)
+def test_packed_relations_render_as_reference_relations(d, chi):
+    rel = build_relation_set(d, chi)
+    ref = oracle_relation_set(d, chi)
+    js = rel.to_json()
+    refs = (ref.R1, ref.R2, ref.R3)
+    assert [js["R1"], js["R2"], js["R3"]] == [str(R) for R in refs]
+    assert rel.leading_monos() == [R.leading_term()[0] for R in refs]

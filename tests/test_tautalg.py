@@ -4,20 +4,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relations_oracle import dual_involution
-from tautrel.rat import QQ, Rat
-from tautrel.tautalg import (
+from tautalg_oracle import (
     BetaClass,
-    DegreeMismatch,
     GradedPoly,
     TautContext,
     ZeroPolynomial,
     beta_pushforward,
+    mono_key,
+    project_block,
+)
+from tautrel.rat import QQ, Rat
+from tautrel.tautalg import (
+    DegreeMismatch,
     gen_degree,
     gen_key,
-    mono_key,
     mono_mul,
     mono_str,
-    project_block,
 )
 
 CTX = TautContext(QQ, 5)

@@ -5,15 +5,17 @@ import pytest
 
 from tautrel.rat import QQ, Rat
 from tautrel.relations import build_relation_set
+from tautrel.tautalg import DegreeMismatch
 from tautrel.truncation import (
     CheckpointMismatch,
+    _blocks,
+    t2_basis,
     checkpoint_reference_M,
     matrices_M,
     matrices_N,
     reference_M_templates,
     truncation_block,
 )
-from tautrel.tautalg import GradedPoly
 
 
 def test_reference_entries_at_5_1():
@@ -46,8 +48,11 @@ def test_checkpoint_reference_M_range():
 def test_checkpoint_detects_mutation():
     rel = build_relation_set(5, 1)
     broken = copy.copy(rel)
-    ctx = rel.ctx
-    broken.R1 = rel.R1 + GradedPoly.term(ctx, Rat(1, 7), [(4, 0), (2, 1)])
+    # M1[0][1], the coefficient of c4(0)*c2(1) in R1, moved by 1/pivot
+    key = rel.packing.pack(((4, 0), (2, 1)))
+    R1 = dict(rel.R_rows[0])
+    R1[key] = R1.get(key, 0) + 1
+    broken.R_rows = (R1,) + rel.R_rows[1:]
     with pytest.raises(CheckpointMismatch):
         checkpoint_reference_M(5, 1, broken)
 
@@ -63,13 +68,15 @@ def test_dets_nonzero_and_values():
 
 
 def test_matrices_N_zero_poly():
+    # zero relations read as zero blocks; bases that do not tile degree d
+    # are refused
     rel = build_relation_set(5, 1)
-    from tautrel.tautalg import project_block
-    from tautrel.truncation import sym2_basis, tk_basis
-
-    z = GradedPoly.zero(rel.ctx)
-    m = project_block(z, tk_basis(3), sym2_basis())
-    assert all(m[i, j] == 0 for i in range(3) for j in range(3))
+    broken = copy.copy(rel)
+    broken.R_rows = ({}, {}, {})
+    for m in matrices_N(broken):
+        assert all(m[i, j] == 0 for i in range(3) for j in range(3))
+    with pytest.raises(DegreeMismatch):
+        _blocks(rel, [((2, 0),)], t2_basis())
 
 
 def test_block_json_serialization():
