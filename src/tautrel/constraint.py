@@ -25,15 +25,12 @@ from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
 from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_AB, solve_S
 from .rat import QQ, Rat
-from .ratfunc import FracField, mpoly_gcd
-from .symbolic import symbolic_matrices_at
+from .ratfunc import mpoly_gcd
+from .symbolic import UNI_FIELD, symbolic_matrices_at
 
 
 class EliminationFailure(ArithmeticError):
     pass
-
-
-UNI_FIELD = FracField(("chi1",))
 
 
 def _column0_elimination(cand: CandidateS, A: ExactMatrix, M, N, Np):
@@ -104,20 +101,19 @@ _SLICE_CACHE: dict = {}
 
 
 def _evaluated(mat: ExactMatrix, b: int) -> ExactMatrix:
-    return ExactMatrix(
-        UNI_FIELD,
-        [[UNI_FIELD.coerce(x.eval({"chi1": Rat(b)})) for x in row] for row in mat.data],
-    )
+    return ExactMatrix(UNI_FIELD, [[x.eval({"chi1": Rat(b)}) for x in row] for row in mat.data])
 
 
-def constraint_slice(d: int, b: int) -> ConstraintSlice:
-    """The exact chi'-slice of the compatibility constraint at chi' = b."""
+def constraint_slice(d: int, b: int, *, _blocks: tuple = None) -> ConstraintSlice:
+    """The exact chi'-slice of the compatibility constraint at chi' = b.
+    _blocks, when given, is symbolic_matrices_at(d, None): a caller taking
+    several slices of one d evaluates the blocks once."""
     key = (d, b)
     if key in _SLICE_CACHE:
         return _SLICE_CACHE[key]
     if b <= 0 or b >= d or 2 * b == d:
         raise ValueError(f"slice value b={b} degenerate for d={d}")
-    M, N = symbolic_matrices_at(d, None)
+    M, N = symbolic_matrices_at(d, None) if _blocks is None else _blocks
     Mp = [_evaluated(m, b) for m in M]
     Np = [_evaluated(n, b) for n in N]
     cands = solve_S("II", M, Mp, base=UNI_FIELD)
@@ -248,7 +244,8 @@ def constraint_analysis(d: int) -> ConstraintReport:
         return _REPORT_CACHE[d]
 
     valid_bs = [b for b in range(1, d) if 2 * b != d]
-    slices = [constraint_slice(d, b) for b in valid_bs[:3]]
+    blocks = symbolic_matrices_at(d, None)
+    slices = [constraint_slice(d, b, _blocks=blocks) for b in valid_bs[:3]]
     report = ConstraintReport(d=d)
 
     # P1 from the t^2 coordinate, cross-validated against the t one

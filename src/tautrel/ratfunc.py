@@ -1,29 +1,34 @@
 """Rational functions: the fraction field of the rational-coefficient
 polynomial ring, normalized so equality is representational.
 
-A RatFunc holds its numerator and denominator as polynomials over ZZ
-(Python ints) with no common factor over the integers, content included,
-and the denominator's leading coefficient positive.  That is the same
-normal form as "polynomial gcd cancelled, both parts integer primitive
-with coprime contents", so str, == and hash read as they would over QQ.
-Values leave the integers only at the QQ boundary: eval returns Rats,
-and the public mpoly_gcd takes and returns polynomials over QQ.
+A RatFunc holds its canonical variable tuple and its numerator and
+denominator as dense integer polynomials in those variables (the form
+below, level = number of variables), with no common factor over the
+integers, content included, and the denominator's leading coefficient
+positive under graded lex (MPoly.leading's order, not the dense
+outermost-variable order).  That is the same normal form as
+"polynomial gcd cancelled, both parts integer primitive with coprime
+contents", so str, == and hash read as they would over QQ.  num and den
+read the pair as MPolys over ZZ, built on demand; the arithmetic never
+does.  Values leave the integers only at the QQ boundary: eval returns
+Rats, and the public mpoly_gcd takes and returns polynomials over QQ.
 
 The gcd underneath is the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
-J. Symb. Comp. 7, 1989): the last live variable is evaluated at a large
+J. Symb. Comp. 7, 1989): the outermost variable is evaluated at a large
 integer xi, the gcd of the images is taken recursively down to an
 integer gcd, and a candidate is rebuilt from its symmetric xi-adic
 digits.  A candidate is accepted only once exact division shows that it
 divides both inputs; with xi above twice the smaller coefficient norm,
 such a candidate is the gcd.  That division yields both cofactors, and
 RatFunc cancels with them directly: it never divides a polynomial by
-the gcd itself.  Sums use Henrici's scheme, so the gcd taken is that of
-the denominators and of a factor of it, not of the full numerator and
-denominator.  When a few values of xi fail, the subresultant polynomial
-remainder sequence on the last live variable (recursing through
-contents variable by variable) computes the gcd over QQ instead, and
-exact division gives the cofactors; that path also serves as the
-reference in tests.  No factorization is ever needed.
+the gcd itself.  When either side is constant the gcd is an integer
+content and no GCDHEU is run.  Sums use Henrici's scheme, so the gcd
+taken is that of the denominators and of a factor of it, not of the
+full numerator and denominator.  When a few values of xi fail, the
+subresultant polynomial remainder sequence on the last live variable
+(recursing through contents variable by variable) computes the gcd over
+QQ on MPolys instead, and exact division gives the cofactors; that path
+also serves as the reference in tests.  No factorization is ever needed.
 """
 
 from __future__ import annotations
@@ -349,14 +354,13 @@ def _heu_gcd(A, B, k):
 
 
 def _to_dense(terms: dict, k):
-    """Level-k dense form of {exponent tuple of length k: int}."""
+    """Level-k dense form of {exponent tuple of length k: nonzero int}."""
     if k == 0:
         return terms.get((), 0)
     by_last: dict = {}
     for e, c in terms.items():
         by_last.setdefault(e[-1], {})[e[:-1]] = c
-    zero = 0 if k == 1 else []
-    out = [zero] * (max(by_last) + 1)
+    out = [0 if k == 1 else []] * (max(by_last, default=-1) + 1)
     for p, sub in by_last.items():
         out[p] = _to_dense(sub, k - 1)
     return out
@@ -372,41 +376,41 @@ def _dense_terms(p, k, tail=()):
         yield from _dense_terms(c, k - 1, (i,) + tail)
 
 
-def _dense(f: MPoly, live: tuple):
-    """The integer polynomial f as a dense polynomial in its live
-    variables (positions in f.vars)."""
-    if len(live) == len(f.vars):
-        return _to_dense(f.terms, len(live))
-    return _to_dense({tuple(e[i] for i in live): c for e, c in f.terms.items()}, len(live))
+def _constant_poly(c: int, k):
+    """The integer c as a level-k polynomial."""
+    for _ in range(k):
+        c = [c] if c else []
+    return c
 
 
-def _sparse(p, k: int, vars: tuple, live: tuple) -> MPoly:
-    """Inverse of _dense: the MPoly over ZZ in vars."""
-    if len(live) == len(vars):
-        return MPoly._of(vars, dict(_dense_terms(p, k)), ZZ)
-    terms = {}
-    for e, c in _dense_terms(p, k):
-        full = [0] * len(vars)
-        for i, q in zip(live, e):
-            full[i] = q
-        terms[tuple(full)] = c
-    return MPoly._of(vars, terms, ZZ)
+def _constant(p, k):
+    """The value of the nonzero level-k p if it is constant, else None."""
+    for _ in range(k):
+        if len(p) > 1:
+            return None
+        p = p[0]
+    return p
 
 
-def _heu_cofactors(f: MPoly, g: MPoly):
-    """GCDHEU on two non-constant integer polynomials over the same
-    variables: (h, f/h, g/h) over ZZ with h their gcd over the integers
-    (content included, sign unspecified), or None when it gives up."""
-    vars = f.vars
-    live = tuple(
-        i for i in range(len(vars))
-        if any(e[i] for e in f.terms) or any(e[i] for e in g.terms)
-    )
-    k = len(live)
-    found = _heu_gcd(_dense(f, live), _dense(g, live), k)
-    if found is None:
-        return None
-    return tuple(_sparse(p, k, vars, live) for p in found)
+def _leading(p, k) -> tuple:
+    """(total degree, exponents, coefficient) of the leading term of the
+    nonzero level-k p in MPoly.leading's graded-lex order (the exponent
+    tuple ends with the outermost variable's).  Terms differ in (degree,
+    exponents), so max never compares coefficients."""
+    if k == 0:
+        return 0, (), p
+    return max((deg + j, exps + (j,), c)
+               for j, q in enumerate(p) if q for deg, exps, c in [_leading(q, k - 1)])
+
+
+def _mpoly(p, vars: tuple) -> MPoly:
+    """The dense polynomial p in vars as an MPoly over ZZ."""
+    return MPoly._of(vars, dict(_dense_terms(p, len(vars))), ZZ)
+
+
+def _zz_dense(f: MPoly):
+    """The dense form of f, whose coefficients are integers."""
+    return _to_dense({e: int(c) for e, c in f.terms.items()}, len(f.vars))
 
 
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -414,53 +418,52 @@ def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     f, g, done = _gcd_args(f, g)
     if done is not None:
         return done
-    found = _heu_cofactors(f.rational_content()[1].over(ZZ), g.rational_content()[1].over(ZZ))
+    found = _heu_gcd(*(_zz_dense(p.rational_content()[1]) for p in (f, g)), len(f.vars))
     if found is None:
         return subresultant_gcd(f, g)
-    return found[0].integer_content()[1].over(QQ)
+    return _mpoly(found[0], f.vars).integer_content()[1].over(QQ)
 
 
-def _quo(f: MPoly, c: int) -> MPoly:
-    return MPoly._of(f.vars, {e: v // c for e, v in f.terms.items()}, ZZ)
-
-
-def _cofactors(a: MPoly, b: MPoly) -> tuple:
-    """(h, a/h, b/h) for nonzero integer polynomials over the same
-    variables, h their gcd over the integers (content included, sign
-    unspecified): GCDHEU's own cofactors, or the subresultant gcd and
-    exact division when GCDHEU gives up."""
+def _cofactors(a, b, vars: tuple) -> tuple:
+    """(h, a/h, b/h) for nonzero dense integer polynomials in vars, h
+    their gcd over the integers (content included, sign unspecified):
+    the integer content when either is constant, GCDHEU's own cofactors,
+    or the subresultant gcd and exact division when GCDHEU gives up."""
+    k = len(vars)
+    ca, cb = _constant(a, k), _constant(b, k)
+    if ca in (1, -1) or cb in (1, -1):
+        return _constant_poly(1, k), a, b
     h = None
-    if not (a.is_constant() or b.is_constant()):
-        found = _heu_cofactors(a, b)
+    if ca is None and cb is None:
+        found = _heu_gcd(a, b, k)
         if found is not None:
             return found
-        a, b = a.over(QQ), b.over(QQ)
-        h = subresultant_gcd(a, b)
+        f, g = _mpoly(a, vars).over(QQ), _mpoly(b, vars).over(QQ)
+        h = subresultant_gcd(f, g)
         # h is primitive, so by Gauss's lemma the quotients are integral
-        a, b, h = a.exact_div(h).over(ZZ), b.exact_div(h).over(ZZ), h.over(ZZ)
-    c = math.gcd(*a.terms.values(), *b.terms.values())
+        a, b, h = _zz_dense(f.exact_div(h)), _zz_dense(g.exact_div(h)), _zz_dense(h)
+    c = math.gcd(*_coeffs(a, k), *_coeffs(b, k))
     if c != 1:
-        a, b = _quo(a, c), _quo(b, c)
-    return (MPoly.constant(c, a.vars, ZZ) if h is None else h * c), a, b
+        a, b = _quo_int(a, c, k), _quo_int(b, c, k)
+    return (_constant_poly(c, k) if h is None else _scale(h, c, k)), a, b
 
 
-def _integral(num: MPoly, den: MPoly) -> tuple:
-    """num and den over ZZ, both multiplied by the least positive integer
-    that clears their denominators."""
-    if num.domain is ZZ and den.domain is ZZ:
-        return num, den
-    for p in (num, den):
-        if p.domain is not QQ and p.domain is not ZZ:
-            raise TypeError("rational functions take polynomials over QQ or ZZ")
-    scale = math.lcm(*(int(c.denominator) for p in (num, den) for c in p.terms.values()))
-    return tuple(
-        MPoly._of(
-            p.vars,
-            {e: int(c.numerator) * (scale // int(c.denominator)) for e, c in p.terms.items()},
-            ZZ,
-        )
-        for p in (num, den)
-    )
+def _signed(vars: tuple, num, den) -> "RatFunc":
+    """The RatFunc num/den, both negated when den's graded-lex leading
+    coefficient is negative; num and den must be otherwise canonical."""
+    k = len(vars)
+    if _leading(den, k)[2] < 0:
+        num, den = _scale(num, -1, k), _scale(den, -1, k)
+    return RatFunc._raw(vars, num, den)
+
+
+def _reduced(vars: tuple, num, den) -> "RatFunc":
+    """The canonical RatFunc num/den of dense integer polynomials in vars."""
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return RatFunc._of_rational(0, vars)
+    return _signed(vars, *_cofactors(num, den, vars)[1:])
 
 
 class RatFunc:
@@ -469,11 +472,13 @@ class RatFunc:
     denominator's leading coefficient positive under graded lex.
 
     Equivalently: the polynomial gcd cancelled, both parts integer
-    primitive up to coprime integer contents.  Operands are cancelled
-    with the cofactors GCDHEU returns along with the gcd, so no
-    polynomial division is needed unless GCDHEU gives up."""
+    primitive up to coprime integer contents.  Both are held densely in
+    vars (see the module docstring); num and den read them as MPolys
+    over ZZ.  Operands are cancelled with the cofactors GCDHEU returns
+    along with the gcd, so no polynomial division is needed unless
+    GCDHEU gives up."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("vars", "_num", "_den")
 
     def __init__(self, num, den=None):
         if not isinstance(num, MPoly):
@@ -482,44 +487,52 @@ class RatFunc:
             den = MPoly.constant(1, num.vars, ZZ)
         elif not isinstance(den, MPoly):
             den = MPoly.constant(rat(den))
+        if num.domain not in (QQ, ZZ) or den.domain not in (QQ, ZZ):
+            raise TypeError("rational functions take polynomials over QQ or ZZ")
         vars = canonical_vars(num.vars + den.vars)
-        num = num.with_vars(vars)
-        den = den.with_vars(vars)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = MPoly._of(vars, {}, ZZ)
-            self.den = MPoly.constant(1, vars, ZZ)
-            return
-        self.num, self.den = _signed(*_cofactors(*_integral(num, den))[1:])
+        num, den = num.with_vars(vars), den.with_vars(vars)
+        # both times the least positive integer that clears their denominators
+        scale = math.lcm(*(int(c.denominator) for p in (num, den) for c in p.terms.values()))
+        num, den = (_zz_dense(p * scale) for p in (num, den))
+        out = _reduced(vars, num, den)
+        self.vars, self._num, self._den = out.vars, out._num, out._den
 
     @classmethod
-    def _raw(cls, num: MPoly, den: MPoly) -> "RatFunc":
-        """Internal: wrap an already-canonical pair."""
+    def _raw(cls, vars: tuple, num, den) -> "RatFunc":
+        """Internal: wrap an already-canonical dense pair in vars."""
         out = cls.__new__(cls)
-        out.num = num
-        out.den = den
+        out.vars, out._num, out._den = vars, num, den
         return out
+
+    @classmethod
+    def _of_terms(cls, vars: tuple, num: dict, den: dict) -> "RatFunc":
+        """Internal: wrap an already-canonical pair given as
+        {exponent tuple: nonzero int} in vars."""
+        return cls._raw(vars, _to_dense(num, len(vars)), _to_dense(den, len(vars)))
 
     @classmethod
     def _of_rational(cls, q, vars: tuple) -> "RatFunc":
         q = rat(q)
-        return cls._raw(
-            MPoly.constant(int(q.numerator), vars, ZZ),
-            MPoly.constant(int(q.denominator), vars, ZZ),
-        )
+        num, den = (_constant_poly(int(c), len(vars)) for c in (q.numerator, q.denominator))
+        return cls._raw(vars, num, den)
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
+    @property
+    def num(self) -> MPoly:
+        """The numerator as an MPoly over ZZ, built on each read."""
+        return _mpoly(self._num, self.vars)
 
     @property
-    def vars(self):
-        return self.num.vars
+    def den(self) -> MPoly:
+        """The denominator as an MPoly over ZZ, built on each read."""
+        return _mpoly(self._den, self.vars)
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __bool__(self):
+        return bool(self._num)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -532,37 +545,39 @@ class RatFunc:
             return RatFunc._of_rational(other, self.vars)
         return NotImplemented
 
+    def _aligned(self, o: "RatFunc") -> tuple:
+        """(vars, a, b, c, d): self = a/b and o = c/d in the union vars."""
+        if self.vars == o.vars:
+            return self.vars, self._num, self._den, o._num, o._den
+        vars = canonical_vars(self.vars + o.vars)
+        return (vars, *(_zz_dense(p.with_vars(vars)) for p in (self.num, self.den, o.num, o.den)))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if self.vars == o.vars:
-            if not o.num:
+            if not o._num:
                 return self
-            if not self.num:
+            if not self._num:
                 return o
-        if self.den == o.den:
-            return RatFunc(self.num + o.num, self.den)
+        vars, a, b, c, d = self._aligned(o)
+        k = len(vars)
+        if b == d:
+            return _reduced(vars, _add(a, c, k), b)
         # Henrici: with h = gcd(b, d), a/b + c/d = t/(h b' d') for
         # t = a d' + c b', and t is coprime to b' d'
-        a, b, c, d = self.num, self.den, o.num, o.den
-        if self.vars != o.vars:
-            vars = canonical_vars(self.vars + o.vars)
-            a, b, c, d = (p.with_vars(vars) for p in (a, b, c, d))
-        h, b, d = _cofactors(b, d)
-        t = a * d + c * b
+        h, b, d = _cofactors(b, d, vars)
+        t = _add(_mul(a, d, k), _mul(c, b, k), k)
         if not t:
-            return RatFunc(t)
-        _, t, h = _cofactors(t, h)
-        return RatFunc._raw(*_signed(t, b * d * h))
+            return _reduced(vars, t, h)
+        _, t, h = _cofactors(t, h, vars)
+        return _signed(vars, t, _mul(_mul(b, d, k), h, k))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RatFunc._raw(self.vars, _scale(self._num, -1, len(self.vars)), self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -577,13 +592,15 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return RatFunc(MPoly.constant(0, self.vars))
+        if not self._num or not o._num:
+            return RatFunc._of_rational(0, self.vars)
         # cross-cancel before multiplying: with a/b and c/d in lowest
         # terms, a'c'/(b'd') is in lowest terms too
-        _, a, d = _cofactors(*self.num._aligned(o.den))
-        _, c, b = _cofactors(*o.num._aligned(self.den))
-        return RatFunc._raw(*_signed(a * c, b * d))
+        vars, a, b, c, d = self._aligned(o)
+        k = len(vars)
+        _, a, d = _cofactors(a, d, vars)
+        _, c, b = _cofactors(c, b, vars)
+        return _signed(vars, _mul(a, c, k), _mul(b, d, k))
 
     __rmul__ = __mul__
 
@@ -591,9 +608,9 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.is_zero():
+        if not o._num:
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc._raw(o.den, o.num)
+        return self * RatFunc._raw(o.vars, o._den, o._num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -601,19 +618,22 @@ class RatFunc:
 
     def __pow__(self, n: int):
         if n < 0:
-            if self.is_zero():
+            if not self._num:
                 raise ZeroDivisionError("inverting zero")
-            return RatFunc._raw(*_signed(self.den, self.num)) ** (-n)
-        if n == 0:
-            return RatFunc(MPoly.constant(1, self.vars))
+            return _signed(self.vars, self._den, self._num) ** (-n)
+        k = len(self.vars)
+        num, den = _constant_poly(1, k), _constant_poly(1, k)
         # powers of a coprime pair are coprime (Gauss's lemma)
-        return RatFunc._raw(self.num**n, self.den**n)
+        for _ in range(n):
+            num, den = _mul(num, self._num, k), _mul(den, self._den, k)
+        return RatFunc._raw(self.vars, num, den)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        _, a, b, c, d = self._aligned(o)
+        return a == c and b == d
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -636,26 +656,21 @@ class RatFunc:
         vals = [rat(assignment[vars[i]]) for i in at]
         q = math.lcm(*(int(v.denominator) for v in vals))
         ps = [int(v.numerator) * (q // int(v.denominator)) for v in vals]
-        m = max(sum(e[i] for i in at) for p in (self.num, self.den) for e in p.terms)
-        num = _substituted(self.num, at, ps, q, m, keep)
-        den = _substituted(self.den, at, ps, q, m, keep)
+        num, den = self.num, self.den
+        m = max(sum(e[i] for i in at) for p in (num, den) for e in p.terms)
+        num, den = (_substituted(p, at, ps, q, m, keep) for p in (num, den))
         if keep:
             rest = tuple(vars[i] for i in keep)
-            return RatFunc(MPoly._of(rest, num, ZZ), MPoly._of(rest, den, ZZ))
+            return _reduced(rest, _to_dense(num, len(rest)), _to_dense(den, len(rest)))
         if not den:
             raise ZeroDivisionError("denominator vanishes at the given point")
         return Rat(num.get((), 0), den[()])
 
     def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if _constant(self._den, len(self.vars)) == 1:
             return self.num.to_str()
-        num = self.num.to_str()
-        den = self.den.to_str()
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        if len(self.den.terms) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return "/".join(p.to_str() if len(p.terms) == 1 else f"({p.to_str()})"
+                        for p in (self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.__str__()!r})"
@@ -679,18 +694,13 @@ def _substituted(f: MPoly, at: list, ps: list, q: int, m: int, keep: list) -> di
     return {e: c for e, c in out.items() if c}
 
 
-def _signed(num: MPoly, den: MPoly) -> tuple:
-    """(num, den), both negated when den's leading coefficient is negative."""
-    return (-num, -den) if den.leading()[1] < 0 else (num, den)
-
-
 class FracField:
     """Field descriptor for rational functions in a fixed variable set."""
 
     def __init__(self, vars):
         self.vars = canonical_vars(vars)
-        self.zero = RatFunc(MPoly.constant(0, self.vars))
-        self.one = RatFunc(MPoly.constant(1, self.vars))
+        self.zero = RatFunc._of_rational(0, self.vars)
+        self.one = RatFunc._of_rational(1, self.vars)
 
     def coerce(self, x) -> RatFunc:
         if isinstance(x, RatFunc):

@@ -80,12 +80,12 @@ import math
 from functools import lru_cache
 
 from .linalg import ExactMatrix
-from .mpoly import MPoly
-from .rat import ZZ
+from .rat import QQ
 from .ratfunc import FracField, RatFunc
 from .tautalg import factor_table, gen_key, twisted_symbol
 
 SYM_FIELD = FracField(("d", "chi1"))
+UNI_FIELD = FracField(("chi1",))
 _ZERO = SYM_FIELD.zero
 
 # generators: ("top", a, j) means index d+a; ("sm", k, j) a concrete index.
@@ -146,10 +146,8 @@ def _laurent_ratfunc(lau: dict, den: int) -> RatFunc:
     g = math.gcd(den, *lau.values())
     if den < 0:
         g = -g
-    vars = SYM_FIELD.vars
-    return RatFunc._raw(
-        MPoly._of(vars, {(a + k, b): x // g for (a, b), x in lau.items()}, ZZ),
-        MPoly._of(vars, {(k, 0): den // g}, ZZ),
+    return RatFunc._of_terms(
+        SYM_FIELD.vars, {(a + k, b): x // g for (a, b), x in lau.items()}, {(k, 0): den // g}
     )
 
 
@@ -301,20 +299,13 @@ def _column_keys():
             cols.append(((a, j), (u,)))
         for pair in sym2:
             cols.append(((a, j), tuple(sorted(pair, key=gen_key, reverse=True))))
-    ordered = []
-    seen = set()
-    for large, small in cols:
-        if (large, small) not in seen:
-            seen.add((large, small))
-            ordered.append((large, small))
     # within each large-index group the M columns precede the N columns,
     # matching the lexicographic monomial order
     def key(col):
         (a, j), small = col
         return ((a + j - 1, a), tuple(gen_key(g) for g in small))
 
-    ordered.sort(key=key, reverse=True)
-    return ordered
+    return sorted(cols, key=key, reverse=True)
 
 
 def _col_sign(large, small) -> int:
@@ -405,13 +396,10 @@ def symbolic_matrices_at(d: int, chi) -> tuple:
     """Evaluate the symbolic blocks at concrete d (chi concrete or left
     symbolic): returns (M, N) over the rationals or over QQ(chi1)."""
     Msym, Nsym = symbolic_MN()
-    assignment = {"d": d}
-    if chi is not None:
-        assignment["chi1"] = chi
-    if chi is not None:
-        from .rat import QQ as field
+    if chi is None:
+        assignment, field = {"d": d}, UNI_FIELD
     else:
-        field = FracField(("chi1",))
+        assignment, field = {"d": d, "chi1": chi}, QQ
 
     def ev(mat):
         return ExactMatrix(

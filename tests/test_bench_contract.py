@@ -14,17 +14,17 @@ import sys
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def _tracer_modules() -> tuple:
+def _tracer():
     sys.path.insert(0, PERFBENCH)
     try:
         import tracer
     finally:
         sys.path.remove(PERFBENCH)
-    return tracer.MODULES
+    return tracer
 
 
 def test_every_traced_module_imports():
-    modules = _tracer_modules()
+    modules = _tracer().MODULES
     assert "relations" in modules and "tautalg" in modules
     for name in modules:
         importlib.import_module(f"tautrel.{name}")
@@ -42,3 +42,22 @@ def test_worker_reads_exist():
     fields = {f.name for f in dataclasses.fields(constraint.ConstraintReport)}
     assert {"P1", "P1_checks", "structure_checks"} <= fields
     assert callable(constraint.ConstraintReport.ok)
+
+
+def test_traced_kernel_names_exist():
+    """The tracer wraps only the names a class or module defines itself
+    (vars(), not inherited ones): a missing one leaves its per-layer
+    metric reading 0 on working code, with no error."""
+    from tautrel import cubicext, mpoly, ratfunc
+
+    tracer = _tracer()
+    assert callable(vars(ratfunc)["mpoly_gcd"])
+    for op in tracer.ARITH:
+        assert callable(vars(ratfunc.RatFunc).get(op)), op
+    # and every kernel method that feeds a metric (*.arith, cubicext.inverse)
+    modules = {"mpoly": mpoly, "ratfunc": ratfunc, "cubicext": cubicext}
+    for qual in tracer.GROUPS:
+        mod, *path = qual.split(".")
+        if mod in modules and len(path) == 2:
+            cls, op = path
+            assert callable(vars(vars(modules[mod])[cls]).get(op)), qual

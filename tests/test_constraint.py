@@ -93,3 +93,28 @@ def test_congruent_pair_agreement_rows():
     rep = constraint_analysis(5)
     assert len(rep.pair_agreement) == 6  # 4 diagonal + 2 antidiagonal
     assert all(r["agrees"] for r in rep.pair_agreement)
+
+
+def test_analysis_evaluates_the_blocks_once_per_d(monkeypatch):
+    """constraint_analysis evaluates symbolic_matrices_at(d, None) once and
+    hands the blocks to each of its three slices, with the same result."""
+    want, want_slice = constraint_analysis(5), constraint_slice(5, 2)
+    calls = []
+    real = constraint.symbolic_matrices_at
+
+    def counted(d, chi):
+        calls.append((d, chi))
+        return real(d, chi)
+
+    monkeypatch.setattr(constraint, "symbolic_matrices_at", counted)
+    monkeypatch.setattr(constraint, "_SLICE_CACHE", {})
+    monkeypatch.setattr(constraint, "_REPORT_CACHE", {})
+    got = constraint_analysis(5)
+    assert calls == [(5, None)]
+    assert got.P1 == want.P1 and got.ok()
+    assert (got.P1_checks, got.structure_checks) == (want.P1_checks, want.structure_checks)
+    assert sorted(constraint._SLICE_CACHE) == [(5, 1), (5, 2), (5, 3)]
+    # a slice asked for on its own still evaluates the blocks itself
+    constraint._SLICE_CACHE.clear()
+    assert constraint_slice(5, 2) == want_slice
+    assert calls == [(5, None), (5, None)]

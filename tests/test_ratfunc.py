@@ -219,3 +219,85 @@ def test_of_outputs_hold_no_zero_coefficient(data):
         content, prim = a.integer_content()
         _no_zero_terms(prim)
         assert prim * content == a and prim.leading()[1] > 0
+
+
+def _both(num, den):
+    return RatFunc(num, den), OracleRatFunc(num, den)
+
+
+# denominators with a negative graded-lex leading coefficient; in the last
+# four the outermost variable's top term (chi1^k) is not the graded-lex
+# leading term, and its coefficient has the other sign
+NEGATIVE_LEADS = (
+    _d - _x**2,
+    _d**2 - _x**3,
+    -(_x**3 - _d**2) * 3,
+    _x - _d**2,
+    _x**2 - _d * _x,
+    (_x**2 - _d * _x) * (_d + 1),
+    _x**3 - _d**2 * _x * 2 + 5,
+)
+
+
+def test_sign_normalization_matches_qq_oracle():
+    """den's graded-lex leading coefficient decides the sign, not the
+    dense form's outermost-variable top term."""
+    nums = (_d + 1, _x * Rat(-3, 2), MPoly.constant(7, ("d", "chi1")), _d * _x - 4)
+    for den in NEGATIVE_LEADS:
+        assert den.leading()[1] < 0
+        for num in nums:
+            r, o = _both(num, den)
+            _agrees(r, o)
+            assert r.den.leading()[1] > 0
+            assert r == RatFunc(-num, -den) and hash(r) == hash(RatFunc(num * 2, den * 2))
+            _agrees(r + RatFunc(_x, den), o + OracleRatFunc(_x, den))
+            _agrees(r * RatFunc(den, _d - 3), o * OracleRatFunc(den, _d - 3))
+            _agrees(r**-1, o**-1)
+    for a, b in zip(NEGATIVE_LEADS, NEGATIVE_LEADS[1:]):
+        r, s = RatFunc(_d, a), RatFunc(_x + 2, b)
+        o, p = OracleRatFunc(_d, a), OracleRatFunc(_x + 2, b)
+        for op in OPS:
+            _agrees(op(r, s), op(o, p))
+
+
+_y = MPoly.variable("chi1")
+
+
+def test_mixed_variable_sets_match_qq_oracle():
+    """Q(chi1) with QQ(d, chi1) operands, and constants in no variable
+    with both, against the QQ reference; the results live in the union
+    of the variables."""
+    uni = ((_y**2 - 4, _y * 3 + 6), (_y * Rat(-1, 2), _y**2 + 1),
+           (_y - 2, MPoly.constant(5, ("chi1",))))
+    bi = ((_d - _x * 2, (_x + 2) * _d), (_x**2 - 4, _d - _x**2), (_d * 0, _d))
+    const = ((MPoly.constant(Rat(3, 2)), MPoly.constant(-4)), (MPoly.constant(0), MPoly.constant(1)))
+    cases = [_both(*p) for p in uni + bi + const]
+    for r, o in cases:
+        _agrees(r, o)
+        for s, p in cases:
+            for op in OPS:
+                if op is operator.truediv and s.is_zero():
+                    continue
+                got, want = op(r, s), op(o, p)
+                _agrees(got, want)
+                assert got.vars == want.vars
+        _agrees(r + 3, o + 3)
+        _agrees(r * Rat(-5, 4), o * Rat(-5, 4))
+    # the same function over different variable sets compares equal
+    assert RatFunc(_y + 1) == RatFunc(_x + 1) and RatFunc(_y, _y) == 1
+    assert RatFunc(_x * 0 + 3, _x - _x + 2) == RatFunc(MPoly.constant(Rat(3, 2)))
+
+
+def test_partial_eval_returns_ratfunc_in_the_rest():
+    r = RatFunc((_x**2 - 4) * _d, (_d - _x * 2) * (_x + 1))
+    o = OracleRatFunc((_x**2 - 4) * _d, (_d - _x * 2) * (_x + 1))
+    got = r.eval({"d": Rat(4)})
+    assert isinstance(got, RatFunc) and got.vars == ("chi1",)
+    want = eval_over_qq(r, {"d": Rat(4)})
+    assert str(got) == str(want) == "(-2*chi1 - 4)/(chi1 + 1)"
+    assert got == want and hash(got) == hash(want) and _is_zz(got.num)
+    # the result combines with univariate and bivariate operands
+    s, p = _both(_y + 2, _y - 3)
+    _agrees(got * s, OracleRatFunc(*_qq(got)) * p)
+    _agrees(got - r, OracleRatFunc(*_qq(got)) - o)
+    assert got.eval({"chi1": Rat(1, 2)}) == r.eval({"d": 4, "chi1": Rat(1, 2)}) == Rat(-10, 3)
