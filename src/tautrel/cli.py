@@ -150,8 +150,8 @@ def cmd_verify(args) -> int:
             _verify_pair(report, d, chi)
         if args.chi2 is not None:
             _verify_triple(report, d, chi, args.chi2)
-    _write_output(report.render(args.format), args.out)
-    return 0 if report.passed else MATH_ERROR
+    return _write_output(report.render(args.format), args.out,
+                         0 if report.passed else MATH_ERROR)
 
 
 def cmd_decide(args) -> int:
@@ -167,8 +167,8 @@ def cmd_decide(args) -> int:
     report.add("verdict_matches_congruence", v.agrees,
                "NoObstruction" if v.expected_isomorphic else "ObstructionFound",
                v.verdict)
-    _write_output(report.render(args.format), args.out)
-    return 0 if v.agrees else MATH_ERROR
+    return _write_output(report.render(args.format), args.out,
+                         0 if v.agrees else MATH_ERROR)
 
 
 def _sweep_worker(task):
@@ -217,8 +217,8 @@ def cmd_sweep(args) -> int:
             report.add("decide_error", False, "a verdict",
                        f"{r['error']}: {r['message']} (raised at {r['raised_at']})",
                        f"d={r['d']},chi1={r['chi1']},chi2={r['chi2']}")
-    _write_output(report.render(args.format), args.out)
-    return 0 if report.passed else MATH_ERROR
+    return _write_output(report.render(args.format), args.out,
+                         0 if report.passed else MATH_ERROR)
 
 
 def cmd_emit(args) -> int:
@@ -240,17 +240,13 @@ def cmd_emit(args) -> int:
                         for (c1, c2) in coprime_pairs(d)
                     ],
                 }
-    except (ValueError, NotCoprime) as e:
+    except ValueError as e:  # NotCoprime included
         return _usage_error(str(e))
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     else:
         text = _render_payload_text(payload)
-    try:
-        _write_output(text, args.out)
-    except OSError as e:
-        return _usage_error(f"cannot write {args.out}: {e}")
-    return 0
+    return _write_output(text, args.out, 0)
 
 
 def _render_payload_text(payload: dict) -> str:
@@ -272,12 +268,17 @@ def _render_payload_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, out: str = None) -> None:
+def _write_output(text: str, out, code: int) -> int:
+    """Write text to out (None or "-": stdout); code, or 2 if out cannot be written."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        return _usage_error(f"cannot write {out}: {e}")
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
-from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_AB, solve_S
+from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_AB, solve_S, solve_UV
 from .rat import QQ, Rat
 from .ratfunc import mpoly_gcd
 from .symbolic import UNI_FIELD, symbolic_matrices_at
@@ -196,14 +196,8 @@ def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
     residual pair compatible, and is the full extended system solvable?
     Solvability must imply compatibility (the pair is a necessary
     condition)."""
-    from .obstruction import solve_UV
-    from .relations import build_relation_set
-    from .truncation import matrices_M, matrices_N
-
-    rel1 = build_relation_set(d, a)
-    rel2 = build_relation_set(d, b)
-    M, N = matrices_M(rel1), matrices_N(rel1)
-    Mp, Np = matrices_M(rel2), matrices_N(rel2)
+    M, N = symbolic_matrices_at(d, a)
+    Mp, Np = symbolic_matrices_at(d, b)
     rows = []
     for cand in solve_S("II", M, Mp):
         ab = solve_AB(cand, M, Mp)

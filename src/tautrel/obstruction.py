@@ -21,8 +21,7 @@ from .cubicext import CubicField, factor_t3_minus_r
 from .linalg import ExactMatrix
 from .mpoly import MPoly
 from .rat import Rat
-from .relations import build_relation_set
-from .truncation import matrices_M, matrices_N
+from .symbolic import symbolic_matrices_at
 
 
 class NotNodal(ArithmeticError):
@@ -609,7 +608,9 @@ def _matrix_json(mat: ExactMatrix) -> list:
 
 def decide(d: int, chi1: int, chi2: int) -> Verdict:
     """Decide whether the truncated relation systems at (d, chi1) and
-    (d, chi2) admit a full change-of-relations witness (S, A, B, U, V)."""
+    (d, chi2) admit a full change-of-relations witness (S, A, B, U, V).
+    The blocks M, N of each side are the symbolic blocks evaluated at
+    (d, chi mod d), exact there; the relation expansion is not run."""
     if math.gcd(d, chi1) != 1 or math.gcd(d, chi2) != 1:
         raise NotCoprime(f"chi1={chi1}, chi2={chi2} must be coprime to d={d}")
     c1 = chi1 % d
@@ -618,10 +619,8 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     if d < 5:
         return Verdict(d, c1, c2, "NoObstruction", expected,
                        note="d < 5: no degree-d relations to obstruct")
-    rel1 = build_relation_set(d, c1)
-    rel2 = build_relation_set(d, c2)
-    M, N = matrices_M(rel1), matrices_N(rel1)
-    Mp, Np = matrices_M(rel2), matrices_N(rel2)
+    M, N = symbolic_matrices_at(d, c1)
+    Mp, Np = symbolic_matrices_at(d, c2)
 
     certificates = []
     kernel_dims = {}

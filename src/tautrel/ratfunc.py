@@ -641,30 +641,26 @@ class RatFunc:
     # -- substitution -------------------------------------------------------
 
     def eval(self, assignment: dict):
-        """Substitute rationals for variables.
-
-        A full assignment returns a Rat; otherwise a RatFunc in the
-        remaining variables.  The values are put over one common
-        denominator q, v = p/q, and substituted into the integer
-        numerator and denominator, both times q^m for m the larger of
-        their degrees in the assigned variables: that keeps them integer
-        polynomials and leaves their quotient unchanged.
-        """
-        vars = self.vars
-        at = [i for i, v in enumerate(vars) if v in assignment]
-        keep = [i for i, v in enumerate(vars) if v not in assignment]
-        vals = [rat(assignment[vars[i]]) for i in at]
-        q = math.lcm(*(int(v.denominator) for v in vals))
-        ps = [int(v.numerator) * (q // int(v.denominator)) for v in vals]
-        num, den = self.num, self.den
-        m = max(sum(e[i] for i in at) for p in (num, den) for e in p.terms)
-        num, den = (_substituted(p, at, ps, q, m, keep) for p in (num, den))
-        if keep:
-            rest = tuple(vars[i] for i in keep)
-            return _reduced(rest, _to_dense(num, len(rest)), _to_dense(den, len(rest)))
+        """Substitute rationals for variables: a Rat for a full
+        assignment, else a RatFunc in the remaining variables.  Both parts
+        are evaluated by Horner in each assigned variable, on plain ints;
+        a value p/q with q > 1 also multiplies both by q^m, m the larger
+        of their degrees in that variable, which leaves the quotient as is."""
+        k = len(self.vars)
+        vals = [None] * k
+        for j, name in enumerate(self.vars):
+            if name in assignment:
+                x = rat(assignment[name])
+                q = int(x.denominator)
+                m = 0 if q == 1 else max(_degree(p, k, j) for p in (self._num, self._den))
+                vals[j] = (int(x.numerator), q, m)
+        num, den = (_substituted(p, k, vals) for p in (self._num, self._den))
+        rest = tuple(name for name, v in zip(self.vars, vals) if v is None)
+        if rest:
+            return _reduced(rest, num, den)
         if not den:
             raise ZeroDivisionError("denominator vanishes at the given point")
-        return Rat(num.get((), 0), den[()])
+        return Rat(num, den)
 
     def __str__(self):
         if _constant(self._den, len(self.vars)) == 1:
@@ -676,22 +672,32 @@ class RatFunc:
         return f"RatFunc({self.__str__()!r})"
 
 
-def _substituted(f: MPoly, at: list, ps: list, q: int, m: int, keep: list) -> dict:
-    """q^m f over ZZ with the variables at positions at set to p/q, m at
-    least f's degree in them: {exponents of the kept variables: int}."""
-    out: dict = {}
-    for e, c in f.terms.items():
-        s = 0
-        for i, p in zip(at, ps):
-            k = e[i]
-            if k:
-                c *= p**k
-                s += k
-        if s != m and q != 1:
-            c *= q ** (m - s)
-        key = tuple(e[i] for i in keep)
-        out[key] = out.get(key, 0) + c
-    return {e: c for e, c in out.items() if c}
+def _degree(p, k, j) -> int:
+    """The degree of the level-k p in its variable j < k, -1 for zero."""
+    if j == k - 1:
+        return len(p) - 1
+    return max((_degree(c, k - 1, j) for c in p if c), default=-1)
+
+
+def _substituted(p, k, vals: list):
+    """The level-k p with each variable j for which vals[j] = (x, q, m)
+    set to x/q, times q^m (m at least p's degree in it when q > 1): a
+    dense polynomial in the variables j with vals[j] None."""
+    if k == 0:
+        return p
+    coeffs = [_substituted(c, k - 1, vals) for c in p]
+    if vals[k - 1] is None:
+        return _trim(coeffs)
+    x, q, m = vals[k - 1]
+    level = sum(v is None for v in vals[:k - 1])
+    # q^m p(x/q) = q^(m-n) sum_i c_i x^i q^(n-i), n = len(cs) - 1, by
+    # Horner; at x = 0 only c_0 is left (scaling by 0 leaves zeros untrimmed)
+    cs = coeffs if x else coeffs[:1]
+    acc, qpow = (0 if level == 0 else []), 1
+    for c in reversed(cs):
+        acc = _add(_scale(acc, x, level), c if qpow == 1 else _scale(c, qpow, level), level)
+        qpow *= q
+    return acc if q == 1 else _scale(acc, q ** (m - len(cs) + 1), level)
 
 
 class FracField:

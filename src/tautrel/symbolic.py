@@ -393,17 +393,14 @@ def symbolic_MN() -> tuple:
 
 
 def symbolic_matrices_at(d: int, chi) -> tuple:
-    """Evaluate the symbolic blocks at concrete d (chi concrete or left
-    symbolic): returns (M, N) over the rationals or over QQ(chi1)."""
-    Msym, Nsym = symbolic_MN()
-    if chi is None:
-        assignment, field = {"d": d}, UNI_FIELD
-    else:
-        assignment, field = {"d": d, "chi1": chi}, QQ
-
-    def ev(mat):
-        return ExactMatrix(
-            field, [[x.eval(assignment) for x in row] for row in mat.data]
-        )
-
-    return [ev(m) for m in Msym], [ev(n) for n in Nsym]
+    """The symbolic blocks (M, N) evaluated at d >= 5 and a coprime
+    0 < chi < d, over the rationals, or at d with chi left symbolic, over
+    QQ(chi1); other points raise ValueError.  At such a point they equal
+    the blocks of the relation set built at (d, chi): see the module
+    docstring."""
+    if d < 5 or chi is not None and (math.gcd(d, chi) != 1 or not 0 < chi < d):
+        raise ValueError(f"d >= 5 and a coprime 0 < chi < d required (d={d}, chi={chi})")
+    assignment = {"d": d} if chi is None else {"d": d, "chi1": chi}
+    field = UNI_FIELD if chi is None else QQ
+    return tuple([ExactMatrix(field, [[x.eval(assignment) for x in row] for row in m.data])
+                  for m in mats] for mats in symbolic_MN())

@@ -207,6 +207,9 @@ def test_sweep_failing_pair_gives_error_row(monkeypatch):
     assert f"in flaky)  (d=5,chi1={c1},chi2={c2})" in out
 
 
+UNWRITABLE = "/nonexistent-dir/x.json"
+
+
 def _coprime(draw, d):
     return str(draw(st.sampled_from([c for c in range(1, d) if math.gcd(c, d) == 1])))
 
@@ -214,8 +217,9 @@ def _coprime(draw, d):
 @st.composite
 def cli_argv(draw):
     """A valid command line with small d and chi (a cheap one: at most one
-    d, sweeps and verdict lists at d = 5), then up to two mutations: an
-    option dropped, a value dropped or made invalid, an unknown option."""
+    d, sweeps and verdict lists at d = 5), sometimes with an --out that
+    cannot be written, then up to two mutations: an option dropped, a
+    value dropped or made invalid, an unknown option."""
     command = draw(st.sampled_from(["verify", "decide", "emit"] * 2 + ["sweep"]))
     d = draw(st.sampled_from([5, 6, 7]))
     opts = []
@@ -239,6 +243,8 @@ def cli_argv(draw):
             opts.append(["--chi", _coprime(draw, d)])
         opts += [["--what", what], ["--d", str(d)]]
     opts.append(["--format", draw(st.sampled_from(["json", "text"]))])
+    if not draw(st.integers(0, 4)):
+        opts.append(["--out", UNWRITABLE])
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         i = draw(st.integers(0, len(opts) - 1))
         kind = draw(st.sampled_from(["drop", "bare", "value", "unknown"]))
@@ -258,12 +264,22 @@ def cli_argv(draw):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_argv())
 @example(["emit", "--what", "verdicts", "--d", "5", "--chi2", "1"])
+@example(["verify", "--d", "5", "--chi", "1", "--out", UNWRITABLE])
+@example(["decide", "--d", "5", "--chi1", "1", "--chi2", "2", "--out", UNWRITABLE])
+@example(["sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1", "--out", UNWRITABLE])
+@example(["emit", "--what", "matrices", "--d", "5", "--chi", "1", "--out", UNWRITABLE])
 def test_cli_exit_code_contract(argv):
     # exit 0, 1 or 2 for any input, and never an exception (a traceback
     # when run as a program)
     code, out, err = run_cli(*argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if UNWRITABLE in argv:
+        # an output that cannot be written is a usage error, whatever
+        # the command computed, and is reported in one line
+        assert code == 2 and out == ""
+        if "cannot write" in err:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_usage_error():

@@ -97,7 +97,9 @@ def test_congruent_pair_agreement_rows():
 
 def test_analysis_evaluates_the_blocks_once_per_d(monkeypatch):
     """constraint_analysis evaluates symbolic_matrices_at(d, None) once and
-    hands the blocks to each of its three slices, with the same result."""
+    hands the blocks to each of its three slices, with the same result.
+    The necessity rows evaluate the blocks at each concrete chi as well;
+    only the calls over QQ(chi1) are counted."""
     want, want_slice = constraint_analysis(5), constraint_slice(5, 2)
     calls = []
     real = constraint.symbolic_matrices_at
@@ -110,11 +112,11 @@ def test_analysis_evaluates_the_blocks_once_per_d(monkeypatch):
     monkeypatch.setattr(constraint, "_SLICE_CACHE", {})
     monkeypatch.setattr(constraint, "_REPORT_CACHE", {})
     got = constraint_analysis(5)
-    assert calls == [(5, None)]
+    assert calls.count((5, None)) == 1
     assert got.P1 == want.P1 and got.ok()
     assert (got.P1_checks, got.structure_checks) == (want.P1_checks, want.structure_checks)
     assert sorted(constraint._SLICE_CACHE) == [(5, 1), (5, 2), (5, 3)]
     # a slice asked for on its own still evaluates the blocks itself
     constraint._SLICE_CACHE.clear()
     assert constraint_slice(5, 2) == want_slice
-    assert calls == [(5, None), (5, None)]
+    assert calls.count((5, None)) == 2

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautrel import obstruction
+from tautrel import obstruction, relations
 from tautrel.cubicext import factor_t3_minus_r
 from tautrel.linalg import ExactMatrix
 from tautrel.mpoly import MPoly
@@ -354,3 +354,12 @@ def test_uv_block_solve_covers_both_outcomes():
     got = _solve_uv_block(E, [I3, I3, Z], [Z, Z, Z], [I3, T, Z])
     assert got.status == "inconsistent"
     _same_uv(got, uv_oracle(E, [I3, I3, Z], [Z, Z, Z], [I3, T, Z]))
+
+
+def test_decide_runs_no_relation_expansion(monkeypatch):
+    # decide reads its blocks from the symbolic pipeline: at d = 20 an
+    # expansion would take seconds and leave two entries in the cache
+    monkeypatch.setattr(relations, "_REL_CACHE", {})
+    v = decide(20, 1, 3)
+    assert v.verdict == "ObstructionFound" and v.agrees
+    assert relations._REL_CACHE == {}

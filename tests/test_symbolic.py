@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symbolic_oracle
@@ -37,15 +38,32 @@ def test_truncated_partitions_dplus2():
 
 
 def test_symbolic_blocks_specialize_to_concrete():
-    for (d, chi) in [(5, 1), (6, 5), (7, 2)]:
+    # the blocks decide reads, against those of the relation expansion
+    points = [(d, chi) for d in (5, 6, 7, 13) for chi in range(1, d)
+              if math.gcd(d, chi) == 1] + [(9, 1), (16, 3), (20, 3)]
+    for (d, chi) in points:
         rel = build_relation_set(d, chi)
         Mc, Nc = matrices_M(rel), matrices_N(rel)
         Me, Ne = symbolic_matrices_at(d, chi)
         for i in range(3):
             for s in range(3):
                 for t in range(3):
-                    assert Me[i][s, t] == Mc[i][s, t]
-                    assert Ne[i][s, t] == Nc[i][s, t]
+                    assert Me[i][s, t] == Mc[i][s, t], (d, chi)
+                    assert Ne[i][s, t] == Nc[i][s, t], (d, chi)
+                    assert str(Me[i][s, t]) == str(Mc[i][s, t]), (d, chi)
+                    assert str(Ne[i][s, t]) == str(Nc[i][s, t]), (d, chi)
+
+
+def test_symbolic_blocks_refuse_points_outside_the_exactness_argument():
+    # below d = 5 the truncation, and at a non-coprime or out-of-range
+    # chi the pivot minor, no longer covers the point
+    for (d, chi) in [(4, 1), (3, 1), (6, 2), (5, 7), (6, 3), (5, 0), (5, -1)]:
+        with pytest.raises(ValueError):
+            symbolic_matrices_at(d, chi)
+    with pytest.raises(ValueError):
+        symbolic_matrices_at(4, None)
+    M, N = symbolic_matrices_at(6, None)
+    assert M[0].field == N[0].field == symbolic.UNI_FIELD
 
 
 def test_symbolic_chi_slice_matches_symbolic_chi_mode():
