@@ -19,15 +19,27 @@ import multiprocessing
 import os
 import sys
 
-from .obstruction import NotCoprime, congruent, coprime_pairs, decide
+from .obstruction import (
+    NotNodal,
+    a33_coefficient_formula,
+    analyze_node,
+    congruent,
+    coprime_pairs,
+    cubic_det,
+    decide,
+    solve_AB,
+    solve_S,
+)
 from .rat import QQ, Rat
 from .relations import build_relation_set, det1_formula, det2_formula, verify_rank12
 from .report import Report
+from .symbolic import SYM_FIELD, symbolic_MN, symbolic_matrices_at
 from .truncation import (
     CheckpointMismatch,
     checkpoint_reference_M,
     matrices_M,
     matrices_N,
+    reference_M_templates,
     truncation_block,
 )
 
@@ -40,8 +52,6 @@ def _coprime_chis(d: int) -> list:
 
 
 def _verify_pair(report: Report, d: int, chi: int) -> None:
-    from .obstruction import NotNodal, analyze_node, cubic_det
-
     rel = build_relation_set(d, chi)
     loc = f"d={d},chi={chi}"
     report.add("det1_formula", rel.det1 == det1_formula(d, chi),
@@ -73,8 +83,6 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
 
 
 def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
-    from .obstruction import a33_coefficient_formula, solve_AB, solve_S
-
     rel1 = build_relation_set(d, chi1)
     rel2 = build_relation_set(d, chi2)
     M, Mp = matrices_M(rel1), matrices_M(rel2)
@@ -94,9 +102,6 @@ def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
 
 
 def _verify_symbolic(report: Report, d: int, chi: int) -> None:
-    from .symbolic import SYM_FIELD, symbolic_MN, symbolic_matrices_at
-    from .truncation import reference_M_templates
-
     Msym, _ = symbolic_MN()
     T = reference_M_templates(SYM_FIELD.gen("d"), SYM_FIELD.gen("chi1"), SYM_FIELD)
     ok = all(Msym[i][s, t] == T[i][s, t] for i in range(3) for s in range(3) for t in range(3))
@@ -156,12 +161,10 @@ def cmd_verify(args) -> int:
 
 def cmd_decide(args) -> int:
     config = {"d": args.d, "chi1": args.chi1, "chi2": args.chi2}
-    if args.d < 1:
-        return _usage_error(f"d >= 1 required (got {args.d})")
     report = Report("decide", config)
     try:
         v = decide(args.d, args.chi1, args.chi2)
-    except NotCoprime as e:
+    except ValueError as e:  # NotCoprime included
         return _usage_error(str(e))
     report.results.append(v.to_json())
     report.add("verdict_matches_congruence", v.agrees,

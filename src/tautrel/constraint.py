@@ -1,32 +1,50 @@
 """Compatibility constraint for the extended system at concrete d,
-symbolic in chi.
+symbolic in chi and chi'.
 
 For a Type II candidate, the extended system's first column is
 normalized by (A^-1)^T so the unknown-side coefficient block consists of
 the chi-side matrices M_i, N_i only.  Five designated equations express
 u11, u21, u31, v11, v21 in terms of v31; the held-back pair reads
 AA*v31 + BB = 0 and CC*v31 + DD = 0, and eliminating v31 leaves the
-resultant Constraint := AA*DD - BB*CC, free of the cube root.
+resultant AA*DD - BB*CC.  Its coordinate along 1 vanishes, and its
+coordinates c1, c2 along t and t^2 vanish together where the held-back
+pair is compatible.
 
-Because the pivot block depends only on chi, specializing chi' to a
-number commutes with the whole elimination: running the pipeline over
-QQ(chi) with chi' = b produces the exact chi'-slice of the bivariate
-constraint.  The quartic P1 (the factor depending on chi alone) is the
-stable common divisor of the slice numerators; the remaining factor is
-analyzed slice by slice.
+The elimination runs once per d, over Q(chi1, chi2): the chi side is the
+Q(chi1) blocks of symbolic_matrices_at(d, None), the chi' side the same
+blocks with chi1 renamed to chi2.  The quartic P1 is the primitive part
+of the numerator of c2, which is free of chi2; the chi2-content of the
+numerator of c1 is chi (d - chi) P1, which cross-checks it.
+
+Specialization.  The chi'-slice at chi' = b is the same pipeline run
+over Q(chi1) with the chi' blocks evaluated at b.  Every quantity of the
+generic run is a rational function of chi2 over Q(chi1), and evaluation
+at chi2 = b is a ring map on those defined at b, so the generic
+coordinates at b are the slice's wherever the generic run divides by
+nothing that vanishes at b.  Two things must stay nondegenerate there.
+The (A, B) kernel system: when its kernel at b is still a line with
+a11 != 0, the normalized solution (a11 = s22, det A = 1) is unique, so
+the slice's A is the generic A at b, whichever pivots either run chose.
+The five designated pivots: when the 5x5 block of the designated
+equations stays invertible at b, both runs eliminate the five unknowns
+with the same solution.  The slice path checks both and raises
+otherwise; the tests run it as the oracle (tests/constraint_oracle.py)
+and compare its numerators with the generic coordinates at every valid
+b for d = 5..12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
 from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_AB, solve_S, solve_UV
 from .rat import QQ, Rat
-from .ratfunc import mpoly_gcd
-from .symbolic import UNI_FIELD, symbolic_matrices_at
+from .ratfunc import FracField, RatFunc, mpoly_gcd
+from .symbolic import symbolic_matrices_at
 
 
 class EliminationFailure(ArithmeticError):
@@ -79,82 +97,46 @@ def _column0_elimination(cand: CandidateS, A: ExactMatrix, M, N, Np):
     return [residual_of(i, r) for i, r in held_back]
 
 
-# -- chi'-slices ---------------------------------------------------------------
+# -- the elimination over Q(chi1, chi2) -------------------------------------------
 
+BI_FIELD = FracField(("chi1", "chi2"))
 
-@dataclass
-class ConstraintSlice:
-    """chi'-slice of the compatibility resultant AA*DD - BB*CC.
-
-    Its coordinate along 1 vanishes identically; the t and t^2
-    coordinates are rational functions whose common vanishing is the
-    compatibility condition of the held-back pair (num1, num2 are their
-    canonical numerators, over QQ)."""
-
-    d: int
-    b: int
-    num1: MPoly
-    num2: MPoly
-
-
+# d -> the t and t^2 coordinates of the compatibility resultant over Q(chi1, chi2)
 _SLICE_CACHE: dict = {}
 
 
-def _evaluated(mat: ExactMatrix, b: int) -> ExactMatrix:
-    return ExactMatrix(UNI_FIELD, [[x.eval({"chi1": Rat(b)}) for x in row] for row in mat.data])
+def _lifted(mats: list, rename: bool) -> list:
+    """The Q(chi1) blocks over Q(chi1, chi2), with chi1 renamed to chi2 when
+    rename is set.  chi2 is the outer variable of the dense pairs, so each
+    canonical pair is re-levelled as it is and stays canonical."""
+    up = (lambda p: [[c] if c else [] for c in p]) if rename else (lambda p: [p] if p else [])
+    return [ExactMatrix(BI_FIELD, [[RatFunc._raw(BI_FIELD.vars, up(x._num), up(x._den))
+                                    for x in row] for row in m.data]) for m in mats]
 
 
-def constraint_slice(d: int, b: int, *, _blocks: tuple = None) -> ConstraintSlice:
-    """The exact chi'-slice of the compatibility constraint at chi' = b.
-    _blocks, when given, is symbolic_matrices_at(d, None): a caller taking
-    several slices of one d evaluates the blocks once."""
-    key = (d, b)
-    if key in _SLICE_CACHE:
-        return _SLICE_CACHE[key]
-    if b <= 0 or b >= d or 2 * b == d:
-        raise ValueError(f"slice value b={b} degenerate for d={d}")
-    M, N = symbolic_matrices_at(d, None) if _blocks is None else _blocks
-    Mp = [_evaluated(m, b) for m in M]
-    Np = [_evaluated(n, b) for n in N]
-    cands = solve_S("II", M, Mp, base=UNI_FIELD)
+def _coordinates(d: int) -> tuple:
+    """(c1, c2): the t and t^2 coordinates of AA*DD - BB*CC over
+    Q(chi1, chi2), whose coordinate along 1 vanishes; c2 is free of chi2."""
+    if d in _SLICE_CACHE:
+        return _SLICE_CACHE[d]
+    M, N = symbolic_matrices_at(d, None)
+    M2, N2 = _lifted(M, False), _lifted(N, False)
+    Mp, Np = _lifted(M, True), _lifted(N, True)
+    cands = solve_S("II", M2, Mp, base=BI_FIELD)
     if len(cands) != 1:
-        raise EliminationFailure(f"{len(cands)} slice candidates at chi'={b}")
+        raise EliminationFailure(f"{len(cands)} Type II candidates over Q(chi1, chi2)")
     cand = cands[0]
-    ab = solve_AB(cand, M, Mp)
+    ab = solve_AB(cand, M2, Mp)
     if ab.status != "solution":
-        raise EliminationFailure(f"(A, B) system gives {ab.status} at chi'={b}")
-    (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A, M, N, Np)
-    constraint = AA * DD - BB * CC
-    c0, c1, c2 = constraint.coeffs
+        raise EliminationFailure(f"(A, B) system gives {ab.status} over Q(chi1, chi2)")
+    (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A, M2, N2, Np)
+    c0, c1, c2 = (AA * DD - BB * CC).coeffs
     if not c0.is_zero():
-        raise EliminationFailure(
-            "slice constraint has an unexpected rational coordinate"
-        )
-    if c1.is_zero() and c2.is_zero():
-        raise EliminationFailure(f"slice constraint vanished identically at chi'={b}")
-    out = ConstraintSlice(d, b, c1.num.over(QQ), c2.num.over(QQ))
-    _SLICE_CACHE[key] = out
-    return out
-
-
-# -- recovery of the factors -----------------------------------------------------
-
-
-def _strip_factors(poly: MPoly, factors: list) -> MPoly:
-    """poly with every power of each factor divided out."""
-    for f in factors:
-        while True:
-            try:
-                poly = poly.exact_div(f)
-            except ExactDivisionError:
-                break
-    return poly
-
-
-def _chi1_junk_factors(d: int) -> list:
-    x = MPoly.variable("chi1")
-    dd = MPoly.constant(d, ("chi1",))
-    return [x, dd - x, dd - 2 * x]
+        raise EliminationFailure("constraint has a nonzero rational coordinate")
+    if c2.is_zero() or c2.num.degree_in("chi2") > 0 or c2.den.degree_in("chi2") > 0:
+        raise EliminationFailure("the t^2 coordinate of the constraint is zero or depends on chi2")
+    _SLICE_CACHE[d] = c1, c2
+    return c1, c2
 
 
 @dataclass
@@ -176,19 +158,10 @@ class ConstraintReport:
 _REPORT_CACHE: dict = {}
 
 
-def _recover_P1(d: int, nums: list) -> MPoly:
-    """Strip the chi-only trivial factors from the common divisor of the
-    given slice numerators and normalize the sign at 0."""
-    acc = None
-    for p in nums:
-        acc = p if acc is None else mpoly_gcd(acc, p)
-        if acc.is_constant():
-            break
-    P1 = _strip_factors(acc.rational_content()[1], _chi1_junk_factors(d))
-    P1 = P1.rational_content()[1]
-    if not P1.is_constant() and P1.eval({"chi1": 0}) < 0:
-        P1 = -P1
-    return P1
+def _primitive(poly: MPoly) -> MPoly:
+    """The primitive part of a polynomial in chi1, positive at 0."""
+    P = poly.with_vars(("chi1",)).over(QQ).rational_content()[1]
+    return -P if P.eval({"chi1": 0}) < 0 else P
 
 
 def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
@@ -204,7 +177,6 @@ def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
         if ab.status != "solution":
             rows.append({"branch": cand.root_label, "ab": ab.status})
             continue
-        E = cand.field
         (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A, M, N, Np)
         resultant = AA * DD - BB * CC
         # compatibility of the 2x1 affine pair in v31
@@ -237,17 +209,21 @@ def constraint_analysis(d: int) -> ConstraintReport:
     if d in _REPORT_CACHE:
         return _REPORT_CACHE[d]
 
-    valid_bs = [b for b in range(1, d) if 2 * b != d]
-    blocks = symbolic_matrices_at(d, None)
-    slices = [constraint_slice(d, b, _blocks=blocks) for b in valid_bs[:3]]
+    coord_t, coord_t2 = _coordinates(d)
     report = ConstraintReport(d=d)
-
-    # P1 from the t^2 coordinate, cross-validated against the t one
-    P1 = _recover_P1(d, [s.num2 for s in slices])
-    P1_alt = _recover_P1(d, [s.num1 for s in slices])
-    report.P1 = P1
     x = MPoly.variable("chi1")
     dd = MPoly.constant(d, ("chi1",))
+
+    # P1 from the t^2 coordinate, cross-validated against the chi2-content
+    # of the t one, which carries the factor chi (d - chi) as well
+    P1 = _primitive(coord_t2.num)
+    content = reduce(mpoly_gcd, coord_t.num.over(QQ).as_univariate("chi2").values(),
+                     MPoly.constant(0, ("chi1",)))
+    try:
+        P1_alt = _primitive(content.exact_div(x * (dd - x)))
+    except ExactDivisionError:
+        P1_alt = None
+    report.P1 = P1
     report.P1_checks = {
         "degree_4": P1.degree_in("chi1") == 4,
         "symmetric": P1.eval({"chi1": dd - x}) == P1,
@@ -256,13 +232,19 @@ def constraint_analysis(d: int) -> ConstraintReport:
         "both_coordinates_agree": P1 == P1_alt,
     }
 
+    # the chi'-slices at the first three valid b: the canonical numerators
+    # of the coordinates at chi2 = b (see the module docstring)
+    valid_bs = [b for b in range(1, d) if 2 * b != d]
+    slices = [(b, *(c.eval({"chi2": b}).num.over(QQ) for c in (coord_t, coord_t2)))
+              for b in valid_bs[:3]]
+
     # slice structure: num2 = c_b * P1 and num1 = c_b' * chi (d - chi) P1
     structure_ok = True
     constants_nonzero = True
-    for s in slices:
+    for b, num1, num2 in slices:
         try:
-            c2 = s.num2.exact_div(P1)
-            c1 = s.num1.exact_div(P1 * x * (dd - x))
+            c2 = num2.exact_div(P1)
+            c1 = num1.exact_div(P1 * x * (dd - x))
         except ExactDivisionError:
             structure_ok = False
             continue
@@ -276,12 +258,13 @@ def constraint_analysis(d: int) -> ConstraintReport:
     # nonzero at every valid non-congruent integer pair
     chis = [c for c in range(1, d) if math.gcd(c, d) == 1]
     reject_ok = True
-    for b in [s.b for s in slices if math.gcd(s.b, d) == 1]:
-        s = constraint_slice(d, b)
+    for b, num1, num2 in slices:
+        if math.gcd(b, d) != 1:
+            continue
         for a in chis:
             if a == b or a + b == d:
                 continue
-            if s.num1.eval({"chi1": Rat(a)}) == 0 and s.num2.eval(
+            if num1.eval({"chi1": Rat(a)}) == 0 and num2.eval(
                 {"chi1": Rat(a)}
             ) == 0:
                 reject_ok = False

@@ -22,9 +22,11 @@ coefficients the former one-Rat-per-coefficient form held, and str,
 inverse takes the first column of the adjugate of the integer
 multiplication matrix over its determinant (_int_inverse).
 
-Over any other base (Q(chi1) in constraint) an element holds one base
-coefficient per power of t, and a product folds the top degrees back
-with the modulus itself.  Zero tests use the coefficients' truth value.
+Over any other base (Q(chi1, chi2) in constraint) an element holds one
+base coefficient per power of t, and a product folds the top degrees
+back with the modulus itself.  inverse takes the same adjugate column of
+the multiplication matrix over the base.  Zero tests use the
+coefficients' truth value.
 """
 
 from __future__ import annotations
@@ -51,31 +53,6 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-def upoly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(x + y)
-    return _trim(out)
-
-
-def upoly_mul(a, b, zero):
-    if not a or not b:
-        return ()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _trim(out)
-
-
 def upoly_divmod(a, b, monic=False):
     """Division with remainder over a field; b nonzero (monic skips the
     leading-coefficient division)."""
@@ -97,24 +74,6 @@ def upoly_divmod(a, b, monic=False):
             break
     qq = _trim([x if x is not None else lead - lead for x in q]) if q else ()
     return qq, tuple(a)
-
-
-def upoly_xgcd(a, b, one):
-    """(g, u, v) with u*a + v*b = g over a field (g not normalized)."""
-    zero = one - one
-    r0, r1 = tuple(a), tuple(b)
-    s0, s1 = (one,), ()
-    t0, t1 = (), (one,)
-    while r1:
-        q, r = upoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, upoly_add(s0, _upoly_neg(upoly_mul(q, s1, zero)))
-        t0, t1 = t1, upoly_add(t0, _upoly_neg(upoly_mul(q, t1, zero)))
-    return r0, s0, t0
-
-
-def _upoly_neg(a):
-    return tuple(-x for x in a)
 
 
 # -- the extension field -------------------------------------------------
@@ -308,14 +267,14 @@ class CubicExt:
                 sign = 1 if c > 0 else -1
                 return _ext(field, (sign * self.den,) + self.num[1:], sign * c)
             return _int_inverse(self)
-        base = field.base
-        g, u, _ = upoly_xgcd(_trim(list(self.coeffs)), field.modulus, base.one)
-        if len(g) != 1:
+        # the first column of the adjugate of the multiplication matrix,
+        # whose column j is x t^j mod m, over its determinant
+        zero, one = field.base.zero, field.base.one
+        units = [tuple(one if i == j else zero for i in range(field.deg)) for j in range(field.deg)]
+        adj, det = _adjugate_column([_fold_mul(field, self.num, e) for e in units])
+        if not det:
             raise NotInvertible(f"{self} is a zero divisor mod {field.modulus_str()}")
-        scale = g[0]
-        inv = tuple(c / scale for c in u)
-        padded = list(inv) + [base.zero] * (field.deg - len(inv))
-        return CubicExt(field, padded[: field.deg])
+        return _ext(field, tuple(c / det for c in adj), None)
 
     def __truediv__(self, other):
         return self * self._other(other).inverse()
@@ -418,6 +377,19 @@ def _int_fold(field, prod: list) -> list:
     return low
 
 
+def _adjugate_column(cols: list) -> tuple:
+    """(first column of adj(A), det A) for the n x n matrix A, n <= 3,
+    whose column j is cols[j]."""
+    if len(cols) == 1:
+        return [1], cols[0][0]
+    if len(cols) == 2:
+        (a, c), (b, d) = cols  # A = [[a, b], [c, d]]
+        return [d, -c], a * d - b * c
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols  # row i of A: ai, bi, ci
+    adj = [b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2]
+    return adj, a0 * adj[0] + b0 * adj[1] + c0 * adj[2]
+
+
 def _int_inverse(x: CubicExt) -> CubicExt:
     """x^-1 over QQ, x = num/den not rational (so deg is 2 or 3), from
     the integer matrix A whose column j is fold_den * (num t^j mod m).
@@ -428,14 +400,7 @@ def _int_inverse(x: CubicExt) -> CubicExt:
     field = x.field
     n = field.deg
     cols = [_int_fold(field, [0] * j + list(x.num) + [0] * (n - 1 - j)) for j in range(n)]
-    if n == 2:
-        (a, c), (b, d) = cols  # A = [[a, b], [c, d]]
-        adj = [d, -c]
-        det = a * d - b * c
-    else:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols  # row i of A: ai, bi, ci
-        adj = [b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2]
-        det = a0 * adj[0] + b0 * adj[1] + c0 * adj[2]
+    adj, det = _adjugate_column(cols)
     if not det:
         raise NotInvertible(f"{x} is a zero divisor mod {field.modulus_str()}")
     k = x.den * field.fold_den

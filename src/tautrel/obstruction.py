@@ -611,6 +611,7 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     (d, chi2) admit a full change-of-relations witness (S, A, B, U, V).
     The blocks M, N of each side are the symbolic blocks evaluated at
     (d, chi mod d), exact there; the relation expansion is not run."""
+    _require_positive(d)
     if math.gcd(d, chi1) != 1 or math.gcd(d, chi2) != 1:
         raise NotCoprime(f"chi1={chi1}, chi2={chi2} must be coprime to d={d}")
     c1 = chi1 % d
@@ -678,8 +679,14 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
                    certificates=certificates, kernel_dims=kernel_dims)
 
 
+def _require_positive(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"d >= 1 required (got {d})")
+
+
 def coprime_pairs(d: int) -> list:
     """All coprime 0 < chi1 <= chi2 < d."""
+    _require_positive(d)
     chis = [c for c in range(1, d) if math.gcd(c, d) == 1]
     return [(a, b) for a in chis for b in chis if a <= b]
 

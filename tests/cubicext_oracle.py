@@ -5,11 +5,58 @@ This is the representation tautrel.cubicext.CubicExt used over QQ before
 it moved to integer numerators over one common denominator.  Its values,
 str, == and hash are the ones CubicExt must reproduce.  The field
 descriptor is only read for its base, degree and modulus.
+
+Its inverse is the extended Euclidean algorithm on the coefficient
+tuples (upoly_xgcd), which CubicExt.inverse used over every base before
+it took the adjugate of the multiplication matrix.
 """
 
 from operator import add, sub
 
-from tautrel.cubicext import _trim, upoly_xgcd
+from tautrel.cubicext import _trim, upoly_divmod
+
+
+def upoly_add(a, b):
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else None
+        y = b[i] if i < len(b) else None
+        if x is None:
+            out.append(y)
+        elif y is None:
+            out.append(x)
+        else:
+            out.append(x + y)
+    return _trim(out)
+
+
+def upoly_mul(a, b, zero):
+    if not a or not b:
+        return ()
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def upoly_xgcd(a, b, one):
+    """(g, u, v) with u*a + v*b = g over a field (g not normalized)."""
+    zero = one - one
+    r0, r1 = tuple(a), tuple(b)
+    s0, s1 = (one,), ()
+    t0, t1 = (), (one,)
+    while r1:
+        q, r = upoly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, upoly_add(s0, _upoly_neg(upoly_mul(q, s1, zero)))
+        t0, t1 = t1, upoly_add(t0, _upoly_neg(upoly_mul(q, t1, zero)))
+    return r0, s0, t0
+
+
+def _upoly_neg(a):
+    return tuple(-x for x in a)
 
 
 class OracleCubicExt:

@@ -87,7 +87,7 @@ def test_verify_node_errors(monkeypatch):
     def not_nodal(cubic, field):
         raise obstruction.NotNodal("zero cubic")
 
-    monkeypatch.setattr(obstruction, "analyze_node", not_nodal)
+    monkeypatch.setattr(cli, "analyze_node", not_nodal)
     code, out, _ = run_cli("verify", "--d", "5", "--chi", "1")
     assert code == 1
     assert "zero cubic" in out
@@ -95,7 +95,7 @@ def test_verify_node_errors(monkeypatch):
     def broken(cubic, field):
         raise RuntimeError("fault in analyze_node")
 
-    monkeypatch.setattr(obstruction, "analyze_node", broken)
+    monkeypatch.setattr(cli, "analyze_node", broken)
     with pytest.raises(RuntimeError, match="fault in analyze_node"):
         run_cli("verify", "--d", "5", "--chi", "1")
 
@@ -261,6 +261,17 @@ def cli_argv(draw):
     return [command] + [tok for opt in draw(st.permutations(opts)) for tok in opt]
 
 
+def _given_d(argv):
+    """The integer value of --d in argv, or None."""
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "--d":
+            try:
+                return int(value)
+            except ValueError:
+                return None
+    return None
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_argv())
 @example(["emit", "--what", "verdicts", "--d", "5", "--chi2", "1"])
@@ -268,12 +279,20 @@ def cli_argv(draw):
 @example(["decide", "--d", "5", "--chi1", "1", "--chi2", "2", "--out", UNWRITABLE])
 @example(["sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1", "--out", UNWRITABLE])
 @example(["emit", "--what", "matrices", "--d", "5", "--chi", "1", "--out", UNWRITABLE])
+@example(["emit", "--what", "verdicts", "--d", "0", "--chi", "1", "--chi2", "1"])
+@example(["emit", "--what", "verdicts", "--d", "-5", "--chi", "1", "--chi2", "2"])
+@example(["emit", "--what", "verdicts", "--d", "0"])
+@example(["emit", "--what", "verdicts", "--d", "-5"])
+@example(["decide", "--d", "-5", "--chi1", "1", "--chi2", "2"])
 def test_cli_exit_code_contract(argv):
     # exit 0, 1 or 2 for any input, and never an exception (a traceback
     # when run as a program)
     code, out, err = run_cli(*argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    d = _given_d(argv)
+    if d is not None and d < 1:
+        assert code == 2  # no command takes d < 1
     if UNWRITABLE in argv:
         # an output that cannot be written is a usage error, whatever
         # the command computed, and is reported in one line

@@ -1,29 +1,34 @@
 import pytest
 
+import constraint_oracle
 from tautrel import constraint
-from tautrel.constraint import (
-    EliminationFailure,
-    _branch_pair_compatibility,
-    _chi1_junk_factors,
-    _strip_factors,
-    constraint_analysis,
-    constraint_slice,
-)
+from tautrel.constraint import _branch_pair_compatibility, _coordinates, constraint_analysis
 from tautrel.mpoly import MPoly
-from tautrel.rat import Rat
+from tautrel.rat import QQ
 
 
-def test_slice_rejects_degenerate_b():
-    with pytest.raises(ValueError):
-        constraint_slice(6, 3)
-    with pytest.raises(ValueError):
-        constraint_slice(5, 0)
+def _at_chi2(d: int, b: int) -> tuple:
+    """The canonical numerators of the generic coordinates at chi2 = b."""
+    return tuple(c.eval({"chi2": b}).num.over(QQ) for c in _coordinates(d))
 
 
 def test_slice_structure_d5():
-    s = constraint_slice(5, 2)
-    assert s.num1.degree_in("chi1") == 6
-    assert s.num2.degree_in("chi1") == 4
+    num1, num2 = _at_chi2(5, 2)
+    assert num1.degree_in("chi1") == 6
+    assert num2.degree_in("chi1") == 4
+
+
+@pytest.mark.parametrize("d", range(5, 13))
+def test_generic_coordinates_match_the_slice_oracle(d):
+    # the elimination over Q(chi1, chi2) against the slices over Q(chi1):
+    # the same P1, and at every valid b the slice's numerators
+    P1, P1_alt = constraint_oracle.slice_P1(d)
+    assert constraint_analysis(d).P1 == P1 == P1_alt
+    for b in range(1, d):
+        if 2 * b == d:
+            continue
+        s = constraint_oracle.constraint_slice(d, b)
+        assert _at_chi2(d, b) == (s.num1, s.num2)
 
 
 def test_symbolic_report_d5():
@@ -37,11 +42,11 @@ def test_symbolic_report_d5():
     assert rep.P1_checks["both_coordinates_agree"]
 
 
-def _raise_on(divisor=None):
+def _raise_on(divisor):
     real = MPoly.exact_div
 
     def exact_div(self, other):
-        if divisor is None or other == divisor:
+        if other == divisor:
             raise RuntimeError("fault in exact_div")
         return real(self, other)
 
@@ -49,17 +54,16 @@ def _raise_on(divisor=None):
 
 
 def test_exact_div_faults_propagate(monkeypatch):
-    x = MPoly.variable("chi1")
-    with monkeypatch.context() as m:
-        m.setattr(MPoly, "exact_div", _raise_on())
-        with pytest.raises(RuntimeError):
-            _strip_factors(x**2 * (5 - x), _chi1_junk_factors(5))
-    # with the slices cached, the slice-shape check is the first to divide by P1
+    # with the coordinates cached, the slice-shape check is the first to
+    # divide by P1, and the cross-check the first to divide by chi (5 - chi)
     P1 = constraint_analysis(5).P1
-    monkeypatch.delitem(constraint._REPORT_CACHE, 5)
-    monkeypatch.setattr(MPoly, "exact_div", _raise_on(P1))
-    with pytest.raises(RuntimeError):
-        constraint_analysis(5)
+    x = MPoly.variable("chi1")
+    for divisor in (P1, x * (5 - x)):
+        with monkeypatch.context() as m:
+            m.delitem(constraint._REPORT_CACHE, 5)
+            m.setattr(MPoly, "exact_div", _raise_on(divisor))
+            with pytest.raises(RuntimeError):
+                constraint_analysis(5)
 
 
 def test_P1_range():
@@ -77,8 +81,7 @@ def test_P1_range():
 def test_concrete_pair_reports():
     # (chi1, chi2) = (1, 2): the chi'=2 slice pair does not vanish at
     # chi1 = 1, and the one Type II branch is unsolvable
-    s = constraint_slice(5, 2)
-    assert (s.num1.eval({"chi1": 1}), s.num2.eval({"chi1": 1})) != (0, 0)
+    assert tuple(num.eval({"chi1": 1}) for num in _at_chi2(5, 2)) != (0, 0)
     (branch,) = _branch_pair_compatibility(5, 1, 2)
     assert branch["uv_solvable"] is False
     assert branch["necessity_holds"] is True
@@ -96,11 +99,11 @@ def test_congruent_pair_agreement_rows():
 
 
 def test_analysis_evaluates_the_blocks_once_per_d(monkeypatch):
-    """constraint_analysis evaluates symbolic_matrices_at(d, None) once and
-    hands the blocks to each of its three slices, with the same result.
+    """constraint_analysis evaluates symbolic_matrices_at(d, None) once,
+    for its one elimination over Q(chi1, chi2), with the same result.
     The necessity rows evaluate the blocks at each concrete chi as well;
     only the calls over QQ(chi1) are counted."""
-    want, want_slice = constraint_analysis(5), constraint_slice(5, 2)
+    want = constraint_analysis(5)
     calls = []
     real = constraint.symbolic_matrices_at
 
@@ -115,8 +118,4 @@ def test_analysis_evaluates_the_blocks_once_per_d(monkeypatch):
     assert calls.count((5, None)) == 1
     assert got.P1 == want.P1 and got.ok()
     assert (got.P1_checks, got.structure_checks) == (want.P1_checks, want.structure_checks)
-    assert sorted(constraint._SLICE_CACHE) == [(5, 1), (5, 2), (5, 3)]
-    # a slice asked for on its own still evaluates the blocks itself
-    constraint._SLICE_CACHE.clear()
-    assert constraint_slice(5, 2) == want_slice
-    assert calls.count((5, None)) == 2
+    assert list(constraint._SLICE_CACHE) == [5]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from cubicext_oracle import OracleCubicExt
 from tautrel.cubicext import CubicExt, CubicField, NotInvertible, factor_t3_minus_r
 from tautrel.rat import QQ, Rat
+from tautrel.ratfunc import FracField
 
 # the irreducible t^3 - 5/3, both factors of t^3 + 8/27 = (t + 2/3)(t^2 -
 # 2/3 t + 4/9), and t^3 - 2, whose fold needs no scaling
@@ -112,6 +113,40 @@ def test_integer_inverse_refuses_a_zero_divisor():
             CubicExt(E, zero_divisor).inverse()
     x = CubicExt(E, [2, 1, 0])
     _agrees(x.inverse(), OracleCubicExt.of(x).inverse())
+
+
+_F1 = FracField(("chi1",))
+_X = _F1.gen("chi1")
+# t^3 - (chi1 - 2)/3, irreducible over Q(chi1), and t^3 - chi1^3 kept
+# whole, in which t - chi1 and t^2 + chi1 t + chi1^2 are zero divisors
+RATFUNC_FIELDS = (factor_t3_minus_r((_X - 2) / 3, _F1)[0],
+                  CubicField(_F1, _X**3, (-_X**3, 0, 0, 1)))
+small = st.integers(-3, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RATFUNC_FIELDS), st.lists(st.tuples(small, small, small), min_size=3, max_size=3))
+@example(RATFUNC_FIELDS[1], [(2, 3, 0), (-1, 0, 0), (0, 0, 0)])  # (2 + 3 chi1) - t
+def test_ratfunc_base_inverse_matches_xgcd_oracle(E, coeffs):
+    # over Q(chi1) the adjugate inverse against the extended gcd
+    x = CubicExt(E, [(a + b * _X) / (1 + c * _X) for a, b, c in coeffs])
+    ox = OracleCubicExt.of(x)
+    if not ox:
+        with pytest.raises(NotInvertible):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert inv.coeffs == ox.inverse().coeffs
+    assert x * inv == E.one
+
+
+def test_ratfunc_base_inverse_refuses_a_zero_divisor():
+    E = RATFUNC_FIELDS[1]
+    for zero_divisor in ([-_X, 1, 0], [_X**2, _X, 1], [-_X / 3, Rat(1, 3), 0]):
+        with pytest.raises(NotInvertible):
+            CubicExt(E, zero_divisor).inverse()
+    x = CubicExt(E, [_X, 1, 0])
+    assert x.inverse().coeffs == OracleCubicExt.of(x).inverse().coeffs
 
 
 def test_constructor_and_coerce_give_the_normal_form():

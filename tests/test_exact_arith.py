@@ -4,15 +4,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cubicext_oracle import upoly_mul
 from linalg_oracle import det_cofactor, identity, rank, solve
-from tautrel.cubicext import (
-    CubicField,
-    NotInvertible,
-    _trim,
-    factor_t3_minus_r,
-    upoly_divmod,
-    upoly_mul,
-)
+from tautrel.cubicext import CubicField, NotInvertible, _trim, factor_t3_minus_r, upoly_divmod
 from tautrel.linalg import ExactMatrix, NonSquareDet, int_gauss_jordan
 from tautrel.mpoly import ExactDivisionError, MPoly
 from tautrel.rat import QQ, Rat, rat, rational_cube_root

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ratfunc_oracle import OracleRatFunc, eval_over_qq
 from tautrel import ratfunc
-from tautrel.constraint import constraint_slice
+from tautrel.constraint import _coordinates
 from tautrel.mpoly import MPoly
 from tautrel.rat import QQ, ZZ, Rat
 from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
@@ -181,9 +181,13 @@ def test_rational_boundary_returns_rat():
 
 
 def test_qq_boundary_of_slices_and_gcd():
-    s = constraint_slice(5, 2)
-    assert s.num1.domain is QQ and s.num2.domain is QQ
-    assert all(type(c) is RAT for c in s.num2.terms.values())
+    # the constraint's coordinates are integer pairs; their chi'-slice
+    # numerators leave them at the QQ boundary
+    coords = _coordinates(5)
+    assert all(_is_zz(c.num) and _is_zz(c.den) for c in coords)
+    num1, num2 = (c.eval({"chi2": 2}).num.over(QQ) for c in coords)
+    assert num1.domain is QQ and num2.domain is QQ
+    assert all(type(c) is RAT for c in num2.terms.values())
     x = MPoly.variable("chi1")
     g = mpoly_gcd((x - 1) * (x + Rat(1, 2)), (x + Rat(1, 2)) * 4)
     assert g.domain is QQ and str(g) == "2*chi1 + 1"
