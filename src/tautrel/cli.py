@@ -134,8 +134,11 @@ def cmd_verify(args) -> int:
         fixed = None if args.chi in (None, "all") else int(args.chi)
     except ValueError:
         return _usage_error(f"--chi takes an integer or 'all' (got {args.chi!r})")
+    dmax = args.d if args.dmax is None else args.dmax
+    if dmax < args.d:
+        return _usage_error(f"need d <= dmax (got d={args.d}, dmax={dmax})")
     pairs = []
-    for d in range(args.d, (args.dmax or args.d) + 1):
+    for d in range(args.d, dmax + 1):
         if d < 5:
             return _usage_error(f"d >= 5 required for relation checkpoints (got {d})")
         for chi in _coprime_chis(d) if fixed is None else [fixed]:

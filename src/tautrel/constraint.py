@@ -122,7 +122,7 @@ def _coordinates(d: int) -> tuple:
     M, N = symbolic_matrices_at(d, None)
     M2, N2 = _lifted(M, False), _lifted(N, False)
     Mp, Np = _lifted(M, True), _lifted(N, True)
-    cands = solve_S("II", M2, Mp, base=BI_FIELD)
+    cands = solve_S("II", M2, Mp)
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} Type II candidates over Q(chi1, chi2)")
     cand = cands[0]

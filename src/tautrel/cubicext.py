@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from operator import add, sub
 
-from .rat import QQ, Rat, RationalField, rat, rational_cube_root
+from .rat import Rat, RationalField, rat, rational_cube_root
 
 
 _RAT = type(Rat(0))
@@ -53,27 +53,20 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-def upoly_divmod(a, b, monic=False):
-    """Division with remainder over a field; b nonzero (monic skips the
-    leading-coefficient division)."""
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
+def upoly_divmod(a, b):
+    """Division with remainder by a monic b over a field."""
     a = list(a)
-    lead = b[-1]
     db = len(b) - 1
-    q = [None] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] if monic else a[-1] / lead
+    q = [b[-1] - b[-1]] * max(len(a) - db, 0)
+    while a and len(a) - 1 >= db:
+        c = a[-1]
         pos = len(a) - 1 - db
         q[pos] = c
         for i in range(db):
             a[pos + i] = a[pos + i] - c * b[i]
         a.pop()
         a = list(_trim(a))
-        if not a:
-            break
-    qq = _trim([x if x is not None else lead - lead for x in q]) if q else ()
-    return qq, tuple(a)
+    return _trim(q), tuple(a)
 
 
 # -- the extension field -------------------------------------------------
@@ -94,7 +87,7 @@ class CubicField:
         self.deg = len(modulus) - 1
         # m | t^3 - r, exactly
         t3 = [base.zero - self.r, base.zero, base.zero, base.one]
-        _, rem = upoly_divmod(tuple(t3), modulus, monic=True)
+        _, rem = upoly_divmod(tuple(t3), modulus)
         if rem:
             raise ValueError("modulus does not divide t^3 - r")
         self.integral = isinstance(base, RationalField)
@@ -111,7 +104,7 @@ class CubicField:
         positive common denominator; int_fold lists (p, [(i, f_pi)]) over
         the nonzero f_pi."""
         n, zero, one = self.deg, self.base.zero, self.base.one
-        reduced = [upoly_divmod((zero,) * p + (one,), self.modulus, monic=True)[1]
+        reduced = [upoly_divmod((zero,) * p + (one,), self.modulus)[1]
                    for p in range(n, 2 * n - 1)]
         self.fold_den = den = math.lcm(*(c.denominator for red in reduced for c in red))
         self.int_fold = [
@@ -135,7 +128,7 @@ class CubicField:
 
     def from_coeffs(self, coeffs) -> "CubicExt":
         coeffs = [self.base.coerce(c) for c in coeffs]
-        _, rem = upoly_divmod(tuple(coeffs), self.modulus, monic=True)
+        _, rem = upoly_divmod(tuple(coeffs), self.modulus)
         padded = list(rem) + [self.base.zero] * (self.deg - len(rem))
         return CubicExt(self, padded)
 
@@ -440,7 +433,7 @@ def factor_t3_minus_r(r, base):
     the quotient would expose itself as NotInvertible during solving.
     """
     r = base.coerce(r)
-    if base is QQ or isinstance(base, type(QQ)):
+    if isinstance(base, RationalField):
         c = rational_cube_root(rat(r))
         if c is not None:
             linear = (-c, rat(1))

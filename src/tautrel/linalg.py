@@ -93,10 +93,6 @@ class ExactMatrix:
             raise DimensionMismatch("ragged rows")
 
     @classmethod
-    def zero(cls, field, rows, cols):
-        return cls(field, [[field.zero] * cols for _ in range(rows)])
-
-    @classmethod
     def _of(cls, field, data):
         """Wrap rows that already hold elements of field, without coercion."""
         out = cls.__new__(cls)

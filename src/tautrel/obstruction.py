@@ -48,18 +48,27 @@ def svar(i: int, j: int) -> str:
 
 
 def cubic_det(Ms: list) -> dict:
-    """Coefficients of det(x1 M1 + x2 M2 + x3 M3): {(u,v,w): value}."""
-    field = Ms[0].field
+    """Coefficients of det(x1 M1 + x2 M2 + x3 M3): {(u,v,w): value}.
+
+    The determinant whose row r is row r of M_{i_r} is row 0 of M_{i_0}
+    dotted with the cross product of the other two rows; the nine cross
+    products are shared by the 27 determinants."""
+    cross = {}
+    for i1, i2 in product(range(3), repeat=2):
+        b, c = Ms[i1].data[1], Ms[i2].data[2]
+        cross[i1, i2] = (b[1] * c[2] - b[2] * c[1],
+                         b[2] * c[0] - b[0] * c[2],
+                         b[0] * c[1] - b[1] * c[0])
     out: dict = {}
     for rows in product(range(3), repeat=3):
-        mat = ExactMatrix(field, [Ms[rows[r]].data[r] for r in range(3)])
-        v = mat.det()
-        if field.is_zero(v):
+        a, x = Ms[rows[0]].data[0], cross[rows[1], rows[2]]
+        v = a[0] * x[0] + a[1] * x[1] + a[2] * x[2]
+        if not v:
             continue
         key = (rows.count(0), rows.count(1), rows.count(2))
         prev = out.get(key)
         out[key] = v if prev is None else prev + v
-    return {k: v for k, v in out.items() if not field.is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
 def analyze_node(cubic: dict, field) -> dict:
@@ -111,24 +120,18 @@ def _pencil_rhs_poly(Cp: dict, field) -> MPoly:
 
 
 def _coeff_equations_table(C: dict, Cp: dict, field) -> dict:
-    """All ten coefficient equations at once."""
-    poly = _pencil_rhs_poly(Cp, field)
+    """All ten coefficient equations at once: the terms of the pencil
+    polynomial grouped by their (x1, x2, x3) exponent in one pass."""
     table: dict = {}
-    bux = poly.as_univariate("x1")
-    for u in range(4):
-        pu = bux.get(u)
-        if pu is None:
-            continue
-        for vdeg, pv in pu.as_univariate("x2").items():
-            for wdeg, pw in pv.as_univariate("x3").items():
-                table[(u, vdeg, wdeg)] = pw
+    for e, c in _pencil_rhs_poly(Cp, field).terms.items():
+        table.setdefault(e[:3], {})[e[3:]] = -c
     out = {}
     for u in range(4):
         for v in range(4 - u):
-            w = 3 - u - v
-            lhs = C.get((u, v, w), field.zero)
-            rhs = table.get((u, v, w), MPoly.constant(0, S_VARS, field))
-            out[(u, v, w)] = MPoly.constant(lhs, S_VARS, field) - rhs.with_vars(S_VARS)
+            key = (u, v, 3 - u - v)
+            terms = {(0,) * 9: C[key]} if key in C else {}
+            terms.update(table.get(key, {}))  # every rhs term has degree 3 in s
+            out[key] = MPoly._of(S_VARS, terms, field)
     return out
 
 
@@ -140,27 +143,19 @@ def assert_type_split(eqs: dict, field) -> None:
     the (1,1,1) equation pins s33*(s11*s22 + s12*s21) to a nonzero
     value, so s33 != 0 and one of the two off/diagonal pairs vanishes."""
     zeros = {svar(2, 0): 0, svar(2, 1): 0}
-
-    def reduced_support(key):
-        eq = eqs[key].eval(zeros)
-        return {
-            tuple(sorted(v for v, p in zip(eq.vars, e) for _ in range(p))): c
-            for e, c in eq.terms.items()
-        }
-
-    sup = reduced_support((0, 2, 1))
+    sup = _partial(eqs[(0, 2, 1)], zeros, field)
     if set(sup) != {("s21", "s22", "s33")}:
         raise NoCandidate(f"(0,2,1) support {set(sup)} != s21*s22*s33")
-    sup = reduced_support((2, 0, 1))
+    sup = _partial(eqs[(2, 0, 1)], zeros, field)
     if set(sup) != {("s11", "s12", "s33")}:
         raise NoCandidate(f"(2,0,1) support {set(sup)} != s11*s12*s33")
-    sup = reduced_support((1, 1, 1))
+    sup = _partial(eqs[(1, 1, 1)], zeros, field)
     keys = set(sup) - {()}
     if keys != {("s11", "s22", "s33"), ("s12", "s21", "s33")}:
         raise NoCandidate(f"(1,1,1) support {keys} unexpected")
     if sup[("s11", "s22", "s33")] != sup[("s12", "s21", "s33")]:
         raise NoCandidate("(1,1,1) cubic coefficients differ")
-    if field.is_zero(sup.get((), field.zero)):
+    if () not in sup:
         raise NoCandidate("(1,1,1) has no constant part: node coefficient vanished")
 
 
@@ -169,20 +164,20 @@ def assert_type_split(eqs: dict, field) -> None:
 
 @dataclass
 class CandidateS:
-    stype: str
     field: CubicField
     S: ExactMatrix
     r: object
     root_label: str
-    tau: object
 
 
-def _partial(eq: MPoly, assignment: dict, E: CubicField) -> dict:
+def _partial(eq: MPoly, assignment: dict, field) -> dict:
     """Evaluate all assigned variables, keeping unassigned exponents:
-    {reduced exponent key: nonzero extension value}, empty when eq
-    vanishes.  Each power of an assigned value is built once per call
-    (exponents are at most 3), and a term with a variable assigned zero
-    is skipped."""
+    {reduced exponent key: nonzero value in field}, empty when eq
+    vanishes.  The key lists the unassigned variables of a monomial,
+    sorted, each as often as its exponent.  field is any field of the
+    tower holding the coefficients and the assigned values.  Each power
+    of an assigned value is built once per call (exponents are at most
+    3), and a term with a variable assigned zero is skipped."""
     powers = []  # per variable: None if unassigned, [] if zero, else its powers
     for name, top in zip(eq.vars, map(max, zip(*eq.terms))):
         val = assignment.get(name)
@@ -203,13 +198,13 @@ def _partial(eq: MPoly, assignment: dict, E: CubicField) -> dict:
             else:
                 factors.append(pw[p])
         else:
-            term = E.coerce(c)
+            term = field.coerce(c)
             for f in factors:
                 term = term * f
             key = tuple(sorted(key))
             prev = out.get(key)
             out[key] = term if prev is None else prev + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
 
 
 def _solve_linear(eq: MPoly, assignment: dict, unknown: str, E: CubicField):
@@ -226,23 +221,17 @@ def _solve_linear(eq: MPoly, assignment: dict, unknown: str, E: CubicField):
     return -b / a
 
 
-def _cube_value(eq: MPoly, zeros: dict, unknown: str, base):
+def _cube_value(eq: MPoly, zeros: dict, unknown: str, field):
     """From an equation of the shape a*unknown^3 + b (after substituting
-    the vanishing pattern), return the pinned cube -b/a in the base."""
-    reduced = eq.eval(zeros)
-    cube_exp = tuple(sorted([unknown] * 3))
-    parts = {}
-    for e, c in reduced.terms.items():
-        key = tuple(sorted(v for v, p in zip(reduced.vars, e) for _ in range(p)))
-        parts[key] = c
-    bad = [k for k in parts if k not in ((), cube_exp)]
+    the vanishing pattern), return the pinned cube -b/a in the field."""
+    parts = _partial(eq, zeros, field)
+    cube = (unknown,) * 3
+    bad = [k for k in parts if k not in ((), cube)]
     if bad:
         raise NoCandidate(f"cube equation for {unknown} has extra monomials {bad}")
-    a = parts.get(cube_exp)
-    b = parts.get((), base.zero)
-    if a is None or base.is_zero(a):
+    if cube not in parts:
         raise NoCandidate(f"cube equation for {unknown} degenerate")
-    return -b / a
+    return -parts.get((), field.zero) / parts[cube]
 
 
 def _pencil(M: list, Mp: list, field) -> tuple:
@@ -258,11 +247,12 @@ def _pencil(M: list, Mp: list, field) -> tuple:
     return C, Cp, eqs
 
 
-def solve_S(stype: str, M: list, Mp: list, base=None, pencil: tuple = None) -> list:
+def solve_S(stype: str, M: list, Mp: list, pencil: tuple = None) -> list:
     """All candidates of the given type ('I' or 'II'), one per
-    irreducible factor of the relevant t^3 - r.  pencil, when given, is
-    _pencil(M, Mp, base): a caller solving both types computes it once."""
-    field = base if base is not None else M[0].field
+    irreducible factor of the relevant t^3 - r, over the field of the
+    blocks.  pencil, when given, is _pencil(M, Mp, M[0].field): a caller
+    solving both types computes it once."""
+    field = M[0].field
     C, Cp, eqs = _pencil(M, Mp, field) if pencil is None else pencil
     tau = C[(1, 1, 1)] / Cp[(1, 1, 1)]
 
@@ -307,9 +297,7 @@ def solve_S(stype: str, M: list, Mp: list, base=None, pencil: tuple = None) -> l
         S = ExactMatrix(
             E, [[assignment[svar(i, j)] for j in range(3)] for i in range(3)]
         )
-        candidates.append(
-            CandidateS(stype, E, S, r_main, E.modulus_str(), tau)
-        )
+        candidates.append(CandidateS(E, S, r_main, E.modulus_str()))
     return candidates
 
 
@@ -322,24 +310,23 @@ class ABResult:
     kernel_dim: int
     A: ExactMatrix = None
     B: ExactMatrix = None
-    Btilde: ExactMatrix = None
     certificate: dict = None
 
 
 def _lift_matrix(mat: ExactMatrix, E: CubicField) -> ExactMatrix:
-    return ExactMatrix(E, [[E.coerce(x) for x in row] for row in mat.data])
+    return ExactMatrix._of(E, [[E.coerce(x) for x in row] for row in mat.data])
 
 
 def _s_combination(cand: CandidateS, mats: list) -> list:
-    """P_i = sum_j s_ij mats_j over the candidate's extension."""
-    E = cand.field
-    lifted = [_lift_matrix(m, E) for m in mats]
+    """P_i = sum_j s_ij mats_j over the candidate's extension, entry by
+    entry over the nonzero s_ij."""
+    zero = cand.field.zero
     out = []
-    for i in range(3):
-        acc = ExactMatrix.zero(E, 3, 3)
-        for j in range(3):
-            acc = acc + lifted[j].scale(cand.S[i, j])
-        out.append(acc)
+    for srow in cand.S.data:
+        terms = [(s, m.data) for s, m in zip(srow, mats) if s]
+        out.append(ExactMatrix._of(cand.field, [
+            [sum((s * m[r][c] for s, m in terms), zero) for c in range(3)]
+            for r in range(3)]))
     return out
 
 
@@ -423,7 +410,7 @@ def solve_AB(cand: CandidateS, M: list, Mp: list) -> ABResult:
     for i in range(3):
         if not (At * Ms[i] * B) == Ps[i]:
             raise AssertionError("A, B verification failed: witness unsound")
-    return ABResult("solution", 1, A=A, B=B, Btilde=Bt)
+    return ABResult("solution", 1, A=A, B=B)
 
 
 def _a33_certificate(cand: CandidateS, system: ExactMatrix, eq_index: list) -> dict:
@@ -626,7 +613,6 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     certificates = []
     kernel_dims = {}
     witness = None
-    outcomes = {"I": [], "II": []}
 
     pencil = _pencil(M, Mp, M[0].field)
     for stype in ("I", "II"):
@@ -642,11 +628,9 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
                 if fc is not None:
                     cert["a33_forcing_coefficient"] = str(fc)
                 certificates.append(cert)
-                outcomes[stype].append(False)
                 continue
             uv = solve_UV(cand, ab.A, M, N, Np)
             if uv.status == "solvable":
-                outcomes[stype].append(True)
                 if witness is None:
                     witness = {
                         "candidate": label,
@@ -659,7 +643,6 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
                         "V": _matrix_json(uv.V),
                     }
             else:
-                outcomes[stype].append(False)
                 certificates.append(
                     {
                         "candidate": label,
@@ -671,7 +654,7 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     # Galois conjugate to each other, and their extendability genuinely
     # differs (the quadratic-factor twist of the identity witness does
     # not extend); the verdict is existential over candidates, with
-    # per-candidate outcomes recorded.
+    # per-candidate kernel dimensions and certificates recorded.
     if witness is not None:
         return Verdict(d, c1, c2, "NoObstruction", expected, witness=witness,
                        kernel_dims=kernel_dims)

@@ -23,8 +23,6 @@ def rat(num, den=None):
     """Coerce an int, string "p/q", Fraction or Rat into a Rat."""
     if den is not None:
         return Rat(num, den)
-    if isinstance(num, str):
-        return Rat(num)
     return Rat(num)
 
 

@@ -51,7 +51,7 @@ def constraint_slice(d: int, b: int, *, _blocks: tuple = None) -> ConstraintSlic
     M, N = symbolic_matrices_at(d, None) if _blocks is None else _blocks
     Mp = [_evaluated(m, b) for m in M]
     Np = [_evaluated(n, b) for n in N]
-    cands = solve_S("II", M, Mp, base=UNI_FIELD)
+    cands = solve_S("II", M, Mp)
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} slice candidates at chi'={b}")
     cand = cands[0]

@@ -13,7 +13,7 @@ it took the adjugate of the multiplication matrix.
 
 from operator import add, sub
 
-from tautrel.cubicext import _trim, upoly_divmod
+from tautrel.cubicext import _trim
 
 
 def upoly_add(a, b):
@@ -39,6 +39,24 @@ def upoly_mul(a, b, zero):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return _trim(out)
+
+
+def upoly_divmod(a, b):
+    """Division with remainder over a field by any nonzero b (the
+    division of tautrel.cubicext takes a monic b only)."""
+    a = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    q = [lead - lead] * max(len(a) - db, 0)
+    while a and len(a) - 1 >= db:
+        c = a[-1] / lead
+        pos = len(a) - 1 - db
+        q[pos] = c
+        for i in range(db):
+            a[pos + i] = a[pos + i] - c * b[i]
+        a.pop()
+        a = list(_trim(a))
+    return _trim(q), tuple(a)
 
 
 def upoly_xgcd(a, b, one):

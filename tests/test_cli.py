@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -261,10 +262,10 @@ def cli_argv(draw):
     return [command] + [tok for opt in draw(st.permutations(opts)) for tok in opt]
 
 
-def _given_d(argv):
-    """The integer value of --d in argv, or None."""
+def _given_int(argv, option):
+    """The integer value of option in argv, or None."""
     for flag, value in zip(argv, argv[1:]):
-        if flag == "--d":
+        if flag == option:
             try:
                 return int(value)
             except ValueError:
@@ -284,15 +285,31 @@ def _given_d(argv):
 @example(["emit", "--what", "verdicts", "--d", "0"])
 @example(["emit", "--what", "verdicts", "--d", "-5"])
 @example(["decide", "--d", "-5", "--chi1", "1", "--chi2", "2"])
+@example(["sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1", "--format", "json", "--out", "0"])
+@example(["verify", "--d", "9", "--dmax", "5"])
+@example(["verify", "--d", "7", "--dmax", "0", "--chi", "2"])
 def test_cli_exit_code_contract(argv):
     # exit 0, 1 or 2 for any input, and never an exception (a traceback
-    # when run as a program)
-    code, out, err = run_cli(*argv)
+    # when run as a program).  A mutated --out (--out 0, say) names a
+    # writable file, so each example runs in a directory of its own and
+    # leaves none in the one the test started in
+    start = os.getcwd()
+    before = set(os.listdir(start))
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            code, out, err = run_cli(*argv)
+        finally:
+            os.chdir(start)
+    assert set(os.listdir(start)) == before
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    d = _given_d(argv)
+    d = _given_int(argv, "--d")
     if d is not None and d < 1:
         assert code == 2  # no command takes d < 1
+    dmax = _given_int(argv, "--dmax")
+    if argv[0] == "verify" and d is not None and dmax is not None and dmax < d:
+        assert code == 2  # an empty range of d is a usage error, as in sweep
     if UNWRITABLE in argv:
         # an output that cannot be written is a usage error, whatever
         # the command computed, and is reported in one line

@@ -240,7 +240,7 @@ def mul_oracle(a, b):
     E = a.field
     zero = E.base.zero
     prod = upoly_mul(_trim(list(a.coeffs)), _trim(list(b.coeffs)), zero)
-    _, rem = upoly_divmod(prod, E.modulus, monic=True)
+    _, rem = upoly_divmod(prod, E.modulus)
     return tuple(rem) + (zero,) * (E.deg - len(rem))
 
 

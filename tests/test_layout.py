@@ -12,7 +12,7 @@ result) counts for C only when no other src class owns an attribute
 called `name` (a method, a class attribute, a slot, a dataclass field or
 a `self.name` assignment) and no builtin type has one.  Such a name is
 shared: a read of `.zero` may be QQ.zero, CubicField.zero or
-ExactMatrix.zero.  SHARED lists, for each shared name that is read from
+FracField.zero.  SHARED lists, for each shared name that is read from
 receivers of unknown class, the classes whose method those reads reach.
 A class that is not listed needs a resolved reference.
 
@@ -225,7 +225,7 @@ def _with_method(tmp_path, mod: str, cls: str, method: str) -> str:
 
 
 def test_guard_flags_an_uncalled_method_whose_name_is_read_elsewhere(tmp_path):
-    # .zero is read from QQ, fields and ExactMatrix; none of these reads
+    # .zero is read from QQ and the other field descriptors; none of these reads
     # reaches Report
     src = _with_method(tmp_path, "report", "Report", (
         "    @classmethod\n"

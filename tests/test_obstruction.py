@@ -1,9 +1,11 @@
 import math
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautrel import obstruction, relations
+from tautrel.constraint import BI_FIELD, _lifted
 from tautrel.cubicext import factor_t3_minus_r
 from tautrel.linalg import ExactMatrix
 from tautrel.mpoly import MPoly
@@ -22,11 +24,14 @@ from tautrel.obstruction import (
     solve_UV,
     _coeff_equations_table,
     _lift_matrix,
+    _partial,
+    _pencil,
     _pencil_rhs_poly,
     _s_combination,
     _solve_uv_block,
 )
 from tautrel.rat import QQ, Rat
+from tautrel.symbolic import symbolic_matrices_at
 from linalg_oracle import identity
 from uv_oracle import uv_oracle
 from tautrel.relations import build_relation_set
@@ -38,19 +43,13 @@ def blocks(d, chi):
     return matrices_M(rel), matrices_N(rel)
 
 
-def test_cubic_det_two_algorithms_agree():
-    M, _ = blocks(5, 1)
-    fast = cubic_det(M)
-    # Leibniz-style oracle over explicit permutations
-    from itertools import permutations
-
+def leibniz_cubic(Ms, field):
+    """det(x1 M1 + x2 M2 + x3 M3) as a Leibniz sum over the permutations,
+    for each choice of the block that gives each row."""
     oracle = {}
-    names = [0, 1, 2]
-    for rows in [(a, b, c) for a in names for b in names for c in names]:
-        term = QQ.zero
+    for rows in product(range(3), repeat=3):
+        term = field.zero
         for perm in permutations(range(3)):
-            sign = Rat(1)
-            seen = list(perm)
             # permutation parity
             swaps = 0
             p = list(perm)
@@ -59,15 +58,34 @@ def test_cubic_det_two_algorithms_agree():
                     j = p[i]
                     p[i], p[j] = p[j], p[i]
                     swaps += 1
-            sign = Rat(-1) ** swaps
-            prod = sign
+            prod = field.coerce(Rat(-1) ** swaps)
             for r in range(3):
-                prod = prod * M[rows[r]][r, perm[r]]
+                prod = prod * Ms[rows[r]][r, perm[r]]
             term = term + prod
         key = (rows.count(0), rows.count(1), rows.count(2))
-        oracle[key] = oracle.get(key, QQ.zero) + term
-    oracle = {k: v for k, v in oracle.items() if v != 0}
-    assert fast == oracle
+        oracle[key] = oracle.get(key, field.zero) + term
+    return {k: v for k, v in oracle.items() if v}
+
+
+def generic_blocks(d):
+    """The chi and chi' blocks of constraint._coordinates: the Q(chi1)
+    blocks of symbolic_matrices_at(d, None) over Q(chi1, chi2), the chi'
+    side with chi1 renamed to chi2."""
+    M, N = symbolic_matrices_at(d, None)
+    return (_lifted(M, False), _lifted(N, False)), (_lifted(M, True), _lifted(N, True))
+
+
+def test_cubic_det_two_algorithms_agree():
+    # cubic_det shares nine cross products among the 27 determinants
+    for d in range(5, 9):
+        for chi in range(1, d):
+            if math.gcd(d, chi) == 1:
+                M, _ = blocks(d, chi)
+                assert cubic_det(M) == leibniz_cubic(M, QQ)
+    for (M, _) in generic_blocks(5):
+        fast, oracle = cubic_det(M), leibniz_cubic(M, BI_FIELD)
+        assert fast == oracle
+        assert {k: str(v) for k, v in fast.items()} == {k: str(v) for k, v in oracle.items()}
 
 
 def test_nodal_coefficient_examples():
@@ -102,6 +120,39 @@ def test_coeff_equation_triples():
     assert exps == {("s21", "s22", "s33")}
 
 
+def nested_split_equations(C, Cp, field):
+    """The ten coefficient equations as _coeff_equations_table found them
+    before it grouped the terms in one pass: the pencil polynomial split
+    by x1, then x2, then x3, each piece moved to the s variables."""
+    poly = _pencil_rhs_poly(Cp, field)
+    table = {}
+    for u, pu in poly.as_univariate("x1").items():
+        for v, pv in pu.as_univariate("x2").items():
+            for w, pw in pv.as_univariate("x3").items():
+                table[(u, v, w)] = pw
+    out = {}
+    for u in range(4):
+        for v in range(4 - u):
+            key = (u, v, 3 - u - v)
+            rhs = table.get(key, MPoly.constant(0, S_VARS, field))
+            out[key] = MPoly.constant(C.get(key, field.zero), S_VARS, field) - rhs.with_vars(S_VARS)
+    return out
+
+
+def test_coeff_equations_match_the_nested_split():
+    cases = [(symbolic_matrices_at(5, a)[0], symbolic_matrices_at(5, b)[0], QQ)
+             for a, b in coprime_pairs(5)]
+    (M, _), (Mp, _) = generic_blocks(5)
+    cases.append((M, Mp, BI_FIELD))
+    for M, Mp, field in cases:
+        C, Cp = cubic_det(M), cubic_det(Mp)
+        got = _coeff_equations_table(C, Cp, field)
+        want = nested_split_equations(C, Cp, field)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == want[key] and str(got[key]) == str(want[key])
+
+
 def test_pencil_rhs_matches_power_by_power_oracle():
     # the pencil polynomial built from shared powers y_j^0..y_j^3 equals
     # the one built with fresh powers per monomial
@@ -121,6 +172,66 @@ def test_pencil_rhs_matches_power_by_power_oracle():
             want = want + (y[0] ** p) * (y[1] ** q) * (y[2] ** r) * c
         got = _pencil_rhs_poly(Cp, QQ)
         assert got == want and str(got) == str(want)
+
+
+def regrouped_eval(eq, zeros):
+    """The substitution _cube_value and assert_type_split made before
+    they called _partial: MPoly.eval, then each remaining monomial keyed
+    by its sorted variables, one per unit of exponent."""
+    reduced = eq.eval(zeros)
+    return {
+        tuple(sorted(v for v, p in zip(reduced.vars, e) for _ in range(p))): c
+        for e, c in reduced.terms.items()
+    }
+
+
+ZERO_PATTERNS = [
+    {"s31": 0, "s32": 0, "s11": 0, "s22": 0},  # Type I
+    {"s31": 0, "s32": 0, "s12": 0, "s21": 0},  # Type II
+]
+
+
+def test_partial_matches_the_regrouped_eval():
+    cases = [(symbolic_matrices_at(d, a)[0], symbolic_matrices_at(d, b)[0], QQ)
+             for d in range(5, 8) for a, b in coprime_pairs(d)]
+    (M, _), (Mp, _) = generic_blocks(5)
+    cases.append((M, Mp, BI_FIELD))
+    for M, Mp, field in cases:
+        eqs = _pencil(M, Mp, field)[2]
+        for eq in eqs.values():
+            for zeros in ZERO_PATTERNS:
+                got, want = _partial(eq, zeros, field), regrouped_eval(eq, zeros)
+                assert got == want
+                assert {k: str(v) for k, v in got.items()} == {k: str(v) for k, v in want.items()}
+
+
+def summed_combination(cand, mats):
+    """P_i = sum_j s_ij mats_j as _s_combination built it before it went
+    entry by entry: a zero matrix plus the three scaled lifted blocks."""
+    E = cand.field
+    lifted = [_lift_matrix(m, E) for m in mats]
+    out = []
+    for i in range(3):
+        acc = ExactMatrix(E, [[E.zero] * 3 for _ in range(3)])
+        for j in range(3):
+            acc = acc + lifted[j].scale(cand.S[i, j])
+        out.append(acc)
+    return out
+
+
+def test_s_combination_matches_the_summed_blocks():
+    count = 0
+    for d in (5, 7):
+        for a, b in coprime_pairs(d):
+            (M, _), (Mp, Np) = symbolic_matrices_at(d, a), symbolic_matrices_at(d, b)
+            for stype in ("I", "II"):
+                for cand in solve_S(stype, M, Mp):
+                    for mats in (Mp, Np):
+                        got, want = _s_combination(cand, mats), summed_combination(cand, mats)
+                        assert got == want
+                        assert [repr(P) for P in got] == [repr(P) for P in want]
+                    count += 1
+    assert count == 81  # every candidate of both types at the 31 pairs
 
 
 def test_solve_S_type_II_witness_values():
@@ -343,7 +454,7 @@ def test_uv_block_solve_covers_both_outcomes():
     E = UV_FIELDS[0]
     t = E.t
     I3 = identity(E, 3)
-    Z = ExactMatrix.zero(E, 3, 3)
+    Z = ExactMatrix(E, [[0] * 3 for _ in range(3)])
     T = ExactMatrix(E, [[t, 0, 1], [0, t * t, 0], [1, 0, 0]])
     # U = T, V = I solves it, and only it: the i = 0 equation pins U
     Ps = [T, T * T + I3, I3]
