@@ -4,7 +4,10 @@
     tautrel decide --d 5 --chi1 1 --chi2 2
     tautrel sweep --dmin 5 --dmax 8 [--jobs N]
     tautrel emit --what {relations,matrices,verdicts} --d 5 --chi 1 \
-                 --out PATH [--format {json,text}]
+                 [--chi2 2] --out PATH [--format {json,text}]
+
+emit reads --chi2 for verdicts only, where --chi and --chi2 name one
+pair and neither gives all of d's pairs.
 
 Exit codes: 0 all checks pass, 1 mathematical mismatch, 2 usage or IO
 error.
@@ -31,7 +34,7 @@ from .obstruction import (
     solve_S,
 )
 from .rat import QQ, Rat
-from .relations import build_relation_set, det1_formula, det2_formula, verify_rank12
+from .relations import build_relation_set, det1_formula, det2_formula, mon2, verify_rank12
 from .report import Report
 from .symbolic import SYM_FIELD, symbolic_MN, symbolic_matrices_at
 from .truncation import (
@@ -54,10 +57,9 @@ def _coprime_chis(d: int) -> list:
 def _verify_pair(report: Report, d: int, chi: int) -> None:
     rel = build_relation_set(d, chi)
     loc = f"d={d},chi={chi}"
-    report.add("det1_formula", rel.det1 == det1_formula(d, chi),
-               det1_formula(d, chi), rel.det1, loc)
-    report.add("det2_formula", rel.det2 == det2_formula(d),
-               det2_formula(d), rel.det2, loc)
+    for name, want, got in (("det1_formula", det1_formula(d, chi), rel.det1),
+                            ("det2_formula", det2_formula(d), rel.det2)):
+        report.add(name, got == want, want, got, loc)
     try:
         rep = checkpoint_reference_M(d, chi, rel)
         report.add("reference_matrices", rep["entries_checked"] == 27, 27,
@@ -67,7 +69,7 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
     ok, trace = verify_rank12(d, chi, rel)
     report.add("rank12", ok, 12, trace["rank"], loc)
     leads = rel.leading_monos()
-    expected = [((d - 1, 0), (4 - i, i - 1)) for i in (1, 2, 3)]
+    expected = mon2(d)[3:]
     report.add("echelon_leading_terms", leads == expected, expected, leads, loc)
     M = matrices_M(rel)
     cubic = cubic_det(M)
@@ -78,8 +80,9 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
         report.add("nodal_coefficient", coeff == want, want, coeff, loc)
     except NotNodal as e:
         report.add("nodal_coefficient", False, "node at [0:0:1]", str(e), loc)
-    report.add("detM1_nonzero", M[0].det() != 0, "nonzero", M[0].det(), loc)
-    report.add("detM2_nonzero", M[1].det() != 0, "nonzero", M[1].det(), loc)
+    for i in (0, 1):
+        det = M[i].det()
+        report.add(f"detM{i + 1}_nonzero", det != 0, "nonzero", det, loc)
 
 
 def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
@@ -207,7 +210,8 @@ def cmd_sweep(args) -> int:
         for d in range(args.dmin, args.dmax + 1)
         for (c1, c2) in coprime_pairs(d)
     ]
-    jobs = args.jobs or multiprocessing.cpu_count()
+    # no more workers than pairs; the config keeps the --jobs given
+    jobs = min(args.jobs or multiprocessing.cpu_count(), len(tasks))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             rows = pool.map(_sweep_worker, tasks)
@@ -335,11 +339,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
-    if args.command == "emit" and args.chi is None:
-        if args.what in ("relations", "matrices"):
+    if args.command == "emit" and args.what == "verdicts":
+        # the verdict of one pair, or all of d's, never half a pair
+        if (args.chi is None) != (args.chi2 is None):
+            return _usage_error("--chi2 needs --chi" if args.chi is None else "--chi needs --chi2")
+    elif args.command == "emit":
+        if args.chi is None:
             return _usage_error("--chi required")
         if args.chi2 is not None:
-            return _usage_error("--chi2 needs --chi")
+            return _usage_error(f"--what {args.what} takes no --chi2")
     return args.fn(args)
 
 

@@ -8,9 +8,10 @@ used for leading terms, serialization and golden-file comparisons.
 Coefficients default to exact rationals; a polynomial may instead carry
 coefficients from another exact field (its ``domain``), which is how the
 solver keeps polynomials in unknowns over a rational function field, or
-Python ints (the ring ZZ), which is how rational functions hold their
-numerators and denominators.  Coefficients are tested for zero by their
-truth value, which every domain in the tower supports.
+Python ints (the ring ZZ), which is how rational functions read out
+their numerators and denominators; they hold them as dense integer
+lists, not as MPolys.  Coefficients are tested for zero by their truth
+value, which every domain in the tower supports.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from operator import add
 
-from .rat import QQ, ZZ, Rat, is_rational
+from .rat import QQ, Rat, is_rational
 
 _FIXED_VAR_ORDER = ("d", "chi1", "chi2", "x1", "x2", "x3", "t")
 _VAR_RANK = {name: i for i, name in enumerate(_FIXED_VAR_ORDER)}
@@ -271,24 +272,6 @@ class MPoly:
             out.setdefault(p, {})[re] = c
         return {p: MPoly(rest, t, self.domain) for p, t in out.items()}
 
-    @classmethod
-    def from_univariate(cls, name: str, coeffs: dict, domain=QQ) -> "MPoly":
-        acc = None
-        for p, poly in coeffs.items():
-            vars = canonical_vars(poly.vars + (name,))
-            lifted = poly.with_vars(vars)
-            xi = vars.index(name)
-            terms = {}
-            for e, c in lifted.terms.items():
-                ne = list(e)
-                ne[xi] += p
-                terms[tuple(ne)] = c
-            piece = cls(vars, terms, domain)
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            return cls.constant(0, (name,), domain)
-        return acc
-
     def rational_content(self):
         """(content, primitive): content*primitive == self, primitive has
         coprime integer coefficients and positive leading coefficient."""
@@ -308,21 +291,6 @@ class MPoly:
             content = -content
         prim = MPoly._of(self.vars, {e: c / content for e, c in self.terms.items()}, QQ)
         return content, prim
-
-    def integer_content(self):
-        """(content, primitive) over ZZ: content*primitive == self, the
-        primitive part has coprime coefficients and a positive leading
-        coefficient."""
-        if self.domain is not ZZ:
-            raise TypeError("integer content defined over ZZ only")
-        if not self.terms:
-            return 0, self
-        content = math.gcd(*self.terms.values())
-        if self.leading()[1] < 0:
-            content = -content
-        return content, MPoly._of(
-            self.vars, {e: c // content for e, c in self.terms.items()}, ZZ
-        )
 
     def over(self, domain) -> "MPoly":
         """The same polynomial with its coefficients coerced into domain

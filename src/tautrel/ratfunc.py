@@ -25,10 +25,12 @@ the gcd itself.  When either side is constant the gcd is an integer
 content and no GCDHEU is run.  Sums use Henrici's scheme, so the gcd
 taken is that of the denominators and of a factor of it, not of the
 full numerator and denominator.  When a few values of xi fail, the
-subresultant polynomial remainder sequence on the last live variable
-(recursing through contents variable by variable) computes the gcd over
-QQ on MPolys instead, and exact division gives the cofactors; that path
-also serves as the reference in tests.  No factorization is ever needed.
+subresultant polynomial remainder sequence (Collins; Brown and Traub) in
+the outermost variable computes the gcd on the same dense integer form
+instead, its contents taken one level down through the same gcd, and
+exact division gives the cofactors.  The version of that fallback on
+MPolys over QQ is the reference in tests/ratfunc_oracle.py.  No
+factorization is ever needed.
 """
 
 from __future__ import annotations
@@ -39,123 +41,7 @@ from .mpoly import MPoly, canonical_vars
 from .rat import QQ, ZZ, Rat, is_rational, rat
 
 
-def _prem(A: dict, B: dict) -> dict:
-    """Pseudo-remainder of univariate-over-MPoly dicts: lc(B)^(dA-dB+1)*A mod B."""
-    dA, dB = max(A), max(B)
-    lcB = B[dB]
-    R = dict(A)
-    e = dA - dB + 1
-    while R:
-        dR = max(R)
-        if dR < dB:
-            break
-        lcR = R[dR]
-        newR = {}
-        for k, c in R.items():
-            if k != dR:
-                newR[k] = c * lcB
-        for k, c in B.items():
-            if k == dB:
-                continue
-            kk = k + dR - dB
-            prev = newR.get(kk)
-            term = lcR * c
-            newR[kk] = -term if prev is None else prev - term
-        R = {k: c for k, c in newR.items() if not c.is_zero()}
-        e -= 1
-    if e > 0 and R:
-        f = lcB**e
-        R = {k: c * f for k, c in R.items()}
-    return R
-
-
-def _dict_content(coeffs: dict) -> MPoly:
-    acc = None
-    for c in coeffs.values():
-        acc = c if acc is None else subresultant_gcd(acc, c)
-        if acc.is_constant():
-            break
-    _, prim = acc.rational_content()
-    return prim
-
-
-def _dict_exact_div(coeffs: dict, divisor: MPoly) -> dict:
-    return {k: c.exact_div(divisor) for k, c in coeffs.items()}
-
-
-def _subresultant_pp_gcd(A: dict, B: dict, one: MPoly) -> dict:
-    """Gcd of primitive univariate-over-MPoly polys, up to content."""
-    if max(A) < max(B):
-        A, B = B, A
-    g = one
-    h = one
-    while True:
-        delta = max(A) - max(B)
-        R = _prem(A, B)
-        if not R:
-            return B
-        if max(R) == 0:
-            return {0: one}
-        divisor = g * h**delta
-        A, B = B, _dict_exact_div(R, divisor)
-        g = A[max(A)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g**delta).exact_div(h ** (delta - 1))
-
-
-def _gcd_args(f: MPoly, g: MPoly):
-    """Align f and g on a common variable tuple and settle the trivial
-    cases: (f, g, gcd or None)."""
-    if f.domain is not QQ or g.domain is not QQ:
-        raise TypeError("gcd is defined over the rational coefficient domain")
-    vars = canonical_vars(f.vars + g.vars)
-    f = f.with_vars(vars)
-    g = g.with_vars(vars)
-    if f.is_zero() and g.is_zero():
-        return f, g, MPoly.constant(0, vars)
-    if f.is_zero():
-        return f, g, g.rational_content()[1]
-    if g.is_zero():
-        return f, g, f.rational_content()[1]
-    if f.is_constant() or g.is_constant():
-        return f, g, MPoly.constant(1, vars)
-    return f, g, None
-
-
-def subresultant_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """The gcd of mpoly_gcd by the subresultant remainder sequence: the
-    fallback of the heuristic and its reference."""
-    f, g, done = _gcd_args(f, g)
-    if done is not None:
-        return done
-    vars = f.vars
-    main = None
-    for name in reversed(vars):
-        if f.degree_in(name) > 0 or g.degree_in(name) > 0:
-            main = name
-            break
-    fu = f.as_univariate(main)
-    gu = g.as_univariate(main)
-    if f.degree_in(main) == 0:
-        return subresultant_gcd(f, _dict_content(gu))
-    if g.degree_in(main) == 0:
-        return subresultant_gcd(_dict_content(fu), g)
-    cf = _dict_content(fu)
-    cg = _dict_content(gu)
-    cont = subresultant_gcd(cf, cg)
-    ppf = _dict_exact_div(fu, cf)
-    ppg = _dict_exact_div(gu, cg)
-    one = MPoly.constant(1, tuple(v for v in vars if v != main))
-    chain_tail = _subresultant_pp_gcd(ppf, ppg, one)
-    # the final chain element carries junk content in the lower variables
-    pp_gcd = _dict_exact_div(chain_tail, _dict_content(chain_tail))
-    raw = MPoly.from_univariate(main, pp_gcd) * cont
-    return raw.with_vars(vars).rational_content()[1]
-
-
-# -- heuristic gcd over the integers ------------------------------------------
+# -- gcd over the integers: GCDHEU and its subresultant fallback --------------
 #
 # A polynomial in k variables with integer coefficients is held densely
 # and recursively: level 0 is an int, level k a list of level k-1
@@ -353,6 +239,84 @@ def _heu_gcd(A, B, k):
     return None
 
 
+def _pow(p, n: int, k):
+    """The level-k p to the power n >= 0."""
+    out = _constant_poly(1, k)
+    for _ in range(n):
+        out = _mul(out, p, k)
+    return out
+
+
+def _coeff_quo(p, q, k):
+    """The level-k p with each coefficient in its outermost variable
+    divided by the level-(k-1) q, which divides them all."""
+    return [_exact_quo(c, q, k - 1) for c in p]
+
+
+def _prem(A, B, k):
+    """The pseudo-remainder lc(B)^(deg A - deg B + 1) A mod B of level-k A
+    and B in their outermost variable, deg A >= deg B."""
+    lead, dB = B[-1], len(B) - 1
+    R, e = A, len(A) - dB
+    while len(R) > dB:
+        neg, shift = _scale(R[-1], -1, k - 1), len(R) - 1 - dB
+        R = [_mul(c, lead, k - 1) for c in R[:-1]]
+        for j in range(dB):
+            if B[j]:
+                R[j + shift] = _add(R[j + shift], _mul(neg, B[j], k - 1), k - 1)
+        R = _trim(R)
+        e -= 1
+    if e and R:
+        R = [_mul(c, _pow(lead, e, k - 1), k - 1) for c in R]
+    return R
+
+
+def _subresultant_tail(A, B, k):
+    """The last nonzero element of the subresultant remainder sequence
+    (Collins; Brown and Traub) of level-k A and B of positive degree in
+    their outermost variable, or 1 when it ends in a constant: their gcd
+    up to a factor in the other variables."""
+    if len(A) < len(B):
+        A, B = B, A
+    g = h = _constant_poly(1, k - 1)
+    while True:
+        delta = len(A) - len(B)
+        R = _prem(A, B, k)
+        if not R:
+            return B
+        if len(R) == 1:
+            return [_constant_poly(1, k - 1)]
+        A, B = B, _coeff_quo(R, _mul(g, _pow(h, delta, k - 1), k - 1), k)
+        g = A[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _exact_quo(_pow(g, delta, k - 1), _pow(h, delta - 1, k - 1), k - 1)
+
+
+def _content(p, k):
+    """The gcd of the level-(k-1) coefficients of the nonzero level-k p."""
+    g = None
+    for c in p:
+        if c:
+            g = c if g is None else _cofactors(g, c, k - 1)[0]
+    return g
+
+
+def _subresultant_gcd(a, b, k):
+    """The gcd of nonzero level-k integer polynomials, content included and
+    sign unspecified, from the subresultant sequence of their primitive
+    parts in the outermost variable: GCDHEU's fallback.  The contents are
+    gcds one level down, through _cofactors."""
+    ca, cb = _content(a, k), _content(b, k)
+    cont = [_cofactors(ca, cb, k - 1)[0]]
+    if len(a) == 1 or len(b) == 1:
+        return cont
+    tail = _subresultant_tail(_coeff_quo(a, ca, k), _coeff_quo(b, cb, k), k)
+    # the tail's factor in the other variables is its content
+    return _mul(_coeff_quo(tail, _content(tail, k), k), cont, k)
+
+
 def _to_dense(terms: dict, k):
     """Level-k dense form of {exponent tuple of length k: nonzero int}."""
     if k == 0:
@@ -415,37 +379,36 @@ def _zz_dense(f: MPoly):
 
 def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Primitive, positive-leading gcd of two rational-coefficient MPolys."""
-    f, g, done = _gcd_args(f, g)
-    if done is not None:
-        return done
-    found = _heu_gcd(*(_zz_dense(p.rational_content()[1]) for p in (f, g)), len(f.vars))
-    if found is None:
-        return subresultant_gcd(f, g)
-    return _mpoly(found[0], f.vars).integer_content()[1].over(QQ)
-
-
-def _cofactors(a, b, vars: tuple) -> tuple:
-    """(h, a/h, b/h) for nonzero dense integer polynomials in vars, h
-    their gcd over the integers (content included, sign unspecified):
-    the integer content when either is constant, GCDHEU's own cofactors,
-    or the subresultant gcd and exact division when GCDHEU gives up."""
+    if f.domain is not QQ or g.domain is not QQ:
+        raise TypeError("gcd is defined over the rational coefficient domain")
+    vars = canonical_vars(f.vars + g.vars)
+    f, g = f.with_vars(vars), g.with_vars(vars)
+    if not f or not g:
+        return (f or g).rational_content()[1]
     k = len(vars)
+    h = _cofactors(*(_zz_dense(p.rational_content()[1]) for p in (f, g)), k)[0]
+    c = math.gcd(*_coeffs(h, k))
+    return _mpoly(_quo_int(h, -c if _leading(h, k)[2] < 0 else c, k), vars).over(QQ)
+
+
+def _cofactors(a, b, k) -> tuple:
+    """(h, a/h, b/h) for nonzero level-k integer polynomials, h their gcd
+    over the integers (content included, sign unspecified): the integer
+    content when either is constant, GCDHEU's gcd with its own cofactors,
+    or the subresultant gcd and exact division when GCDHEU gives up."""
     ca, cb = _constant(a, k), _constant(b, k)
     if ca in (1, -1) or cb in (1, -1):
         return _constant_poly(1, k), a, b
-    h = None
     if ca is None and cb is None:
         found = _heu_gcd(a, b, k)
         if found is not None:
             return found
-        f, g = _mpoly(a, vars).over(QQ), _mpoly(b, vars).over(QQ)
-        h = subresultant_gcd(f, g)
-        # h is primitive, so by Gauss's lemma the quotients are integral
-        a, b, h = _zz_dense(f.exact_div(h)), _zz_dense(g.exact_div(h)), _zz_dense(h)
+        h = _subresultant_gcd(a, b, k)
+        return h, _exact_quo(a, h, k), _exact_quo(b, h, k)
     c = math.gcd(*_coeffs(a, k), *_coeffs(b, k))
     if c != 1:
         a, b = _quo_int(a, c, k), _quo_int(b, c, k)
-    return (_constant_poly(c, k) if h is None else _scale(h, c, k)), a, b
+    return _constant_poly(c, k), a, b
 
 
 def _signed(vars: tuple, num, den) -> "RatFunc":
@@ -463,7 +426,7 @@ def _reduced(vars: tuple, num, den) -> "RatFunc":
         raise ZeroDivisionError("rational function with zero denominator")
     if not num:
         return RatFunc._of_rational(0, vars)
-    return _signed(vars, *_cofactors(num, den, vars)[1:])
+    return _signed(vars, *_cofactors(num, den, len(vars))[1:])
 
 
 class RatFunc:
@@ -567,11 +530,11 @@ class RatFunc:
             return _reduced(vars, _add(a, c, k), b)
         # Henrici: with h = gcd(b, d), a/b + c/d = t/(h b' d') for
         # t = a d' + c b', and t is coprime to b' d'
-        h, b, d = _cofactors(b, d, vars)
+        h, b, d = _cofactors(b, d, k)
         t = _add(_mul(a, d, k), _mul(c, b, k), k)
         if not t:
             return _reduced(vars, t, h)
-        _, t, h = _cofactors(t, h, vars)
+        _, t, h = _cofactors(t, h, k)
         return _signed(vars, t, _mul(_mul(b, d, k), h, k))
 
     __radd__ = __add__
@@ -598,8 +561,8 @@ class RatFunc:
         # terms, a'c'/(b'd') is in lowest terms too
         vars, a, b, c, d = self._aligned(o)
         k = len(vars)
-        _, a, d = _cofactors(a, d, vars)
-        _, c, b = _cofactors(c, b, vars)
+        _, a, d = _cofactors(a, d, k)
+        _, c, b = _cofactors(c, b, k)
         return _signed(vars, _mul(a, c, k), _mul(b, d, k))
 
     __rmul__ = __mul__
@@ -622,11 +585,8 @@ class RatFunc:
                 raise ZeroDivisionError("inverting zero")
             return _signed(self.vars, self._den, self._num) ** (-n)
         k = len(self.vars)
-        num, den = _constant_poly(1, k), _constant_poly(1, k)
         # powers of a coprime pair are coprime (Gauss's lemma)
-        for _ in range(n):
-            num, den = _mul(num, self._num, k), _mul(den, self._den, k)
-        return RatFunc._raw(self.vars, num, den)
+        return RatFunc._raw(self.vars, _pow(self._num, n, k), _pow(self._den, n, k))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -419,11 +419,7 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     # only the output is unpacked, each monomial checked to have degree d
     unpack = packing.unpack
     pivot_monos = tuple(unpack(columns[col], d) for col, _ in found)
-    expected_pivots = tuple(
-        tuple(sorted(((d - 1, 0), u), key=gen_key, reverse=True))
-        for u in [(3, 0), (2, 1), (1, 2)]
-    )
-    if pivot_monos[9:12] != expected_pivots:
+    if pivot_monos[9:12] != tuple(mon2(d)[3:]):
         raise SingularCheckpoint(
             "echelon leading monomials differ from the canonical ones: "
             + ", ".join(mono_str(m) for m in pivot_monos[9:12])

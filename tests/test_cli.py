@@ -173,6 +173,39 @@ def test_sweep_small_serial_and_parallel_agree():
     assert json.loads(out2)["results"] == rows
 
 
+def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
+    """--jobs 64 over d = 5's 10 pairs asks for 10 workers and reports
+    what --jobs 1 reports, --jobs included; the fake pool maps inline, so
+    no process starts."""
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    code1, out1, _ = run_cli(
+        "sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1", "--format", "json")
+    assert asked == []
+    code64, out64, _ = run_cli(
+        "sweep", "--dmin", "5", "--dmax", "5", "--jobs", "64", "--format", "json")
+    assert asked == [10]
+    assert code1 == code64 == 0
+    payload1, payload64 = json.loads(out1), json.loads(out64)
+    assert payload64["config"]["jobs"] == 64
+    payload64["config"]["jobs"] = 1
+    assert payload64 == payload1
+
+
 def test_sweep_failing_pair_gives_error_row(monkeypatch):
     from tautrel.obstruction import coprime_pairs
 
@@ -273,6 +306,26 @@ def _given_int(argv, option):
     return None
 
 
+def _parsed(argv):
+    """argv parsed by the CLI's own parser, or None where it refuses it."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _half_pair(args) -> bool:
+    """Whether a parsed emit gives --chi2 where it is not read, or only
+    one of --chi and --chi2 for verdicts."""
+    if args.what == "verdicts":
+        return (args.chi is None) != (args.chi2 is None)
+    return args.chi2 is not None
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_argv())
 @example(["emit", "--what", "verdicts", "--d", "5", "--chi2", "1"])
@@ -288,6 +341,8 @@ def _given_int(argv, option):
 @example(["sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1", "--format", "json", "--out", "0"])
 @example(["verify", "--d", "9", "--dmax", "5"])
 @example(["verify", "--d", "7", "--dmax", "0", "--chi", "2"])
+@example(["emit", "--what", "verdicts", "--d", "5", "--chi", "3"])
+@example(["emit", "--what", "relations", "--d", "5", "--chi", "1", "--chi2", "2"])
 def test_cli_exit_code_contract(argv):
     # exit 0, 1 or 2 for any input, and never an exception (a traceback
     # when run as a program).  A mutated --out (--out 0, say) names a
@@ -310,6 +365,11 @@ def test_cli_exit_code_contract(argv):
     dmax = _given_int(argv, "--dmax")
     if argv[0] == "verify" and d is not None and dmax is not None and dmax < d:
         assert code == 2  # an empty range of d is a usage error, as in sweep
+    args = _parsed(argv)
+    if args is not None and args.command == "emit" and _half_pair(args):
+        # emit reads --chi2 only for verdicts, and there only with --chi
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
     if UNWRITABLE in argv:
         # an output that cannot be written is a usage error, whatever
         # the command computed, and is reported in one line

@@ -1,17 +1,19 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubicext_oracle import upoly_mul
 from linalg_oracle import det_cofactor, identity, rank, solve
+from ratfunc_oracle import subresultant_gcd
 from tautrel.cubicext import CubicField, NotInvertible, _trim, factor_t3_minus_r, upoly_divmod
 from tautrel.linalg import ExactMatrix, NonSquareDet, int_gauss_jordan
 from tautrel.mpoly import ExactDivisionError, MPoly
 from tautrel.rat import QQ, Rat, rat, rational_cube_root
 from tautrel import ratfunc
-from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd, subresultant_gcd
+from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
 
 VARS = ("d", "chi1", "chi2")
 
@@ -133,6 +135,7 @@ def planted_gcd_pairs(draw):
 
 _d = MPoly.variable("d", ("d", "chi1"))
 _chi = MPoly.variable("chi1", ("d", "chi1"))
+_D, _X, _Y = (MPoly.variable(v, VARS) for v in VARS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,13 +143,24 @@ _chi = MPoly.variable("chi1", ("d", "chi1"))
 @example((16 * _d**2, 4 * _d * _chi, 4 * _d))
 @example((16 * _d**2, _d * (_chi + 1), _d))
 @example((6 * _chi**3 - 6 * _chi, (_chi - 1) * (_d - 2 * _chi) / 7, _chi - 1))
+# one side free of the outer variable chi1
+@example(((_d**2 - 1) * (_d + 2), (_d + 1) * (_chi**2 + _d), _d + 1))
+# over the integers the gcd is only the content 2
+@example((6 * _d * _chi + 6, 4 * _chi**2 - 4 * _d, MPoly.constant(2, ("d", "chi1"))))
+# a gcd planted in all three variables
+@example(((_D * _Y - _X + 2) * (_Y**2 + _D), (_D * _Y - _X + 2) * (_X * _Y - 3),
+          _D * _Y - _X + 2))
 def test_gcd_matches_subresultant_oracle(case):
+    """mpoly_gcd with GCDHEU, then with every gcd on the dense fallback,
+    against the subresultant gcd on MPolys over QQ."""
     A, B, h = case
-    G = mpoly_gcd(A, B)
     oracle = subresultant_gcd(A, B)
-    assert G == oracle and G.vars == oracle.vars
-    if not (A.is_zero() or B.is_zero() or h.is_zero()):
-        assert divides(h.rational_content()[1], G)
+    for max_bits in (ratfunc.HEU_MAX_BITS, 0):
+        with mock.patch.object(ratfunc, "HEU_MAX_BITS", max_bits):
+            G = mpoly_gcd(A, B)
+        assert G == oracle and G.vars == oracle.vars and G.domain is QQ
+        if not (A.is_zero() or B.is_zero() or h.is_zero()):
+            assert divides(h.rational_content()[1], G)
 
 
 def test_gcd_fallback_when_heuristic_gives_up(monkeypatch):
@@ -159,16 +173,19 @@ def test_gcd_fallback_when_heuristic_gives_up(monkeypatch):
                 cases.append((f * h, g * h))
     expected = [mpoly_gcd(A, B) for A, B in cases]
     fallbacks = []
+    real = ratfunc._subresultant_gcd
 
-    def counted(f, g):
-        fallbacks.append(1)
-        return subresultant_gcd(f, g)
+    def counted(a, b, k):
+        fallbacks.append(k)
+        return real(a, b, k)
 
     # no xi is small enough, so every non-trivial call gives up
     monkeypatch.setattr(ratfunc, "HEU_MAX_BITS", 0)
-    monkeypatch.setattr(ratfunc, "subresultant_gcd", counted)
+    monkeypatch.setattr(ratfunc, "_subresultant_gcd", counted)
     assert [mpoly_gcd(A, B) for A, B in cases] == expected
-    assert fallbacks
+    assert [subresultant_gcd(A, B) for A, B in cases] == expected
+    # the contents are taken through the fallback one level down
+    assert {1, 2, 3} <= set(fallbacks)
 
 
 def test_ratfunc_inverse_roundtrip_random():

@@ -2,10 +2,12 @@
 boundary, and the nonzero-terms invariant of MPoly._of."""
 
 import operator
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ratfunc_oracle
 from ratfunc_oracle import OracleRatFunc, eval_over_qq
 from tautrel import ratfunc
 from tautrel.constraint import _coordinates
@@ -132,33 +134,99 @@ def _fallback_cases():
     ]
 
 
-def _ops_on(cases):
+def _operands(cases):
+    return [(RatFunc(num, den), RatFunc(den + 1, num * 2)) for num, den in cases]
+
+
+def _ops(operands):
     out = []
-    for num, den in cases:
-        r = RatFunc(num, den)
-        s = RatFunc(den + 1, num * 2)
-        out += [r, r + s, r - s, r * s, r / s, r**-2]
+    for r, s in operands:
+        out += [r, r + s, r - s, r * s, r / s, r**-2, r * Rat(-5, 4), r + 3]
     return out
+
+
+def _counting_fallback(monkeypatch):
+    """Forces every non-trivial gcd onto the dense fallback; returns the
+    list that records its calls."""
+    calls = []
+    real = ratfunc._subresultant_gcd
+
+    def counted(a, b, k):
+        calls.append(k)
+        return real(a, b, k)
+
+    # no xi is small enough, so every non-trivial gcd takes the fallback
+    monkeypatch.setattr(ratfunc, "HEU_MAX_BITS", 0)
+    monkeypatch.setattr(ratfunc, "_subresultant_gcd", counted)
+    return calls
 
 
 def test_ratfunc_fallback_gives_same_results(monkeypatch):
     cases = _fallback_cases()
-    expected = _ops_on(cases)
-    fallbacks = []
-    real = ratfunc.subresultant_gcd
-
-    def counted(f, g):
-        fallbacks.append(1)
-        return real(f, g)
-
-    # no xi is small enough, so every non-trivial gcd takes the fallback
-    monkeypatch.setattr(ratfunc, "HEU_MAX_BITS", 0)
-    monkeypatch.setattr(ratfunc, "subresultant_gcd", counted)
-    got = _ops_on(cases)
+    expected = _ops(_operands(cases))
+    fallbacks = _counting_fallback(monkeypatch)
+    got = _ops(_operands(cases))
     assert fallbacks
     for r, e in zip(got, expected):
         assert str(r) == str(e) and r == e and hash(r) == hash(e)
         assert _is_zz(r.num) and _is_zz(r.den)
+
+
+def test_fallback_arithmetic_builds_no_mpoly(monkeypatch):
+    """+ - * / ** on operands over one variable tuple, every gcd on the
+    fallback, construct no MPoly: the fallback runs on the dense form."""
+    cases = _fallback_cases()
+    expected = _ops(_operands(cases))
+    operands = _operands(cases)
+    fallbacks = _counting_fallback(monkeypatch)
+    built = []
+    real_init, real_of = MPoly.__init__, MPoly._of.__func__
+
+    def init(self, *args, **kwargs):
+        built.append("__init__")
+        real_init(self, *args, **kwargs)
+
+    def of(cls, *args, **kwargs):
+        built.append("_of")
+        return real_of(cls, *args, **kwargs)
+
+    monkeypatch.setattr(MPoly, "__init__", init)
+    monkeypatch.setattr(MPoly, "_of", classmethod(of))
+    got = _ops(operands)
+    assert all(r == e for r, e in zip(got, expected))
+    assert built == [] and fallbacks
+
+
+def _tail_cases():
+    """Pairs of integer polynomials of positive degree in the outermost
+    variable, with a planted common factor, over one to three variables."""
+    rng = random.Random(20)
+    for vars in GCD_VARS:
+        def poly(deg):
+            terms = {tuple(rng.randint(0, 2) for _ in vars[:-1]) + (rng.randint(1, deg),):
+                     Rat(rng.randint(-6, 6)) for _ in range(3)}
+            return MPoly(vars, terms) + rng.randint(-3, 3)
+        for _ in range(6):
+            f, g, h = poly(3), poly(2), poly(1)
+            if h.degree_in(vars[-1]) > 0 and (f * h).degree_in(vars[-1]) > 0 \
+                    and (g * h).degree_in(vars[-1]) > 0:
+                yield vars, f * h, g * h
+
+
+def test_subresultant_tail_matches_the_mpoly_sequence():
+    """The dense remainder sequence ends in exactly the polynomial the
+    MPoly sequence over QQ ends in, not one of its multiples."""
+    count = 0
+    for vars, A, B in _tail_cases():
+        main, rest = vars[-1], vars[:-1]
+        one = MPoly.constant(1, rest)
+        want = ratfunc_oracle._subresultant_pp_gcd(
+            A.as_univariate(main), B.as_univariate(main), one)
+        tail = ratfunc._subresultant_tail(*(ratfunc._zz_dense(p) for p in (A, B)), len(vars))
+        got = {i: ratfunc._mpoly(c, rest) for i, c in enumerate(tail) if c}
+        assert got == want, (A, B)
+        count += len(tail) > 1
+    assert count >= 6
 
 
 def test_rational_boundary_returns_rat():
@@ -219,10 +287,6 @@ def test_of_outputs_hold_no_zero_coefficient(data):
         content, prim = a.rational_content()
         _no_zero_terms(prim)
         assert prim * content == a
-    if a.domain is ZZ and a.terms:
-        content, prim = a.integer_content()
-        _no_zero_terms(prim)
-        assert prim * content == a and prim.leading()[1] > 0
 
 
 def _both(num, den):
