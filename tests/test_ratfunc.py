@@ -175,9 +175,8 @@ def test_ratfunc_fallback_gives_same_results(monkeypatch):
 def test_fallback_arithmetic_builds_no_mpoly(monkeypatch):
     """+ - * / ** on operands over one variable tuple, every gcd on the
     fallback, construct no MPoly: the fallback runs on the dense form."""
-    cases = _fallback_cases()
-    expected = _ops(_operands(cases))
-    operands = _operands(cases)
+    operands = _operands(_fallback_cases())
+    expected = _ops(operands)
     fallbacks = _counting_fallback(monkeypatch)
     built = []
     real_init, real_of = MPoly.__init__, MPoly._of.__func__
