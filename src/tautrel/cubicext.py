@@ -168,7 +168,7 @@ class CubicField:
         )
 
     def __hash__(self):
-        return hash(("CubicField", id(self.base), len(self.modulus)))
+        return hash(("CubicField", self.base, self.modulus))
 
 
 class CubicExt:
@@ -298,6 +298,9 @@ class CubicExt:
         return all(a == b for a, b in zip(self.num, o.num))
 
     def __hash__(self):
+        # an element of the base hashes as the base value it equals
+        if self.is_base():
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def base_part(self):

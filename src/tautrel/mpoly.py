@@ -5,13 +5,15 @@ tuple; the canonical order (d, chi1, chi2, x1, x2, x3, t, then any
 solver unknowns alphabetically) fixes the graded-lexicographic order
 used for leading terms, serialization and golden-file comparisons.
 
-Coefficients default to exact rationals; a polynomial may instead carry
-coefficients from another exact field (its ``domain``), which is how the
-solver keeps polynomials in unknowns over a rational function field, or
-Python ints (the ring ZZ), which is how rational functions read out
-their numerators and denominators; they hold them as dense integer
-lists, not as MPolys.  Coefficients are tested for zero by their truth
-value, which every domain in the tower supports.
+Coefficients are exact rationals by default.  The ``domain`` names
+another coefficient ring: Python ints (the ring ZZ) are how rational
+functions read out their numerators and denominators (they hold them as
+dense integer lists, not as MPolys); any field of the tower also works,
+and the tests' reference S solve keeps polynomials in unknowns over a
+rational function field that way.  Coefficients are tested for zero by
+their truth value, which every domain in the tower supports.  Equal
+polynomials hash alike: a constant as its value, whatever its variable
+tuple.
 """
 
 from __future__ import annotations
@@ -219,7 +221,13 @@ class MPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # equal polynomials hash alike: a constant as its value, and each
+        # term by the variables it involves, whatever the variable tuple
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash(frozenset(
+            (frozenset((v, p) for v, p in zip(self.vars, e) if p), c)
+            for e, c in self.terms.items()))
 
     # -- evaluation -----------------------------------------------------
 

@@ -2,13 +2,17 @@
 
 Given the coefficient blocks at (d, chi) and (d, chi'), a graded ring
 isomorphism would induce an invertible change-of-relations matrix S with
-A^T M_i B = sum_j s_ij M'_j.  Comparing coefficients of the determinant
-pencil identity det(sum x_i M_i) = det(sum_ij x_i s_ij M'_j) classifies
-S into two vanishing patterns; each pattern is solved over a cubic
-extension (one candidate per irreducible factor of t^3 - r), the linear
-system for B^-1 is solved exactly (A follows from the i=1 equation), and
-finally the extended system for (U, V) decides solvability.  Witnesses
-and inconsistency certificates are re-verified by direct substitution.
+A^T M_i B = sum_j s_ij M'_j.  Both determinant pencils det(sum x_i M_i)
+and det(sum x_j M'_j) are cubics with a node at [0:0:1] and five nonzero
+coefficients.  Comparing coefficients of the pencil identity
+det(sum x_i M_i) = det(sum_ij x_i s_ij M'_j) classifies S into two
+vanishing patterns and gives each entry of S as a ratio of those
+coefficients, over a cubic extension (one candidate per irreducible
+factor of t^3 - r); each candidate is checked against the whole
+identity.  The linear system for B^-1 is solved exactly (A follows from
+the i=1 equation), and finally the extended system for (U, V) decides
+solvability.  Witnesses and inconsistency certificates are re-verified
+by direct substitution.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from itertools import product
 
 from .cubicext import CubicField, factor_t3_minus_r
 from .linalg import ExactMatrix
-from .mpoly import MPoly
 from .rat import Rat
 from .symbolic import symbolic_matrices_at
 
@@ -34,14 +37,6 @@ class NoCandidate(ArithmeticError):
 
 class NotCoprime(ValueError):
     pass
-
-
-S_VARS = tuple(f"s{i}{j}" for i in range(1, 4) for j in range(1, 4))
-
-
-def svar(i: int, j: int) -> str:
-    """Variable name of the S-entry at 0-based (i, j)."""
-    return f"s{i+1}{j+1}"
 
 
 # -- the cubic pencil ---------------------------------------------------------
@@ -94,71 +89,6 @@ def analyze_node(cubic: dict, field) -> dict:
     return {"coefficient": coeff}
 
 
-def _pencil_rhs_poly(Cp: dict, field) -> MPoly:
-    """det(sum_ij x_i s_ij M'_j) as a polynomial in x and s variables."""
-    vars = ("x1", "x2", "x3") + S_VARS
-    y = []
-    for j in range(3):
-        terms = {}
-        for i in range(3):
-            e = [0] * len(vars)
-            e[i] = 1
-            e[3 + 3 * i + j] = 1
-            terms[tuple(e)] = field.one
-        y.append(MPoly(vars, terms, field))
-    # powers[j][e] = y_j^e, e = 0..3, shared by the ten monomials
-    powers = []
-    for yj in y:
-        pw = [MPoly.constant(1, vars, field)]
-        for _ in range(3):
-            pw.append(pw[-1] * yj)
-        powers.append(pw)
-    acc = MPoly.constant(0, vars, field)
-    for (p, q, r), c in Cp.items():
-        acc = acc + powers[0][p] * powers[1][q] * powers[2][r] * c
-    return acc
-
-
-def _coeff_equations_table(C: dict, Cp: dict, field) -> dict:
-    """All ten coefficient equations at once: the terms of the pencil
-    polynomial grouped by their (x1, x2, x3) exponent in one pass."""
-    table: dict = {}
-    for e, c in _pencil_rhs_poly(Cp, field).terms.items():
-        table.setdefault(e[:3], {})[e[3:]] = -c
-    out = {}
-    for u in range(4):
-        for v in range(4 - u):
-            key = (u, v, 3 - u - v)
-            terms = {(0,) * 9: C[key]} if key in C else {}
-            terms.update(table.get(key, {}))  # every rhs term has degree 3 in s
-            out[key] = MPoly._of(S_VARS, terms, field)
-    return out
-
-
-def assert_type_split(eqs: dict, field) -> None:
-    """The completeness of the Type I / Type II case split, read from the
-    ten coefficient equations eqs of a pencil pair: after the
-    node forces the last row to (0, 0, s33), the (0,2,1) and (2,0,1)
-    equations are nonzero multiples of s21*s22*s33 and s12*s11*s33, and
-    the (1,1,1) equation pins s33*(s11*s22 + s12*s21) to a nonzero
-    value, so s33 != 0 and one of the two off/diagonal pairs vanishes."""
-    zeros = {svar(2, 0): 0, svar(2, 1): 0}
-    sup = _partial(eqs[(0, 2, 1)], zeros, field)
-    if set(sup) != {("s21", "s22", "s33")}:
-        raise NoCandidate(f"(0,2,1) support {set(sup)} != s21*s22*s33")
-    sup = _partial(eqs[(2, 0, 1)], zeros, field)
-    if set(sup) != {("s11", "s12", "s33")}:
-        raise NoCandidate(f"(2,0,1) support {set(sup)} != s11*s12*s33")
-    sup = _partial(eqs[(1, 1, 1)], zeros, field)
-    keys = set(sup) - {()}
-    if keys != {("s11", "s22", "s33"), ("s12", "s21", "s33")}:
-        raise NoCandidate(f"(1,1,1) support {keys} unexpected")
-    if sup[("s11", "s22", "s33")] != sup[("s12", "s21", "s33")]:
-        raise NoCandidate("(1,1,1) cubic coefficients differ")
-    if () not in sup:
-        raise NoCandidate("(1,1,1) has no constant part: node coefficient vanished")
-
-
 # -- solving for S ------------------------------------------------------------
 
 
@@ -170,103 +100,89 @@ class CandidateS:
     root_label: str
 
 
-def _partial(eq: MPoly, assignment: dict, field) -> dict:
-    """Evaluate all assigned variables, keeping unassigned exponents:
-    {reduced exponent key: nonzero value in field}, empty when eq
-    vanishes.  The key lists the unassigned variables of a monomial,
-    sorted, each as often as its exponent.  field is any field of the
-    tower holding the coefficients and the assigned values.  Each power
-    of an assigned value is built once per call (exponents are at most
-    3), and a term with a variable assigned zero is skipped."""
-    powers = []  # per variable: None if unassigned, [] if zero, else its powers
-    for name, top in zip(eq.vars, map(max, zip(*eq.terms))):
-        val = assignment.get(name)
-        if val is None or not val:
-            powers.append(None if val is None else [])
-        else:
-            powers.append([None, val] + [val**p for p in range(2, top + 1)])
-    out: dict = {}
-    for e, c in eq.terms.items():
-        key, factors = [], []
-        for name, p, pw in zip(eq.vars, e, powers):
-            if not p:
-                continue
-            if pw is None:
-                key.extend([name] * p)
-            elif not pw:
-                break
-            else:
-                factors.append(pw[p])
-        else:
-            term = field.coerce(c)
-            for f in factors:
-                term = term * f
-            key = tuple(sorted(key))
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-    return {k: v for k, v in out.items() if v}
-
-
-def _solve_linear(eq: MPoly, assignment: dict, unknown: str, E: CubicField):
-    parts = _partial(eq, assignment, E)
-    bad = [k for k in parts if k not in ((), (unknown,))]
-    if bad:
-        raise NoCandidate(f"equation not linear in {unknown}: extra monomials {bad}")
-    a = parts.get((unknown,), E.zero)
-    b = parts.get((), E.zero)
-    if a.is_zero():
-        if b.is_zero():
-            return None
-        raise NoCandidate(f"inconsistent linear equation for {unknown}")
-    return -b / a
-
-
-def _cube_value(eq: MPoly, zeros: dict, unknown: str, field):
-    """From an equation of the shape a*unknown^3 + b (after substituting
-    the vanishing pattern), return the pinned cube -b/a in the field."""
-    parts = _partial(eq, zeros, field)
-    cube = (unknown,) * 3
-    bad = [k for k in parts if k not in ((), cube)]
-    if bad:
-        raise NoCandidate(f"cube equation for {unknown} has extra monomials {bad}")
-    if cube not in parts:
-        raise NoCandidate(f"cube equation for {unknown} degenerate")
-    return -parts.get((), field.zero) / parts[cube]
+# the five monomials a cubic with that node may have
+_NODAL_TERMS = ((3, 0, 0), (0, 3, 0), (2, 1, 0), (1, 2, 0), (1, 1, 1))
 
 
 def _pencil(M: list, Mp: list, field) -> tuple:
-    """(C, Cp, eqs): the pencil cubics det(sum x_i M_i) and det(sum x_j
-    M'_j), both checked nodal, and their ten coefficient equations in
-    the s_ij, checked to split into Type I and Type II."""
+    """(C, Cp): the pencil cubics det(sum x_i M_i) and det(sum x_j M'_j),
+    both nodal at [0:0:1] (analyze_node) with nonzero x1^3 and x2^3
+    coefficients.  Since dC/dx3 = c111*x1*x2, those make [0:0:1] the
+    only singular point of each cubic."""
     C = cubic_det(M)
     Cp = cubic_det(Mp)
-    analyze_node(C, field)
-    analyze_node(Cp, field)
-    eqs = _coeff_equations_table(C, Cp, field)
-    assert_type_split(eqs, field)
-    return C, Cp, eqs
+    for cubic in (C, Cp):
+        analyze_node(cubic, field)
+        if (3, 0, 0) not in cubic or (0, 3, 0) not in cubic:
+            raise NoCandidate("x1^3 or x2^3 coefficient vanishes: the node "
+                              "is not the only singular point")
+    return C, Cp
+
+
+def _cube(value, coeff, unknown: str):
+    """The cube of unknown pinned by coeff * unknown^3 = value."""
+    if not coeff:
+        raise NoCandidate(f"cube equation for {unknown} degenerate")
+    return value / coeff
 
 
 def solve_S(stype: str, M: list, Mp: list, pencil: tuple = None) -> list:
     """All candidates of the given type ('I' or 'II'), one per
     irreducible factor of the relevant t^3 - r, over the field of the
     blocks.  pencil, when given, is _pencil(M, Mp, M[0].field): a caller
-    solving both types computes it once."""
-    field = M[0].field
-    C, Cp, eqs = _pencil(M, Mp, field) if pencil is None else pencil
-    tau = C[(1, 1, 1)] / Cp[(1, 1, 1)]
+    solving both types computes it once.
 
-    zeros = {svar(2, 0): 0, svar(2, 1): 0}
+    Write c_uvw for the coefficient of x1^u x2^v x3^w in
+    C = det(sum x_i M_i), and c'_uvw for that of C' = det(sum y_j M'_j).
+    After the node check each is c300 x1^3 + c030 x2^3 + c210 x1^2 x2 + c120 x1 x2^2 +
+    c111 x1 x2 x3, and the identity reads C(x) = C'(S^T x).  S^T is
+    invertible: C(x + k) = C(x) for a kernel vector k would make k a
+    singular point of C, so k ~ [0:0:1], and C would not involve x3.  So
+    S^T maps the one singular point [0:0:1] of C to that of C':
+    s31 = s32 = 0, y1 = s11 x1 + s21 x2, y2 = s12 x1 + s22 x2 and
+    y3 = s13 x1 + s23 x2 + s33 x3.  Only c'111 y1 y2 y3 involves x3, so
+
+        x1^2 x3:   c'111 s11 s12 s33 = 0
+        x2^2 x3:   c'111 s21 s22 s33 = 0
+        x1 x2 x3:  c'111 s33 (s11 s22 + s12 s21) = c111.
+
+    With tau = c111/c'111 != 0 the last gives s33 != 0 and s11 s22 != 0
+    or s12 s21 != 0, and the first two then force s12 = s21 = 0
+    (Type II) or s11 = s22 = 0 (Type I): the two patterns are complete.
+    Under s33 = 1 every other coefficient is a cube equation, a linear
+    one or 0 on both sides (x3^2, x3^3):
+
+        Type I                             Type II
+        x2^3:  c'300 s21^3 = c030          c'030 s22^3 = c030
+        x1^3:  c'030 s12^3 = c300          c'300 s11^3 = c300
+        x1 x2 x3:  s12 s21 = tau           s11 s22 = tau
+        x1^2 x2:  c'120 s12^2 s21 + c'111 s12 s21 s13 = c210
+                                           c'210 s11^2 s22 + c'111 s11 s22 s13 = c210
+        x1 x2^2:  c'210 s12 s21^2 + c'111 s12 s21 s23 = c120
+                                           c'120 s11 s22^2 + c'111 s11 s22 s23 = c120
+
+    So in Type I r = s21^3 = c030/c'300 and s12 = tau/s21, consistent
+    when tau^3 = r * c300/c'030.  In Type II r = s22^3 = c030/c'030,
+    consistent when c300/c'300 = r^2 and tau = r, and then
+    s11 = tau/s22 = s22^2.  s13 and s23 follow from the last two rows.
+    Each candidate is checked against the whole identity, with C'
+    computed again from Mp.
+    """
+    field = M[0].field
+    C, Cp = _pencil(M, Mp, field) if pencil is None else pencil
+    zero = field.zero
+    c300, c030, c210, c120, c111 = (C.get(k, zero) for k in _NODAL_TERMS)
+    p300, p030, p210, p120, p111 = (Cp.get(k, zero) for k in _NODAL_TERMS)
+    tau = c111 / p111
+
     if stype == "I":
-        zeros.update({svar(0, 0): 0, svar(1, 1): 0})
-        r_main = _cube_value(eqs[(0, 3, 0)], zeros, "s21", field)  # s21^3
-        r_other = _cube_value(eqs[(3, 0, 0)], zeros, "s12", field)  # s12^3
+        r_main = _cube(c030, p300, "s21")  # s21^3
+        r_other = _cube(c300, p030, "s12")  # s12^3
         if tau**3 != r_main * r_other:
             raise NoCandidate("s33^3 != 1 for Type I: cube consistency broken")
     elif stype == "II":
-        zeros.update({svar(0, 1): 0, svar(1, 0): 0})
-        r_main = _cube_value(eqs[(0, 3, 0)], zeros, "s22", field)  # s22^3
-        r_other = _cube_value(eqs[(3, 0, 0)], zeros, "s11", field)  # s11^3
+        r_main = _cube(c030, p030, "s22")  # s22^3
+        r_other = _cube(c300, p300, "s11")  # s11^3
         if r_other != r_main * r_main:
             raise NoCandidate("s11^3 != (s22^3)^2 for Type II")
         if tau != r_main:
@@ -276,28 +192,23 @@ def solve_S(stype: str, M: list, Mp: list, pencil: tuple = None) -> list:
 
     candidates = []
     for E in factor_t3_minus_r(r_main, field):
-        assignment = {name: E.zero for name in zeros}
-        assignment["s33"] = E.one
         root = E.t
         if stype == "I":
-            assignment["s21"] = root
-            assignment["s12"] = E.coerce(tau) / root
+            s11 = s22 = E.zero
+            s21, s12 = root, E.coerce(tau) / root
+            s13 = (c210 - p120 * s12 * s12 * s21) / (p111 * s12 * s21)
+            s23 = (c120 - p210 * s12 * s21 * s21) / (p111 * s12 * s21)
         else:
-            assignment["s22"] = root
-            assignment["s11"] = root * root
-        # the two remaining entries come from the (2,1,0) and (1,2,0)
-        # equations, each linear once everything else is known
-        s13 = _solve_linear(eqs[(2, 1, 0)], assignment, "s13", E)
-        assignment["s13"] = s13 if s13 is not None else E.zero
-        s23 = _solve_linear(eqs[(1, 2, 0)], assignment, "s23", E)
-        assignment["s23"] = s23 if s23 is not None else E.zero
-        for key, eq in eqs.items():
-            if _partial(eq, assignment, E):  # every variable is assigned
-                raise NoCandidate(f"pencil equation {key} violated for type {stype}")
-        S = ExactMatrix(
-            E, [[assignment[svar(i, j)] for j in range(3)] for i in range(3)]
-        )
-        candidates.append(CandidateS(E, S, r_main, E.modulus_str()))
+            s12 = s21 = E.zero
+            s22, s11 = root, root * root
+            s13 = (c210 - p210 * s11 * s11 * s22) / (p111 * s11 * s22)
+            s23 = (c120 - p120 * s11 * s22 * s22) / (p111 * s11 * s22)
+        S = ExactMatrix(E, [[s11, s12, s13], [s21, s22, s23], [0, 0, 1]])
+        cand = CandidateS(E, S, r_main, E.modulus_str())
+        lifted = {k: E.coerce(v) for k, v in C.items()}
+        if cubic_det(_s_combination(cand, Mp)) != lifted:
+            raise NoCandidate(f"pencil identity violated for type {stype}")
+        candidates.append(cand)
     return candidates
 
 

@@ -596,7 +596,13 @@ class RatFunc:
         return a == c and b == d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # over a constant denominator k, the hash of the equal MPoly num/k
+        # over QQ (of the equal Rat when num is constant too)
+        num, den = self.num, self.den
+        if den.is_constant():
+            k = den.constant_value()
+            return hash(MPoly._of(num.vars, {e: Rat(c, k) for e, c in num.terms.items()}))
+        return hash((num, den))
 
     # -- substitution -------------------------------------------------------
 

@@ -245,7 +245,6 @@ def _large_ratio(a: int) -> dict:
     return acc
 
 
-@lru_cache(maxsize=None)
 def _sym_relation(kind: str, n: int) -> tuple:
     """Truncated relation in the twisted basis, as (den, ((key, items),
     ...)): the coefficient of key is the Laurent polynomial dict(items)

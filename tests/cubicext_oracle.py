@@ -146,6 +146,9 @@ class OracleCubicExt:
         return all(a == b for a, b in zip(self.coeffs, self._other(other).coeffs))
 
     def __hash__(self):
+        # an element of the base hashes as the base value it equals
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __str__(self):

@@ -555,3 +555,70 @@ def test_kernel_over_extension():
     assert len(ker) == 1
     v = ker[0]
     assert (t * v[0] + v[1]).is_zero()
+
+
+# -- hash agrees with == ----------------------------------------------------------
+
+
+def _equal_cubic_fields(base):
+    """Two distinct but equal descriptors of base[t]/(t^3 - 2)."""
+    return [CubicField(b, 2, (-2, 0, 0, 1)) for b in (base, base)]
+
+
+@st.composite
+def one_value_many_ways(draw):
+    """Groups of equal values, each an anchor and the ways it is written.
+    A polynomial p in (d, chi1), possibly constant or free of one
+    variable: as MPolys over wider variable tuples, as RatFuncs (over a
+    constant denominator too) and as base elements of two equal cubic
+    fields over Q(d, chi1).  A constant p also as an MPoly in another
+    variable, an int when integral, and a base element of two equal
+    cubic fields over QQ.  And t + p in the two equal fields over
+    Q(d, chi1)."""
+    small = st.fractions(-4, 4, max_denominator=3).map(lambda f: Rat(f.numerator, f.denominator))
+    exps = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
+    p = MPoly(("d", "chi1"), draw(st.dictionaries(exps, small, max_size=3)))
+    k = draw(st.integers(1, 5))
+    function_fields = _equal_cubic_fields(FracField(("d", "chi1")))
+    groups = [(RatFunc(p), [p, p.with_vars(VARS), RatFunc(p.with_vars(VARS)),
+                            RatFunc(p * k, MPoly.constant(k, ("chi1", "chi2"))),
+                            FracField(VARS).coerce(p)]
+               + [E.coerce(RatFunc(p)) for E in function_fields])]
+    if p.is_constant():
+        q = p.constant_value()
+        ways = [MPoly.constant(q, ("chi2",))] + [E.coerce(q) for E in _equal_cubic_fields(QQ)]
+        if q.denominator == 1:
+            ways.append(int(q))
+        groups.append((q, ways))
+    shifted = [E.t + RatFunc(p) for E in function_fields]
+    groups.append((shifted[0], shifted))
+    return groups
+
+
+@settings(max_examples=120, deadline=None)
+@given(one_value_many_ways())
+def test_equal_values_hash_alike(groups):
+    values = []
+    for anchor, ways in groups:
+        assert all(anchor == b for b in ways)
+        values += [anchor] + ways
+    for a in values:
+        for b in values:
+            assert (a == b) <= (hash(a) == hash(b)), (a, b)
+
+
+def test_equal_values_hash_alike_examples():
+    QE = _equal_cubic_fields(QQ)
+    pairs = [
+        (MPoly.variable("d"), MPoly.variable("d", ("d", "chi1"))),
+        (MPoly.constant(3, ("d",)), 3),
+        (FracField(("d",)).gen("d"), FracField(("d", "chi1")).gen("d")),
+        (FracField(("d", "chi1")).coerce(Rat(-5, 3)), Rat(-5, 3)),
+        (QE[0].coerce(Rat(7, 2)), Rat(7, 2)),
+        (QE[0].t, QE[1].t),
+        tuple(_equal_cubic_fields(QQ)),
+        tuple(_equal_cubic_fields(FracField(("d", "chi1")))),
+        tuple(CubicField(FracField(("d",)), 2, (-2, 0, 0, 1)) for _ in range(2)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), (a, b)

@@ -1,8 +1,12 @@
-"""Layout guard: every public name in src/tautrel has a caller in src/.
+"""Layout guard: every name in src/tautrel has a caller in src/.
 
-A public module-level function or class counts as used when some other
+Public and private names alike: a module-level function or class, and a
+method other than a dunder.  So a helper that only tests call lives in
+tests/, not in the package.
+
+A module-level function or class counts as used when some other
 place in src/tautrel names it (as a name, or as a module attribute).  A
-public non-dunder method C.name counts as used when some other place
+non-dunder method C.name counts as used when some other place
 reads `.name` from a receiver whose class resolves to C: the class itself
 (`C.name`), `self` or `cls` inside C's methods, or a module-level
 instance of C (`QQ.name`), a subclass inheriting the method included.
@@ -61,19 +65,23 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions(mod: str, tree: ast.Module):
     """(qualified name, class or None, bare name, first line, last line) of
-    each public module-level function or class and each public method."""
+    each module-level function or class and each method but the dunders."""
     for node in tree.body:
-        if not isinstance(node, _FUNCS + (ast.ClassDef,)) or not _public(node.name):
+        if not isinstance(node, _FUNCS + (ast.ClassDef,)):
             continue
         yield f"{mod}.{node.name}", None, node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, _FUNCS) and _public(item.name):
+                if isinstance(item, _FUNCS) and not _dunder(item.name):
                     yield (f"{mod}.{node.name}.{item.name}", node.name, item.name,
                            item.lineno, item.end_lineno)
 
@@ -197,11 +205,22 @@ class _Layout:
         return {q for mod, tree in self.trees.items() for q, *_ in _definitions(mod, tree)}
 
 
+def _private(qual: str) -> bool:
+    return not _public(qual.rsplit(".", 1)[1])
+
+
 def test_every_public_name_has_a_caller_in_src():
     layout = _Layout(SRC)
-    missing = layout.missing()
+    missing = [q for q in layout.missing() if not _private(q)]
     assert not missing, "public names with no caller in src/: " + ", ".join(missing)
     assert set(ALLOWED) <= layout.defined(), "stale allow-list entries"
+
+
+def test_every_private_name_has_a_caller_in_src():
+    layout = _Layout(SRC)
+    assert any(map(_private, layout.defined()))
+    missing = [q for q in layout.missing() if _private(q)]
+    assert not missing, "private names with no caller in src/: " + ", ".join(missing)
 
 
 def test_shared_names_are_shared_and_owned():
@@ -242,3 +261,15 @@ def test_guard_counts_a_call_through_the_class(tmp_path):
         "    def cleared(self):\n"
         "        return Report.zero(self.command)\n\n"))
     assert _Layout(src).missing() == ["report.Report.cleared"]
+
+
+def test_guard_flags_uncalled_private_names(tmp_path):
+    src = _with_method(tmp_path, "report", "Report", (
+        "    def _helper(self):\n"
+        "        return self\n\n"))
+    path = os.path.join(src, "report.py")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef _helper(x):\n    return _helper(x)\n\n\n"
+                 "class _Unused:\n    pass\n")
+    assert _Layout(src).missing() == [
+        "report.Report._helper", "report._helper", "report._Unused"]

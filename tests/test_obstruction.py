@@ -10,7 +10,7 @@ from tautrel.cubicext import factor_t3_minus_r
 from tautrel.linalg import ExactMatrix
 from tautrel.mpoly import MPoly
 from tautrel.obstruction import (
-    S_VARS,
+    NoCandidate,
     NotCoprime,
     NotNodal,
     a33_coefficient_formula,
@@ -22,17 +22,16 @@ from tautrel.obstruction import (
     solve_AB,
     solve_S,
     solve_UV,
-    _coeff_equations_table,
     _lift_matrix,
-    _partial,
     _pencil,
-    _pencil_rhs_poly,
     _s_combination,
     _solve_uv_block,
 )
 from tautrel.rat import QQ, Rat
 from tautrel.symbolic import symbolic_matrices_at
 from linalg_oracle import identity
+import pencil_oracle
+from pencil_oracle import S_VARS, _coeff_equations_table, _partial, _pencil_rhs_poly
 from uv_oracle import uv_oracle
 from tautrel.relations import build_relation_set
 from tautrel.truncation import matrices_M, matrices_N
@@ -197,7 +196,7 @@ def test_partial_matches_the_regrouped_eval():
     (M, _), (Mp, _) = generic_blocks(5)
     cases.append((M, Mp, BI_FIELD))
     for M, Mp, field in cases:
-        eqs = _pencil(M, Mp, field)[2]
+        eqs = pencil_oracle._pencil(M, Mp, field)[2]
         for eq in eqs.values():
             for zeros in ZERO_PATTERNS:
                 got, want = _partial(eq, zeros, field), regrouped_eval(eq, zeros)
@@ -349,11 +348,11 @@ def test_kernel_dims_recorded():
 def test_decide_computes_the_pencil_once(monkeypatch):
     calls = []
 
-    def counted(Cp, field):
+    def counted(M, Mp, field):
         calls.append(field)
-        return _pencil_rhs_poly(Cp, field)
+        return _pencil(M, Mp, field)
 
-    monkeypatch.setattr(obstruction, "_pencil_rhs_poly", counted)
+    monkeypatch.setattr(obstruction, "_pencil", counted)
     for pair in [(1, 2), (1, 1), (1, 4)]:
         calls.clear()
         v = decide(5, *pair)
@@ -361,6 +360,60 @@ def test_decide_computes_the_pencil_once(monkeypatch):
     calls.clear()
     M, _ = blocks(5, 1)
     assert len(solve_S("II", M, M)) == 2 and len(calls) == 1
+
+
+def _candidate_strs(cands):
+    return [(c.root_label, str(c.r), [str(x) for row in c.S.data for x in row])
+            for c in cands]
+
+
+def test_solve_S_matches_the_equation_oracle():
+    # the candidates read from the five coefficients are the ones the ten
+    # coefficient equations give, entry by entry and in the same order
+    cases = [(symbolic_matrices_at(d, a)[0], symbolic_matrices_at(d, b)[0])
+             for d in range(5, 11) for a, b in coprime_pairs(d)]
+    cases += [(M, Mp) for (M, _), (Mp, _) in (generic_blocks(5), generic_blocks(8))]
+    count = 0
+    for M, Mp in cases:
+        for stype in ("I", "II"):
+            got = solve_S(stype, M, Mp)
+            assert _candidate_strs(got) == _candidate_strs(pencil_oracle.solve_S(stype, M, Mp))
+            count += len(got)
+    assert len(cases) == 77 and count == 197
+
+
+def test_solve_S_rejects_a_broken_pencil():
+    (M, _), (Mp, _) = blocks(5, 1), blocks(5, 2)
+    C, Cp = _pencil(M, Mp, QQ)
+    assert len(solve_S("II", M, Mp, pencil=(C, Cp))) == 1
+    # a wrong c'120 only moves s23: the identity, with C' computed again
+    # from Mp, catches it; the equations built from the same broken
+    # pencil did not
+    bad = dict(Cp)
+    bad[(1, 2, 0)] = bad.get((1, 2, 0), QQ.zero) + 1
+    with pytest.raises(NoCandidate, match="pencil identity violated"):
+        solve_S("II", M, Mp, pencil=(C, bad))
+    eqs = _coeff_equations_table(C, bad, QQ)
+    assert len(pencil_oracle.solve_S("II", M, Mp, pencil=(C, bad, eqs))) == 1
+    bad = {k: v for k, v in Cp.items() if k != (3, 0, 0)}
+    with pytest.raises(NoCandidate, match="cube equation for s21 degenerate"):
+        solve_S("I", M, Mp, pencil=(C, bad))
+    bad = {k: v for k, v in C.items() if k != (3, 0, 0)}
+    with pytest.raises(NoCandidate, match="cube consistency broken"):
+        solve_S("I", M, Mp, pencil=(bad, Cp))
+    with pytest.raises(NoCandidate, match=r"s11\^3 != \(s22\^3\)\^2"):
+        solve_S("II", M, Mp, pencil=(bad, Cp))
+
+
+def test_pencil_requires_both_cube_coefficients(monkeypatch):
+    # without x1^3 the cubic has a second singular point on the line
+    # x2 = 0, and S^T need not fix [0:0:1]
+    M, _ = blocks(5, 1)
+    exact = obstruction.cubic_det
+    monkeypatch.setattr(obstruction, "cubic_det",
+                        lambda Ms: {k: v for k, v in exact(Ms).items() if k != (3, 0, 0)})
+    with pytest.raises(NoCandidate, match="x1\\^3 or x2\\^3 coefficient vanishes"):
+        _pencil(M, M, QQ)
 
 
 def _same_uv(got, want):

@@ -16,6 +16,7 @@ from tautrel.rat import QQ, ZZ, Rat
 from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
 
 GCD_VARS = (("chi1",), ("d", "chi1"), ("d", "chi1", "chi2"))
+WIDE_VARS = ("d", "chi1", "chi2", "t")
 RAT = type(Rat(0))
 # a point where no factor drawn below vanishes is found among these
 POINTS = ({"d": Rat(7, 3), "chi1": Rat(-5, 2), "chi2": Rat(11, 7)},
@@ -56,7 +57,8 @@ def _agrees(new, old):
     assert new.num.vars == old.num.vars and new.den.vars == old.den.vars
     n, d = _qq(new)
     assert n * old.den == old.num * d
-    assert hash(new) == hash((old.num, old.den))
+    wide = RatFunc(old.num.with_vars(WIDE_VARS), old.den.with_vars(WIDE_VARS))
+    assert new == wide and hash(new) == hash(wide)
     for pt in POINTS:
         if old.den.eval(pt) != 0:
             v = new.eval(pt)
