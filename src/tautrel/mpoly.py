@@ -11,9 +11,7 @@ functions read out their numerators and denominators (they hold them as
 dense integer lists, not as MPolys); any field of the tower also works,
 and the tests' reference S solve keeps polynomials in unknowns over a
 rational function field that way.  Coefficients are tested for zero by
-their truth value, which every domain in the tower supports.  Equal
-polynomials hash alike: a constant as its value, whatever its variable
-tuple.
+their truth value, which every domain in the tower supports.
 """
 
 from __future__ import annotations
