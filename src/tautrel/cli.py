@@ -27,6 +27,7 @@ from .obstruction import (
     a33_coefficient_formula,
     analyze_node,
     congruent,
+    coprime_chis,
     coprime_pairs,
     cubic_det,
     decide,
@@ -48,10 +49,6 @@ from .truncation import (
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
-
-
-def _coprime_chis(d: int) -> list:
-    return [c for c in range(1, d) if math.gcd(c, d) == 1]
 
 
 def _verify_pair(report: Report, d: int, chi: int) -> None:
@@ -144,7 +141,7 @@ def cmd_verify(args) -> int:
     for d in range(args.d, dmax + 1):
         if d < 5:
             return _usage_error(f"d >= 5 required for relation checkpoints (got {d})")
-        for chi in _coprime_chis(d) if fixed is None else [fixed]:
+        for chi in coprime_chis(d) if fixed is None else [fixed]:
             err = _chi_error("chi", chi, d)
             if err is None and args.chi2 is not None:
                 err = _chi_error("chi2", args.chi2, d)

@@ -41,7 +41,15 @@ from functools import reduce
 
 from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
-from .obstruction import CandidateS, _lift_matrix, _s_combination, solve_AB, solve_S, solve_UV
+from .obstruction import (
+    CandidateS,
+    _lift_matrix,
+    _s_combination,
+    coprime_chis,
+    solve_AB,
+    solve_S,
+    solve_UV,
+)
 from .rat import QQ, Rat
 from .ratfunc import FracField, RatFunc, mpoly_gcd
 from .symbolic import symbolic_matrices_at
@@ -256,7 +264,7 @@ def constraint_analysis(d: int) -> ConstraintReport:
 
     # rejection of non-congruent pairs: the slice constraint pair is
     # nonzero at every valid non-congruent integer pair
-    chis = [c for c in range(1, d) if math.gcd(c, d) == 1]
+    chis = coprime_chis(d)
     reject_ok = True
     for b, num1, num2 in slices:
         if math.gcd(b, d) != 1:

@@ -176,8 +176,8 @@ class CubicExt:
 
     Over QQ, num holds integer numerators over den, one positive common
     denominator, with gcd(*num, den) = 1.  Over any other base, den is
-    None and num holds the coefficients themselves.  CubicExt(field,
-    coeffs) takes coefficients in the base; coeffs gives them back.
+    None and num holds the coefficients themselves.  CubicExt(field, c)
+    takes field.deg coefficients c in the base; coeffs gives them back.
     """
 
     __slots__ = ("field", "num", "den")
@@ -185,6 +185,8 @@ class CubicExt:
     def __init__(self, field, coeffs):
         self.field = field
         coeffs = tuple(coeffs)
+        if len(coeffs) != field.deg:
+            raise ValueError(f"{len(coeffs)} coefficients for an extension of degree {field.deg}")
         if not field.integral:
             self.num, self.den = coeffs, None
             return
@@ -434,8 +436,12 @@ def factor_t3_minus_r(r, base):
     quadratic (t^2 + c t + c^2) (irreducible: its discriminant -3c^2 < 0).
     Function-field bases keep t^3 - r whole; if r were secretly a cube
     the quotient would expose itself as NotInvertible during solving.
+    r = 0 is refused: t^3 has the repeated factor t, so no quotient by a
+    factor of it is a field.
     """
     r = base.coerce(r)
+    if base.is_zero(r):
+        raise ValueError("t^3 - r with r = 0 has the repeated factor t")
     if isinstance(base, RationalField):
         c = rational_cube_root(rat(r))
         if c is not None:

@@ -578,9 +578,14 @@ def _require_positive(d: int) -> None:
         raise ValueError(f"d >= 1 required (got {d})")
 
 
+def coprime_chis(d: int) -> list:
+    """All 0 < chi < d coprime to d."""
+    return [c for c in range(1, d) if math.gcd(c, d) == 1]
+
+
 def coprime_pairs(d: int) -> list:
     """All coprime 0 < chi1 <= chi2 < d."""
     _require_positive(d)
-    chis = [c for c in range(1, d) if math.gcd(c, d) == 1]
+    chis = coprime_chis(d)
     return [(a, b) for a in chis for b in chis if a <= b]
 

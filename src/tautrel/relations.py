@@ -57,6 +57,9 @@ _entries: det1, det2, the minors of verify_rank12 and the M/N blocks
 of truncation pack the monomials they read, look them up, and divide
 one numerator by its row's denominator.
 
+The monomials read by name (det1's, the minors', the leading ones of
+R1..R3) and the multipliers of Ra^n come from tautalg's layout.
+
 The factors F_s come from tautalg.factor_table, the one definition of
 their eight terms and of the degenerate symbols that symbolic expands
 too: each coefficient is evaluated at (d, chi) and signed into the
@@ -81,10 +84,14 @@ from .linalg import ExactMatrix, int_gauss_jordan
 from .mpoly import _signed_term
 from .rat import QQ, ZZ, Rat
 from .tautalg import (
+    DEG1,
+    DEG2,
+    LARGE,
     DegreeMismatch,
     factor_table,
     gen_degree,
     gen_key,
+    large_gen,
     mono_str,
     twisted_symbol,
 )
@@ -251,32 +258,15 @@ def _mul_into(out: defaultdict, h: list, g: dict, w: int) -> None:
 # -- relation sets -----------------------------------------------------------
 
 
-def high_generators(d: int) -> dict:
-    return {
-        "deg_d_minus_1": [(d, 0), (d - 1, 1), (d - 2, 2)],
-        "deg_d": [(d + 1, 0), (d, 1), (d - 1, 2)],
-    }
-
-
 def mon1(d: int) -> list:
-    out = []
-    for g in [(d, 0), (d - 1, 1), (d - 2, 2)]:
-        for u in [(2, 0), (0, 2)]:
-            out.append(tuple(sorted((g, u), key=gen_key, reverse=True)))
-    return out
+    """The Mon1 minor's monomials: degree d-1 times degree 1."""
+    return [(large_gen(d, o), u) for o in LARGE[1] for u in DEG1]
 
 
 def mon2(d: int) -> list:
-    singles = [((d + 1, 0),), ((d, 1),), ((d - 1, 2),)]
-    pairs = [
-        tuple(sorted(((d - 1, 0), u), key=gen_key, reverse=True))
-        for u in [(3, 0), (2, 1), (1, 2)]
-    ]
-    return singles + pairs
-
-
-# the degree-1 generators c2(0) and c0(2) that multiply Ra^n
-_RA_FACTORS = ((2, 0), (0, 2))
+    """The Mon2 minor's monomials: degree d, then R1..R3's leading ones."""
+    lead = large_gen(d, LARGE[2][0])
+    return [(large_gen(d, o),) for o in LARGE[0]] + [(lead, u) for u in DEG2]
 
 
 def _twelve_rows(packing: _Packing, Ra, Rb, Rc, den1, den2) -> tuple:
@@ -287,7 +277,7 @@ def _twelve_rows(packing: _Packing, Ra, Rb, Rc, den1, den2) -> tuple:
     key and its coefficients kept."""
     rows, dens = [], []
     for R, den in zip(Ra, den1):
-        for g in _RA_FACTORS:
+        for g in DEG1:
             unit = packing.pack((g,))
             rows.append({m + unit: c for m, c in R.items()})
             dens.append(den)
@@ -404,7 +394,7 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
         Rb.append(G[d + 1].b1)
         Rc.append(G[d + 2])
 
-    singles = [(g,) for g in high_generators(d)["deg_d_minus_1"]]
+    singles = [(large_gen(d, o),) for o in LARGE[1]]
     det1 = ExactMatrix._of(QQ, _entries(packing, Ra, den1, singles)).det()
     det2 = ExactMatrix._of(QQ, _entries(packing, Rb + Rc, den1 + den2, mon2(d))).det()
     if not det1 or not det2:

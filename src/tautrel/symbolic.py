@@ -16,7 +16,8 @@ times a generator of degree s - i or, for s = i, the scalar
 ct_0(1) = -d.
 The 27 tracked columns are the degree-d monomials with one generator of
 degree d-2, d-1 or d (the large generator) and small generators of
-total degree <= 2.  For d >= 5 a small generator has degree <= 2 <
+total degree <= 2: the layout of tautalg, whose large generators are
+offsets (a, j) from d.  For d >= 5 a small generator has degree <= 2 <
 d-2, so in every product reaching a tracked column exactly one factor
 supplies the large generator, and its index is >= d-2.  Hence, for
 every d >= 5:
@@ -82,7 +83,7 @@ from functools import lru_cache
 from .linalg import ExactMatrix
 from .rat import QQ
 from .ratfunc import FracField, RatFunc
-from .tautalg import factor_table, gen_key, twisted_symbol
+from .tautalg import DEG1, DEG2, LARGE, SQUARES, factor_table, gen_key, twisted_symbol
 
 SYM_FIELD = FracField(("d", "chi1"))
 UNI_FIELD = FracField(("chi1",))
@@ -192,8 +193,9 @@ def _small_ct(poly: dict, beta: int, coeff: dict, k: int, j: int) -> None:
 
 
 def _top_ct(poly: dict, beta: int, coeff: dict, a: int, j: int) -> None:
-    """Append coeff * ct_{d+a}(j); kept only in the target degree window."""
-    if a + j - 1 in (-2, -1, 0):
+    """Append coeff * ct_{d+a}(j); kept only for the large generators of
+    the layout, of degree d-2..d."""
+    if any((a, j) in group for group in LARGE):
         _add_term(poly, (("top", a, j), (), beta), coeff)
 
 
@@ -284,27 +286,12 @@ def _sym_relation(kind: str, n: int) -> tuple:
 
 def _column_keys():
     """The 27 tracked degree-d monomials in descending order, as
-    (large (a, j), small tuple of plain (k, j) gens)."""
-    cols = []
-    for a, j in [(1, 0), (0, 1), (-1, 2)]:
-        cols.append(((a, j), ()))
-    for a, j in [(0, 0), (-1, 1), (-2, 2)]:
-        for u in [(2, 0), (0, 2)]:
-            cols.append(((a, j), (u,)))
-    deg2 = [(3, 0), (2, 1), (1, 2)]
-    sym2 = [((2, 0), (2, 0)), ((2, 0), (0, 2)), ((0, 2), (0, 2))]
-    for a, j in [(-1, 0), (-2, 1), (-3, 2)]:
-        for u in deg2:
-            cols.append(((a, j), (u,)))
-        for pair in sym2:
-            cols.append(((a, j), tuple(sorted(pair, key=gen_key, reverse=True))))
-    # within each large-index group the M columns precede the N columns,
-    # matching the lexicographic monomial order
-    def key(col):
-        (a, j), small = col
-        return ((a + j - 1, a), tuple(gen_key(g) for g in small))
-
-    return sorted(cols, key=key, reverse=True)
+    (large (a, j), small tuple of plain (k, j) gens): in the order of
+    tautalg's layout, each large generator of degree d - i times each
+    small monomial of degree i."""
+    smalls = ((),), tuple((u,) for u in DEG1), tuple((u,) for u in DEG2) + SQUARES
+    return [(large, small) for group, small_i in zip(LARGE, smalls)
+            for large in group for small in small_i]
 
 
 def _col_sign(large, small) -> int:
@@ -340,7 +327,7 @@ def _sym_matrix() -> tuple:
     # shifts the needed coefficient down by that generator
     for n in (1, 2, 3):
         ra = rels[("a", n)]
-        for mult in [(2, 0), (0, 2)]:
+        for mult in DEG1:
             row = []
             for large, small in cols:
                 if mult in small:
@@ -366,29 +353,14 @@ def symbolic_MN() -> tuple:
     if len(pivots) != 12 or pivots[9:12] != [9, 10, 11]:
         raise AssertionError(f"unexpected symbolic echelon pivots: {pivots}")
     col_index = {col: i for i, col in enumerate(cols)}
-    deg2 = [(3, 0), (2, 1), (1, 2)]
-    sym2 = [
-        ((2, 0), (2, 0)),
-        tuple(sorted(((2, 0), (0, 2)), key=gen_key, reverse=True)),
-        ((0, 2), (0, 2)),
-    ]
-    larges = [(-1, 0), (-2, 1), (-3, 2)]
-    M, N = [], []
-    for i in range(3):
-        row = R.data[9 + i]
-        M.append(
-            ExactMatrix(
-                SYM_FIELD,
-                [[row[col_index[(lg, (u,))]] for u in deg2] for lg in larges],
-            )
-        )
-        N.append(
-            ExactMatrix(
-                SYM_FIELD,
-                [[row[col_index[(lg, pair)]] for pair in sym2] for lg in larges],
-            )
-        )
-    return M, N
+
+    def block(row, smalls):
+        return ExactMatrix(SYM_FIELD, [[row[col_index[(large, small)]] for small in smalls]
+                                       for large in LARGE[2]])
+
+    rows = R.data[9:12]
+    return ([block(row, [(u,) for u in DEG2]) for row in rows],
+            [block(row, SQUARES) for row in rows])
 
 
 def symbolic_matrices_at(d: int, chi) -> tuple:

@@ -4,6 +4,16 @@ and the beta-twisted relation factor written once for every consumer.
 Generators are (k, j) pairs with j in {0, 1, 2} and cohomological degree
 k + j - 1.  A monomial is a tuple of generators sorted descending.
 
+The layout of the truncated system, which relations, truncation and
+symbolic read, is written here once.  R1, R2, R3 are read on the
+degree-d monomials with one large generator c_{d+a}(j) of degree d - i,
+named by its offset (a, j) in LARGE[i] (large_gen instantiates it),
+times small generators of total degree i <= 2: DEG1 (the multipliers
+of Ra^n too), DEG2 (the M_i columns) or SQUARES (the N_i columns); the
+rows of M_i and N_i are LARGE[2].  Every list descends, and for d >= 5
+a large generator sorts above every small one, so a product written
+large-first is a monomial and the layout lists them in descending order.
+
 The factor F_s of the generating identity is written in the twisted
 symbols ct_k(j) = (-1)^(k+1) c_k(j):
 
@@ -88,6 +98,22 @@ def mono_str(mono: tuple) -> str:
         parts.append(gen_str(g) if run == 1 else f"{gen_str(g)}^{run}")
         i += run
     return "*".join(parts)
+
+
+# -- the layout of the truncated system (see the module docstring) -------
+
+LARGE = (((1, 0), (0, 1), (-1, 2)),
+         ((0, 0), (-1, 1), (-2, 2)),
+         ((-1, 0), (-2, 1), (-3, 2)))
+DEG1 = ((2, 0), (0, 2))
+DEG2 = ((3, 0), (2, 1), (1, 2))
+SQUARES = tuple((u, v) for i, u in enumerate(DEG1) for v in DEG1[i:])
+
+
+def large_gen(d: int, offset) -> tuple:
+    """The generator c_{d+a}(j) of the offset (a, j) at a concrete d."""
+    a, j = offset
+    return (d + a, j)
 
 
 # -- the beta-twisted factor ----------------------------------------------

@@ -3,7 +3,9 @@ the 3x3 matrices M_i on (degree-2 generator) x (degree-(d-2) generator)
 monomials and N_i on (squares of degree-1 generators) x (degree-(d-2)
 generator) monomials.
 
-Both blocks are point reads of the packed rows R1, R2, R3 of a
+The bases of both blocks are the layout of the truncated system in
+tautalg: rows LARGE[2] at d, columns DEG2 and SQUARES.  Both blocks are
+point reads of the packed rows R1, R2, R3 of a
 RelationSet (relations._entries, the read that det1, det2 and the rank
 minors use): the entry at (left, right) is the coefficient of the
 product monomial, 0 when the product holds a generator outside the
@@ -20,51 +22,42 @@ from dataclasses import dataclass
 from .linalg import ExactMatrix
 from .rat import QQ
 from .relations import RelationSet, _entries, build_relation_set
-from .tautalg import DegreeMismatch, gen_key, mono_degree, mono_mul, mono_str
+from .tautalg import (
+    DEG2,
+    LARGE,
+    SQUARES,
+    DegreeMismatch,
+    large_gen,
+    mono_degree,
+    mono_mul,
+    mono_str,
+)
 
 
 class CheckpointMismatch(AssertionError):
     pass
 
 
-def t2_basis() -> list:
-    """Ordered basis of the degree-2 generator block: rows s = 0, 1, 2."""
-    return [((3 - s, s),) for s in range(3)]
-
-
-def tk_basis(k: int) -> list:
-    """Ordered basis of the degree-k generator block (k >= 2)."""
-    return [((k + 1 - t, t),) for t in range(3)]
-
-
-def sym2_basis() -> list:
-    """Ordered basis of squares of degree-1 generators."""
-    a, b = (2, 0), (0, 2)
-    mk = lambda u, v: tuple(sorted((u, v), key=gen_key, reverse=True))
-    return [mk(a, a), mk(a, b), mk(b, b)]
-
-
 def matrices_M(rel: RelationSet) -> list:
-    """Rows indexed by the degree-(d-2) basis, columns by the degree-2
-    basis: M_i[s][t] = [c_{d-1-s}(s) c_{3-t}(t)] R_i.  This is the
-    orientation under which the change-of-relations equation reads
+    """Rows indexed by the degree-(d-2) generators, columns by the
+    degree-2 ones: M_i[s][t] = [c_{d-1-s}(s) c_{3-t}(t)] R_i.  This is
+    the orientation under which the change-of-relations equation reads
     A^T M_i B = sum_j s_ij M'_j."""
-    return _blocks(rel, tk_basis(rel.d - 2), t2_basis())
+    return _blocks(rel, [(u,) for u in DEG2])
 
 
 def matrices_N(rel: RelationSet) -> list:
-    return _blocks(rel, tk_basis(rel.d - 2), sym2_basis())
+    return _blocks(rel, SQUARES)
 
 
-def _blocks(rel: RelationSet, left, right) -> list:
+def _blocks(rel: RelationSet, right) -> list:
     """For each of R1, R2, R3 the matrix of its coefficients of
-    (left monomial)*(right monomial); the degrees of the bases must tile
-    the relations' degree d."""
-    for l in left:
-        for r in right:
-            if mono_degree(l) + mono_degree(r) != rel.d:
-                raise DegreeMismatch(
-                    f"{mono_str(l)}*{mono_str(r)} does not match degree {rel.d}")
+    (degree-(d-2) generator)*(right monomial); the degrees must tile the
+    relations' degree d, so each right monomial has degree 2."""
+    for r in right:
+        if mono_degree(r) != 2:
+            raise DegreeMismatch(f"{mono_str(r)} times degree d-2 does not match degree {rel.d}")
+    left = [(large_gen(rel.d, o),) for o in LARGE[2]]
     monos = [mono_mul(l, r) for l in left for r in right]
     n = len(right)
     return [ExactMatrix._of(QQ, [vals[i:i + n] for i in range(0, len(vals), n)])

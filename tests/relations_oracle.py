@@ -13,6 +13,9 @@ the lcm of its own denominators before the integer elimination, det1
 and det2 read from tuple-monomial GradedPolys (tautalg_oracle).
 twelve_relations unpacks the twelve packed rows of a RelationSet into
 tuple-monomial GradedPolys.
+high_generators, mon1, mon2, _RA_FACTORS, t2_basis, tk_basis and
+sym2_basis are the monomial lists and block bases as the package wrote
+them by hand before it read them from the layout in tautalg.
 dual_involution is the algebra involution c_k(j) -> (-1)^k c_k(j) on the
 relations, and beta_zero and beta_one the zero and unit beta classes.
 """
@@ -33,16 +36,56 @@ from tautalg_oracle import (
 )
 from tautrel.linalg import ExactMatrix, int_gauss_jordan
 from tautrel.rat import QQ, Rat
-from tautrel.relations import (
-    _RA_FACTORS,
-    _exp_series,
-    _factors,
-    _generators,
-    _Packing,
-    high_generators,
-    mon2,
-)
+from tautrel.relations import _exp_series, _factors, _generators, _Packing
 from tautrel.tautalg import _mono_insert, gen_key
+
+
+# -- the hand-written layout the package now reads from tautalg -------------
+
+
+def high_generators(d: int) -> dict:
+    return {
+        "deg_d_minus_1": [(d, 0), (d - 1, 1), (d - 2, 2)],
+        "deg_d": [(d + 1, 0), (d, 1), (d - 1, 2)],
+    }
+
+
+def mon1(d: int) -> list:
+    out = []
+    for g in [(d, 0), (d - 1, 1), (d - 2, 2)]:
+        for u in [(2, 0), (0, 2)]:
+            out.append(tuple(sorted((g, u), key=gen_key, reverse=True)))
+    return out
+
+
+def mon2(d: int) -> list:
+    singles = [((d + 1, 0),), ((d, 1),), ((d - 1, 2),)]
+    pairs = [
+        tuple(sorted(((d - 1, 0), u), key=gen_key, reverse=True))
+        for u in [(3, 0), (2, 1), (1, 2)]
+    ]
+    return singles + pairs
+
+
+# the degree-1 generators c2(0) and c0(2) that multiply Ra^n
+_RA_FACTORS = ((2, 0), (0, 2))
+
+
+def t2_basis() -> list:
+    """Ordered basis of the degree-2 generator block: rows s = 0, 1, 2."""
+    return [((3 - s, s),) for s in range(3)]
+
+
+def tk_basis(k: int) -> list:
+    """Ordered basis of the degree-k generator block (k >= 2)."""
+    return [((k + 1 - t, t),) for t in range(3)]
+
+
+def sym2_basis() -> list:
+    """Ordered basis of squares of degree-1 generators."""
+    a, b = (2, 0), (0, 2)
+    mk = lambda u, v: tuple(sorted((u, v), key=gen_key, reverse=True))
+    return [mk(a, a), mk(a, b), mk(b, b)]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ Every product and sum here is a RatFunc operation (a gcd each), so it
 is slow but independent of the Laurent helpers.  sym_relation returns
 the same keys in the twisted basis as tautrel.symbolic._sym_relation,
 each with its coefficient as a canonical RatFunc.
+
+column_keys is the list of the 27 tracked columns as tautrel.symbolic
+wrote it by hand, sorted into descending order by an explicit key,
+before it read the columns from the layout in tautalg.
 """
 
 import math
@@ -18,6 +22,7 @@ from tautrel.symbolic import (
     _small_gen_key,
     truncated_partition_parts,
 )
+from tautrel.tautalg import gen_key
 
 _D = SYM_FIELD.gen("d")
 _CHI = SYM_FIELD.gen("chi1")
@@ -129,3 +134,28 @@ def sym_relation(kind: str, n: int) -> dict:
                 continue
             _add_term(total, (large, small), c * coeff)
     return total
+
+
+def column_keys():
+    """The 27 tracked degree-d monomials in descending order, as
+    (large (a, j), small tuple of plain (k, j) gens)."""
+    cols = []
+    for a, j in [(1, 0), (0, 1), (-1, 2)]:
+        cols.append(((a, j), ()))
+    for a, j in [(0, 0), (-1, 1), (-2, 2)]:
+        for u in [(2, 0), (0, 2)]:
+            cols.append(((a, j), (u,)))
+    deg2 = [(3, 0), (2, 1), (1, 2)]
+    sym2 = [((2, 0), (2, 0)), ((2, 0), (0, 2)), ((0, 2), (0, 2))]
+    for a, j in [(-1, 0), (-2, 1), (-3, 2)]:
+        for u in deg2:
+            cols.append(((a, j), (u,)))
+        for pair in sym2:
+            cols.append(((a, j), tuple(sorted(pair, key=gen_key, reverse=True))))
+    # within each large-index group the M columns precede the N columns,
+    # matching the lexicographic monomial order
+    def key(col):
+        (a, j), small = col
+        return ((a + j - 1, a), tuple(gen_key(g) for g in small))
+
+    return sorted(cols, key=key, reverse=True)

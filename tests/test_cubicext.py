@@ -157,3 +157,25 @@ def test_constructor_and_coerce_give_the_normal_form():
     assert E.zero.num == (0, 0, 0) and E.zero.den == 1
     assert (x - x).den == 1 and str(E.zero) == "0"
     assert E.t ** 3 == E.coerce(Rat(5, 3))
+
+
+def test_factor_t3_minus_r_refuses_zero():
+    # t^3 has the repeated factor t: over QQ the split would give Q[t]/(t)
+    # and Q[t]/(t^2), over Q(chi1) the whole t^3, and no field among them
+    for base in (QQ, _F1):
+        with pytest.raises(ValueError):
+            factor_t3_minus_r(0, base)
+    with pytest.raises(ValueError):
+        factor_t3_minus_r(_X - _X, _F1)
+
+
+def test_constructor_refuses_a_wrong_number_of_coefficients():
+    # over Q[t]/(t^3 - 2) a fourth coefficient would be dropped by sums
+    E = FIELDS[3]
+    for coeffs in ([1, 0, 0, 5], [1, 0], []):
+        with pytest.raises(ValueError):
+            CubicExt(E, coeffs)
+    with pytest.raises(ValueError):
+        CubicExt(RATFUNC_FIELDS[0], [_X, 1])
+    assert E.from_coeffs([1, 0, 0, 5]) == E.coerce(11)
+    assert FIELDS[1].from_coeffs([Rat(2, 3)]).coeffs == (Rat(2, 3),)

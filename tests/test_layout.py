@@ -1,11 +1,14 @@
 """Layout guard: every name in src/tautrel has a caller in src/.
 
-Public and private names alike: a module-level function or class, and a
-method other than a dunder.  So a helper that only tests call lives in
-tests/, not in the package.
+Public and private names alike: a module-level function or class, a
+method other than a dunder, and a name bound by a module-level
+assignment (a constant, a cache, an alias), also one inside a
+module-level if or try.  So a helper or constant that only tests read
+lives in tests/, not in the package.
 
-A module-level function or class counts as used when some other
-place in src/tautrel names it (as a name, or as a module attribute).  A
+A module-level function, class or constant counts as used when some
+other place in src/tautrel reads it (as a name, or as a module
+attribute); an assignment to the name does not count.  A
 non-dunder method C.name counts as used when some other place
 reads `.name` from a receiver whose class resolves to C: the class itself
 (`C.name`), `self` or `cls` inside C's methods, or a module-level
@@ -72,9 +75,28 @@ def _dunder(name: str) -> bool:
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _assignments(body):
+    """(name, statement) of each name a module-level assignment binds,
+    the bodies of module-level if and try statements included."""
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name) and not _dunder(n.id):
+                        yield n.id, node
+        elif isinstance(node, (ast.If, ast.Try)):
+            handlers = [stmt for h in getattr(node, "handlers", ()) for stmt in h.body]
+            yield from _assignments(node.body + node.orelse + handlers
+                                    + getattr(node, "finalbody", []))
+
+
 def _definitions(mod: str, tree: ast.Module):
     """(qualified name, class or None, bare name, first line, last line) of
-    each module-level function or class and each method but the dunders."""
+    each module-level function, class or assigned name and each method but
+    the dunders."""
+    for name, node in _assignments(tree.body):
+        yield f"{mod}.{name}", None, name, node.lineno, node.end_lineno
     for node in tree.body:
         if not isinstance(node, _FUNCS + (ast.ClassDef,)):
             continue
@@ -161,7 +183,7 @@ class _Layout:
             if isinstance(child, ast.ClassDef):
                 yield from self._visit(mod, child, child.name)
                 continue
-            if isinstance(child, ast.Name):
+            if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
                 yield mod, "name", child.id, None, child.lineno
             elif isinstance(child, ast.Attribute):
                 recv = child.value
@@ -273,3 +295,21 @@ def test_guard_flags_uncalled_private_names(tmp_path):
                  "class _Unused:\n    pass\n")
     assert _Layout(src).missing() == [
         "report.Report._helper", "report._helper", "report._Unused"]
+
+
+def test_module_constants_are_scanned():
+    defined = _Layout(SRC).defined()
+    assert {"tautalg.LARGE", "tautalg.DEG1", "tautalg.DEG2", "tautalg.SQUARES",
+            "relations._REL_CACHE", "rat.Rat", "cli.USAGE_ERROR"} <= defined
+
+
+def test_guard_flags_unread_module_constants(tmp_path):
+    src = tmp_path / "tautrel"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "report.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\n_UNREAD = 1\nUNREAD_TOO: int = 2\n_WRITTEN = {}\n"
+                 "try:\n    _TRIED = 3\nexcept ImportError:\n    _TRIED = 4\n\n\n"
+                 "def _writer():\n    _WRITTEN[1] = _writer\n\n\n"
+                 "_writer()\n")
+    assert _Layout(str(src)).missing() == [
+        "report._UNREAD", "report.UNREAD_TOO", "report._TRIED", "report._TRIED"]

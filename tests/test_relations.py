@@ -17,6 +17,9 @@ from relations_oracle import (
     expand_relation_by_partitions,
     oracle_relation_set,
     packed_series,
+    sym2_basis,
+    t2_basis,
+    tk_basis,
     twelve_relations,
 )
 from tautalg_oracle import (
@@ -44,7 +47,7 @@ from tautrel.relations import (
 )
 from tautrel.linalg import ExactMatrix
 from tautrel.tautalg import DegreeMismatch, twisted_symbol
-from tautrel.truncation import matrices_M, matrices_N, sym2_basis, t2_basis, tk_basis
+from tautrel.truncation import matrices_M, matrices_N
 
 
 def partition_count(ell: int) -> int:

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import relations_oracle
+import symbolic_oracle
 from relations_oracle import dual_involution
 from tautalg_oracle import (
     BetaClass,
@@ -13,11 +15,18 @@ from tautalg_oracle import (
     mono_key,
     project_block,
 )
+from tautrel import relations, symbolic
 from tautrel.rat import QQ, Rat
 from tautrel.tautalg import (
+    DEG1,
+    DEG2,
+    LARGE,
+    SQUARES,
     DegreeMismatch,
     gen_degree,
     gen_key,
+    large_gen,
+    mono_degree,
     mono_mul,
     mono_str,
 )
@@ -268,3 +277,43 @@ def test_beta_mul_matches_plus_oracle_and_keeps_operands():
         # the same terms in the same key order
         assert snapshot(got) == snapshot(want)
         assert got.b1 is not x.b1 and got.b2 is not y.b2
+
+
+# -- the layout of the truncated system against the hand-written lists ------
+
+
+LAYOUT_DS = range(5, 31)
+
+
+@pytest.mark.parametrize("d", LAYOUT_DS)
+def test_layout_instantiates_the_hand_written_lists(d):
+    # relations' minors and leading monomials, det1's single generators
+    # (and the unread degree-d list beside them), and the rows of M_i, N_i
+    assert relations.mon1(d) == relations_oracle.mon1(d)
+    assert relations.mon2(d) == relations_oracle.mon2(d)
+    high = relations_oracle.high_generators(d)
+    assert [large_gen(d, o) for o in LARGE[1]] == high["deg_d_minus_1"]
+    assert [large_gen(d, o) for o in LARGE[0]] == high["deg_d"]
+    assert [(large_gen(d, o),) for o in LARGE[2]] == relations_oracle.tk_basis(d - 2)
+
+
+def test_layout_columns_are_the_hand_written_columns():
+    assert DEG1 == relations_oracle._RA_FACTORS
+    assert [(u,) for u in DEG2] == relations_oracle.t2_basis()
+    assert list(SQUARES) == relations_oracle.sym2_basis()
+    assert symbolic._column_keys() == symbolic_oracle.column_keys()
+
+
+@pytest.mark.parametrize("d", LAYOUT_DS)
+def test_column_keys_instantiate_in_descending_order(d):
+    # each column written large-first is already a monomial, of degree d,
+    # and the 27 of them strictly descend in the monomial order
+    monos = []
+    for large, small in symbolic._column_keys():
+        mono = (large_gen(d, large),) + small
+        assert mono == mono_mul((large_gen(d, large),), small)
+        assert mono_degree(mono) == d
+        monos.append(mono)
+    keys = [mono_key(m) for m in monos]
+    assert len(keys) == 27
+    assert all(a > b for a, b in zip(keys, keys[1:]))

@@ -9,7 +9,6 @@ from tautrel.tautalg import DegreeMismatch
 from tautrel.truncation import (
     CheckpointMismatch,
     _blocks,
-    t2_basis,
     checkpoint_reference_M,
     matrices_M,
     matrices_N,
@@ -68,15 +67,17 @@ def test_dets_nonzero_and_values():
 
 
 def test_matrices_N_zero_poly():
-    # zero relations read as zero blocks; bases that do not tile degree d
-    # are refused
+    # zero relations read as zero blocks; columns that do not tile degree
+    # d with the degree-(d-2) rows are refused
     rel = build_relation_set(5, 1)
     broken = copy.copy(rel)
     broken.R_rows = ({}, {}, {})
     for m in matrices_N(broken):
         assert all(m[i, j] == 0 for i in range(3) for j in range(3))
     with pytest.raises(DegreeMismatch):
-        _blocks(rel, [((2, 0),)], t2_basis())
+        _blocks(rel, [((2, 0),)])
+    with pytest.raises(DegreeMismatch):
+        _blocks(rel, [((3, 0), (2, 0))])
 
 
 def test_block_json_serialization():
