@@ -5,14 +5,14 @@ generator) monomials.
 
 The bases of both blocks are the layout of the truncated system in
 tautalg: rows LARGE[2] at d, columns DEG2 and SQUARES.  Both blocks are
-point reads of the packed rows R1, R2, R3 of a
-RelationSet (relations._entries, the read that det1, det2 and the rank
-minors use): the entry at (left, right) is the coefficient of the
-product monomial, 0 when the product holds a generator outside the
-packing.  The M_i have known closed forms which are kept here as
-templates and checked entry by entry; the N_i are produced by the
-pipeline itself and validated by an independent elimination path plus
-their downstream behaviour.
+point reads of the packed rows R1, R2, R3 of a RelationSet
+(relations._entries, the read that det1, det2 and the rank minors use):
+the entry at (left, right) is the coefficient of the product monomial,
+0 when the product holds a generator outside the packing.  The M_i
+have known closed forms which are kept here as templates and checked
+entry by entry; the N_i are produced by the pipeline itself and
+validated by an independent elimination path plus their downstream
+behaviour.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _blocks(rel: RelationSet, right) -> list:
     relations' degree d, so each right monomial has degree 2."""
     for r in right:
         if mono_degree(r) != 2:
-            raise DegreeMismatch(f"{mono_str(r)} times degree d-2 does not match degree {rel.d}")
+            raise DegreeMismatch(f"{mono_str(r)} times degree d-2 is not of degree {rel.d}")
     left = [(large_gen(rel.d, o),) for o in LARGE[2]]
     monos = [mono_mul(l, r) for l in left for r in right]
     n = len(right)
