@@ -37,7 +37,7 @@ from .obstruction import (
 from .rat import QQ, Rat
 from .relations import build_relation_set, det1_formula, det2_formula, mon2, verify_rank12
 from .report import Report
-from .symbolic import SYM_FIELD, symbolic_MN, symbolic_matrices_at
+from .symbolic import SYM_FIELD, symbolic_MN
 from .truncation import (
     CheckpointMismatch,
     checkpoint_reference_M,
@@ -102,15 +102,18 @@ def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
 
 
 def _verify_symbolic(report: Report, d: int, chi: int) -> None:
-    Msym, _ = symbolic_MN()
+    Msym, Nsym = symbolic_MN()
     T = reference_M_templates(SYM_FIELD.gen("d"), SYM_FIELD.gen("chi1"), SYM_FIELD)
     ok = all(Msym[i][s, t] == T[i][s, t] for i in range(3) for s in range(3) for t in range(3))
     report.add("symbolic_reference_matrices", ok, "27/27 rational functions", ok)
-    Me, Ne = symbolic_matrices_at(d, chi)
+    # the symbolic elimination itself, evaluated at the point
+    at = {"d": d, "chi1": chi}
     rel = build_relation_set(d, chi)
     Mc, Nc = matrices_M(rel), matrices_N(rel)
-    okM = all(Me[i][s, t] == Mc[i][s, t] for i in range(3) for s in range(3) for t in range(3))
-    okN = all(Ne[i][s, t] == Nc[i][s, t] for i in range(3) for s in range(3) for t in range(3))
+    okM = all(Msym[i][s, t].eval(at) == Mc[i][s, t]
+              for i in range(3) for s in range(3) for t in range(3))
+    okN = all(Nsym[i][s, t].eval(at) == Nc[i][s, t]
+              for i in range(3) for s in range(3) for t in range(3))
     report.add("symbolic_evaluation_matches_concrete_M", okM, True, okM)
     report.add("symbolic_evaluation_matches_concrete_N", okN, True, okN)
 

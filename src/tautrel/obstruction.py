@@ -507,8 +507,10 @@ def _matrix_json(mat: ExactMatrix) -> list:
 def decide(d: int, chi1: int, chi2: int) -> Verdict:
     """Decide whether the truncated relation systems at (d, chi1) and
     (d, chi2) admit a full change-of-relations witness (S, A, B, U, V).
-    The blocks M, N of each side are the symbolic blocks evaluated at
-    (d, chi mod d), exact there; the relation expansion is not run."""
+    The blocks M, N of each side are symbolic_matrices_at(d, chi mod d):
+    one integer elimination of the truncated matrix at the point, equal
+    to the symbolic blocks evaluated there.  Neither the relation
+    expansion nor the elimination over QQ(d, chi1) is run."""
     _require_positive(d)
     if math.gcd(d, chi1) != 1 or math.gcd(d, chi2) != 1:
         raise NotCoprime(f"chi1={chi1}, chi2={chi2} must be coprime to d={d}")

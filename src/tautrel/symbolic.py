@@ -50,13 +50,16 @@ the factorial weights.  So the expansion runs on Laurent polynomials in
 truncated polynomial holds its Laurent coefficients over one positive
 integer denominator: a product adds exponents and multiplies the
 denominators, a sum merges dicts over the lcm, and no gcd is taken.
-Each entry of the 12x27 matrix becomes a RatFunc once, with its column
-sign folded into the denominator: with k = max(0, -min e_d), it is
-(d^k lau) / (den d^k).  When k > 0 some term of d^k lau is free of d,
-so d does not divide it; the irreducible factors of den d^k are d and
-primes, so the only common factor left is the integer gcd of den and
-the coefficients.  Dividing it out, with the sign on den, gives the
-canonical pair of RatFunc directly.
+The 12x27 matrix is built as immutable Laurent entries, each over an
+integer den with its column sign folded in (_laurent_rows).  The
+symbolic path turns each entry into a RatFunc once: with
+k = max(0, -min e_d), it is (d^k lau) / (den d^k).  When k > 0 some term
+of d^k lau is free of d, so d does not divide it; the irreducible
+factors of den d^k are d and primes, so the only common factor left is
+the integer gcd of den and the coefficients.  Dividing it out, with the
+sign on den, gives the canonical pair of RatFunc directly.  The point
+path evaluates the same entries at (d, chi) over the integers, each row
+scaled by d^k and the lcm of its denominators, both nonzero at d >= 5.
 
 Exact specialization.  The 12x27 matrix A over QQ(d, chi1) has its
 pivots on columns 0..11 (symbolic_MN checks this), so its echelon form
@@ -68,22 +71,41 @@ is P^-1 A for the 12x12 submatrix P on those columns, and
 factor vanishes: d, d-1, d-2 >= 3; chi1 = chi > 0 and d - chi > 0; and
 d = 2 chi would make chi a common divisor of d and chi, so chi = 1 and
 d = 2.  The entries of A have denominators 2^a d^k, nonzero there too.
-So each entry of P^-1 A = adj(P) A / det P, whose reduced denominator
-divides det P times some 2^a d^k, is defined at (d, chi), and its
-value is the entry of P(d, chi)^-1 A(d, chi), the echelon form of the
-specialized matrix: symbolic_matrices_at is exact at every such point,
-not only at the sampled ones.
+This closed form is why two things hold at every such point, not only
+at the sampled ones:
+
+- the point path's pivot check never fails.  Its rows are those of
+  A(d, chi) times nonzero integers, and P(d, chi) is invertible, so the
+  echelon form of A(d, chi) has its pivots on columns 0..11 and equals
+  P(d, chi)^-1 A(d, chi);
+- the point path and symbolic_MN evaluated at (d, chi) agree.  Each
+  entry of P^-1 A = adj(P) A / det P has a reduced denominator dividing
+  det P times some 2^a d^k, so it is defined at (d, chi), and its value
+  there is the entry of P(d, chi)^-1 A(d, chi).
+
+The point elimination itself (int_gauss_jordan, then one division of
+each of rows 9..11 by its pivot) is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 
-from .linalg import ExactMatrix
-from .rat import QQ
+from .linalg import ExactMatrix, int_gauss_jordan
+from .rat import QQ, Rat
 from .ratfunc import FracField, RatFunc
-from .tautalg import DEG1, DEG2, LARGE, SQUARES, factor_table, gen_key, twisted_symbol
+from .tautalg import (
+    DEG1,
+    DEG2,
+    LARGE,
+    SMALL_DEGREE,
+    SQUARES,
+    factor_table,
+    gen_key,
+    twisted_symbol,
+)
 
 SYM_FIELD = FracField(("d", "chi1"))
 UNI_FIELD = FracField(("chi1",))
@@ -94,8 +116,6 @@ _ZERO = SYM_FIELD.zero
 # negative.  A truncated polynomial is (terms, den): terms
 # {(large_or_None, small_tuple, beta): Laurent polynomial with int
 # coefficients} over one positive integer den.
-
-_SMALL_DEGREE_CAP = 2
 
 
 def _small_gen_key(g):
@@ -166,7 +186,7 @@ def _trunc_mul(p: tuple, q: tuple) -> tuple:
             if b > 2:
                 continue
             small = tuple(sorted(s1 + s2, key=_small_gen_key, reverse=True))
-            if _small_degree(small) > _SMALL_DEGREE_CAP:
+            if _small_degree(small) > SMALL_DEGREE:
                 continue
             key = (l1 if l1 is not None else l2, small, b)
             acc = out.get(key)
@@ -188,7 +208,7 @@ def _small_ct(poly: dict, beta: int, coeff: dict, k: int, j: int) -> None:
     if not sym:
         # ct_0(1) = -d
         _add_term(poly, (None, (), beta), {(a + 1, b): -x for (a, b), x in coeff.items()})
-    elif k + j - 1 <= _SMALL_DEGREE_CAP:
+    elif k + j - 1 <= SMALL_DEGREE:
         _add_term(poly, (None, (("sm", k, j),), beta), coeff)
 
 
@@ -294,6 +314,9 @@ def _column_keys():
             for large in group for small in small_i]
 
 
+_COLUMNS = _column_keys()
+
+
 def _col_sign(large, small) -> int:
     """Twisted-to-plain conversion sign, global parity factor dropped."""
     a, _j = large
@@ -303,24 +326,36 @@ def _col_sign(large, small) -> int:
     return -1 if s else 1
 
 
-def _sym_matrix() -> tuple:
-    """The 12x27 matrix over QQ(d, chi1) whose echelon form holds the
-    blocks, and its 27 column keys.  Rows: c2(0)*Ra^n and c0(2)*Ra^n for
-    n = 1, 2, 3, then Rb^1..Rb^3 and Rc^1..Rc^3.  Each entry is one
-    Laurent coefficient of a relation, turned into a RatFunc once with
-    its column sign applied."""
-    cols = _column_keys()
+# a term c * d^e_d * chi1^e_chi1 of a Laurent entry, packed as (e_d, e_chi1, c)
+_TERM = struct.Struct("bbh")
+_ZERO_ENTRY = (1, b"")
+
+
+def _laurent_rows() -> tuple:
+    """The 12x27 matrix whose echelon form holds the blocks, in the
+    columns of _column_keys, as rows of Laurent entries (den, terms):
+    the sum of the terms c * d^e_d * chi1^e_chi1 over the integer den,
+    its column sign folded into den, the terms packed by _TERM.  Rows:
+    c2(0)*Ra^n and c0(2)*Ra^n for n = 1, 2, 3, then Rb^1..Rb^3 and
+    Rc^1..Rc^3.  Tuples and bytes only, so no reader can change it.
+
+    The terms are packed because the point path holds the matrix for
+    the life of the process: as ((e_d, e_chi1), c) tuples it took
+    0.18 MB (tracemalloc), packed 0.03 MB.  A value out of range raises
+    struct.error: the exponents lie in -5..5, the coefficients below
+    2^14."""
     rels = {}
     for kind in ("a", "b", "c"):
         for n in (1, 2, 3):
             den, terms = _sym_relation(kind, n)
-            rels[(kind, n)] = (den, dict(terms))
+            rels[(kind, n)] = (den, {key: b"".join(_TERM.pack(a, b, c) for (a, b), c in lau)
+                                     for key, lau in terms})
 
-    def entry(rel, large, small, sign):
+    def entry(rel, large, small):
         den, terms = rel
         a, j = large
         lau = terms.get((("top", a, j), tuple(("sm", k, jj) for k, jj in small)))
-        return _ZERO if lau is None else _laurent_ratfunc(dict(lau), den * sign)
+        return _ZERO_ENTRY if lau is None else (den * _col_sign(large, small), lau)
 
     rows = []
     # c2(0)*Ra and c0(2)*Ra rows: multiplying by a degree-1 generator
@@ -329,49 +364,96 @@ def _sym_matrix() -> tuple:
         ra = rels[("a", n)]
         for mult in DEG1:
             row = []
-            for large, small in cols:
+            for large, small in _COLUMNS:
                 if mult in small:
                     reduced = list(small)
                     reduced.remove(mult)
-                    row.append(entry(ra, large, tuple(reduced), _col_sign(large, small)))
+                    row.append(entry(ra, large, tuple(reduced)))
                 else:
-                    row.append(_ZERO)
-            rows.append(row)
+                    row.append(_ZERO_ENTRY)
+            rows.append(tuple(row))
     for kind in ("b", "c"):
         for n in (1, 2, 3):
             rel = rels[(kind, n)]
-            rows.append([entry(rel, large, small, _col_sign(large, small)) for large, small in cols])
-    return ExactMatrix(SYM_FIELD, rows), cols
+            rows.append(tuple(entry(rel, large, small) for large, small in _COLUMNS))
+    return tuple(rows)
+
+
+# the point path's copy, held for the life of the process.  symbolic_MN
+# expands its own and drops it: a copy shared by both, held through the
+# elimination over QQ(d, chi1), raised the peak RSS of perfbench p1 by
+# about 0.1 MB, packed or not; the second expansion, where a process
+# needs both, takes about 0.02 s
+_laurent_matrix = lru_cache(maxsize=1)(_laurent_rows)
+
+
+def _unpacked(terms: bytes) -> dict:
+    """The Laurent polynomial {(e_d, e_chi1): c} of packed terms."""
+    return {(a, b): c for a, b, c in _TERM.iter_unpack(terms)}
+
+
+def _sym_matrix() -> ExactMatrix:
+    """The matrix of _laurent_rows over QQ(d, chi1), each entry turned
+    into a RatFunc once."""
+    return ExactMatrix._of(SYM_FIELD, [[_laurent_ratfunc(_unpacked(terms), den) for den, terms in row]
+                                       for row in _laurent_rows()])
+
+
+def _blocks(rows, field) -> tuple:
+    """(M_1..M_3, N_1..N_3) over field, read from the echelon rows 9..11,
+    whose pivots are the columns of the large generators LARGE[2]."""
+    index = {col: i for i, col in enumerate(_COLUMNS)}
+
+    def block(row, smalls):
+        return ExactMatrix(field, [[row[index[(large, small)]] for small in smalls]
+                                   for large in LARGE[2]])
+
+    return ([block(row, [(u,) for u in DEG2]) for row in rows],
+            [block(row, SQUARES) for row in rows])
 
 
 @lru_cache(maxsize=1)
 def symbolic_MN() -> tuple:
     """(M_1..M_3, N_1..N_3) as 3x3 matrices of rational functions in
     (d, chi1), from the truncated symbolic pipeline."""
-    mat, cols = _sym_matrix()
-    R, pivots = mat.rref()
+    R, pivots = _sym_matrix().rref()
     if len(pivots) != 12 or pivots[9:12] != [9, 10, 11]:
         raise AssertionError(f"unexpected symbolic echelon pivots: {pivots}")
-    col_index = {col: i for i, col in enumerate(cols)}
+    return _blocks(R.data[9:12], SYM_FIELD)
 
-    def block(row, smalls):
-        return ExactMatrix(SYM_FIELD, [[row[col_index[(large, small)]] for small in smalls]
-                                       for large in LARGE[2]])
 
-    rows = R.data[9:12]
-    return ([block(row, [(u,) for u in DEG2]) for row in rows],
-            [block(row, SQUARES) for row in rows])
+def _point_rows(d: int, chi: int) -> list:
+    """The rows of _laurent_matrix evaluated at (d, chi1 = chi) over the
+    integers, each scaled by d^k and the lcm of its denominators, with
+    k = max(0, -min e_d) over the row."""
+    out = []
+    for row in _laurent_matrix():
+        lcm = math.lcm(*(den for den, _ in row))
+        k = max(0, -min((a for _, terms in row for a, _, _ in _TERM.iter_unpack(terms)), default=0))
+        out.append([lcm // den * sum(c * d ** (a + k) * chi ** b
+                                     for a, b, c in _TERM.iter_unpack(terms))
+                    for den, terms in row])
+    return out
 
 
 def symbolic_matrices_at(d: int, chi) -> tuple:
-    """The symbolic blocks (M, N) evaluated at d >= 5 and a coprime
-    0 < chi < d, over the rationals, or at d with chi left symbolic, over
-    QQ(chi1); other points raise ValueError.  At such a point they equal
-    the blocks of the relation set built at (d, chi): see the module
-    docstring."""
+    """The blocks (M, N) at d >= 5 and a coprime 0 < chi < d, over the
+    rationals, or at d with chi left symbolic, over QQ(chi1); other
+    points raise ValueError.
+
+    At a coprime chi they come from one elimination over the integers
+    at the point: the rows of the truncated matrix evaluated there,
+    eliminated by int_gauss_jordan, with the pivots checked to lie on
+    columns 0..11.  They equal symbolic_MN evaluated at (d, chi) and the
+    blocks of the relation set built at (d, chi): see the module
+    docstring.  With chi None they are symbolic_MN evaluated at d."""
     if d < 5 or chi is not None and (math.gcd(d, chi) != 1 or not 0 < chi < d):
         raise ValueError(f"d >= 5 and a coprime 0 < chi < d required (d={d}, chi={chi})")
-    assignment = {"d": d} if chi is None else {"d": d, "chi1": chi}
-    field = UNI_FIELD if chi is None else QQ
-    return tuple([ExactMatrix(field, [[x.eval(assignment) for x in row] for row in m.data])
-                  for m in mats] for mats in symbolic_MN())
+    if chi is None:
+        return tuple([ExactMatrix(UNI_FIELD, [[x.eval({"d": d}) for x in row] for row in m.data])
+                      for m in mats] for mats in symbolic_MN())
+    pivots = int_gauss_jordan(_point_rows(d, chi))
+    cols = [col for col, _ in pivots]
+    if cols != list(range(12)):
+        raise AssertionError(f"unexpected echelon pivots at (d, chi) = ({d}, {chi}): {cols}")
+    return _blocks([[Rat(x, row[col]) for x in row] for col, row in pivots[9:12]], QQ)

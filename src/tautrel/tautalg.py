@@ -8,9 +8,9 @@ The layout of the truncated system, which relations, truncation and
 symbolic read, is written here once.  R1, R2, R3 are read on the
 degree-d monomials with one large generator c_{d+a}(j) of degree d - i,
 named by its offset (a, j) in LARGE[i] (large_gen instantiates it),
-times small generators of total degree i <= 2: DEG1 (the multipliers
-of Ra^n too), DEG2 (the M_i columns) or SQUARES (the N_i columns); the
-rows of M_i and N_i are LARGE[2].  Every list descends, and for d >= 5
+times small generators of total degree i <= SMALL_DEGREE = 2: DEG1 (the
+multipliers of Ra^n too), DEG2 (the M_i columns) or SQUARES (the N_i
+columns); the rows of M_i and N_i are LARGE[2].  Every list descends, and for d >= 5
 a large generator sorts above every small one, so a product written
 large-first is a monomial and the layout lists them in descending order.
 
@@ -105,6 +105,9 @@ def mono_str(mono: tuple) -> str:
 LARGE = (((1, 0), (0, 1), (-1, 2)),
          ((0, 0), (-1, 1), (-2, 2)),
          ((-1, 0), (-2, 1), (-3, 2)))
+# the small part of a tracked monomial has degree at most SMALL_DEGREE,
+# one less than the number of groups of large generators
+SMALL_DEGREE = len(LARGE) - 1
 DEG1 = ((2, 0), (0, 2))
 DEG2 = ((3, 0), (2, 1), (1, 2))
 SQUARES = tuple((u, v) for i, u in enumerate(DEG1) for v in DEG1[i:])

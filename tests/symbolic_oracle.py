@@ -16,13 +16,12 @@ import math
 
 from tautrel.rat import Rat
 from tautrel.symbolic import (
-    _SMALL_DEGREE_CAP,
     SYM_FIELD,
     _small_degree,
     _small_gen_key,
     truncated_partition_parts,
 )
-from tautrel.tautalg import gen_key
+from tautrel.tautalg import SMALL_DEGREE, gen_key
 
 _D = SYM_FIELD.gen("d")
 _CHI = SYM_FIELD.gen("chi1")
@@ -39,7 +38,7 @@ def _trunc_mul(p: dict, q: dict) -> dict:
             if b > 2:
                 continue
             small = tuple(sorted(s1 + s2, key=_small_gen_key, reverse=True))
-            if _small_degree(small) > _SMALL_DEGREE_CAP:
+            if _small_degree(small) > SMALL_DEGREE:
                 continue
             key = (l1 if l1 is not None else l2, small, b)
             c = c1 * c2
@@ -65,7 +64,7 @@ def _small_ct(poly: dict, beta: int, coeff, k: int, j: int) -> None:
         return
     if (k, j) in ((1, 0), (1, 1)) or k + j - 1 <= 0:
         return
-    if k + j - 1 > _SMALL_DEGREE_CAP:
+    if k + j - 1 > SMALL_DEGREE:
         return
     _add_term(poly, (None, (("sm", k, j),), beta), coeff)
 

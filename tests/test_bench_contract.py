@@ -44,20 +44,50 @@ def test_worker_reads_exist():
     assert callable(constraint.ConstraintReport.ok)
 
 
-def test_traced_kernel_names_exist():
-    """The tracer wraps only the names a class or module defines itself
-    (vars(), not inherited ones): a missing one leaves its per-layer
-    metric reading 0 on working code, with no error."""
-    from tautrel import cubicext, mpoly, ratfunc
+# GROUPS names that no longer resolve in src/, so their metrics read 0 on
+# working code; each is recorded in CHANGES.md or ROADMAP.md and waits for
+# the next benchmark change
+STALE_GROUP_NAMES = {
+    # CHANGES.md FOUND: GROUPS still maps cubicext.ext_invert
+    "cubicext.ext_invert",
+    # ROADMAP.md item 4 and CHANGES.md FOUND: linalg.solve.* reads 0
+    "linalg.ExactMatrix.solve",
+    # CHANGES.md FOUND: tautalg.beta_pushforward.* and tautalg.mul.* read 0
+    "tautalg.beta_pushforward",
+    "tautalg.GradedPoly.__mul__",
+    "tautalg.GradedPoly.__rmul__",
+    "tautalg.BetaClass.__mul__",
+    "tautalg.BetaClass.__rmul__",
+    # CHANGES.md FOUND: constraint.slice.* and constraint.solve_AB_reduced.*
+    # read 0
+    "constraint.constraint_slice",
+    "constraint.solve_AB_reduced",
+}
+
+
+def _resolves(qual: str) -> bool:
+    """A GROUPS name as the tracer finds it: a module-level function, or
+    a method the class defines itself (vars(), not inherited)."""
+    mod, *path = qual.split(".")
+    obj = importlib.import_module(f"tautrel.{mod}")
+    for name in path:
+        obj = vars(obj).get(name)
+        if obj is None:
+            return False
+    if isinstance(obj, (staticmethod, classmethod)):
+        obj = obj.__func__
+    return callable(obj)
+
+
+def test_traced_names_exist():
+    """The tracer wraps only the names a module or class defines itself:
+    a missing one leaves its per-layer metric reading 0 on working code,
+    with no error.  Every GROUPS name resolves, but the stale ones."""
+    from tautrel import ratfunc
 
     tracer = _tracer()
     assert callable(vars(ratfunc)["mpoly_gcd"])
     for op in tracer.ARITH:
         assert callable(vars(ratfunc.RatFunc).get(op)), op
-    # and every kernel method that feeds a metric (*.arith, cubicext.inverse)
-    modules = {"mpoly": mpoly, "ratfunc": ratfunc, "cubicext": cubicext}
-    for qual in tracer.GROUPS:
-        mod, *path = qual.split(".")
-        if mod in modules and len(path) == 2:
-            cls, op = path
-            assert callable(vars(vars(modules[mod])[cls]).get(op)), qual
+    missing = {qual for qual in tracer.GROUPS if not _resolves(qual)}
+    assert missing == STALE_GROUP_NAMES

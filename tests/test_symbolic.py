@@ -6,7 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 import symbolic_oracle
 from tautrel import symbolic
 from tautrel.linalg import ExactMatrix
-from tautrel.rat import Rat
+from tautrel.obstruction import coprime_pairs, decide
+from tautrel.rat import QQ, Rat
+from tautrel.ratfunc import RatFunc
 from tautrel.relations import build_relation_set
 from tautrel.symbolic import (
     SYM_FIELD,
@@ -52,6 +54,62 @@ def test_symbolic_blocks_specialize_to_concrete():
                     assert Ne[i][s, t] == Nc[i][s, t], (d, chi)
                     assert str(Me[i][s, t]) == str(Mc[i][s, t]), (d, chi)
                     assert str(Ne[i][s, t]) == str(Nc[i][s, t]), (d, chi)
+
+
+def _entries(blocks) -> list:
+    return [x for mats in blocks for m in mats for row in m.data for x in row]
+
+
+def test_point_blocks_equal_symbolic_MN_at_the_point():
+    # the integer elimination at the point against the symbolic
+    # elimination evaluated there, the oracle
+    M, N = symbolic_MN()
+    for d in list(range(5, 17)) + [20, 30, 101]:
+        for chi in range(1, d):
+            if math.gcd(d, chi) != 1:
+                continue
+            at = {"d": d, "chi1": chi}
+            want = tuple([ExactMatrix(QQ, [[x.eval(at) for x in row] for row in m.data])
+                          for m in mats] for mats in (M, N))
+            got = symbolic_matrices_at(d, chi)
+            assert got == want, (d, chi)
+            assert [str(x) for x in _entries(got)] == [str(x) for x in _entries(want)], (d, chi)
+
+
+def test_decide_runs_no_symbolic_elimination(monkeypatch):
+    # decide reads the point blocks: no symbolic_MN and no RatFunc
+    built = []
+    real_init, real_raw = RatFunc.__init__, RatFunc._raw.__func__
+
+    def init(self, *args, **kwargs):
+        built.append("__init__")
+        real_init(self, *args, **kwargs)
+
+    def raw(cls, *args, **kwargs):
+        built.append("_raw")
+        return real_raw(cls, *args, **kwargs)
+
+    symbolic_MN.cache_clear()
+    monkeypatch.setattr(RatFunc, "__init__", init)
+    monkeypatch.setattr(RatFunc, "_raw", classmethod(raw))
+    pairs = coprime_pairs(5)
+    assert len(pairs) == 10
+    for a, b in pairs:
+        assert decide(5, a, b).agrees, (a, b)
+    assert symbolic_MN.cache_info().currsize == 0
+    assert built == []
+
+
+def test_returned_blocks_are_fresh():
+    # a reader that changes a returned block changes no later answer
+    for chi in (2, None):
+        first = symbolic_matrices_at(7, chi)
+        want = [str(x) for x in _entries(first)]
+        for mats in first:
+            for m in mats:
+                m.data[0][0] = m.field.coerce(99)
+                m.data[1] = m.data[2]
+        assert [str(x) for x in _entries(symbolic_matrices_at(7, chi))] == want, chi
 
 
 def test_symbolic_blocks_refuse_points_outside_the_exactness_argument():
@@ -147,8 +205,8 @@ def test_symbolic_cold_and_warm_agree():
 
 
 def test_pivot_minor_has_no_zero_at_coprime_points():
-    mat, cols = symbolic._sym_matrix()
-    assert (mat.rows, mat.cols) == (12, 27) and len(cols) == 27
+    mat = symbolic._sym_matrix()
+    assert (mat.rows, mat.cols) == (12, 27) and len(symbolic._COLUMNS) == 27
     # the input denominators are 2^a d^k
     for row in mat.data:
         for x in row:
