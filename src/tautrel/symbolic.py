@@ -395,8 +395,8 @@ def _unpacked(terms: bytes) -> dict:
 def _sym_matrix() -> ExactMatrix:
     """The matrix of _laurent_rows over QQ(d, chi1), each entry turned
     into a RatFunc once."""
-    return ExactMatrix._of(SYM_FIELD, [[_laurent_ratfunc(_unpacked(terms), den) for den, terms in row]
-                                       for row in _laurent_rows()])
+    return ExactMatrix._of(SYM_FIELD, [[_laurent_ratfunc(_unpacked(terms), den)
+                                        for den, terms in row] for row in _laurent_rows()])
 
 
 def _blocks(rows, field) -> tuple:

@@ -10,9 +10,10 @@ degree-d monomials with one large generator c_{d+a}(j) of degree d - i,
 named by its offset (a, j) in LARGE[i] (large_gen instantiates it),
 times small generators of total degree i <= SMALL_DEGREE = 2: DEG1 (the
 multipliers of Ra^n too), DEG2 (the M_i columns) or SQUARES (the N_i
-columns); the rows of M_i and N_i are LARGE[2].  Every list descends, and for d >= 5
-a large generator sorts above every small one, so a product written
-large-first is a monomial and the layout lists them in descending order.
+columns); the rows of M_i and N_i are LARGE[2].  Every list descends,
+and for d >= 5 a large generator sorts above every small one, so a
+product written large-first is a monomial and the layout lists them in
+descending order.
 
 The factor F_s of the generating identity is written in the twisted
 symbols ct_k(j) = (-1)^(k+1) c_k(j):
