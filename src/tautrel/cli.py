@@ -58,12 +58,12 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
                             ("det2_formula", det2_formula(d), rel.det2)):
         report.add(name, got == want, want, got, loc)
     try:
-        rep = checkpoint_reference_M(d, chi, rel)
+        rep = checkpoint_reference_M(rel)
         report.add("reference_matrices", rep["entries_checked"] == 27, 27,
                    rep["entries_checked"], loc)
     except CheckpointMismatch as e:
         report.add("reference_matrices", False, "27/27 entries", str(e), loc)
-    ok, trace = verify_rank12(d, chi, rel)
+    ok, trace = verify_rank12(rel)
     report.add("rank12", ok, 12, trace["rank"], loc)
     leads = rel.leading_monos()
     expected = mon2(d)[3:]
@@ -83,12 +83,11 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
 
 
 def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
-    rel1 = build_relation_set(d, chi1)
-    rel2 = build_relation_set(d, chi2)
-    M, Mp = matrices_M(rel1), matrices_M(rel2)
+    rel1, rel2 = build_relation_set(d, chi1), build_relation_set(d, chi2)
+    side, side_p = (matrices_M(rel1), matrices_N(rel1)), (matrices_M(rel2), matrices_N(rel2))
     loc = f"d={d},chi1={chi1},chi2={chi2}"
-    for cand in solve_S("I", M, Mp):
-        ab = solve_AB(cand, M, Mp)
+    for cand in solve_S("I", side, side_p):
+        ab = solve_AB(cand)
         report.add(f"type_I_no_solution[{cand.root_label}]",
                    ab.status == "no_invertible", "no_invertible", ab.status, loc)
         fc = (ab.certificate or {}).get("forcing_coefficient")
@@ -101,12 +100,18 @@ def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
                congruent(d, chi1, chi2), v.verdict, loc)
 
 
-def _verify_symbolic(report: Report, d: int, chi: int) -> None:
-    Msym, Nsym = symbolic_MN()
+def _symbolic_templates_match() -> bool:
+    """symbolic_MN's M blocks are the reference templates over QQ(d, chi1):
+    free of (d, chi), so verify checks it once and reports it per point."""
+    Msym = symbolic_MN()[0]
     T = reference_M_templates(SYM_FIELD.gen("d"), SYM_FIELD.gen("chi1"), SYM_FIELD)
-    ok = all(Msym[i][s, t] == T[i][s, t] for i in range(3) for s in range(3) for t in range(3))
+    return all(Msym[i][s, t] == T[i][s, t] for i in range(3) for s in range(3) for t in range(3))
+
+
+def _verify_symbolic(report: Report, d: int, chi: int, ok: bool) -> None:
     report.add("symbolic_reference_matrices", ok, "27/27 rational functions", ok)
     # the symbolic elimination itself, evaluated at the point
+    Msym, Nsym = symbolic_MN()
     at = {"d": d, "chi1": chi}
     rel = build_relation_set(d, chi)
     Mc, Nc = matrices_M(rel), matrices_N(rel)
@@ -154,9 +159,10 @@ def cmd_verify(args) -> int:
     config = {"d": args.d, "dmax": args.dmax, "chi": args.chi,
               "chi2": args.chi2, "mode": args.mode}
     report = Report("verify", config)
+    templates_ok = _symbolic_templates_match() if args.mode == "symbolic" else None
     for d, chi in pairs:
         if args.mode == "symbolic":
-            _verify_symbolic(report, d, chi)
+            _verify_symbolic(report, d, chi, templates_ok)
         else:
             _verify_pair(report, d, chi)
         if args.chi2 is not None:

@@ -41,15 +41,7 @@ from functools import reduce
 
 from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
-from .obstruction import (
-    CandidateS,
-    _lift_matrix,
-    _s_combination,
-    coprime_chis,
-    solve_AB,
-    solve_S,
-    solve_UV,
-)
+from .obstruction import CandidateS, coprime_chis, solve_AB, solve_S, solve_UV
 from .rat import QQ, Rat
 from .ratfunc import FracField, RatFunc, mpoly_gcd
 from .symbolic import symbolic_matrices_at
@@ -59,16 +51,14 @@ class EliminationFailure(ArithmeticError):
     pass
 
 
-def _column0_elimination(cand: CandidateS, A: ExactMatrix, M, N, Np):
-    """Residuals of the two held-back equations after expressing
-    (u0, u1, u2, v0, v1) in terms of v2 := the bottom entry of V's first
-    column.  Returns ((AA, BB), (CC, DD))."""
-    E = cand.field
-    Ps = _s_combination(cand, Np)
+def _column0_elimination(cand: CandidateS, A: ExactMatrix):
+    """Residuals of the two held-back equations of the candidate's
+    M_i U + N_i V = (A^-1)^T Q_i after expressing (u0, u1, u2, v0, v1)
+    in terms of v2 := the bottom entry of V's first column.  Returns
+    ((AA, BB), (CC, DD))."""
+    E, Ms, Ns = cand.field, cand.M, cand.N
     A_inv_t = A.inverse().transpose()
-    w = [A_inv_t * Ps[i] for i in range(3)]
-    Ms = [_lift_matrix(m, E) for m in M]
-    Ns = [_lift_matrix(n, E) for n in N]
+    w = [A_inv_t * q for q in cand.Q]
 
     def equation(i, r):
         coeffs = [Ms[i][r, 0], Ms[i][r, 1], Ms[i][r, 2], Ns[i][r, 0], Ns[i][r, 1]]
@@ -127,17 +117,17 @@ def _coordinates(d: int) -> tuple:
     Q(chi1, chi2), whose coordinate along 1 vanishes; c2 is free of chi2."""
     if d in _SLICE_CACHE:
         return _SLICE_CACHE[d]
-    M, N = symbolic_matrices_at(d, None)
-    M2, N2 = _lifted(M, False), _lifted(N, False)
-    Mp, Np = _lifted(M, True), _lifted(N, True)
-    cands = solve_S("II", M2, Mp)
+    blocks = symbolic_matrices_at(d, None)
+    side = tuple(_lifted(mats, False) for mats in blocks)
+    side_p = tuple(_lifted(mats, True) for mats in blocks)
+    cands = solve_S("II", side, side_p)
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} Type II candidates over Q(chi1, chi2)")
     cand = cands[0]
-    ab = solve_AB(cand, M2, Mp)
+    ab = solve_AB(cand)
     if ab.status != "solution":
         raise EliminationFailure(f"(A, B) system gives {ab.status} over Q(chi1, chi2)")
-    (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A, M2, N2, Np)
+    (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A)
     c0, c1, c2 = (AA * DD - BB * CC).coeffs
     if not c0.is_zero():
         raise EliminationFailure("constraint has a nonzero rational coordinate")
@@ -177,15 +167,13 @@ def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
     residual pair compatible, and is the full extended system solvable?
     Solvability must imply compatibility (the pair is a necessary
     condition)."""
-    M, N = symbolic_matrices_at(d, a)
-    Mp, Np = symbolic_matrices_at(d, b)
     rows = []
-    for cand in solve_S("II", M, Mp):
-        ab = solve_AB(cand, M, Mp)
+    for cand in solve_S("II", symbolic_matrices_at(d, a), symbolic_matrices_at(d, b)):
+        ab = solve_AB(cand)
         if ab.status != "solution":
             rows.append({"branch": cand.root_label, "ab": ab.status})
             continue
-        (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A, M, N, Np)
+        (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A)
         resultant = AA * DD - BB * CC
         # compatibility of the 2x1 affine pair in v31
         if AA.is_zero() and CC.is_zero():
@@ -196,7 +184,7 @@ def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
         else:
             v = -DD / CC
             compatible = (AA * v + BB).is_zero()
-        solvable = solve_UV(cand, ab.A, M, N, Np).status == "solvable"
+        solvable = solve_UV(cand, ab.A).status == "solvable"
         rows.append(
             {
                 "branch": cand.root_label,

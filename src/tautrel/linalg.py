@@ -5,7 +5,9 @@ Gauss-Jordan loop, ExactMatrix.gauss_jordan, over any field, and its
 fraction-free twin over the integers, int_gauss_jordan, which
 eliminates the twelve degree-d relations over QQ as packed integer
 numerator rows (relations._eliminate, for the build and the fallback
-rank of relations.verify_rank12).  The pivot rule: rows are
+rank of relations.verify_rank12) and the point path's rows of the
+truncated matrix, scaled to integers, in symbolic_matrices_at.  The
+pivot rule: rows are
 visited in a given order (top to bottom by default); each is reduced
 against the pivot rows found so far, then pivots on its first nonzero
 entry among the columns allowed to hold a pivot, taken in a given order

@@ -1,18 +1,21 @@
 """The isomorphism-obstruction decision.
 
-Given the coefficient blocks at (d, chi) and (d, chi'), a graded ring
-isomorphism would induce an invertible change-of-relations matrix S with
-A^T M_i B = sum_j s_ij M'_j.  Both determinant pencils det(sum x_i M_i)
-and det(sum x_j M'_j) are cubics with a node at [0:0:1] and five nonzero
-coefficients.  Comparing coefficients of the pencil identity
-det(sum x_i M_i) = det(sum_ij x_i s_ij M'_j) classifies S into two
-vanishing patterns and gives each entry of S as a ratio of those
-coefficients, over a cubic extension (one candidate per irreducible
-factor of t^3 - r); each candidate is checked against the whole
-identity.  The linear system for B^-1 is solved exactly (A follows from
-the i=1 equation), and finally the extended system for (U, V) decides
-solvability.  Witnesses and inconsistency certificates are re-verified
-by direct substitution.
+Given the coefficient blocks (M, N) at (d, chi) and (M', N') at
+(d, chi'), a graded ring isomorphism would induce an invertible
+change-of-relations matrix S with A^T M_i B = sum_j s_ij M'_j.  Both
+determinant pencils det(sum x_i M_i) and det(sum x_j M'_j) are cubics
+with a node at [0:0:1] and five nonzero coefficients.  Comparing
+coefficients of the pencil identity det(sum x_i M_i) =
+det(sum_ij x_i s_ij M'_j) classifies S into two vanishing patterns and
+gives each entry of S as a ratio of those coefficients, over a cubic
+extension (one candidate per irreducible factor of t^3 - r); each
+candidate is checked against the whole identity.  Each candidate
+carries its extended system over its extension, built once: the
+chi-side blocks M_i and N_i lifted there, P_i = sum_j s_ij M'_j and
+Q_i = sum_j s_ij N'_j.  The linear system A^T M_i B = P_i for B^-1 is
+solved exactly (A follows from the i=1 equation), and finally
+A^T M_i U + A^T N_i V = Q_i decides solvability.  Witnesses and
+inconsistency certificates are re-verified by direct substitution.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import product
 
 from .cubicext import CubicField, factor_t3_minus_r
 from .linalg import ExactMatrix
-from .rat import Rat
+from .rat import QQ, Rat
 from .symbolic import symbolic_matrices_at
 
 
@@ -94,10 +97,17 @@ def analyze_node(cubic: dict, field) -> dict:
 
 @dataclass
 class CandidateS:
+    """S and its extended system over its extension field: the chi-side
+    M, N lifted, P_i = sum_j s_ij M'_j and Q_i = sum_j s_ij N'_j."""
+
     field: CubicField
     S: ExactMatrix
     r: object
     root_label: str
+    M: list
+    N: list
+    P: list
+    Q: list
 
 
 # the five monomials a cubic with that node may have
@@ -126,11 +136,13 @@ def _cube(value, coeff, unknown: str):
     return value / coeff
 
 
-def solve_S(stype: str, M: list, Mp: list, pencil: tuple = None) -> list:
+def solve_S(stype: str, side: tuple, side_p: tuple, pencil: tuple = None) -> list:
     """All candidates of the given type ('I' or 'II'), one per
     irreducible factor of the relevant t^3 - r, over the field of the
-    blocks.  pencil, when given, is _pencil(M, Mp, M[0].field): a caller
-    solving both types computes it once.
+    blocks.  side and side_p are the (M, N) blocks at chi and at chi', as
+    symbolic_matrices_at gives them.  pencil, when given, is
+    _pencil(M, Mp, M[0].field): a caller solving both types computes it
+    once.
 
     Write c_uvw for the coefficient of x1^u x2^v x3^w in
     C = det(sum x_i M_i), and c'_uvw for that of C' = det(sum y_j M'_j).
@@ -166,8 +178,9 @@ def solve_S(stype: str, M: list, Mp: list, pencil: tuple = None) -> list:
     consistent when c300/c'300 = r^2 and tau = r, and then
     s11 = tau/s22 = s22^2.  s13 and s23 follow from the last two rows.
     Each candidate is checked against the whole identity, with C'
-    computed again from Mp.
+    computed again from P = sum_j s_ij M'_j.
     """
+    (M, N), (Mp, Np) = side, side_p
     field = M[0].field
     C, Cp = _pencil(M, Mp, field) if pencil is None else pencil
     zero = field.zero
@@ -204,12 +217,26 @@ def solve_S(stype: str, M: list, Mp: list, pencil: tuple = None) -> list:
             s13 = (c210 - p210 * s11 * s11 * s22) / (p111 * s11 * s22)
             s23 = (c120 - p120 * s11 * s22 * s22) / (p111 * s11 * s22)
         S = ExactMatrix(E, [[s11, s12, s13], [s21, s22, s23], [0, 0, 1]])
-        cand = CandidateS(E, S, r_main, E.modulus_str())
-        lifted = {k: E.coerce(v) for k, v in C.items()}
-        if cubic_det(_s_combination(cand, Mp)) != lifted:
+        P = _s_combination(S, Mp)
+        if cubic_det(P) != {k: E.coerce(v) for k, v in C.items()}:
             raise NoCandidate(f"pencil identity violated for type {stype}")
-        candidates.append(cand)
+        candidates.append(CandidateS(
+            E, S, r_main, E.modulus_str(), [ExactMatrix(E, m.data) for m in M],
+            [ExactMatrix(E, n.data) for n in N], P, _s_combination(S, Np)))
     return candidates
+
+
+def _s_combination(S: ExactMatrix, mats: list) -> list:
+    """P_i = sum_j s_ij mats_j over the field of S, entry by entry over
+    the nonzero s_ij."""
+    zero = S.field.zero
+    out = []
+    for srow in S.data:
+        terms = [(s, m.data) for s, m in zip(srow, mats) if s]
+        out.append(ExactMatrix._of(S.field, [
+            [sum((s * m[r][c] for s, m in terms), zero) for c in range(3)]
+            for r in range(3)]))
+    return out
 
 
 # -- solving for A and B -------------------------------------------------------
@@ -224,44 +251,8 @@ class ABResult:
     certificate: dict = None
 
 
-def _lift_matrix(mat: ExactMatrix, E: CubicField) -> ExactMatrix:
-    return ExactMatrix._of(E, [[E.coerce(x) for x in row] for row in mat.data])
-
-
-def _s_combination(cand: CandidateS, mats: list) -> list:
-    """P_i = sum_j s_ij mats_j over the candidate's extension, entry by
-    entry over the nonzero s_ij."""
-    zero = cand.field.zero
-    out = []
-    for srow in cand.S.data:
-        terms = [(s, m.data) for s, m in zip(srow, mats) if s]
-        out.append(ExactMatrix._of(cand.field, [
-            [sum((s * m[r][c] for s, m in terms), zero) for c in range(3)]
-            for r in range(3)]))
-    return out
-
-
-def _ab_system(cand: CandidateS, M: list, Mp: list):
-    """27x18 homogeneous system for the entries of A and of B^-1."""
-    E = cand.field
-    Ms = [_lift_matrix(m, E) for m in M]
-    Ps = _s_combination(cand, Mp)
-    rows = []
-    eq_index = []
-    for i in range(3):
-        for r in range(3):
-            for c in range(3):
-                row = [E.zero] * 18
-                for k in range(3):
-                    row[3 * k + r] = row[3 * k + r] + Ms[i][k, c]
-                    row[9 + 3 * k + c] = row[9 + 3 * k + c] - Ps[i][r, k]
-                rows.append(row)
-                eq_index.append((i, r, c))
-    return ExactMatrix(E, rows), eq_index
-
-
-def solve_AB(cand: CandidateS, M: list, Mp: list) -> ABResult:
-    """Solve A^T M_i = (sum_j s_ij M'_j) B^-1 exactly.
+def solve_AB(cand: CandidateS) -> ABResult:
+    """Solve A^T M_i = P_i B^-1 exactly, P_i = sum_j s_ij M'_j.
 
     M_1 is invertible (det M_1 = -X^2/(16 d^6) with X = chi(d-chi)(d-2chi),
     and analyze_node has rejected X = 0), so the i=1 equation gives
@@ -272,9 +263,7 @@ def solve_AB(cand: CandidateS, M: list, Mp: list) -> ABResult:
     of S) and det(A) = det(B) = 1.  When the kernel is trivial the
     27x18 system yields the a33 certificate.
     """
-    E = cand.field
-    Ms = [_lift_matrix(m, E) for m in M]
-    Ps = _s_combination(cand, Mp)
+    E, Ms, Ps = cand.field, cand.M, cand.P
     M1_inv = Ms[0].inverse()
     rows = []
     for i in (1, 2):
@@ -292,9 +281,7 @@ def solve_AB(cand: CandidateS, M: list, Mp: list) -> ABResult:
     kernel = ExactMatrix(E, rows).kernel()
     dim = len(kernel)
     if dim == 0:
-        system, eq_index = _ab_system(cand, M, Mp)
-        certificate = _a33_certificate(cand, system, eq_index)
-        return ABResult("no_invertible", 0, certificate=certificate)
+        return ABResult("no_invertible", 0, certificate=_a33_certificate(cand))
     if dim > 1:
         return ABResult(
             "anomaly", dim,
@@ -324,16 +311,30 @@ def solve_AB(cand: CandidateS, M: list, Mp: list) -> ABResult:
     return ABResult("solution", 1, A=A, B=B)
 
 
-def _a33_certificate(cand: CandidateS, system: ExactMatrix, eq_index: list) -> dict:
+def _a33_certificate(cand: CandidateS) -> dict:
     """Reproduce the a33-forcing structure of the trivial kernel.
 
-    Hold back the (i=1, row 0, col 1) equation and greedily take
+    The 27x18 homogeneous system A^T M_i = P_i B^-1 in the entries of A
+    and of B^-1 has row (i, r, c) for entry (r, c) of equation i.  Hold
+    back the (i=1, row 0, col 1) equation and greedily take
     equations (in their natural order) that pivot on the 17 unknowns
     other than a33; the resulting subsystem has a one-dimensional
     solution line parametrized by a33, and the held-back equation
     evaluates on it to (coefficient) * a33.  Rows that already reduce to
     a pure a33 multiple are set aside so a33 stays free."""
-    E = cand.field
+    E, Ms, Ps = cand.field, cand.M, cand.P
+    rows = []
+    eq_index = []
+    for i in range(3):
+        for r in range(3):
+            for c in range(3):
+                row = [E.zero] * 18
+                for k in range(3):
+                    row[3 * k + r] = row[3 * k + r] + Ms[i][k, c]
+                    row[9 + 3 * k + c] = row[9 + 3 * k + c] - Ps[i][r, k]
+                rows.append(row)
+                eq_index.append((i, r, c))
+    system = ExactMatrix(E, rows)
     drop = eq_index.index((0, 0, 1))
     # equations visited row-major across the three matrix equations;
     # under this pivot recipe the forcing coefficient comes out as
@@ -379,13 +380,11 @@ class UVResult:
     certificate: list = None
 
 
-def solve_UV(cand: CandidateS, A: ExactMatrix, M: list, N: list, Np: list) -> UVResult:
-    """Solve A^T M_i U + A^T N_i V = sum_j s_ij N'_j for U, V."""
-    E = cand.field
+def solve_UV(cand: CandidateS, A: ExactMatrix) -> UVResult:
+    """Solve A^T M_i U + A^T N_i V = Q_i for U, V, Q_i = sum_j s_ij N'_j."""
     At = A.transpose()
-    AM = [At * _lift_matrix(m, E) for m in M]
-    AN = [At * _lift_matrix(n, E) for n in N]
-    return _solve_uv_block(E, AM, AN, _s_combination(cand, Np))
+    return _solve_uv_block(cand.field, [At * m for m in cand.M],
+                           [At * n for n in cand.N], cand.Q)
 
 
 def _solve_uv_block(E, AM: list, AN: list, Ps: list) -> UVResult:
@@ -520,18 +519,18 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     if d < 5:
         return Verdict(d, c1, c2, "NoObstruction", expected,
                        note="d < 5: no degree-d relations to obstruct")
-    M, N = symbolic_matrices_at(d, c1)
-    Mp, Np = symbolic_matrices_at(d, c2)
+    side = symbolic_matrices_at(d, c1)
+    side_p = symbolic_matrices_at(d, c2)
 
     certificates = []
     kernel_dims = {}
     witness = None
 
-    pencil = _pencil(M, Mp, M[0].field)
+    pencil = _pencil(side[0], side_p[0], QQ)
     for stype in ("I", "II"):
-        for cand in solve_S(stype, M, Mp, pencil=pencil):
+        for cand in solve_S(stype, side, side_p, pencil=pencil):
             label = f"type_{stype}[{cand.root_label}]"
-            ab = solve_AB(cand, M, Mp)
+            ab = solve_AB(cand)
             kernel_dims[label] = ab.kernel_dim
             if ab.status == "anomaly":
                 raise NoCandidate(f"{label}: {ab.certificate['note']}")
@@ -542,7 +541,7 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
                     cert["a33_forcing_coefficient"] = str(fc)
                 certificates.append(cert)
                 continue
-            uv = solve_UV(cand, ab.A, M, N, Np)
+            uv = solve_UV(cand, ab.A)
             if uv.status == "solvable":
                 if witness is None:
                     witness = {

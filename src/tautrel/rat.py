@@ -1,9 +1,14 @@
 """Exact rational scalars and the base coefficient field.
 
-gmpy2's mpq is used when available (C-speed arithmetic matters for the
-full relation expansions); fractions.Fraction is a drop-in fallback.
+Rat is gmpy2's mpq when available and fractions.Fraction otherwise.
 Both keep values reduced with a positive denominator, so the canonical
-text form "p/q" (q omitted when 1) is just str().
+text form "p/q" (q omitted when 1) is just str().  The relation
+expansions run on packed Python ints; Rat carries the coefficients of
+tautalg.factor_table, the entries read from the packed rows
+(relations._entries) and the point blocks of symbolic_matrices_at, the
+linear algebra over QQ (the pencil, S and the minors of verify_rank12),
+the coefficients CubicExt reads out, MPoly over QQ and the values of
+RatFunc.eval.
 """
 
 from __future__ import annotations

@@ -428,8 +428,8 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     return rel
 
 
-def verify_rank12(d: int, chi: int, rel: RelationSet = None):
-    """Rank and minor checkpoints on the 12 degree-d relations.
+def verify_rank12(rel: RelationSet):
+    """Rank and minor checkpoints on the 12 degree-d relations of rel.
 
     Returns (ok, trace).  trace records the rank, the Mon1 minor
     determinant (must be det1^2) and the Mon2 minor determinant.
@@ -443,9 +443,7 @@ def verify_rank12(d: int, chi: int, rel: RelationSet = None):
     integer rows, so a broken relation set reports its true rank.  The
     minors' entries are point reads of the packed rows (_entries).
     """
-    if rel is None:
-        rel = build_relation_set(d, chi)
-    pivots = rel.pivot_monos
+    d, pivots = rel.d, rel.pivot_monos
     def entries(monos):
         return _entries(rel.packing, rel.rows, rel.dens, monos)
 

@@ -176,19 +176,20 @@ def _laurent_ratfunc(lau: dict, den: int) -> RatFunc:
 
 
 def _trunc_mul(p: tuple, q: tuple) -> tuple:
+    """The truncated product p * q.  p is the large factor (or a product
+    with it) and q a small factor, whose terms carry no large generator,
+    so each product term keeps the large generator of p's term."""
     (pt, pden), (qt, qden) = p, q
     out: dict = {}
     for (l1, s1, b1), c1 in pt.items():
-        for (l2, s2, b2), c2 in qt.items():
-            if l1 is not None and l2 is not None:
-                continue
+        for (_, s2, b2), c2 in qt.items():
             b = b1 + b2
             if b > 2:
                 continue
             small = tuple(sorted(s1 + s2, key=_small_gen_key, reverse=True))
             if _small_degree(small) > SMALL_DEGREE:
                 continue
-            key = (l1 if l1 is not None else l2, small, b)
+            key = (l1, small, b)
             acc = out.get(key)
             if acc is None:
                 acc = out[key] = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .linalg import ExactMatrix
 from .rat import QQ
-from .relations import RelationSet, _entries, build_relation_set
+from .relations import RelationSet, _entries
 from .tautalg import (
     DEG2,
     LARGE,
@@ -144,14 +144,13 @@ def reference_M_templates(d, chi, field=QQ):
     return [ExactMatrix(field, M) for M in (M1, M2, M3)]
 
 
-def checkpoint_reference_M(d: int, chi: int, rel: RelationSet = None) -> dict:
-    """Compare computed M_i with the reference templates at (d, chi).
+def checkpoint_reference_M(rel: RelationSet) -> dict:
+    """Compare rel's M_i with the reference templates at (rel.d, rel.chi).
 
     Returns a report dict; raises CheckpointMismatch on any differing
     entry, identifying (i, s, t) and both values.
     """
-    if rel is None:
-        rel = build_relation_set(d, chi)
+    d, chi = rel.d, rel.chi
     computed = matrices_M(rel)
     templates = reference_M_templates(d, chi)
     checked = 0

@@ -51,14 +51,14 @@ def constraint_slice(d: int, b: int, *, _blocks: tuple = None) -> ConstraintSlic
     M, N = symbolic_matrices_at(d, None) if _blocks is None else _blocks
     Mp = [_evaluated(m, b) for m in M]
     Np = [_evaluated(n, b) for n in N]
-    cands = solve_S("II", M, Mp)
+    cands = solve_S("II", (M, N), (Mp, Np))
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} slice candidates at chi'={b}")
     cand = cands[0]
-    ab = solve_AB(cand, M, Mp)
+    ab = solve_AB(cand)
     if ab.status != "solution":
         raise EliminationFailure(f"(A, B) system gives {ab.status} at chi'={b}")
-    (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A, M, N, Np)
+    (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A)
     constraint = AA * DD - BB * CC
     c0, c1, c2 = constraint.coeffs
     if not c0.is_zero():

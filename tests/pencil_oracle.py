@@ -9,10 +9,15 @@ exactly.  Here the last row of S is assumed to be (0, 0, s33);
 tautrel.obstruction proves it from the node.
 """
 
+from collections import namedtuple
+
 from tautrel.cubicext import CubicField, factor_t3_minus_r
 from tautrel.linalg import ExactMatrix
 from tautrel.mpoly import MPoly
-from tautrel.obstruction import CandidateS, NoCandidate, analyze_node, cubic_det
+from tautrel.obstruction import NoCandidate, analyze_node, cubic_det
+
+# the parts of obstruction.CandidateS that the comparison reads
+Candidate = namedtuple("Candidate", "field S r root_label")
 
 
 S_VARS = tuple(f"s{i}{j}" for i in range(1, 4) for j in range(1, 4))
@@ -215,5 +220,5 @@ def solve_S(stype: str, M: list, Mp: list, pencil: tuple = None) -> list:
         S = ExactMatrix(
             E, [[assignment[svar(i, j)] for j in range(3)] for i in range(3)]
         )
-        candidates.append(CandidateS(E, S, r_main, E.modulus_str()))
+        candidates.append(Candidate(E, S, r_main, E.modulus_str()))
     return candidates

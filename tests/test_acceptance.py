@@ -36,7 +36,12 @@ from tautrel.relations import (
     mon2,
     verify_rank12,
 )
-from tautrel.truncation import checkpoint_reference_M, matrices_M, reference_M_templates
+from tautrel.truncation import (
+    checkpoint_reference_M,
+    matrices_M,
+    matrices_N,
+    reference_M_templates,
+)
 
 
 def coprime_chis(d):
@@ -75,7 +80,7 @@ def test_criterion_3_reference_matrices():
     ok = True
     for d in range(5, 11):
         for chi in coprime_chis(d):
-            rep = checkpoint_reference_M(d, chi)
+            rep = checkpoint_reference_M(build_relation_set(d, chi))
             ok = ok and rep["entries_checked"] == 27
     # symbolic reproduction from the seven contributing partitions
     from tautrel.symbolic import SYM_FIELD, symbolic_MN, truncated_partition_parts
@@ -97,7 +102,7 @@ def test_criterion_4_rank_checkpoints():
     for d in range(5, 9):
         for chi in coprime_chis(d):
             rel = build_relation_set(d, chi)
-            good, trace = verify_rank12(d, chi, rel)
+            good, trace = verify_rank12(rel)
             ok = ok and good and trace["rank"] == 12
             leads = [R.leading_term() for R in reduced_relations(rel)]
             want = [
@@ -126,10 +131,11 @@ def test_criterion_6_type_I_contradiction():
         chis = coprime_chis(d)
         for c1 in chis:
             for c2 in chis:
-                M = matrices_M(build_relation_set(d, c1))
-                Mp = matrices_M(build_relation_set(d, c2))
-                for cand in solve_S("I", M, Mp):
-                    ab = solve_AB(cand, M, Mp)
+                rel1, rel2 = build_relation_set(d, c1), build_relation_set(d, c2)
+                side = matrices_M(rel1), matrices_N(rel1)
+                side_p = matrices_M(rel2), matrices_N(rel2)
+                for cand in solve_S("I", side, side_p):
+                    ab = solve_AB(cand)
                     ok = ok and ab.status == "no_invertible" and ab.kernel_dim == 0
                     fc = ab.certificate.get("forcing_coefficient")
                     ok = ok and fc is not None and fc.is_base()

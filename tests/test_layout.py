@@ -1,4 +1,6 @@
-"""Layout guard: every name in src/tautrel has a caller in src/.
+"""Layout guard: every name in src/tautrel has a caller in src/, and no
+module imports another module's private name but those PRIVATE_IMPORTS
+lists.
 
 Public and private names alike: a module-level function or class, a
 method other than a dunder, and a name bound by a module-level
@@ -39,6 +41,15 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tautrel")
 ALLOWED = {
     "constraint.constraint_analysis": "the P1 entry point that perfbench calls",
     "constraint.ConstraintReport.ok": "the verdict perfbench reads from constraint_analysis",
+}
+
+# importer -> the single-underscore names of other modules it may import,
+# each with its reason; no other cross-module import of a private name
+PRIVATE_IMPORTS = {
+    "relations": {"mpoly._signed_term": "the relations' text form writes each term "
+                                        "as an MPoly's str does"},
+    "truncation": {"relations._entries": "the M/N blocks are point reads of the "
+                                         "packed rows, as det1, det2 and the minors"},
 }
 
 # shared method name -> the classes whose method is read through receivers
@@ -313,3 +324,33 @@ def test_guard_flags_unread_module_constants(tmp_path):
                  "_writer()\n")
     assert _Layout(str(src)).missing() == [
         "report._UNREAD", "report.UNREAD_TOO", "report._TRIED", "report._TRIED"]
+
+
+def _private_imports(src) -> list:
+    """(importer, module.name) of each import of another module's
+    single-underscore name in src; dunders such as __version__ aside."""
+    out = []
+    for mod, tree in _modules(src):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                out += [(mod, f"{node.module}.{a.name}") for a in node.names
+                        if not _public(a.name) and not _dunder(a.name)]
+    return out
+
+
+def test_no_private_names_imported_across_modules():
+    found = _private_imports(SRC)
+    unlisted = [f"{mod} <- {name}" for mod, name in found
+                if name not in PRIVATE_IMPORTS.get(mod, ())]
+    assert not unlisted, "private names imported from another module: " + ", ".join(unlisted)
+    listed = {(mod, name) for mod, names in PRIVATE_IMPORTS.items() for name in names}
+    assert listed == set(found), "stale PRIVATE_IMPORTS entries"
+
+
+def test_guard_flags_a_private_import(tmp_path):
+    src = tmp_path / "tautrel"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "report.py", "a", encoding="utf-8") as fh:
+        fh.write("\nfrom .obstruction import _pencil, decide\nfrom . import __version__\n")
+    assert [name for mod, name in _private_imports(str(src)) if mod == "report"] == [
+        "obstruction._pencil"]

@@ -22,7 +22,6 @@ from tautrel.obstruction import (
     solve_AB,
     solve_S,
     solve_UV,
-    _lift_matrix,
     _pencil,
     _s_combination,
     _solve_uv_block,
@@ -204,16 +203,16 @@ def test_partial_matches_the_regrouped_eval():
                 assert {k: str(v) for k, v in got.items()} == {k: str(v) for k, v in want.items()}
 
 
-def summed_combination(cand, mats):
+def summed_combination(S, mats):
     """P_i = sum_j s_ij mats_j as _s_combination built it before it went
     entry by entry: a zero matrix plus the three scaled lifted blocks."""
-    E = cand.field
-    lifted = [_lift_matrix(m, E) for m in mats]
+    E = S.field
+    lifted = [ExactMatrix(E, m.data) for m in mats]
     out = []
     for i in range(3):
         acc = ExactMatrix(E, [[E.zero] * 3 for _ in range(3)])
         for j in range(3):
-            acc = acc + lifted[j].scale(cand.S[i, j])
+            acc = acc + lifted[j].scale(S[i, j])
         out.append(acc)
     return out
 
@@ -222,29 +221,30 @@ def test_s_combination_matches_the_summed_blocks():
     count = 0
     for d in (5, 7):
         for a, b in coprime_pairs(d):
-            (M, _), (Mp, Np) = symbolic_matrices_at(d, a), symbolic_matrices_at(d, b)
+            side, (Mp, Np) = symbolic_matrices_at(d, a), symbolic_matrices_at(d, b)
             for stype in ("I", "II"):
-                for cand in solve_S(stype, M, Mp):
-                    for mats in (Mp, Np):
-                        got, want = _s_combination(cand, mats), summed_combination(cand, mats)
-                        assert got == want
+                for cand in solve_S(stype, side, (Mp, Np)):
+                    for mats, kept in ((Mp, cand.P), (Np, cand.Q)):
+                        got = _s_combination(cand.S, mats)
+                        want = summed_combination(cand.S, mats)
+                        assert got == want == kept
                         assert [repr(P) for P in got] == [repr(P) for P in want]
+                        assert [repr(P) for P in kept] == [repr(P) for P in want]
                     count += 1
     assert count == 81  # every candidate of both types at the 31 pairs
 
 
 def test_solve_S_type_II_witness_values():
-    M, _ = blocks(5, 1)
+    side = blocks(5, 1)
     # chi = chi': rational candidate is the identity
-    cands = solve_S("II", M, M)
+    cands = solve_S("II", side, side)
     assert len(cands) == 2
     ident = cands[0]
     assert ident.r == 1
     E = ident.field
     assert ident.S == identity(E, 3)
     # chi + chi' = d: the sign matrix
-    Mp, _ = blocks(5, 4)
-    cands = solve_S("II", M, Mp)
+    cands = solve_S("II", side, blocks(5, 4))
     sign = cands[0]
     assert sign.r == -1
     E = sign.field
@@ -253,9 +253,7 @@ def test_solve_S_type_II_witness_values():
 
 
 def test_solve_S_irreducible_case():
-    M, _ = blocks(5, 1)
-    Mp, _ = blocks(5, 2)
-    cands = solve_S("II", M, Mp)
+    cands = solve_S("II", blocks(5, 1), blocks(5, 2))
     assert len(cands) == 1
     assert cands[0].r == 2
     assert cands[0].field.deg == 3
@@ -264,26 +262,23 @@ def test_solve_S_irreducible_case():
 def test_solve_AB_type_II_witnesses():
     from tautrel.linalg import ExactMatrix
 
-    M, N = blocks(5, 1)
-    cands = solve_S("II", M, M)
-    ab = solve_AB(cands[0], M, M)
+    side = blocks(5, 1)
+    cands = solve_S("II", side, side)
+    ab = solve_AB(cands[0])
     assert ab.status == "solution" and ab.kernel_dim == 1
     E = cands[0].field
     assert ab.A == identity(E, 3)
     assert ab.B == identity(E, 3)
-    Mp, Np = blocks(5, 4)
-    cands = solve_S("II", M, Mp)
-    ab = solve_AB(cands[0], M, Mp)
+    cands = solve_S("II", side, blocks(5, 4))
+    ab = solve_AB(cands[0])
     E = cands[0].field
     want = ExactMatrix(E, [[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
     assert ab.A == want and ab.B == want
 
 
 def test_solve_AB_type_I_contradiction():
-    M, _ = blocks(5, 1)
-    Mp, _ = blocks(5, 2)
-    for cand in solve_S("I", M, Mp):
-        ab = solve_AB(cand, M, Mp)
+    for cand in solve_S("I", blocks(5, 1), blocks(5, 2)):
+        ab = solve_AB(cand)
         assert ab.status == "no_invertible" and ab.kernel_dim == 0
         fc = ab.certificate["forcing_coefficient"]
         assert fc.is_base()
@@ -294,24 +289,19 @@ def test_solve_AB_type_I_contradiction():
 def test_solve_UV_identity_and_inconsistent():
     from tautrel.linalg import ExactMatrix
 
-    M, N = blocks(5, 1)
-    cands = solve_S("II", M, M)
-    ab = solve_AB(cands[0], M, M)
-    uv = solve_UV(cands[0], ab.A, M, N, N)
+    side = blocks(5, 1)
+    cands = solve_S("II", side, side)
+    ab = solve_AB(cands[0])
+    uv = solve_UV(cands[0], ab.A)
     assert uv.status == "solvable"
     # U = 0, V = Id is among the solutions: verify directly
-    E = cands[0].field
     At = ab.A.transpose()
-    from tautrel.obstruction import _lift_matrix, _s_combination
-
-    Ps = _s_combination(cands[0], N)
     for i in range(3):
-        assert (At * _lift_matrix(N[i], E)) == Ps[i]
+        assert (At * cands[0].N[i]) == cands[0].Q[i]
     # inconsistent case
-    Mp, Np = blocks(5, 2)
-    cand = solve_S("II", M, Mp)[0]
-    ab = solve_AB(cand, M, Mp)
-    uv = solve_UV(cand, ab.A, M, N, Np)
+    cand = solve_S("II", side, blocks(5, 2))[0]
+    ab = solve_AB(cand)
+    uv = solve_UV(cand, ab.A)
     assert uv.status == "inconsistent"
     assert uv.certificate is not None
 
@@ -358,8 +348,47 @@ def test_decide_computes_the_pencil_once(monkeypatch):
         v = decide(5, *pair)
         assert v.agrees and len(calls) == 1
     calls.clear()
-    M, _ = blocks(5, 1)
-    assert len(solve_S("II", M, M)) == 2 and len(calls) == 1
+    side = blocks(5, 1)
+    assert len(solve_S("II", side, side)) == 2 and len(calls) == 1
+
+
+def test_decide_builds_each_candidate_system_once(monkeypatch):
+    # solve_S lifts each chi-side block to the candidate's extension once
+    # and forms P and Q once; solve_AB, the a33 certificate and solve_UV
+    # read them from the candidate
+    sides, lifted, combined = [], [], []
+
+    def recorded(d, chi):
+        sides.append(symbolic_matrices_at(d, chi))
+        return sides[-1]
+
+    class Counted(ExactMatrix):
+        __slots__ = ()
+
+        def __init__(self, field, data):
+            lifted.append(data)
+            super().__init__(field, data)
+
+    def counted(S, mats):
+        combined.append(mats)
+        return _s_combination(S, mats)
+
+    monkeypatch.setattr(obstruction, "symbolic_matrices_at", recorded)
+    monkeypatch.setattr(obstruction, "ExactMatrix", Counted)
+    monkeypatch.setattr(obstruction, "_s_combination", counted)
+    for pair in [(1, 2), (1, 1), (1, 4), (2, 3)]:
+        sides.clear(), lifted.clear(), combined.clear()
+        v = decide(5, *pair)
+        n = len(v.kernel_dims)
+        # both the a33 certificate (kernel 0) and solve_UV (kernel 1) ran
+        assert v.agrees and {0, 1} <= set(v.kernel_dims.values())
+        (M, N), (Mp, Np) = sides
+        for m in M + N:
+            assert sum(data is m.data for data in lifted) == n
+        for m in Mp + Np:
+            assert not any(data is m.data for data in lifted)
+        assert len(combined) == 2 * n
+        assert sum(mats is Mp for mats in combined) == sum(mats is Np for mats in combined) == n
 
 
 def _candidate_strs(cands):
@@ -370,39 +399,41 @@ def _candidate_strs(cands):
 def test_solve_S_matches_the_equation_oracle():
     # the candidates read from the five coefficients are the ones the ten
     # coefficient equations give, entry by entry and in the same order
-    cases = [(symbolic_matrices_at(d, a)[0], symbolic_matrices_at(d, b)[0])
+    cases = [(symbolic_matrices_at(d, a), symbolic_matrices_at(d, b))
              for d in range(5, 11) for a, b in coprime_pairs(d)]
-    cases += [(M, Mp) for (M, _), (Mp, _) in (generic_blocks(5), generic_blocks(8))]
+    cases += [generic_blocks(5), generic_blocks(8)]
     count = 0
-    for M, Mp in cases:
+    for side, side_p in cases:
         for stype in ("I", "II"):
-            got = solve_S(stype, M, Mp)
-            assert _candidate_strs(got) == _candidate_strs(pencil_oracle.solve_S(stype, M, Mp))
+            got = solve_S(stype, side, side_p)
+            want = pencil_oracle.solve_S(stype, side[0], side_p[0])
+            assert _candidate_strs(got) == _candidate_strs(want)
             count += len(got)
     assert len(cases) == 77 and count == 197
 
 
 def test_solve_S_rejects_a_broken_pencil():
-    (M, _), (Mp, _) = blocks(5, 1), blocks(5, 2)
+    side, side_p = blocks(5, 1), blocks(5, 2)
+    (M, _), (Mp, _) = side, side_p
     C, Cp = _pencil(M, Mp, QQ)
-    assert len(solve_S("II", M, Mp, pencil=(C, Cp))) == 1
+    assert len(solve_S("II", side, side_p, pencil=(C, Cp))) == 1
     # a wrong c'120 only moves s23: the identity, with C' computed again
     # from Mp, catches it; the equations built from the same broken
     # pencil did not
     bad = dict(Cp)
     bad[(1, 2, 0)] = bad.get((1, 2, 0), QQ.zero) + 1
     with pytest.raises(NoCandidate, match="pencil identity violated"):
-        solve_S("II", M, Mp, pencil=(C, bad))
+        solve_S("II", side, side_p, pencil=(C, bad))
     eqs = _coeff_equations_table(C, bad, QQ)
     assert len(pencil_oracle.solve_S("II", M, Mp, pencil=(C, bad, eqs))) == 1
     bad = {k: v for k, v in Cp.items() if k != (3, 0, 0)}
     with pytest.raises(NoCandidate, match="cube equation for s21 degenerate"):
-        solve_S("I", M, Mp, pencil=(C, bad))
+        solve_S("I", side, side_p, pencil=(C, bad))
     bad = {k: v for k, v in C.items() if k != (3, 0, 0)}
     with pytest.raises(NoCandidate, match="cube consistency broken"):
-        solve_S("I", M, Mp, pencil=(bad, Cp))
+        solve_S("I", side, side_p, pencil=(bad, Cp))
     with pytest.raises(NoCandidate, match=r"s11\^3 != \(s22\^3\)\^2"):
-        solve_S("II", M, Mp, pencil=(bad, Cp))
+        solve_S("II", side, side_p, pencil=(bad, Cp))
 
 
 def test_pencil_requires_both_cube_coefficients(monkeypatch):
@@ -433,17 +464,17 @@ def test_solve_UV_matches_full_system_oracle():
     seen = []
     for d in range(5, 9):
         for a, b in coprime_pairs(d):
-            (M, N), (Mp, Np) = blocks(d, a), blocks(d, b)
+            side, side_p = blocks(d, a), blocks(d, b)
             for stype in ("I", "II"):
-                for cand in solve_S(stype, M, Mp):
-                    ab = solve_AB(cand, M, Mp)
+                for cand in solve_S(stype, side, side_p):
+                    ab = solve_AB(cand)
                     if ab.status != "solution":
                         continue
-                    E, At = cand.field, ab.A.transpose()
-                    AM = [At * _lift_matrix(m, E) for m in M]
-                    AN = [At * _lift_matrix(n, E) for n in N]
-                    want = uv_oracle(E, AM, AN, _s_combination(cand, Np))
-                    got = solve_UV(cand, ab.A, M, N, Np)
+                    At = ab.A.transpose()
+                    AM = [At * m for m in cand.M]
+                    AN = [At * n for n in cand.N]
+                    want = uv_oracle(cand.field, AM, AN, cand.Q)
+                    got = solve_UV(cand, ab.A)
                     _same_uv(got, want)
                     seen.append(got.status)
     # one solvable candidate per congruent pair, the others inconsistent

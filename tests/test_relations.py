@@ -260,7 +260,7 @@ def test_build_relation_set_validation():
 
 
 def test_verify_rank12():
-    ok, trace = verify_rank12(5, 1)
+    ok, trace = verify_rank12(build_relation_set(5, 1))
     assert ok
     assert trace["rank"] == 12
     assert trace["mon1_minor_det"] == Rat(-972) ** 2 == Rat(944784)
@@ -273,7 +273,7 @@ def test_verify_rank12_zero_relations_guard():
 
     broken = copy.copy(rel)
     broken.rows = ({},) * 6 + rel.rows[6:]  # c2(0) Ra^n and c0(2) Ra^n zeroed
-    ok, trace = verify_rank12(5, 1, broken)
+    ok, trace = verify_rank12(broken)
     assert not ok
     assert trace["rank"] < 12
 
@@ -287,7 +287,7 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
         raise AssertionError("verify_rank12 eliminated the 12xN matrix again")
 
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
-    ok, trace = verify_rank12(7, 3, rel)
+    ok, trace = verify_rank12(rel)
     assert ok
     assert trace["rank"] == 12
 
@@ -299,10 +299,10 @@ def test_verify_rank12_zeroed_relation_falls_back_to_rank():
     for n in (1, 2, 3):
         broken = copy.copy(rel)
         broken.rows = rel.rows[:8 + n] + ({},) + rel.rows[9 + n:]  # Rc^n zeroed
-        ok, trace = verify_rank12(5, 2, broken)
+        ok, trace = verify_rank12(broken)
         assert not ok
         assert trace["rank"] == 11
-    assert verify_rank12(5, 2, rel)[0]
+    assert verify_rank12(rel)[0]
 
 
 def test_rank12_full_matrix_rank():
@@ -367,10 +367,10 @@ def test_cold_build_runs_no_field_elimination(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
     rel = build_relation_set(7, 3)
     assert len(rel.pivot_monos) == 12
-    assert verify_rank12(7, 3, rel)[0]
+    assert verify_rank12(rel)[0]
     broken = copy.copy(rel)
     broken.rows = rel.rows[:10] + ({},) + rel.rows[11:]  # Rc^2 zeroed
-    ok, trace = verify_rank12(7, 3, broken)
+    ok, trace = verify_rank12(broken)
     assert not ok and trace["rank"] == 11
 
 
@@ -413,7 +413,7 @@ def test_verify_rank12_forms_no_products(monkeypatch):
 
     rel = build_relation_set(9, 2)
     monkeypatch.setattr(relations, "_twelve_rows", no_rows)
-    ok, trace = verify_rank12(9, 2, rel)
+    ok, trace = verify_rank12(rel)
     assert ok and trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
 
 

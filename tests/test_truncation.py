@@ -40,7 +40,7 @@ def test_checkpoint_reference_M_range():
         for chi in range(1, d):
             if math.gcd(d, chi) != 1:
                 continue
-            rep = checkpoint_reference_M(d, chi)
+            rep = checkpoint_reference_M(build_relation_set(d, chi))
             assert rep["status"] == "pass" and rep["entries_checked"] == 27
 
 
@@ -53,7 +53,7 @@ def test_checkpoint_detects_mutation():
     R1[key] = R1.get(key, 0) + 1
     broken.R_rows = (R1,) + rel.R_rows[1:]
     with pytest.raises(CheckpointMismatch):
-        checkpoint_reference_M(5, 1, broken)
+        checkpoint_reference_M(broken)
 
 
 def test_dets_nonzero_and_values():
