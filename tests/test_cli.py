@@ -101,10 +101,20 @@ def test_verify_node_errors(monkeypatch):
         run_cli("verify", "--d", "5", "--chi", "1")
 
 
-def test_verify_symbolic_mode():
+def test_verify_symbolic_mode(monkeypatch):
     code, out, _ = run_cli("verify", "--d", "5", "--chi", "1", "--mode", "symbolic")
     assert code == 0
     assert "symbolic_reference_matrices" in out
+    # the (d, chi)-free template comparison runs once per command and is
+    # reported at each of the 12 coprime points of d = 5..7
+    calls = []
+    templates = cli.reference_M_templates
+    monkeypatch.setattr(cli, "reference_M_templates", lambda *a: calls.append(a) or templates(*a))
+    code, out, _ = run_cli("verify", "--d", "5", "--dmax", "7", "--chi", "all",
+                           "--mode", "symbolic", "--format", "json")
+    rows = [c for c in json.loads(out)["checks"] if c["name"] == "symbolic_reference_matrices"]
+    assert code == 0 and len(calls) == 1
+    assert len(rows) == 12 and all(c["status"] == "pass" for c in rows)
 
 
 def test_emit_relations_values(tmp_path):
