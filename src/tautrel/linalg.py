@@ -2,17 +2,19 @@
 
 All elimination except the determinant's runs through one row-by-row
 Gauss-Jordan loop, ExactMatrix.gauss_jordan, over any field, and its
-fraction-free twin over the integers, int_gauss_jordan, which
-eliminates the twelve degree-d relations over QQ as packed integer
-numerator rows (relations._eliminate, for the build and the fallback
-rank of relations.verify_rank12) and the point path's rows of the
-truncated matrix, scaled to integers, in symbolic_matrices_at.  The
-pivot rule: rows are
-visited in a given order (top to bottom by default); each is reduced
-against the pivot rows found so far, then pivots on its first nonzero
-entry among the columns allowed to hold a pivot, taken in a given order
-(all columns, left to right, by default); a row with no such entry is
-set aside.  With the defaults the pivot rows, sorted by column, are the
+fraction-free twin over the integers, int_gauss_jordan.  It
+eliminates the twelve degree-d relations over QQ in
+relations._eliminate, for the build and the fallback rank of
+relations.verify_rank12: their integer numerators at their twelve
+leading monomials beside an identity, whose part records the
+combinations of the rows that give R1..R3, and at every monomial only
+when the leading ones have rank < 12.  It also eliminates the point
+path's rows of the truncated matrix, scaled to integers, in
+symbolic_matrices_at.  The pivot rule: rows are visited in a given
+order (top to bottom by default); each is reduced against the pivot
+rows found so far, then pivots on its first nonzero entry among the
+columns allowed to hold a pivot, taken in a given order (all columns,
+left to right, by default); a row with no such entry is set aside.  With the defaults the pivot rows, sorted by column, are the
 unique reduced row echelon form.  Rows are updated only where the row
 they subtract is nonzero, so zero entries cost no arithmetic; entries
 are tested for zero by their truth value.  Division is exact, so every

@@ -9,16 +9,22 @@ pieces yields the nine relations R_a^n, R_b^n, R_c^n; eliminating the
 nine monomials that involve generators of degree d-1 and d leaves the
 three canonical relations R_1, R_2, R_3 in row echelon form.
 
-The recurrence runs fraction-free.  With D the lcm of the coefficient
-denominators of F_1..F_upto, the factors H_k = k! D^k F_k have integer
-coefficients, and G_m = m! D^m E_m obeys
+The recurrence runs fraction-free.  With D_n the lcm of the coefficient
+denominators of the factors F_1..F_upto of n, the factors H_k = k! D_n^k
+F_k have integer coefficients, and G_m = m! D_n^m E_m obeys
 G_m = sum_k ((m-1)!/(m-k)!) H_k G_{m-k}  (multiply the recurrence by
-(m-1)! D^m).  The weights (m-1)!/(m-k)! are integers for k >= 1, so
+(m-1)! D_n^m).  The weights (m-1)!/(m-k)! are integers for k >= 1, so
 every G_m is computed with integer additions and multiplications only.
-Since G_m = m! D^m E_m holds exactly, the coefficients of E_m are those
-of G_m over m! D^m.  Of G_{d+2} only the beta^2 component is read (its
-pushforward gives R_c^n), so the last step computes only that
-component: three of the six products per k.
+Since G_m = m! D_n^m E_m holds exactly, the coefficients of E_m are
+those of G_m over m! D_n^m.  The three series n = 1, 2, 3 run in one
+pass: factor_table gives F_k the same terms for every n, only their
+coefficients differ, so a term of H_k or G_m carries a triple of
+integers, one per n, and each product of monomials is formed once for
+the three.  Only the components the pushforwards read are computed:
+beta^1 and beta^2 of G_{d+1} (R_b^n and R_a^n) and beta^2 of G_{d+2}
+(R_c^n).  The beta^2 component of G_{d+2} would read G_{d+1}'s beta^0
+one only through the beta^2 terms of F_1, which has none; the pass
+checks that rather than assume it.
 
 The recurrence runs on packed exponent vectors (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -40,19 +46,28 @@ exceeds upto < 2^bits), but the build does not assume this.
 
 The twelve relations are packed integer rows: the numerators of Ra^n,
 Rb^n and Rc^n as the recurrence leaves them, {packed monomial: int},
-each over one denominator, (d+1)! D^(d+1) for the pushforwards of
-G_{d+1} and -(d+2)! D^(d+2) for that of G_{d+2}, the (d-3)!
+each over one denominator, (d+1)! D_n^(d+1) for the pushforwards of
+G_{d+1} and -(d+2)! D_n^(d+2) for that of G_{d+2}, the (d-3)!
 normalization and its sign folded in.  c2(0) Ra^n and c0(2) Ra^n add
 the generator's unit to each key of Ra^n.  The columns are the distinct
 packed monomials in descending order, which is the descending monomial
-order, and linalg.int_gauss_jordan eliminates the rows as they are:
-its pivot rows are primitive and positive at the pivot, so its output
-does not change when an input row is scaled by a nonzero integer,
-negative ones included.  R_1, R_2, R_3 are rows 9-11 of its output,
-kept packed, each over its pivot entry: divided by it they are the
-reduced row echelon form over QQ, which is unique.  The build unpacks
-the twelve pivot monomials and the monomials of R_1..R_3, each checked
-to have degree d.  Every coefficient is read by one point read,
+order.  R_1, R_2, R_3 are rows 9-11 of the reduced row echelon form
+over QQ, which is unique, and the build needs no other row of it:
+_eliminate runs linalg.int_gauss_jordan on the entries of the twelve
+rows at their twelve leading monomials, beside a 12x12 identity.  When
+those columns have rank 12 they are the pivots, and each echelon row
+is the vector of the row space fixed by its pivot coordinates, so it
+is the integer combination of the rows that the identity part records;
+R_1..R_3 are those combinations, each made primitive and positive at
+its pivot, the same rows an elimination over every column gives.  No
+input row is divided by its denominator, since the result does not
+depend on how an input row is scaled.  Only when the leading block has
+rank < 12 does the same loop widen to every column.  R_1..R_3 are kept
+packed, each over its pivot entry: divided by it they are the rows of
+the reduced row echelon form.  The build unpacks the twelve pivot
+monomials and the monomials of R_1..R_3, each checked to have degree d.
+The rows and R_1..R_3 of a RelationSet are read-only mappings, since
+the set is cached.  Every coefficient is read by one point read,
 _entries: det1, det2, the minors of verify_rank12 and the M/N blocks
 of truncation pack the monomials they read, look them up, and divide
 one numerator by its row's denominator.
@@ -68,7 +83,7 @@ c_k(j) basis.
 verify_rank12 certifies rank 12 by the nonzero 12x12 minor of the
 twelve relations at the build's pivot monomials, which needs no second
 elimination; only when that minor vanishes does it take the full rank,
-by the same elimination of the same integer rows.
+by the same _eliminate of the same integer rows.
 """
 
 from __future__ import annotations
@@ -78,7 +93,7 @@ import operator
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from types import MappingProxyType
 
 from .linalg import ExactMatrix, int_gauss_jordan
 from .mpoly import _signed_term
@@ -201,58 +216,73 @@ class _Packing:
         return tuple(out)
 
 
-def _exp_series(F, packing: _Packing) -> tuple:
-    """(G, D): G_0..G_upto with G_m = m! D^m E_m, E = exp(sum_k (k-1)! F_k),
-    upto = len(F).
+def _exp_series(Fs, packing: _Packing) -> tuple:
+    """(G, Ds): the three series of the factors Fs = (F^1, F^2, F^3) of
+    n = 1, 2, 3 in one pass, G_m = m! D_n^m E_m for E = exp(sum_k (k-1)!
+    F^n_k), m = 0..upto, upto = len(F^n).
 
-    D is the lcm of the coefficient denominators of the factors F; G
-    runs over the integers, on monomials packed by packing, which must
-    hold every generator of F.  G[m] is a _PackedBeta of {packed
-    monomial: int} dicts, except that the last step computes only the
-    beta^2 component of G_upto (three of the six products per k): G[upto]
-    is that dict.  Every monomial of every step is checked against the
-    guard bits of packing (see the module docstring).
+    D_n, Ds[n-1], is the lcm of the coefficient denominators of F^n.
+    G[m] is a _PackedBeta of {packed monomial: [g1, g2, g3]} dicts, the
+    coefficient of n in place n-1, kept where one of the three is
+    nonzero; packing must hold every generator of Fs.  G_upto has its
+    beta^2 component alone and G_(upto-1) no beta^0 one (None), which
+    F_1 must have no beta^2 term for.  Every monomial of every step is
+    checked against the guard bits of packing (see the module
+    docstring).
     """
-    upto = len(F)
-    D = 1
-    for f in F:
-        for part in f:
-            for c in part.values():
-                D = math.lcm(D, c.denominator)
+    upto = len(Fs[0])
+    Ds = [math.lcm(*(c.denominator for f in F for part in f for c in part.values()))
+          for F in Fs]
     H = [None]
-    for k, f in enumerate(F, start=1):
-        s = math.factorial(k) * D**k
-        H.append([[(packing.pack(m), ZZ.coerce(c * s)) for m, c in part.items()]
-                  for part in f])
-    G = [_PackedBeta({0: 1}, {}, {})]
+    for k, fs in enumerate(zip(*Fs), start=1):
+        scales = [math.factorial(k) * D**k for D in Ds]
+        H.append([[(packing.pack(m), tuple(ZZ.coerce(part.get(m, 0) * s)
+                                           for part, s in zip(parts, scales)))
+                    for m in {m: None for part in parts for m in part}]
+                   for parts in zip(*fs)])
+    if upto >= 2 and H[1][2]:
+        raise ValueError("F_1 has a beta^2 term, which reads the uncomputed G_(upto-1).b0")
+    G = [_PackedBeta({0: (1, 1, 1)}, {}, {})]
     for m in range(1, upto + 1):
-        comps = (2,) if m == upto else (0, 1, 2)
-        # the sum over k accumulates in place; beta^i gets h_a g_{i-a}
-        acc = [defaultdict(int) for _ in comps]
-        w = 1  # (m-1)!/(m-k)!
-        for k in range(1, m + 1):
-            h, g = H[k], G[m - k]
-            for i, out in zip(comps, acc):
+        comps = (2,) if m == upto else (1, 2) if m == upto - 1 else (0, 1, 2)
+        parts = [None, None, None]
+        for i in comps:
+            # the sum over k accumulates in place; beta^i gets h_a g_{i-a}
+            out = {}
+            w = 1  # (m-1)!/(m-k)!
+            for k in range(1, m + 1):
+                h, g = H[k], G[m - k]
                 for a in range(i + 1):
-                    _mul_into(out, h[a], g[i - a], w)
-            w *= m - k
-        parts = [{mono: c for mono, c in terms.items() if c} for terms in acc]
-        for part in parts:
-            packing.check(part)
-        G.append(parts[0] if m == upto else _PackedBeta(*parts))
-    return G, D
+                    if h[a]:
+                        _mul_into(out, h[a], g[i - a], w)
+                w *= m - k
+            parts[i] = {mono: t for mono, t in out.items() if any(t)}
+            packing.check(parts[i])
+        G.append(_PackedBeta(*parts))
+    return G, Ds
 
 
-def _mul_into(out: defaultdict, h: list, g: dict, w: int) -> None:
-    """out += w h g on packed monomials: h a list of (monomial,
-    coefficient) pairs, g a dict.  One int addition per product of
-    monomials and no call per term; out keeps the zeros of cancelled
-    sums, for the caller to drop once."""
+def _mul_into(out: dict, h: list, g: dict, w: int) -> None:
+    """out += w h g on packed monomials with coefficient triples, one per
+    n: h a list of (monomial, (h1, h2, h3)) pairs, g a dict of triples.
+    One int addition per product of monomials, one dict lookup per
+    product and no call per term; out holds fresh lists, and keeps the
+    zeros of cancelled sums, for the caller to drop once."""
+    get = out.get
     g_terms = g.items()
-    for mh, ch in h:
-        ch *= w
-        for mg, cg in g_terms:
-            out[mh + mg] += ch * cg
+    for mh, (a, b, c) in h:
+        a *= w
+        b *= w
+        c *= w
+        for mg, (x, y, z) in g_terms:
+            key = mh + mg
+            t = get(key)
+            if t is None:
+                out[key] = [a * x, b * y, c * z]
+            else:
+                t[0] += a * x
+                t[1] += b * y
+                t[2] += c * z
 
 
 # -- relation sets -----------------------------------------------------------
@@ -284,21 +314,36 @@ def _twelve_rows(packing: _Packing, Ra, Rb, Rc, den1, den2) -> tuple:
     return rows + Rb + Rc, dens + den1 + den2
 
 
-def _eliminate(rows) -> tuple:
-    """(found, columns): int_gauss_jordan of the packed integer rows, its
-    (col, row) pivot rows over columns, the distinct packed monomials of
-    the rows in descending (monomial) order.  No row is divided by its
-    denominator: the pivot rows do not depend on how an input row is
-    scaled."""
+def _eliminate(rows, keep: slice = slice(0)) -> tuple:
+    """(pivots, kept): the pivot monomials of the reduced row echelon
+    form of the n packed integer rows, in column (descending monomial)
+    order, and its rows at the indexes keep, each {packed monomial: int}
+    with descending keys, primitive and positive at its pivot: the
+    combinations of the rows that int_gauss_jordan of [entries at the n
+    leading monomials | identity] records, or of [entries at every
+    monomial | identity] when the leading ones have rank < n (see the
+    module docstring)."""
+    n = len(rows)
     columns = sorted(set().union(*rows), reverse=True)
-    index = {m: j for j, m in enumerate(columns)}
-    dense = []
-    for row in rows:
-        out = [0] * len(columns)
-        for m, c in row.items():
-            out[index[m]] = c
-        dense.append(out)
-    return int_gauss_jordan(dense), columns
+    unit = [[int(i == k) for k in range(n)] for i in range(n)]
+    for cols in (columns[:n], columns):
+        width = len(cols)
+        found = [(cols[j], t[width:]) for j, t in int_gauss_jordan(
+            [[row.get(m, 0) for m in cols] + e for row, e in zip(rows, unit)]) if j < width]
+        if len(found) == n or width == len(columns):
+            break
+    kept = []
+    for pivot, t in found[keep]:
+        acc = defaultdict(int)
+        for f, row in zip(t, rows):
+            if f:
+                for m, c in row.items():
+                    acc[m] += f * c
+        g = math.gcd(*acc.values())
+        if acc[pivot] < 0:
+            g = -g
+        kept.append({m: acc[m] // g for m in sorted(acc, reverse=True) if acc[m]})
+    return [pivot for pivot, _ in found], kept
 
 
 def _entries(packing: _Packing, rows, dens, monos) -> list:
@@ -310,15 +355,16 @@ def _entries(packing: _Packing, rows, dens, monos) -> list:
     return [[Rat(row.get(k, 0), den) for k in keys] for row, den in zip(rows, dens)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationSet:
     """The relations at (d, chi).  rows are the twelve degree-d relations
-    in the order of _twelve_rows, as {packed monomial: int} numerator
-    rows over packing, row i over dens[i]; R_rows are the canonical
-    relations R1, R2, R3 as rows 9-11 of the build's echelon form, each
-    {packed monomial: int} over its pivot entry R_pivots[i]; pivot_monos
-    are the twelve pivot monomials of that echelon form, in column
-    order.  Every coefficient is read by _entries."""
+    in the order of _twelve_rows, as read-only {packed monomial: int}
+    numerator rows over packing, row i over dens[i]; R_rows are the
+    canonical relations R1, R2, R3 as rows 9-11 of the build's echelon
+    form, each a read-only {packed monomial: int} over its pivot entry
+    R_pivots[i]; pivot_monos are the twelve pivot monomials of that
+    echelon form, in column order.  Every coefficient is read by
+    _entries."""
 
     d: int
     chi: int
@@ -383,16 +429,12 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     # canonical closed forms (verified across d = 5..10).  It is folded
     # into the denominators of the scaled pieces G_ell = ell! D^ell E_ell.
     fact = math.factorial(d - 3)
-    Ra, Rb, Rc, den1, den2 = [], [], [], [], []
-    for F in factors:
-        G, D = _exp_series(F, packing)
-        den1.append(math.factorial(d + 1) * D ** (d + 1) * fact)
-        den2.append(-math.factorial(d + 2) * D ** (d + 2) * fact)
-        # the pushforward of x beta^j reads the beta^(2-j) component of x;
-        # G[d + 2] is the beta^2 component alone
-        Ra.append(G[d + 1].b2)
-        Rb.append(G[d + 1].b1)
-        Rc.append(G[d + 2])
+    G, Ds = _exp_series(factors, packing)
+    den1 = [math.factorial(d + 1) * D ** (d + 1) * fact for D in Ds]
+    den2 = [-math.factorial(d + 2) * D ** (d + 2) * fact for D in Ds]
+    # the pushforward of x beta^j reads the beta^(2-j) component of x
+    Ra, Rb, Rc = ([{m: t[n] for m, t in part.items() if t[n]} for n in range(3)]
+                  for part in (G[d + 1].b2, G[d + 1].b1, G[d + 2].b2))
 
     singles = [(large_gen(d, o),) for o in LARGE[1]]
     det1 = ExactMatrix._of(QQ, _entries(packing, Ra, den1, singles)).det()
@@ -401,29 +443,28 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
         raise SingularCheckpoint(f"det1={det1}, det2={det2} at (d,chi)=({d},{chi})")
 
     rows, dens = _twelve_rows(packing, Ra, Rb, Rc, den1, den2)
-    found, columns = _eliminate(rows)
-    if len(found) != 12:
+    # R1..R3 are rows 9-11 of the echelon form
+    pivots, R_rows = _eliminate(rows, slice(9, 12))
+    if len(pivots) != 12:
         raise SingularCheckpoint(
-            f"relation span has rank {len(found)} != 12 at (d,chi)=({d},{chi})"
+            f"relation span has rank {len(pivots)} != 12 at (d,chi)=({d},{chi})"
         )
     # only the output is unpacked, each monomial checked to have degree d
     unpack = packing.unpack
-    pivot_monos = tuple(unpack(columns[col], d) for col, _ in found)
+    pivot_monos = tuple(unpack(m, d) for m in pivots)
     if pivot_monos[9:12] != tuple(mon2(d)[3:]):
         raise SingularCheckpoint(
             "echelon leading monomials differ from the canonical ones: "
             + ", ".join(mono_str(m) for m in pivot_monos[9:12])
         )
-    # R1..R3, rows 9-11 of the echelon form, stay packed over their
-    # pivot entries; a column that several of them hold is checked once
-    kept = found[9:12]
-    every = range(len(columns))
-    for j in set().union(*(compress(every, row) for _, row in kept)):
-        unpack(columns[j], d)
-    R_rows = tuple({columns[j]: row[j] for j in compress(every, row)} for _, row in kept)
-    R_pivots = tuple(row[col] for col, row in kept)
-    rel = RelationSet(d, chi, packing, tuple(rows), tuple(dens), R_rows, R_pivots,
-                      det1, det2, pivot_monos)
+    # R1..R3 stay packed over their pivot entries; a monomial that
+    # several of them hold is checked once
+    for m in set().union(*R_rows):
+        unpack(m, d)
+    R_pivots = tuple(row[m] for row, m in zip(R_rows, pivots[9:12]))
+    rel = RelationSet(d, chi, packing, tuple(map(MappingProxyType, rows)), tuple(dens),
+                      tuple(map(MappingProxyType, R_rows)), R_pivots, det1, det2,
+                      pivot_monos)
     _REL_CACHE[key] = rel
     return rel
 

@@ -1,16 +1,25 @@
 """Reference expansions and the reference relation build for the tests.
 
-expand_relation is the full degree-ell piece E_ell of the exponential
-series, all three beta components, read from the packed integer
-recurrence of tautrel.relations._exp_series run one step further (that
-run computes only the beta^2 component of its last step).  expand_relation_by_partitions
-is the literal sum over partition tuples of products of factor powers,
-an expander independent of the recurrence.  oracle_relation_set is the
-build as it ran before it kept packed integer rows to the end: each
-expansion packed on its own, every output coefficient divided into a
-Rat, tuple monomials sorted by mono_key, each relation's row scaled by
-the lcm of its own denominators before the integer elimination, det1
-and det2 read from tuple-monomial GradedPolys (tautalg_oracle).
+packed_series reads one n out of the one-pass packed integer recurrence
+of tautrel.relations._exp_series.  expand_relation is the full
+degree-ell piece E_ell of the exponential series, all three beta
+components, read from that recurrence run two steps further (the run
+computes no beta^0 component of its last two steps).
+expand_relation_by_partitions is the literal sum over partition tuples
+of products of factor powers, an expander independent of the
+recurrence.
+
+exp_series_one and eliminate_dense are the expansion and the relation
+elimination as the build ran them before the one-pass expansion and the
+leading-column elimination: the recurrence for one n at a time, with
+the beta^2 component alone at its last step, and int_gauss_jordan over
+every column of the dense 12xN integer matrix.  oracle_relation_set is
+the build as it ran before it kept packed integer rows to the end: each
+expansion (exp_series_one) packed on its own, every output coefficient
+divided into a Rat, tuple monomials sorted by mono_key, each relation's
+row scaled by the lcm of its own denominators before the integer
+elimination, det1 and det2 read from tuple-monomial GradedPolys
+(tautalg_oracle).
 twelve_relations unpacks the twelve packed rows of a RelationSet into
 tuple-monomial GradedPolys.
 high_generators, mon1, mon2, _RA_FACTORS, t2_basis, tk_basis and
@@ -21,6 +30,7 @@ relations, and beta_zero and beta_one the zero and unit beta classes.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -35,8 +45,8 @@ from tautalg_oracle import (
     relation_factor,
 )
 from tautrel.linalg import ExactMatrix, int_gauss_jordan
-from tautrel.rat import QQ, Rat
-from tautrel.relations import _exp_series, _factors, _generators, _Packing
+from tautrel.rat import QQ, ZZ, Rat
+from tautrel.relations import _exp_series, _factors, _generators, _PackedBeta, _Packing
 from tautrel.tautalg import _mono_insert, gen_key
 
 
@@ -140,17 +150,82 @@ def enumerate_partitions(ell: int, predicate=None) -> list:
 
 
 def packed_series(n: int, d: int, chi: int, upto: int) -> tuple:
-    """(G, D, packing): the packed recurrence for n alone, on a packing
-    of its own factors' generators."""
+    """(G, D, packing): the one-pass packed recurrence of n = 1, 2, 3 on
+    the packing of their factors' generators, read at n: G[m] a
+    _PackedBeta of {packed monomial: int} dicts, None where the pass
+    computes no component, and D = D_n."""
+    Fs = [_factors(k, d, chi, upto) for k in (1, 2, 3)]
+    packing = _Packing(set().union(*map(_generators, Fs)), upto)
+    G, Ds = _exp_series(Fs, packing)
+
+    def at(part):
+        return None if part is None else {m: t[n - 1] for m, t in part.items() if t[n - 1]}
+
+    return [_PackedBeta(*map(at, g)) for g in G], Ds[n - 1], packing
+
+
+def exp_series_one(F, packing) -> tuple:
+    """(G, D): G_0..G_upto with G_m = m! D^m E_m for the factors F of one
+    n, upto = len(F), on packing: G[m] a _PackedBeta of {packed monomial:
+    int} dicts, except that G[upto] is its beta^2 component alone."""
+    upto = len(F)
+    D = 1
+    for f in F:
+        for part in f:
+            for c in part.values():
+                D = math.lcm(D, c.denominator)
+    H = [None]
+    for k, f in enumerate(F, start=1):
+        s = math.factorial(k) * D**k
+        H.append([[(packing.pack(m), ZZ.coerce(c * s)) for m, c in part.items()] for part in f])
+    G = [_PackedBeta({0: 1}, {}, {})]
+    for m in range(1, upto + 1):
+        comps = (2,) if m == upto else (0, 1, 2)
+        acc = [defaultdict(int) for _ in comps]
+        w = 1  # (m-1)!/(m-k)!
+        for k in range(1, m + 1):
+            h, g = H[k], G[m - k]
+            for i, out in zip(comps, acc):
+                for a in range(i + 1):
+                    for mh, ch in h[a]:
+                        for mg, cg in g[i - a].items():
+                            out[mh + mg] += w * ch * cg
+            w *= m - k
+        parts = [{mono: c for mono, c in terms.items() if c} for terms in acc]
+        for part in parts:
+            packing.check(part)
+        G.append(parts[0] if m == upto else _PackedBeta(*parts))
+    return G, D
+
+
+def packed_series_one(n: int, d: int, chi: int, upto: int) -> tuple:
+    """(G, D, packing): exp_series_one for n alone, on a packing of its
+    own factors' generators."""
     F = _factors(n, d, chi, upto)
     packing = _Packing(_generators(F), upto)
-    G, D = _exp_series(F, packing)
+    G, D = exp_series_one(F, packing)
     return G, D, packing
+
+
+def eliminate_dense(rows) -> tuple:
+    """(found, columns): int_gauss_jordan of the packed integer rows over
+    every column of the dense matrix, its (col, row) pivot rows over
+    columns, the distinct packed monomials of the rows in descending
+    order."""
+    columns = sorted(set().union(*rows), reverse=True)
+    index = {m: j for j, m in enumerate(columns)}
+    dense = []
+    for row in rows:
+        out = [0] * len(columns)
+        for m, c in row.items():
+            out[index[m]] = c
+        dense.append(out)
+    return int_gauss_jordan(dense), columns
 
 
 def expand_relation(ell: int, n: int, d: int, chi, ctx: TautContext) -> BetaClass:
     """The full left-hand side of the generating identity in degree ell."""
-    G, D, packing = packed_series(n, d, chi, ell + 1)
+    G, D, packing = packed_series(n, d, chi, ell + 2)
     den = math.factorial(ell) * D**ell
     # the beta^i component of G_ell has degree ell - i
     return BetaClass(*(as_poly(p, den, packing, ell - i, ctx) for i, p in enumerate(G[ell])))
@@ -246,7 +321,7 @@ def oracle_relation_set(d: int, chi: int):
     fact = math.factorial(d - 3)
     Ra, Rb, Rc = {}, {}, {}
     for n in (1, 2, 3):
-        G, D, packing = packed_series(n, d, chi, d + 2)
+        G, D, packing = packed_series_one(n, d, chi, d + 2)
         den1 = math.factorial(d + 1) * D ** (d + 1) * fact
         den2 = -math.factorial(d + 2) * D ** (d + 2) * fact
         Ra[n] = as_poly(beta_pushforward(G[d + 1], 0), den1, packing, d - 1, ctx)

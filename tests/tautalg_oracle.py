@@ -8,9 +8,9 @@ block of a GradedPoly on products of two bases.  relation_factor builds
 the beta-twisted factor F_s term by term through these classes, as the
 relation build did before it read tautalg.factor_table, and is the
 reference for the table-driven factors.  factors_by_classes gives
-F_1..F_upto in the (b0, b1, b2) dict form that relations._exp_series
-takes.  as_poly and reduced_relations unpack packed rows of a
-RelationSet into GradedPolys.
+F_1..F_upto of one n in the (b0, b1, b2) dict form that
+relations._exp_series takes for each n.  as_poly and reduced_relations
+unpack packed rows of a RelationSet into GradedPolys.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -43,3 +44,21 @@ def test_decide_golden_structure():
     assert v["agrees"] is True
     assert any(c["stage"] == "AB" for c in v["certificates"])
     assert any(c["stage"] == "UV" for c in v["certificates"])
+
+
+# sha256 of `emit --what relations` at one coprime chi per d = 9..16,
+# recorded before the one-pass expansion and the leading-column elimination
+RELATION_DIGESTS = os.path.join(FIXTURES, "relations_d9_16.sha256.json")
+
+
+def test_emit_relations_matches_recorded_digests(tmp_path, monkeypatch):
+    from tautrel import relations
+
+    monkeypatch.setattr(relations, "_REL_CACHE", {})  # every set built cold
+    with open(RELATION_DIGESTS) as fh:
+        digests = json.load(fh)
+    assert sorted(int(key.split()[0]) for key in digests) == list(range(9, 17))
+    for key, want in digests.items():
+        d, chi = key.split()
+        fresh = emit_to(tmp_path, "emit", "--what", "relations", "--d", d, "--chi", chi)
+        assert hashlib.sha256(fresh).hexdigest() == want, key

@@ -1,9 +1,9 @@
 """The packed exponent vectors of the relation build (relations._Packing,
 relations._mul_into, relations._exp_series) against tuple monomials,
-and the guard bit of each field."""
+the guard bit of each field, and the components the one-pass expansion
+leaves out."""
 
 import random
-from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,48 +103,78 @@ def test_entries_read_zero_outside_the_packing():
     assert _entries(p, rows, [2, 5], monos) == [[Rat(3, 2), 0, 0], [0, 0, 0]]
 
 
-def _power_series(gen, upto: int, limit: int):
-    """_exp_series of the factors F_1 = gen, F_2..F_upto = 0, on a
-    packing of c0(2) and c2(0) with exponents up to limit: G_m's beta^0
-    component is m! gen^m."""
-    F = [({(gen,): Rat(1)}, {}, {})] + [({}, {}, {})] * (upto - 1)
-    return _exp_series(F, _Packing([(0, 2), (2, 0)], limit))
+def _power_series(gen, upto: int, limit: int, scales=(1, 2, 3)):
+    """_exp_series of the factors F_1 = c gen, F_2..F_upto = 0, c = 1, 2, 3
+    for the three series by default, on a packing of c0(2) and c2(0) with
+    exponents up to limit: E_m = (c gen)^m / m!, so G_m's beta^0
+    component is (D c)^m gen^m, and the pass computes it up to
+    m = upto - 2."""
+    Fs = [[({(gen,): Rat(c)}, {}, {})] + [({}, {}, {})] * (upto - 1) for c in scales]
+    return _exp_series(Fs, _Packing([(0, 2), (2, 0)], limit))
 
 
 @pytest.mark.parametrize("gen", [(0, 2), (2, 0)])  # the inner and the last field
 def test_guard_bit_fires_on_an_exponent_past_its_field(gen):
     # 2-bit value fields: gen^3 fits, gen^4 sets the guard bit
     shift = _Packing([(0, 2), (2, 0)], 3).shift[gen]
-    G, D = _power_series(gen, 4, 3)
-    assert D == 1 and G[3].b0 == {3 << shift: 1}
+    G, Ds = _power_series(gen, 5, 3)
+    assert Ds == [1, 1, 1] and G[3].b0 == {3 << shift: [1, 8, 27]}
+    assert G[4].b0 is G[5].b0 is None  # gen^4 is never formed
     with pytest.raises(DegreeMismatch, match="guard bit"):
-        _power_series(gen, 5, 3)
+        _power_series(gen, 6, 3)
+
+
+def test_last_step_refuses_a_beta_squared_term_in_F1():
+    # G_upto.b2 would read the uncomputed G_(upto-1).b0 through F_1's
+    # beta^2 terms, so their presence is refused, not assumed away
+    gen = (2, 0)
+    Fs = [[({}, {}, {(gen,): Rat(1)})] + [({}, {}, {})] * 3] * 3
+    with pytest.raises(ValueError, match="beta\\^2"):
+        _exp_series(Fs, _Packing([(0, 2), (2, 0)], 5))
+    # one step, upto = 1, reads only G_0
+    G, _ = _exp_series([F[:1] for F in Fs], _Packing([(0, 2), (2, 0)], 5))
+    assert G[1].b2 == {1 << _Packing([(0, 2), (2, 0)], 5).shift[gen]: [1, 1, 1]}
+
+
+def test_zero_triples_are_dropped_and_one_series_may_vanish():
+    # a monomial is kept where one of the three coefficients is nonzero
+    G, Ds = _power_series((0, 2), 5, 3, scales=(1, 0, Rat(3, 2)))
+    assert Ds == [1, 1, 2]
+    assert G[2].b0 == {2: [1, 0, 9]}  # (D c)^2 gen^2, gen = c0(2) packed as 1
+    G, _ = _power_series((0, 2), 5, 3, scales=(0, 0, 0))
+    assert all(part == {} for g in G[1:] for part in g if part is not None)
 
 
 LIMIT = 6
 GENS = generators(LIMIT)
 # total exponent <= 3, so every product stays within LIMIT
 monomials = st.lists(st.sampled_from(GENS), max_size=3).map(descending)
-polys = st.dictionaries(monomials, st.integers(-3, 3).filter(bool), max_size=6)
+coefficient = st.integers(-3, 3)
+triples = st.tuples(coefficient, coefficient, coefficient)
+polys = st.dictionaries(monomials, triples.filter(any), max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(polys, polys, st.integers(1, 5)), min_size=1, max_size=4))
 def test_packed_product_and_accumulation_match_tuple_product(products):
+    # each of the three coefficients against its own tuple product
     p = _Packing(GENS, LIMIT)
-    got = defaultdict(int)
-    want: dict = {}
+    got: dict = {}
+    want = [{}, {}, {}]
     for h, g, w in products:
         _mul_into(got, [(p.pack(m), c) for m, c in h.items()],
                   {p.pack(m): c for m, c in g.items()}, w)
         for m1, c1 in h.items():
             for m2, c2 in g.items():
                 m = mono_mul_oracle(m1, m2)
-                want[m] = want.get(m, 0) + w * c1 * c2
-    got = {m: c for m, c in got.items() if c}
-    want = {m: c for m, c in want.items() if c}
-    assert len(got) == len(want)
-    for m, c in want.items():
-        packed = p.pack(m)
-        assert got[packed] == c
-        assert p.unpack(packed, mono_degree(m)) == m
+                for n in range(3):
+                    want[n][m] = want[n].get(m, 0) + w * c1[n] * c2[n]
+    for n in range(3):
+        got_n = {m: t[n] for m, t in got.items() if t[n]}
+        want_n = {m: c for m, c in want[n].items() if c}
+        assert len(got_n) == len(want_n)
+        for m, c in want_n.items():
+            packed = p.pack(m)
+            assert got_n[packed] == c
+            assert p.unpack(packed, mono_degree(m)) == m
+    assert set(got) == {p.pack(m) for m in set().union(*want)}

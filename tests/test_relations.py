@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linalg_oracle import rank
 from relations_oracle import (
@@ -12,9 +14,11 @@ from relations_oracle import (
     beta_zero,
     coeff_matrix,
     dual_involution,
+    eliminate_dense,
     enumerate_partitions,
     expand_relation,
     expand_relation_by_partitions,
+    exp_series_one,
     oracle_relation_set,
     packed_series,
     sym2_basis,
@@ -43,7 +47,10 @@ from tautrel.relations import (
     verify_rank12,
     _eliminate,
     _entries,
+    _exp_series,
     _factors,
+    _generators,
+    _Packing,
 )
 from tautrel.linalg import ExactMatrix
 from tautrel.tautalg import DegreeMismatch, twisted_symbol
@@ -105,8 +112,8 @@ def test_build_top_step_b2_matches_field_oracle(d):
     ctx = TautContext(QQ, d)
     for n in (1, 2, 3):
         G, D, packing = packed_series(n, d, chi, d + 2)
-        assert isinstance(G[d + 2], dict)
-        b2 = as_poly(G[d + 2], math.factorial(d + 2) * D ** (d + 2), packing, d, ctx)
+        assert G[d + 2].b0 is G[d + 2].b1 is G[d + 1].b0 is None
+        b2 = as_poly(G[d + 2].b2, math.factorial(d + 2) * D ** (d + 2), packing, d, ctx)
         slow = exp_series_oracle(n, d, chi, ctx, d + 2)[d + 2].b2
         assert b2 == slow
         assert str(b2) == str(slow)
@@ -269,10 +276,8 @@ def test_verify_rank12():
 
 def test_verify_rank12_zero_relations_guard():
     rel = build_relation_set(5, 1)
-    import copy
-
-    broken = copy.copy(rel)
-    broken.rows = ({},) * 6 + rel.rows[6:]  # c2(0) Ra^n and c0(2) Ra^n zeroed
+    # c2(0) Ra^n and c0(2) Ra^n zeroed
+    broken = dataclasses.replace(rel, rows=({},) * 6 + rel.rows[6:])
     ok, trace = verify_rank12(broken)
     assert not ok
     assert trace["rank"] < 12
@@ -293,12 +298,10 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
 
 
 def test_verify_rank12_zeroed_relation_falls_back_to_rank():
-    import copy
-
     rel = build_relation_set(5, 2)
     for n in (1, 2, 3):
-        broken = copy.copy(rel)
-        broken.rows = rel.rows[:8 + n] + ({},) + rel.rows[9 + n:]  # Rc^n zeroed
+        # Rc^n zeroed
+        broken = dataclasses.replace(rel, rows=rel.rows[:8 + n] + ({},) + rel.rows[9 + n:])
         ok, trace = verify_rank12(broken)
         assert not ok
         assert trace["rank"] == 11
@@ -315,14 +318,16 @@ def test_rank12_full_matrix_rank():
 def test_rref_uniqueness_under_row_permutation():
     import random
 
+    # every row of the echelon form, not only R1..R3
     rel = build_relation_set(5, 2)
     rows = list(rel.rows)
-    want = _eliminate(rows)
+    want = _eliminate(rows, slice(None))
+    assert len(want[0]) == len(want[1]) == 12
     rng = random.Random(3)
     for _ in range(3):
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert _eliminate(shuffled) == want
+        assert _eliminate(shuffled, slice(None)) == want
 
 
 @pytest.mark.parametrize("d, chi", [(5, 1), (9, 8), (13, 2), (16, 3)])
@@ -355,8 +360,6 @@ def test_build_matches_field_rref(d, chi):
 def test_cold_build_runs_no_field_elimination(monkeypatch):
     # over QQ the build and verify_rank12's fallback rank eliminate
     # fraction-free; ExactMatrix.gauss_jordan is not called
-    import copy
-
     from tautrel import relations
 
     monkeypatch.setattr(relations, "_REL_CACHE", {})
@@ -368,8 +371,7 @@ def test_cold_build_runs_no_field_elimination(monkeypatch):
     rel = build_relation_set(7, 3)
     assert len(rel.pivot_monos) == 12
     assert verify_rank12(rel)[0]
-    broken = copy.copy(rel)
-    broken.rows = rel.rows[:10] + ({},) + rel.rows[11:]  # Rc^2 zeroed
+    broken = dataclasses.replace(rel, rows=rel.rows[:10] + ({},) + rel.rows[11:])  # Rc^2 zeroed
     ok, trace = verify_rank12(broken)
     assert not ok and trace["rank"] == 11
 
@@ -427,16 +429,23 @@ def test_build_checks_relation_degree(monkeypatch):
     assert {R.degree() for R in reduced_relations(rel)} == {5}
     real = relations._eliminate
     c2 = rel.packing.pack(((2, 0),))
-    # R1..R3 homogeneous of degree d + 1, and inhomogeneous
+    # the pivots, or the monomials of R1..R3, homogeneous of degree d + 1,
+    # and inhomogeneous
     for alter in (lambda j, m: m + c2, lambda j, m: m + c2 if j % 2 else m):
-        def altered(rows):
-            found, columns = real(rows)
-            return found, [alter(j, m) for j, m in enumerate(columns)]
+        def alter_pivots(rows, keep):
+            pivots, kept = real(rows, keep)
+            return [alter(j, m) for j, m in enumerate(pivots)], kept
 
-        monkeypatch.setattr(relations, "_REL_CACHE", {})
-        monkeypatch.setattr(relations, "_eliminate", altered)
-        with pytest.raises(DegreeMismatch):
-            build_relation_set(5, 1)
+        def alter_kept(rows, keep):
+            pivots, kept = real(rows, keep)
+            return pivots, [{alter(j, m): c for j, (m, c) in enumerate(row.items())}
+                            for row in kept]
+
+        for altered in (alter_pivots, alter_kept):
+            monkeypatch.setattr(relations, "_REL_CACHE", {})
+            monkeypatch.setattr(relations, "_eliminate", altered)
+            with pytest.raises(DegreeMismatch):
+                build_relation_set(5, 1)
 
 
 # -- the factor table and the packed R1..R3 against the graded-algebra oracle --
@@ -483,3 +492,148 @@ def test_packed_relations_render_as_reference_relations(d, chi):
     refs = (ref.R1, ref.R2, ref.R3)
     assert [js["R1"], js["R2"], js["R3"]] == [str(R) for R in refs]
     assert rel.leading_monos() == [R.leading_term()[0] for R in refs]
+
+
+# -- the one-pass expansion and the leading-column elimination against the
+# -- algorithms they replaced (relations_oracle.exp_series_one, eliminate_dense)
+
+
+def dense_echelon(rows) -> tuple:
+    """(pivots, echelon rows) of eliminate_dense in _eliminate's shape."""
+    found, columns = eliminate_dense(rows)
+    return ([columns[col] for col, _ in found],
+            [{columns[j]: x for j, x in enumerate(row) if x} for _, row in found])
+
+
+def assert_same_echelon(got, want):
+    assert got[0] == want[0]
+    # the same rows with the same keys in the same (descending) order
+    assert [list(row.items()) for row in got[1]] == [list(row.items()) for row in want[1]]
+
+
+@pytest.mark.parametrize("d, chi", [(5, 1), (9, 8), (13, 2), (16, 3), (20, 3)])
+def test_eliminate_matches_dense_oracle(d, chi):
+    rel = build_relation_set(d, chi)
+    want = dense_echelon(rel.rows)
+    assert_same_echelon(_eliminate(rel.rows, slice(None)), want)
+    assert rel.pivot_monos == tuple(rel.packing.unpack(m, d) for m in want[0])
+    assert [list(row.items()) for row in rel.R_rows] == [list(row.items()) for row in want[1][9:12]]
+    assert rel.R_pivots == tuple(row[m] for row, m in zip(want[1][9:12], want[0][9:12]))
+
+
+@pytest.mark.parametrize("d", range(5, 14))
+def test_one_pass_series_matches_one_n_oracle(d):
+    # every component the pass computes, read at each n, is the one-n
+    # recurrence's; a monomial is kept only where some n's coefficient is
+    # nonzero
+    chi = random.Random(d).choice([c for c in range(1, d) if math.gcd(c, d) == 1])
+    Fs = [_factors(n, d, chi, d + 2) for n in (1, 2, 3)]
+    packing = _Packing(_generators(Fs[0]), d + 2)
+    G, Ds = _exp_series(Fs, packing)
+    ones = [exp_series_one(F, packing) for F in Fs]
+    assert Ds == [D for _, D in ones]
+    for m in range(d + 3):
+        for i in range(3):
+            part = G[m][i]
+            if m == d + 2:
+                want = [one[m] if i == 2 else None for one, _ in ones]
+            elif m == d + 1 and i == 0:
+                want = [None] * 3
+            else:
+                want = [one[m][i] for one, _ in ones]
+            if part is None:
+                assert want == [None] * 3, (m, i)
+                continue
+            for n in range(3):
+                assert {k: t[n] for k, t in part.items() if t[n]} == want[n], (m, i, n)
+            assert set(part) == set().union(*want)
+
+
+def widening_rows(n: int) -> list:
+    """n rows whose n leading keys span rank 1: each row holds 1 at keys
+    100, 99, 98 and 2 at its own key i < n."""
+    return [{100: 1, 99: 1, 98: 1, i: 2} for i in range(n)]
+
+
+keys = st.integers(0, 12)
+sparse_rows = st.lists(st.dictionaries(keys, st.integers(-4, 4).filter(bool), max_size=6),
+                       min_size=1, max_size=6)
+
+
+@st.composite
+def dependent_rows(draw):
+    """Sparse rows, some of them integer combinations of the others, so
+    that the leading block and the rows may have rank < n."""
+    rows = draw(sparse_rows)
+    for _ in range(draw(st.integers(0, 3))):
+        f, g = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        combo = {m: f * a.get(m, 0) + g * b.get(m, 0) for m in set(a) | set(b)}
+        rows.insert(draw(st.integers(0, len(rows))), {m: c for m, c in combo.items() if c})
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_rows())
+@example(widening_rows(3))
+@example([{7: 1, 3: 2}, {7: 2, 3: 4}, {}])  # rank 1 of 3
+@example([{}, {}])
+def test_eliminate_matches_dense_oracle_on_sparse_rows(rows):
+    want = dense_echelon(rows)
+    assert_same_echelon(_eliminate(rows, slice(None)), want)
+    for keep in (slice(0), slice(1, 3), slice(len(rows) - 1, None)):
+        pivots, kept = _eliminate(rows, keep)
+        assert pivots == want[0] and kept == want[1][keep]
+
+
+def test_eliminate_widens_when_the_leading_block_has_low_rank(monkeypatch):
+    # one int_gauss_jordan on the leading block when it has full rank,
+    # a second over every key when it does not
+    from tautrel import linalg, relations
+
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows[0]))
+        return linalg.int_gauss_jordan(rows)
+
+    monkeypatch.setattr(relations, "int_gauss_jordan", counted)
+    rows = widening_rows(3)
+    pivots, kept = _eliminate(rows, slice(None))
+    assert calls == [3 + 3, 6 + 3] and pivots == [100, 2, 1]
+    assert_same_echelon((pivots, kept), dense_echelon(rows))
+    calls.clear()
+    assert _eliminate([{9: 1, 1: 1}, {8: 1}], slice(None))[0] == [9, 8]
+    assert calls == [2 + 2]
+
+
+def test_cached_relation_set_is_immutable(monkeypatch):
+    from tautrel import relations
+
+    monkeypatch.setattr(relations, "_REL_CACHE", {})
+    rel = build_relation_set(7, 2)
+    want = (rel.to_json(), verify_rank12(rel), matrices_M(rel))
+    key = next(iter(rel.R_rows[0]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rel.det1 = Rat(0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rel.R_rows = ({}, {}, {})
+    for rows in (rel.rows, rel.R_rows):
+        # a read-only mapping refuses item assignment and deletion: by
+        # TypeError, or IndexError for an int key too large for an index
+        with pytest.raises((TypeError, IndexError)):
+            rows[0][key] = 0
+        with pytest.raises(TypeError):
+            rows[0][1] = 0
+        with pytest.raises((TypeError, IndexError)):
+            del rows[-1][next(iter(rows[-1]))]
+        with pytest.raises(TypeError):
+            rows[0] = {}
+        assert not hasattr(rows[0], "pop") and not hasattr(rows[0], "update")
+    again = build_relation_set(7, 2)
+    assert again is rel
+    assert (again.to_json(), verify_rank12(again), matrices_M(again)) == want
+    monkeypatch.setattr(relations, "_REL_CACHE", {})
+    fresh = build_relation_set(7, 2)
+    assert fresh is not rel
+    assert (fresh.to_json(), verify_rank12(fresh), matrices_M(fresh)) == want

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import math
 
 import pytest
@@ -46,12 +46,11 @@ def test_checkpoint_reference_M_range():
 
 def test_checkpoint_detects_mutation():
     rel = build_relation_set(5, 1)
-    broken = copy.copy(rel)
     # M1[0][1], the coefficient of c4(0)*c2(1) in R1, moved by 1/pivot
     key = rel.packing.pack(((4, 0), (2, 1)))
     R1 = dict(rel.R_rows[0])
     R1[key] = R1.get(key, 0) + 1
-    broken.R_rows = (R1,) + rel.R_rows[1:]
+    broken = dataclasses.replace(rel, R_rows=(R1,) + rel.R_rows[1:])
     with pytest.raises(CheckpointMismatch):
         checkpoint_reference_M(broken)
 
@@ -70,8 +69,7 @@ def test_matrices_N_zero_poly():
     # zero relations read as zero blocks; columns that do not tile degree
     # d with the degree-(d-2) rows are refused
     rel = build_relation_set(5, 1)
-    broken = copy.copy(rel)
-    broken.R_rows = ({}, {}, {})
+    broken = dataclasses.replace(rel, R_rows=({}, {}, {}))
     for m in matrices_N(broken):
         assert all(m[i, j] == 0 for i in range(3) for j in range(3))
     with pytest.raises(DegreeMismatch):
