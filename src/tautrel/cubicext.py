@@ -7,32 +7,52 @@ extension; solvability questions downstream are invariant under the
 choice within a Galois orbit, so one representative per factor is
 enough.
 
-Over QQ an element holds integer numerators over one positive common
+Over QQ a monic m dividing t^3 - r has one of three shapes.  A factor
+of degree 1 or 2 has a rational root c of t^3 - r, so c^3 = r and the
+shapes are t - c, t^2 + c t + c^2 and t^3 - r itself.  Each is made of
+one rational k = p/q, q > 0: k = c for the first two, k = r for the
+third.  The field keeps p and q.
+
+An element over QQ holds integer numerators over one positive common
 denominator, normalized so that the numerators and the denominator have
-gcd 1 (zero is 0/1).  The field scales the fold of its monic modulus to
-integers once: t^p for deg <= p <= 2 deg - 2 reduced mod m, over one
-common denominator.  A product is then the schoolbook product of the
-numerators (zero numerators skipped), the top degrees folded in with
-those integer rows, and one gcd of the results and the denominator; a
-sum cross-multiplies the denominators and needs no gcd when they are
-coprime.  No Rat is built on the way.  The normal form is unique, so
-coeffs (Rats, each numerator over the denominator, reduced) are the
-coefficients the former one-Rat-per-coefficient form held, and str,
-== and hash, which read them or compare the normal forms, are unchanged.
-inverse takes the first column of the adjugate of the integer
-multiplication matrix over its determinant (_int_inverse).
+gcd 1 (zero is 0/1).  Each shape has closed forms over the numerators a
+and b of the operands, written out in the dunder methods:
+
+  product   the schoolbook product e_0 .. e_{2 deg - 2}, folded with k:
+              t^2 + c t + c^2:  (q^2 e0 - p^2 e2, q^2 e1 - p q e2) / q^2
+              t^3 - r:          (q e0 + p e3, q e1 + p e4, q e2) / q
+            over the product of the denominators, then one gcd of the
+            numerators and the denominator.  t - c holds rationals only.
+  scalar    an element times a rational, or times an element of QQ:
+            the two fractions cross-cancelled, as Fraction multiplies,
+            which is reduced as it stands.
+  sum       the denominators cross-multiplied, with no gcd when they are
+            coprime and one gcd otherwise.
+  inverse   the conjugates over the norm:
+              t^2 + c t + c^2:  (a0 - c a1 - a1 t) / (a0^2 - c a0 a1 + c^2 a1^2)
+              t^3 - r:          (a0^2 - r a1 a2 + (r a2^2 - a0 a1) t
+                                 + (a1^2 - a0 a2) t^2) / N,
+                                N = a0^3 + r a1^3 + r^2 a2^3 - 3 r a0 a1 a2
+            A zero norm raises NotInvertible.  Over a field only 0 has
+            one, but a field built directly on a reducible t^3 - r (or
+            on t^2, for r = 0) has zero divisors.
+
+No Rat is built on the way.  The normal form is unique, so coeffs (Rats,
+each numerator over the denominator, reduced) are the coefficients the
+former one-Rat-per-coefficient form held, and str, == and hash, which
+read them or compare the normal forms, are unchanged.
 
 Over any other base (Q(chi1, chi2) in constraint) an element holds one
 base coefficient per power of t, and a product folds the top degrees
-back with the modulus itself.  inverse takes the same adjugate column of
-the multiplication matrix over the base.  Zero tests use the
+back with the modulus itself.  inverse takes the first column of the
+adjugate of the multiplication matrix over the base.  Zero tests use the
 coefficients' truth value.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, sub
+from operator import add, neg, sub
 
 from .rat import Rat, RationalField, rat, rational_cube_root
 
@@ -92,26 +112,12 @@ class CubicField:
             raise ValueError("modulus does not divide t^3 - r")
         self.integral = isinstance(base, RationalField)
         if self.integral:
-            self._scale_fold()
+            k = -modulus[0] if self.deg == 1 else modulus[1] if self.deg == 2 else self.r
+            self.p, self.q = int(k.numerator), int(k.denominator)
         else:
             self.fold = [(i, -c) for i, c in enumerate(modulus[:-1]) if c]
         self.zero = self.coerce(base.zero)
         self.one = self.coerce(base.one)
-
-    def _scale_fold(self):
-        """The fold over QQ, scaled to integers: t^p for deg <= p <=
-        2 deg - 2 reduced mod m is (sum_i f_pi t^i) / fold_den, with one
-        positive common denominator; int_fold lists (p, [(i, f_pi)]) over
-        the nonzero f_pi."""
-        n, zero, one = self.deg, self.base.zero, self.base.one
-        reduced = [upoly_divmod((zero,) * p + (one,), self.modulus)[1]
-                   for p in range(n, 2 * n - 1)]
-        self.fold_den = den = math.lcm(*(c.denominator for red in reduced for c in red))
-        self.int_fold = [
-            (p, [(i, int(c.numerator) * (den // int(c.denominator)))
-                 for i, c in enumerate(red) if c])
-            for p, red in zip(range(n, 2 * n - 1), reduced)
-        ]
 
     def coerce(self, x) -> "CubicExt":
         if isinstance(x, CubicExt):
@@ -216,18 +222,18 @@ class CubicExt:
         o = self._other(other)
         if self.den is None:
             return _ext(self.field, tuple(map(add, self.num, o.num)), None)
-        return _int_sum(self.field, self.num, self.den, o.num, o.den)
+        return _sum(self.field, self.num, self.den, o.num, o.den, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _ext(self.field, tuple(-a for a in self.num), self.den)
+        return _ext(self.field, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         o = self._other(other)
         if self.den is None:
             return _ext(self.field, tuple(map(sub, self.num, o.num)), None)
-        return _int_sum(self.field, self.num, self.den, [-y for y in o.num], o.den)
+        return _sum(self.field, self.num, self.den, o.num, o.den, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -237,18 +243,36 @@ class CubicExt:
         o = self._other(other)
         if self.den is None:
             return _ext(field, _fold_mul(field, self.num, o.num), None)
+        xs, dx, ys, dy = self.num, self.den, o.num, o.den
         n = field.deg
-        prod = [0] * (2 * n - 1)
-        ys = o.num
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(ys):
-                    if y:
-                        prod[i + j] += x * y
-        den = self.den * o.den
-        if any(prod[n:]):
-            return _normalized(field, _int_fold(field, prod), den * field.fold_den)
-        return _normalized(field, prod[:n], den)
+        if n == 3:
+            a0, a1, a2 = xs
+            b0, b1, b2 = ys
+            if not (b1 or b2):
+                return _scaled(field, xs, dx, b0, dy)
+            if not (a1 or a2):
+                return _scaled(field, ys, dy, a0, dx)
+            e3, e4 = a1 * b2 + a2 * b1, a2 * b2
+            c0, c1, c2 = a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0
+            p, q = field.p, field.q
+            if q == 1:
+                return _norm3(field, c0 + p * e3, c1 + p * e4, c2, dx * dy)
+            return _norm3(field, q * c0 + p * e3, q * c1 + p * e4, q * c2, q * dx * dy)
+        if n == 2:
+            a0, a1 = xs
+            b0, b1 = ys
+            if not b1:
+                return _scaled(field, xs, dx, b0, dy)
+            if not a1:
+                return _scaled(field, ys, dy, a0, dx)
+            e2 = a1 * b1
+            c0, c1 = a0 * b0, a0 * b1 + a1 * b0
+            p, q = field.p, field.q
+            if q == 1:
+                return _norm2(field, c0 - p * p * e2, c1 - p * e2, dx * dy)
+            q2 = q * q
+            return _norm2(field, q2 * c0 - p * p * e2, q2 * c1 - p * q * e2, q2 * dx * dy)
+        return _scaled(field, xs, dx, ys[0], dy)
 
     __rmul__ = __mul__
 
@@ -261,7 +285,25 @@ class CubicExt:
                 c = self.num[0]
                 sign = 1 if c > 0 else -1
                 return _ext(field, (sign * self.den,) + self.num[1:], sign * c)
-            return _int_inverse(self)
+            # x = a/D: x^-1 = D adj(a) / N(a), adj(a) the product of the
+            # conjugates of a; with k = p/q, b = q adj(a) and norm = q^2 N(a)
+            p, q = field.p, field.q
+            if field.deg == 2:
+                a0, a1 = self.num
+                b0, b1 = q * a0 - p * a1, -q * a1
+                norm = q * a0 * b0 + p * p * a1 * a1
+            else:
+                a0, a1, a2 = self.num
+                b0, b1, b2 = q * a0 * a0 - p * a1 * a2, p * a2 * a2 - q * a0 * a1, q * (a1 * a1 - a0 * a2)
+                norm = q * a0 * b0 + p * (a1 * b2 + a2 * b1)
+            if not norm:
+                raise NotInvertible(f"{self} is a zero divisor mod {field.modulus_str()}")
+            k = self.den * q
+            if norm < 0:
+                k, norm = -k, -norm
+            if field.deg == 2:
+                return _norm2(field, k * b0, k * b1, norm)
+            return _norm3(field, k * b0, k * b1, k * b2, norm)
         # the first column of the adjugate of the multiplication matrix,
         # whose column j is x t^j mod m, over its determinant
         zero, one = field.base.zero, field.base.one
@@ -340,39 +382,78 @@ def _ext(field, num, den) -> CubicExt:
     return e
 
 
-def _normalized(field, num: list, den: int) -> CubicExt:
-    """num / den over QQ with the common factor removed (den > 0)."""
-    g = math.gcd(*num, den)
-    if g != 1:
-        return _ext(field, tuple(x // g for x in num), den // g)
-    return _ext(field, tuple(num), den)
-
-
-def _int_sum(field, xs, dx: int, ys, dy: int) -> CubicExt:
-    """xs/dx + ys/dy, both in normal form.  With coprime denominators the
-    sum needs no cancellation: a prime of dx does not divide dy, so it
-    divides each numerator as it divides the xs, which it does not all."""
-    if dx == dy:
-        return _normalized(field, list(map(add, xs, ys)), dx)
-    g = math.gcd(dx, dy)
+def _norm3(field, c0, c1, c2, den: int) -> CubicExt:
+    """(c0, c1, c2) / den over QQ with the common factor removed (den > 0)."""
+    g = math.gcd(c0, c1, c2, den)
     if g == 1:
-        return _ext(field, tuple(x * dy + y * dx for x, y in zip(xs, ys)), dx * dy)
-    a, b = dy // g, dx // g
-    return _normalized(field, [x * a + y * b for x, y in zip(xs, ys)], dx * a)
+        return _ext(field, (c0, c1, c2), den)
+    return _ext(field, (c0 // g, c1 // g, c2 // g), den // g)
 
 
-def _int_fold(field, prod: list) -> list:
-    """fold_den * (prod mod m): the integer coefficients of degree < deg
-    of the integer polynomial prod, of degree <= 2 deg - 2, reduced by
-    the modulus and scaled by fold_den."""
-    n, scale = field.deg, field.fold_den
-    low = [scale * c for c in prod[:n]] if scale != 1 else prod[:n]
-    for p, row in field.int_fold:
-        c = prod[p]
-        if c:
-            for i, f in row:
-                low[i] += c * f
-    return low
+def _norm2(field, c0, c1, den: int) -> CubicExt:
+    """(c0, c1) / den over QQ with the common factor removed (den > 0)."""
+    g = math.gcd(c0, c1, den)
+    if g == 1:
+        return _ext(field, (c0, c1), den)
+    return _ext(field, (c0 // g, c1 // g), den // g)
+
+
+def _scaled(field, xs, dx: int, b: int, db: int) -> CubicExt:
+    """xs/dx times the rational b/db, both in normal form.  As Fraction
+    multiplies: the content of xs cancels against db and b against dx,
+    and what is left is coprime to the denominator, so the product needs
+    no gcd."""
+    if not b:
+        return field.zero
+    h = math.gcd(b, dx)
+    if h != 1:
+        b, dx = b // h, dx // h
+    if len(xs) == 3:
+        x0, x1, x2 = xs
+        g = math.gcd(x0, x1, x2, db)
+        if g != 1:
+            x0, x1, x2, db = x0 // g, x1 // g, x2 // g, db // g
+        return _ext(field, (x0 * b, x1 * b, x2 * b), dx * db)
+    g = math.gcd(*xs, db)
+    if g != 1:
+        xs, db = [x // g for x in xs], db // g
+    return _ext(field, tuple([x * b for x in xs]), dx * db)
+
+
+def _sum(field, xs, dx: int, ys, dy: int, negate: bool) -> CubicExt:
+    """xs/dx + ys/dy, or xs/dx - ys/dy if negate, both in normal form.
+    With coprime denominators the sum needs no cancellation: a prime of dx
+    does not divide dy, so it divides each numerator as it divides the
+    xs, which it does not all."""
+    n = field.deg
+    if n == 3:
+        x0, x1, x2 = xs
+        y0, y1, y2 = ys
+        if negate:
+            y0, y1, y2 = -y0, -y1, -y2
+        if dx == dy:
+            return _norm3(field, x0 + y0, x1 + y1, x2 + y2, dx)
+        g = math.gcd(dx, dy)
+        if g == 1:
+            return _ext(field, (x0 * dy + y0 * dx, x1 * dy + y1 * dx, x2 * dy + y2 * dx), dx * dy)
+        a, b = dy // g, dx // g
+        return _norm3(field, x0 * a + y0 * b, x1 * a + y1 * b, x2 * a + y2 * b, dx * a)
+    if n == 2:
+        x0, x1 = xs
+        y0, y1 = ys
+        if negate:
+            y0, y1 = -y0, -y1
+        if dx == dy:
+            return _norm2(field, x0 + y0, x1 + y1, dx)
+        g = math.gcd(dx, dy)
+        if g == 1:
+            return _ext(field, (x0 * dy + y0 * dx, x1 * dy + y1 * dx), dx * dy)
+        a, b = dy // g, dx // g
+        return _norm2(field, x0 * a + y0 * b, x1 * a + y1 * b, dx * a)
+    (x,), (y,) = xs, ys
+    num, den = (x * dy - y * dx) if negate else (x * dy + y * dx), dx * dy
+    g = math.gcd(num, den)
+    return _ext(field, (num // g,), den // g)
 
 
 def _adjugate_column(cols: list) -> tuple:
@@ -386,25 +467,6 @@ def _adjugate_column(cols: list) -> tuple:
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols  # row i of A: ai, bi, ci
     adj = [b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2]
     return adj, a0 * adj[0] + b0 * adj[1] + c0 * adj[2]
-
-
-def _int_inverse(x: CubicExt) -> CubicExt:
-    """x^-1 over QQ, x = num/den not rational (so deg is 2 or 3), from
-    the integer matrix A whose column j is fold_den * (num t^j mod m).
-    Multiplication by x is A / (den fold_den), so x^-1, the solution y of
-    x y = 1, is den fold_den adj(A) e_0 / det A: the first column of the
-    adjugate over the determinant.  det A = 0 exactly when num shares a
-    factor with the modulus."""
-    field = x.field
-    n = field.deg
-    cols = [_int_fold(field, [0] * j + list(x.num) + [0] * (n - 1 - j)) for j in range(n)]
-    adj, det = _adjugate_column(cols)
-    if not det:
-        raise NotInvertible(f"{x} is a zero divisor mod {field.modulus_str()}")
-    k = x.den * field.fold_den
-    if det < 0:
-        k, det = -k, -det
-    return _normalized(field, [k * c for c in adj], det)
 
 
 def _fold_mul(field, xs, ys) -> tuple:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from array import array
 from math import gcd
+from operator import add, sub
 
 
 def int_gauss_jordan(rows) -> list:
@@ -134,24 +135,14 @@ class ExactMatrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return ExactMatrix(
-            self.field,
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        return ExactMatrix._of(
+            self.field, [list(map(add, a, b)) for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix subtraction shape mismatch")
-        return ExactMatrix(
-            self.field,
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        return ExactMatrix._of(
+            self.field, [list(map(sub, a, b)) for a, b in zip(self.data, other.data)])
 
     def __mul__(self, other):
         """The matrix product; a scalar multiple is scale."""
@@ -174,17 +165,14 @@ class ExactMatrix:
                     acc = p if acc is None else acc + p
                 row.append(zero if acc is None else acc)
             out.append(row)
-        return ExactMatrix(self.field, out)
+        return ExactMatrix._of(self.field, out)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return ExactMatrix(self.field, [[x * c for x in row] for row in self.data])
+        return ExactMatrix._of(self.field, [[x * c for x in row] for row in self.data])
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        return ExactMatrix._of(self.field, [list(col) for col in zip(*self.data)])
 
     # -- elimination ------------------------------------------------------
 

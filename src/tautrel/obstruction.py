@@ -12,7 +12,11 @@ extension (one candidate per irreducible factor of t^3 - r); each
 candidate is checked against the whole identity.  Each candidate
 carries its extended system over its extension, built once: the
 chi-side blocks M_i and N_i lifted there, P_i = sum_j s_ij M'_j and
-Q_i = sum_j s_ij N'_j.  The linear system A^T M_i B = P_i for B^-1 is
+Q_i = sum_j s_ij N'_j, and the chi side's M_1^-1 and M_1^-1 M_i.  What
+does not depend on the extension is computed over the field of the
+blocks and lifted: each side's pencil cubic, M_1^-1 and M_1^-1 M_i
+(_Side), which decide makes once per (d, chi) and process (_side_at).
+The linear system A^T M_i B = P_i for B^-1 is
 solved exactly (A follows from the i=1 equation), and finally
 A^T M_i U + A^T N_i V = Q_i decides solvability.  Witnesses and
 inconsistency certificates are re-verified by direct substitution.
@@ -22,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import product
 
 from .cubicext import CubicField, factor_t3_minus_r
 from .linalg import ExactMatrix
-from .rat import QQ, Rat
+from .rat import Rat
 from .symbolic import symbolic_matrices_at
 
 
@@ -98,7 +103,9 @@ def analyze_node(cubic: dict, field) -> dict:
 @dataclass
 class CandidateS:
     """S and its extended system over its extension field: the chi-side
-    M, N lifted, P_i = sum_j s_ij M'_j and Q_i = sum_j s_ij N'_j."""
+    M, N lifted, P_i = sum_j s_ij M'_j and Q_i = sum_j s_ij N'_j, and
+    the chi side's M_1^-1 and M_1^-1 M_i (i = 2, 3), computed over the
+    field of the blocks and lifted."""
 
     field: CubicField
     S: ExactMatrix
@@ -108,25 +115,53 @@ class CandidateS:
     N: list
     P: list
     Q: list
+    M1_inv: ExactMatrix
+    quotients: list
 
 
 # the five monomials a cubic with that node may have
 _NODAL_TERMS = ((3, 0, 0), (0, 3, 0), (2, 1, 0), (1, 2, 0), (1, 1, 1))
 
 
-def _pencil(M: list, Mp: list, field) -> tuple:
-    """(C, Cp): the pencil cubics det(sum x_i M_i) and det(sum x_j M'_j),
-    both nodal at [0:0:1] (analyze_node) with nonzero x1^3 and x2^3
-    coefficients.  Since dC/dx3 = c111*x1*x2, those make [0:0:1] the
-    only singular point of each cubic."""
-    C = cubic_det(M)
-    Cp = cubic_det(Mp)
-    for cubic in (C, Cp):
-        analyze_node(cubic, field)
-        if (3, 0, 0) not in cubic or (0, 3, 0) not in cubic:
-            raise NoCandidate("x1^3 or x2^3 coefficient vanishes: the node "
-                              "is not the only singular point")
-    return C, Cp
+def _nodal_cubic(M: list, field) -> dict:
+    """The pencil cubic det(sum x_i M_i), nodal at [0:0:1]
+    (analyze_node) with nonzero x1^3 and x2^3 coefficients.  Since
+    dC/dx3 = c111*x1*x2, those make [0:0:1] its only singular point."""
+    cubic = cubic_det(M)
+    analyze_node(cubic, field)
+    if (3, 0, 0) not in cubic or (0, 3, 0) not in cubic:
+        raise NoCandidate("x1^3 or x2^3 coefficient vanishes: the node "
+                          "is not the only singular point")
+    return cubic
+
+
+@dataclass(frozen=True)
+class _Side:
+    """What one side of a pair contributes, over the field of its blocks:
+    the blocks M and N, the pencil cubic (_nodal_cubic), M_1^-1 and the
+    quotients M_1^-1 M_i for i = 2, 3.  det M_1 is the x1^3 coefficient
+    of the cubic, so the node check has made M_1 invertible."""
+
+    M: list
+    N: list
+    cubic: dict
+    M1_inv: ExactMatrix
+    quotients: list
+
+
+def _side(M: list, N: list) -> _Side:
+    cubic = _nodal_cubic(M, M[0].field)
+    M1_inv = M[0].inverse()
+    return _Side(M, N, cubic, M1_inv, [M1_inv * M[1], M1_inv * M[2]])
+
+
+@lru_cache(maxsize=128)
+def _side_at(d: int, chi: int) -> _Side:
+    """The side at a point (d, chi) over QQ, made once per process: a
+    sweep decides phi(d) - 1 or more pairs with each side, and none of
+    its objects depends on the other side.  Nothing changes a _Side once
+    made, so the cache gives every caller the same answer."""
+    return _side(*symbolic_matrices_at(d, chi))
 
 
 def _cube(value, coeff, unknown: str):
@@ -136,13 +171,12 @@ def _cube(value, coeff, unknown: str):
     return value / coeff
 
 
-def solve_S(stype: str, side: tuple, side_p: tuple, pencil: tuple = None) -> list:
+def solve_S(stype: str, side, side_p) -> list:
     """All candidates of the given type ('I' or 'II'), one per
     irreducible factor of the relevant t^3 - r, over the field of the
     blocks.  side and side_p are the (M, N) blocks at chi and at chi', as
-    symbolic_matrices_at gives them.  pencil, when given, is
-    _pencil(M, Mp, M[0].field): a caller solving both types computes it
-    once.
+    symbolic_matrices_at gives them, or the _Side made of them, which
+    holds its pencil cubic.
 
     Write c_uvw for the coefficient of x1^u x2^v x3^w in
     C = det(sum x_i M_i), and c'_uvw for that of C' = det(sum y_j M'_j).
@@ -180,10 +214,11 @@ def solve_S(stype: str, side: tuple, side_p: tuple, pencil: tuple = None) -> lis
     Each candidate is checked against the whole identity, with C'
     computed again from P = sum_j s_ij M'_j.
     """
-    (M, N), (Mp, Np) = side, side_p
-    field = M[0].field
-    C, Cp = _pencil(M, Mp, field) if pencil is None else pencil
-    zero = field.zero
+    side = side if isinstance(side, _Side) else _side(*side)
+    side_p = side_p if isinstance(side_p, _Side) else _side(*side_p)
+    M, N, Mp, Np = side.M, side.N, side_p.M, side_p.N
+    C, Cp = side.cubic, side_p.cubic
+    zero = M[0].field.zero
     c300, c030, c210, c120, c111 = (C.get(k, zero) for k in _NODAL_TERMS)
     p300, p030, p210, p120, p111 = (Cp.get(k, zero) for k in _NODAL_TERMS)
     tau = c111 / p111
@@ -204,7 +239,7 @@ def solve_S(stype: str, side: tuple, side_p: tuple, pencil: tuple = None) -> lis
         raise ValueError("stype must be 'I' or 'II'")
 
     candidates = []
-    for E in factor_t3_minus_r(r_main, field):
+    for E in factor_t3_minus_r(r_main, M[0].field):
         root = E.t
         if stype == "I":
             s11 = s22 = E.zero
@@ -222,20 +257,29 @@ def solve_S(stype: str, side: tuple, side_p: tuple, pencil: tuple = None) -> lis
             raise NoCandidate(f"pencil identity violated for type {stype}")
         candidates.append(CandidateS(
             E, S, r_main, E.modulus_str(), [ExactMatrix(E, m.data) for m in M],
-            [ExactMatrix(E, n.data) for n in N], P, _s_combination(S, Np)))
+            [ExactMatrix(E, n.data) for n in N], P, _s_combination(S, Np),
+            ExactMatrix(E, side.M1_inv.data), [ExactMatrix(E, q.data) for q in side.quotients]))
     return candidates
 
 
 def _s_combination(S: ExactMatrix, mats: list) -> list:
     """P_i = sum_j s_ij mats_j over the field of S, entry by entry over
-    the nonzero s_ij."""
+    the nonzero s_ij, each sum started at its first product."""
     zero = S.field.zero
     out = []
     for srow in S.data:
         terms = [(s, m.data) for s, m in zip(srow, mats) if s]
-        out.append(ExactMatrix._of(S.field, [
-            [sum((s * m[r][c] for s, m in terms), zero) for c in range(3)]
-            for r in range(3)]))
+        rows = []
+        for r in range(3):
+            row = []
+            for c in range(3):
+                acc = None
+                for s, m in terms:
+                    p = s * m[r][c]
+                    acc = p if acc is None else acc + p
+                row.append(zero if acc is None else acc)
+            rows.append(row)
+        out.append(ExactMatrix._of(S.field, rows))
     return out
 
 
@@ -263,22 +307,21 @@ def solve_AB(cand: CandidateS) -> ABResult:
     of S) and det(A) = det(B) = 1.  When the kernel is trivial the
     27x18 system yields the a33 certificate.
     """
-    E, Ms, Ps = cand.field, cand.M, cand.P
-    M1_inv = Ms[0].inverse()
+    E, Ms, Ps, M1_inv = cand.field, cand.M, cand.P, cand.M1_inv
     rows = []
     for i in (1, 2):
-        Q = M1_inv * Ms[i]
+        Q = cand.quotients[i - 1].data
+        P0, Pi = Ps[0].data, Ps[i].data
         for r in range(3):
             for c in range(3):
-                row = [E.zero] * 9
+                # entry 3k + l: P_1[r, k] Q[l, c], less P_i[r, k] if l = c
+                row = []
                 for k in range(3):
-                    for l in range(3):
-                        coeff = Ps[0][r, k] * Q[l, c]
-                        if l == c:
-                            coeff = coeff - Ps[i][r, k]
-                        row[3 * k + l] = row[3 * k + l] + coeff
+                    p = P0[r][k]
+                    row += [p * Q[l][c] - Pi[r][k] if l == c else p * Q[l][c]
+                            for l in range(3)]
                 rows.append(row)
-    kernel = ExactMatrix(E, rows).kernel()
+    kernel = ExactMatrix._of(E, rows).kernel()
     dim = len(kernel)
     if dim == 0:
         return ABResult("no_invertible", 0, certificate=_a33_certificate(cand))
@@ -288,7 +331,7 @@ def solve_AB(cand: CandidateS) -> ABResult:
             certificate={"note": f"kernel dimension {dim} (expected 1)"},
         )
     vec = kernel[0]
-    Bt = ExactMatrix(E, [[vec[3 * s + t] for t in range(3)] for s in range(3)])
+    Bt = ExactMatrix._of(E, [[vec[3 * s + t] for t in range(3)] for s in range(3)])
     A = (Ps[0] * Bt * M1_inv).transpose()
     anchor = A[0, 0]
     if anchor.is_zero():
@@ -330,11 +373,11 @@ def _a33_certificate(cand: CandidateS) -> dict:
             for c in range(3):
                 row = [E.zero] * 18
                 for k in range(3):
-                    row[3 * k + r] = row[3 * k + r] + Ms[i][k, c]
-                    row[9 + 3 * k + c] = row[9 + 3 * k + c] - Ps[i][r, k]
+                    row[3 * k + r] = Ms[i][k, c]
+                    row[9 + 3 * k + c] = -Ps[i][r, k]
                 rows.append(row)
                 eq_index.append((i, r, c))
-    system = ExactMatrix(E, rows)
+    system = ExactMatrix._of(E, rows)
     drop = eq_index.index((0, 0, 1))
     # equations visited row-major across the three matrix equations;
     # under this pivot recipe the forcing coefficient comes out as
@@ -509,7 +552,9 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     The blocks M, N of each side are symbolic_matrices_at(d, chi mod d):
     one integer elimination of the truncated matrix at the point, equal
     to the symbolic blocks evaluated there.  Neither the relation
-    expansion nor the elimination over QQ(d, chi1) is run."""
+    expansion nor the elimination over QQ(d, chi1) is run.  Each side,
+    with its pencil cubic, M_1^-1 and M_1^-1 M_i, comes from _side_at,
+    which makes it once per process."""
     _require_positive(d)
     if math.gcd(d, chi1) != 1 or math.gcd(d, chi2) != 1:
         raise NotCoprime(f"chi1={chi1}, chi2={chi2} must be coprime to d={d}")
@@ -519,16 +564,14 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     if d < 5:
         return Verdict(d, c1, c2, "NoObstruction", expected,
                        note="d < 5: no degree-d relations to obstruct")
-    side = symbolic_matrices_at(d, c1)
-    side_p = symbolic_matrices_at(d, c2)
+    side, side_p = _side_at(d, c1), _side_at(d, c2)
 
     certificates = []
     kernel_dims = {}
     witness = None
 
-    pencil = _pencil(side[0], side_p[0], QQ)
     for stype in ("I", "II"):
-        for cand in solve_S(stype, side, side_p, pencil=pencil):
+        for cand in solve_S(stype, side, side_p):
             label = f"type_{stype}[{cand.root_label}]"
             ab = solve_AB(cand)
             kernel_dims[label] = ab.kernel_dim

@@ -163,20 +163,34 @@ class _Packing:
     packed ints order monomials as the monomial order does: generator
     by generator, highest first, by gen_key.  Every generator must
     have a degree in 1..limit.
+
+    A packing is read-only: gens and degs are tuples, shift a read-only
+    mapping, and no attribute can be set once it is made.  The relation
+    set the cache hands out shares it, so a change would reach every
+    later reader of that set.
     """
 
     __slots__ = ("gens", "bits", "width", "degs", "shift", "guard", "top")
 
     def __init__(self, gens, limit: int):
-        self.gens = sorted(gens, key=gen_key)
-        self.bits = limit.bit_length()
-        self.width = width = self.bits + 1
-        self.degs = [gen_degree(g) for g in self.gens]
-        if not all(1 <= deg <= limit for deg in self.degs):
+        gens = tuple(sorted(gens, key=gen_key))
+        bits = limit.bit_length()
+        width = bits + 1
+        degs = tuple(gen_degree(g) for g in gens)
+        if not all(1 <= deg <= limit for deg in degs):
             raise DegreeMismatch(f"a packed generator of degree outside 1..{limit}")
-        self.shift = {g: i * width for i, g in enumerate(self.gens)}
-        self.guard = sum(1 << (s + self.bits) for s in self.shift.values())
-        self.top = len(self.gens) * width
+        shift = MappingProxyType({g: i * width for i, g in enumerate(gens)})
+        for name, value in (("gens", gens), ("bits", bits), ("width", width), ("degs", degs),
+                            ("shift", shift),
+                            ("guard", sum(1 << (s + bits) for s in shift.values())),
+                            ("top", len(gens) * width)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a packing is read-only: {name} cannot be set")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a packing is read-only: {name} cannot be deleted")
 
     def pack(self, mono) -> int:
         shift = self.shift

@@ -11,9 +11,10 @@ tuples (upoly_xgcd), which CubicExt.inverse used over every base before
 it took the adjugate of the multiplication matrix.
 """
 
+import math
 from operator import add, sub
 
-from tautrel.cubicext import _trim
+from tautrel.cubicext import _adjugate_column, _trim
 
 
 def upoly_add(a, b):
@@ -159,3 +160,103 @@ class OracleCubicExt:
                 continue
             parts.append(str(c) if i == 0 else f"({c})*{names[i]}")
         return " + ".join(parts) if parts else "0"
+
+
+# -- the former integer path over QQ: fold tables and the adjugate -------
+#
+# CubicExt over QQ folded the top degrees of a product back with integer
+# rows (t^p mod m, scaled by one common denominator) and inverted by the
+# first column of the adjugate of its integer multiplication matrix.
+# The code below is that path, on (numerators, denominator) pairs in
+# normal form; the closed forms of tautrel.cubicext must agree with it.
+
+
+class FoldField:
+    """The fold of a CubicField over QQ, scaled to integers: t^p for
+    deg <= p <= 2 deg - 2 reduced mod m is (sum_i f_pi t^i) / fold_den,
+    with one positive common denominator; int_fold lists (p, [(i, f_pi)])
+    over the nonzero f_pi."""
+
+    def __init__(self, field):
+        self.field = field
+        self.deg = n = field.deg
+        zero, one = field.base.zero, field.base.one
+        reduced = [upoly_divmod((zero,) * p + (one,), field.modulus)[1]
+                   for p in range(n, 2 * n - 1)]
+        self.fold_den = den = math.lcm(*(c.denominator for red in reduced for c in red))
+        self.int_fold = [
+            (p, [(i, int(c.numerator) * (den // int(c.denominator)))
+                 for i, c in enumerate(red) if c])
+            for p, red in zip(range(n, 2 * n - 1), reduced)
+        ]
+
+
+def _normalized(num: list, den: int) -> tuple:
+    """num / den over QQ with the common factor removed (den > 0)."""
+    g = math.gcd(*num, den)
+    if g != 1:
+        return tuple(x // g for x in num), den // g
+    return tuple(num), den
+
+
+def fold_sum(xs, dx: int, ys, dy: int) -> tuple:
+    """xs/dx + ys/dy, both in normal form.  With coprime denominators the
+    sum needs no cancellation: a prime of dx does not divide dy, so it
+    divides each numerator as it divides the xs, which it does not all."""
+    if dx == dy:
+        return _normalized(list(map(add, xs, ys)), dx)
+    g = math.gcd(dx, dy)
+    if g == 1:
+        return tuple(x * dy + y * dx for x, y in zip(xs, ys)), dx * dy
+    a, b = dy // g, dx // g
+    return _normalized([x * a + y * b for x, y in zip(xs, ys)], dx * a)
+
+
+def _int_fold(F: FoldField, prod: list) -> list:
+    """fold_den * (prod mod m): the integer coefficients of degree < deg
+    of the integer polynomial prod, of degree <= 2 deg - 2, reduced by
+    the modulus and scaled by fold_den."""
+    n, scale = F.deg, F.fold_den
+    low = [scale * c for c in prod[:n]] if scale != 1 else prod[:n]
+    for p, row in F.int_fold:
+        c = prod[p]
+        if c:
+            for i, f in row:
+                low[i] += c * f
+    return low
+
+
+def fold_mul(F: FoldField, xs, dx: int, ys, dy: int) -> tuple:
+    """The product: the schoolbook product of the numerators (zero
+    numerators skipped), the top degrees folded in with the integer rows,
+    and one gcd of the results and the denominator."""
+    n = F.deg
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                if y:
+                    prod[i + j] += x * y
+    den = dx * dy
+    if any(prod[n:]):
+        return _normalized(_int_fold(F, prod), den * F.fold_den)
+    return _normalized(prod[:n], den)
+
+
+def fold_inverse(F: FoldField, xs, dx: int) -> tuple:
+    """x^-1 over QQ, x = xs/dx not zero, from the integer matrix A whose
+    column j is fold_den * (xs t^j mod m).  Multiplication by x is
+    A / (dx fold_den), so x^-1, the solution y of x y = 1, is
+    dx fold_den adj(A) e_0 / det A: the first column of the adjugate over
+    the determinant.  det A = 0 exactly when xs shares a factor with the
+    modulus; then ZeroDivisionError.  (The former code took a rational
+    x by the reciprocal; its adjugate gives the same.)"""
+    n = F.deg
+    cols = [_int_fold(F, [0] * j + list(xs) + [0] * (n - 1 - j)) for j in range(n)]
+    adj, det = _adjugate_column(cols)
+    if not det:
+        raise ZeroDivisionError("zero divisor")
+    k = dx * F.fold_den
+    if det < 0:
+        k, det = -k, -det
+    return _normalized([k * c for c in adj], det)

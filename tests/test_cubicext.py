@@ -1,12 +1,13 @@
 """CubicExt over QQ, integer numerators over one common denominator,
-against the coefficient-tuple reference arithmetic."""
+against the coefficient-tuple reference arithmetic and against the
+former fold-and-adjugate integer path."""
 
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubicext_oracle import OracleCubicExt
+from cubicext_oracle import FoldField, OracleCubicExt, fold_inverse, fold_mul, fold_sum
 from tautrel.cubicext import CubicExt, CubicField, NotInvertible, factor_t3_minus_r
 from tautrel.rat import QQ, Rat
 from tautrel.ratfunc import FracField
@@ -18,9 +19,22 @@ FIELDS = (factor_t3_minus_r(Rat(5, 3), QQ) + factor_t3_minus_r(Rat(-8, 27), QQ)
 BIG = 2**130
 
 
+def _shape(E):
+    """The modulus over QQ written with the rational k = p/q it keeps:
+    t^3 - k, t - k or t^2 + k t + k^2."""
+    k = Rat(E.p, E.q)
+    return {3: (-k, 0, 0, 1), 1: (-k, 1), 2: (k * k, k, 1)}[E.deg]
+
+
 def test_fields_cover_every_modulus_shape():
+    # t^3 - r, t - c and t^2 + c t + c^2, with c^3 = r, and t^3 - r again
+    # with an integer r
     assert [E.deg for E in FIELDS] == [3, 1, 2, 3]
-    assert [E.fold_den for E in FIELDS] == [3, 1, 9, 1]
+    assert [(E.p, E.q) for E in FIELDS] == [(5, 3), (-2, 3), (-2, 3), (2, 1)]
+    for E in FIELDS:
+        assert E.modulus == _shape(E)
+        k = Rat(E.p, E.q)
+        assert E.r == (k if E.deg == 3 else k**3)
 
 
 def _in_normal_form(x: CubicExt):
@@ -113,6 +127,94 @@ def test_integer_inverse_refuses_a_zero_divisor():
             CubicExt(E, zero_divisor).inverse()
     x = CubicExt(E, [2, 1, 0])
     _agrees(x.inverse(), OracleCubicExt.of(x).inverse())
+
+
+# every shape the closed forms take, with k integral and not, and the
+# fields built directly on a reducible t^3 - r (and on t^2 and t, r = 0),
+# whose zero divisors have norm 0
+SHAPES = tuple(FIELDS) + tuple(factor_t3_minus_r(Rat(8), QQ)) + (
+    CubicField(QQ, Rat(8), (Rat(-8), 0, 0, 1)),
+    CubicField(QQ, Rat(-8, 27), (Rat(8, 27), 0, 0, 1)),
+    CubicField(QQ, Rat(0), (0, 0, 1)),
+    CubicField(QQ, Rat(0), (0, 1)),
+)
+FOLDS = {id(E): FoldField(E) for E in SHAPES}
+
+
+def _is(x: CubicExt, num_den: tuple):
+    _in_normal_form(x)
+    assert (x.num, x.den) == num_den
+
+
+@st.composite
+def shape_operands(draw):
+    E = draw(st.sampled_from(SHAPES))
+    element = st.lists(rationals, min_size=E.deg, max_size=E.deg).map(lambda c: CubicExt(E, c))
+    # elements of QQ inside the extension take the scalar path
+    base = rationals.map(E.coerce)
+    a = draw(st.one_of(element, base))
+    b = draw(st.one_of(element, base))
+    return E, a, b, draw(rationals)
+
+
+@settings(max_examples=600, deadline=None)
+@given(shape_operands())
+@example((SHAPES[6], SHAPES[6].t - 2, SHAPES[6].t ** 2 + SHAPES[6].t * 2 + 4, Rat(3)))
+@example((SHAPES[8], SHAPES[8].t, SHAPES[8].coerce(Rat(2**101 + 1, 3**70)), Rat(-(2**120), 7)))
+@example((FIELDS[0], CubicExt(FIELDS[0], [Rat(2**105, 3), Rat(-(2**103), 2**101 + 1), 1]),
+          CubicExt(FIELDS[0], [0, Rat(3**80, 2**110), Rat(1, 3)]), Rat(3**90, 2**102)))
+def test_closed_forms_match_the_fold_oracle(case):
+    # products (with the scalar path), sums, differences and norm
+    # inverses against the integer fold and the adjugate, on every shape
+    E, a, b, q = case
+    F = FOLDS[id(E)]
+    Q = E.coerce(q)
+    for x, y in ((a, b), (b, a), (a, Q), (Q, a)):
+        _is(x * y, fold_mul(F, x.num, x.den, y.num, y.den))
+        _is(x + y, fold_sum(x.num, x.den, y.num, y.den))
+        _is(x - y, fold_sum(x.num, x.den, [-n for n in y.num], y.den))
+    _is(a * q, fold_mul(F, a.num, a.den, Q.num, Q.den))
+    _is(q * a, fold_mul(F, a.num, a.den, Q.num, Q.den))
+    _is(a + q, fold_sum(a.num, a.den, Q.num, Q.den))
+    _is(q - a, fold_sum(Q.num, Q.den, [-n for n in a.num], a.den))
+    _is(-a, (tuple(-n for n in a.num), a.den))
+    for x in (a, b, Q, a * b):
+        if x.is_zero():
+            with pytest.raises(NotInvertible):
+                x.inverse()
+            continue
+        try:
+            want = fold_inverse(F, x.num, x.den)
+        except ZeroDivisionError:
+            with pytest.raises(NotInvertible):
+                x.inverse()
+            continue
+        _is(x.inverse(), want)
+        assert x * x.inverse() == E.one
+
+
+big_nonzero = rationals.filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_nonzero, st.lists(rationals, min_size=3, max_size=3))
+@example(Rat(2**101 + 3, 3**65), [Rat(1), Rat(2**100, 7), Rat(-1, 2**103)])
+def test_norm_inverse_refuses_zero_divisors_of_a_reducible_cubic(c, ys):
+    # t^3 - c^3 built whole: every multiple of t - c or of t^2 + c t + c^2
+    # has norm 0, and the adjugate of the fold oracle is singular there
+    E = CubicField(QQ, c**3, (-c**3, 0, 0, 1))
+    F = FoldField(E)
+    y = CubicExt(E, ys)
+    for factor in (E.t - c, E.t * E.t + E.t * c + c * c):
+        x = factor * y
+        _is(x, fold_mul(F, factor.num, factor.den, y.num, y.den))
+        with pytest.raises(NotInvertible):
+            x.inverse()
+        if not x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                fold_inverse(F, x.num, x.den)
+    unit = E.t + c
+    _is(unit.inverse(), fold_inverse(F, unit.num, unit.den))
 
 
 _F1 = FracField(("chi1",))

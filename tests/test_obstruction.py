@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from itertools import permutations, product
 
@@ -22,7 +24,7 @@ from tautrel.obstruction import (
     solve_AB,
     solve_S,
     solve_UV,
-    _pencil,
+    _nodal_cubic,
     _s_combination,
     _solve_uv_block,
 )
@@ -335,27 +337,41 @@ def test_kernel_dims_recorded():
     assert any(k.startswith("type_I") and dim == 0 for k, dim in v.kernel_dims.items())
 
 
-def test_decide_computes_the_pencil_once(monkeypatch):
+@pytest.fixture
+def cold_sides():
+    """An empty side cache before and after the test, for tests that
+    count how often a side is made."""
+    obstruction._side_at.cache_clear()
+    yield
+    obstruction._side_at.cache_clear()
+
+
+def test_decide_computes_the_pencil_once(monkeypatch, cold_sides):
+    # each side's pencil cubic is made once per process: a cold decide
+    # makes one per distinct side, a warm one none
     calls = []
 
-    def counted(M, Mp, field):
+    def counted(M, field):
         calls.append(field)
-        return _pencil(M, Mp, field)
+        return _nodal_cubic(M, field)
 
-    monkeypatch.setattr(obstruction, "_pencil", counted)
-    for pair in [(1, 2), (1, 1), (1, 4)]:
+    monkeypatch.setattr(obstruction, "_nodal_cubic", counted)
+    for pair, cold in [((1, 2), 2), ((1, 1), 1), ((1, 4), 2)]:
+        obstruction._side_at.cache_clear()
         calls.clear()
-        v = decide(5, *pair)
-        assert v.agrees and len(calls) == 1
+        assert decide(5, *pair).agrees and len(calls) == cold
+        calls.clear()
+        assert decide(5, *pair).agrees and not calls
     calls.clear()
     side = blocks(5, 1)
-    assert len(solve_S("II", side, side)) == 2 and len(calls) == 1
+    assert len(solve_S("II", side, side)) == 2 and len(calls) == 2
 
 
-def test_decide_builds_each_candidate_system_once(monkeypatch):
+def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
     # solve_S lifts each chi-side block to the candidate's extension once
     # and forms P and Q once; solve_AB, the a33 certificate and solve_UV
-    # read them from the candidate
+    # read them from the candidate.  A cold cache per pair makes decide
+    # evaluate each distinct side once: twice for (1, 2), once for (1, 1)
     sides, lifted, combined = [], [], []
 
     def recorded(d, chi):
@@ -377,18 +393,58 @@ def test_decide_builds_each_candidate_system_once(monkeypatch):
     monkeypatch.setattr(obstruction, "ExactMatrix", Counted)
     monkeypatch.setattr(obstruction, "_s_combination", counted)
     for pair in [(1, 2), (1, 1), (1, 4), (2, 3)]:
+        obstruction._side_at.cache_clear()
         sides.clear(), lifted.clear(), combined.clear()
         v = decide(5, *pair)
         n = len(v.kernel_dims)
         # both the a33 certificate (kernel 0) and solve_UV (kernel 1) ran
         assert v.agrees and {0, 1} <= set(v.kernel_dims.values())
-        (M, N), (Mp, Np) = sides
+        if pair[0] == pair[1]:
+            (M, N), = sides
+            Mp, Np = M, N
+        else:
+            (M, N), (Mp, Np) = sides
+            for m in Mp + Np:
+                assert not any(data is m.data for data in lifted)
         for m in M + N:
             assert sum(data is m.data for data in lifted) == n
-        for m in Mp + Np:
-            assert not any(data is m.data for data in lifted)
         assert len(combined) == 2 * n
         assert sum(mats is Mp for mats in combined) == sum(mats is Np for mats in combined) == n
+
+
+def _side_snapshot(side):
+    """Every value a side holds, as text."""
+    return (repr(side.M), repr(side.N), repr(side.M1_inv), repr(side.quotients),
+            sorted((k, str(v)) for k, v in side.cubic.items()))
+
+
+@pytest.mark.parametrize("d, a, b", [(5, 1, 2), (7, 1, 2), (9, 4, 5)])
+def test_decide_json_is_the_same_cold_and_warm(d, a, b, cold_sides):
+    cold = json.dumps(decide(d, a, b).to_json(), sort_keys=True)
+    info = obstruction._side_at.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    warm = json.dumps(decide(d, a, b).to_json(), sort_keys=True)
+    assert obstruction._side_at.cache_info().hits == 2
+    assert warm == cold
+    # each side, cached once, serves as the chi' side of the swapped pair
+    swapped = decide(d, b, a).to_json()
+    assert obstruction._side_at.cache_info().misses == 2
+    obstruction._side_at.cache_clear()
+    assert json.dumps(decide(d, b, a).to_json(), sort_keys=True) == json.dumps(
+        swapped, sort_keys=True)
+
+
+def test_cached_side_is_unchanged_by_decide(cold_sides):
+    for d, a, b in [(5, 1, 2), (5, 1, 4), (7, 1, 2), (7, 3, 3), (9, 4, 5)]:
+        sides = [obstruction._side_at(d, c) for c in (a, b)]
+        before = [_side_snapshot(side) for side in sides]
+        assert decide(d, a, b).agrees
+        assert all(obstruction._side_at(d, c) is side for c, side in zip((a, b), sides))
+        assert [_side_snapshot(side) for side in sides] == before
+        # and equal to a side made afresh from the blocks
+        assert _side_snapshot(obstruction._side(*symbolic_matrices_at(d, a))) == before[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sides[0].M1_inv = None
 
 
 def _candidate_strs(cands):
@@ -413,27 +469,31 @@ def test_solve_S_matches_the_equation_oracle():
 
 
 def test_solve_S_rejects_a_broken_pencil():
-    side, side_p = blocks(5, 1), blocks(5, 2)
-    (M, _), (Mp, _) = side, side_p
-    C, Cp = _pencil(M, Mp, QQ)
-    assert len(solve_S("II", side, side_p, pencil=(C, Cp))) == 1
+    # a side made by hand with a broken cubic stands for a broken pencil
+    side, side_p = obstruction._side(*blocks(5, 1)), obstruction._side(*blocks(5, 2))
+    M, Mp, C, Cp = side.M, side_p.M, side.cubic, side_p.cubic
+    assert len(solve_S("II", side, side_p)) == 1
+
+    def broken(s, cubic):
+        return dataclasses.replace(s, cubic=cubic)
+
     # a wrong c'120 only moves s23: the identity, with C' computed again
     # from Mp, catches it; the equations built from the same broken
     # pencil did not
     bad = dict(Cp)
     bad[(1, 2, 0)] = bad.get((1, 2, 0), QQ.zero) + 1
     with pytest.raises(NoCandidate, match="pencil identity violated"):
-        solve_S("II", side, side_p, pencil=(C, bad))
+        solve_S("II", side, broken(side_p, bad))
     eqs = _coeff_equations_table(C, bad, QQ)
     assert len(pencil_oracle.solve_S("II", M, Mp, pencil=(C, bad, eqs))) == 1
     bad = {k: v for k, v in Cp.items() if k != (3, 0, 0)}
     with pytest.raises(NoCandidate, match="cube equation for s21 degenerate"):
-        solve_S("I", side, side_p, pencil=(C, bad))
+        solve_S("I", side, broken(side_p, bad))
     bad = {k: v for k, v in C.items() if k != (3, 0, 0)}
     with pytest.raises(NoCandidate, match="cube consistency broken"):
-        solve_S("I", side, side_p, pencil=(bad, Cp))
+        solve_S("I", broken(side, bad), side_p)
     with pytest.raises(NoCandidate, match=r"s11\^3 != \(s22\^3\)\^2"):
-        solve_S("II", side, side_p, pencil=(bad, Cp))
+        solve_S("II", broken(side, bad), side_p)
 
 
 def test_pencil_requires_both_cube_coefficients(monkeypatch):
@@ -444,7 +504,7 @@ def test_pencil_requires_both_cube_coefficients(monkeypatch):
     monkeypatch.setattr(obstruction, "cubic_det",
                         lambda Ms: {k: v for k, v in exact(Ms).items() if k != (3, 0, 0)})
     with pytest.raises(NoCandidate, match="x1\\^3 or x2\\^3 coefficient vanishes"):
-        _pencil(M, M, QQ)
+        _nodal_cubic(M, QQ)
 
 
 def _same_uv(got, want):

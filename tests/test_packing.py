@@ -59,7 +59,7 @@ def test_exp_series_packs_the_generators_of_the_factors():
     rel = build_relation_set(d, 1)
     for n in (1, 2, 3):
         gens = _generators(_factors(n, d, 1, d + 2))
-        assert rel.packing.gens == sorted(gens, key=gen_key)
+        assert rel.packing.gens == tuple(sorted(gens, key=gen_key))
     assert rel.packing.bits == (d + 2).bit_length()
     assert max(map(gen_degree, rel.packing.gens)) == d + 2
 
@@ -178,3 +178,32 @@ def test_packed_product_and_accumulation_match_tuple_product(products):
             assert got_n[packed] == c
             assert p.unpack(packed, mono_degree(m)) == m
     assert set(got) == {p.pack(m) for m in set().union(*want)}
+
+
+def test_cached_packing_is_read_only(monkeypatch):
+    # the cache hands out the same relation set, packing included: a
+    # swapped shift once made a later verify_rank12 answer differently
+    from tautrel.relations import verify_rank12
+    from tautrel.truncation import matrices_M
+
+    monkeypatch.setattr(relations, "_REL_CACHE", {})
+    rel = build_relation_set(7, 2)
+    want = (rel.to_json(), verify_rank12(rel), matrices_M(rel))
+    p = rel.packing
+    assert type(p.gens) is tuple and type(p.degs) is tuple
+    a, b = p.gens[:2]
+    with pytest.raises(TypeError):
+        p.shift[a], p.shift[b] = p.shift[b], p.shift[a]
+    with pytest.raises(TypeError):
+        del p.shift[a]
+    with pytest.raises(TypeError):
+        p.gens[0] = b
+    for name in ("gens", "degs", "shift", "guard", "top", "bits", "width"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert not hasattr(p.shift, "update") and not hasattr(p.shift, "pop")
+    again = build_relation_set(7, 2)
+    assert again is rel and again.packing is p
+    assert (again.to_json(), verify_rank12(again), matrices_M(again)) == want
