@@ -16,7 +16,7 @@ third.  The field keeps p and q.
 An element over QQ holds integer numerators over one positive common
 denominator, normalized so that the numerators and the denominator have
 gcd 1 (zero is 0/1).  Each shape has closed forms over the numerators a
-and b of the operands, written out in the dunder methods:
+and b of the operands, written out in the arithmetic methods:
 
   product   the schoolbook product e_0 .. e_{2 deg - 2}, folded with k:
               t^2 + c t + c^2:  (q^2 e0 - p^2 e2, q^2 e1 - p q e2) / q^2

@@ -25,6 +25,7 @@ inconsistency certificates are re-verified by direct substitution.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import product
@@ -135,18 +136,13 @@ def _nodal_cubic(M: list, field) -> dict:
     return cubic
 
 
-@dataclass(frozen=True)
-class _Side:
-    """What one side of a pair contributes, over the field of its blocks:
-    the blocks M and N, the pencil cubic (_nodal_cubic), M_1^-1 and the
-    quotients M_1^-1 M_i for i = 2, 3.  det M_1 is the x1^3 coefficient
-    of the cubic, so the node check has made M_1 invertible."""
-
-    M: list
-    N: list
-    cubic: dict
-    M1_inv: ExactMatrix
-    quotients: list
+# What one side of a pair contributes, over the field of its blocks: the
+# blocks M and N, the pencil cubic (_nodal_cubic), M_1^-1 and the
+# quotients M_1^-1 M_i for i = 2, 3.  det M_1 is the x1^3 coefficient of
+# the cubic, so the node check has made M_1 invertible.  A named tuple:
+# its fields cannot be reassigned, and it is cheaper to define at import
+# than a frozen dataclass.
+_Side = namedtuple("_Side", "M N cubic M1_inv quotients")
 
 
 def _side(M: list, N: list) -> _Side:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from itertools import permutations, product
@@ -443,7 +442,7 @@ def test_cached_side_is_unchanged_by_decide(cold_sides):
         assert [_side_snapshot(side) for side in sides] == before
         # and equal to a side made afresh from the blocks
         assert _side_snapshot(obstruction._side(*symbolic_matrices_at(d, a))) == before[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         sides[0].M1_inv = None
 
 
@@ -475,7 +474,7 @@ def test_solve_S_rejects_a_broken_pencil():
     assert len(solve_S("II", side, side_p)) == 1
 
     def broken(s, cubic):
-        return dataclasses.replace(s, cubic=cubic)
+        return s._replace(cubic=cubic)
 
     # a wrong c'120 only moves s23: the identity, with C' computed again
     # from Mp, catches it; the equations built from the same broken
