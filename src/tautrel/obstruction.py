@@ -154,9 +154,9 @@ def _side(M: list, N: list) -> _Side:
 @lru_cache(maxsize=128)
 def _side_at(d: int, chi: int) -> _Side:
     """The side at a point (d, chi) over QQ, made once per process: a
-    sweep decides phi(d) - 1 or more pairs with each side, and none of
-    its objects depends on the other side.  Nothing changes a _Side once
-    made, so the cache gives every caller the same answer."""
+    sweep at d uses each side in phi(d) pairs, and none of its objects
+    depends on the other side.  decide only reads a _Side, so the cache
+    gives every caller the same answer."""
     return _side(*symbolic_matrices_at(d, chi))
 
 

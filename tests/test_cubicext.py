@@ -179,12 +179,8 @@ def test_closed_forms_match_the_fold_oracle(case):
     _is(q - a, fold_sum(Q.num, Q.den, [-n for n in a.num], a.den))
     _is(-a, (tuple(-n for n in a.num), a.den))
     for x in (a, b, Q, a * b):
-        if x.is_zero():
-            with pytest.raises(NotInvertible):
-                x.inverse()
-            continue
         try:
-            want = fold_inverse(F, x.num, x.den)
+            want = fold_inverse(F, x.num, x.den)  # refuses 0 as well
         except ZeroDivisionError:
             with pytest.raises(NotInvertible):
                 x.inverse()
@@ -210,9 +206,8 @@ def test_norm_inverse_refuses_zero_divisors_of_a_reducible_cubic(c, ys):
         _is(x, fold_mul(F, factor.num, factor.den, y.num, y.den))
         with pytest.raises(NotInvertible):
             x.inverse()
-        if not x.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                fold_inverse(F, x.num, x.den)
+        with pytest.raises(ZeroDivisionError):
+            fold_inverse(F, x.num, x.den)
     unit = E.t + c
     _is(unit.inverse(), fold_inverse(F, unit.num, unit.den))
 
