@@ -3,6 +3,7 @@
     tautrel verify --d 5 --chi 1 [--chi2 2] [--mode symbolic]
     tautrel decide --d 5 --chi1 1 --chi2 2
     tautrel sweep --dmin 5 --dmax 8 [--jobs N]
+    tautrel constraint --d 5
     tautrel emit --what {relations,matrices,verdicts} --d 5 --chi 1 \
                  [--chi2 2] --out PATH [--format {json,text}]
 
@@ -22,6 +23,7 @@ import multiprocessing
 import os
 import sys
 
+from .constraint import constraint_analysis
 from .obstruction import (
     NotNodal,
     a33_coefficient_formula,
@@ -237,6 +239,22 @@ def cmd_sweep(args) -> int:
                          0 if report.passed else MATH_ERROR)
 
 
+def cmd_constraint(args) -> int:
+    """The constraint analysis at d: P1, its checks, the structure checks
+    and one check per congruent pair, whose branch rows go in the results."""
+    if args.d < 5:
+        return _usage_error(f"d >= 5 required (got {args.d})")
+    rep = constraint_analysis(args.d)
+    report = Report("constraint", {"d": args.d})
+    report.results.append({"P1": str(rep.P1), "pair_agreement": rep.pair_agreement})
+    for name, ok in {**rep.P1_checks, **rep.structure_checks}.items():
+        report.add(name, ok)
+    for row in rep.pair_agreement:
+        report.add("pair_agreement", row["agrees"], location=f"chi1={row['chi1']},chi2={row['chi2']}")
+    return _write_output(report.render(args.format), args.out,
+                         0 if rep.ok() else MATH_ERROR)
+
+
 def cmd_emit(args) -> int:
     d, chi = args.d, args.chi
     try:
@@ -326,6 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=["json", "text"], default="text")
     s.add_argument("--out")
     s.set_defaults(fn=cmd_sweep)
+
+    c = sub.add_parser("constraint", help="the compatibility constraint and P1 at d")
+    c.add_argument("--d", type=int, required=True)
+    c.add_argument("--format", choices=["json", "text"], default="text")
+    c.add_argument("--out")
+    c.set_defaults(fn=cmd_constraint)
 
     e = sub.add_parser("emit", help="write canonical artifacts")
     e.add_argument("--what", choices=["relations", "matrices", "verdicts"],

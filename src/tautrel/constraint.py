@@ -1,5 +1,5 @@
-"""Compatibility constraint for the extended system at concrete d,
-symbolic in chi and chi'.
+"""Compatibility constraint for the extended system, symbolic in chi and
+chi'.
 
 For a Type II candidate, the extended system's first column is
 normalized by (A^-1)^T so the unknown-side coefficient block consists of
@@ -10,27 +10,65 @@ resultant AA*DD - BB*CC.  Its coordinate along 1 vanishes, and its
 coordinates c1, c2 along t and t^2 vanish together where the held-back
 pair is compatible.
 
-The elimination runs once per d, over Q(chi1, chi2): the chi side is the
-Q(chi1) blocks of symbolic_matrices_at(d, None), the chi' side the same
-blocks with chi1 renamed to chi2.  The quartic P1 is the primitive part
-of the numerator of c2, which is free of chi2; the chi2-content of the
+The coordinates in closed form.  Write u = chi1 (d - chi1),
+u' = chi2 (d - chi2), k = 2d^2 - 9d + 12 and
+
+    P = 4 Q(d) u^2 - B(d) u + 6 d^2 (d-2)(d-1)^2 (5d-16),
+    Q(d) = 11d^4 - 47d^3 + 3d^2 + 150d - 120,
+    B(d) = 11d^6 - 50d^5 + 153d^4 - 822d^3 + 2184d^2 - 2256d + 768.
+
+Then the coordinate along 1 is 0 and
+
+    c2 = -k P / (128 d^4 (d-2)^3 (d - 2 chi1)),
+    c1 = k P u (d^2 - 6u') / (128 d^4 (d-2)^3 chi2 (d - chi2)(d - 2 chi2)(d^2 - 6u)).
+
+These are identities in Q(d, chi1, chi2).  The tests run the Type II
+elimination once over that field: solve_S, solve_AB and the column-0
+elimination below, from the blocks of symbolic_MN, the chi' side with
+chi1 renamed to chi2.  The run finds one candidate, an (A, B) solution
+and a zero coordinate along 1, and its c1 and c2 equal P_formula,
+c1_formula and c2_formula at the generator d by ==.  Every quantity of
+that run is a rational function of (d, chi1, chi2), and evaluation at a
+point is a ring map on those defined there.  So the identities hold at
+every d >= 5 where none of the generic run's divisors vanishes: the
+pivots of its eliminations and the elements it inverts.  The per-d
+elimination over Q(chi1, chi2), of the blocks of symbolic_MN evaluated
+at d, is a second oracle (tests/constraint_oracle.py).  It gives the
+same coordinates by == at d = 5..16.  constraint_analysis(d) evaluates
+the closed forms at d.
+
+The quartic P1 is the primitive part of the numerator of c2, which is
+free of chi2: P at d, up to its content.  The chi2-content of the
 numerator of c1 is chi (d - chi) P1, which cross-checks it.
+
+Non-congruent pairs.  At a concrete pair the candidate lives over a
+factor of t^3 - r, with r = X(chi)/X(chi') and X(c) = c (d-c)(d-2c),
+and the resultant there is c1 t + c2 t^2.
+- t^3 - r irreducible over Q: {1, t, t^2} is a basis, so the held-back
+  pair is compatible only if c1 = c2 = 0, that is only if P = 0.
+- t^3 - r split, r = c^3 for a rational c: on the quadratic factor the
+  resultant is (c1 - c c2) t - c^2 c2, which vanishes only if
+  c1 = c2 = 0, as above.  On the linear factor t - c it is
+  c (c1 + c c2).  By the closed forms c1/c2 = -(X/X')(d^2 - 6u')/(d^2 - 6u),
+  so it vanishes only if P = 0 or (X/X')^2 (d^2 - 6u')^3 = (d^2 - 6u)^3.
+The split case occurs, first at d = 7 with the pairs (1, 2), (1, 5),
+(2, 6) and (5, 6); there the linear-factor condition fails and decide
+finds the obstruction (tests/test_constraint.py, at (7, 1, 2)).
 
 Specialization.  The chi'-slice at chi' = b is the same pipeline run
 over Q(chi1) with the chi' blocks evaluated at b.  Every quantity of the
-generic run is a rational function of chi2 over Q(chi1), and evaluation
-at chi2 = b is a ring map on those defined at b, so the generic
-coordinates at b are the slice's wherever the generic run divides by
-nothing that vanishes at b.  Two things must stay nondegenerate there.
-The (A, B) kernel system: when its kernel at b is still a line with
-a11 != 0, the normalized solution (a11 = s22, det A = 1) is unique, so
-the slice's A is the generic A at b, whichever pivots either run chose.
-The five designated pivots: when the 5x5 block of the designated
-equations stays invertible at b, both runs eliminate the five unknowns
-with the same solution.  The slice path checks both and raises
-otherwise; the tests run it as the oracle (tests/constraint_oracle.py)
-and compare its numerators with the generic coordinates at every valid
-b for d = 5..12.
+per-d run is a rational function of chi2 over Q(chi1), and evaluation
+at chi2 = b is a ring map on those defined at b, so the coordinates at b
+are the slice's wherever the per-d run divides by nothing that vanishes
+at b.  Two things must stay nondegenerate there.  The (A, B) kernel
+system: when its kernel at b is still a line with a11 != 0, the
+normalized solution (a11 = s22, det A = 1) is unique, so the slice's A
+is the per-d A at b, whichever pivots either run chose.  The five
+designated pivots: when the 5x5 block of the designated equations stays
+invertible at b, both runs eliminate the five unknowns with the same
+solution.  The slice path checks both and raises otherwise; the tests
+run it as the oracle and compare its numerators with the coordinates at
+every valid b for d = 5..12.
 """
 
 from __future__ import annotations
@@ -43,7 +81,7 @@ from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
 from .obstruction import CandidateS, coprime_chis, solve_AB, solve_S, solve_UV
 from .rat import QQ, Rat
-from .ratfunc import FracField, RatFunc, mpoly_gcd
+from .ratfunc import FracField, mpoly_gcd
 from .symbolic import symbolic_matrices_at
 
 
@@ -95,7 +133,7 @@ def _column0_elimination(cand: CandidateS, A: ExactMatrix):
     return [residual_of(i, r) for i, r in held_back]
 
 
-# -- the elimination over Q(chi1, chi2) -------------------------------------------
+# -- the coordinates in closed form ------------------------------------------------
 
 BI_FIELD = FracField(("chi1", "chi2"))
 
@@ -103,38 +141,41 @@ BI_FIELD = FracField(("chi1", "chi2"))
 _SLICE_CACHE: dict = {}
 
 
-def _lifted(mats: list, rename: bool) -> list:
-    """The Q(chi1) blocks over Q(chi1, chi2), with chi1 renamed to chi2 when
-    rename is set.  chi2 is the outer variable of the dense pairs, so each
-    canonical pair is re-levelled as it is and stays canonical."""
-    up = (lambda p: [[c] if c else [] for c in p]) if rename else (lambda p: [p] if p else [])
-    return [ExactMatrix(BI_FIELD, [[RatFunc._raw(BI_FIELD.vars, up(x._num), up(x._den))
-                                    for x in row] for row in m.data]) for m in mats]
+def P_formula(d):
+    """P = 4 Q(d) u^2 - B(d) u + 6 d^2 (d-2)(d-1)^2 (5d-16), u = chi1 (d - chi1):
+    over BI_FIELD at an integer d, over Q(d, chi1, chi2) when d is the
+    generator of that field."""
+    chi1 = BI_FIELD.gen("chi1")
+    u = chi1 * (d - chi1)
+    Q = 11 * d**4 - 47 * d**3 + 3 * d**2 + 150 * d - 120
+    B = 11 * d**6 - 50 * d**5 + 153 * d**4 - 822 * d**3 + 2184 * d**2 - 2256 * d + 768
+    return 4 * Q * u * u - B * u + 6 * d**2 * (d - 2) * (d - 1) ** 2 * (5 * d - 16)
+
+
+def c2_formula(d):
+    """The t^2 coordinate -k P / (128 d^4 (d-2)^3 (d - 2 chi1)), k = 2d^2 - 9d + 12."""
+    chi1 = BI_FIELD.gen("chi1")
+    k = 2 * d**2 - 9 * d + 12
+    return -k * P_formula(d) / (128 * d**4 * (d - 2) ** 3 * (d - 2 * chi1))
+
+
+def c1_formula(d):
+    """The t coordinate k P u (d^2 - 6u') / (128 d^4 (d-2)^3 chi2 (d - chi2)
+    (d - 2 chi2)(d^2 - 6u)), u = chi1 (d - chi1), u' = chi2 (d - chi2)."""
+    chi1, chi2 = BI_FIELD.gen("chi1"), BI_FIELD.gen("chi2")
+    k = 2 * d**2 - 9 * d + 12
+    u, u_p = chi1 * (d - chi1), chi2 * (d - chi2)
+    return (k * P_formula(d) * u * (d * d - 6 * u_p)
+            / (128 * d**4 * (d - 2) ** 3 * u_p * (d - 2 * chi2) * (d * d - 6 * u)))
 
 
 def _coordinates(d: int) -> tuple:
     """(c1, c2): the t and t^2 coordinates of AA*DD - BB*CC over
-    Q(chi1, chi2), whose coordinate along 1 vanishes; c2 is free of chi2."""
-    if d in _SLICE_CACHE:
-        return _SLICE_CACHE[d]
-    blocks = symbolic_matrices_at(d, None)
-    side = tuple(_lifted(mats, False) for mats in blocks)
-    side_p = tuple(_lifted(mats, True) for mats in blocks)
-    cands = solve_S("II", side, side_p)
-    if len(cands) != 1:
-        raise EliminationFailure(f"{len(cands)} Type II candidates over Q(chi1, chi2)")
-    cand = cands[0]
-    ab = solve_AB(cand)
-    if ab.status != "solution":
-        raise EliminationFailure(f"(A, B) system gives {ab.status} over Q(chi1, chi2)")
-    (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A)
-    c0, c1, c2 = (AA * DD - BB * CC).coeffs
-    if not c0.is_zero():
-        raise EliminationFailure("constraint has a nonzero rational coordinate")
-    if c2.is_zero() or c2.num.degree_in("chi2") > 0 or c2.den.degree_in("chi2") > 0:
-        raise EliminationFailure("the t^2 coordinate of the constraint is zero or depends on chi2")
-    _SLICE_CACHE[d] = c1, c2
-    return c1, c2
+    Q(chi1, chi2) at d, the closed forms evaluated there (see the module
+    docstring); the coordinate along 1 vanishes and c2 is free of chi2."""
+    if d not in _SLICE_CACHE:
+        _SLICE_CACHE[d] = c1_formula(d), c2_formula(d)
+    return _SLICE_CACHE[d]
 
 
 @dataclass
@@ -250,8 +291,14 @@ def constraint_analysis(d: int) -> ConstraintReport:
         if c1.constant_value() == 0 or c2.constant_value() == 0:
             constants_nonzero = False
 
-    # rejection of non-congruent pairs: the slice constraint pair is
-    # nonzero at every valid non-congruent integer pair
+    # rejection of non-congruent pairs: the slice constraint pair (c1, c2)
+    # is not (0, 0) at any valid non-congruent integer pair.  That decides
+    # the pairs where t^3 - r is irreducible, and the quadratic factor
+    # where it splits.  On the linear factor t - c of a split t^3 - r the
+    # pair is compatible only where (X/X')^2 (d^2 - 6u')^3 = (d^2 - 6u)^3
+    # (module docstring), which this check does not read: the slices
+    # b = 1, 2 at d = 7 meet the split pair (1, 2), where that condition
+    # fails and decide finds the obstruction
     chis = coprime_chis(d)
     reject_ok = True
     for b, num1, num2 in slices:

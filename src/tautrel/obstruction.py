@@ -172,7 +172,9 @@ def solve_S(stype: str, side, side_p) -> list:
     irreducible factor of the relevant t^3 - r, over the field of the
     blocks.  side and side_p are the (M, N) blocks at chi and at chi', as
     symbolic_matrices_at gives them, or the _Side made of them, which
-    holds its pencil cubic.
+    holds its pencil cubic.  Of the chi' side only the blocks and the
+    node-checked cubic are read, so for an (M, N) pair there only the
+    cubic is made, not a whole _Side.
 
     Write c_uvw for the coefficient of x1^u x2^v x3^w in
     C = det(sum x_i M_i), and c'_uvw for that of C' = det(sum y_j M'_j).
@@ -211,9 +213,9 @@ def solve_S(stype: str, side, side_p) -> list:
     computed again from P = sum_j s_ij M'_j.
     """
     side = side if isinstance(side, _Side) else _side(*side)
-    side_p = side_p if isinstance(side_p, _Side) else _side(*side_p)
-    M, N, Mp, Np = side.M, side.N, side_p.M, side_p.N
-    C, Cp = side.cubic, side_p.cubic
+    M, N, C = side.M, side.N, side.cubic
+    Mp, Np = side_p[0], side_p[1]
+    Cp = side_p.cubic if isinstance(side_p, _Side) else _nodal_cubic(Mp, Mp[0].field)
     zero = M[0].field.zero
     c300, c030, c210, c120, c111 = (C.get(k, zero) for k in _NODAL_TERMS)
     p300, p030, p210, p120, p111 = (Cp.get(k, zero) for k in _NODAL_TERMS)

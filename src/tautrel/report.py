@@ -85,6 +85,8 @@ class Report:
                         lines.append(f"    {name} = {w[name]}")
                 for cert in row.get("certificates", []):
                     lines.append(f"  certificate: {cert}")
+            elif isinstance(row, dict) and "P1" in row:
+                lines.append(f"P1 = {row['P1']}")
         for c in self.checks:
             line = f"[{c.status.upper():4s}] {c.name}"
             if c.status == "fail" and c.expected is not None:

@@ -108,7 +108,6 @@ from .tautalg import (
 )
 
 SYM_FIELD = FracField(("d", "chi1"))
-UNI_FIELD = FracField(("chi1",))
 _ZERO = SYM_FIELD.zero
 
 # generators: ("top", a, j) means index d+a; ("sm", k, j) a concrete index.
@@ -437,22 +436,17 @@ def _point_rows(d: int, chi: int) -> list:
     return out
 
 
-def symbolic_matrices_at(d: int, chi) -> tuple:
+def symbolic_matrices_at(d: int, chi: int) -> tuple:
     """The blocks (M, N) at d >= 5 and a coprime 0 < chi < d, over the
-    rationals, or at d with chi left symbolic, over QQ(chi1); other
-    points raise ValueError.
+    rationals; other points, chi = None among them, raise ValueError.
 
-    At a coprime chi they come from one elimination over the integers
-    at the point: the rows of the truncated matrix evaluated there,
-    eliminated by int_gauss_jordan, with the pivots checked to lie on
-    columns 0..11.  They equal symbolic_MN evaluated at (d, chi) and the
-    blocks of the relation set built at (d, chi): see the module
-    docstring.  With chi None they are symbolic_MN evaluated at d."""
-    if d < 5 or chi is not None and (math.gcd(d, chi) != 1 or not 0 < chi < d):
+    They come from one elimination over the integers at the point: the
+    rows of the truncated matrix evaluated there, eliminated by
+    int_gauss_jordan, with the pivots checked to lie on columns 0..11.
+    They equal symbolic_MN evaluated at (d, chi) and the blocks of the
+    relation set built at (d, chi): see the module docstring."""
+    if not isinstance(chi, int) or d < 5 or math.gcd(d, chi) != 1 or not 0 < chi < d:
         raise ValueError(f"d >= 5 and a coprime 0 < chi < d required (d={d}, chi={chi})")
-    if chi is None:
-        return tuple([ExactMatrix(UNI_FIELD, [[x.eval({"d": d}) for x in row] for row in m.data])
-                      for m in mats] for mats in symbolic_MN())
     pivots = int_gauss_jordan(_point_rows(d, chi))
     cols = [col for col, _ in pivots]
     if cols != list(range(12)):

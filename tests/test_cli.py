@@ -55,6 +55,35 @@ def test_verify_pass_and_rejections():
     assert "NotCoprime" in err
 
 
+def test_constraint_command(monkeypatch):
+    from tautrel.constraint import constraint_analysis
+
+    rep = constraint_analysis(5)
+    code, out, _ = run_cli("constraint", "--d", "5", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "constraint" and payload["status"] == "pass"
+    (result,) = payload["results"]
+    assert result["P1"] == str(rep.P1)
+    assert result["pair_agreement"] == rep.pair_agreement
+    names = [c["name"] for c in payload["checks"]]
+    assert names == [*rep.P1_checks, *rep.structure_checks] + ["pair_agreement"] * 6
+    code, out, _ = run_cli("constraint", "--d", "5")
+    assert code == 0
+    assert f"P1 = {rep.P1}\n" in out and out.endswith("overall: pass\n")
+    assert "[PASS] pair_agreement  (chi1=1,chi2=4)" in out
+    for d in ("4", "0", "-5"):
+        code, out, err = run_cli("constraint", "--d", d)
+        assert code == 2 and out == "" and "d >= 5" in err
+    # a failed check is a mathematical mismatch
+    broken = type(rep)(5, rep.P1, dict(rep.P1_checks, symmetric=False),
+                       rep.structure_checks, rep.pair_agreement)
+    monkeypatch.setattr(cli, "constraint_analysis", lambda d: broken)
+    code, out, _ = run_cli("constraint", "--d", "5")
+    assert code == 1
+    assert "[FAIL] symmetric" in out and out.endswith("overall: FAIL\n")
+
+
 def assert_usage_error(*argv):
     code, out, err = run_cli(*argv)
     assert code == 2
@@ -261,10 +290,11 @@ def _coprime(draw, d):
 @st.composite
 def cli_argv(draw):
     """A valid command line with small d and chi (a cheap one: at most one
-    d, sweeps and verdict lists at d = 5), sometimes with an --out that
-    cannot be written, then up to two mutations: an option dropped, a
-    value dropped or made invalid, an unknown option."""
-    command = draw(st.sampled_from(["verify", "decide", "emit"] * 2 + ["sweep"]))
+    d, sweeps and verdict lists at d = 5, the constraint at 5 <= d <= 9),
+    sometimes with an --out that cannot be written, then up to two
+    mutations: an option dropped, a value dropped or made invalid, an
+    unknown option."""
+    command = draw(st.sampled_from(["verify", "decide", "emit"] * 2 + ["sweep", "constraint"]))
     d = draw(st.sampled_from([5, 6, 7]))
     opts = []
     if command == "verify":
@@ -277,6 +307,8 @@ def cli_argv(draw):
         opts += [["--d", str(d)], ["--chi1", _coprime(draw, d)], ["--chi2", _coprime(draw, d)]]
     elif command == "sweep":
         opts += [["--dmin", "5"], ["--dmax", "5"], ["--jobs", "1"]]
+    elif command == "constraint":
+        opts.append(["--d", str(draw(st.integers(5, 9)))])
     else:
         what = draw(st.sampled_from(["relations", "matrices", "verdicts"]))
         if what == "verdicts" and draw(st.integers(0, 2)):
@@ -353,6 +385,8 @@ def _half_pair(args) -> bool:
 @example(["verify", "--d", "7", "--dmax", "0", "--chi", "2"])
 @example(["emit", "--what", "verdicts", "--d", "5", "--chi", "3"])
 @example(["emit", "--what", "relations", "--d", "5", "--chi", "1", "--chi2", "2"])
+@example(["constraint", "--d", "4"])
+@example(["constraint", "--d", "9", "--format", "json", "--out", UNWRITABLE])
 def test_cli_exit_code_contract(argv):
     # exit 0, 1 or 2 for any input, and never an exception (a traceback
     # when run as a program).  A mutated --out (--out 0, say) names a
@@ -372,6 +406,8 @@ def test_cli_exit_code_contract(argv):
     d = _given_int(argv, "--d")
     if d is not None and d < 1:
         assert code == 2  # no command takes d < 1
+    if argv[0] == "constraint" and d is not None and d < 5:
+        assert code == 2  # nor the constraint d < 5
     dmax = _given_int(argv, "--dmax")
     if argv[0] == "verify" and d is not None and dmax is not None and dmax < d:
         assert code == 2  # an empty range of d is a usage error, as in sweep

@@ -1,15 +1,53 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import constraint_oracle
 from tautrel import constraint
-from tautrel.constraint import _branch_pair_compatibility, _coordinates, constraint_analysis
+from tautrel.constraint import (
+    BI_FIELD,
+    _branch_pair_compatibility,
+    _coordinates,
+    c1_formula,
+    c2_formula,
+    constraint_analysis,
+)
 from tautrel.mpoly import MPoly
-from tautrel.rat import QQ
+from tautrel.obstruction import decide
+from tautrel.rat import QQ, Rat, rational_cube_root
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _at_chi2(d: int, b: int) -> tuple:
-    """The canonical numerators of the generic coordinates at chi2 = b."""
-    return tuple(c.eval({"chi2": b}).num.over(QQ) for c in _coordinates(d))
+    """The canonical numerators of the per-d coordinates at chi2 = b."""
+    return tuple(c.eval({"chi2": b}).num.over(QQ) for c in constraint_oracle.coordinates(d))
+
+
+def test_closed_forms_are_the_generic_type_II_coordinates():
+    # the proof of the closed forms: one Type II run over Q(d, chi1, chi2)
+    # finds one candidate with an (A, B) solution (type_II_coordinates
+    # raises otherwise), a zero coordinate along 1, c2 free of chi2, and
+    # c1 and c2 equal to the closed forms at the generator d
+    c0, c1, c2 = constraint_oracle.generic_coordinates()
+    assert c0.is_zero()
+    assert c2.num.degree_in("chi2") == c2.den.degree_in("chi2") == 0
+    D = constraint_oracle.GEN_FIELD.gen("d")
+    assert c1 == c1_formula(D) and c2 == c2_formula(D)
+    assert c1.vars == c2.vars == constraint_oracle.GEN_FIELD.vars
+
+
+@pytest.mark.parametrize("d", range(5, 17))
+def test_closed_forms_match_the_per_d_oracle(d):
+    # the per-d elimination over Q(chi1, chi2), which the closed forms replaced
+    c1, c2 = _coordinates(d)
+    assert (c1, c2) == constraint_oracle.coordinates(d)
+    assert c1.vars == c2.vars == BI_FIELD.vars
+    # the generic coordinates evaluated at d
+    _, g1, g2 = constraint_oracle.generic_coordinates()
+    assert (g1.eval({"d": d}), g2.eval({"d": d})) == (c1, c2)
 
 
 def test_slice_structure_d5():
@@ -20,7 +58,7 @@ def test_slice_structure_d5():
 
 @pytest.mark.parametrize("d", range(5, 13))
 def test_generic_coordinates_match_the_slice_oracle(d):
-    # the elimination over Q(chi1, chi2) against the slices over Q(chi1):
+    # the per-d elimination over Q(chi1, chi2) against the slices over Q(chi1):
     # the same P1, and at every valid b the slice's numerators
     P1, P1_alt = constraint_oracle.slice_P1(d)
     assert constraint_analysis(d).P1 == P1 == P1_alt
@@ -98,24 +136,47 @@ def test_congruent_pair_agreement_rows():
     assert all(r["agrees"] for r in rep.pair_agreement)
 
 
-def test_analysis_evaluates_the_blocks_once_per_d(monkeypatch):
-    """constraint_analysis evaluates symbolic_matrices_at(d, None) once,
-    for its one elimination over Q(chi1, chi2), with the same result.
-    The necessity rows evaluate the blocks at each concrete chi as well;
-    only the calls over QQ(chi1) are counted."""
+def test_analysis_runs_no_symbolic_elimination():
+    """constraint_analysis evaluates the closed forms: in a fresh process it
+    leaves symbolic_MN unbuilt, with the same report as a warm one."""
     want = constraint_analysis(5)
-    calls = []
-    real = constraint.symbolic_matrices_at
+    code = ("from tautrel import constraint, symbolic\n"
+            "rep = constraint.constraint_analysis(5)\n"
+            "assert rep.ok()\n"
+            "print(symbolic.symbolic_MN.cache_info().currsize)\n"
+            "print(str(rep.P1)); print(sorted(rep.P1_checks.items()))\n"
+            "print(sorted(rep.structure_checks.items())); print(rep.pair_agreement)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    assert out == ["0", str(want.P1), str(sorted(want.P1_checks.items())),
+                   str(sorted(want.structure_checks.items())), str(want.pair_agreement)]
 
-    def counted(d, chi):
-        calls.append((d, chi))
-        return real(d, chi)
 
-    monkeypatch.setattr(constraint, "symbolic_matrices_at", counted)
-    monkeypatch.setattr(constraint, "_SLICE_CACHE", {})
-    monkeypatch.setattr(constraint, "_REPORT_CACHE", {})
-    got = constraint_analysis(5)
-    assert calls.count((5, None)) == 1
-    assert got.P1 == want.P1 and got.ok()
-    assert (got.P1_checks, got.structure_checks) == (want.P1_checks, want.structure_checks)
-    assert list(constraint._SLICE_CACHE) == [5]
+def _X(d: int, c: int) -> int:
+    return c * (d - c) * (d - 2 * c)
+
+
+def test_split_pairs_d7():
+    # at d = 7, t^3 - r splits for four non-congruent pairs, r = X(a)/X(b)
+    d = 7
+    split = [(a, b) for a in range(1, d) for b in range(a + 1, d)
+             if a + b != d and rational_cube_root(Rat(_X(d, a), _X(d, b))) is not None]
+    assert split == [(1, 2), (1, 5), (2, 6), (5, 6)]
+    c1, c2 = _coordinates(d)
+    for a, b in split:
+        c = rational_cube_root(Rat(_X(d, a), _X(d, b)))
+        rows = _branch_pair_compatibility(d, a, b)
+        assert len(rows) == 2  # the linear and the quadratic factor
+        assert all(row["uv_solvable"] is False and row["necessity_holds"] is True
+                   for row in rows)
+        assert decide(d, a, b).verdict == "ObstructionFound"
+        # on the linear factor the resultant c (c1 + c c2) does not vanish,
+        # and neither does P: the condition (X/X')^2 (d^2 - 6u')^3 =
+        # (d^2 - 6u)^3 fails
+        v1, v2 = (x.eval({"chi1": a, "chi2": b}) for x in (c1, c2))
+        assert v1 + c * v2 != 0 and v2 != 0
+        u, u_p = a * (d - a), b * (d - b)
+        assert Rat(_X(d, a), _X(d, b)) ** 2 * (d * d - 6 * u_p) ** 3 != (d * d - 6 * u) ** 3
+    # the slices b = 1, 2 of rejects_noncongruent_pairs meet the pair (1, 2)
+    assert constraint_analysis(d).structure_checks["rejects_noncongruent_pairs"]

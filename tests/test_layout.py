@@ -38,10 +38,7 @@ from fractions import Fraction
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tautrel")
 
 # Python entry points that callers outside src/ use, each with its reason
-ALLOWED = {
-    "constraint.constraint_analysis": "the P1 entry point that perfbench calls",
-    "constraint.ConstraintReport.ok": "the verdict perfbench reads from constraint_analysis",
-}
+ALLOWED = {}
 
 # importer -> the single-underscore names of other modules it may import,
 # each with its reason; no other cross-module import of a private name

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautrel import obstruction, relations
-from tautrel.constraint import BI_FIELD, _lifted
+from tautrel.constraint import BI_FIELD
 from tautrel.cubicext import factor_t3_minus_r
 from tautrel.linalg import ExactMatrix
 from tautrel.mpoly import MPoly
@@ -29,6 +29,7 @@ from tautrel.obstruction import (
 )
 from tautrel.rat import QQ, Rat
 from tautrel.symbolic import symbolic_matrices_at
+from constraint_oracle import lifted, uni_blocks
 from linalg_oracle import identity
 import pencil_oracle
 from pencil_oracle import S_VARS, _coeff_equations_table, _partial, _pencil_rhs_poly
@@ -67,11 +68,12 @@ def leibniz_cubic(Ms, field):
 
 
 def generic_blocks(d):
-    """The chi and chi' blocks of constraint._coordinates: the Q(chi1)
-    blocks of symbolic_matrices_at(d, None) over Q(chi1, chi2), the chi'
-    side with chi1 renamed to chi2."""
-    M, N = symbolic_matrices_at(d, None)
-    return (_lifted(M, False), _lifted(N, False)), (_lifted(M, True), _lifted(N, True))
+    """The chi and chi' blocks of the per-d constraint oracle: the Q(chi1)
+    blocks at d over Q(chi1, chi2), the chi' side with chi1 renamed to
+    chi2."""
+    M, N = uni_blocks(d)
+    return ((lifted(M, BI_FIELD, False), lifted(N, BI_FIELD, False)),
+            (lifted(M, BI_FIELD, True), lifted(N, BI_FIELD, True)))
 
 
 def test_cubic_det_two_algorithms_agree():

@@ -7,10 +7,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import constraint_oracle
 import ratfunc_oracle
 from ratfunc_oracle import OracleRatFunc, eval_over_qq
 from tautrel import ratfunc
-from tautrel.constraint import _coordinates
 from tautrel.mpoly import MPoly
 from tautrel.rat import QQ, ZZ, Rat
 from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
@@ -252,7 +252,7 @@ def test_rational_boundary_returns_rat():
 def test_qq_boundary_of_slices_and_gcd():
     # the constraint's coordinates are integer pairs; their chi'-slice
     # numerators leave them at the QQ boundary
-    coords = _coordinates(5)
+    coords = constraint_oracle.coordinates(5)
     assert all(_is_zz(c.num) and _is_zz(c.den) for c in coords)
     num1, num2 = (c.eval({"chi2": 2}).num.over(QQ) for c in coords)
     assert num1.domain is QQ and num2.domain is QQ

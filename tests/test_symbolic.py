@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import constraint_oracle
 import symbolic_oracle
 from tautrel import symbolic
 from tautrel.linalg import ExactMatrix
@@ -102,14 +103,13 @@ def test_decide_runs_no_symbolic_elimination(monkeypatch):
 
 def test_returned_blocks_are_fresh():
     # a reader that changes a returned block changes no later answer
-    for chi in (2, None):
-        first = symbolic_matrices_at(7, chi)
-        want = [str(x) for x in _entries(first)]
-        for mats in first:
-            for m in mats:
-                m.data[0][0] = m.field.coerce(99)
-                m.data[1] = m.data[2]
-        assert [str(x) for x in _entries(symbolic_matrices_at(7, chi))] == want, chi
+    first = symbolic_matrices_at(7, 2)
+    want = [str(x) for x in _entries(first)]
+    for mats in first:
+        for m in mats:
+            m.data[0][0] = m.field.coerce(99)
+            m.data[1] = m.data[2]
+    assert [str(x) for x in _entries(symbolic_matrices_at(7, 2))] == want
 
 
 def test_symbolic_blocks_refuse_points_outside_the_exactness_argument():
@@ -118,17 +118,20 @@ def test_symbolic_blocks_refuse_points_outside_the_exactness_argument():
     for (d, chi) in [(4, 1), (3, 1), (6, 2), (5, 7), (6, 3), (5, 0), (5, -1)]:
         with pytest.raises(ValueError):
             symbolic_matrices_at(d, chi)
-    with pytest.raises(ValueError):
-        symbolic_matrices_at(4, None)
-    M, N = symbolic_matrices_at(6, None)
-    assert M[0].field == N[0].field == symbolic.UNI_FIELD
+    # chi left symbolic is no point either: the constraint evaluates closed
+    # forms, and the blocks over Q(chi1) are an oracle's
+    for d in (4, 5, 6):
+        with pytest.raises(ValueError):
+            symbolic_matrices_at(d, None)
+    M, N = constraint_oracle.uni_blocks(6)
+    assert M[0].field == N[0].field == constraint_oracle.UNI_FIELD
 
 
 def test_symbolic_chi_slice_matches_symbolic_chi_mode():
     # the blocks symbolic in chi at concrete d, evaluated at each coprime
     # chi, equal the blocks of the relation set built at that chi
     d = 5
-    Me, Ne = symbolic_matrices_at(d, None)
+    Me, Ne = constraint_oracle.uni_blocks(d)
     for chi in (1, 2, 3, 4):
         if math.gcd(chi, d) != 1:
             continue
