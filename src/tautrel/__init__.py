@@ -10,7 +10,7 @@ from .cubicext import CubicExt, CubicField, NotInvertible, factor_t3_minus_r
 from .linalg import DimensionMismatch, ExactMatrix, NonSquareDet
 from .relations import RelationSet, build_relation_set, verify_rank12
 from .truncation import checkpoint_reference_M, matrices_M, matrices_N, truncation_block
-from .obstruction import Verdict, congruent, decide, solve_AB, solve_S, solve_UV
+from .obstruction import Verdict, congruent, decide, side, side_at, solve_AB, solve_S, solve_UV
 from .constraint import constraint_analysis
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "Verdict",
     "congruent",
     "decide",
+    "side",
+    "side_at",
     "solve_AB",
     "solve_S",
     "solve_UV",

@@ -33,6 +33,7 @@ from .obstruction import (
     coprime_pairs,
     cubic_det,
     decide,
+    side,
     solve_AB,
     solve_S,
 )
@@ -79,16 +80,17 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
         report.add("nodal_coefficient", coeff == want, want, coeff, loc)
     except NotNodal as e:
         report.add("nodal_coefficient", False, "node at [0:0:1]", str(e), loc)
-    for i in (0, 1):
-        det = M[i].det()
+    # det M_1 and det M_2 are the x1^3 and x2^3 coefficients of the cubic
+    for i, key in enumerate(((3, 0, 0), (0, 3, 0))):
+        det = cubic.get(key, QQ.zero)
         report.add(f"detM{i + 1}_nonzero", det != 0, "nonzero", det, loc)
 
 
 def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
     rel1, rel2 = build_relation_set(d, chi1), build_relation_set(d, chi2)
-    side, side_p = (matrices_M(rel1), matrices_N(rel1)), (matrices_M(rel2), matrices_N(rel2))
     loc = f"d={d},chi1={chi1},chi2={chi2}"
-    for cand in solve_S("I", side, side_p):
+    sides = [side(matrices_M(rel), matrices_N(rel)) for rel in (rel1, rel2)]
+    for cand in solve_S("I", *sides):
         ab = solve_AB(cand)
         report.add(f"type_I_no_solution[{cand.root_label}]",
                    ab.status == "no_invertible", "no_invertible", ab.status, loc)

@@ -52,8 +52,9 @@ and the resultant there is c1 t + c2 t^2.
   c (c1 + c c2).  By the closed forms c1/c2 = -(X/X')(d^2 - 6u')/(d^2 - 6u),
   so it vanishes only if P = 0 or (X/X')^2 (d^2 - 6u')^3 = (d^2 - 6u)^3.
 The split case occurs, first at d = 7 with the pairs (1, 2), (1, 5),
-(2, 6) and (5, 6); there the linear-factor condition fails and decide
-finds the obstruction (tests/test_constraint.py, at (7, 1, 2)).
+(2, 6) and (5, 6); there the linear-factor condition fails, decide
+finds the obstruction (tests/test_constraint.py, at (7, 1, 2)), and
+constraint_analysis checks both conditions at the pairs of its slices.
 
 Specialization.  The chi'-slice at chi' = b is the same pipeline run
 over Q(chi1) with the chi' blocks evaluated at b.  Every quantity of the
@@ -79,10 +80,9 @@ from functools import reduce
 
 from .linalg import ExactMatrix
 from .mpoly import ExactDivisionError, MPoly
-from .obstruction import CandidateS, coprime_chis, solve_AB, solve_S, solve_UV
-from .rat import QQ, Rat
+from .obstruction import CandidateS, coprime_chis, side_at, solve_AB, solve_S, solve_UV
+from .rat import QQ, Rat, rational_cube_root
 from .ratfunc import FracField, mpoly_gcd
-from .symbolic import symbolic_matrices_at
 
 
 class EliminationFailure(ArithmeticError):
@@ -207,29 +207,23 @@ def _branch_pair_compatibility(d: int, a: int, b: int) -> list:
     """For each Type II candidate at the concrete pair: is the held-back
     residual pair compatible, and is the full extended system solvable?
     Solvability must imply compatibility (the pair is a necessary
-    condition)."""
+    condition).  AA v + BB = CC v + DD = 0 has a solution v where the
+    resultant vanishes, unless AA = CC = 0, when it needs BB = DD = 0."""
     rows = []
-    for cand in solve_S("II", symbolic_matrices_at(d, a), symbolic_matrices_at(d, b)):
+    for cand in solve_S("II", side_at(d, a), side_at(d, b)):
         ab = solve_AB(cand)
         if ab.status != "solution":
             rows.append({"branch": cand.root_label, "ab": ab.status})
             continue
         (AA, BB), (CC, DD) = _column0_elimination(cand, ab.A)
-        resultant = AA * DD - BB * CC
-        # compatibility of the 2x1 affine pair in v31
-        if AA.is_zero() and CC.is_zero():
-            compatible = BB.is_zero() and DD.is_zero()
-        elif not AA.is_zero():
-            v = -BB / AA
-            compatible = (CC * v + DD).is_zero()
-        else:
-            v = -DD / CC
-            compatible = (AA * v + BB).is_zero()
+        vanishes = (AA * DD - BB * CC).is_zero()
+        compatible = vanishes and not (
+            AA.is_zero() and CC.is_zero() and not (BB.is_zero() and DD.is_zero()))
         solvable = solve_UV(cand, ab.A).status == "solvable"
         rows.append(
             {
                 "branch": cand.root_label,
-                "resultant_vanishes": resultant.is_zero(),
+                "resultant_vanishes": vanishes,
                 "pair_compatible": compatible,
                 "uv_solvable": solvable,
                 "necessity_holds": (not solvable) or compatible,
@@ -291,25 +285,24 @@ def constraint_analysis(d: int) -> ConstraintReport:
         if c1.constant_value() == 0 or c2.constant_value() == 0:
             constants_nonzero = False
 
-    # rejection of non-congruent pairs: the slice constraint pair (c1, c2)
-    # is not (0, 0) at any valid non-congruent integer pair.  That decides
-    # the pairs where t^3 - r is irreducible, and the quadratic factor
-    # where it splits.  On the linear factor t - c of a split t^3 - r the
-    # pair is compatible only where (X/X')^2 (d^2 - 6u')^3 = (d^2 - 6u)^3
-    # (module docstring), which this check does not read: the slices
-    # b = 1, 2 at d = 7 meet the split pair (1, 2), where that condition
-    # fails and decide finds the obstruction
+    # rejection of non-congruent pairs: the held-back pair is compatible
+    # at no valid non-congruent integer pair (a, b) of the slices.  Where
+    # t^3 - r is irreducible, or on the quadratic factor where it splits,
+    # that needs (c1, c2) != (0, 0); where r = X(a)/X(b) = c^3, the linear
+    # factor t - c needs c1 + c c2 != 0 too (module docstring).  The
+    # slices b = 1, 2 at d = 7 meet the split pair (1, 2)
     chis = coprime_chis(d)
     reject_ok = True
-    for b, num1, num2 in slices:
+    for b in valid_bs[:3]:
         if math.gcd(b, d) != 1:
             continue
         for a in chis:
             if a == b or a + b == d:
                 continue
-            if num1.eval({"chi1": Rat(a)}) == 0 and num2.eval(
-                {"chi1": Rat(a)}
-            ) == 0:
+            at = {"chi1": Rat(a), "chi2": Rat(b)}
+            v1, v2 = coord_t.eval(at), coord_t2.eval(at)
+            c = rational_cube_root(Rat(a * (d - a) * (d - 2 * a), b * (d - b) * (d - 2 * b)))
+            if v1 == v2 == 0 or (c is not None and v1 + c * v2 == 0):
                 reject_ok = False
     report.structure_checks = {
         "slice_shape_P1_times_constant": structure_ok,

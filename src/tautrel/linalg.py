@@ -10,11 +10,12 @@ leading monomials beside an identity, whose part records the
 combinations of the rows that give R1..R3, and at every monomial only
 when the leading ones have rank < 12.  It also eliminates the point
 path's rows of the truncated matrix, scaled to integers, in
-symbolic_matrices_at.  The pivot rule: rows are visited in a given
-order (top to bottom by default); each is reduced against the pivot
-rows found so far, then pivots on its first nonzero entry among the
-columns allowed to hold a pivot, taken in a given order (all columns,
-left to right, by default); a row with no such entry is set aside.  With the defaults the pivot rows, sorted by column, are the
+symbolic_matrices_at.  The pivot rule: rows are visited top to bottom,
+so a caller that wants another order orders its rows; each is reduced
+against the pivot rows found so far, then pivots on its first nonzero
+entry among the columns allowed to hold a pivot, taken in a given order
+(all columns, left to right, by default); a row with no such entry is
+set aside.  With the default the pivot rows, sorted by column, are the
 unique reduced row echelon form.  Rows are updated only where the row
 they subtract is nonzero, so zero entries cost no arithmetic; entries
 are tested for zero by their truth value.  Division is exact, so every
@@ -176,13 +177,12 @@ class ExactMatrix:
 
     # -- elimination ------------------------------------------------------
 
-    def gauss_jordan(self, visit=None, pivot_cols=None, with_transform=False):
+    def gauss_jordan(self, pivot_cols=None, with_transform=False):
         """Row-by-row Gauss-Jordan elimination, the one elimination loop.
 
-        visit: the row indices in the order they are visited (default:
-        all rows, top to bottom).  pivot_cols: the columns that may hold
-        a pivot, in search order (default: all columns, left to right).
-        Each visited row is reduced against the pivot rows found so far
+        The rows are visited top to bottom.  pivot_cols: the columns that
+        may hold a pivot, in search order (default: all columns, left to
+        right).  Each row is reduced against the pivot rows found so far
         and pivots on its first nonzero entry among pivot_cols; it is
         scaled to 1 there and its pivot column is cleared from the
         earlier pivot rows.  A row with no such entry is set aside.
@@ -198,11 +198,10 @@ class ExactMatrix:
         recomputed on change, as index arrays: lists would hold an int each.
         """
         one = self.field.one
-        order = range(self.rows) if visit is None else visit
         cols = range(self.cols) if pivot_cols is None else pivot_cols
         pivots, supports, rest = [], [], []
-        for k in order:
-            row = list(self.data[k])
+        for k, row in enumerate(self.data):
+            row = list(row)
             if with_transform:
                 row += [self.field.zero] * self.rows
                 row[self.cols + k] = one

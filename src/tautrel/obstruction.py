@@ -15,8 +15,8 @@ chi-side blocks M_i and N_i lifted there, P_i = sum_j s_ij M'_j and
 Q_i = sum_j s_ij N'_j, and the chi side's M_1^-1 and M_1^-1 M_i.  What
 does not depend on the extension is computed over the field of the
 blocks and lifted: each side's pencil cubic, M_1^-1 and M_1^-1 M_i
-(_Side), which decide makes once per (d, chi) and process (_side_at).
-The linear system A^T M_i B = P_i for B^-1 is
+(side), made once per (d, chi) and process (side_at) for every caller
+at a point.  The linear system A^T M_i B = P_i for B^-1 is
 solved exactly (A follows from the i=1 equation), and finally
 A^T M_i U + A^T N_i V = Q_i decides solvability.  Witnesses and
 inconsistency certificates are re-verified by direct substitution.
@@ -123,41 +123,35 @@ class CandidateS:
 # the five monomials a cubic with that node may have
 _NODAL_TERMS = ((3, 0, 0), (0, 3, 0), (2, 1, 0), (1, 2, 0), (1, 1, 1))
 
-
-def _nodal_cubic(M: list, field) -> dict:
-    """The pencil cubic det(sum x_i M_i), nodal at [0:0:1]
-    (analyze_node) with nonzero x1^3 and x2^3 coefficients.  Since
-    dC/dx3 = c111*x1*x2, those make [0:0:1] its only singular point."""
-    cubic = cubic_det(M)
-    analyze_node(cubic, field)
-    if (3, 0, 0) not in cubic or (0, 3, 0) not in cubic:
-        raise NoCandidate("x1^3 or x2^3 coefficient vanishes: the node "
-                          "is not the only singular point")
-    return cubic
-
-
-# What one side of a pair contributes, over the field of its blocks: the
-# blocks M and N, the pencil cubic (_nodal_cubic), M_1^-1 and the
-# quotients M_1^-1 M_i for i = 2, 3.  det M_1 is the x1^3 coefficient of
-# the cubic, so the node check has made M_1 invertible.  A named tuple:
-# its fields cannot be reassigned, and it is cheaper to define at import
-# than a frozen dataclass.
+# What one point (d, chi) contributes to a pair, over the field of its
+# blocks: the blocks M and N, the pencil cubic, M_1^-1 and the quotients
+# M_1^-1 M_i for i = 2, 3.  A named tuple: its fields cannot be
+# reassigned, and it is cheaper to define at import than a frozen
+# dataclass.
 _Side = namedtuple("_Side", "M N cubic M1_inv quotients")
 
 
-def _side(M: list, N: list) -> _Side:
-    cubic = _nodal_cubic(M, M[0].field)
+def side(M: list, N: list) -> _Side:
+    """The side of the blocks (M, N).  Its cubic det(sum x_i M_i) is
+    nodal at [0:0:1] (analyze_node) with nonzero x1^3 and x2^3
+    coefficients: since dC/dx3 = c111*x1*x2, those make [0:0:1] its only
+    singular point.  det M_1 is the x1^3 coefficient, so M_1 inverts."""
+    cubic = cubic_det(M)
+    analyze_node(cubic, M[0].field)
+    if (3, 0, 0) not in cubic or (0, 3, 0) not in cubic:
+        raise NoCandidate("x1^3 or x2^3 coefficient vanishes: the node "
+                          "is not the only singular point")
     M1_inv = M[0].inverse()
     return _Side(M, N, cubic, M1_inv, [M1_inv * M[1], M1_inv * M[2]])
 
 
 @lru_cache(maxsize=128)
-def _side_at(d: int, chi: int) -> _Side:
+def side_at(d: int, chi: int) -> _Side:
     """The side at a point (d, chi) over QQ, made once per process: a
     sweep at d uses each side in phi(d) pairs, and none of its objects
-    depends on the other side.  decide only reads a _Side, so the cache
-    gives every caller the same answer."""
-    return _side(*symbolic_matrices_at(d, chi))
+    depends on the other side.  Its callers only read a _Side, so the
+    cache gives every caller the same answer."""
+    return side(*symbolic_matrices_at(d, chi))
 
 
 def _cube(value, coeff, unknown: str):
@@ -167,14 +161,11 @@ def _cube(value, coeff, unknown: str):
     return value / coeff
 
 
-def solve_S(stype: str, side, side_p) -> list:
+def solve_S(stype: str, side_chi: _Side, side_p: _Side) -> list:
     """All candidates of the given type ('I' or 'II'), one per
     irreducible factor of the relevant t^3 - r, over the field of the
-    blocks.  side and side_p are the (M, N) blocks at chi and at chi', as
-    symbolic_matrices_at gives them, or the _Side made of them, which
-    holds its pencil cubic.  Of the chi' side only the blocks and the
-    node-checked cubic are read, so for an (M, N) pair there only the
-    cubic is made, not a whole _Side.
+    blocks.  side_chi and side_p are the sides at chi and at chi' (side,
+    side_at); of side_p only the blocks and the cubic are read.
 
     Write c_uvw for the coefficient of x1^u x2^v x3^w in
     C = det(sum x_i M_i), and c'_uvw for that of C' = det(sum y_j M'_j).
@@ -212,10 +203,8 @@ def solve_S(stype: str, side, side_p) -> list:
     Each candidate is checked against the whole identity, with C'
     computed again from P = sum_j s_ij M'_j.
     """
-    side = side if isinstance(side, _Side) else _side(*side)
-    M, N, C = side.M, side.N, side.cubic
-    Mp, Np = side_p[0], side_p[1]
-    Cp = side_p.cubic if isinstance(side_p, _Side) else _nodal_cubic(Mp, Mp[0].field)
+    M, N, C = side_chi.M, side_chi.N, side_chi.cubic
+    Mp, Np, Cp = side_p.M, side_p.N, side_p.cubic
     zero = M[0].field.zero
     c300, c030, c210, c120, c111 = (C.get(k, zero) for k in _NODAL_TERMS)
     p300, p030, p210, p120, p111 = (Cp.get(k, zero) for k in _NODAL_TERMS)
@@ -256,7 +245,8 @@ def solve_S(stype: str, side, side_p) -> list:
         candidates.append(CandidateS(
             E, S, r_main, E.modulus_str(), [ExactMatrix(E, m.data) for m in M],
             [ExactMatrix(E, n.data) for n in N], P, _s_combination(S, Np),
-            ExactMatrix(E, side.M1_inv.data), [ExactMatrix(E, q.data) for q in side.quotients]))
+            ExactMatrix(E, side_chi.M1_inv.data),
+            [ExactMatrix(E, q.data) for q in side_chi.quotients]))
     return candidates
 
 
@@ -358,36 +348,29 @@ def _a33_certificate(cand: CandidateS) -> dict:
     The 27x18 homogeneous system A^T M_i = P_i B^-1 in the entries of A
     and of B^-1 has row (i, r, c) for entry (r, c) of equation i.  Hold
     back the (i=1, row 0, col 1) equation and greedily take
-    equations (in their natural order) that pivot on the 17 unknowns
-    other than a33; the resulting subsystem has a one-dimensional
-    solution line parametrized by a33, and the held-back equation
-    evaluates on it to (coefficient) * a33.  Rows that already reduce to
-    a pure a33 multiple are set aside so a33 stays free."""
+    equations, visited row-major across the three matrix equations (in
+    (r, c, i) order), that pivot on the 17 unknowns other than a33; the
+    resulting subsystem has a one-dimensional solution line parametrized
+    by a33, and the held-back equation evaluates on it to
+    (coefficient) * a33.  Rows that already reduce to a pure a33
+    multiple are set aside so a33 stays free."""
     E, Ms, Ps = cand.field, cand.M, cand.P
     rows = []
-    eq_index = []
-    for i in range(3):
-        for r in range(3):
-            for c in range(3):
-                row = [E.zero] * 18
-                for k in range(3):
-                    row[3 * k + r] = Ms[i][k, c]
-                    row[9 + 3 * k + c] = -Ps[i][r, k]
-                rows.append(row)
-                eq_index.append((i, r, c))
-    system = ExactMatrix._of(E, rows)
-    drop = eq_index.index((0, 0, 1))
-    # equations visited row-major across the three matrix equations;
+    for r, c, i in product(range(3), repeat=3):
+        row = [E.zero] * 18
+        for k in range(3):
+            row[3 * k + r] = Ms[i][k, c]
+            row[9 + 3 * k + c] = -Ps[i][r, k]
+        if (i, r, c) == (0, 0, 1):
+            held_back = row
+        else:
+            rows.append(row)
     # under this pivot recipe the forcing coefficient comes out as
     # -4 chi (d-chi)(d-2chi) / (d ((d-2) d^2 + 24 d chi' - 24 chi'^2)),
     # i.e. exactly 2/(d-4) times the coefficient of the reference
     # elimination (an exact, tested relation)
-    visit = sorted(
-        (k for k in range(len(system.data)) if k != drop),
-        key=lambda k: (eq_index[k][1], eq_index[k][2], eq_index[k][0]),
-    )
     not_a33 = [c for c in range(18) if c != 8]
-    pivots, _ = system.gauss_jordan(visit=visit, pivot_cols=not_a33)
+    pivots, _ = ExactMatrix._of(E, rows).gauss_jordan(pivot_cols=not_a33)
     if len(pivots) != 17:
         return {"note": f"only {len(pivots)} pivots found (expected 17)"}
     # solution line: a33 = 1, pivot unknowns from the reduced rows
@@ -396,7 +379,7 @@ def _a33_certificate(cand: CandidateS) -> dict:
     for col, prow in pivots:
         vec[col] = -prow[8]
     residual = E.zero
-    for coeff, val in zip(system.data[drop], vec):
+    for coeff, val in zip(held_back, vec):
         residual = residual + coeff * val
     return {"forcing_coefficient": residual, "normalized_unknown": "a33"}
 
@@ -551,7 +534,7 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     one integer elimination of the truncated matrix at the point, equal
     to the symbolic blocks evaluated there.  Neither the relation
     expansion nor the elimination over QQ(d, chi1) is run.  Each side,
-    with its pencil cubic, M_1^-1 and M_1^-1 M_i, comes from _side_at,
+    with its pencil cubic, M_1^-1 and M_1^-1 M_i, comes from side_at,
     which makes it once per process."""
     _require_positive(d)
     if math.gcd(d, chi1) != 1 or math.gcd(d, chi2) != 1:
@@ -562,14 +545,14 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     if d < 5:
         return Verdict(d, c1, c2, "NoObstruction", expected,
                        note="d < 5: no degree-d relations to obstruct")
-    side, side_p = _side_at(d, c1), _side_at(d, c2)
+    side_chi, side_p = side_at(d, c1), side_at(d, c2)
 
     certificates = []
     kernel_dims = {}
     witness = None
 
     for stype in ("I", "II"):
-        for cand in solve_S(stype, side, side_p):
+        for cand in solve_S(stype, side_chi, side_p):
             label = f"type_{stype}[{cand.root_label}]"
             ab = solve_AB(cand)
             kernel_dims[label] = ab.kernel_dim

@@ -631,8 +631,14 @@ class RatFunc:
     def __str__(self):
         if _constant(self._den, len(self.vars)) == 1:
             return self.num.to_str()
-        return "/".join(p.to_str() if len(p.terms) == 1 else f"({p.to_str()})"
-                        for p in (self.num, self.den))
+        # a sum, or a product in the denominator, is parenthesized:
+        # a/8*d would read as (a/8)*d
+        num, den = self.num.to_str(), self.den.to_str()
+        if len(self.num.terms) > 1:
+            num = f"({num})"
+        if len(self.den.terms) > 1 or "*" in den:
+            den = f"({den})"
+        return f"{num}/{den}"
 
     def __repr__(self):
         return f"RatFunc({self.__str__()!r})"

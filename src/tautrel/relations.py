@@ -487,7 +487,8 @@ def verify_rank12(rel: RelationSet):
     """Rank and minor checkpoints on the 12 degree-d relations of rel.
 
     Returns (ok, trace).  trace records the rank, the Mon1 minor
-    determinant (must be det1^2) and the Mon2 minor determinant.
+    determinant (must be det1^2) and the Mon2 minor determinant of rows
+    6-11, Rb^n and Rc^n, whose matrix is det2's (must be det2).
 
     Twelve rows have rank at most 12, so a nonzero 12x12 minor proves
     rank 12.  The minor taken is the one at the twelve pivot monomials
@@ -510,7 +511,7 @@ def verify_rank12(rel: RelationSet):
     # pairing of Mon1, giving a block structure with determinant det1^2.
     m1 = ExactMatrix._of(QQ, entries(mon1(d))[0:6]).det()
     m2 = ExactMatrix._of(QQ, entries(mon2(d))[6:12]).det()
-    ok = rank == 12 and m1 == rel.det1 * rel.det1 and m2 != 0
+    ok = rank == 12 and m1 == rel.det1 * rel.det1 and m2 == rel.det2
     trace = {
         "rank": rank,
         "mon1_minor_det": m1,

@@ -20,7 +20,7 @@ def _cold_caches(request):
 
         for cache in (relations._REL_CACHE, constraint._SLICE_CACHE, constraint._REPORT_CACHE):
             cache.clear()
-        for cached in (symbolic.symbolic_MN, symbolic._laurent_matrix, obstruction._side_at):
+        for cached in (symbolic.symbolic_MN, symbolic._laurent_matrix, obstruction.side_at):
             cached.cache_clear()
     yield
 

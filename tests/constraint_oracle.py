@@ -23,7 +23,7 @@ from functools import lru_cache
 from tautrel.constraint import BI_FIELD, EliminationFailure, _column0_elimination
 from tautrel.linalg import ExactMatrix
 from tautrel.mpoly import ExactDivisionError, MPoly
-from tautrel.obstruction import solve_AB, solve_S
+from tautrel.obstruction import side, solve_AB, solve_S
 from tautrel.rat import QQ, Rat
 from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
 from tautrel.symbolic import SYM_FIELD, symbolic_MN
@@ -57,9 +57,8 @@ def type_II_coordinates(blocks: tuple, field: FracField) -> tuple:
     the chi side blocks and the chi' side the same blocks with chi1
     renamed to chi2, over field.  Raises EliminationFailure unless there
     is one Type II candidate and its (A, B) system has a solution."""
-    side = tuple(lifted(mats, field, False) for mats in blocks)
-    side_p = tuple(lifted(mats, field, True) for mats in blocks)
-    cands = solve_S("II", side, side_p)
+    cands = solve_S("II", side(*(lifted(mats, field, False) for mats in blocks)),
+                    side(*(lifted(mats, field, True) for mats in blocks)))
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} Type II candidates over {field!r}")
     cand = cands[0]
@@ -123,7 +122,7 @@ def constraint_slice(d: int, b: int, *, _blocks: tuple = None) -> ConstraintSlic
     M, N = uni_blocks(d) if _blocks is None else _blocks
     Mp = [_evaluated(m, b) for m in M]
     Np = [_evaluated(n, b) for n in N]
-    cands = solve_S("II", (M, N), (Mp, Np))
+    cands = solve_S("II", side(M, N), side(Mp, Np))
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} slice candidates at chi'={b}")
     cand = cands[0]

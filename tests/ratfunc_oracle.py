@@ -117,7 +117,7 @@ class OracleRatFunc:
         num, den = self.num.to_str(), self.den.to_str()
         if len(self.num.terms) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1:
+        if len(self.den.terms) > 1 or "*" in den:
             den = f"({den})"
         return f"{num}/{den}"
 

@@ -24,6 +24,7 @@ from tautrel.obstruction import (
     coprime_pairs,
     cubic_det,
     decide,
+    side,
     solve_AB,
     solve_S,
 )
@@ -132,9 +133,8 @@ def test_criterion_6_type_I_contradiction():
         for c1 in chis:
             for c2 in chis:
                 rel1, rel2 = build_relation_set(d, c1), build_relation_set(d, c2)
-                side = matrices_M(rel1), matrices_N(rel1)
-                side_p = matrices_M(rel2), matrices_N(rel2)
-                for cand in solve_S("I", side, side_p):
+                sides = [side(matrices_M(rel), matrices_N(rel)) for rel in (rel1, rel2)]
+                for cand in solve_S("I", *sides):
                     ab = solve_AB(cand)
                     ok = ok and ab.status == "no_invertible" and ab.kernel_dim == 0
                     fc = ab.certificate.get("forcing_coefficient")

@@ -15,7 +15,7 @@ from tautrel.constraint import (
     constraint_analysis,
 )
 from tautrel.mpoly import MPoly
-from tautrel.obstruction import decide
+from tautrel.obstruction import decide, side_at
 from tautrel.rat import QQ, Rat, rational_cube_root
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -180,3 +180,34 @@ def test_split_pairs_d7():
         assert Rat(_X(d, a), _X(d, b)) ** 2 * (d * d - 6 * u_p) ** 3 != (d * d - 6 * u) ** 3
     # the slices b = 1, 2 of rejects_noncongruent_pairs meet the pair (1, 2)
     assert constraint_analysis(d).structure_checks["rejects_noncongruent_pairs"]
+
+
+def test_rejection_reads_the_linear_factor(monkeypatch):
+    # c1 moved so that c1 + c c2 = 0 at the split pair (7, 1, 2), c = 1:
+    # there the held-back pair is compatible on the linear factor though
+    # (c1, c2) != (0, 0), and the rejection check turns False
+    d, at = 7, {"chi1": 1, "chi2": 2}
+    c1, c2 = _coordinates(d)
+    c = rational_cube_root(Rat(_X(d, 1), _X(d, 2)))
+    moved = c1 - (c1.eval(at) + c * c2.eval(at))
+    assert moved.eval(at) == -c * c2.eval(at) != 0
+    monkeypatch.setattr(constraint, "_REPORT_CACHE", {})
+    monkeypatch.setattr(constraint, "_coordinates", lambda d: (moved, c2))
+    assert constraint_analysis(d).structure_checks["rejects_noncongruent_pairs"] is False
+
+
+def test_analysis_fills_the_side_cache_for_decide(monkeypatch):
+    # the congruent pairs at d = 5 read side_at: four sides made, read
+    # again once each at (1, 1)..(4, 4) and twice each at (1, 4), (2, 3);
+    # decide then reads both its sides as hits
+    monkeypatch.setattr(constraint, "_REPORT_CACHE", {})
+    side_at.cache_clear()
+    try:
+        constraint_analysis(5)
+        info = side_at.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
+        assert decide(5, 1, 4).agrees
+        info = side_at.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 10, 4)
+    finally:
+        side_at.cache_clear()

@@ -402,11 +402,12 @@ def test_gauss_jordan_leaves_matrix_unchanged(system, with_transform):
     A, b = system
     before = [row[:] for row in A.data]
     rows = list(A.data)
-    visit = list(reversed(range(A.rows)))
-    pivots, rest = A.gauss_jordan(visit=visit, with_transform=with_transform)
+    # the rows bottom to top, the same row lists as A's
+    Ar = ExactMatrix._of(A.field, rows[::-1])
+    pivots, rest = Ar.gauss_jordan(with_transform=with_transform)
     assert A.data == before and all(r is s for r, s in zip(A.data, rows))
     assert not any(row is r for _, row in pivots for r in A.data)
-    assert A.gauss_jordan(visit=visit, with_transform=with_transform) == (pivots, rest)
+    assert Ar.gauss_jordan(with_transform=with_transform) == (pivots, rest)
     A.rref(with_transform=True)
     solve(A, b)
     assert A.data == before
@@ -450,8 +451,8 @@ def test_gauss_jordan_pins_row_greedy_recipe():
     # y pivot instead, and lands on another point
     R, cols = rref_oracle(M, cols=[0, 1])
     assert line(zip(cols, R.data)) == [0, -1, 1]
-    # the visit order decides which rows pivot
-    pivots, rest = M.gauss_jordan(visit=[1, 0, 2], pivot_cols=[0, 1])
+    # the row order decides which rows pivot
+    pivots, rest = ExactMatrix(QQ, [M.data[k] for k in (1, 0, 2)]).gauss_jordan(pivot_cols=[0, 1])
     assert line(pivots) == [0, -1, 1] and rest == [[0, 0, -1]]
 
 

@@ -20,10 +20,11 @@ from tautrel.obstruction import (
     coprime_pairs,
     cubic_det,
     decide,
+    side,
+    side_at,
     solve_AB,
     solve_S,
     solve_UV,
-    _nodal_cubic,
     _s_combination,
     _solve_uv_block,
 )
@@ -41,6 +42,11 @@ from tautrel.truncation import matrices_M, matrices_N
 def blocks(d, chi):
     rel = build_relation_set(d, chi)
     return matrices_M(rel), matrices_N(rel)
+
+
+def block_side(d, chi):
+    """The side of the blocks of the relation set at (d, chi)."""
+    return side(*blocks(d, chi))
 
 
 def leibniz_cubic(Ms, field):
@@ -224,9 +230,10 @@ def test_s_combination_matches_the_summed_blocks():
     count = 0
     for d in (5, 7):
         for a, b in coprime_pairs(d):
-            side, (Mp, Np) = symbolic_matrices_at(d, a), symbolic_matrices_at(d, b)
+            side_p = side_at(d, b)
+            Mp, Np = side_p.M, side_p.N
             for stype in ("I", "II"):
-                for cand in solve_S(stype, side, (Mp, Np)):
+                for cand in solve_S(stype, side_at(d, a), side_p):
                     for mats, kept in ((Mp, cand.P), (Np, cand.Q)):
                         got = _s_combination(cand.S, mats)
                         want = summed_combination(cand.S, mats)
@@ -238,16 +245,16 @@ def test_s_combination_matches_the_summed_blocks():
 
 
 def test_solve_S_type_II_witness_values():
-    side = blocks(5, 1)
+    s = block_side(5, 1)
     # chi = chi': rational candidate is the identity
-    cands = solve_S("II", side, side)
+    cands = solve_S("II", s, s)
     assert len(cands) == 2
     ident = cands[0]
     assert ident.r == 1
     E = ident.field
     assert ident.S == identity(E, 3)
     # chi + chi' = d: the sign matrix
-    cands = solve_S("II", side, blocks(5, 4))
+    cands = solve_S("II", s, block_side(5, 4))
     sign = cands[0]
     assert sign.r == -1
     E = sign.field
@@ -256,7 +263,7 @@ def test_solve_S_type_II_witness_values():
 
 
 def test_solve_S_irreducible_case():
-    cands = solve_S("II", blocks(5, 1), blocks(5, 2))
+    cands = solve_S("II", block_side(5, 1), block_side(5, 2))
     assert len(cands) == 1
     assert cands[0].r == 2
     assert cands[0].field.deg == 3
@@ -265,14 +272,14 @@ def test_solve_S_irreducible_case():
 def test_solve_AB_type_II_witnesses():
     from tautrel.linalg import ExactMatrix
 
-    side = blocks(5, 1)
-    cands = solve_S("II", side, side)
+    s = block_side(5, 1)
+    cands = solve_S("II", s, s)
     ab = solve_AB(cands[0])
     assert ab.status == "solution" and ab.kernel_dim == 1
     E = cands[0].field
     assert ab.A == identity(E, 3)
     assert ab.B == identity(E, 3)
-    cands = solve_S("II", side, blocks(5, 4))
+    cands = solve_S("II", s, block_side(5, 4))
     ab = solve_AB(cands[0])
     E = cands[0].field
     want = ExactMatrix(E, [[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
@@ -280,7 +287,7 @@ def test_solve_AB_type_II_witnesses():
 
 
 def test_solve_AB_type_I_contradiction():
-    for cand in solve_S("I", blocks(5, 1), blocks(5, 2)):
+    for cand in solve_S("I", block_side(5, 1), block_side(5, 2)):
         ab = solve_AB(cand)
         assert ab.status == "no_invertible" and ab.kernel_dim == 0
         fc = ab.certificate["forcing_coefficient"]
@@ -292,8 +299,8 @@ def test_solve_AB_type_I_contradiction():
 def test_solve_UV_identity_and_inconsistent():
     from tautrel.linalg import ExactMatrix
 
-    side = blocks(5, 1)
-    cands = solve_S("II", side, side)
+    s = block_side(5, 1)
+    cands = solve_S("II", s, s)
     ab = solve_AB(cands[0])
     uv = solve_UV(cands[0], ab.A)
     assert uv.status == "solvable"
@@ -302,7 +309,7 @@ def test_solve_UV_identity_and_inconsistent():
     for i in range(3):
         assert (At * cands[0].N[i]) == cands[0].Q[i]
     # inconsistent case
-    cand = solve_S("II", side, blocks(5, 2))[0]
+    cand = solve_S("II", s, block_side(5, 2))[0]
     ab = solve_AB(cand)
     uv = solve_UV(cand, ab.A)
     assert uv.status == "inconsistent"
@@ -342,30 +349,31 @@ def test_kernel_dims_recorded():
 def cold_sides():
     """An empty side cache before and after the test, for tests that
     count how often a side is made."""
-    obstruction._side_at.cache_clear()
+    side_at.cache_clear()
     yield
-    obstruction._side_at.cache_clear()
+    side_at.cache_clear()
 
 
 def test_decide_computes_the_pencil_once(monkeypatch, cold_sides):
-    # each side's pencil cubic is made once per process: a cold decide
-    # makes one per distinct side, a warm one none
+    # each side's pencil cubic is made and node-checked once per process:
+    # a cold decide makes one per distinct side, a warm one none, and
+    # solve_S none
     calls = []
 
-    def counted(M, field):
+    def counted(cubic, field):
         calls.append(field)
-        return _nodal_cubic(M, field)
+        return analyze_node(cubic, field)
 
-    monkeypatch.setattr(obstruction, "_nodal_cubic", counted)
+    monkeypatch.setattr(obstruction, "analyze_node", counted)
     for pair, cold in [((1, 2), 2), ((1, 1), 1), ((1, 4), 2)]:
-        obstruction._side_at.cache_clear()
+        side_at.cache_clear()
         calls.clear()
         assert decide(5, *pair).agrees and len(calls) == cold
         calls.clear()
         assert decide(5, *pair).agrees and not calls
     calls.clear()
-    side = blocks(5, 1)
-    assert len(solve_S("II", side, side)) == 2 and len(calls) == 2
+    s = block_side(5, 1)
+    assert len(solve_S("II", s, s)) == 2 and len(calls) == 1
 
 
 def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
@@ -394,7 +402,7 @@ def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
     monkeypatch.setattr(obstruction, "ExactMatrix", Counted)
     monkeypatch.setattr(obstruction, "_s_combination", counted)
     for pair in [(1, 2), (1, 1), (1, 4), (2, 3)]:
-        obstruction._side_at.cache_clear()
+        side_at.cache_clear()
         sides.clear(), lifted.clear(), combined.clear()
         v = decide(5, *pair)
         n = len(v.kernel_dims)
@@ -413,37 +421,37 @@ def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
         assert sum(mats is Mp for mats in combined) == sum(mats is Np for mats in combined) == n
 
 
-def _side_snapshot(side):
+def _side_snapshot(s):
     """Every value a side holds, as text."""
-    return (repr(side.M), repr(side.N), repr(side.M1_inv), repr(side.quotients),
-            sorted((k, str(v)) for k, v in side.cubic.items()))
+    return (repr(s.M), repr(s.N), repr(s.M1_inv), repr(s.quotients),
+            sorted((k, str(v)) for k, v in s.cubic.items()))
 
 
 @pytest.mark.parametrize("d, a, b", [(5, 1, 2), (7, 1, 2), (9, 4, 5)])
 def test_decide_json_is_the_same_cold_and_warm(d, a, b, cold_sides):
     cold = json.dumps(decide(d, a, b).to_json(), sort_keys=True)
-    info = obstruction._side_at.cache_info()
+    info = side_at.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     warm = json.dumps(decide(d, a, b).to_json(), sort_keys=True)
-    assert obstruction._side_at.cache_info().hits == 2
+    assert side_at.cache_info().hits == 2
     assert warm == cold
     # each side, cached once, serves as the chi' side of the swapped pair
     swapped = decide(d, b, a).to_json()
-    assert obstruction._side_at.cache_info().misses == 2
-    obstruction._side_at.cache_clear()
+    assert side_at.cache_info().misses == 2
+    side_at.cache_clear()
     assert json.dumps(decide(d, b, a).to_json(), sort_keys=True) == json.dumps(
         swapped, sort_keys=True)
 
 
 def test_cached_side_is_unchanged_by_decide(cold_sides):
     for d, a, b in [(5, 1, 2), (5, 1, 4), (7, 1, 2), (7, 3, 3), (9, 4, 5)]:
-        sides = [obstruction._side_at(d, c) for c in (a, b)]
-        before = [_side_snapshot(side) for side in sides]
+        sides = [side_at(d, c) for c in (a, b)]
+        before = [_side_snapshot(s) for s in sides]
         assert decide(d, a, b).agrees
-        assert all(obstruction._side_at(d, c) is side for c, side in zip((a, b), sides))
-        assert [_side_snapshot(side) for side in sides] == before
+        assert all(side_at(d, c) is s for c, s in zip((a, b), sides))
+        assert [_side_snapshot(s) for s in sides] == before
         # and equal to a side made afresh from the blocks
-        assert _side_snapshot(obstruction._side(*symbolic_matrices_at(d, a))) == before[0]
+        assert _side_snapshot(side(*symbolic_matrices_at(d, a))) == before[0]
     with pytest.raises(AttributeError):
         sides[0].M1_inv = None
 
@@ -460,10 +468,10 @@ def test_solve_S_matches_the_equation_oracle():
              for d in range(5, 11) for a, b in coprime_pairs(d)]
     cases += [generic_blocks(5), generic_blocks(8)]
     count = 0
-    for side, side_p in cases:
+    for pair, pair_p in cases:
         for stype in ("I", "II"):
-            got = solve_S(stype, side, side_p)
-            want = pencil_oracle.solve_S(stype, side[0], side_p[0])
+            got = solve_S(stype, side(*pair), side(*pair_p))
+            want = pencil_oracle.solve_S(stype, pair[0], pair_p[0])
             assert _candidate_strs(got) == _candidate_strs(want)
             count += len(got)
     assert len(cases) == 77 and count == 197
@@ -471,12 +479,12 @@ def test_solve_S_matches_the_equation_oracle():
 
 def test_solve_S_rejects_a_broken_pencil():
     # a side made by hand with a broken cubic stands for a broken pencil
-    side, side_p = obstruction._side(*blocks(5, 1)), obstruction._side(*blocks(5, 2))
-    M, Mp, C, Cp = side.M, side_p.M, side.cubic, side_p.cubic
-    assert len(solve_S("II", side, side_p)) == 1
+    s, s_p = block_side(5, 1), block_side(5, 2)
+    M, Mp, C, Cp = s.M, s_p.M, s.cubic, s_p.cubic
+    assert len(solve_S("II", s, s_p)) == 1
 
-    def broken(s, cubic):
-        return s._replace(cubic=cubic)
+    def broken(one_side, cubic):
+        return one_side._replace(cubic=cubic)
 
     # a wrong c'120 only moves s23: the identity, with C' computed again
     # from Mp, catches it; the equations built from the same broken
@@ -484,28 +492,28 @@ def test_solve_S_rejects_a_broken_pencil():
     bad = dict(Cp)
     bad[(1, 2, 0)] = bad.get((1, 2, 0), QQ.zero) + 1
     with pytest.raises(NoCandidate, match="pencil identity violated"):
-        solve_S("II", side, broken(side_p, bad))
+        solve_S("II", s, broken(s_p, bad))
     eqs = _coeff_equations_table(C, bad, QQ)
     assert len(pencil_oracle.solve_S("II", M, Mp, pencil=(C, bad, eqs))) == 1
     bad = {k: v for k, v in Cp.items() if k != (3, 0, 0)}
     with pytest.raises(NoCandidate, match="cube equation for s21 degenerate"):
-        solve_S("I", side, broken(side_p, bad))
+        solve_S("I", s, broken(s_p, bad))
     bad = {k: v for k, v in C.items() if k != (3, 0, 0)}
     with pytest.raises(NoCandidate, match="cube consistency broken"):
-        solve_S("I", broken(side, bad), side_p)
+        solve_S("I", broken(s, bad), s_p)
     with pytest.raises(NoCandidate, match=r"s11\^3 != \(s22\^3\)\^2"):
-        solve_S("II", broken(side, bad), side_p)
+        solve_S("II", broken(s, bad), s_p)
 
 
 def test_pencil_requires_both_cube_coefficients(monkeypatch):
     # without x1^3 the cubic has a second singular point on the line
     # x2 = 0, and S^T need not fix [0:0:1]
-    M, _ = blocks(5, 1)
+    M, N = blocks(5, 1)
     exact = obstruction.cubic_det
     monkeypatch.setattr(obstruction, "cubic_det",
                         lambda Ms: {k: v for k, v in exact(Ms).items() if k != (3, 0, 0)})
     with pytest.raises(NoCandidate, match="x1\\^3 or x2\\^3 coefficient vanishes"):
-        _nodal_cubic(M, QQ)
+        side(M, N)
 
 
 def _same_uv(got, want):
@@ -525,9 +533,9 @@ def test_solve_UV_matches_full_system_oracle():
     seen = []
     for d in range(5, 9):
         for a, b in coprime_pairs(d):
-            side, side_p = blocks(d, a), blocks(d, b)
+            s, s_p = block_side(d, a), block_side(d, b)
             for stype in ("I", "II"):
-                for cand in solve_S(stype, side, side_p):
+                for cand in solve_S(stype, s, s_p):
                     ab = solve_AB(cand)
                     if ab.status != "solution":
                         continue

@@ -274,6 +274,21 @@ def test_verify_rank12():
     assert trace["mon2_minor_det"] != 0
 
 
+def test_verify_rank12_requires_the_mon2_minor_to_be_det2():
+    # a changed numerator of Rb^1 at a Mon2 column leaves the Mon2 minor
+    # nonzero and the rank 12, but the minor is no longer det2
+    rel = build_relation_set(5, 1)
+    key = rel.packing.pack(mon2(5)[0])
+    row = dict(rel.rows[6])
+    row[key] = row.get(key, 0) + 1
+    broken = dataclasses.replace(rel, rows=rel.rows[:6] + (row,) + rel.rows[7:])
+    ok, trace = verify_rank12(broken)
+    assert trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
+    assert trace["mon2_minor_det"] not in (0, rel.det2)
+    assert not ok
+    assert verify_rank12(rel)[0]
+
+
 def test_verify_rank12_zero_relations_guard():
     rel = build_relation_set(5, 1)
     # c2(0) Ra^n and c0(2) Ra^n zeroed

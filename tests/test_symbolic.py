@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +19,20 @@ from tautrel.symbolic import (
     truncated_partition_parts,
 )
 from tautrel.truncation import matrices_M, matrices_N
+
+
+def test_printed_entries_evaluate_to_their_values():
+    # each block entry's printed form, read with ^ as ** and its integers
+    # as Rats, evaluates to .eval at a point: a one-term denominator that
+    # is a product prints in parentheses, not as num/8*d^3
+    Ms, Ns = symbolic_MN()
+    entries = [x for m in Ms + Ns for row in m.data for x in row]
+    assert any(len(x.den.terms) == 1 and "*" in x.den.to_str() for x in entries)
+    for d, chi in [(7, 2), (11, 4)]:
+        at = {"d": Rat(d), "chi1": Rat(chi)}
+        for x in entries:
+            text = re.sub(r"\b(\d+)\b", r"Rat(\1)", str(x)).replace("^", "**")
+            assert eval(text, {"Rat": Rat}, dict(at)) == x.eval(at), str(x)
 
 
 def test_truncated_partitions_dplus1():
