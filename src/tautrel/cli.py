@@ -33,9 +33,6 @@ from .obstruction import (
     coprime_pairs,
     cubic_det,
     decide,
-    side,
-    solve_AB,
-    solve_S,
 )
 from .rat import QQ, Rat
 from .relations import build_relation_set, det1_formula, det2_formula, mon2, verify_rank12
@@ -87,19 +84,23 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
 
 
 def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
-    rel1, rel2 = build_relation_set(d, chi1), build_relation_set(d, chi2)
+    """The Type I checks and the verdict, all read from decide's verdict:
+    each Type I candidate has no (A, B) (kernel dimension 0), and its a33
+    forcing coefficient is 2/(d-4) times a33_coefficient_formula."""
     loc = f"d={d},chi1={chi1},chi2={chi2}"
-    sides = [side(matrices_M(rel), matrices_N(rel)) for rel in (rel1, rel2)]
-    for cand in solve_S("I", *sides):
-        ab = solve_AB(cand)
-        report.add(f"type_I_no_solution[{cand.root_label}]",
-                   ab.status == "no_invertible", "no_invertible", ab.status, loc)
-        fc = (ab.certificate or {}).get("forcing_coefficient")
-        want = a33_coefficient_formula(d, chi1, chi2) * Rat(2, d - 4)
-        got = fc.base_part() if fc is not None and fc.is_base() else fc
-        report.add(f"type_I_a33_certificate[{cand.root_label}]",
-                   got == want, want, got, loc)
     v = decide(d, chi1, chi2)
+    forcing = {c["candidate"]: c["a33_forcing_coefficient"]
+               for c in v.certificates if c["stage"] == "AB"}
+    want = a33_coefficient_formula(d, chi1, chi2) * Rat(2, d - 4)
+    for label, dim in v.kernel_dims.items():
+        if not label.startswith("type_I["):
+            continue
+        root = label[len("type_I["):-1]
+        status = "no_invertible" if dim == 0 else "solution"
+        report.add(f"type_I_no_solution[{root}]", dim == 0, "no_invertible", status, loc)
+        # a Rat prints canonically, and an element off the base prints a t
+        got = forcing.get(label)
+        report.add(f"type_I_a33_certificate[{root}]", got == str(want), want, got, loc)
     report.add("verdict_matches_congruence", v.agrees,
                congruent(d, chi1, chi2), v.verdict, loc)
 

@@ -347,10 +347,6 @@ class CubicExt:
             return hash(self.coeffs[0])
         return hash(self.coeffs)
 
-    def base_part(self):
-        """The coefficient of 1 (useful when the element is known rational)."""
-        return self.coeffs[0]
-
     def is_base(self) -> bool:
         return not any(self.num[1:])
 

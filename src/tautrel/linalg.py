@@ -10,16 +10,19 @@ leading monomials beside an identity, whose part records the
 combinations of the rows that give R1..R3, and at every monomial only
 when the leading ones have rank < 12.  It also eliminates the point
 path's rows of the truncated matrix, scaled to integers, in
-symbolic_matrices_at.  The pivot rule: rows are visited top to bottom,
-so a caller that wants another order orders its rows; each is reduced
-against the pivot rows found so far, then pivots on its first nonzero
-entry among the columns allowed to hold a pivot, taken in a given order
-(all columns, left to right, by default); a row with no such entry is
-set aside.  With the default the pivot rows, sorted by column, are the
-unique reduced row echelon form.  Rows are updated only where the row
-they subtract is nonzero, so zero entries cost no arithmetic; entries
-are tested for zero by their truth value.  Division is exact, so every
-result is deterministic.  det runs its own forward elimination.
+symbolic_matrices_at, and over each candidate's extension the 27x18
+(A, B) system of obstruction.solve_AB, pivoting on every column but
+a33, and the (U, V) block of obstruction.solve_UV.  The pivot rule:
+rows are visited top to bottom, so a caller that wants another order
+orders its rows; each is reduced against the pivot rows found so far,
+then pivots on its first nonzero entry among the columns allowed to
+hold a pivot, taken in a given order (all columns, left to right, by
+default); a row with no such entry is set aside.  With the default
+the pivot rows, sorted by column, are the unique reduced row echelon
+form.  Rows are updated only where the row they subtract is nonzero, so
+zero entries cost no arithmetic; entries are tested for zero by their
+truth value.  Division is exact, so every result is deterministic.  det
+runs its own forward elimination.
 """
 
 from __future__ import annotations
@@ -277,23 +280,6 @@ class ExactMatrix:
         if len(pivots) != self.rows:
             raise ZeroDivisionError("singular matrix")
         return T
-
-    def kernel(self) -> list:
-        """Basis of the right kernel, as lists of field elements: read off
-        the pivot rows of gauss_jordan, one vector per free column, in
-        column order."""
-        pivots = self.gauss_jordan()[0]
-        taken = {col for col, _ in pivots}
-        basis = []
-        for f in range(self.cols):
-            if f in taken:
-                continue
-            v = [self.field.zero] * self.cols
-            v[f] = self.field.one
-            for col, row in pivots:
-                v[col] = -row[f]
-            basis.append(v)
-        return basis
 
     def __repr__(self):
         body = "; ".join(

@@ -12,14 +12,14 @@ extension (one candidate per irreducible factor of t^3 - r); each
 candidate is checked against the whole identity.  Each candidate
 carries its extended system over its extension, built once: the
 chi-side blocks M_i and N_i lifted there, P_i = sum_j s_ij M'_j and
-Q_i = sum_j s_ij N'_j, and the chi side's M_1^-1 and M_1^-1 M_i.  What
-does not depend on the extension is computed over the field of the
-blocks and lifted: each side's pencil cubic, M_1^-1 and M_1^-1 M_i
-(side), made once per (d, chi) and process (side_at) for every caller
-at a point.  The linear system A^T M_i B = P_i for B^-1 is
-solved exactly (A follows from the i=1 equation), and finally
-A^T M_i U + A^T N_i V = Q_i decides solvability.  Witnesses and
-inconsistency certificates are re-verified by direct substitution.
+Q_i = sum_j s_ij N'_j.  Each side's pencil cubic does not depend on the
+extension: it is computed over the field of the blocks (side), once per
+(d, chi) and process (side_at) for every caller at a point.  One
+elimination of the 27x18 homogeneous system A^T M_i = P_i B^-1, with
+a33 normalized to 1, gives the (A, B) solution or, when there is none,
+the a33 certificate; finally A^T M_i U + A^T N_i V = Q_i decides
+solvability.  Witnesses and inconsistency certificates are re-verified
+by direct substitution.
 """
 
 from __future__ import annotations
@@ -104,9 +104,8 @@ def analyze_node(cubic: dict, field) -> dict:
 @dataclass
 class CandidateS:
     """S and its extended system over its extension field: the chi-side
-    M, N lifted, P_i = sum_j s_ij M'_j and Q_i = sum_j s_ij N'_j, and
-    the chi side's M_1^-1 and M_1^-1 M_i (i = 2, 3), computed over the
-    field of the blocks and lifted."""
+    M, N lifted, P_i = sum_j s_ij M'_j and Q_i = sum_j s_ij N'_j.
+    solve_AB reads M and P, solve_UV M, N and Q."""
 
     field: CubicField
     S: ExactMatrix
@@ -116,33 +115,29 @@ class CandidateS:
     N: list
     P: list
     Q: list
-    M1_inv: ExactMatrix
-    quotients: list
 
 
 # the five monomials a cubic with that node may have
 _NODAL_TERMS = ((3, 0, 0), (0, 3, 0), (2, 1, 0), (1, 2, 0), (1, 1, 1))
 
 # What one point (d, chi) contributes to a pair, over the field of its
-# blocks: the blocks M and N, the pencil cubic, M_1^-1 and the quotients
-# M_1^-1 M_i for i = 2, 3.  A named tuple: its fields cannot be
-# reassigned, and it is cheaper to define at import than a frozen
-# dataclass.
-_Side = namedtuple("_Side", "M N cubic M1_inv quotients")
+# blocks: the blocks M and N and their node-checked pencil cubic.  A
+# named tuple: its fields cannot be reassigned, and it is cheaper to
+# define at import than a frozen dataclass.
+_Side = namedtuple("_Side", "M N cubic")
 
 
 def side(M: list, N: list) -> _Side:
     """The side of the blocks (M, N).  Its cubic det(sum x_i M_i) is
     nodal at [0:0:1] (analyze_node) with nonzero x1^3 and x2^3
     coefficients: since dC/dx3 = c111*x1*x2, those make [0:0:1] its only
-    singular point.  det M_1 is the x1^3 coefficient, so M_1 inverts."""
+    singular point."""
     cubic = cubic_det(M)
     analyze_node(cubic, M[0].field)
     if (3, 0, 0) not in cubic or (0, 3, 0) not in cubic:
         raise NoCandidate("x1^3 or x2^3 coefficient vanishes: the node "
                           "is not the only singular point")
-    M1_inv = M[0].inverse()
-    return _Side(M, N, cubic, M1_inv, [M1_inv * M[1], M1_inv * M[2]])
+    return _Side(M, N, cubic)
 
 
 @lru_cache(maxsize=128)
@@ -244,9 +239,7 @@ def solve_S(stype: str, side_chi: _Side, side_p: _Side) -> list:
             raise NoCandidate(f"pencil identity violated for type {stype}")
         candidates.append(CandidateS(
             E, S, r_main, E.modulus_str(), [ExactMatrix(E, m.data) for m in M],
-            [ExactMatrix(E, n.data) for n in N], P, _s_combination(S, Np),
-            ExactMatrix(E, side_chi.M1_inv.data),
-            [ExactMatrix(E, q.data) for q in side_chi.quotients]))
+            [ExactMatrix(E, n.data) for n in N], P, _s_combination(S, Np)))
     return candidates
 
 
@@ -276,84 +269,39 @@ def _s_combination(S: ExactMatrix, mats: list) -> list:
 
 @dataclass
 class ABResult:
-    status: str  # "solution" | "no_invertible"
-    kernel_dim: int
+    status: str  # "solution" | "no_invertible" | "anomaly"
+    kernel_dim: int  # None when the elimination cannot tell (anomaly)
     A: ExactMatrix = None
     B: ExactMatrix = None
     certificate: dict = None
 
 
 def solve_AB(cand: CandidateS) -> ABResult:
-    """Solve A^T M_i = P_i B^-1 exactly, P_i = sum_j s_ij M'_j.
+    """Solve A^T M_i = P_i B^-1 exactly, P_i = sum_j s_ij M'_j, by one
+    elimination.
 
-    M_1 is invertible (det M_1 = -X^2/(16 d^6) with X = chi(d-chi)(d-2chi),
-    and analyze_node has rejected X = 0), so the i=1 equation gives
-    A^T = P_1 B^-1 M_1^-1 and the i=2, 3 equations leave an 18x9
-    homogeneous system in the entries of B^-1 alone; its kernel has the
-    dimension of the full 27x18 system's.  The solution line is
-    normalized so a11 = s22 (top-left entry of A equals the middle entry
-    of S) and det(A) = det(B) = 1.  When the kernel is trivial the
-    27x18 system yields the a33 certificate.
+    The 27x18 homogeneous system in the entries of A and of B^-1 has row
+    (i, r, c) for entry (r, c) of equation i, A[k, r] at column 3k + r
+    and B^-1[k, c] at column 9 + 3k + c.  Hold back the row
+    (i=1, r=0, c=1) and eliminate the other 26, in (r, c, i) order,
+    pivoting on the 17 columns other than a33.  With 17 pivots every
+    other row is set aside as a multiple of a33, and a33 = 1 fixes one
+    solution line of the pivot rows.
+    - The held-back row and every set-aside row vanish on the line: the
+      kernel is that line (kernel_dim 1).  A and B^-1 are read off it,
+      normalized so a11 = s22 (top-left entry of A equals the middle
+      entry of S) and det(A) = det(B) = 1, and verified by substitution.
+    - Otherwise a33 = 0, so every unknown is 0 and no (A, B) exists
+      (kernel_dim 0).  The certificate is the held-back row evaluated on
+      the line, (coefficient) * a33.  Under this pivot recipe it comes
+      out as -4 chi (d-chi)(d-2chi) / (d ((d-2) d^2 + 24 d chi' - 24 chi'^2)),
+      2/(d-4) times a33_coefficient_formula (an exact, tested relation).
+    - Fewer than 17 pivots: anomaly, as the elimination does not tell
+      whether some nonzero kernel vector has a33 = 0.  The former 18x9
+      kernel solve in B^-1 (tests/ab_oracle.py) reported such a case as
+      no_invertible with a note, or as a solution with a33 = 0.  It
+      occurs at no coprime pair of d = 5..30.
     """
-    E, Ms, Ps, M1_inv = cand.field, cand.M, cand.P, cand.M1_inv
-    rows = []
-    for i in (1, 2):
-        Q = cand.quotients[i - 1].data
-        P0, Pi = Ps[0].data, Ps[i].data
-        for r in range(3):
-            for c in range(3):
-                # entry 3k + l: P_1[r, k] Q[l, c], less P_i[r, k] if l = c
-                row = []
-                for k in range(3):
-                    p = P0[r][k]
-                    row += [p * Q[l][c] - Pi[r][k] if l == c else p * Q[l][c]
-                            for l in range(3)]
-                rows.append(row)
-    kernel = ExactMatrix._of(E, rows).kernel()
-    dim = len(kernel)
-    if dim == 0:
-        return ABResult("no_invertible", 0, certificate=_a33_certificate(cand))
-    if dim > 1:
-        return ABResult(
-            "anomaly", dim,
-            certificate={"note": f"kernel dimension {dim} (expected 1)"},
-        )
-    vec = kernel[0]
-    Bt = ExactMatrix._of(E, [[vec[3 * s + t] for t in range(3)] for s in range(3)])
-    A = (Ps[0] * Bt * M1_inv).transpose()
-    anchor = A[0, 0]
-    if anchor.is_zero():
-        return ABResult(
-            "anomaly", 1, certificate={"note": "kernel vector has a11 = 0"}
-        )
-    mu = cand.S[1, 1] / anchor
-    A = A.scale(mu)
-    Bt = Bt.scale(mu)
-    if A.det() != E.one or Bt.det() != E.one:
-        return ABResult(
-            "anomaly", 1,
-            certificate={"note": "normalized solution has det(A) or det(B^-1) != 1"},
-        )
-    B = Bt.inverse()
-    At = A.transpose()
-    for i in range(3):
-        if not (At * Ms[i] * B) == Ps[i]:
-            raise AssertionError("A, B verification failed: witness unsound")
-    return ABResult("solution", 1, A=A, B=B)
-
-
-def _a33_certificate(cand: CandidateS) -> dict:
-    """Reproduce the a33-forcing structure of the trivial kernel.
-
-    The 27x18 homogeneous system A^T M_i = P_i B^-1 in the entries of A
-    and of B^-1 has row (i, r, c) for entry (r, c) of equation i.  Hold
-    back the (i=1, row 0, col 1) equation and greedily take
-    equations, visited row-major across the three matrix equations (in
-    (r, c, i) order), that pivot on the 17 unknowns other than a33; the
-    resulting subsystem has a one-dimensional solution line parametrized
-    by a33, and the held-back equation evaluates on it to
-    (coefficient) * a33.  Rows that already reduce to a pure a33
-    multiple are set aside so a33 stays free."""
     E, Ms, Ps = cand.field, cand.M, cand.P
     rows = []
     for r, c, i in product(range(3), repeat=3):
@@ -365,15 +313,12 @@ def _a33_certificate(cand: CandidateS) -> dict:
             held_back = row
         else:
             rows.append(row)
-    # under this pivot recipe the forcing coefficient comes out as
-    # -4 chi (d-chi)(d-2chi) / (d ((d-2) d^2 + 24 d chi' - 24 chi'^2)),
-    # i.e. exactly 2/(d-4) times the coefficient of the reference
-    # elimination (an exact, tested relation)
     not_a33 = [c for c in range(18) if c != 8]
-    pivots, _ = ExactMatrix._of(E, rows).gauss_jordan(pivot_cols=not_a33)
+    pivots, rest = ExactMatrix._of(E, rows).gauss_jordan(pivot_cols=not_a33)
     if len(pivots) != 17:
-        return {"note": f"only {len(pivots)} pivots found (expected 17)"}
-    # solution line: a33 = 1, pivot unknowns from the reduced rows
+        return ABResult("anomaly", None, certificate={
+            "note": f"only {len(pivots)} pivots found (expected 17)"})
+    # the line: a33 = 1, each pivot unknown from its reduced row
     vec = [E.zero] * 18
     vec[8] = E.one
     for col, prow in pivots:
@@ -381,7 +326,30 @@ def _a33_certificate(cand: CandidateS) -> dict:
     residual = E.zero
     for coeff, val in zip(held_back, vec):
         residual = residual + coeff * val
-    return {"forcing_coefficient": residual, "normalized_unknown": "a33"}
+    if residual or any(row[8] for row in rest):
+        return ABResult("no_invertible", 0, certificate={
+            "forcing_coefficient": residual, "normalized_unknown": "a33"})
+    A = ExactMatrix._of(E, [vec[3 * k:3 * k + 3] for k in range(3)])
+    Binv = ExactMatrix._of(E, [vec[9 + 3 * k:12 + 3 * k] for k in range(3)])
+    anchor = A[0, 0]
+    if anchor.is_zero():
+        return ABResult(
+            "anomaly", 1, certificate={"note": "kernel vector has a11 = 0"}
+        )
+    mu = cand.S[1, 1] / anchor
+    A = A.scale(mu)
+    Binv = Binv.scale(mu)
+    if A.det() != E.one or Binv.det() != E.one:
+        return ABResult(
+            "anomaly", 1,
+            certificate={"note": "normalized solution has det(A) or det(B^-1) != 1"},
+        )
+    B = Binv.inverse()
+    At = A.transpose()
+    for i in range(3):
+        if not (At * Ms[i] * B) == Ps[i]:
+            raise AssertionError("A, B verification failed: witness unsound")
+    return ABResult("solution", 1, A=A, B=B)
 
 
 def a33_coefficient_formula(d: int, chi1: int, chi2: int):
@@ -495,6 +463,8 @@ class Verdict:
     verdict: str  # "NoObstruction" | "ObstructionFound"
     expected_isomorphic: bool
     witness: dict = None
+    # one per candidate that failed, also when another gave the witness;
+    # the JSON carries them only for an obstruction
     certificates: list = dc_field(default_factory=list)
     kernel_dims: dict = dc_field(default_factory=dict)
     note: str = None
@@ -516,7 +486,7 @@ class Verdict:
         }
         if self.witness is not None:
             out["witness"] = self.witness
-        if self.certificates:
+        elif self.certificates:
             out["certificates"] = self.certificates
         if self.note:
             out["note"] = self.note
@@ -534,8 +504,8 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     one integer elimination of the truncated matrix at the point, equal
     to the symbolic blocks evaluated there.  Neither the relation
     expansion nor the elimination over QQ(d, chi1) is run.  Each side,
-    with its pencil cubic, M_1^-1 and M_1^-1 M_i, comes from side_at,
-    which makes it once per process."""
+    with its pencil cubic, comes from side_at, which makes it once per
+    process."""
     _require_positive(d)
     if math.gcd(d, chi1) != 1 or math.gcd(d, chi2) != 1:
         raise NotCoprime(f"chi1={chi1}, chi2={chi2} must be coprime to d={d}")
@@ -559,11 +529,9 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
             if ab.status == "anomaly":
                 raise NoCandidate(f"{label}: {ab.certificate['note']}")
             if ab.status == "no_invertible":
-                cert = {"candidate": label, "stage": "AB"}
-                fc = (ab.certificate or {}).get("forcing_coefficient")
-                if fc is not None:
-                    cert["a33_forcing_coefficient"] = str(fc)
-                certificates.append(cert)
+                certificates.append({
+                    "candidate": label, "stage": "AB",
+                    "a33_forcing_coefficient": str(ab.certificate["forcing_coefficient"])})
                 continue
             uv = solve_UV(cand, ab.A)
             if uv.status == "solvable":
@@ -591,10 +559,8 @@ def decide(d: int, chi1: int, chi2: int) -> Verdict:
     # differs (the quadratic-factor twist of the identity witness does
     # not extend); the verdict is existential over candidates, with
     # per-candidate kernel dimensions and certificates recorded.
-    if witness is not None:
-        return Verdict(d, c1, c2, "NoObstruction", expected, witness=witness,
-                       kernel_dims=kernel_dims)
-    return Verdict(d, c1, c2, "ObstructionFound", expected,
+    verdict = "ObstructionFound" if witness is None else "NoObstruction"
+    return Verdict(d, c1, c2, verdict, expected, witness=witness,
                    certificates=certificates, kernel_dims=kernel_dims)
 
 

@@ -52,13 +52,19 @@ def lifted(mats: list, field: FracField, rename: bool) -> list:
                                  for x in row] for row in m.data]) for m in mats]
 
 
+def generic_sides(blocks: tuple, field: FracField) -> tuple:
+    """The chi side of the blocks (M, N), and the chi' side: the same
+    blocks with chi1 renamed to chi2, both over field."""
+    return (side(*(lifted(mats, field, False) for mats in blocks)),
+            side(*(lifted(mats, field, True) for mats in blocks)))
+
+
 def type_II_coordinates(blocks: tuple, field: FracField) -> tuple:
     """(c0, c1, c2): the coordinates along 1, t and t^2 of AA*DD - BB*CC for
-    the chi side blocks and the chi' side the same blocks with chi1
-    renamed to chi2, over field.  Raises EliminationFailure unless there
-    is one Type II candidate and its (A, B) system has a solution."""
-    cands = solve_S("II", side(*(lifted(mats, field, False) for mats in blocks)),
-                    side(*(lifted(mats, field, True) for mats in blocks)))
+    the sides of generic_sides(blocks, field).  Raises EliminationFailure
+    unless there is one Type II candidate and its (A, B) system has a
+    solution."""
+    cands = solve_S("II", *generic_sides(blocks, field))
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} Type II candidates over {field!r}")
     cand = cands[0]

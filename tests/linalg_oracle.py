@@ -4,8 +4,10 @@ det_cofactor is the cofactor expansion along the first row, a
 determinant independent of ExactMatrix.det's forward elimination.
 solve is the general solver the package used before each of its
 systems got its own elimination: one gauss_jordan of [A | rhs] with a
-transform, pivoting left of the bar.  rank and identity are the small
-helpers the tests need.
+transform, pivoting left of the bar.  kernel is the kernel basis
+ExactMatrix.kernel gave before obstruction.solve_AB took its (A, B)
+line from one elimination (tests/ab_oracle.py still uses it).  rank
+and identity are the small helpers the tests need.
 """
 
 from tautrel.linalg import ExactMatrix
@@ -13,6 +15,13 @@ from tautrel.linalg import ExactMatrix
 
 def rank(M: ExactMatrix) -> int:
     return len(M.gauss_jordan()[0])
+
+
+def kernel(M: ExactMatrix) -> list:
+    """Basis of the right kernel of M, as lists of field elements: read off
+    the pivot rows of gauss_jordan, one vector per free column, in column
+    order."""
+    return _kernel(M.field, M.cols, M.gauss_jordan()[0])
 
 
 def identity(field, n: int) -> ExactMatrix:

@@ -138,10 +138,10 @@ def test_criterion_6_type_I_contradiction():
                     ab = solve_AB(cand)
                     ok = ok and ab.status == "no_invertible" and ab.kernel_dim == 0
                     fc = ab.certificate.get("forcing_coefficient")
-                    ok = ok and fc is not None and fc.is_base()
-                    # exact relation to the reference forcing coefficient
+                    # exact relation to the reference forcing coefficient,
+                    # a rational number
                     want = a33_coefficient_formula(d, c1, c2) * Rat(2, d - 4)
-                    ok = ok and fc.base_part() == want and want != 0
+                    ok = ok and fc is not None and fc == want and want != 0
     _report(6, "Type I a33 contradiction d=5..8, all coprime pairs", ok)
 
 
@@ -170,6 +170,23 @@ def test_criterion_7_congruence_sweep():
                 ok = ok and w["S"] == smat and w["A"] == sgn and w["B"] == sgn
     ok = ok and not digests
     _report(7, "verdict = congruence with reference witnesses and recorded digests, sweep d=5..8", ok)
+
+
+# the same digests for every coprime pair at d = 9..12, recorded before
+# solve_AB became one elimination of the 27x18 system
+DECIDE_DIGESTS_9_12 = os.path.join(os.path.dirname(__file__), "fixtures",
+                                   "decide_d9_12.sha256.json")
+
+
+def test_decide_matches_recorded_digests_d9_12():
+    with open(DECIDE_DIGESTS_9_12) as fh:
+        digests = json.load(fh)
+    got = {}
+    for d in range(9, 13):
+        for (c1, c2) in coprime_pairs(d):
+            body = json.dumps(decide(d, c1, c2).to_json(), sort_keys=True, separators=(",", ":"))
+            got[f"{d} {c1} {c2}"] = hashlib.sha256(body.encode()).hexdigest()
+    assert len(digests) == 96 and got == digests
 
 
 def test_criterion_8_P1_property_suite():

@@ -62,6 +62,9 @@ STALE_GROUP_NAMES = {
     # read 0
     "constraint.constraint_slice",
     "constraint.solve_AB_reduced",
+    # CHANGES.md FOUND: linalg.kernel.calls reads 0 since solve_AB reads
+    # its line off one elimination
+    "linalg.ExactMatrix.kernel",
 }
 
 

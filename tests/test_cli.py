@@ -95,6 +95,34 @@ def test_verify_rejects_non_integer_chi():
     assert_usage_error("verify", "--d", "5", "--chi", "abc")
 
 
+def test_verify_chi2_solves_each_pair_once(monkeypatch):
+    # the Type I checks read decide's verdict: S is solved once per type
+    from tautrel import obstruction
+
+    calls = []
+    real = obstruction.solve_S
+
+    def counted(stype, *sides):
+        calls.append(stype)
+        return real(stype, *sides)
+
+    monkeypatch.setattr(obstruction, "solve_S", counted)
+    monkeypatch.setattr(cli, "solve_S", counted, raising=False)
+    code, out, _ = run_cli("verify", "--d", "9", "--chi", "2", "--chi2", "4")
+    assert code == 0 and "[PASS] type_I_a33_certificate[" in out
+    assert calls == ["I", "II"]
+
+
+def test_verify_chi2_checks_the_forcing_coefficient(monkeypatch):
+    # a formula off by a factor fails the certificate check, with both values
+    formula = cli.a33_coefficient_formula
+    monkeypatch.setattr(cli, "a33_coefficient_formula", lambda *pair: 2 * formula(*pair))
+    code, out, _ = run_cli("verify", "--d", "7", "--chi", "2", "--chi2", "5")
+    assert code == 1
+    assert "[FAIL] type_I_a33_certificate[t^3 + 30527/75]  expected -48/679, got -24/679" in out
+    assert "[PASS] type_I_no_solution[t^3 + 30527/75]" in out
+
+
 def test_verify_rejects_chi2_out_of_range():
     assert_usage_error("verify", "--d", "5", "--chi", "1", "--chi2", "7")
 

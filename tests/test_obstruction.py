@@ -29,8 +29,9 @@ from tautrel.obstruction import (
     _solve_uv_block,
 )
 from tautrel.rat import QQ, Rat
-from tautrel.symbolic import symbolic_matrices_at
-from constraint_oracle import lifted, uni_blocks
+from tautrel.symbolic import symbolic_MN, symbolic_matrices_at
+import ab_oracle
+from constraint_oracle import GEN_FIELD, generic_sides, lifted, uni_blocks
 from linalg_oracle import identity
 import pencil_oracle
 from pencil_oracle import S_VARS, _coeff_equations_table, _partial, _pencil_rhs_poly
@@ -290,10 +291,46 @@ def test_solve_AB_type_I_contradiction():
     for cand in solve_S("I", block_side(5, 1), block_side(5, 2)):
         ab = solve_AB(cand)
         assert ab.status == "no_invertible" and ab.kernel_dim == 0
-        fc = ab.certificate["forcing_coefficient"]
-        assert fc.is_base()
         want = a33_coefficient_formula(5, 1, 2) * Rat(2, 1)  # 2/(d-4) at d=5
-        assert fc.base_part() == want
+        assert ab.certificate["forcing_coefficient"] == want
+
+
+def _ab_outcome(ab):
+    """What the tests compare of an (A, B) result."""
+    return (ab.status, ab.kernel_dim, ab.A, ab.B,
+            (ab.certificate or {}).get("forcing_coefficient"))
+
+
+def test_solve_AB_matches_the_two_step_oracle():
+    # the one elimination gives what the 18x9 kernel solve in B^-1 and the
+    # separate a33 certificate gave, by ==, for every candidate at every
+    # coprime pair of d = 5..12 and over Q(chi1, chi2) at d = 5 and 8
+    cases = [(side_at(d, a), side_at(d, b)) for d in range(5, 13) for a, b in coprime_pairs(d)]
+    cases += [tuple(side(*pair) for pair in generic_blocks(d)) for d in (5, 8)]
+    statuses = []
+    for s, s_p in cases:
+        for stype in ("I", "II"):
+            for cand in solve_S(stype, s, s_p):
+                got, want = _ab_outcome(solve_AB(cand)), _ab_outcome(ab_oracle.solve_AB(cand))
+                assert got == want
+                statuses.append(got[0])
+    assert len(cases) == 142
+    assert (statuses.count("solution"), statuses.count("no_invertible")) == (206, 142)
+
+
+def test_type_I_has_no_AB_over_the_function_field():
+    # Type I over Q(d, chi1, chi2), from the blocks of symbolic_MN: one
+    # candidate, a trivial (A, B) kernel, and the forcing coefficient
+    # 2/(d-4) a33_coefficient_formula, identically in (d, chi1, chi2)
+    cands = solve_S("I", *generic_sides(symbolic_MN(), GEN_FIELD))
+    assert len(cands) == 1
+    ab = solve_AB(cands[0])
+    assert (ab.status, ab.kernel_dim) == ("no_invertible", 0)
+    fc = ab.certificate["forcing_coefficient"]
+    d, chi, chi_p = (GEN_FIELD.gen(v) for v in ("d", "chi1", "chi2"))
+    formula = -2 * chi * (d - 4) * (d - chi) * (d - 2 * chi) / (
+        d * ((d - 2) * d * d + 24 * d * chi_p - 24 * chi_p * chi_p))
+    assert fc == GEN_FIELD.coerce(2) / (d - 4) * formula
 
 
 def test_solve_UV_identity_and_inconsistent():
@@ -378,8 +415,8 @@ def test_decide_computes_the_pencil_once(monkeypatch, cold_sides):
 
 def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
     # solve_S lifts each chi-side block to the candidate's extension once
-    # and forms P and Q once; solve_AB, the a33 certificate and solve_UV
-    # read them from the candidate.  A cold cache per pair makes decide
+    # and forms P and Q once; solve_AB and solve_UV read them from the
+    # candidate.  A cold cache per pair makes decide
     # evaluate each distinct side once: twice for (1, 2), once for (1, 1)
     sides, lifted, combined = [], [], []
 
@@ -406,7 +443,8 @@ def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
         sides.clear(), lifted.clear(), combined.clear()
         v = decide(5, *pair)
         n = len(v.kernel_dims)
-        # both the a33 certificate (kernel 0) and solve_UV (kernel 1) ran
+        # both the a33 certificate (kernel 0) and a solution that reached
+        # solve_UV (kernel 1)
         assert v.agrees and {0, 1} <= set(v.kernel_dims.values())
         if pair[0] == pair[1]:
             (M, N), = sides
@@ -423,8 +461,7 @@ def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
 
 def _side_snapshot(s):
     """Every value a side holds, as text."""
-    return (repr(s.M), repr(s.N), repr(s.M1_inv), repr(s.quotients),
-            sorted((k, str(v)) for k, v in s.cubic.items()))
+    return (repr(s.M), repr(s.N), sorted((k, str(v)) for k, v in s.cubic.items()))
 
 
 @pytest.mark.parametrize("d, a, b", [(5, 1, 2), (7, 1, 2), (9, 4, 5)])
@@ -453,7 +490,7 @@ def test_cached_side_is_unchanged_by_decide(cold_sides):
         # and equal to a side made afresh from the blocks
         assert _side_snapshot(side(*symbolic_matrices_at(d, a))) == before[0]
     with pytest.raises(AttributeError):
-        sides[0].M1_inv = None
+        sides[0].cubic = None
 
 
 def _candidate_strs(cands):
