@@ -8,7 +8,7 @@ from .mpoly import MPoly
 from .ratfunc import FracField, RatFunc, mpoly_gcd
 from .cubicext import CubicExt, CubicField, NotInvertible, factor_t3_minus_r
 from .linalg import DimensionMismatch, ExactMatrix, NonSquareDet
-from .relations import RelationSet, build_relation_set, verify_rank12
+from .relations import RelationSet, TrackedBlock, build_relation_set, tracked_block, verify_rank12
 from .truncation import checkpoint_reference_M, matrices_M, matrices_N, truncation_block
 from .obstruction import Verdict, congruent, decide, side, side_at, solve_AB, solve_S, solve_UV
 from .constraint import constraint_analysis
@@ -29,6 +29,8 @@ __all__ = [
     "NonSquareDet",
     "RelationSet",
     "build_relation_set",
+    "TrackedBlock",
+    "tracked_block",
     "verify_rank12",
     "checkpoint_reference_M",
     "matrices_M",

@@ -74,6 +74,7 @@ every valid b for d = 5..12.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
@@ -236,10 +237,15 @@ def constraint_analysis(d: int) -> ConstraintReport:
     """The constraint analysis at d, symbolic in chi: recovers the
     quartic P1, verifies the structure of the slice constraints and,
     at each congruent pair, the per-branch necessity of the held-back
-    pair."""
-    if d in _REPORT_CACHE:
-        return _REPORT_CACHE[d]
+    pair.  Each call returns a copy of the cached report, so a caller
+    that changes what it got cannot change a later answer."""
+    if d not in _REPORT_CACHE:
+        _REPORT_CACHE[d] = _analysis(d)
+    return copy.deepcopy(_REPORT_CACHE[d])
 
+
+def _analysis(d: int) -> ConstraintReport:
+    """The report of constraint_analysis(d), computed."""
     coord_t, coord_t2 = _coordinates(d)
     report = ConstraintReport(d=d)
     x = MPoly.variable("chi1")
@@ -320,5 +326,4 @@ def constraint_analysis(d: int) -> ConstraintReport:
         report.pair_agreement.append(
             {"chi1": a, "chi2": b, "branches": rows, "agrees": ok}
         )
-    _REPORT_CACHE[d] = report
     return report

@@ -8,9 +8,11 @@ relations._eliminate, for the build and the fallback rank of
 relations.verify_rank12: their integer numerators at their twelve
 leading monomials beside an identity, whose part records the
 combinations of the rows that give R1..R3, and at every monomial only
-when the leading ones have rank < 12.  It also eliminates the point
-path's rows of the truncated matrix, scaled to integers, in
-symbolic_matrices_at, and over each candidate's extension the 27x18
+when the leading ones have rank < 12.  It also eliminates the twelve
+relations at the 27 tracked monomials, scaled to integers, for R1..R3
+of a relations.TrackedBlock, and the point path's rows of the
+truncated matrix, scaled to integers, in symbolic_matrices_at, and
+over each candidate's extension the 27x18
 (A, B) system of obstruction.solve_AB, pivoting on every column but
 a33, and the (U, V) block of obstruction.solve_UV.  The pivot rule:
 rows are visited top to bottom, so a caller that wants another order

@@ -1,10 +1,62 @@
 """Production of the degree-d relations.
 
-For each n in {1,2,3} the generating identity is a sum over partition
-tuples of products of beta-twisted linear factors; summed over all
-partitions it is the degree-ell piece of exp(sum_k (k-1)! F_k), so the
-full expansion is computed by the standard recurrence
-m*E_m = sum_k k!*F_k*E_{m-k}.  Pushing forward the degree d+1 and d+2
+Two paths make the twelve degree-d relations at (d, chi), and every
+consumer reads them as one 12x27 block (TrackedBlock): their entries at
+the 27 tracked monomials of tautalg's layout.
+
+- tracked_block(d, chi) makes only those entries, by the closed form of
+  exp(L) below, in about the same time at every d.  verify and emit
+  --what matrices read it: det1, det2, the pivot minor, the Mon1 and
+  Mon2 minors, and R1..R3 at the 27 columns as rows 9-11 of the
+  block's reduced row echelon form.
+- build_relation_set(d, chi) expands every relation in full by the
+  recurrence below.  It keeps three roles: emit --what relations, which
+  prints whole rows; the rank fallback of verify_rank12 when the
+  block's pivot minor vanishes, so that a broken set still reports its
+  true rank; and the live cross-derivation of verify --mode symbolic.
+  It is also the tests' oracle for the closed form.  RelationSet.block()
+  reads the same block off its own rows (_entries), so the recurrence
+  feeds the same consumers.
+
+The closed form.  L = sum_s (s-1)! F_s, s = 1..d+2, is linear in the
+generators: each term of F_s is beta^b times one generator c_k(j) or
+the scalar ct_0(1) = -d (tautalg.factor_table).  So L = lam(beta) +
+sum_g ell_g(beta) g, with lam = lam_1 beta + lam_2 beta^2 its scalar
+part and ell_g = sum (s-1)! c (-1)^(k+1) beta^b over the terms
+c beta^b ct_k(j) of the F_s with g = c_k(j).  Its terms commute, so
+exp(L) = exp(lam) prod_g exp(ell_g g), and mod beta^3 the coefficient
+of prod_g g^(e_g) beta^i in exp(L) is
+
+    [beta^i] (1 + lam_1 beta + (lam_2 + lam_1^2/2) beta^2) prod_g ell_g^(e_g) / e_g!.
+
+A term of F_s has weight s (its generator's degree plus its power of
+beta), so this coefficient belongs to E_m, m = deg + i, and over the
+(d-3)! of the build's normalization below it gives the entries of the
+twelve relations at a tracked monomial mu: [beta^2] of mu/g for
+g Ra^n (0 where g does not divide mu), [beta^1] of mu for Rb^n and
+-[beta^2] of mu for Rc^n.
+
+The pivots.  For d >= 5 the twelve layout pivots, mon1(d) and mon2(d),
+are the twelve largest degree-d monomials, and they are the first
+twelve of tautalg.tracked_monos(d).  Every generator has degree >= 1,
+and a large generator (degree >= d-2 >= 3) sorts above every small one
+(degree <= 2), so a degree-d monomial has at most one large generator
+(2(d-2) > d) and sorts by it first.  The degree-d ones headed by a
+generator of degree d are the three of LARGE[0]; those headed by one of
+degree d-1 are LARGE[1] times a degree-1 generator, DEG1 (c1(1)
+vanishes); the highest generator of degree d-2 is c_{d-1}(0), and of
+the monomials it heads, the three with a degree-2 generator (DEG2) sort
+above the products of two degree-1 ones, because DEG2 sorts above DEG1.
+Every other degree-d monomial sorts below these twelve.  So when the
+12x12 minor at them is nonzero they are the pivots of the echelon form,
+which is P^-1 A for that minor P: R1..R3 at the 27 columns read no
+other column, and each R_i's leading monomial is its pivot.
+
+The recurrence.  For each n in {1,2,3} the generating identity is a
+sum over partition tuples of products of beta-twisted linear factors;
+summed over all partitions it is the degree-ell piece of
+exp(sum_k (k-1)! F_k), so the full expansion is computed by the
+standard recurrence m*E_m = sum_k k!*F_k*E_{m-k}.  Pushing forward the degree d+1 and d+2
 pieces yields the nine relations R_a^n, R_b^n, R_c^n; eliminating the
 nine monomials that involve generators of degree d-1 and d leaves the
 three canonical relations R_1, R_2, R_3 in row echelon form.
@@ -68,22 +120,22 @@ the reduced row echelon form.  The build unpacks the twelve pivot
 monomials and the monomials of R_1..R_3, each checked to have degree d.
 The rows and R_1..R_3 of a RelationSet are read-only mappings, since
 the set is cached.  Every coefficient is read by one point read,
-_entries: det1, det2, the minors of verify_rank12 and the M/N blocks
-of truncation pack the monomials they read, look them up, and divide
-one numerator by its row's denominator.
+_entries: det1, det2 and the block of RelationSet.block() pack the
+monomials they read, look them up, and divide one numerator by its
+row's denominator.
 
-The monomials read by name (det1's, the minors', the leading ones of
-R1..R3) and the multipliers of Ra^n come from tautalg's layout.
+The monomials read by name (det1's, the minors', the 27 of a block) and
+the multipliers of Ra^n come from tautalg's layout.
 
 The factors F_s come from tautalg.factor_table, the one definition of
 their eight terms and of the degenerate symbols that symbolic expands
 too: each coefficient is evaluated at (d, chi) and signed into the
-c_k(j) basis.
+c_k(j) basis (_factors), for both paths.
 
-verify_rank12 certifies rank 12 by the nonzero 12x12 minor of the
-twelve relations at the build's pivot monomials, which needs no second
-elimination; only when that minor vanishes does it take the full rank,
-by the same _eliminate of the same integer rows.
+verify_rank12 certifies rank 12 by the nonzero 12x12 minor of a block
+at the twelve layout pivots, which needs no elimination; only when that
+minor vanishes does it take the full rank, by _eliminate of the integer
+rows of the block's relation set, which the product path builds then.
 """
 
 from __future__ import annotations
@@ -91,8 +143,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import partial, reduce
 from types import MappingProxyType
 
 from .linalg import ExactMatrix, int_gauss_jordan
@@ -108,6 +160,7 @@ from .tautalg import (
     gen_key,
     large_gen,
     mono_str,
+    tracked_monos,
     twisted_symbol,
 )
 
@@ -369,6 +422,131 @@ def _entries(packing: _Packing, rows, dens, monos) -> list:
     return [[Rat(row.get(k, 0), den) for k in keys] for row, den in zip(rows, dens)]
 
 
+# -- the twelve relations at the 27 tracked monomials ------------------------
+
+
+@dataclass(frozen=True)
+class TrackedBlock:
+    """The twelve degree-d relations at (d, chi), in the order of
+    _twelve_rows, at the 27 tracked monomials tracked_monos(d): rows is
+    12 tuples of 27 rationals, and R holds R1, R2, R3 at the same
+    columns, rows 9-11 of the reduced row echelon form of rows (a zero
+    row past the rank).  det1 and det2 are those of the path that made
+    the block, and relation_set() returns the RelationSet whose full
+    rows give verify_rank12's fallback rank."""
+
+    d: int
+    chi: int
+    rows: tuple
+    R: tuple
+    det1: object
+    det2: object
+    relation_set: object = field(compare=False, repr=False)
+
+    def leading_monos(self) -> list:
+        """The leading monomials of R1, R2, R3 (None for a zero row): each
+        row's first nonzero column, its pivot (module docstring)."""
+        monos = tracked_monos(self.d)
+        return [next((m for m, x in zip(monos, row) if x), None) for row in self.R]
+
+
+def _minor(rows, d: int, monos):
+    """The determinant of rows at the tracked monomials monos of d."""
+    index = {m: i for i, m in enumerate(tracked_monos(d))}
+    cols = [index[m] for m in monos]
+    return ExactMatrix._of(QQ, [[row[j] for j in cols] for row in rows]).det()
+
+
+def _dets(rows, d: int) -> tuple:
+    """(det1, det2) of the twelve rows at the tracked monomials of d:
+    det1 the minor of Ra^n at LARGE[1], read off the c2(0) Ra^n rows at
+    LARGE[1] x c2(0), and det2 that of Rb^n, Rc^n at mon2(d)."""
+    return _minor(rows[0:6:2], d, mon1(d)[0::2]), _minor(rows[6:12], d, mon2(d))
+
+
+def _tracked(d: int, chi: int, rows, det1, det2, relation_set) -> TrackedBlock:
+    """The block of the twelve rows at the 27 tracked columns, R1..R3
+    from one elimination: each row scaled to integers by the lcm of its
+    denominators, int_gauss_jordan, and rows 9-11 divided by their
+    pivot entries."""
+    ints = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints.append([(x * den).numerator for x in row])
+    found = int_gauss_jordan(ints)[9:12]
+    R = tuple(tuple(Rat(x, row[col]) for x in row) for col, row in found)
+    R += ((Rat(0),) * len(rows[0]),) * (3 - len(R))
+    return TrackedBlock(d, chi, tuple(map(tuple, rows)), R, det1, det2, relation_set)
+
+
+def _linear_form(n: int, d: int, chi: int) -> tuple:
+    """(lam, ell): L = sum_s (s-1)! F_s, s = 1..d+2, at (n, d, chi), by
+    its scalar part lam and the coefficient ell[g] of each generator g,
+    each a list [b0, b1, b2] of its beta^i components (module
+    docstring).  A generator that L does not hold reads as 0."""
+    lam = [Rat(0)] * 3
+    ell = defaultdict(lambda: [Rat(0)] * 3)
+    w = 1  # (s-1)!
+    for s, parts in enumerate(_factors(n, d, chi, d + 2), start=1):
+        for beta, part in enumerate(parts):
+            for mono, c in part.items():
+                (ell[mono[0]] if mono else lam)[beta] += w * c
+        w *= s
+    if lam[0]:
+        raise ValueError("the scalar part of L has a beta^0 term")
+    return lam, ell
+
+
+def _exp_scalar(lam) -> tuple:
+    """exp(lam) mod beta^3 for lam = lam_1 beta + lam_2 beta^2."""
+    return (Rat(1), lam[1], lam[2] + lam[1] * lam[1] / 2)
+
+
+def _beta_mul(p, q) -> tuple:
+    """p q mod beta^3, each a sequence of its beta^0..2 components."""
+    return (p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[0] * q[2] + p[1] * q[1] + p[2] * q[0])
+
+
+def _exp_coefficient(exp_lam, ell, mono) -> tuple:
+    """The beta^0..2 components of the coefficient of the tuple monomial
+    mono in exp(L): exp(lam) prod_g ell[g]^e_g / e_g! mod beta^3."""
+    out = exp_lam
+    for g in mono:
+        out = _beta_mul(out, ell[g])
+    den = math.prod(math.factorial(mono.count(g)) for g in set(mono))
+    return tuple(x / den for x in out)
+
+
+def _divided(mono: tuple, g) -> tuple:
+    """mono / g for a generator g of the tuple monomial mono."""
+    i = mono.index(g)
+    return mono[:i] + mono[i + 1:]
+
+
+def tracked_block(d: int, chi: int) -> TrackedBlock:
+    """The twelve degree-d relations at the 27 tracked monomials at
+    (d, chi), by the closed form of exp(L) (module docstring), with the
+    det1 and det2 of its rows (_dets, as the build takes them).  The
+    points are those of build_relation_set, which the block calls only
+    for a fallback rank."""
+    chi = _checked_point(d, chi)
+    monos = tracked_monos(d)
+    fact = math.factorial(d - 3)
+    ra, rb, rc = [], [], []
+    for n in (1, 2, 3):
+        lam, ell = _linear_form(n, d, chi)
+        exp_lam = _exp_scalar(lam)
+        for g in DEG1:
+            # g Ra^n at m is Ra^n at m/g, 0 where g does not divide m
+            ra.append([_exp_coefficient(exp_lam, ell, _divided(m, g))[2] / fact
+                       if g in m else Rat(0) for m in monos])
+        coeffs = [_exp_coefficient(exp_lam, ell, m) for m in monos]
+        rb.append([c[1] / fact for c in coeffs])
+        rc.append([-c[2] / fact for c in coeffs])
+    rows = ra + rb + rc
+    return _tracked(d, chi, rows, *_dets(rows, d), partial(build_relation_set, d, chi))
+
+
 @dataclass(frozen=True)
 class RelationSet:
     """The relations at (d, chi).  rows are the twelve degree-d relations
@@ -391,9 +569,11 @@ class RelationSet:
     det2: object
     pivot_monos: tuple
 
-    def leading_monos(self) -> list:
-        """The leading monomials of R1, R2, R3: each row's largest key."""
-        return [self.packing.unpack(max(row), self.d) for row in self.R_rows]
+    def block(self) -> "TrackedBlock":
+        """The twelve rows at the 27 tracked monomials, read by _entries,
+        with the build's det1 and det2; this set gives its fallback rank."""
+        rows = _entries(self.packing, self.rows, self.dens, tracked_monos(self.d))
+        return _tracked(self.d, self.chi, rows, self.det1, self.det2, lambda: self)
 
     def to_json(self) -> dict:
         out = {
@@ -416,11 +596,10 @@ class RelationSet:
 _REL_CACHE: dict = {}
 
 
-def build_relation_set(d: int, chi: int) -> RelationSet:
-    """Compute the relation set at (d, chi).
-
-    Requires d >= 5, an integer chi, gcd(d, chi) = 1 and 0 < chi < d.
-    """
+def _checked_point(d: int, chi: int) -> int:
+    """chi as an int, once (d, chi) is a point the relations are made at:
+    d >= 5, gcd(d, chi) = 1 and 0 < chi < d; ValueError otherwise, and
+    TypeError for a chi that is not an integer."""
     if d < 5:
         raise ValueError("d >= 5 required")
     chi = operator.index(chi)  # a float or Fraction raises, not truncates
@@ -428,6 +607,15 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
         raise ValueError(f"chi={chi} not coprime to d={d}")
     if not 0 < chi < d:
         raise ValueError("0 < chi < d required")
+    return chi
+
+
+def build_relation_set(d: int, chi: int) -> RelationSet:
+    """Compute the relation set at (d, chi).
+
+    Requires d >= 5, an integer chi, gcd(d, chi) = 1 and 0 < chi < d.
+    """
+    chi = _checked_point(d, chi)
     key = (d, chi)
     hit = _REL_CACHE.get(key)
     if hit is not None:
@@ -450,13 +638,10 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     Ra, Rb, Rc = ([{m: t[n] for m, t in part.items() if t[n]} for n in range(3)]
                   for part in (G[d + 1].b2, G[d + 1].b1, G[d + 2].b2))
 
-    singles = [(large_gen(d, o),) for o in LARGE[1]]
-    det1 = ExactMatrix._of(QQ, _entries(packing, Ra, den1, singles)).det()
-    det2 = ExactMatrix._of(QQ, _entries(packing, Rb + Rc, den1 + den2, mon2(d))).det()
+    rows, dens = _twelve_rows(packing, Ra, Rb, Rc, den1, den2)
+    det1, det2 = _dets(_entries(packing, rows, dens, tracked_monos(d)), d)
     if not det1 or not det2:
         raise SingularCheckpoint(f"det1={det1}, det2={det2} at (d,chi)=({d},{chi})")
-
-    rows, dens = _twelve_rows(packing, Ra, Rb, Rc, den1, den2)
     # R1..R3 are rows 9-11 of the echelon form
     pivots, R_rows = _eliminate(rows, slice(9, 12))
     if len(pivots) != 12:
@@ -483,41 +668,35 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     return rel
 
 
-def verify_rank12(rel: RelationSet):
-    """Rank and minor checkpoints on the 12 degree-d relations of rel.
+def verify_rank12(block: TrackedBlock):
+    """Rank and minor checkpoints on the 12 degree-d relations of block.
 
     Returns (ok, trace).  trace records the rank, the Mon1 minor
     determinant (must be det1^2) and the Mon2 minor determinant of rows
     6-11, Rb^n and Rc^n, whose matrix is det2's (must be det2).
 
     Twelve rows have rank at most 12, so a nonzero 12x12 minor proves
-    rank 12.  The minor taken is the one at the twelve pivot monomials
-    of the build's own elimination (by det, which runs its own forward
-    elimination), so the 12xN matrix is not eliminated a second time.
-    Only when that minor vanishes, or no pivots are recorded, is the
-    full rank computed, by the build's own elimination of the same
-    integer rows, so a broken relation set reports its true rank.  The
-    minors' entries are point reads of the packed rows (_entries).
+    rank 12.  The minor taken is the one at the twelve layout pivots, so
+    nothing is eliminated.  Only when that minor vanishes is the full
+    rank computed, by _eliminate of the integer rows of the block's
+    relation set, so a broken relation set reports its true rank.
     """
-    d, pivots = rel.d, rel.pivot_monos
-    def entries(monos):
-        return _entries(rel.packing, rel.rows, rel.dens, monos)
-
-    if len(pivots) == 12 and ExactMatrix._of(QQ, entries(pivots)).det():
+    d = block.d
+    if _minor(block.rows, d, mon1(d) + mon2(d)):
         rank = 12
     else:
-        rank = len(_eliminate(rel.rows)[0])
+        rank = len(_eliminate(block.relation_set().rows)[0])
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
-    m1 = ExactMatrix._of(QQ, entries(mon1(d))[0:6]).det()
-    m2 = ExactMatrix._of(QQ, entries(mon2(d))[6:12]).det()
-    ok = rank == 12 and m1 == rel.det1 * rel.det1 and m2 == rel.det2
+    m1 = _minor(block.rows[0:6], d, mon1(d))
+    m2 = _minor(block.rows[6:12], d, mon2(d))
+    ok = rank == 12 and m1 == block.det1 * block.det1 and m2 == block.det2
     trace = {
         "rank": rank,
         "mon1_minor_det": m1,
-        "det1_squared": rel.det1 * rel.det1,
+        "det1_squared": block.det1 * block.det1,
         "mon2_minor_det": m2,
-        "det2": rel.det2,
+        "det2": block.det2,
     }
     return ok, trace
 

@@ -120,6 +120,16 @@ def large_gen(d: int, offset) -> tuple:
     return (d + a, j)
 
 
+def tracked_monos(d: int) -> list:
+    """The 27 tracked degree-d monomials at a concrete d >= 5, in
+    descending order: LARGE[0], LARGE[1] x DEG1, LARGE[2] x (DEG2 +
+    SQUARES), each large generator times each small monomial.  The first
+    twelve are the pivots of R1..R3's echelon form (relations)."""
+    smalls = ((),), tuple((u,) for u in DEG1), tuple((u,) for u in DEG2) + SQUARES
+    return [(large_gen(d, o),) + small for group, small_i in zip(LARGE, smalls)
+            for o in group for small in small_i]
+
+
 # -- the beta-twisted factor ----------------------------------------------
 
 

@@ -5,11 +5,13 @@ generator) monomials.
 
 The bases of both blocks are the layout of the truncated system in
 tautalg: rows LARGE[2] at d, columns DEG2 and SQUARES.  Both blocks are
-point reads of the packed rows R1, R2, R3 of a RelationSet
-(relations._entries, the read that det1, det2 and the rank minors use):
-the entry at (left, right) is the coefficient of the product monomial,
-0 when the product holds a generator outside the packing.  The M_i
-have known closed forms which are kept here as templates and checked
+read from R1, R2, R3 of a relations.TrackedBlock, rows 9-11 of the
+echelon form of the twelve relations at the 27 tracked monomials: the
+entry at (left, right) is R_i's coefficient of the product monomial.
+Every consumer here reads a block, whichever path made it:
+relations.tracked_block (the closed form, which verify and emit --what
+matrices read) or RelationSet.block() (the full expansion, which verify
+--mode symbolic and the tests read).  The M_i have known closed forms which are kept here as templates and checked
 entry by entry; the N_i are produced by the pipeline itself and
 validated by an independent elimination path plus their downstream
 behaviour.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .linalg import ExactMatrix
 from .rat import QQ
-from .relations import RelationSet, _entries
+from .relations import TrackedBlock
 from .tautalg import (
     DEG2,
     LARGE,
@@ -31,6 +33,7 @@ from .tautalg import (
     mono_degree,
     mono_mul,
     mono_str,
+    tracked_monos,
 )
 
 
@@ -38,30 +41,30 @@ class CheckpointMismatch(AssertionError):
     pass
 
 
-def matrices_M(rel: RelationSet) -> list:
+def matrices_M(block: TrackedBlock) -> list:
     """Rows indexed by the degree-(d-2) generators, columns by the
     degree-2 ones: M_i[s][t] = [c_{d-1-s}(s) c_{3-t}(t)] R_i.  This is
     the orientation under which the change-of-relations equation reads
     A^T M_i B = sum_j s_ij M'_j."""
-    return _blocks(rel, [(u,) for u in DEG2])
+    return _blocks(block, [(u,) for u in DEG2])
 
 
-def matrices_N(rel: RelationSet) -> list:
-    return _blocks(rel, SQUARES)
+def matrices_N(block: TrackedBlock) -> list:
+    return _blocks(block, SQUARES)
 
 
-def _blocks(rel: RelationSet, right) -> list:
+def _blocks(block: TrackedBlock, right) -> list:
     """For each of R1, R2, R3 the matrix of its coefficients of
-    (degree-(d-2) generator)*(right monomial); the degrees must tile the
-    relations' degree d, so each right monomial has degree 2."""
+    (degree-(d-2) generator)*(right monomial), read at the tracked
+    columns; the degrees must tile the relations' degree d, so each
+    right monomial has degree 2."""
+    d = block.d
     for r in right:
         if mono_degree(r) != 2:
-            raise DegreeMismatch(f"{mono_str(r)} times degree d-2 is not of degree {rel.d}")
-    left = [(large_gen(rel.d, o),) for o in LARGE[2]]
-    monos = [mono_mul(l, r) for l in left for r in right]
-    n = len(right)
-    return [ExactMatrix._of(QQ, [vals[i:i + n] for i in range(0, len(vals), n)])
-            for vals in _entries(rel.packing, rel.R_rows, rel.R_pivots, monos)]
+            raise DegreeMismatch(f"{mono_str(r)} times degree d-2 is not of degree {d}")
+    index = {m: i for i, m in enumerate(tracked_monos(d))}
+    cols = [[index[mono_mul((large_gen(d, o),), r)] for r in right] for o in LARGE[2]]
+    return [ExactMatrix._of(QQ, [[row[j] for j in c] for c in cols]) for row in block.R]
 
 
 @dataclass
@@ -81,8 +84,8 @@ class TruncationBlock:
         }
 
 
-def truncation_block(rel: RelationSet) -> TruncationBlock:
-    return TruncationBlock(rel.d, rel.chi, matrices_M(rel), matrices_N(rel))
+def truncation_block(block: TrackedBlock) -> TruncationBlock:
+    return TruncationBlock(block.d, block.chi, matrices_M(block), matrices_N(block))
 
 
 # -- reference templates -------------------------------------------------------
@@ -144,14 +147,14 @@ def reference_M_templates(d, chi, field=QQ):
     return [ExactMatrix(field, M) for M in (M1, M2, M3)]
 
 
-def checkpoint_reference_M(rel: RelationSet) -> dict:
-    """Compare rel's M_i with the reference templates at (rel.d, rel.chi).
+def checkpoint_reference_M(block: TrackedBlock) -> dict:
+    """Compare block's M_i with the reference templates at (block.d, block.chi).
 
     Returns a report dict; raises CheckpointMismatch on any differing
     entry, identifying (i, s, t) and both values.
     """
-    d, chi = rel.d, rel.chi
-    computed = matrices_M(rel)
+    d, chi = block.d, block.chi
+    computed = matrices_M(block)
     templates = reference_M_templates(d, chi)
     checked = 0
     for i in range(3):

@@ -81,7 +81,7 @@ def test_criterion_3_reference_matrices():
     ok = True
     for d in range(5, 11):
         for chi in coprime_chis(d):
-            rep = checkpoint_reference_M(build_relation_set(d, chi))
+            rep = checkpoint_reference_M(build_relation_set(d, chi).block())
             ok = ok and rep["entries_checked"] == 27
     # symbolic reproduction from the seven contributing partitions
     from tautrel.symbolic import SYM_FIELD, symbolic_MN, truncated_partition_parts
@@ -103,14 +103,14 @@ def test_criterion_4_rank_checkpoints():
     for d in range(5, 9):
         for chi in coprime_chis(d):
             rel = build_relation_set(d, chi)
-            good, trace = verify_rank12(rel)
+            good, trace = verify_rank12(rel.block())
             ok = ok and good and trace["rank"] == 12
             leads = [R.leading_term() for R in reduced_relations(rel)]
             want = [
                 (((d - 1, 0), (4 - i, i - 1)), Rat(1)) for i in (1, 2, 3)
             ]
             ok = ok and leads == want
-            ok = ok and rel.leading_monos() == [m for m, _ in want]
+            ok = ok and rel.block().leading_monos() == [m for m, _ in want]
     _report(4, "rank 12 and echelon leading terms d=5..8", ok)
 
 
@@ -118,7 +118,7 @@ def test_criterion_5_nodal_cubic():
     ok = True
     for d in range(5, 9):
         for chi in coprime_chis(d):
-            M = matrices_M(build_relation_set(d, chi))
+            M = matrices_M(build_relation_set(d, chi).block())
             rep = analyze_node(cubic_det(M), QQ)
             want = -Rat(chi * (d - chi) * (d - 2 * chi)) / Rat(4 * (d - 2) * d * d)
             ok = ok and rep["coefficient"] == want
@@ -133,7 +133,8 @@ def test_criterion_6_type_I_contradiction():
         for c1 in chis:
             for c2 in chis:
                 rel1, rel2 = build_relation_set(d, c1), build_relation_set(d, c2)
-                sides = [side(matrices_M(rel), matrices_N(rel)) for rel in (rel1, rel2)]
+                sides = [side(matrices_M(blk), matrices_N(blk))
+                         for blk in (rel1.block(), rel2.block())]
                 for cand in solve_S("I", *sides):
                     ab = solve_AB(cand)
                     ok = ok and ab.status == "no_invertible" and ab.kernel_dim == 0

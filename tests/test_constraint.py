@@ -211,3 +211,24 @@ def test_analysis_fills_the_side_cache_for_decide(monkeypatch):
         assert (info.misses, info.hits, info.currsize) == (4, 10, 4)
     finally:
         side_at.cache_clear()
+
+
+def test_a_changed_report_cannot_change_a_later_one():
+    # constraint_analysis caches its report and hands out a copy: a caller
+    # that marks a check False, drops a pair or rebinds P1 changes only
+    # its own copy
+    want = constraint_analysis(5)
+    assert want.ok()
+    got = constraint_analysis(5)
+    got.P1_checks[next(iter(got.P1_checks))] = False
+    got.structure_checks[next(iter(got.structure_checks))] = False
+    got.pair_agreement[0]["agrees"] = False
+    got.pair_agreement[0]["branches"].clear()
+    got.pair_agreement.pop()
+    got.P1 = MPoly.constant(0, ("chi1",))
+    assert not got.ok()
+    again = constraint_analysis(5)
+    assert again is not got and again.ok()
+    assert again == want
+    # the checks stay plain dicts, which the JSON of a report reads
+    assert type(again.P1_checks) is dict and type(again.structure_checks) is dict

@@ -45,8 +45,6 @@ ALLOWED = {}
 PRIVATE_IMPORTS = {
     "relations": {"mpoly._signed_term": "the relations' text form writes each term "
                                         "as an MPoly's str does"},
-    "truncation": {"relations._entries": "the M/N blocks are point reads of the "
-                                         "packed rows, as det1, det2 and the minors"},
 }
 
 # shared method name -> the classes whose method is read through receivers

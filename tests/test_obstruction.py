@@ -41,8 +41,8 @@ from tautrel.truncation import matrices_M, matrices_N
 
 
 def blocks(d, chi):
-    rel = build_relation_set(d, chi)
-    return matrices_M(rel), matrices_N(rel)
+    blk = build_relation_set(d, chi).block()
+    return matrices_M(blk), matrices_N(blk)
 
 
 def block_side(d, chi):

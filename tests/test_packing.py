@@ -188,7 +188,7 @@ def test_cached_packing_is_read_only(monkeypatch):
 
     monkeypatch.setattr(relations, "_REL_CACHE", {})
     rel = build_relation_set(7, 2)
-    want = (rel.to_json(), verify_rank12(rel), matrices_M(rel))
+    want = (rel.to_json(), verify_rank12(rel.block()), matrices_M(rel.block()))
     p = rel.packing
     assert type(p.gens) is tuple and type(p.degs) is tuple
     a, b = p.gens[:2]
@@ -206,4 +206,4 @@ def test_cached_packing_is_read_only(monkeypatch):
     assert not hasattr(p.shift, "update") and not hasattr(p.shift, "pop")
     again = build_relation_set(7, 2)
     assert again is rel and again.packing is p
-    assert (again.to_json(), verify_rank12(again), matrices_M(again)) == want
+    assert (again.to_json(), verify_rank12(again.block()), matrices_M(again.block())) == want

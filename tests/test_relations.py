@@ -44,6 +44,7 @@ from tautrel.relations import (
     det2_formula,
     mon1,
     mon2,
+    tracked_block,
     verify_rank12,
     _eliminate,
     _entries,
@@ -52,8 +53,9 @@ from tautrel.relations import (
     _generators,
     _Packing,
 )
+from tautrel import relations as relations_module
 from tautrel.linalg import ExactMatrix
-from tautrel.tautalg import DegreeMismatch, twisted_symbol
+from tautrel.tautalg import DegreeMismatch, tracked_monos, twisted_symbol
 from tautrel.truncation import matrices_M, matrices_N
 
 
@@ -244,7 +246,7 @@ def test_relations_echelon_structure():
     assert leads[0] == (((d - 1, 0), (3, 0)), Rat(1))
     assert leads[1] == (((d - 1, 0), (2, 1)), Rat(1))
     assert leads[2] == (((d - 1, 0), (1, 2)), Rat(1))
-    assert rel.leading_monos() == [m for m, _ in leads]
+    assert rel.block().leading_monos() == [m for m, _ in leads]
     for R in relations:
         assert R.degree() == d
         # eliminated monomials are gone
@@ -267,7 +269,7 @@ def test_build_relation_set_validation():
 
 
 def test_verify_rank12():
-    ok, trace = verify_rank12(build_relation_set(5, 1))
+    ok, trace = verify_rank12(build_relation_set(5, 1).block())
     assert ok
     assert trace["rank"] == 12
     assert trace["mon1_minor_det"] == Rat(-972) ** 2 == Rat(944784)
@@ -282,24 +284,24 @@ def test_verify_rank12_requires_the_mon2_minor_to_be_det2():
     row = dict(rel.rows[6])
     row[key] = row.get(key, 0) + 1
     broken = dataclasses.replace(rel, rows=rel.rows[:6] + (row,) + rel.rows[7:])
-    ok, trace = verify_rank12(broken)
+    ok, trace = verify_rank12(broken.block())
     assert trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
     assert trace["mon2_minor_det"] not in (0, rel.det2)
     assert not ok
-    assert verify_rank12(rel)[0]
+    assert verify_rank12(rel.block())[0]
 
 
 def test_verify_rank12_zero_relations_guard():
     rel = build_relation_set(5, 1)
     # c2(0) Ra^n and c0(2) Ra^n zeroed
     broken = dataclasses.replace(rel, rows=({},) * 6 + rel.rows[6:])
-    ok, trace = verify_rank12(broken)
+    ok, trace = verify_rank12(broken.block())
     assert not ok
     assert trace["rank"] < 12
 
 
 def test_verify_rank12_runs_no_second_elimination(monkeypatch):
-    # the rank comes from the minor at the build's pivots, taken by det
+    # the rank comes from the minor at the layout pivots, taken by det
     rel = build_relation_set(7, 3)
     assert len(rel.pivot_monos) == 12
 
@@ -307,7 +309,7 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
         raise AssertionError("verify_rank12 eliminated the 12xN matrix again")
 
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
-    ok, trace = verify_rank12(rel)
+    ok, trace = verify_rank12(rel.block())
     assert ok
     assert trace["rank"] == 12
 
@@ -317,10 +319,10 @@ def test_verify_rank12_zeroed_relation_falls_back_to_rank():
     for n in (1, 2, 3):
         # Rc^n zeroed
         broken = dataclasses.replace(rel, rows=rel.rows[:8 + n] + ({},) + rel.rows[9 + n:])
-        ok, trace = verify_rank12(broken)
+        ok, trace = verify_rank12(broken.block())
         assert not ok
         assert trace["rank"] == 11
-    assert verify_rank12(rel)[0]
+    assert verify_rank12(rel.block())[0]
 
 
 def test_rank12_full_matrix_rank():
@@ -385,9 +387,9 @@ def test_cold_build_runs_no_field_elimination(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
     rel = build_relation_set(7, 3)
     assert len(rel.pivot_monos) == 12
-    assert verify_rank12(rel)[0]
+    assert verify_rank12(rel.block())[0]
     broken = dataclasses.replace(rel, rows=rel.rows[:10] + ({},) + rel.rows[11:])  # Rc^2 zeroed
-    ok, trace = verify_rank12(broken)
+    ok, trace = verify_rank12(broken.block())
     assert not ok and trace["rank"] == 11
 
 
@@ -430,7 +432,7 @@ def test_verify_rank12_forms_no_products(monkeypatch):
 
     rel = build_relation_set(9, 2)
     monkeypatch.setattr(relations, "_twelve_rows", no_rows)
-    ok, trace = verify_rank12(rel)
+    ok, trace = verify_rank12(rel.block())
     assert ok and trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
 
 
@@ -493,7 +495,8 @@ BLOCK_POINTS = [(5, 1), (9, 8), (13, 2), (16, 3)]
 def test_point_read_blocks_match_projection_of_reference_relations(d, chi):
     rel = build_relation_set(d, chi)
     ref = oracle_relation_set(d, chi)
-    M, N = matrices_M(rel), matrices_N(rel)
+    blk = rel.block()
+    M, N = matrices_M(blk), matrices_N(blk)
     for i, R in enumerate((ref.R1, ref.R2, ref.R3)):
         assert M[i] == project_block(R, tk_basis(d - 2), t2_basis())
         assert N[i] == project_block(R, tk_basis(d - 2), sym2_basis())
@@ -506,7 +509,7 @@ def test_packed_relations_render_as_reference_relations(d, chi):
     js = rel.to_json()
     refs = (ref.R1, ref.R2, ref.R3)
     assert [js["R1"], js["R2"], js["R3"]] == [str(R) for R in refs]
-    assert rel.leading_monos() == [R.leading_term()[0] for R in refs]
+    assert rel.block().leading_monos() == [R.leading_term()[0] for R in refs]
 
 
 # -- the one-pass expansion and the leading-column elimination against the
@@ -627,7 +630,7 @@ def test_cached_relation_set_is_immutable(monkeypatch):
 
     monkeypatch.setattr(relations, "_REL_CACHE", {})
     rel = build_relation_set(7, 2)
-    want = (rel.to_json(), verify_rank12(rel), matrices_M(rel))
+    want = (rel.to_json(), verify_rank12(rel.block()), matrices_M(rel.block()))
     key = next(iter(rel.R_rows[0]))
     with pytest.raises(dataclasses.FrozenInstanceError):
         rel.det1 = Rat(0)
@@ -647,8 +650,102 @@ def test_cached_relation_set_is_immutable(monkeypatch):
         assert not hasattr(rows[0], "pop") and not hasattr(rows[0], "update")
     again = build_relation_set(7, 2)
     assert again is rel
-    assert (again.to_json(), verify_rank12(again), matrices_M(again)) == want
+    assert (again.to_json(), verify_rank12(again.block()), matrices_M(again.block())) == want
     monkeypatch.setattr(relations, "_REL_CACHE", {})
     fresh = build_relation_set(7, 2)
     assert fresh is not rel
-    assert (fresh.to_json(), verify_rank12(fresh), matrices_M(fresh)) == want
+    assert (fresh.to_json(), verify_rank12(fresh.block()), matrices_M(fresh.block())) == want
+
+
+# -- the closed form of exp(L) at the 27 tracked columns against the recurrence --
+
+
+def coprime_points(dmin: int, dmax: int) -> list:
+    return [(d, chi) for d in range(dmin, dmax + 1) for chi in range(1, d)
+            if math.gcd(d, chi) == 1]
+
+
+def block_differences(d: int, chi: int) -> list:
+    """What of tracked_block(d, chi) differs, by ==, from the build at
+    (d, chi): each of the twelve rows at the 27 columns, det1 and det2,
+    R1..R3 at the 27 columns (read off the build's own packed R1..R3) and
+    the leading monomials (the largest key of each packed R_i)."""
+    rel = build_relation_set(d, chi)
+    blk = tracked_block(d, chi)
+    monos = tracked_monos(d)
+    out = [f"row {i}" for i, (got, want) in
+           enumerate(zip(blk.rows, _entries(rel.packing, rel.rows, rel.dens, monos)))
+           if list(got) != want]
+    out += [name for name, got, want in (("det1", blk.det1, rel.det1),
+                                         ("det2", blk.det2, rel.det2)) if got != want]
+    R = _entries(rel.packing, rel.R_rows, rel.R_pivots, monos)
+    out += [f"R{i + 1}" for i, (got, want) in enumerate(zip(blk.R, R)) if list(got) != want]
+    if blk.leading_monos() != [rel.packing.unpack(max(row), d) for row in rel.R_rows]:
+        out.append("leading monomials")
+    return out
+
+
+@pytest.mark.parametrize("d", range(5, 17))
+def test_tracked_block_matches_the_recurrence(d):
+    # every coprime chi at d; the builds at d = 9..16 of the emit digest
+    # fixture (test_golden) are still cached when the tiers run in order
+    for chi in range(1, d):
+        if math.gcd(d, chi) == 1:
+            assert block_differences(d, chi) == [], (d, chi)
+
+
+def _no_factorials(exp_lam, ell, mono):
+    out = exp_lam
+    for g in mono:
+        out = relations_module._beta_mul(out, ell[g])
+    return out
+
+
+def _mutants():
+    """name -> (attribute of relations, its mutant given the original)."""
+    return {
+        "no 1/e_g!": ("_exp_coefficient", lambda real: _no_factorials),
+        "no lam_1^2/2": ("_exp_scalar", lambda real: lambda lam: (Rat(1), lam[1], lam[2])),
+        "n = 2 reads the ell of n = 1": (
+            "_linear_form",
+            lambda real: lambda n, d, chi: (real(n, d, chi)[0], real(1 if n == 2 else n, d, chi)[1])),
+        "every n reads n = 3": ("_linear_form", lambda real: lambda n, d, chi: real(3, d, chi)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mutants()))
+def test_tracked_block_mutants_fail_the_differential_test(monkeypatch, name):
+    attr, mutant = _mutants()[name]
+    monkeypatch.setattr(relations_module, attr, mutant(getattr(relations_module, attr)))
+    for d, chi in ((7, 3), (9, 2)):
+        diff = block_differences(d, chi)
+        assert diff, (name, d, chi)
+        if name == "every n reads n = 3":
+            # a late-bound per-n closure: only n = 3's rows 4, 5, 8 and 11
+            # match, so the test must compare all twelve
+            rows = {f"row {i}" for i in range(12)} - {"row 4", "row 5", "row 8", "row 11"}
+            assert rows <= set(diff)
+
+
+@pytest.mark.parametrize("d", range(5, 13))
+def test_the_twelve_largest_columns_are_the_pivots(d):
+    # the pivot argument of the relations docstring: the twelve largest
+    # degree-d monomials of the build are its echelon pivots, and they are
+    # the layout pivots, mon1 and mon2, the first twelve tracked columns
+    for chi in range(1, d):
+        if math.gcd(d, chi) != 1:
+            continue
+        rel = build_relation_set(d, chi)
+        top = sorted(set().union(*rel.rows), reverse=True)[:12]
+        assert tuple(rel.packing.unpack(m, d) for m in top) == rel.pivot_monos
+        assert list(rel.pivot_monos) == tracked_monos(d)[:12]
+        assert set(rel.pivot_monos) == set(mon1(d) + mon2(d))
+
+
+def test_tracked_block_refuses_the_points_the_build_refuses():
+    for d, chi in ((4, 1), (6, 2), (5, 7), (5, 0)):
+        with pytest.raises(ValueError):
+            tracked_block(d, chi)
+    for chi in (1.5, Fraction(7, 2)):
+        with pytest.raises(TypeError):
+            tracked_block(5, chi)

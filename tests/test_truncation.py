@@ -5,7 +5,7 @@ import pytest
 
 from tautrel.rat import QQ, Rat
 from tautrel.relations import build_relation_set
-from tautrel.tautalg import DegreeMismatch
+from tautrel.tautalg import DegreeMismatch, tracked_monos
 from tautrel.truncation import (
     CheckpointMismatch,
     _blocks,
@@ -19,7 +19,7 @@ from tautrel.truncation import (
 
 def test_reference_entries_at_5_1():
     rel = build_relation_set(5, 1)
-    M = matrices_M(rel)
+    M = matrices_M(rel.block())
     assert M[2][2, 0] == Rat(2, 3)
     assert M[2][2, 2] == Rat(-73, 120)
     assert M[2][0, 2] == 1 and M[2][0, 0] == 0 and M[2][0, 1] == 0
@@ -29,7 +29,7 @@ def test_reference_entries_at_5_1():
 
 def test_echelon_first_rows():
     rel = build_relation_set(6, 1)
-    M = matrices_M(rel)
+    M = matrices_M(rel.block())
     for i in range(3):
         for t in range(3):
             assert M[i][0, t] == (1 if t == i else 0)
@@ -40,17 +40,17 @@ def test_checkpoint_reference_M_range():
         for chi in range(1, d):
             if math.gcd(d, chi) != 1:
                 continue
-            rep = checkpoint_reference_M(build_relation_set(d, chi))
+            rep = checkpoint_reference_M(build_relation_set(d, chi).block())
             assert rep["status"] == "pass" and rep["entries_checked"] == 27
 
 
 def test_checkpoint_detects_mutation():
-    rel = build_relation_set(5, 1)
-    # M1[0][1], the coefficient of c4(0)*c2(1) in R1, moved by 1/pivot
-    key = rel.packing.pack(((4, 0), (2, 1)))
-    R1 = dict(rel.R_rows[0])
-    R1[key] = R1.get(key, 0) + 1
-    broken = dataclasses.replace(rel, R_rows=(R1,) + rel.R_rows[1:])
+    blk = build_relation_set(5, 1).block()
+    # M1[0][1], the coefficient of c4(0)*c2(1) in R1, moved by 1
+    j = tracked_monos(5).index(((4, 0), (2, 1)))
+    R1 = list(blk.R[0])
+    R1[j] += 1
+    broken = dataclasses.replace(blk, R=(tuple(R1),) + blk.R[1:])
     with pytest.raises(CheckpointMismatch):
         checkpoint_reference_M(broken)
 
@@ -58,7 +58,7 @@ def test_checkpoint_detects_mutation():
 def test_dets_nonzero_and_values():
     for (d, chi) in [(5, 1), (6, 1), (7, 3), (8, 5)]:
         rel = build_relation_set(d, chi)
-        M = matrices_M(rel)
+        M = matrices_M(rel.block())
         X = Rat(chi * (d - chi) * (d - 2 * chi))
         assert M[0].det() == -(X * X) / Rat(16 * d**6)
         assert M[1].det() == X * Rat(d * d + 8 * d - 16) / Rat(8 * (d - 2) * d**3)
@@ -68,18 +68,18 @@ def test_dets_nonzero_and_values():
 def test_matrices_N_zero_poly():
     # zero relations read as zero blocks; columns that do not tile degree
     # d with the degree-(d-2) rows are refused
-    rel = build_relation_set(5, 1)
-    broken = dataclasses.replace(rel, R_rows=({}, {}, {}))
+    blk = build_relation_set(5, 1).block()
+    broken = dataclasses.replace(blk, R=((Rat(0),) * 27,) * 3)
     for m in matrices_N(broken):
         assert all(m[i, j] == 0 for i in range(3) for j in range(3))
     with pytest.raises(DegreeMismatch):
-        _blocks(rel, [((2, 0),)])
+        _blocks(blk, [((2, 0),)])
     with pytest.raises(DegreeMismatch):
-        _blocks(rel, [((3, 0), (2, 0))])
+        _blocks(blk, [((3, 0), (2, 0))])
 
 
 def test_block_json_serialization():
-    blk = truncation_block(build_relation_set(5, 1))
+    blk = truncation_block(build_relation_set(5, 1).block())
     js = blk.to_json()
     assert js["M"][2][2][0] == "2/3"
     assert js["schema"] == "tautrel/matrices/1"
