@@ -11,10 +11,10 @@ entry at (left, right) is R_i's coefficient of the product monomial.
 Every consumer here reads a block, whichever path made it:
 relations.tracked_block (the closed form, which verify and emit --what
 matrices read) or RelationSet.block() (the full expansion, which verify
---mode symbolic and the tests read).  The M_i have known closed forms which are kept here as templates and checked
-entry by entry; the N_i are produced by the pipeline itself and
-validated by an independent elimination path plus their downstream
-behaviour.
+--mode symbolic and the tests read).  The M_i have known closed forms
+which are kept here as templates and checked entry by entry; the N_i
+are produced by the pipeline itself and validated by an independent
+elimination path plus their downstream behaviour.
 """
 
 from __future__ import annotations

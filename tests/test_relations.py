@@ -694,22 +694,34 @@ def test_tracked_block_matches_the_recurrence(d):
             assert block_differences(d, chi) == [], (d, chi)
 
 
-def _no_factorials(exp_lam, ell, mono):
-    out = exp_lam
-    for g in mono:
-        out = relations_module._beta_mul(out, ell[g])
-    return out
+def _no_factorials(real):
+    def mutant(exp_lam, ell, mono):
+        out = exp_lam
+        for g in mono:
+            out = relations_module._beta_mul(out, ell[g])
+        return out
+    return mutant
+
+
+def _no_square_term(real):
+    return lambda lam: (Rat(1), lam[1], lam[2])
+
+
+def _n2_reads_the_ell_of_n1(real):
+    return lambda n, d, chi: (real(n, d, chi)[0], real(1 if n == 2 else n, d, chi)[1])
+
+
+def _every_n_reads_n3(real):
+    return lambda n, d, chi: real(3, d, chi)
 
 
 def _mutants():
-    """name -> (attribute of relations, its mutant given the original)."""
+    """name -> (attribute of relations, its mutant made from the original)."""
     return {
-        "no 1/e_g!": ("_exp_coefficient", lambda real: _no_factorials),
-        "no lam_1^2/2": ("_exp_scalar", lambda real: lambda lam: (Rat(1), lam[1], lam[2])),
-        "n = 2 reads the ell of n = 1": (
-            "_linear_form",
-            lambda real: lambda n, d, chi: (real(n, d, chi)[0], real(1 if n == 2 else n, d, chi)[1])),
-        "every n reads n = 3": ("_linear_form", lambda real: lambda n, d, chi: real(3, d, chi)),
+        "no 1/e_g!": ("_exp_coefficient", _no_factorials),
+        "no lam_1^2/2": ("_exp_scalar", _no_square_term),
+        "n = 2 reads the ell of n = 1": ("_linear_form", _n2_reads_the_ell_of_n1),
+        "every n reads n = 3": ("_linear_form", _every_n_reads_n3),
     }
 
 
