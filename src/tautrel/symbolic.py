@@ -102,6 +102,7 @@ from .tautalg import (
     LARGE,
     SMALL_DEGREE,
     SQUARES,
+    TRACKED,
     factor_table,
     gen_key,
     twisted_symbol,
@@ -304,19 +305,6 @@ def _sym_relation(kind: str, n: int) -> tuple:
 # -- extraction of the block matrices ------------------------------------
 
 
-def _column_keys():
-    """The 27 tracked degree-d monomials in descending order, as
-    (large (a, j), small tuple of plain (k, j) gens): in the order of
-    tautalg's layout, each large generator of degree d - i times each
-    small monomial of degree i."""
-    smalls = ((),), tuple((u,) for u in DEG1), tuple((u,) for u in DEG2) + SQUARES
-    return [(large, small) for group, small_i in zip(LARGE, smalls)
-            for large in group for small in small_i]
-
-
-_COLUMNS = _column_keys()
-
-
 def _col_sign(large, small) -> int:
     """Twisted-to-plain conversion sign, global parity factor dropped."""
     a, _j = large
@@ -333,7 +321,7 @@ _ZERO_ENTRY = (1, b"")
 
 def _laurent_rows() -> tuple:
     """The 12x27 matrix whose echelon form holds the blocks, in the
-    columns of _column_keys, as rows of Laurent entries (den, terms):
+    columns of tautalg.TRACKED, as rows of Laurent entries (den, terms):
     the sum of the terms c * d^e_d * chi1^e_chi1 over the integer den,
     its column sign folded into den, the terms packed by _TERM.  Rows:
     c2(0)*Ra^n and c0(2)*Ra^n for n = 1, 2, 3, then Rb^1..Rb^3 and
@@ -364,7 +352,7 @@ def _laurent_rows() -> tuple:
         ra = rels[("a", n)]
         for mult in DEG1:
             row = []
-            for large, small in _COLUMNS:
+            for large, small in TRACKED:
                 if mult in small:
                     reduced = list(small)
                     reduced.remove(mult)
@@ -375,7 +363,7 @@ def _laurent_rows() -> tuple:
     for kind in ("b", "c"):
         for n in (1, 2, 3):
             rel = rels[(kind, n)]
-            rows.append(tuple(entry(rel, large, small) for large, small in _COLUMNS))
+            rows.append(tuple(entry(rel, large, small) for large, small in TRACKED))
     return tuple(rows)
 
 
@@ -402,7 +390,7 @@ def _sym_matrix() -> ExactMatrix:
 def _blocks(rows, field) -> tuple:
     """(M_1..M_3, N_1..N_3) over field, read from the echelon rows 9..11,
     whose pivots are the columns of the large generators LARGE[2]."""
-    index = {col: i for i, col in enumerate(_COLUMNS)}
+    index = {col: i for i, col in enumerate(TRACKED)}
 
     def block(row, smalls):
         return ExactMatrix(field, [[row[index[(large, small)]] for small in smalls]

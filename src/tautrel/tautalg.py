@@ -13,7 +13,8 @@ multipliers of Ra^n too), DEG2 (the M_i columns) or SQUARES (the N_i
 columns); the rows of M_i and N_i are LARGE[2].  Every list descends,
 and for d >= 5 a large generator sorts above every small one, so a
 product written large-first is a monomial and the layout lists them in
-descending order.
+descending order: TRACKED, the 27 tracked columns, which tracked_monos
+instantiates at a concrete d.
 
 The factor F_s of the generating identity is written in the twisted
 symbols ct_k(j) = (-1)^(k+1) c_k(j):
@@ -112,6 +113,13 @@ SMALL_DEGREE = len(LARGE) - 1
 DEG1 = ((2, 0), (0, 2))
 DEG2 = ((3, 0), (2, 1), (1, 2))
 SQUARES = tuple((u, v) for i, u in enumerate(DEG1) for v in DEG1[i:])
+# the 27 tracked columns as (large offset, small monomial), in descending
+# order: each large generator of degree d - i times each small monomial
+# of degree i
+TRACKED = tuple((o, small)
+                for group, smalls in zip(LARGE, (((),), tuple((u,) for u in DEG1),
+                                                 tuple((u,) for u in DEG2) + SQUARES))
+                for o in group for small in smalls)
 
 
 def large_gen(d: int, offset) -> tuple:
@@ -122,12 +130,9 @@ def large_gen(d: int, offset) -> tuple:
 
 def tracked_monos(d: int) -> list:
     """The 27 tracked degree-d monomials at a concrete d >= 5, in
-    descending order: LARGE[0], LARGE[1] x DEG1, LARGE[2] x (DEG2 +
-    SQUARES), each large generator times each small monomial.  The first
-    twelve are the pivots of R1..R3's echelon form (relations)."""
-    smalls = ((),), tuple((u,) for u in DEG1), tuple((u,) for u in DEG2) + SQUARES
-    return [(large_gen(d, o),) + small for group, small_i in zip(LARGE, smalls)
-            for o in group for small in small_i]
+    descending order: TRACKED instantiated.  The first twelve are the
+    pivots of R1..R3's echelon form (relations)."""
+    return [(large_gen(d, o),) + small for o, small in TRACKED]
 
 
 # -- the beta-twisted factor ----------------------------------------------

@@ -11,6 +11,7 @@ from tautrel.linalg import ExactMatrix
 from tautrel.obstruction import coprime_pairs, decide
 from tautrel.rat import QQ, Rat
 from tautrel.ratfunc import RatFunc
+from tautrel.tautalg import TRACKED
 from tautrel.relations import build_relation_set
 from tautrel.symbolic import (
     SYM_FIELD,
@@ -226,7 +227,7 @@ def test_symbolic_cold_and_warm_agree():
 
 def test_pivot_minor_has_no_zero_at_coprime_points():
     mat = symbolic._sym_matrix()
-    assert (mat.rows, mat.cols) == (12, 27) and len(symbolic._COLUMNS) == 27
+    assert (mat.rows, mat.cols) == (12, 27) and len(TRACKED) == 27
     # the input denominators are 2^a d^k
     for row in mat.data:
         for x in row:

@@ -15,13 +15,14 @@ from tautalg_oracle import (
     mono_key,
     project_block,
 )
-from tautrel import relations, symbolic
+from tautrel import relations
 from tautrel.rat import QQ, Rat
 from tautrel.tautalg import (
     DEG1,
     DEG2,
     LARGE,
     SQUARES,
+    TRACKED,
     DegreeMismatch,
     gen_degree,
     gen_key,
@@ -29,6 +30,7 @@ from tautrel.tautalg import (
     mono_degree,
     mono_mul,
     mono_str,
+    tracked_monos,
 )
 
 CTX = TautContext(QQ, 5)
@@ -301,7 +303,7 @@ def test_layout_columns_are_the_hand_written_columns():
     assert DEG1 == relations_oracle._RA_FACTORS
     assert [(u,) for u in DEG2] == relations_oracle.t2_basis()
     assert list(SQUARES) == relations_oracle.sym2_basis()
-    assert symbolic._column_keys() == symbolic_oracle.column_keys()
+    assert list(TRACKED) == symbolic_oracle.column_keys()
 
 
 @pytest.mark.parametrize("d", LAYOUT_DS)
@@ -309,11 +311,12 @@ def test_column_keys_instantiate_in_descending_order(d):
     # each column written large-first is already a monomial, of degree d,
     # and the 27 of them strictly descend in the monomial order
     monos = []
-    for large, small in symbolic._column_keys():
+    for large, small in TRACKED:
         mono = (large_gen(d, large),) + small
         assert mono == mono_mul((large_gen(d, large),), small)
         assert mono_degree(mono) == d
         monos.append(mono)
+    assert monos == tracked_monos(d)
     keys = [mono_key(m) for m in monos]
     assert len(keys) == 27
     assert all(a > b for a, b in zip(keys, keys[1:]))
