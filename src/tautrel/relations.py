@@ -637,6 +637,9 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     # the pushforward of x beta^j reads the beta^(2-j) component of x
     Ra, Rb, Rc = ([{m: t[n] for m, t in part.items() if t[n]} for n in range(3)]
                   for part in (G[d + 1].b2, G[d + 1].b1, G[d + 2].b2))
+    # nothing else of the series is read: free it before the rows and
+    # the elimination are made, which lowers the build's peak memory
+    del G
 
     rows, dens = _twelve_rows(packing, Ra, Rb, Rc, den1, den2)
     det1, det2 = _dets(_entries(packing, rows, dens, tracked_monos(d)), d)
