@@ -12,10 +12,10 @@ pair and neither gives all of d's pairs.
 
 verify and emit --what matrices read the twelve degree-d relations at
 the 27 tracked monomials from relations.tracked_block, the closed form
-of exp(L), at about the same cost for every d.  The full expansion,
-build_relation_set, serves emit --what relations, verify's fallback
-rank when the block's pivot minor vanishes, and verify --mode symbolic,
-which checks the symbolic blocks against it.
+of exp(L), at about the same cost for every d, and build no full
+relation set.  The full expansion, build_relation_set, serves emit
+--what relations and verify --mode symbolic, which checks the symbolic
+blocks against it.
 
 Exit codes: 0 all checks pass, 1 mathematical mismatch, 2 usage or IO
 error.
@@ -43,7 +43,6 @@ from .obstruction import (
 )
 from .rat import QQ, Rat
 from .relations import (
-    SingularCheckpoint,
     build_relation_set,
     det1_formula,
     det2_formula,
@@ -68,8 +67,7 @@ MATH_ERROR = 1
 
 def _verify_pair(report: Report, d: int, chi: int) -> None:
     """The checkpoints at (d, chi), every one read from the twelve
-    relations at the 27 tracked monomials (relations.tracked_block); the
-    full relation set is built only for a fallback rank."""
+    relations at the 27 tracked monomials (relations.tracked_block)."""
     block = tracked_block(d, chi)
     loc = f"d={d},chi={chi}"
     for name, want, got in (("det1_formula", det1_formula(d, chi), block.det1),
@@ -81,11 +79,8 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
                    rep["entries_checked"], loc)
     except CheckpointMismatch as e:
         report.add("reference_matrices", False, "27/27 entries", str(e), loc)
-    try:
-        ok, trace = verify_rank12(block)
-        report.add("rank12", ok, 12, trace["rank"], loc)
-    except SingularCheckpoint as e:  # the fallback's build found the set singular
-        report.add("rank12", False, 12, str(e), loc)
+    ok, trace = verify_rank12(block)
+    report.add("rank12", ok, 12, trace["rank"], loc)
     leads = block.leading_monos()
     expected = mon2(d)[3:]
     report.add("echelon_leading_terms", leads == expected, expected, leads, loc)

@@ -4,13 +4,14 @@ All elimination except the determinant's runs through one row-by-row
 Gauss-Jordan loop, ExactMatrix.gauss_jordan, over any field, and its
 fraction-free twin over the integers, int_gauss_jordan.  It
 eliminates the twelve degree-d relations over QQ in
-relations._eliminate, for the build and the fallback rank of
-relations.verify_rank12: their integer numerators at their twelve
-leading monomials beside an identity, whose part records the
-combinations of the rows that give R1..R3, and at every monomial only
-when the leading ones have rank < 12.  It also eliminates the twelve
-relations at the 27 tracked monomials, scaled to integers, for R1..R3
-of a relations.TrackedBlock, and the point path's rows of the
+relations._eliminate, for the build: their integer numerators at
+their twelve leading monomials beside an identity, whose part records
+the combinations of the rows that give R1..R3, and at every monomial
+only when the leading ones have rank < 12.  It also eliminates the
+twelve relations at the 27 tracked monomials, scaled to integers, for
+R1..R3 of relations.tracked_block and for the rank of
+relations.verify_rank12 when a block's pivot minor vanishes, and the
+point path's rows of the
 truncated matrix, scaled to integers, in symbolic_matrices_at, and
 over each candidate's extension the 27x18
 (A, B) system of obstruction.solve_AB, pivoting on every column but

@@ -10,13 +10,12 @@ the 27 tracked monomials of tautalg's layout.
   Mon2 minors, and R1..R3 at the 27 columns as rows 9-11 of the
   block's reduced row echelon form.
 - build_relation_set(d, chi) expands every relation in full by the
-  recurrence below.  It keeps three roles: emit --what relations, which
-  prints whole rows; the rank fallback of verify_rank12 when the
-  block's pivot minor vanishes, so that a broken set still reports its
-  true rank; and the live cross-derivation of verify --mode symbolic.
-  It is also the tests' oracle for the closed form.  RelationSet.block()
-  reads the same block off its own rows (_entries), so the recurrence
-  feeds the same consumers.
+  recurrence below.  It keeps two roles: emit --what relations, which
+  prints whole rows, and the live cross-derivation of verify --mode
+  symbolic.  It is also the tests' oracle for the closed form.
+  RelationSet.block() reads the same block off its own rows and R1..R3
+  (_entries), with no elimination, so the recurrence feeds the same
+  consumers.
 
 The closed form.  L = sum_s (s-1)! F_s, s = 1..d+2, is linear in the
 generators: each term of F_s is beta^b times one generator c_k(j) or
@@ -120,9 +119,9 @@ the reduced row echelon form.  The build unpacks the twelve pivot
 monomials and the monomials of R_1..R_3, each checked to have degree d.
 The rows and R_1..R_3 of a RelationSet are read-only mappings, since
 the set is cached.  Every coefficient is read by one point read,
-_entries: det1, det2 and the block of RelationSet.block() pack the
-monomials they read, look them up, and divide one numerator by its
-row's denominator.
+_entries: det1, det2 and the block of RelationSet.block() (its rows and
+R1..R3) pack the monomials they read, look them up, and divide one
+numerator by its row's denominator.
 
 The monomials read by name (det1's, the minors', the 27 of a block) and
 the multipliers of Ra^n come from tautalg's layout.
@@ -133,9 +132,13 @@ too: each coefficient is evaluated at (d, chi) and signed into the
 c_k(j) basis (_factors), for both paths.
 
 verify_rank12 certifies rank 12 by the nonzero 12x12 minor of a block
-at the twelve layout pivots, which needs no elimination; only when that
-minor vanishes does it take the full rank, by _eliminate of the integer
-rows of the block's relation set, which the product path builds then.
+at the twelve layout pivots, which needs no elimination.  At a valid
+point that minor has no zero (symbolic's docstring), so only a broken
+block reaches the other branch: the rank of the block's own rows,
+int_gauss_jordan of them scaled to integers.  That is the rank at the 27
+columns: a lower bound of the rank of the full rows, equal to it when it
+is 12.  A block below 12 fails the check, and it should: the layout
+columns are then not its pivots, so R1..R3 cannot be read off it.
 """
 
 from __future__ import annotations
@@ -143,8 +146,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, field
-from functools import partial, reduce
+from dataclasses import dataclass
+from functools import reduce
 from types import MappingProxyType
 
 from .linalg import ExactMatrix, int_gauss_jordan
@@ -432,8 +435,7 @@ class TrackedBlock:
     12 tuples of 27 rationals, and R holds R1, R2, R3 at the same
     columns, rows 9-11 of the reduced row echelon form of rows (a zero
     row past the rank).  det1 and det2 are those of the path that made
-    the block, and relation_set() returns the RelationSet whose full
-    rows give verify_rank12's fallback rank."""
+    the block."""
 
     d: int
     chi: int
@@ -441,7 +443,6 @@ class TrackedBlock:
     R: tuple
     det1: object
     det2: object
-    relation_set: object = field(compare=False, repr=False)
 
     def leading_monos(self) -> list:
         """The leading monomials of R1, R2, R3 (None for a zero row): each
@@ -464,19 +465,14 @@ def _dets(rows, d: int) -> tuple:
     return _minor(rows[0:6:2], d, mon1(d)[0::2]), _minor(rows[6:12], d, mon2(d))
 
 
-def _tracked(d: int, chi: int, rows, det1, det2, relation_set) -> TrackedBlock:
-    """The block of the twelve rows at the 27 tracked columns, R1..R3
-    from one elimination: each row scaled to integers by the lcm of its
-    denominators, int_gauss_jordan, and rows 9-11 divided by their
-    pivot entries."""
-    ints = []
+def _integer_rows(rows) -> list:
+    """The rational rows, each scaled to integers by the lcm of its
+    denominators."""
+    out = []
     for row in rows:
         den = math.lcm(*(x.denominator for x in row))
-        ints.append([(x * den).numerator for x in row])
-    found = int_gauss_jordan(ints)[9:12]
-    R = tuple(tuple(Rat(x, row[col]) for x in row) for col, row in found)
-    R += ((Rat(0),) * len(rows[0]),) * (3 - len(R))
-    return TrackedBlock(d, chi, tuple(map(tuple, rows)), R, det1, det2, relation_set)
+        out.append([(x * den).numerator for x in row])
+    return out
 
 
 def _linear_form(n: int, d: int, chi: int) -> tuple:
@@ -526,9 +522,10 @@ def _divided(mono: tuple, g) -> tuple:
 def tracked_block(d: int, chi: int) -> TrackedBlock:
     """The twelve degree-d relations at the 27 tracked monomials at
     (d, chi), by the closed form of exp(L) (module docstring), with the
-    det1 and det2 of its rows (_dets, as the build takes them).  The
-    points are those of build_relation_set, which the block calls only
-    for a fallback rank."""
+    det1 and det2 of its rows (_dets, as the build takes them) and
+    R1..R3 from one elimination: int_gauss_jordan of the rows scaled to
+    integers, rows 9-11 divided by their pivot entries.  The points are
+    those of build_relation_set."""
     chi = _checked_point(d, chi)
     monos = tracked_monos(d)
     fact = math.factorial(d - 3)
@@ -544,7 +541,10 @@ def tracked_block(d: int, chi: int) -> TrackedBlock:
         rb.append([c[1] / fact for c in coeffs])
         rc.append([-c[2] / fact for c in coeffs])
     rows = ra + rb + rc
-    return _tracked(d, chi, rows, *_dets(rows, d), partial(build_relation_set, d, chi))
+    found = int_gauss_jordan(_integer_rows(rows))[9:12]
+    R = tuple(tuple(Rat(x, row[col]) for x in row) for col, row in found)
+    R += ((Rat(0),) * len(monos),) * (3 - len(R))
+    return TrackedBlock(d, chi, tuple(map(tuple, rows)), R, *_dets(rows, d))
 
 
 @dataclass(frozen=True)
@@ -570,10 +570,13 @@ class RelationSet:
     pivot_monos: tuple
 
     def block(self) -> "TrackedBlock":
-        """The twelve rows at the 27 tracked monomials, read by _entries,
-        with the build's det1 and det2; this set gives its fallback rank."""
-        rows = _entries(self.packing, self.rows, self.dens, tracked_monos(self.d))
-        return _tracked(self.d, self.chi, rows, self.det1, self.det2, lambda: self)
+        """The twelve rows and R1..R3 at the 27 tracked monomials, each read
+        by _entries, with the build's det1 and det2."""
+        monos = tracked_monos(self.d)
+        rows = _entries(self.packing, self.rows, self.dens, monos)
+        R = _entries(self.packing, self.R_rows, self.R_pivots, monos)
+        return TrackedBlock(self.d, self.chi, tuple(map(tuple, rows)), tuple(map(tuple, R)),
+                            self.det1, self.det2)
 
     def to_json(self) -> dict:
         out = {
@@ -680,15 +683,15 @@ def verify_rank12(block: TrackedBlock):
 
     Twelve rows have rank at most 12, so a nonzero 12x12 minor proves
     rank 12.  The minor taken is the one at the twelve layout pivots, so
-    nothing is eliminated.  Only when that minor vanishes is the full
-    rank computed, by _eliminate of the integer rows of the block's
-    relation set, so a broken relation set reports its true rank.
+    nothing is eliminated.  Only when that minor vanishes is the rank
+    of the block's own rows computed, by int_gauss_jordan, so a broken
+    block reports the rank it has (module docstring).
     """
     d = block.d
     if _minor(block.rows, d, mon1(d) + mon2(d)):
         rank = 12
     else:
-        rank = len(_eliminate(block.relation_set().rows)[0])
+        rank = len(int_gauss_jordan(_integer_rows(block.rows)))
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
     m1 = _minor(block.rows[0:6], d, mon1(d))

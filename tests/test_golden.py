@@ -51,16 +51,14 @@ def test_decide_golden_structure():
 RELATION_DIGESTS = os.path.join(FIXTURES, "relations_d9_16.sha256.json")
 
 
-def test_emit_relations_matches_recorded_digests(tmp_path):
+def test_emit_relations_matches_recorded_digests(tmp_path, monkeypatch):
     from tautrel import relations
 
+    monkeypatch.setattr(relations, "_REL_CACHE", {})  # every set built cold
     with open(RELATION_DIGESTS) as fh:
         digests = json.load(fh)
     assert sorted(int(key.split()[0]) for key in digests) == list(range(9, 17))
     for key, want in digests.items():
         d, chi = key.split()
-        # every set built cold; it stays cached for the closed-form
-        # differential test in test_relations, which reads the same points
-        relations._REL_CACHE.pop((int(d), int(chi)), None)
         fresh = emit_to(tmp_path, "emit", "--what", "relations", "--d", d, "--chi", chi)
         assert hashlib.sha256(fresh).hexdigest() == want, key

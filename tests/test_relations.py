@@ -687,8 +687,7 @@ def block_differences(d: int, chi: int) -> list:
 
 @pytest.mark.parametrize("d", range(5, 17))
 def test_tracked_block_matches_the_recurrence(d):
-    # every coprime chi at d; the builds at d = 9..16 of the emit digest
-    # fixture (test_golden) are still cached when the tiers run in order
+    # every coprime chi at d
     for chi in range(1, d):
         if math.gcd(d, chi) == 1:
             assert block_differences(d, chi) == [], (d, chi)
@@ -737,6 +736,18 @@ def test_tracked_block_mutants_fail_the_differential_test(monkeypatch, name):
             # match, so the test must compare all twelve
             rows = {f"row {i}" for i in range(12)} - {"row 4", "row 5", "row 8", "row 11"}
             assert rows <= set(diff)
+
+
+def test_verify_rank12_takes_the_rank_of_a_broken_block(rc2_zeroed):
+    # the block's det2 is the Mon2 minor of its own rows, so with Rc^2
+    # zeroed both read 0 and agree, and only the rank can fail: it must
+    # be the rank of the block's rows, not 12
+    blk = tracked_block(7, 3)
+    assert [i for i, row in enumerate(blk.rows) if not any(row)] == [10]
+    ok, trace = verify_rank12(blk)
+    assert trace["mon2_minor_det"] == trace["det2"] == 0
+    assert trace["mon1_minor_det"] == trace["det1_squared"] != 0
+    assert not ok and trace["rank"] == 11
 
 
 @pytest.mark.parametrize("d", range(5, 13))
