@@ -11,11 +11,13 @@ emit reads --chi2 for verdicts only, where --chi and --chi2 name one
 pair and neither gives all of d's pairs.
 
 verify and emit --what matrices read the twelve degree-d relations at
-the 27 tracked monomials from relations.tracked_block, the closed form
-of exp(L), at about the same cost for every d, and build no full
-relation set.  The full expansion, build_relation_set, serves emit
---what relations and verify --mode symbolic, which checks the symbolic
-blocks against it.
+the 27 tracked monomials from relations.tracked_block, and decide and
+sweep read their blocks from symbolic.symbolic_matrices_at: both
+evaluate one closed form of exp(L) at the point (symbolic), at about
+the same cost for every d, and build no full relation set.  The full
+expansion by the recurrence, build_relation_set, serves emit --what
+relations and verify --mode symbolic, which checks the symbolic blocks
+against it.
 
 Exit codes: 0 all checks pass, 1 mathematical mismatch, 2 usage or IO
 error.

@@ -1,39 +1,22 @@
 """Production of the degree-d relations.
 
-Two paths make the twelve degree-d relations at (d, chi), and every
-consumer reads them as one 12x27 block (TrackedBlock): their entries at
-the 27 tracked monomials of tautalg's layout.
+Every consumer reads the twelve degree-d relations at (d, chi) as one
+12x27 block (TrackedBlock): their entries at the 27 tracked monomials
+of tautalg's layout.  Two functions make it:
 
-- tracked_block(d, chi) makes only those entries, by the closed form of
-  exp(L) below, in about the same time at every d.  verify and emit
-  --what matrices read it: det1, det2, the pivot minor, the Mon1 and
-  Mon2 minors, and R1..R3 at the 27 columns as rows 9-11 of the
-  block's reduced row echelon form.
+- tracked_block(d, chi) evaluates the closed form of exp(L) at the
+  tracked columns, derived once in symbolic's docstring, at the point,
+  in about the same time at every d.  verify and emit --what matrices
+  read it: det1, det2, the pivot minor, the Mon1 and Mon2 minors, and
+  R1..R3 at the 27 columns as rows 9-11 of the block's reduced row
+  echelon form.
 - build_relation_set(d, chi) expands every relation in full by the
-  recurrence below.  It keeps two roles: emit --what relations, which
-  prints whole rows, and the live cross-derivation of verify --mode
-  symbolic.  It is also the tests' oracle for the closed form.
-  RelationSet.block() reads the same block off its own rows and R1..R3
-  (_entries), with no elimination, so the recurrence feeds the same
-  consumers.
-
-The closed form.  L = sum_s (s-1)! F_s, s = 1..d+2, is linear in the
-generators: each term of F_s is beta^b times one generator c_k(j) or
-the scalar ct_0(1) = -d (tautalg.factor_table).  So L = lam(beta) +
-sum_g ell_g(beta) g, with lam = lam_1 beta + lam_2 beta^2 its scalar
-part and ell_g = sum (s-1)! c (-1)^(k+1) beta^b over the terms
-c beta^b ct_k(j) of the F_s with g = c_k(j).  Its terms commute, so
-exp(L) = exp(lam) prod_g exp(ell_g g), and mod beta^3 the coefficient
-of prod_g g^(e_g) beta^i in exp(L) is
-
-    [beta^i] (1 + lam_1 beta + (lam_2 + lam_1^2/2) beta^2) prod_g ell_g^(e_g) / e_g!.
-
-A term of F_s has weight s (its generator's degree plus its power of
-beta), so this coefficient belongs to E_m, m = deg + i, and over the
-(d-3)! of the build's normalization below it gives the entries of the
-twelve relations at a tracked monomial mu: [beta^2] of mu/g for
-g Ra^n (0 where g does not divide mu), [beta^1] of mu for Rb^n and
--[beta^2] of mu for Rc^n.
+  recurrence below, which does not use the closed form.  It serves
+  emit --what relations, which prints whole rows, and verify --mode
+  symbolic, which checks the symbolic blocks against it; the tests
+  check the closed form against it.  RelationSet.block() reads the
+  same block off its own rows and R1..R3 (_entries), with no
+  elimination, so the recurrence feeds the same consumers.
 
 The pivots.  For d >= 5 the twelve layout pivots, mon1(d) and mon2(d),
 are the twelve largest degree-d monomials, and they are the first
@@ -127,9 +110,9 @@ The monomials read by name (det1's, the minors', the 27 of a block) and
 the multipliers of Ra^n come from tautalg's layout.
 
 The factors F_s come from tautalg.factor_table, the one definition of
-their eight terms and of the degenerate symbols that symbolic expands
-too: each coefficient is evaluated at (d, chi) and signed into the
-c_k(j) basis (_factors), for both paths.
+their eight terms and of the degenerate symbols that symbolic's closed
+form reads too: each coefficient is evaluated at (d, chi) and signed
+into the c_k(j) basis (_factors).
 
 verify_rank12 certifies rank 12 by the nonzero 12x12 minor of a block
 at the twelve layout pivots, which needs no elimination.  At a valid
@@ -153,10 +136,12 @@ from types import MappingProxyType
 from .linalg import ExactMatrix, int_gauss_jordan
 from .mpoly import _signed_term
 from .rat import QQ, ZZ, Rat
+from .symbolic import tracked_rows_at
 from .tautalg import (
     DEG1,
     DEG2,
     LARGE,
+    TRACKED,
     DegreeMismatch,
     factor_table,
     gen_degree,
@@ -475,76 +460,22 @@ def _integer_rows(rows) -> list:
     return out
 
 
-def _linear_form(n: int, d: int, chi: int) -> tuple:
-    """(lam, ell): L = sum_s (s-1)! F_s, s = 1..d+2, at (n, d, chi), by
-    its scalar part lam and the coefficient ell[g] of each generator g,
-    each a list [b0, b1, b2] of its beta^i components (module
-    docstring).  A generator that L does not hold reads as 0."""
-    lam = [Rat(0)] * 3
-    ell = defaultdict(lambda: [Rat(0)] * 3)
-    w = 1  # (s-1)!
-    for s, parts in enumerate(_factors(n, d, chi, d + 2), start=1):
-        for beta, part in enumerate(parts):
-            for mono, c in part.items():
-                (ell[mono[0]] if mono else lam)[beta] += w * c
-        w *= s
-    if lam[0]:
-        raise ValueError("the scalar part of L has a beta^0 term")
-    return lam, ell
-
-
-def _exp_scalar(lam) -> tuple:
-    """exp(lam) mod beta^3 for lam = lam_1 beta + lam_2 beta^2."""
-    return (Rat(1), lam[1], lam[2] + lam[1] * lam[1] / 2)
-
-
-def _beta_mul(p, q) -> tuple:
-    """p q mod beta^3, each a sequence of its beta^0..2 components."""
-    return (p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[0] * q[2] + p[1] * q[1] + p[2] * q[0])
-
-
-def _exp_coefficient(exp_lam, ell, mono) -> tuple:
-    """The beta^0..2 components of the coefficient of the tuple monomial
-    mono in exp(L): exp(lam) prod_g ell[g]^e_g / e_g! mod beta^3."""
-    out = exp_lam
-    for g in mono:
-        out = _beta_mul(out, ell[g])
-    den = math.prod(math.factorial(mono.count(g)) for g in set(mono))
-    return tuple(x / den for x in out)
-
-
-def _divided(mono: tuple, g) -> tuple:
-    """mono / g for a generator g of the tuple monomial mono."""
-    i = mono.index(g)
-    return mono[:i] + mono[i + 1:]
-
-
 def tracked_block(d: int, chi: int) -> TrackedBlock:
     """The twelve degree-d relations at the 27 tracked monomials at
-    (d, chi), by the closed form of exp(L) (module docstring), with the
-    det1 and det2 of its rows (_dets, as the build takes them) and
-    R1..R3 from one elimination: int_gauss_jordan of the rows scaled to
-    integers, rows 9-11 divided by their pivot entries.  The points are
-    those of build_relation_set."""
+    (d, chi): symbolic.tracked_rows_at, the closed form at the point,
+    times (-1)^d (symbolic's docstring), with the det1 and det2 of its
+    rows (_dets, as the build takes them) and R1..R3 from one
+    elimination: int_gauss_jordan of the integer rows, rows 9-11
+    divided by their pivot entries.  The points are those of
+    build_relation_set."""
     chi = _checked_point(d, chi)
-    monos = tracked_monos(d)
-    fact = math.factorial(d - 3)
-    ra, rb, rc = [], [], []
-    for n in (1, 2, 3):
-        lam, ell = _linear_form(n, d, chi)
-        exp_lam = _exp_scalar(lam)
-        for g in DEG1:
-            # g Ra^n at m is Ra^n at m/g, 0 where g does not divide m
-            ra.append([_exp_coefficient(exp_lam, ell, _divided(m, g))[2] / fact
-                       if g in m else Rat(0) for m in monos])
-        coeffs = [_exp_coefficient(exp_lam, ell, m) for m in monos]
-        rb.append([c[1] / fact for c in coeffs])
-        rc.append([-c[2] / fact for c in coeffs])
-    rows = ra + rb + rc
-    found = int_gauss_jordan(_integer_rows(rows))[9:12]
+    ints, scales = tracked_rows_at(d, chi)
+    sign = -1 if d & 1 else 1
+    rows = tuple(tuple(Rat(sign * x, s) for x in row) for row, s in zip(ints, scales))
+    found = int_gauss_jordan(ints)[9:12]
     R = tuple(tuple(Rat(x, row[col]) for x in row) for col, row in found)
-    R += ((Rat(0),) * len(monos),) * (3 - len(R))
-    return TrackedBlock(d, chi, tuple(map(tuple, rows)), R, *_dets(rows, d))
+    R += ((Rat(0),) * len(TRACKED),) * (3 - len(R))
+    return TrackedBlock(d, chi, rows, R, *_dets(rows, d))
 
 
 @dataclass(frozen=True)

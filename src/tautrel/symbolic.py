@@ -1,56 +1,61 @@
-"""Truncated relation computation with d symbolic.
+"""The twelve degree-d relations at the 27 tracked columns, d symbolic.
 
-Internally everything is written in the sign-twisted generator basis
-(ct_k(j) = (-1)^(k+1) c_k(j)), whose structure constants are rational in
-d; each extracted monomial carries exactly one symbolic-index generator,
-so the global parity factor of the conversion back to the plain basis
-cancels against the echelon normalization and only per-column signs
-remain.
+The closed form.  The relations of degree ell = d+1 and d+2 are the
+degree-ell pieces of exp(L), L = sum_s (s-1)! F_s, s = 1..d+2, over the
+(d-3)! of the relations' normalization (relations).  Everything here
+is written in the sign-twisted basis ct_k(j) = (-1)^(k+1) c_k(j), in
+which each term of F_s (the eight terms of tautalg.factor_table, with
+its degenerate symbols) is c beta^b times one generator ct_k(j),
+k = s + offset, or the scalar ct_0(1) = -d.  So L is linear in the
+generators, L = lam + sum_g ell_g g, with lam = lam_1 beta + lam_2 beta^2
+its scalar part (the ct_0(1) terms of F_1 and F_2) and ell_g = sum
+(s-1)! c beta^b over the terms c beta^b g of the F_s.  Its terms
+commute, so exp(L) = exp(lam) prod_g exp(ell_g g), and mod beta^3 the
+coefficient of prod_g g^(e_g) beta^i in exp(L) is
 
-Truncation.  The relation of degree ell = d + delta (delta = 1, 2) is
-the degree-ell piece of exp(sum_s (s-1)! F_s) (see relations), a sum
-over the partitions of ell of prod_s ((s-1)! F_s)^m_s / m_s!, rescaled
-by (d-3)!.  Each term of the factor F_s (the eight terms of
-tautalg.factor_table, with its degenerate symbols) is beta^i (i <= 2)
-times a generator of degree s - i or, for s = i, the scalar
-ct_0(1) = -d.
-The 27 tracked columns are the degree-d monomials with one generator of
-degree d-2, d-1 or d (the large generator) and small generators of
-total degree <= 2: the layout of tautalg, whose large generators are
-offsets (a, j) from d.  For d >= 5 a small generator has degree <= 2 <
-d-2, so in every product reaching a tracked column exactly one factor
-supplies the large generator, and its index is >= d-2.  Hence, for
-every d >= 5:
+    [beta^i] (1 + lam_1 beta + (lam_2 + lam_1^2/2) beta^2) prod_g ell_g^(e_g) / e_g!.
 
-- a partition with no part >= d-2 contributes nothing.  The others are
-  split as (L, rest) with L = d + a >= d-2 and rest a partition of
-  delta - a <= delta + 2: seven pairs for ell = d+1, twelve for d+2
-  (truncated_partition_parts);
-- the terms of a partition are grouped by the part L that supplies the
-  large generator.  With L of multiplicity m, F_L^m / m! contributes
-  m * top(F_L) * F_L^(m-1) / m! = top(F_L) * F_L^(m-1) / (m-1)!, which
-  is the weight of the pair (L, rest): (L-1)!/(d-3)! = (d+a-1)!/(d-3)!
-  for the large factor (_large_ratio, a polynomial in d as a >= -2) and
-  prod_s (s-1)!^m_s / m_s! over rest.  A partition with two distinct
-  parts >= d-2 (only for d <= 6, e.g. 4 + 3 at d = 5, ell = 7) appears
-  once per such part, each time with that part supplying the large
-  generator, so no term is counted twice or missed;
-- within a pair the large factor keeps only its terms with a generator
-  of degree d-2..d (_top_ct), the small factors (indices <= 4) only
-  those with a generator of degree <= 2 (_small_ct), and products only
-  small degree <= 2 and beta^i with i <= 2 (beta^3 = 0).  Every dropped
-  term either reaches no tracked column or is counted in the pair whose
-  large part supplies the large generator.
+A tracked column (tautalg's layout) is one large generator ct_{d+a}(j)
+of degree d-2..d, named by its offset (a, j) in LARGE, times small
+generators of total degree <= 2 (DEG1, DEG2).  For d >= 5 a large
+generator has degree >= 3, so it is no small one, and its exponent in
+the column is 1.  The weight (s-1)! of a small generator's term is a
+constant (s <= 4), that of the large generator's, s = d + a - offset,
+over (d-3)! is the polynomial (d+a-offset-1)!/(d-3)! (_large_ratio, as
+a - offset >= -2 at every layout generator).  Over (d-3)!, the entries
+of the twelve relations at a tracked column mu are [beta^2] of mu/g for
+g Ra^n (0 where g does not divide mu), [beta^1] of mu for Rb^n and
+-[beta^2] of mu for Rc^n (_laurent_rows).  The factorization holds at
+every d, so no case of small d needs separate treatment.
 
-Laurent polynomials.  Every coefficient of the expansion has a
-denominator that is a power of d times an integer: the factor
-coefficients ha/d, c1 = (2-n) - chi1/d, q = ha*hb/(2 d^2) and -1/2 and
-the factorial weights.  So the expansion runs on Laurent polynomials in
-(d, chi1), {(e_d, e_chi1): int} with e_d possibly negative, and a
-truncated polynomial holds its Laurent coefficients over one positive
-integer denominator: a product adds exponents and multiplies the
-denominators, a sum merges dicts over the lcm, and no gcd is taken.
-The 12x27 matrix is built as immutable Laurent entries, each over an
+The plain basis.  A monomial's coefficient in the c_k(j) basis is its
+twisted one times (-1)^(k+1) for each of its generators.  Each tracked
+column holds exactly one generator of symbolic index, the large one,
+whose factor is (-1)^d (-1)^(a+1); _col_sign is the product of the
+others, so the matrix here is (-1)^d times the twelve relations at the
+tracked monomials in the plain basis (relations.tracked_block).  The
+parity is the same for every entry, so it cancels in the echelon form
+and the blocks read from it.
+
+What checks the derivation.  relations.tracked_block, which verify and
+emit --what matrices read, and the point path, which decide reads, both
+evaluate this one matrix, and symbolic_MN eliminates it over QQ(d,
+chi1).  verify --mode symbolic compares symbolic_MN at a point with
+the blocks of relations.build_relation_set, the full expansion by the
+recurrence, which does not use this closed form.  In tier-1, the blocks
+at every coprime point of d = 5..16 are compared with the recurrence,
+and every entry of the matrix with the partition truncation over
+RatFuncs (tests/symbolic_oracle.py), each by ==.
+
+Laurent polynomials.  Every coefficient has a denominator that is a
+power of d times an integer: the factor coefficients ha/d, c1 =
+(2-n) - chi1/d, q = ha*hb/(2 d^2) and -1/2, the 1/e_g! and the 1/2 of
+exp(lam).  So the closed form runs on Laurent polynomials in (d, chi1),
+{(e_d, e_chi1): int} with e_d possibly negative, fraction-free: lam and
+the ell_g of n over the lcm den of factor_table's denominators,
+exp(lam) over 2 den^2, and a product over the product of the
+denominators, with no gcd until each entry is made primitive.  The
+12x27 matrix is built as immutable Laurent entries, each over an
 integer den with its column sign folded in (_laurent_rows).  The
 symbolic path turns each entry into a RatFunc once: with
 k = max(0, -min e_d), it is (d^k lau) / (den d^k).  When k > 0 some term
@@ -59,7 +64,8 @@ factors of den d^k are d and primes, so the only common factor left is
 the integer gcd of den and the coefficients.  Dividing it out, with the
 sign on den, gives the canonical pair of RatFunc directly.  The point
 path evaluates the same entries at (d, chi) over the integers, each row
-scaled by d^k and the lcm of its denominators, both nonzero at d >= 5.
+scaled by d^k and the lcm of its denominators, both nonzero at d >= 5
+(tracked_rows_at).
 
 Exact specialization.  The 12x27 matrix A over QQ(d, chi1) has its
 pivots on columns 0..11 (symbolic_MN checks this), so its echelon form
@@ -96,35 +102,13 @@ from functools import lru_cache
 from .linalg import ExactMatrix, int_gauss_jordan
 from .rat import QQ, Rat
 from .ratfunc import FracField, RatFunc
-from .tautalg import (
-    DEG1,
-    DEG2,
-    LARGE,
-    SMALL_DEGREE,
-    SQUARES,
-    TRACKED,
-    factor_table,
-    gen_key,
-    twisted_symbol,
-)
+from .tautalg import DEG1, DEG2, LARGE, SQUARES, TRACKED, factor_table
 
 SYM_FIELD = FracField(("d", "chi1"))
 _ZERO = SYM_FIELD.zero
 
-# generators: ("top", a, j) means index d+a; ("sm", k, j) a concrete index.
-# A Laurent polynomial is {(e_d, e_chi1): coeff} with e_d possibly
-# negative.  A truncated polynomial is (terms, den): terms
-# {(large_or_None, small_tuple, beta): Laurent polynomial with int
-# coefficients} over one positive integer den.
-
-
-def _small_gen_key(g):
-    _, k, j = g
-    return gen_key((k, j))
-
-
-def _small_degree(small) -> int:
-    return sum(k + j - 1 for _, k, j in small)
+# A Laurent polynomial is {(e_d, e_chi1): int} with e_d possibly
+# negative; a beta-series is the triple of its beta^0..2 components.
 
 
 # -- Laurent polynomials in (d, chi1) ------------------------------------
@@ -148,11 +132,6 @@ def _nonzero(lau: dict) -> dict:
     return {e: x for e, x in lau.items() if x}
 
 
-def _nonzero_terms(poly: dict) -> dict:
-    """poly with zero coefficients, and keys left with none, dropped."""
-    return {key: lau for key, c in poly.items() if (lau := _nonzero(c))}
-
-
 def _scaled(lau: dict, c) -> dict:
     return {e: c * x for e, x in lau.items()}
 
@@ -172,94 +151,11 @@ def _laurent_ratfunc(lau: dict, den: int) -> RatFunc:
     )
 
 
-# -- the truncated expansion -----------------------------------------------
-
-
-def _trunc_mul(p: tuple, q: tuple) -> tuple:
-    """The truncated product p * q.  p is the large factor (or a product
-    with it) and q a small factor, whose terms carry no large generator,
-    so each product term keeps the large generator of p's term."""
-    (pt, pden), (qt, qden) = p, q
-    out: dict = {}
-    for (l1, s1, b1), c1 in pt.items():
-        for (_, s2, b2), c2 in qt.items():
-            b = b1 + b2
-            if b > 2:
-                continue
-            small = tuple(sorted(s1 + s2, key=_small_gen_key, reverse=True))
-            if _small_degree(small) > SMALL_DEGREE:
-                continue
-            key = (l1, small, b)
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = {}
-            _laurent_mul_into(acc, c1, c2)
-    return _nonzero_terms(out), pden * qden
-
-
-def _add_term(poly: dict, key, coeff: dict) -> None:
-    _laurent_add_into(poly.setdefault(key, {}), coeff)
-
-
-def _small_ct(poly: dict, beta: int, coeff: dict, k: int, j: int) -> None:
-    """Append coeff * ct_k(j) (small index) to the beta-component."""
-    sym = twisted_symbol(k, j)
-    if sym is None:
-        return
-    if not sym:
-        # ct_0(1) = -d
-        _add_term(poly, (None, (), beta), {(a + 1, b): -x for (a, b), x in coeff.items()})
-    elif k + j - 1 <= SMALL_DEGREE:
-        _add_term(poly, (None, (("sm", k, j),), beta), coeff)
-
-
-def _top_ct(poly: dict, beta: int, coeff: dict, a: int, j: int) -> None:
-    """Append coeff * ct_{d+a}(j); kept only for the large generators of
-    the layout, of degree d-2..d."""
-    if any((a, j) in group for group in LARGE):
-        _add_term(poly, (("top", a, j), (), beta), coeff)
-
-
-def _factor(n: int, s: int, ct) -> tuple:
-    """Truncation of the beta-class factor with index s (ct = _small_ct)
-    or d + s (ct = _top_ct), as a truncated polynomial: the terms of
-    tautalg.factor_table, chi being chi1."""
-    poly: dict = {}
-    for beta, coeff, offset, j in factor_table(n):
-        ct(poly, beta, coeff, s + offset, j)
-    poly = _nonzero_terms(poly)
-    den = math.lcm(*(int(x.denominator) for lau in poly.values() for x in lau.values()))
-    terms = {
-        key: {e: int(x.numerator) * (den // int(x.denominator)) for e, x in lau.items()}
-        for key, lau in poly.items()
-    }
-    return terms, den
-
-
-def truncated_partition_parts(delta: int) -> list:
-    """Contributing partitions of ell = d + delta: a symbolic large part
-    ("d", a) followed by concrete small parts, largest first."""
-    out = []
-    for restsum in range(0, delta + 3):
-        a = delta - restsum
-        for small in _small_partitions(restsum):
-            out.append((("d", a),) + small)
-    return out
-
-
-def _small_partitions(n: int, largest: int = None) -> list:
-    if n == 0:
-        return [()]
-    largest = n if largest is None else largest
-    out = []
-    for p in range(min(largest, n), 0, -1):
-        for rest in _small_partitions(n - p, p):
-            out.append((p,) + rest)
-    return out
+# -- the closed form of exp(L) at the tracked columns ----------------------
 
 
 def _large_ratio(a: int) -> dict:
-    """(d+a-1)! / (d-3)! as a polynomial in d."""
+    """(d+a-1)! / (d-3)! as a polynomial in d, for a >= -2."""
     acc = {(0, 0): 1}
     for off in range(-2, a):
         nxt: dict = {}
@@ -268,41 +164,67 @@ def _large_ratio(a: int) -> dict:
     return acc
 
 
-def _sym_relation(kind: str, n: int) -> tuple:
-    """Truncated relation in the twisted basis, as (den, ((key, items),
-    ...)): the coefficient of key is the Laurent polynomial dict(items)
-    over the integer den.  kind: 'a' (beta^2 of d+1), 'b' (beta^1 of
-    d+1), 'c' (beta^2 of d+2, with the orientation sign)."""
-    delta = 1 if kind in ("a", "b") else 2
-    want_beta = 1 if kind == "b" else 2
-    sign = 1 if delta == 1 else -1
-    smalls = {s: _factor(n, s, _small_ct) for s in (1, 2, 3, 4)}
-    pieces = []
-    for parts in truncated_partition_parts(delta):
-        (_, a), small_parts = parts[0], parts[1:]
-        mults: dict = {}
-        for s in small_parts:
-            mults[s] = mults.get(s, 0) + 1
-        num, den = sign, 1
-        for s, m in mults.items():
-            num *= math.factorial(s - 1) ** m
-            den *= math.factorial(m)
-        poly = _factor(n, a, _top_ct)
-        for s in small_parts:
-            poly = _trunc_mul(poly, smalls[s])
-        terms, pden = poly
-        pieces.append((terms, pden * den, _scaled(_large_ratio(a), num)))
-    den = math.lcm(*(pden for _, pden, _ in pieces))
-    total: dict = {}
-    for terms, pden, ratio in pieces:
-        ratio = _scaled(ratio, den // pden)
-        for (large, small, beta), c in terms.items():
-            if beta == want_beta:
-                _laurent_mul_into(total.setdefault((large, small), {}), c, ratio)
-    return den, tuple((key, tuple(lau.items())) for key, lau in _nonzero_terms(total).items())
+def _exponent(n: int) -> tuple:
+    """(den, lam, ell, ell_large): the exponent L = sum_s (s-1)! F_s of n
+    in the twisted basis, its coefficients Laurent polynomials over the
+    integer den, the lcm of factor_table's denominators.  lam is its
+    scalar part, ell[g] the coefficient of each small generator g of the
+    layout, and ell_large[o] that of the large generator of offset o,
+    over (d-3)!; each a beta-series (module docstring)."""
+    table = factor_table(n)
+    den = math.lcm(*(x.denominator for _, lau, _, _ in table for x in lau.values()))
+    # ct_0(1), the scalar -d, is read as a generator until the end
+    ell = {g: ({}, {}, {}) for g in ((0, 1),) + DEG1 + DEG2}
+    ell_large = {o: ({}, {}, {}) for group in LARGE for o in group}
+    for beta, lau, offset, j in table:
+        c = {e: int(x * den) for e, x in lau.items()}
+        # ct_k(j) is a term of F_s, s = k - offset, of weight (s-1)!
+        for (k, jj), series in ell.items():
+            if jj == j and k > offset:
+                _laurent_add_into(series[beta], _scaled(c, math.factorial(k - offset - 1)))
+        for (a, jj), series in ell_large.items():
+            if jj == j:
+                _laurent_mul_into(series[beta], c, _large_ratio(a - offset))
+    lam = tuple({(a + 1, b): -x for (a, b), x in p.items() if x} for p in ell.pop((0, 1)))
+    if lam[0]:
+        raise ValueError("the scalar part of L has a beta^0 term")
+    return den, lam, ell, ell_large
 
 
-# -- extraction of the block matrices ------------------------------------
+def _exp_lambda(den: int, lam) -> tuple:
+    """(den', series): exp(lam) mod beta^3, 1 + lam_1 beta + (lam_2 +
+    lam_1^2/2) beta^2, over the integer den' = 2 den^2, for lam the
+    beta-series (0, lam_1, lam_2) over den."""
+    _, l1, l2 = lam
+    b2 = _scaled(l2, 2 * den)
+    _laurent_mul_into(b2, l1, l1)
+    return 2 * den * den, ({(0, 0): 2 * den * den}, _scaled(l1, 2 * den), b2)
+
+
+def _beta_product(p, q) -> tuple:
+    """p q mod beta^3 for beta-series p and q."""
+    out = ({}, {}, {})
+    for i, x in enumerate(p):
+        for j, y in enumerate(q[:3 - i]):
+            _laurent_mul_into(out[i + j], x, y)
+    return out
+
+
+def _coefficient(scalar, form, large, small) -> tuple:
+    """(den, series): the coefficient of ct_{d+a}(j) prod small in
+    exp(L), over (d-3)!, for the large offset (a, j), as a beta-series
+    over the integer den: exp(lam) ell_large prod_g ell_g^e_g / e_g!.
+    form is the _exponent of n and scalar its _exp_lambda."""
+    sden, series = scalar
+    den, _, ell, ell_large = form
+    series = _beta_product(series, ell_large[large])
+    for g in small:
+        series = _beta_product(series, ell[g])
+    fact = math.prod(math.factorial(small.count(g)) for g in set(small))
+    return sden * den ** (1 + len(small)) * fact, series
+
+
+# -- the 12x27 matrix and the block matrices --------------------------------
 
 
 def _col_sign(large, small) -> int:
@@ -319,59 +241,63 @@ _TERM = struct.Struct("bbh")
 _ZERO_ENTRY = (1, b"")
 
 
+def _entry(coefficient, beta: int, sign: int) -> tuple:
+    """The Laurent entry of sign times the beta^beta component of a
+    _coefficient: (den, terms), made primitive, the sign on den."""
+    den, series = coefficient
+    lau = _nonzero(series[beta])
+    if not lau:
+        return _ZERO_ENTRY
+    g = math.gcd(den, *lau.values())
+    return sign * den // g, b"".join(_TERM.pack(a, b, c // g) for (a, b), c in lau.items())
+
+
 def _laurent_rows() -> tuple:
     """The 12x27 matrix whose echelon form holds the blocks, in the
     columns of tautalg.TRACKED, as rows of Laurent entries (den, terms):
     the sum of the terms c * d^e_d * chi1^e_chi1 over the integer den,
     its column sign folded into den, the terms packed by _TERM.  Rows:
     c2(0)*Ra^n and c0(2)*Ra^n for n = 1, 2, 3, then Rb^1..Rb^3 and
-    Rc^1..Rc^3.  Tuples and bytes only, so no reader can change it.
+    Rc^1..Rc^3, by the closed form (module docstring).  Tuples and
+    bytes only, so no reader can change it.
 
     The terms are packed because the point path holds the matrix for
     the life of the process: as ((e_d, e_chi1), c) tuples it took
     0.18 MB (tracemalloc), packed 0.03 MB.  A value out of range raises
-    struct.error: the exponents lie in -5..5, the coefficients below
-    2^14."""
-    rels = {}
-    for kind in ("a", "b", "c"):
-        for n in (1, 2, 3):
-            den, terms = _sym_relation(kind, n)
-            rels[(kind, n)] = (den, {key: b"".join(_TERM.pack(a, b, c) for (a, b), c in lau)
-                                     for key, lau in terms})
-
-    def entry(rel, large, small):
-        den, terms = rel
-        a, j = large
-        lau = terms.get((("top", a, j), tuple(("sm", k, jj) for k, jj in small)))
-        return _ZERO_ENTRY if lau is None else (den * _col_sign(large, small), lau)
-
-    rows = []
-    # c2(0)*Ra and c0(2)*Ra rows: multiplying by a degree-1 generator
-    # shifts the needed coefficient down by that generator
+    struct.error.  Each entry is made primitive over its den before it
+    is packed, since the products it comes from have coefficients far
+    outside the packed range: its exponents lie in -5..4 (e_d) and 0..5
+    (e_chi1), its coefficients in -2808..2808 (checked in the tests)."""
+    ra, rb, rc = [], [], []
     for n in (1, 2, 3):
-        ra = rels[("a", n)]
+        form = _exponent(n)
+        scalar = _exp_lambda(*form[:2])
         for mult in DEG1:
+            # mult Ra^n at a column is Ra^n at the column over mult
             row = []
             for large, small in TRACKED:
                 if mult in small:
-                    reduced = list(small)
-                    reduced.remove(mult)
-                    row.append(entry(ra, large, tuple(reduced)))
+                    i = small.index(mult)
+                    rest = small[:i] + small[i + 1:]
+                    row.append(_entry(_coefficient(scalar, form, large, rest), 2,
+                                      _col_sign(large, rest)))
                 else:
                     row.append(_ZERO_ENTRY)
-            rows.append(tuple(row))
-    for kind in ("b", "c"):
-        for n in (1, 2, 3):
-            rel = rels[(kind, n)]
-            rows.append(tuple(entry(rel, large, small) for large, small in TRACKED))
-    return tuple(rows)
+            ra.append(tuple(row))
+        b, c = [], []
+        for large, small in TRACKED:
+            coefficient, sign = _coefficient(scalar, form, large, small), _col_sign(large, small)
+            b.append(_entry(coefficient, 1, sign))
+            c.append(_entry(coefficient, 2, -sign))
+        rb.append(tuple(b))
+        rc.append(tuple(c))
+    return tuple(ra + rb + rc)
 
 
 # the point path's copy, held for the life of the process.  symbolic_MN
-# expands its own and drops it: a copy shared by both, held through the
-# elimination over QQ(d, chi1), raised the peak RSS of perfbench p1 by
-# about 0.1 MB, packed or not; the second expansion, where a process
-# needs both, takes about 0.02 s
+# expands its own and drops it: with a copy shared by both, held through
+# the elimination over QQ(d, chi1), the peak RSS of perfbench p1 was no
+# lower and spread wider, and the second expansion takes about 6 ms
 _laurent_matrix = lru_cache(maxsize=1)(_laurent_rows)
 
 
@@ -403,25 +329,28 @@ def _blocks(rows, field) -> tuple:
 @lru_cache(maxsize=1)
 def symbolic_MN() -> tuple:
     """(M_1..M_3, N_1..N_3) as 3x3 matrices of rational functions in
-    (d, chi1), from the truncated symbolic pipeline."""
+    (d, chi1), from the elimination of the closed form over QQ(d, chi1)."""
     R, pivots = _sym_matrix().rref()
     if len(pivots) != 12 or pivots[9:12] != [9, 10, 11]:
         raise AssertionError(f"unexpected symbolic echelon pivots: {pivots}")
     return _blocks(R.data[9:12], SYM_FIELD)
 
 
-def _point_rows(d: int, chi: int) -> list:
-    """The rows of _laurent_matrix evaluated at (d, chi1 = chi) over the
-    integers, each scaled by d^k and the lcm of its denominators, with
-    k = max(0, -min e_d) over the row."""
-    out = []
+def tracked_rows_at(d: int, chi: int) -> tuple:
+    """(rows, scales): the matrix of _laurent_rows at (d, chi1 = chi),
+    d != 0, as integer rows, each the row evaluated times its scale, the
+    lcm of its denominators times d^k, k = max(0, -min e_d) over the
+    row.  In the plain basis the twelve relations at the tracked
+    monomials are (-1)^d rows[i] / scales[i] (module docstring)."""
+    rows, scales = [], []
     for row in _laurent_matrix():
         lcm = math.lcm(*(den for den, _ in row))
         k = max(0, -min((a for _, terms in row for a, _, _ in _TERM.iter_unpack(terms)), default=0))
-        out.append([lcm // den * sum(c * d ** (a + k) * chi ** b
-                                     for a, b, c in _TERM.iter_unpack(terms))
-                    for den, terms in row])
-    return out
+        rows.append([lcm // den * sum(c * d ** (a + k) * chi ** b
+                                      for a, b, c in _TERM.iter_unpack(terms))
+                     for den, terms in row])
+        scales.append(lcm * d ** k)
+    return rows, scales
 
 
 def symbolic_matrices_at(d: int, chi: int) -> tuple:
@@ -429,13 +358,13 @@ def symbolic_matrices_at(d: int, chi: int) -> tuple:
     rationals; other points, chi = None among them, raise ValueError.
 
     They come from one elimination over the integers at the point: the
-    rows of the truncated matrix evaluated there, eliminated by
-    int_gauss_jordan, with the pivots checked to lie on columns 0..11.
-    They equal symbolic_MN evaluated at (d, chi) and the blocks of the
-    relation set built at (d, chi): see the module docstring."""
+    rows of tracked_rows_at, eliminated by int_gauss_jordan, with the
+    pivots checked to lie on columns 0..11.  They equal symbolic_MN
+    evaluated at (d, chi) and the blocks of the relation set built at
+    (d, chi): see the module docstring."""
     if not isinstance(chi, int) or d < 5 or math.gcd(d, chi) != 1 or not 0 < chi < d:
         raise ValueError(f"d >= 5 and a coprime 0 < chi < d required (d={d}, chi={chi})")
-    pivots = int_gauss_jordan(_point_rows(d, chi))
+    pivots = int_gauss_jordan(tracked_rows_at(d, chi)[0])
     cols = [col for col, _ in pivots]
     if cols != list(range(12)):
         raise AssertionError(f"unexpected echelon pivots at (d, chi) = ({d}, {chi}): {cols}")

@@ -26,32 +26,43 @@ def _cold_caches(request):
 
 
 @pytest.fixture
-def rc2_zeroed(monkeypatch):
+def uncached_laurent_matrix(monkeypatch):
+    """symbolic's point path expands the Laurent matrix on every call, so
+    that a patched closed form reaches relations.tracked_block, and the
+    cached matrix is left as it was."""
+    from tautrel import symbolic
+
+    monkeypatch.setattr(symbolic, "_laurent_matrix", symbolic._laurent_rows)
+
+
+@pytest.fixture
+def rc2_zeroed(monkeypatch, uncached_laurent_matrix):
     """A defect of the closed form that zeroes the Rc^2 row of
     relations.tracked_block and changes no other entry: the beta^2
     component of n = 2's coefficients at degree-d monomials reads 0.
     Only Rc^n reads it; Ra^n reads degree d-1 monomials, Rb^n beta^1."""
-    from tautrel import relations
-    from tautrel.rat import Rat
-    from tautrel.tautalg import mono_degree
+    from tautrel import symbolic
+    from tautrel.tautalg import LARGE, mono_degree
 
-    linear_form, coefficient = relations._linear_form, relations._exp_coefficient
-    n2 = []  # (ell, d) of each n = 2 linear form made
+    exponent, coefficient = symbolic._exponent, symbolic._coefficient
+    n2 = []  # each exponent of n = 2 made
 
-    def remembering(n, d, chi):
-        lam, ell = linear_form(n, d, chi)
+    def remembering(n):
+        form = exponent(n)
         if n == 2:
-            n2.append((ell, d))
-        return lam, ell
+            n2.append(form)
+        return form
 
-    def defective(exp_lam, ell, mono):
-        out = coefficient(exp_lam, ell, mono)
-        if any(ell is e and mono_degree(mono) == d for e, d in n2):
-            return out[:2] + (Rat(0),)
-        return out
+    def defective(scalar, form, large, small):
+        den, series = coefficient(scalar, form, large, small)
+        # the large generator of LARGE[i] has degree d - i
+        degree_d = mono_degree(small) == next(i for i, g in enumerate(LARGE) if large in g)
+        if degree_d and any(form is f for f in n2):
+            return den, series[:2] + ({},)
+        return den, series
 
-    monkeypatch.setattr(relations, "_linear_form", remembering)
-    monkeypatch.setattr(relations, "_exp_coefficient", defective)
+    monkeypatch.setattr(symbolic, "_exponent", remembering)
+    monkeypatch.setattr(symbolic, "_coefficient", defective)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

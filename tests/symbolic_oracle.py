@@ -1,11 +1,38 @@
-"""Reference truncated expansion: every coefficient a RatFunc in (d, chi1).
+"""Reference for the Laurent matrix of tautrel.symbolic: the partition
+truncation, every coefficient a RatFunc in (d, chi1).
 
-This is the expansion tautrel.symbolic ran before it moved to Laurent
-polynomials in (d, chi1) with integer coefficients over one denominator.
+tautrel.symbolic once computed the matrix this way, first over RatFuncs
+and then over Laurent polynomials, before it read the closed form of
+exp(L).  The relation of degree ell = d + delta (delta = 1, 2) is the
+degree-ell piece of exp(sum_s (s-1)! F_s), a sum over the partitions of
+ell of prod_s ((s-1)! F_s)^m_s / m_s!, rescaled by (d-3)!.  For d >= 5 a
+small generator has degree <= 2 < d-2, so in every product reaching a
+tracked column exactly one factor supplies the large generator, and
+its index is >= d-2.  Hence:
+
+- a partition with no part >= d-2 contributes nothing.  The others are
+  split as (L, rest) with L = d + a >= d-2 and rest a partition of
+  delta - a <= delta + 2: seven pairs for ell = d+1, twelve for d+2
+  (truncated_partition_parts);
+- the terms of a partition are grouped by the part L that supplies the
+  large generator.  With L of multiplicity m, F_L^m / m! contributes
+  top(F_L) * F_L^(m-1) / (m-1)!, which is the weight of the pair
+  (L, rest): (L-1)!/(d-3)! = (d+a-1)!/(d-3)! for the large factor
+  (_large_ratio) and prod_s (s-1)!^m_s / m_s! over rest.  A partition
+  with two distinct parts >= d-2 (only for d <= 6, e.g. 4 + 3 at d = 5,
+  ell = 7) appears once per such part, each time with that part
+  supplying the large generator, so no term is counted twice or missed;
+- within a pair the large factor keeps only its terms with a generator
+  of degree d-2..d (_top_ct), the small factors (indices <= 4) only
+  those with a generator of degree <= 2 (_small_ct), and products only
+  small degree <= 2 and beta^i with i <= 2 (beta^3 = 0).
+
 Every product and sum here is a RatFunc operation (a gcd each), so it
-is slow but independent of the Laurent helpers.  sym_relation returns
-the same keys in the twisted basis as tautrel.symbolic._sym_relation,
-each with its coefficient as a canonical RatFunc.
+is slow but independent of the closed form and of the Laurent helpers.
+sym_relation returns the relations in the twisted basis, each
+coefficient a canonical RatFunc; laurent_matrix assembles the twelve
+rows at the 27 columns with their column signs, and differences
+compares a packed matrix of tautrel.symbolic with it.
 
 column_keys is the list of the 27 tracked columns as tautrel.symbolic
 wrote it by hand, sorted into descending order by an explicit key,
@@ -13,19 +40,50 @@ before it read the columns from the layout in tautalg.
 """
 
 import math
+from functools import lru_cache
 
 from tautrel.rat import Rat
-from tautrel.symbolic import (
-    SYM_FIELD,
-    _small_degree,
-    _small_gen_key,
-    truncated_partition_parts,
-)
-from tautrel.tautalg import SMALL_DEGREE, gen_key
+from tautrel.symbolic import SYM_FIELD, _laurent_ratfunc, _unpacked
+from tautrel.tautalg import LARGE, gen_key
+
+# the small part of a tracked monomial has degree at most SMALL_DEGREE,
+# one less than the number of groups of large generators
+SMALL_DEGREE = len(LARGE) - 1
 
 _D = SYM_FIELD.gen("d")
 _CHI = SYM_FIELD.gen("chi1")
 _ONE = SYM_FIELD.one
+
+
+def _small_gen_key(g):
+    _, k, j = g
+    return gen_key((k, j))
+
+
+def _small_degree(small) -> int:
+    return sum(k + j - 1 for _, k, j in small)
+
+
+def truncated_partition_parts(delta: int) -> list:
+    """Contributing partitions of ell = d + delta: a symbolic large part
+    ("d", a) followed by concrete small parts, largest first."""
+    out = []
+    for restsum in range(0, delta + 3):
+        a = delta - restsum
+        for small in _small_partitions(restsum):
+            out.append((("d", a),) + small)
+    return out
+
+
+def _small_partitions(n: int, largest: int = None) -> list:
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    out = []
+    for p in range(min(largest, n), 0, -1):
+        for rest in _small_partitions(n - p, p):
+            out.append((p,) + rest)
+    return out
 
 
 def _trunc_mul(p: dict, q: dict) -> dict:
@@ -158,3 +216,55 @@ def column_keys():
         return ((a + j - 1, a), tuple(gen_key(g) for g in small))
 
     return sorted(cols, key=key, reverse=True)
+
+
+def _column_sign(large, small):
+    """prod over the column's generators of (-1)^(k+1), the large one's
+    index k = d + a taken as a: the twisted-to-plain sign without the
+    parity of d."""
+    a, _ = large
+    return -1 if (a + 1 + sum(k + 1 for k, _ in small)) % 2 else 1
+
+
+@lru_cache(maxsize=1)
+def laurent_matrix() -> tuple:
+    """The 12x27 matrix of tautrel.symbolic._laurent_rows over QQ(d,
+    chi1), in its row order (c2(0) Ra^n and c0(2) Ra^n for n = 1, 2, 3,
+    then Rb^n, then Rc^n) and the column order of column_keys."""
+    rels = {(kind, n): sym_relation(kind, n) for kind in "abc" for n in (1, 2, 3)}
+    zero = SYM_FIELD.zero
+
+    def entry(rel, large, small):
+        key = (("top",) + large, tuple(("sm",) + g for g in small))
+        return rel.get(key, zero) * _column_sign(large, small)
+
+    rows = []
+    for n in (1, 2, 3):
+        for mult in ((2, 0), (0, 2)):
+            row = []
+            for large, small in column_keys():
+                if mult in small:
+                    rest = list(small)
+                    rest.remove(mult)
+                    row.append(entry(rels[("a", n)], large, tuple(rest)))
+                else:
+                    row.append(zero)
+            rows.append(tuple(row))
+    for kind in "bc":
+        for n in (1, 2, 3):
+            rows.append(tuple(entry(rels[(kind, n)], large, small)
+                              for large, small in column_keys()))
+    return tuple(rows)
+
+
+def differences(rows) -> list:
+    """The (row, column) of each entry of the packed Laurent matrix rows
+    (tautrel.symbolic._laurent_rows) whose RatFunc differs from
+    laurent_matrix by == or by its printed form."""
+    out = []
+    for i, (got_row, want_row) in enumerate(zip(rows, laurent_matrix(), strict=True)):
+        for j, ((den, terms), want) in enumerate(zip(got_row, want_row, strict=True)):
+            got = _laurent_ratfunc(_unpacked(terms), den)
+            if got != want or str(got) != str(want):
+                out.append((i, j))
+    return out

@@ -83,8 +83,10 @@ def test_criterion_3_reference_matrices():
         for chi in coprime_chis(d):
             rep = checkpoint_reference_M(build_relation_set(d, chi).block())
             ok = ok and rep["entries_checked"] == 27
-    # symbolic reproduction from the seven contributing partitions
-    from tautrel.symbolic import SYM_FIELD, symbolic_MN, truncated_partition_parts
+    # symbolic reproduction; the partition oracle has seven contributing
+    # partitions for ell = d+1
+    from symbolic_oracle import truncated_partition_parts
+    from tautrel.symbolic import SYM_FIELD, symbolic_MN
 
     assert len(truncated_partition_parts(1)) == 7
     Msym, _ = symbolic_MN()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import symbolic_oracle
 from linalg_oracle import rank
 from relations_oracle import (
     PartitionTuple,
@@ -53,7 +54,7 @@ from tautrel.relations import (
     _generators,
     _Packing,
 )
-from tautrel import relations as relations_module
+from tautrel import symbolic
 from tautrel.linalg import ExactMatrix
 from tautrel.tautalg import DegreeMismatch, tracked_monos, twisted_symbol
 from tautrel.truncation import matrices_M, matrices_N
@@ -694,40 +695,49 @@ def test_tracked_block_matches_the_recurrence(d):
 
 
 def _no_factorials(real):
-    def mutant(exp_lam, ell, mono):
-        out = exp_lam
-        for g in mono:
-            out = relations_module._beta_mul(out, ell[g])
-        return out
+    # the coefficient times prod_g e_g!, as if 1/e_g! were dropped
+    def mutant(scalar, form, large, small):
+        den, series = real(scalar, form, large, small)
+        f = math.prod(math.factorial(small.count(g)) for g in set(small))
+        return den, tuple({e: f * x for e, x in p.items()} for p in series)
     return mutant
 
 
 def _no_square_term(real):
-    return lambda lam: (Rat(1), lam[1], lam[2])
+    return lambda den, lam: (den, ({(0, 0): den}, lam[1], lam[2]))
 
 
 def _n2_reads_the_ell_of_n1(real):
-    return lambda n, d, chi: (real(n, d, chi)[0], real(1 if n == 2 else n, d, chi)[1])
+    def mutant(n):
+        den, lam, ell, ell_large = real(n)
+        if n == 2:
+            den1, _, ell, ell_large = real(1)
+            assert den1 == den
+        return den, lam, ell, ell_large
+    return mutant
 
 
 def _every_n_reads_n3(real):
-    return lambda n, d, chi: real(3, d, chi)
+    return lambda n: real(3)
 
 
 def _mutants():
-    """name -> (attribute of relations, its mutant made from the original)."""
+    """name -> (attribute of symbolic, its mutant made from the original)."""
     return {
-        "no 1/e_g!": ("_exp_coefficient", _no_factorials),
-        "no lam_1^2/2": ("_exp_scalar", _no_square_term),
-        "n = 2 reads the ell of n = 1": ("_linear_form", _n2_reads_the_ell_of_n1),
-        "every n reads n = 3": ("_linear_form", _every_n_reads_n3),
+        "no 1/e_g!": ("_coefficient", _no_factorials),
+        "no lam_1^2/2": ("_exp_lambda", _no_square_term),
+        "n = 2 reads the ell of n = 1": ("_exponent", _n2_reads_the_ell_of_n1),
+        "every n reads n = 3": ("_exponent", _every_n_reads_n3),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_mutants()))
-def test_tracked_block_mutants_fail_the_differential_test(monkeypatch, name):
+def test_tracked_block_mutants_fail_the_differential_test(monkeypatch, uncached_laurent_matrix,
+                                                          name):
+    # each mutant of the one closed form fails against the recurrence and
+    # against the partition oracle
     attr, mutant = _mutants()[name]
-    monkeypatch.setattr(relations_module, attr, mutant(getattr(relations_module, attr)))
+    monkeypatch.setattr(symbolic, attr, mutant(getattr(symbolic, attr)))
     for d, chi in ((7, 3), (9, 2)):
         diff = block_differences(d, chi)
         assert diff, (name, d, chi)
@@ -736,6 +746,7 @@ def test_tracked_block_mutants_fail_the_differential_test(monkeypatch, name):
             # match, so the test must compare all twelve
             rows = {f"row {i}" for i in range(12)} - {"row 4", "row 5", "row 8", "row 11"}
             assert rows <= set(diff)
+    assert symbolic_oracle.differences(symbolic._laurent_rows()), name
 
 
 def test_verify_rank12_takes_the_rank_of_a_broken_block(rc2_zeroed):

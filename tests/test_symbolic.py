@@ -13,12 +13,7 @@ from tautrel.rat import QQ, Rat
 from tautrel.ratfunc import RatFunc
 from tautrel.tautalg import TRACKED
 from tautrel.relations import build_relation_set
-from tautrel.symbolic import (
-    SYM_FIELD,
-    symbolic_MN,
-    symbolic_matrices_at,
-    truncated_partition_parts,
-)
+from tautrel.symbolic import SYM_FIELD, symbolic_MN, symbolic_matrices_at
 from tautrel.truncation import matrices_M, matrices_N
 
 
@@ -37,7 +32,7 @@ def test_printed_entries_evaluate_to_their_values():
 
 
 def test_truncated_partitions_dplus1():
-    parts = truncated_partition_parts(1)
+    parts = symbolic_oracle.truncated_partition_parts(1)
     assert len(parts) == 7
     assert (("d", 1),) in parts
     assert (("d", 0), 1) in parts
@@ -49,7 +44,7 @@ def test_truncated_partitions_dplus1():
 
 
 def test_truncated_partitions_dplus2():
-    parts = truncated_partition_parts(2)
+    parts = symbolic_oracle.truncated_partition_parts(2)
     assert len(parts) == 12
     assert (("d", 2),) in parts
     assert (("d", -2), 4) in parts
@@ -176,15 +171,23 @@ def _as_ratfunc_by_field(lau: dict, den: int):
     return acc / den
 
 
-def test_sym_relations_match_ratfunc_oracle():
-    for kind in ("a", "b", "c"):
-        for n in (1, 2, 3):
-            den, terms = symbolic._sym_relation(kind, n)
-            got = {key: symbolic._laurent_ratfunc(dict(lau), den) for key, lau in terms}
-            want = symbolic_oracle.sym_relation(kind, n)
-            assert got.keys() == want.keys(), (kind, n)
-            for key, c in want.items():
-                assert got[key] == c and str(got[key]) == str(c), (kind, n, key)
+def test_laurent_rows_match_ratfunc_oracle():
+    # all 324 entries of the closed form, each turned into a RatFunc,
+    # against the partition truncation over RatFuncs
+    rows = symbolic._laurent_rows()
+    assert len(rows) == 12 and all(len(row) == 27 for row in rows)
+    assert symbolic_oracle.differences(rows) == []
+
+
+def test_packed_terms_stay_inside_the_stated_ranges():
+    # _laurent_rows' docstring: each entry primitive over its den, e_d in
+    # -5..4, e_chi1 in 0..5, coefficients in -2808..2808
+    for row in symbolic._laurent_rows():
+        for den, terms in row:
+            lau = symbolic._unpacked(terms)
+            assert math.gcd(den, *lau.values()) == 1
+            for (a, b), c in lau.items():
+                assert -5 <= a <= 4 and 0 <= b <= 5 and 0 < abs(c) <= 2808
 
 
 laurents = st.dictionaries(
