@@ -8,14 +8,13 @@ relations._eliminate, for the build: their integer numerators at
 their twelve leading monomials beside an identity, whose part records
 the combinations of the rows that give R1..R3, and at every monomial
 only when the leading ones have rank < 12.  It also eliminates the
-twelve relations at the 27 tracked monomials, scaled to integers, for
-R1..R3 of relations.tracked_block and for the rank of
-relations.verify_rank12 when a block's pivot minor vanishes, and the
-point path's rows of the
-truncated matrix, scaled to integers, in symbolic_matrices_at, and
-over each candidate's extension the 27x18
-(A, B) system of obstruction.solve_AB, pivoting on every column but
-a33, and the (U, V) block of obstruction.solve_UV.  The pivot rule:
+twelve relations at the 27 tracked monomials, scaled to integers, once
+per block, in symbolic.point_echelon: for the pivots and R1..R3 of every
+relations.TrackedBlock, whose pivots give verify_rank12 its rank, and
+for the blocks of symbolic_matrices_at; and over each candidate's
+extension the 27x18 (A, B) system of obstruction.solve_AB, pivoting on
+every column but a33, and the (U, V) block of obstruction.solve_UV.
+The pivot rule:
 rows are visited top to bottom, so a caller that wants another order
 orders its rows; each is reduced against the pivot rows found so far,
 then pivots on its first nonzero entry among the columns allowed to

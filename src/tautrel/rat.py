@@ -4,11 +4,10 @@ Rat is gmpy2's mpq when available and fractions.Fraction otherwise.
 Both keep values reduced with a positive denominator, so the canonical
 text form "p/q" (q omitted when 1) is just str().  The relation
 expansions run on packed Python ints; Rat carries the coefficients of
-tautalg.factor_table, the entries read from the packed rows
-(relations._entries) and the point blocks of symbolic_matrices_at, the
-linear algebra over QQ (the pencil, S and the minors of verify_rank12),
-the coefficients CubicExt reads out, MPoly over QQ and the values of
-RatFunc.eval.
+tautalg.factor_table, the entries of every relations.TrackedBlock and
+the point blocks of symbolic_matrices_at, the linear algebra over QQ
+(the pencil, S and the minors of verify_rank12), the coefficients
+CubicExt reads out, MPoly over QQ and the values of RatFunc.eval.
 """
 
 from __future__ import annotations

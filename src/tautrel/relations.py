@@ -2,21 +2,23 @@
 
 Every consumer reads the twelve degree-d relations at (d, chi) as one
 12x27 block (TrackedBlock): their entries at the 27 tracked monomials
-of tautalg's layout.  Two functions make it:
+of tautalg's layout.  One constructor, _block, makes every block from
+its twelve integer rows over their scales, by one elimination: its
+pivots, and R1..R3 at the 27 columns as rows 9-11 of the rows' reduced
+row echelon form (symbolic.point_echelon), and det1 and det2, the
+minors of the rows (_dets).  Two functions give it the rows:
 
 - tracked_block(d, chi) evaluates the closed form of exp(L) at the
   tracked columns, derived once in symbolic's docstring, at the point,
   in about the same time at every d.  verify and emit --what matrices
-  read it: det1, det2, the pivot minor, the Mon1 and Mon2 minors, and
-  R1..R3 at the 27 columns as rows 9-11 of the block's reduced row
-  echelon form.
+  read it.
 - build_relation_set(d, chi) expands every relation in full by the
   recurrence below, which does not use the closed form.  It serves
   emit --what relations, which prints whole rows, and verify --mode
   symbolic, which checks the symbolic blocks against it; the tests
-  check the closed form against it.  RelationSet.block() reads the
-  same block off its own rows and R1..R3 (_entries), with no
-  elimination, so the recurrence feeds the same consumers.
+  check the closed form against it.  RelationSet.block() gives _block
+  the numerators of its own rows at the 27 columns over their
+  denominators, so the recurrence feeds the same consumers.
 
 The pivots.  For d >= 5 the twelve layout pivots, mon1(d) and mon2(d),
 are the twelve largest degree-d monomials, and they are the first
@@ -101,10 +103,10 @@ packed, each over its pivot entry: divided by it they are the rows of
 the reduced row echelon form.  The build unpacks the twelve pivot
 monomials and the monomials of R_1..R_3, each checked to have degree d.
 The rows and R_1..R_3 of a RelationSet are read-only mappings, since
-the set is cached.  Every coefficient is read by one point read,
-_entries: det1, det2 and the block of RelationSet.block() (its rows and
-R1..R3) pack the monomials they read, look them up, and divide one
-numerator by its row's denominator.
+the set is cached.  Every coefficient is read by one lookup,
+_numerators, which packs the monomials read and looks them up: the
+build's det1 and det2 divide each numerator by its row's denominator
+(_entries), and RelationSet.block() hands the numerators to _block.
 
 The monomials read by name (det1's, the minors', the 27 of a block) and
 the multipliers of Ra^n come from tautalg's layout.
@@ -114,14 +116,15 @@ their eight terms and of the degenerate symbols that symbolic's closed
 form reads too: each coefficient is evaluated at (d, chi) and signed
 into the c_k(j) basis (_factors).
 
-verify_rank12 certifies rank 12 by the nonzero 12x12 minor of a block
-at the twelve layout pivots, which needs no elimination.  At a valid
-point that minor has no zero (symbolic's docstring), so only a broken
-block reaches the other branch: the rank of the block's own rows,
-int_gauss_jordan of them scaled to integers.  That is the rank at the 27
-columns: a lower bound of the rank of the full rows, equal to it when it
-is 12.  A block below 12 fails the check, and it should: the layout
-columns are then not its pivots, so R1..R3 cannot be read off it.
+One elimination per block.  verify_rank12 reads the rank as the number
+of the block's pivots, which the elimination that made the block found,
+and computes only the Mon1 minor, which must be det1^2; the Mon2 minor
+of rows 6-11 is det2 itself, since _dets took det2 from the same rows.
+The rank is that of the block's rows at the 27 columns: a lower bound of
+the rank of the full rows, equal to it when it is 12.  At a valid point
+it is 12 (symbolic's docstring), so only a broken block reports less,
+and it fails the check, as it should: the layout columns are then not
+its pivots, so R1..R3 cannot be read off it.
 """
 
 from __future__ import annotations
@@ -136,12 +139,11 @@ from types import MappingProxyType
 from .linalg import ExactMatrix, int_gauss_jordan
 from .mpoly import _signed_term
 from .rat import QQ, ZZ, Rat
-from .symbolic import tracked_rows_at
+from .symbolic import point_echelon, tracked_rows_at
 from .tautalg import (
     DEG1,
     DEG2,
     LARGE,
-    TRACKED,
     DegreeMismatch,
     factor_table,
     gen_degree,
@@ -401,13 +403,19 @@ def _eliminate(rows, keep: slice = slice(0)) -> tuple:
     return [pivot for pivot, _ in found], kept
 
 
-def _entries(packing: _Packing, rows, dens, monos) -> list:
-    """The rational coefficients of the packed rows (row i over dens[i])
-    at the tuple monomials monos, one numerator divided per entry.  A
-    monomial with a generator outside packing reads as 0."""
+def _numerators(packing: _Packing, rows, monos) -> list:
+    """The integer numerators of the packed rows at the tuple monomials
+    monos.  A monomial with a generator outside packing reads as 0."""
     shift = packing.shift
     keys = [packing.pack(m) if all(g in shift for g in m) else None for m in monos]
-    return [[Rat(row.get(k, 0), den) for k in keys] for row, den in zip(rows, dens)]
+    return [[row.get(k, 0) for k in keys] for row in rows]
+
+
+def _entries(packing: _Packing, rows, dens, monos) -> list:
+    """The rational coefficients of the packed rows (row i over dens[i])
+    at the tuple monomials monos, one numerator divided per entry."""
+    nums = _numerators(packing, rows, monos)
+    return [[Rat(x, den) for x in row] for row, den in zip(nums, dens)]
 
 
 # -- the twelve relations at the 27 tracked monomials ------------------------
@@ -417,14 +425,16 @@ def _entries(packing: _Packing, rows, dens, monos) -> list:
 class TrackedBlock:
     """The twelve degree-d relations at (d, chi), in the order of
     _twelve_rows, at the 27 tracked monomials tracked_monos(d): rows is
-    12 tuples of 27 rationals, and R holds R1, R2, R3 at the same
-    columns, rows 9-11 of the reduced row echelon form of rows (a zero
-    row past the rank).  det1 and det2 are those of the path that made
-    the block."""
+    12 tuples of 27 rationals; pivots are the pivot columns of their
+    reduced row echelon form, as many as its rank; R holds R1, R2, R3 at
+    the same columns, its rows 9-11 (a zero row past the rank); det1 and
+    det2 are the minors of rows (_dets).  _block makes every block, all
+    of it from the rows, by one elimination."""
 
     d: int
     chi: int
     rows: tuple
+    pivots: tuple
     R: tuple
     det1: object
     det2: object
@@ -450,32 +460,24 @@ def _dets(rows, d: int) -> tuple:
     return _minor(rows[0:6:2], d, mon1(d)[0::2]), _minor(rows[6:12], d, mon2(d))
 
 
-def _integer_rows(rows) -> list:
-    """The rational rows, each scaled to integers by the lcm of its
-    denominators."""
-    out = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        out.append([(x * den).numerator for x in row])
-    return out
+def _block(d: int, chi: int, ints, scales) -> TrackedBlock:
+    """The block of the twelve integer rows ints at the 27 tracked
+    monomials of d, row i over scales[i]: its pivots and R1..R3 from one
+    elimination of ints (symbolic.point_echelon), det1 and det2 the
+    minors of its rows (_dets)."""
+    rows = tuple(tuple(Rat(x, s) for x in row) for row, s in zip(ints, scales))
+    return TrackedBlock(d, chi, rows, *point_echelon(ints), *_dets(rows, d))
 
 
 def tracked_block(d: int, chi: int) -> TrackedBlock:
     """The twelve degree-d relations at the 27 tracked monomials at
-    (d, chi): symbolic.tracked_rows_at, the closed form at the point,
-    times (-1)^d (symbolic's docstring), with the det1 and det2 of its
-    rows (_dets, as the build takes them) and R1..R3 from one
-    elimination: int_gauss_jordan of the integer rows, rows 9-11
-    divided by their pivot entries.  The points are those of
-    build_relation_set."""
+    (d, chi): the integer rows of symbolic.tracked_rows_at, the closed
+    form at the point, over their scales times (-1)^d (symbolic's
+    docstring).  The points are those of build_relation_set."""
     chi = _checked_point(d, chi)
     ints, scales = tracked_rows_at(d, chi)
     sign = -1 if d & 1 else 1
-    rows = tuple(tuple(Rat(sign * x, s) for x in row) for row, s in zip(ints, scales))
-    found = int_gauss_jordan(ints)[9:12]
-    R = tuple(tuple(Rat(x, row[col]) for x in row) for col, row in found)
-    R += ((Rat(0),) * len(TRACKED),) * (3 - len(R))
-    return TrackedBlock(d, chi, rows, R, *_dets(rows, d))
+    return _block(d, chi, ints, [sign * s for s in scales])
 
 
 @dataclass(frozen=True)
@@ -487,7 +489,7 @@ class RelationSet:
     form, each a read-only {packed monomial: int} over its pivot entry
     R_pivots[i]; pivot_monos are the twelve pivot monomials of that
     echelon form, in column order.  Every coefficient is read by
-    _entries."""
+    _numerators."""
 
     d: int
     chi: int
@@ -501,13 +503,10 @@ class RelationSet:
     pivot_monos: tuple
 
     def block(self) -> "TrackedBlock":
-        """The twelve rows and R1..R3 at the 27 tracked monomials, each read
-        by _entries, with the build's det1 and det2."""
-        monos = tracked_monos(self.d)
-        rows = _entries(self.packing, self.rows, self.dens, monos)
-        R = _entries(self.packing, self.R_rows, self.R_pivots, monos)
-        return TrackedBlock(self.d, self.chi, tuple(map(tuple, rows)), tuple(map(tuple, R)),
-                            self.det1, self.det2)
+        """The block (_block) of the twelve rows' numerators at the 27
+        tracked monomials over dens."""
+        ints = _numerators(self.packing, self.rows, tracked_monos(self.d))
+        return _block(self.d, self.chi, ints, self.dens)
 
     def to_json(self) -> dict:
         out = {
@@ -608,31 +607,24 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
 def verify_rank12(block: TrackedBlock):
     """Rank and minor checkpoints on the 12 degree-d relations of block.
 
-    Returns (ok, trace).  trace records the rank, the Mon1 minor
-    determinant (must be det1^2) and the Mon2 minor determinant of rows
-    6-11, Rb^n and Rc^n, whose matrix is det2's (must be det2).
-
-    Twelve rows have rank at most 12, so a nonzero 12x12 minor proves
-    rank 12.  The minor taken is the one at the twelve layout pivots, so
-    nothing is eliminated.  Only when that minor vanishes is the rank
-    of the block's own rows computed, by int_gauss_jordan, so a broken
-    block reports the rank it has (module docstring).
+    Returns (ok, trace).  trace records the rank, the number of the
+    block's pivots (must be 12), the Mon1 minor determinant (must be
+    det1^2) and the Mon2 minor determinant of rows 6-11, Rb^n and Rc^n,
+    which is det2: _dets took it from the same rows.  Nothing is
+    eliminated: the block's one elimination gave its pivots (module
+    docstring).
     """
     d = block.d
-    if _minor(block.rows, d, mon1(d) + mon2(d)):
-        rank = 12
-    else:
-        rank = len(int_gauss_jordan(_integer_rows(block.rows)))
+    rank = len(block.pivots)
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
     m1 = _minor(block.rows[0:6], d, mon1(d))
-    m2 = _minor(block.rows[6:12], d, mon2(d))
-    ok = rank == 12 and m1 == block.det1 * block.det1 and m2 == block.det2
+    ok = rank == 12 and m1 == block.det1 * block.det1
     trace = {
         "rank": rank,
         "mon1_minor_det": m1,
         "det1_squared": block.det1 * block.det1,
-        "mon2_minor_det": m2,
+        "mon2_minor_det": block.det2,
         "det2": block.det2,
     }
     return ok, trace

@@ -89,8 +89,11 @@ at the sampled ones:
   det P times some 2^a d^k, so it is defined at (d, chi), and its value
   there is the entry of P(d, chi)^-1 A(d, chi).
 
-The point elimination itself (int_gauss_jordan, then one division of
-each of rows 9..11 by its pivot) is exact integer arithmetic.
+The point elimination itself (point_echelon: int_gauss_jordan, then
+one division of each of rows 9..11 by its pivot) is exact integer
+arithmetic; every relations.TrackedBlock is made by it too.  The blocks
+M_i and N_i of any R1..R3, over QQ(d, chi1) or at a point, are read by
+one reader, mn_blocks.
 """
 
 from __future__ import annotations
@@ -313,17 +316,18 @@ def _sym_matrix() -> ExactMatrix:
                                         for den, terms in row] for row in _laurent_rows()])
 
 
-def _blocks(rows, field) -> tuple:
-    """(M_1..M_3, N_1..N_3) over field, read from the echelon rows 9..11,
-    whose pivots are the columns of the large generators LARGE[2]."""
+def mn_blocks(R, field) -> tuple:
+    """(M_1..M_3, N_1..N_3) over field, read from R1..R3, the echelon
+    rows 9..11 at the 27 tracked columns, which hold elements of field:
+    an entry at (large, small) is R_i's at the column large * small."""
     index = {col: i for i, col in enumerate(TRACKED)}
 
     def block(row, smalls):
-        return ExactMatrix(field, [[row[index[(large, small)]] for small in smalls]
-                                   for large in LARGE[2]])
+        return ExactMatrix._of(field, [[row[index[(large, small)]] for small in smalls]
+                                       for large in LARGE[2]])
 
-    return ([block(row, [(u,) for u in DEG2]) for row in rows],
-            [block(row, SQUARES) for row in rows])
+    return ([block(row, [(u,) for u in DEG2]) for row in R],
+            [block(row, SQUARES) for row in R])
 
 
 @lru_cache(maxsize=1)
@@ -333,7 +337,7 @@ def symbolic_MN() -> tuple:
     R, pivots = _sym_matrix().rref()
     if len(pivots) != 12 or pivots[9:12] != [9, 10, 11]:
         raise AssertionError(f"unexpected symbolic echelon pivots: {pivots}")
-    return _blocks(R.data[9:12], SYM_FIELD)
+    return mn_blocks(R.data[9:12], SYM_FIELD)
 
 
 def tracked_rows_at(d: int, chi: int) -> tuple:
@@ -353,19 +357,29 @@ def tracked_rows_at(d: int, chi: int) -> tuple:
     return rows, scales
 
 
+def point_echelon(ints) -> tuple:
+    """(pivots, R) of integer rows at the 27 tracked columns: the pivot
+    columns of their reduced row echelon form over QQ and its rows 9-11
+    (a zero row past the rank), from one int_gauss_jordan, each row
+    divided by its pivot entry.  relations._block and
+    symbolic_matrices_at eliminate by it."""
+    found = int_gauss_jordan(ints)
+    R = tuple(tuple(Rat(x, row[col]) for x in row) for col, row in found[9:12])
+    return tuple(col for col, _ in found), R + ((Rat(0),) * len(TRACKED),) * (3 - len(R))
+
+
 def symbolic_matrices_at(d: int, chi: int) -> tuple:
     """The blocks (M, N) at d >= 5 and a coprime 0 < chi < d, over the
     rationals; other points, chi = None among them, raise ValueError.
 
     They come from one elimination over the integers at the point: the
-    rows of tracked_rows_at, eliminated by int_gauss_jordan, with the
+    rows of tracked_rows_at, eliminated by point_echelon, with the
     pivots checked to lie on columns 0..11.  They equal symbolic_MN
     evaluated at (d, chi) and the blocks of the relation set built at
     (d, chi): see the module docstring."""
     if not isinstance(chi, int) or d < 5 or math.gcd(d, chi) != 1 or not 0 < chi < d:
         raise ValueError(f"d >= 5 and a coprime 0 < chi < d required (d={d}, chi={chi})")
-    pivots = int_gauss_jordan(tracked_rows_at(d, chi)[0])
-    cols = [col for col, _ in pivots]
-    if cols != list(range(12)):
-        raise AssertionError(f"unexpected echelon pivots at (d, chi) = ({d}, {chi}): {cols}")
-    return _blocks([[Rat(x, row[col]) for x in row] for col, row in pivots[9:12]], QQ)
+    pivots, R = point_echelon(tracked_rows_at(d, chi)[0])
+    if pivots != tuple(range(12)):
+        raise AssertionError(f"unexpected echelon pivots at (d, chi) = ({d}, {chi}): {pivots}")
+    return mn_blocks(R, QQ)

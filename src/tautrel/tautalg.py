@@ -61,32 +61,6 @@ def gen_str(gen) -> str:
     return f"c{k}({j})"
 
 
-def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    """Merge two monomials (tuples of generators sorted descending): the
-    generators of the shorter inserted into the longer one by one."""
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    for gen in m2:
-        m1 = _mono_insert(m1, gen)
-    return m1
-
-
-def _mono_insert(mono: tuple, gen) -> tuple:
-    """mono * gen by one scan, gen_key compared inline: gen goes before
-    the first generator not above it (an equal key is an equal generator)."""
-    k, j = gen
-    deg = k + j
-    for i, (a, b) in enumerate(mono):
-        e = a + b
-        if e < deg or (e == deg and a <= k):
-            return mono[:i] + (gen,) + mono[i:]
-    return mono + (gen,)
-
-
-def mono_degree(mono: tuple) -> int:
-    return sum(gen_degree(g) for g in mono)
-
-
 def mono_str(mono: tuple) -> str:
     if not mono:
         return "1"

@@ -6,15 +6,18 @@ generator) monomials.
 The bases of both blocks are the layout of the truncated system in
 tautalg: rows LARGE[2] at d, columns DEG2 and SQUARES.  Both blocks are
 read from R1, R2, R3 of a relations.TrackedBlock, rows 9-11 of the
-echelon form of the twelve relations at the 27 tracked monomials: the
-entry at (left, right) is R_i's coefficient of the product monomial.
-Every consumer here reads a block, whichever path made it:
-relations.tracked_block (the closed form, which verify and emit --what
-matrices read) or RelationSet.block() (the full expansion, which verify
---mode symbolic and the tests read).  The M_i have known closed forms
-which are kept here as templates and checked entry by entry; the N_i
-are produced by the pipeline itself and validated by an independent
-elimination path plus their downstream behaviour.
+echelon form of the twelve relations at the 27 tracked monomials, by
+symbolic.mn_blocks, the one reader of the blocks, which symbolic_MN and
+the point path use too: the entry at (left, right) is R_i's coefficient
+of the product monomial.  Every consumer here reads a block, whichever
+path gave its rows; each block is made by one elimination
+(relations._block): relations.tracked_block (the closed form, which
+verify and emit --what matrices read) or RelationSet.block() (the full
+expansion, which verify --mode symbolic and the tests read).  The M_i
+have known closed forms which are kept here as templates and checked
+entry by entry; the N_i are produced by the pipeline itself and
+validated by an independent elimination path plus their downstream
+behaviour.
 """
 
 from __future__ import annotations
@@ -24,17 +27,7 @@ from dataclasses import dataclass
 from .linalg import ExactMatrix
 from .rat import QQ
 from .relations import TrackedBlock
-from .tautalg import (
-    DEG2,
-    LARGE,
-    SQUARES,
-    DegreeMismatch,
-    large_gen,
-    mono_degree,
-    mono_mul,
-    mono_str,
-    tracked_monos,
-)
+from .symbolic import mn_blocks
 
 
 class CheckpointMismatch(AssertionError):
@@ -46,25 +39,11 @@ def matrices_M(block: TrackedBlock) -> list:
     degree-2 ones: M_i[s][t] = [c_{d-1-s}(s) c_{3-t}(t)] R_i.  This is
     the orientation under which the change-of-relations equation reads
     A^T M_i B = sum_j s_ij M'_j."""
-    return _blocks(block, [(u,) for u in DEG2])
+    return mn_blocks(block.R, QQ)[0]
 
 
 def matrices_N(block: TrackedBlock) -> list:
-    return _blocks(block, SQUARES)
-
-
-def _blocks(block: TrackedBlock, right) -> list:
-    """For each of R1, R2, R3 the matrix of its coefficients of
-    (degree-(d-2) generator)*(right monomial), read at the tracked
-    columns; the degrees must tile the relations' degree d, so each
-    right monomial has degree 2."""
-    d = block.d
-    for r in right:
-        if mono_degree(r) != 2:
-            raise DegreeMismatch(f"{mono_str(r)} times degree d-2 is not of degree {d}")
-    index = {m: i for i, m in enumerate(tracked_monos(d))}
-    cols = [[index[mono_mul((large_gen(d, o),), r)] for r in right] for o in LARGE[2]]
-    return [ExactMatrix._of(QQ, [[row[j] for j in c] for c in cols]) for row in block.R]
+    return mn_blocks(block.R, QQ)[1]
 
 
 @dataclass

@@ -41,8 +41,9 @@ def rc2_zeroed(monkeypatch, uncached_laurent_matrix):
     relations.tracked_block and changes no other entry: the beta^2
     component of n = 2's coefficients at degree-d monomials reads 0.
     Only Rc^n reads it; Ra^n reads degree d-1 monomials, Rb^n beta^1."""
+    from tautalg_oracle import mono_degree
     from tautrel import symbolic
-    from tautrel.tautalg import LARGE, mono_degree
+    from tautrel.tautalg import LARGE
 
     exponent, coefficient = symbolic._exponent, symbolic._coefficient
     n2 = []  # each exponent of n = 2 made

@@ -39,6 +39,7 @@ from tautalg_oracle import (
     BetaClass,
     GradedPoly,
     TautContext,
+    _mono_insert,
     as_poly,
     beta_pushforward,
     mono_key,
@@ -47,7 +48,7 @@ from tautalg_oracle import (
 from tautrel.linalg import ExactMatrix, int_gauss_jordan
 from tautrel.rat import QQ, ZZ, Rat
 from tautrel.relations import _exp_series, _factors, _generators, _PackedBeta, _Packing
-from tautrel.tautalg import _mono_insert, gen_key
+from tautrel.tautalg import gen_key
 
 
 # -- the hand-written layout the package now reads from tautalg -------------

@@ -10,20 +10,16 @@ relation build did before it read tautalg.factor_table, and is the
 reference for the table-driven factors.  factors_by_classes gives
 F_1..F_upto of one n in the (b0, b1, b2) dict form that
 relations._exp_series takes for each n.  as_poly and reduced_relations
-unpack packed rows of a RelationSet into GradedPolys.
+unpack packed rows of a RelationSet into GradedPolys.  mono_mul,
+_mono_insert and mono_degree multiply tuple monomials and take their
+degree.
 """
 
 from __future__ import annotations
 
 from tautrel.linalg import ExactMatrix
 from tautrel.rat import QQ, Rat
-from tautrel.tautalg import (
-    DegreeMismatch,
-    gen_key,
-    mono_degree,
-    mono_mul,
-    mono_str,
-)
+from tautrel.tautalg import DegreeMismatch, gen_degree, gen_key, mono_str
 
 
 class FieldMismatch(TypeError):
@@ -32,6 +28,32 @@ class FieldMismatch(TypeError):
 
 class ZeroPolynomial(ValueError):
     pass
+
+
+def mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """Merge two monomials (tuples of generators sorted descending): the
+    generators of the shorter inserted into the longer one by one."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    for gen in m2:
+        m1 = _mono_insert(m1, gen)
+    return m1
+
+
+def _mono_insert(mono: tuple, gen) -> tuple:
+    """mono * gen by one scan, gen_key compared inline: gen goes before
+    the first generator not above it (an equal key is an equal generator)."""
+    k, j = gen
+    deg = k + j
+    for i, (a, b) in enumerate(mono):
+        e = a + b
+        if e < deg or (e == deg and a <= k):
+            return mono[:i] + (gen,) + mono[i:]
+    return mono + (gen,)
+
+
+def mono_degree(mono: tuple) -> int:
+    return sum(gen_degree(g) for g in mono)
 
 
 def mono_key(mono: tuple):

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautalg_oracle import mono_key
+from tautalg_oracle import mono_degree, mono_key
 from test_tautalg import mono_mul_oracle
 from tautrel import relations
 from tautrel.rat import Rat
@@ -21,7 +21,7 @@ from tautrel.relations import (
     _entries,
     build_relation_set,
 )
-from tautrel.tautalg import DegreeMismatch, gen_degree, gen_key, mono_degree
+from tautrel.tautalg import DegreeMismatch, gen_degree, gen_key
 
 
 def generators(limit: int) -> list:

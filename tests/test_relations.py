@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -277,18 +278,26 @@ def test_verify_rank12():
     assert trace["mon2_minor_det"] != 0
 
 
-def test_verify_rank12_requires_the_mon2_minor_to_be_det2():
-    # a changed numerator of Rb^1 at a Mon2 column leaves the Mon2 minor
-    # nonzero and the rank 12, but the minor is no longer det2
+def test_verify_rank12_requires_the_mon2_minor_to_be_det2(monkeypatch, capsys):
+    # a block's Mon2 minor and its det2 are one computation (_dets), so a
+    # changed numerator of Rb^1 at a Mon2 column changes det2 itself: the
+    # rank stays 12 and verify_rank12 passes, but verify's check of det2
+    # against det2_formula fails on that block
+    from tautrel import cli
+
     rel = build_relation_set(5, 1)
     key = rel.packing.pack(mon2(5)[0])
     row = dict(rel.rows[6])
     row[key] = row.get(key, 0) + 1
-    broken = dataclasses.replace(rel, rows=rel.rows[:6] + (row,) + rel.rows[7:])
-    ok, trace = verify_rank12(broken.block())
-    assert trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
-    assert trace["mon2_minor_det"] not in (0, rel.det2)
-    assert not ok
+    broken = dataclasses.replace(rel, rows=rel.rows[:6] + (row,) + rel.rows[7:]).block()
+    ok, trace = verify_rank12(broken)
+    assert ok and trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
+    assert trace["mon2_minor_det"] == broken.det2 not in (0, rel.det2)
+    assert broken.det2 != det2_formula(5)
+    monkeypatch.setattr(cli, "tracked_block", lambda d, chi: broken)
+    assert cli.main(["verify", "--d", "5", "--chi", "1", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "det2_formula" in [c["name"] for c in checks if c["status"] == "fail"]
     assert verify_rank12(rel.block())[0]
 
 
@@ -302,17 +311,43 @@ def test_verify_rank12_zero_relations_guard():
 
 
 def test_verify_rank12_runs_no_second_elimination(monkeypatch):
-    # the rank comes from the minor at the layout pivots, taken by det
+    # the rank is the number of the block's pivots: each producer makes its
+    # block by one int_gauss_jordan, and verify_rank12 runs none and takes
+    # no determinant larger than the 6x6 Mon1 minor
+    from tautrel import linalg, relations
+
     rel = build_relation_set(7, 3)
     assert len(rel.pivot_monos) == 12
+    eliminations, dets = [], []
+    int_gauss_jordan, det = linalg.int_gauss_jordan, ExactMatrix.det
+
+    def counted(rows):
+        eliminations.append(len(rows))
+        return int_gauss_jordan(rows)
+
+    def sized(self):
+        dets.append(self.rows)
+        return det(self)
 
     def no_elimination(self, *args, **kwargs):
         raise AssertionError("verify_rank12 eliminated the 12xN matrix again")
 
+    for module in (linalg, relations, symbolic):
+        monkeypatch.setattr(module, "int_gauss_jordan", counted)
+    monkeypatch.setattr(ExactMatrix, "det", sized)
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
-    ok, trace = verify_rank12(rel.block())
-    assert ok
-    assert trace["rank"] == 12
+    blocks = []
+    for make in (lambda: tracked_block(7, 3), rel.block):
+        eliminations.clear()
+        blocks.append(make())
+        assert eliminations == [12]
+    eliminations.clear()
+    dets.clear()
+    for blk in blocks:
+        ok, trace = verify_rank12(blk)
+        assert ok
+        assert trace["rank"] == 12
+    assert eliminations == [] and dets and max(dets) <= 6
 
 
 def test_verify_rank12_zeroed_relation_falls_back_to_rank():
@@ -376,8 +411,9 @@ def test_build_matches_field_rref(d, chi):
 
 
 def test_cold_build_runs_no_field_elimination(monkeypatch):
-    # over QQ the build and verify_rank12's fallback rank eliminate
-    # fraction-free; ExactMatrix.gauss_jordan is not called
+    # over QQ the build and the block it reads (whose pivots give
+    # verify_rank12 its rank) eliminate fraction-free;
+    # ExactMatrix.gauss_jordan is not called
     from tautrel import relations
 
     monkeypatch.setattr(relations, "_REL_CACHE", {})
@@ -669,18 +705,25 @@ def coprime_points(dmin: int, dmax: int) -> list:
 def block_differences(d: int, chi: int) -> list:
     """What of tracked_block(d, chi) differs, by ==, from the build at
     (d, chi): each of the twelve rows at the 27 columns, det1 and det2,
-    R1..R3 at the 27 columns (read off the build's own packed R1..R3) and
-    the leading monomials (the largest key of each packed R_i)."""
+    the pivots (the twelve layout pivots, columns 0..11), R1..R3 at the 27
+    columns (read off the build's own packed R1..R3, the recurrence's
+    elimination) and the leading monomials (the largest key of each
+    packed R_i); and what of RelationSet.block(), which eliminates the
+    build's rows at the 27 columns, differs in its pivots and R1..R3."""
     rel = build_relation_set(d, chi)
     blk = tracked_block(d, chi)
+    own = rel.block()
     monos = tracked_monos(d)
     out = [f"row {i}" for i, (got, want) in
            enumerate(zip(blk.rows, _entries(rel.packing, rel.rows, rel.dens, monos)))
            if list(got) != want]
     out += [name for name, got, want in (("det1", blk.det1, rel.det1),
                                          ("det2", blk.det2, rel.det2)) if got != want]
+    out += [name for name, b in (("pivots", blk), ("block() pivots", own))
+            if b.pivots != tuple(range(12))]
     R = _entries(rel.packing, rel.R_rows, rel.R_pivots, monos)
-    out += [f"R{i + 1}" for i, (got, want) in enumerate(zip(blk.R, R)) if list(got) != want]
+    for name, b in (("R", blk), ("block() R", own)):
+        out += [f"{name}{i + 1}" for i, (got, want) in enumerate(zip(b.R, R)) if list(got) != want]
     if blk.leading_monos() != [rel.packing.unpack(max(row), d) for row in rel.R_rows]:
         out.append("leading monomials")
     return out

@@ -12,7 +12,9 @@ from tautalg_oracle import (
     TautContext,
     ZeroPolynomial,
     beta_pushforward,
+    mono_degree,
     mono_key,
+    mono_mul,
     project_block,
 )
 from tautrel import relations
@@ -27,8 +29,6 @@ from tautrel.tautalg import (
     gen_degree,
     gen_key,
     large_gen,
-    mono_degree,
-    mono_mul,
     mono_str,
     tracked_monos,
 )
