@@ -138,7 +138,7 @@ def _verify_symbolic(report: Report, d: int, chi: int, ok: bool) -> None:
     at = {"d": d, "chi1": chi}
     # the full expansion, so the symbolic pipeline is checked against an
     # independent derivation
-    block = build_relation_set(d, chi).block()
+    block = build_relation_set(d, chi).block
     Mc, Nc = matrices_M(block), matrices_N(block)
     okM = all(Msym[i][s, t].eval(at) == Mc[i][s, t]
               for i in range(3) for s in range(3) for t in range(3))
@@ -241,8 +241,9 @@ def cmd_sweep(args) -> int:
         for d in range(args.dmin, args.dmax + 1)
         for (c1, c2) in coprime_pairs(d)
     ]
-    # no more workers than pairs; the config keeps the --jobs given
-    jobs = min(args.jobs or multiprocessing.cpu_count(), len(tasks))
+    # no more workers than pairs or CPUs; the config keeps the --jobs given
+    cpus = os.cpu_count() or 1
+    jobs = min(args.jobs or cpus, cpus, len(tasks))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             rows = pool.map(_sweep_worker, tasks)
@@ -363,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="decide all coprime pairs in a d range")
     s.add_argument("--dmin", type=int, required=True)
     s.add_argument("--dmax", type=int, required=True)
-    s.add_argument("--jobs", type=int, default=None)
+    s.add_argument("--jobs", type=int, default=None,
+                   help="worker processes, at most one per pair and per CPU "
+                        "(default: one per CPU)")
     s.add_argument("--format", choices=["json", "text"], default="text")
     s.add_argument("--out")
     s.set_defaults(fn=cmd_sweep)

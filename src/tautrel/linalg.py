@@ -3,17 +3,17 @@
 All elimination except the determinant's runs through one row-by-row
 Gauss-Jordan loop, ExactMatrix.gauss_jordan, over any field, and its
 fraction-free twin over the integers, int_gauss_jordan.  It
-eliminates the twelve degree-d relations over QQ in
-relations._eliminate, for the build: their integer numerators at
-their twelve leading monomials beside an identity, whose part records
-the combinations of the rows that give R1..R3, and at every monomial
-only when the leading ones have rank < 12.  It also eliminates the
-twelve relations at the 27 tracked monomials, scaled to integers, once
-per block, in symbolic.point_echelon: for the pivots and R1..R3 of every
-relations.TrackedBlock, whose pivots give verify_rank12 its rank, and
-for the blocks of symbolic_matrices_at; and over each candidate's
-extension the 27x18 (A, B) system of obstruction.solve_AB, pivoting on
-every column but a33, and the (U, V) block of obstruction.solve_UV.
+eliminates the twelve relations at the 27 tracked monomials, scaled to
+integers, once per block, in symbolic.point_echelon: for the pivots
+and R1..R3 of every relations.TrackedBlock, whose pivots give
+verify_rank12 its rank, and for the blocks of symbolic_matrices_at.
+In relations.build_relation_set it eliminates the block's columns
+0..11, the numerators of the full rows at their twelve leading
+monomials, beside an identity, whose part records the integer
+combinations of the rows that give R1..R3 over every monomial.  Over
+each candidate's extension it eliminates the 27x18 (A, B) system of
+obstruction.solve_AB, pivoting on every column but a33, and the (U, V)
+block of obstruction.solve_UV.
 The pivot rule:
 rows are visited top to bottom, so a caller that wants another order
 orders its rows; each is reduced against the pivot rows found so far,

@@ -16,9 +16,10 @@ minors of the rows (_dets).  Two functions give it the rows:
   recurrence below, which does not use the closed form.  It serves
   emit --what relations, which prints whole rows, and verify --mode
   symbolic, which checks the symbolic blocks against it; the tests
-  check the closed form against it.  RelationSet.block() gives _block
-  the numerators of its own rows at the 27 columns over their
-  denominators, so the recurrence feeds the same consumers.
+  check the closed form against it.  The build gives _block the
+  numerators of its own rows at the 27 columns over their
+  denominators, once, and keeps the block (RelationSet.block), so the
+  recurrence feeds the same consumers.
 
 The pivots.  For d >= 5 the twelve layout pivots, mon1(d) and mon2(d),
 are the twelve largest degree-d monomials, and they are the first
@@ -34,7 +35,11 @@ above the products of two degree-1 ones, because DEG2 sorts above DEG1.
 Every other degree-d monomial sorts below these twelve.  So when the
 12x12 minor at them is nonzero they are the pivots of the echelon form,
 which is P^-1 A for that minor P: R1..R3 at the 27 columns read no
-other column, and each R_i's leading monomial is its pivot.
+other column, and each R_i's leading monomial is its pivot.  The same
+argument gives the build its R1..R3 over every monomial: the twelve
+pivots lead every row, so the echelon form of the full rows is P^-1
+times them too, and its rows are the integer combinations of the rows
+that an elimination of the twelve pivot columns alone records.
 
 The recurrence.  For each n in {1,2,3} the generating identity is a
 sum over partition tuples of products of beta-twisted linear factors;
@@ -80,33 +85,33 @@ bits.  No build trips it (every generator has degree >= 1 and the
 beta^i component of G_m is homogeneous of degree m - i, so no exponent
 exceeds upto < 2^bits), but the build does not assume this.
 
-The twelve relations are packed integer rows: the numerators of Ra^n,
-Rb^n and Rc^n as the recurrence leaves them, {packed monomial: int},
-each over one denominator, (d+1)! D_n^(d+1) for the pushforwards of
-G_{d+1} and -(d+2)! D_n^(d+2) for that of G_{d+2}, the (d-3)!
-normalization and its sign folded in.  c2(0) Ra^n and c0(2) Ra^n add
-the generator's unit to each key of Ra^n.  The columns are the distinct
-packed monomials in descending order, which is the descending monomial
-order.  R_1, R_2, R_3 are rows 9-11 of the reduced row echelon form
-over QQ, which is unique, and the build needs no other row of it:
-_eliminate runs linalg.int_gauss_jordan on the entries of the twelve
-rows at their twelve leading monomials, beside a 12x12 identity.  When
-those columns have rank 12 they are the pivots, and each echelon row
-is the vector of the row space fixed by its pivot coordinates, so it
-is the integer combination of the rows that the identity part records;
-R_1..R_3 are those combinations, each made primitive and positive at
-its pivot, the same rows an elimination over every column gives.  No
-input row is divided by its denominator, since the result does not
-depend on how an input row is scaled.  Only when the leading block has
-rank < 12 does the same loop widen to every column.  R_1..R_3 are kept
-packed, each over its pivot entry: divided by it they are the rows of
-the reduced row echelon form.  The build unpacks the twelve pivot
-monomials and the monomials of R_1..R_3, each checked to have degree d.
-The rows and R_1..R_3 of a RelationSet are read-only mappings, since
-the set is cached.  Every coefficient is read by one lookup,
-_numerators, which packs the monomials read and looks them up: the
-build's det1 and det2 divide each numerator by its row's denominator
-(_entries), and RelationSet.block() hands the numerators to _block.
+The twelve relations are packed integer rows (_expansion): the
+numerators of Ra^n, Rb^n and Rc^n as the recurrence leaves them,
+{packed monomial: int}, each over one denominator, (d+1)! D_n^(d+1)
+for the pushforwards of G_{d+1} and -(d+2)! D_n^(d+2) for that of
+G_{d+2}, the (d-3)! normalization and its sign folded in.  c2(0) Ra^n
+and c0(2) Ra^n add the generator's unit to each key of Ra^n.  The
+packed ints order the monomials as the descending monomial order
+does.  The build reads the numerators of the rows at the 27 tracked
+monomials (_numerators, one lookup per coefficient) and makes its
+block from them over the denominators (_block).  It refuses the point
+(SingularCheckpoint) unless det1 and det2 are nonzero, the block's
+pivots are its columns 0..11 and the twelve largest packed monomials
+of the rows, each checked to have degree d, are the first twelve
+tracked monomials, so that those columns are the rows' entries at
+their twelve leading monomials.  R_1, R_2, R_3 are rows 9-11 of the
+reduced row echelon form over QQ, which is unique: int_gauss_jordan
+of [block columns 0..11 | 12x12 identity] reduces those columns to a
+diagonal, and each echelon row, the vector of the row space fixed by
+its pivot coordinates, is the integer combination of the rows that the
+identity part records, made primitive and positive at its pivot.  No input row
+is divided by its denominator, since the result does not depend on how
+an input row is scaled.  R_1..R_3 are kept packed, each over its pivot
+entry: divided by it they are the rows of the reduced row echelon
+form, and each of their monomials is unpacked once and checked to have
+degree d.  The R_1..R_3 of a RelationSet are read-only mappings, since
+the set is cached; the twelve rows are not kept, since nothing outside
+the build reads them.
 
 The monomials read by name (det1's, the minors', the 27 of a block) and
 the multipliers of Ra^n come from tautalg's layout.
@@ -356,53 +361,6 @@ def mon2(d: int) -> list:
     return [(large_gen(d, o),) for o in LARGE[0]] + [(lead, u) for u in DEG2]
 
 
-def _twelve_rows(packing: _Packing, Ra, Rb, Rc, den1, den2) -> tuple:
-    """(rows, dens): the 12 degree-d relations in their canonical order,
-    c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved), then Rb^n, Rc^n, as
-    packed numerator rows, row i over dens[i].  A generator g multiplies
-    monomials injectively, so g Ra^n is Ra^n with g's unit added to each
-    key and its coefficients kept."""
-    rows, dens = [], []
-    for R, den in zip(Ra, den1):
-        for g in DEG1:
-            unit = packing.pack((g,))
-            rows.append({m + unit: c for m, c in R.items()})
-            dens.append(den)
-    return rows + Rb + Rc, dens + den1 + den2
-
-
-def _eliminate(rows, keep: slice = slice(0)) -> tuple:
-    """(pivots, kept): the pivot monomials of the reduced row echelon
-    form of the n packed integer rows, in column (descending monomial)
-    order, and its rows at the indexes keep, each {packed monomial: int}
-    with descending keys, primitive and positive at its pivot: the
-    combinations of the rows that int_gauss_jordan of [entries at the n
-    leading monomials | identity] records, or of [entries at every
-    monomial | identity] when the leading ones have rank < n (see the
-    module docstring)."""
-    n = len(rows)
-    columns = sorted(set().union(*rows), reverse=True)
-    unit = [[int(i == k) for k in range(n)] for i in range(n)]
-    for cols in (columns[:n], columns):
-        width = len(cols)
-        found = [(cols[j], t[width:]) for j, t in int_gauss_jordan(
-            [[row.get(m, 0) for m in cols] + e for row, e in zip(rows, unit)]) if j < width]
-        if len(found) == n or width == len(columns):
-            break
-    kept = []
-    for pivot, t in found[keep]:
-        acc = defaultdict(int)
-        for f, row in zip(t, rows):
-            if f:
-                for m, c in row.items():
-                    acc[m] += f * c
-        g = math.gcd(*acc.values())
-        if acc[pivot] < 0:
-            g = -g
-        kept.append({m: acc[m] // g for m in sorted(acc, reverse=True) if acc[m]})
-    return [pivot for pivot, _ in found], kept
-
-
 def _numerators(packing: _Packing, rows, monos) -> list:
     """The integer numerators of the packed rows at the tuple monomials
     monos.  A monomial with a generator outside packing reads as 0."""
@@ -411,20 +369,13 @@ def _numerators(packing: _Packing, rows, monos) -> list:
     return [[row.get(k, 0) for k in keys] for row in rows]
 
 
-def _entries(packing: _Packing, rows, dens, monos) -> list:
-    """The rational coefficients of the packed rows (row i over dens[i])
-    at the tuple monomials monos, one numerator divided per entry."""
-    nums = _numerators(packing, rows, monos)
-    return [[Rat(x, den) for x in row] for row, den in zip(nums, dens)]
-
-
 # -- the twelve relations at the 27 tracked monomials ------------------------
 
 
 @dataclass(frozen=True)
 class TrackedBlock:
     """The twelve degree-d relations at (d, chi), in the order of
-    _twelve_rows, at the 27 tracked monomials tracked_monos(d): rows is
+    _expansion, at the 27 tracked monomials tracked_monos(d): rows is
     12 tuples of 27 rationals; pivots are the pivot columns of their
     reduced row echelon form, as many as its rank; R holds R1, R2, R3 at
     the same columns, its rows 9-11 (a zero row past the rank); det1 and
@@ -482,39 +433,27 @@ def tracked_block(d: int, chi: int) -> TrackedBlock:
 
 @dataclass(frozen=True)
 class RelationSet:
-    """The relations at (d, chi).  rows are the twelve degree-d relations
-    in the order of _twelve_rows, as read-only {packed monomial: int}
-    numerator rows over packing, row i over dens[i]; R_rows are the
-    canonical relations R1, R2, R3 as rows 9-11 of the build's echelon
-    form, each a read-only {packed monomial: int} over its pivot entry
-    R_pivots[i]; pivot_monos are the twelve pivot monomials of that
-    echelon form, in column order.  Every coefficient is read by
-    _numerators."""
+    """The relations at (d, chi).  R_rows are the canonical relations R1,
+    R2, R3 over every monomial, rows 9-11 of the echelon form of the
+    twelve degree-d relations, each a read-only {packed monomial: int}
+    over packing and over its pivot entry R_pivots[i]; block is the
+    twelve relations at the 27 tracked monomials (_block), made once by
+    the build."""
 
     d: int
     chi: int
     packing: _Packing
-    rows: tuple
-    dens: tuple
     R_rows: tuple
     R_pivots: tuple
-    det1: object
-    det2: object
-    pivot_monos: tuple
-
-    def block(self) -> "TrackedBlock":
-        """The block (_block) of the twelve rows' numerators at the 27
-        tracked monomials over dens."""
-        ints = _numerators(self.packing, self.rows, tracked_monos(self.d))
-        return _block(self.d, self.chi, ints, self.dens)
+    block: TrackedBlock
 
     def to_json(self) -> dict:
         out = {
             "schema": "tautrel/relations/1",
             "d": self.d,
             "chi": str(self.chi),
-            "det1": str(self.det1),
-            "det2": str(self.det2),
+            "det1": str(self.block.det1),
+            "det2": str(self.block.det2),
         }
         for i, (row, pivot) in enumerate(zip(self.R_rows, self.R_pivots), start=1):
             # descending keys are descending monomials
@@ -543,17 +482,13 @@ def _checked_point(d: int, chi: int) -> int:
     return chi
 
 
-def build_relation_set(d: int, chi: int) -> RelationSet:
-    """Compute the relation set at (d, chi).
-
-    Requires d >= 5, an integer chi, gcd(d, chi) = 1 and 0 < chi < d.
-    """
-    chi = _checked_point(d, chi)
-    key = (d, chi)
-    hit = _REL_CACHE.get(key)
-    if hit is not None:
-        return hit
-
+def _expansion(d: int, chi: int) -> tuple:
+    """(packing, rows, dens): the twelve degree-d relations at (d, chi) in
+    their canonical order, c2(0)Ra^n, c0(2)Ra^n (n = 1..3 interleaved),
+    then Rb^n, Rc^n, as packed numerator rows {packed monomial: int}
+    over packing, row i over dens[i].  A generator g multiplies
+    monomials injectively, so g Ra^n is Ra^n with g's unit added to each
+    key and its coefficients kept."""
     factors = [_factors(n, d, chi, d + 2) for n in (1, 2, 3)]
     # one packing for n = 1, 2, 3, so the twelve rows share their columns
     packing = _Packing(set().union(*map(_generators, factors)), d + 2)
@@ -570,36 +505,58 @@ def build_relation_set(d: int, chi: int) -> RelationSet:
     # the pushforward of x beta^j reads the beta^(2-j) component of x
     Ra, Rb, Rc = ([{m: t[n] for m, t in part.items() if t[n]} for n in range(3)]
                   for part in (G[d + 1].b2, G[d + 1].b1, G[d + 2].b2))
-    # nothing else of the series is read: free it before the rows and
-    # the elimination are made, which lowers the build's peak memory
+    # nothing else of the series is read: free it before the rows are
+    # made, which lowers the build's peak memory
     del G
+    units = [packing.pack((g,)) for g in DEG1]
+    rows = [{m + unit: c for m, c in R.items()} for R in Ra for unit in units]
+    return packing, rows + Rb + Rc, [den for den in den1 for _ in units] + den1 + den2
 
-    rows, dens = _twelve_rows(packing, Ra, Rb, Rc, den1, den2)
-    det1, det2 = _dets(_entries(packing, rows, dens, tracked_monos(d)), d)
-    if not det1 or not det2:
-        raise SingularCheckpoint(f"det1={det1}, det2={det2} at (d,chi)=({d},{chi})")
-    # R1..R3 are rows 9-11 of the echelon form
-    pivots, R_rows = _eliminate(rows, slice(9, 12))
-    if len(pivots) != 12:
+
+def build_relation_set(d: int, chi: int) -> RelationSet:
+    """Compute the relation set at (d, chi).
+
+    Requires d >= 5, an integer chi, gcd(d, chi) = 1 and 0 < chi < d.
+    """
+    chi = _checked_point(d, chi)
+    key = (d, chi)
+    hit = _REL_CACHE.get(key)
+    if hit is not None:
+        return hit
+
+    packing, rows, dens = _expansion(d, chi)
+    monos = tracked_monos(d)
+    ints = _numerators(packing, rows, monos)
+    block = _block(d, chi, ints, dens)
+    # the twelve largest monomials, each checked to have degree d, lead
+    # every row when they are the block's pivot columns 0..11
+    lead = sorted(set().union(*rows), reverse=True)[:12]
+    if ([packing.unpack(m, d) for m in lead] != monos[:12] or not block.det1
+            or not block.det2 or block.pivots != tuple(range(12))):
         raise SingularCheckpoint(
-            f"relation span has rank {len(pivots)} != 12 at (d,chi)=({d},{chi})"
-        )
-    # only the output is unpacked, each monomial checked to have degree d
-    unpack = packing.unpack
-    pivot_monos = tuple(unpack(m, d) for m in pivots)
-    if pivot_monos[9:12] != tuple(mon2(d)[3:]):
-        raise SingularCheckpoint(
-            "echelon leading monomials differ from the canonical ones: "
-            + ", ".join(mono_str(m) for m in pivot_monos[9:12])
-        )
+            f"det1={block.det1}, det2={block.det2}, pivots {block.pivots} at "
+            f"(d,chi)=({d},{chi}): the twelve layout pivots do not lead the relations")
+    # R1..R3, rows 9-11 of the echelon form, are the integer combinations
+    # of the rows that the identity part records
+    unit = [[int(i == k) for k in range(12)] for i in range(12)]
+    found = int_gauss_jordan([row[:12] + e for row, e in zip(ints, unit)])
+    R_rows = []
+    for (_, t), pivot in zip(found[9:], lead[9:]):
+        acc = defaultdict(int)
+        for f, row in zip(t[12:], rows):
+            if f:
+                for m, c in row.items():
+                    acc[m] += f * c
+        g = math.gcd(*acc.values())
+        if acc[pivot] < 0:
+            g = -g
+        R_rows.append({m: acc[m] // g for m in sorted(acc, reverse=True) if acc[m]})
     # R1..R3 stay packed over their pivot entries; a monomial that
     # several of them hold is checked once
     for m in set().union(*R_rows):
-        unpack(m, d)
-    R_pivots = tuple(row[m] for row, m in zip(R_rows, pivots[9:12]))
-    rel = RelationSet(d, chi, packing, tuple(map(MappingProxyType, rows)), tuple(dens),
-                      tuple(map(MappingProxyType, R_rows)), R_pivots, det1, det2,
-                      pivot_monos)
+        packing.unpack(m, d)
+    R_pivots = tuple(row[m] for row, m in zip(R_rows, lead[9:]))
+    rel = RelationSet(d, chi, packing, tuple(map(MappingProxyType, R_rows)), R_pivots, block)
     _REL_CACHE[key] = rel
     return rel
 

@@ -1,6 +1,13 @@
 import pytest
 
+from tautrel import constraint, obstruction, relations, symbolic
+
 ACCEPTANCE_LINES = []
+
+# every cache of tautrel, which --cold-caches empties: the module-level
+# *_CACHE dicts and the lru_caches (test_layout checks that none is missing)
+CACHES = (relations._REL_CACHE, constraint._SLICE_CACHE, constraint._REPORT_CACHE,
+          symbolic.symbolic_MN, symbolic._laurent_matrix, obstruction.side_at)
 
 
 def record_acceptance(line: str) -> None:
@@ -16,12 +23,8 @@ def pytest_addoption(parser):
 @pytest.fixture(autouse=True)
 def _cold_caches(request):
     if request.config.getoption("--cold-caches"):
-        from tautrel import constraint, obstruction, relations, symbolic
-
-        for cache in (relations._REL_CACHE, constraint._SLICE_CACHE, constraint._REPORT_CACHE):
-            cache.clear()
-        for cached in (symbolic.symbolic_MN, symbolic._laurent_matrix, obstruction.side_at):
-            cached.cache_clear()
+        for cache in CACHES:
+            (cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)()
     yield
 
 

@@ -20,8 +20,11 @@ divided into a Rat, tuple monomials sorted by mono_key, each relation's
 row scaled by the lcm of its own denominators before the integer
 elimination, det1 and det2 read from tuple-monomial GradedPolys
 (tautalg_oracle).
-twelve_relations unpacks the twelve packed rows of a RelationSet into
-tuple-monomial GradedPolys.
+expansion caches the build's twelve packed rows at a point
+(relations._expansion), which the cached RelationSet does not keep;
+twelve_relations unpacks them into tuple-monomial GradedPolys, entries
+divides their numerators at given monomials by their denominators, and
+block_of_rows makes the block (relations._block) of altered rows.
 high_generators, mon1, mon2, _RA_FACTORS, t2_basis, tk_basis and
 sym2_basis are the monomial lists and block bases as the package wrote
 them by hand before it read them from the layout in tautalg.
@@ -33,7 +36,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from tautalg_oracle import (
     BetaClass,
@@ -47,8 +50,17 @@ from tautalg_oracle import (
 )
 from tautrel.linalg import ExactMatrix, int_gauss_jordan
 from tautrel.rat import QQ, ZZ, Rat
-from tautrel.relations import _exp_series, _factors, _generators, _PackedBeta, _Packing
-from tautrel.tautalg import gen_key
+from tautrel.relations import (
+    _block,
+    _exp_series,
+    _expansion,
+    _factors,
+    _generators,
+    _numerators,
+    _PackedBeta,
+    _Packing,
+)
+from tautrel.tautalg import gen_key, tracked_monos
 
 
 # -- the hand-written layout the package now reads from tautalg -------------
@@ -306,11 +318,34 @@ def rref_relations(rows, keep: slice = slice(None)):
     return reduced, [monos[col] for col, _ in found], monos
 
 
+@lru_cache(maxsize=None)
+def expansion(d: int, chi: int) -> tuple:
+    """(packing, rows, dens) of relations._expansion at (d, chi), the rows
+    read-only mappings (cached: the callers only read them)."""
+    packing, rows, dens = _expansion(d, chi)
+    return packing, tuple(map(MappingProxyType, rows)), tuple(dens)
+
+
+def entries(packing, rows, dens, monos) -> list:
+    """The rational coefficients of the packed rows (row i over dens[i])
+    at the tuple monomials monos, one numerator divided per entry."""
+    return [[Rat(x, den) for x in row]
+            for row, den in zip(_numerators(packing, rows, monos), dens)]
+
+
+def block_of_rows(d: int, chi: int, rows):
+    """The block (relations._block) of the packed rows, in place of the
+    twelve rows at (d, chi), over their denominators."""
+    packing, _, dens = expansion(d, chi)
+    return _block(d, chi, _numerators(packing, rows, tracked_monos(d)), dens)
+
+
 def twelve_relations(rel) -> list:
-    """The twelve packed rows of rel as tuple-monomial GradedPolys."""
+    """The twelve packed rows of the relation set rel as tuple-monomial
+    GradedPolys."""
     ctx = TautContext(QQ, rel.d)
-    return [as_poly(row, den, rel.packing, rel.d, ctx)
-            for row, den in zip(rel.rows, rel.dens)]
+    packing, rows, dens = expansion(rel.d, rel.chi)
+    return [as_poly(row, den, packing, rel.d, ctx) for row, den in zip(rows, dens)]
 
 
 @lru_cache(maxsize=None)

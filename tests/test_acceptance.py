@@ -65,7 +65,7 @@ def test_criterion_1_det1():
     ok = True
     for d in range(5, 11):
         for chi in coprime_chis(d):
-            ok = ok and build_relation_set(d, chi).det1 == det1_formula(d, chi)
+            ok = ok and build_relation_set(d, chi).block.det1 == det1_formula(d, chi)
     _report(1, "det1 checkpoint d=5..10", ok)
 
 
@@ -73,7 +73,7 @@ def test_criterion_2_det2():
     ok = True
     for d in range(5, 11):
         for chi in coprime_chis(d):
-            ok = ok and build_relation_set(d, chi).det2 == det2_formula(d)
+            ok = ok and build_relation_set(d, chi).block.det2 == det2_formula(d)
     _report(2, "det2 checkpoint d=5..10", ok)
 
 
@@ -81,7 +81,7 @@ def test_criterion_3_reference_matrices():
     ok = True
     for d in range(5, 11):
         for chi in coprime_chis(d):
-            rep = checkpoint_reference_M(build_relation_set(d, chi).block())
+            rep = checkpoint_reference_M(build_relation_set(d, chi).block)
             ok = ok and rep["entries_checked"] == 27
     # symbolic reproduction; the partition oracle has seven contributing
     # partitions for ell = d+1
@@ -105,14 +105,14 @@ def test_criterion_4_rank_checkpoints():
     for d in range(5, 9):
         for chi in coprime_chis(d):
             rel = build_relation_set(d, chi)
-            good, trace = verify_rank12(rel.block())
+            good, trace = verify_rank12(rel.block)
             ok = ok and good and trace["rank"] == 12
             leads = [R.leading_term() for R in reduced_relations(rel)]
             want = [
                 (((d - 1, 0), (4 - i, i - 1)), Rat(1)) for i in (1, 2, 3)
             ]
             ok = ok and leads == want
-            ok = ok and rel.block().leading_monos() == [m for m, _ in want]
+            ok = ok and rel.block.leading_monos() == [m for m, _ in want]
     _report(4, "rank 12 and echelon leading terms d=5..8", ok)
 
 
@@ -120,7 +120,7 @@ def test_criterion_5_nodal_cubic():
     ok = True
     for d in range(5, 9):
         for chi in coprime_chis(d):
-            M = matrices_M(build_relation_set(d, chi).block())
+            M = matrices_M(build_relation_set(d, chi).block)
             rep = analyze_node(cubic_det(M), QQ)
             want = -Rat(chi * (d - chi) * (d - 2 * chi)) / Rat(4 * (d - 2) * d * d)
             ok = ok and rep["coefficient"] == want
@@ -136,7 +136,7 @@ def test_criterion_6_type_I_contradiction():
             for c2 in chis:
                 rel1, rel2 = build_relation_set(d, c1), build_relation_set(d, c2)
                 sides = [side(matrices_M(blk), matrices_N(blk))
-                         for blk in (rel1.block(), rel2.block())]
+                         for blk in (rel1.block, rel2.block)]
                 for cand in solve_S("I", *sides):
                     ab = solve_AB(cand)
                     ok = ok and ab.status == "no_invertible" and ab.kernel_dim == 0

@@ -286,10 +286,10 @@ def test_sweep_small_serial_and_parallel_agree():
     assert json.loads(out2)["results"] == rows
 
 
-def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
-    """--jobs 64 over d = 5's 10 pairs asks for 10 workers and reports
-    what --jobs 1 reports, --jobs included; the fake pool maps inline, so
-    no process starts."""
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """The worker counts the sweep asks multiprocessing.Pool for; the fake
+    pool maps inline, so no process starts."""
     asked = []
 
     class FakePool:
@@ -306,17 +306,40 @@ def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    return asked
+
+
+def test_sweep_starts_no_more_workers_than_pairs(monkeypatch, fake_pool):
+    """--jobs 64 over d = 5's 10 pairs, on 64 CPUs, asks for 10 workers
+    and reports what --jobs 1 reports, --jobs included."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     code1, out1, _ = run_cli(
         "sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1", "--format", "json")
-    assert asked == []
+    assert fake_pool == []
     code64, out64, _ = run_cli(
         "sweep", "--dmin", "5", "--dmax", "5", "--jobs", "64", "--format", "json")
-    assert asked == [10]
+    assert fake_pool == [10]
     assert code1 == code64 == 0
     payload1, payload64 = json.loads(out1), json.loads(out64)
     assert payload64["config"]["jobs"] == 64
     payload64["config"]["jobs"] = 1
     assert payload64 == payload1
+
+
+def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, fake_pool):
+    """--jobs 1000 on 2 CPUs asks for 2 workers, and the report keeps the
+    --jobs given; without --jobs the sweep asks for one worker per CPU,
+    and runs serially when the CPU count is unknown."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(
+        "sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1000", "--format", "json")
+    assert code == 0 and fake_pool == [2]
+    assert json.loads(out)["config"]["jobs"] == 1000
+    assert run_cli("sweep", "--dmin", "5", "--dmax", "5")[0] == 0
+    assert fake_pool == [2, 2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run_cli("sweep", "--dmin", "5", "--dmax", "5", "--jobs", "1000")[0] == 0
+    assert fake_pool == [2, 2]
 
 
 def test_sweep_failing_pair_gives_error_row(monkeypatch):

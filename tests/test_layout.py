@@ -28,12 +28,23 @@ A class that is not listed needs a resolved reference.
 The package's __init__.py is not read, and references inside the
 definition itself (recursion, a method calling itself) do not count.
 Docstrings and comments are not code and are not searched.
+
+The cache guard: conftest.CACHES, the caches --cold-caches empties
+before each test, holds every cache of the package, each module-level
+attribute with a cache_clear (an lru_cache) and each module-level dict
+named *_CACHE, and nothing else.
 """
 
 import ast
+import functools
+import importlib
 import os
+import pkgutil
 import shutil
 from fractions import Fraction
+
+import tautrel
+from conftest import CACHES
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tautrel")
 
@@ -349,3 +360,37 @@ def test_guard_flags_a_private_import(tmp_path):
         fh.write("\nfrom .obstruction import _pencil, decide\nfrom . import __version__\n")
     assert [name for mod, name in _private_imports(str(src)) if mod == "report"] == [
         "obstruction._pencil"]
+
+
+def _caches() -> list:
+    """(module.name, object) of each lru_cache and each *_CACHE dict bound
+    at module level in tautrel's modules, a name imported from another
+    module included."""
+    out = []
+    for info in pkgutil.iter_modules(tautrel.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"tautrel.{info.name}")
+        for name, value in vars(mod).items():
+            if hasattr(value, "cache_clear") or (name.endswith("_CACHE")
+                                                 and isinstance(value, dict)):
+                out.append((f"{info.name}.{name}", value))
+    return out
+
+
+def _unlisted() -> list:
+    return [name for name, cache in _caches() if not any(cache is c for c in CACHES)]
+
+
+def test_cold_caches_empty_every_cache():
+    assert not _unlisted(), "caches --cold-caches leaves warm: " + ", ".join(_unlisted())
+    found = [cache for _, cache in _caches()]
+    assert all(any(c is cache for cache in found) for c in CACHES), "stale CACHES entries"
+
+
+def test_cache_guard_flags_a_new_cache(monkeypatch):
+    from tautrel import symbolic
+
+    monkeypatch.setattr(symbolic, "_PLANTED_CACHE", {}, raising=False)
+    monkeypatch.setattr(symbolic, "planted", functools.lru_cache(abs), raising=False)
+    assert _unlisted() == ["symbolic._PLANTED_CACHE", "symbolic.planted"]

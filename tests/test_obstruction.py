@@ -41,7 +41,7 @@ from tautrel.truncation import matrices_M, matrices_N
 
 
 def blocks(d, chi):
-    blk = build_relation_set(d, chi).block()
+    blk = build_relation_set(d, chi).block
     return matrices_M(blk), matrices_N(blk)
 
 

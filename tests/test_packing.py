@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relations_oracle import entries
 from tautalg_oracle import mono_degree, mono_key
 from test_tautalg import mono_mul_oracle
 from tautrel import relations
@@ -18,7 +19,6 @@ from tautrel.relations import (
     _generators,
     _mul_into,
     _Packing,
-    _entries,
     build_relation_set,
 )
 from tautrel.tautalg import DegreeMismatch, gen_degree, gen_key
@@ -96,11 +96,12 @@ def test_unpack_refuses_an_exponent_past_its_field():
 
 
 def test_entries_read_zero_outside_the_packing():
+    # relations._numerators, which entries divides by the denominators
     p = _Packing([(0, 2), (2, 0)], 3)
     square = ((2, 0), (2, 0))
     rows = [{p.pack(square): 3}, {}]
     monos = [square, ((3, 0),), ((2, 0), (0, 2))]
-    assert _entries(p, rows, [2, 5], monos) == [[Rat(3, 2), 0, 0], [0, 0, 0]]
+    assert entries(p, rows, [2, 5], monos) == [[Rat(3, 2), 0, 0], [0, 0, 0]]
 
 
 def _power_series(gen, upto: int, limit: int, scales=(1, 2, 3)):
@@ -188,7 +189,7 @@ def test_cached_packing_is_read_only(monkeypatch):
 
     monkeypatch.setattr(relations, "_REL_CACHE", {})
     rel = build_relation_set(7, 2)
-    want = (rel.to_json(), verify_rank12(rel.block()), matrices_M(rel.block()))
+    want = (rel.to_json(), verify_rank12(rel.block), matrices_M(rel.block))
     p = rel.packing
     assert type(p.gens) is tuple and type(p.degs) is tuple
     a, b = p.gens[:2]
@@ -206,4 +207,4 @@ def test_cached_packing_is_read_only(monkeypatch):
     assert not hasattr(p.shift, "update") and not hasattr(p.shift, "pop")
     again = build_relation_set(7, 2)
     assert again is rel and again.packing is p
-    assert (again.to_json(), verify_rank12(again.block()), matrices_M(again.block())) == want
+    assert (again.to_json(), verify_rank12(again.block), matrices_M(again.block)) == want

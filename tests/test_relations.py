@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import symbolic_oracle
 from linalg_oracle import rank
@@ -14,13 +13,16 @@ from relations_oracle import (
     PartitionTuple,
     beta_one,
     beta_zero,
+    block_of_rows,
     coeff_matrix,
     dual_involution,
     eliminate_dense,
+    entries,
     enumerate_partitions,
     expand_relation,
     expand_relation_by_partitions,
     exp_series_one,
+    expansion,
     oracle_relation_set,
     packed_series,
     sym2_basis,
@@ -41,6 +43,7 @@ from tautalg_oracle import (
 )
 from tautrel.rat import QQ, ZZ, Rat
 from tautrel.relations import (
+    SingularCheckpoint,
     build_relation_set,
     det1_formula,
     det2_formula,
@@ -48,11 +51,11 @@ from tautrel.relations import (
     mon2,
     tracked_block,
     verify_rank12,
-    _eliminate,
-    _entries,
+    _block,
     _exp_series,
     _factors,
     _generators,
+    _numerators,
     _Packing,
 )
 from tautrel import symbolic
@@ -234,9 +237,9 @@ def test_beta2_component_degree():
 
 def test_det_checkpoints_examples():
     rel = build_relation_set(5, 1)
-    assert rel.det1 == -972
-    assert rel.det2 == 116640000
-    assert build_relation_set(5, 2).det1 == -486
+    assert rel.block.det1 == -972
+    assert rel.block.det2 == 116640000
+    assert build_relation_set(5, 2).block.det1 == -486
     assert det2_formula(5) == 116640000
 
 
@@ -248,7 +251,7 @@ def test_relations_echelon_structure():
     assert leads[0] == (((d - 1, 0), (3, 0)), Rat(1))
     assert leads[1] == (((d - 1, 0), (2, 1)), Rat(1))
     assert leads[2] == (((d - 1, 0), (1, 2)), Rat(1))
-    assert rel.block().leading_monos() == [m for m, _ in leads]
+    assert rel.block.leading_monos() == [m for m, _ in leads]
     for R in relations:
         assert R.degree() == d
         # eliminated monomials are gone
@@ -267,11 +270,11 @@ def test_build_relation_set_validation():
     for chi in (1.5, Fraction(7, 2)):
         with pytest.raises(TypeError):
             build_relation_set(5, chi)
-    assert build_relation_set(5, 1).chi == 1 and build_relation_set(5, 1).det1 == -972
+    assert build_relation_set(5, 1).chi == 1 and build_relation_set(5, 1).block.det1 == -972
 
 
 def test_verify_rank12():
-    ok, trace = verify_rank12(build_relation_set(5, 1).block())
+    ok, trace = verify_rank12(build_relation_set(5, 1).block)
     assert ok
     assert trace["rank"] == 12
     assert trace["mon1_minor_det"] == Rat(-972) ** 2 == Rat(944784)
@@ -286,38 +289,38 @@ def test_verify_rank12_requires_the_mon2_minor_to_be_det2(monkeypatch, capsys):
     from tautrel import cli
 
     rel = build_relation_set(5, 1)
-    key = rel.packing.pack(mon2(5)[0])
-    row = dict(rel.rows[6])
+    packing, rows, _ = expansion(5, 1)
+    key = packing.pack(mon2(5)[0])
+    row = dict(rows[6])
     row[key] = row.get(key, 0) + 1
-    broken = dataclasses.replace(rel, rows=rel.rows[:6] + (row,) + rel.rows[7:]).block()
+    broken = block_of_rows(5, 1, rows[:6] + (row,) + rows[7:])
     ok, trace = verify_rank12(broken)
-    assert ok and trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
-    assert trace["mon2_minor_det"] == broken.det2 not in (0, rel.det2)
+    assert ok and trace["rank"] == 12 and trace["mon1_minor_det"] == rel.block.det1 ** 2
+    assert trace["mon2_minor_det"] == broken.det2 not in (0, rel.block.det2)
     assert broken.det2 != det2_formula(5)
     monkeypatch.setattr(cli, "tracked_block", lambda d, chi: broken)
     assert cli.main(["verify", "--d", "5", "--chi", "1", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert "det2_formula" in [c["name"] for c in checks if c["status"] == "fail"]
-    assert verify_rank12(rel.block())[0]
+    assert verify_rank12(rel.block)[0]
 
 
 def test_verify_rank12_zero_relations_guard():
-    rel = build_relation_set(5, 1)
     # c2(0) Ra^n and c0(2) Ra^n zeroed
-    broken = dataclasses.replace(rel, rows=({},) * 6 + rel.rows[6:])
-    ok, trace = verify_rank12(broken.block())
+    broken = block_of_rows(5, 1, ({},) * 6 + expansion(5, 1)[1][6:])
+    ok, trace = verify_rank12(broken)
     assert not ok
     assert trace["rank"] < 12
 
 
 def test_verify_rank12_runs_no_second_elimination(monkeypatch):
-    # the rank is the number of the block's pivots: each producer makes its
-    # block by one int_gauss_jordan, and verify_rank12 runs none and takes
-    # no determinant larger than the 6x6 Mon1 minor
+    # the rank is the number of the block's pivots: tracked_block makes its
+    # block by one int_gauss_jordan, the build keeps the block it made
+    # (test_build_makes_its_block_once), and verify_rank12 runs none and
+    # takes no determinant larger than the 6x6 Mon1 minor
     from tautrel import linalg, relations
 
     rel = build_relation_set(7, 3)
-    assert len(rel.pivot_monos) == 12
     eliminations, dets = [], []
     int_gauss_jordan, det = linalg.int_gauss_jordan, ExactMatrix.det
 
@@ -336,11 +339,10 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
         monkeypatch.setattr(module, "int_gauss_jordan", counted)
     monkeypatch.setattr(ExactMatrix, "det", sized)
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
-    blocks = []
-    for make in (lambda: tracked_block(7, 3), rel.block):
-        eliminations.clear()
-        blocks.append(make())
-        assert eliminations == [12]
+    blocks = [tracked_block(7, 3)]
+    assert eliminations == [12]
+    blocks.append(build_relation_set(7, 3).block)
+    assert blocks[1] is rel.block
     eliminations.clear()
     dets.clear()
     for blk in blocks:
@@ -350,15 +352,67 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
     assert eliminations == [] and dets and max(dets) <= 6
 
 
+def test_build_makes_its_block_once(monkeypatch):
+    # one build takes det1 and det2 once (_dets), eliminates its block once
+    # (12x27) and eliminates the block's columns 0..11 beside the 12x12
+    # identity once (12x24) for R1..R3; its block is _block of the
+    # expansion's numerators at the 27 tracked monomials
+    from tautrel import linalg, relations
+
+    monkeypatch.setattr(relations, "_REL_CACHE", {})
+    shapes, dets = [], []
+    int_gauss_jordan, real_dets = linalg.int_gauss_jordan, relations._dets
+
+    def counted(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return int_gauss_jordan(rows)
+
+    def counted_dets(rows, d):
+        dets.append(d)
+        return real_dets(rows, d)
+
+    def no_elimination(self, *args, **kwargs):
+        raise AssertionError("the build eliminated over the field")
+
+    for module in (linalg, relations, symbolic):
+        monkeypatch.setattr(module, "int_gauss_jordan", counted)
+    monkeypatch.setattr(relations, "_dets", counted_dets)
+    monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
+    rel = build_relation_set(7, 3)
+    assert dets == [7]
+    assert sorted(shapes) == [(12, 24), (12, 27)]
+    packing, rows, dens = expansion(7, 3)
+    assert rel.block == _block(7, 3, _numerators(packing, rows, tracked_monos(7)), dens)
+
+
+@pytest.mark.parametrize("zeroed, broken", [(range(6), "det1"), ((10,), "rank")],
+                         ids=["Ra", "Rc2"])
+def test_build_refuses_a_singular_checkpoint(monkeypatch, zeroed, broken):
+    # the expansion's rows with Ra^n zeroed (det1 = 0), or Rc^2 zeroed
+    # (rank 11): the build raises and caches nothing
+    from tautrel import relations
+
+    packing, rows, dens = expansion(5, 2)
+    rows = tuple({} if i in zeroed else row for i, row in enumerate(rows))
+    blk = block_of_rows(5, 2, rows)
+    assert blk.det1 == 0 if broken == "det1" else len(blk.pivots) == 11
+    monkeypatch.setattr(relations, "_REL_CACHE", {})
+    monkeypatch.setattr(relations, "_expansion", lambda d, chi: (packing, rows, dens))
+    with pytest.raises(SingularCheckpoint):
+        build_relation_set(5, 2)
+    assert relations._REL_CACHE == {}
+
+
 def test_verify_rank12_zeroed_relation_falls_back_to_rank():
     rel = build_relation_set(5, 2)
+    rows = expansion(5, 2)[1]
     for n in (1, 2, 3):
         # Rc^n zeroed
-        broken = dataclasses.replace(rel, rows=rel.rows[:8 + n] + ({},) + rel.rows[9 + n:])
-        ok, trace = verify_rank12(broken.block())
+        broken = block_of_rows(5, 2, rows[:8 + n] + ({},) + rows[9 + n:])
+        ok, trace = verify_rank12(broken)
         assert not ok
         assert trace["rank"] == 11
-    assert verify_rank12(rel.block())[0]
+    assert verify_rank12(rel.block)[0]
 
 
 def test_rank12_full_matrix_rank():
@@ -366,21 +420,6 @@ def test_rank12_full_matrix_rank():
     rows = twelve_relations(rel)
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
     assert rank(coeff_matrix(rows, monos)) == 12
-
-
-def test_rref_uniqueness_under_row_permutation():
-    import random
-
-    # every row of the echelon form, not only R1..R3
-    rel = build_relation_set(5, 2)
-    rows = list(rel.rows)
-    want = _eliminate(rows, slice(None))
-    assert len(want[0]) == len(want[1]) == 12
-    rng = random.Random(3)
-    for _ in range(3):
-        shuffled = rows[:]
-        rng.shuffle(shuffled)
-        assert _eliminate(shuffled, slice(None)) == want
 
 
 @pytest.mark.parametrize("d, chi", [(5, 1), (9, 8), (13, 2), (16, 3)])
@@ -393,8 +432,9 @@ def test_packed_rows_build_matches_reference_build(d, chi):
     for got, want in zip(reduced_relations(rel), (ref.R1, ref.R2, ref.R3)):
         assert list(got.terms.items()) == list(want.terms.items())
         assert str(got) == str(want)
-    assert (rel.det1, rel.det2) == (ref.det1, ref.det2)
-    assert rel.pivot_monos == ref.pivot_monos
+    assert (rel.block.det1, rel.block.det2) == (ref.det1, ref.det2)
+    assert rel.block.pivots == tuple(range(12))
+    assert tuple(tracked_monos(d)[:12]) == ref.pivot_monos
 
 
 @pytest.mark.parametrize("d, chi", [(5, 1), (9, 2), (11, 4), (13, 5)])
@@ -404,7 +444,7 @@ def test_build_matches_field_rref(d, chi):
     rows = twelve_relations(rel)
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
     R, pivots = coeff_matrix(rows, monos).rref()
-    assert rel.pivot_monos == tuple(monos[p] for p in pivots)
+    assert tracked_monos(d)[:12] == [monos[p] for p in pivots]
     for i, got in zip(range(9, 12), reduced_relations(rel)):
         want = GradedPoly(got.ctx, {m: c for m, c in zip(monos, R.data[i]) if c})
         assert str(got) == str(want)
@@ -423,10 +463,11 @@ def test_cold_build_runs_no_field_elimination(monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
     rel = build_relation_set(7, 3)
-    assert len(rel.pivot_monos) == 12
-    assert verify_rank12(rel.block())[0]
-    broken = dataclasses.replace(rel, rows=rel.rows[:10] + ({},) + rel.rows[11:])  # Rc^2 zeroed
-    ok, trace = verify_rank12(broken.block())
+    assert rel.block.pivots == tuple(range(12))
+    assert verify_rank12(rel.block)[0]
+    rows = expansion(7, 3)[1]
+    broken = block_of_rows(7, 3, rows[:10] + ({},) + rows[11:])  # Rc^2 zeroed
+    ok, trace = verify_rank12(broken)
     assert not ok and trace["rank"] == 11
 
 
@@ -445,8 +486,8 @@ def test_det1_formula_range():
             if math.gcd(d, chi) != 1:
                 continue
             rel = build_relation_set(d, chi)
-            assert rel.det1 == det1_formula(d, chi)
-            assert rel.det2 == det2_formula(d)
+            assert rel.block.det1 == det1_formula(d, chi)
+            assert rel.block.det2 == det2_formula(d)
 
 
 @pytest.mark.parametrize("d, chi", [(5, 1), (9, 2), (11, 4), (13, 5)])
@@ -456,9 +497,10 @@ def test_twelve_entries_match_the_products(d, chi):
     rel = build_relation_set(d, chi)
     rows = twelve_relations(rel)
     every = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    for monos in (rel.pivot_monos, mon1(d), mon2(d), every):
-        got = _entries(rel.packing, rel.rows, rel.dens, monos)
+    for monos in (tracked_monos(d), mon1(d), mon2(d), every):
+        got = entries(*expansion(d, chi), monos)
         assert got == [[p.coeff(m) for m in monos] for p in rows]
+    assert list(map(list, rel.block.rows)) == entries(*expansion(d, chi), tracked_monos(d))
 
 
 def test_verify_rank12_forms_no_products(monkeypatch):
@@ -468,38 +510,32 @@ def test_verify_rank12_forms_no_products(monkeypatch):
         raise AssertionError("the twelve relations were formed")
 
     rel = build_relation_set(9, 2)
-    monkeypatch.setattr(relations, "_twelve_rows", no_rows)
-    ok, trace = verify_rank12(rel.block())
-    assert ok and trace["rank"] == 12 and trace["mon1_minor_det"] == rel.det1 ** 2
+    monkeypatch.setattr(relations, "_expansion", no_rows)
+    ok, trace = verify_rank12(rel.block)
+    assert ok and trace["rank"] == 12 and trace["mon1_minor_det"] == rel.block.det1 ** 2
 
 
 def test_build_checks_relation_degree(monkeypatch):
-    # every monomial the build unpacks, of R1..R3 and the pivots, is
-    # checked to have degree d, which lets the block projections compare
+    # every monomial the build unpacks, of the twelve pivots and of R1..R3,
+    # is checked to have degree d, which lets the block projections compare
     # their bases with d alone
     from tautrel import relations
 
     rel = build_relation_set(5, 1)
     assert {R.degree() for R in reduced_relations(rel)} == {5}
-    real = relations._eliminate
-    c2 = rel.packing.pack(((2, 0),))
-    # the pivots, or the monomials of R1..R3, homogeneous of degree d + 1,
-    # and inhomogeneous
-    for alter in (lambda j, m: m + c2, lambda j, m: m + c2 if j % 2 else m):
-        def alter_pivots(rows, keep):
-            pivots, kept = real(rows, keep)
-            return [alter(j, m) for j, m in enumerate(pivots)], kept
-
-        def alter_kept(rows, keep):
-            pivots, kept = real(rows, keep)
-            return pivots, [{alter(j, m): c for j, (m, c) in enumerate(row.items())}
-                            for row in kept]
-
-        for altered in (alter_pivots, alter_kept):
-            monkeypatch.setattr(relations, "_REL_CACHE", {})
-            monkeypatch.setattr(relations, "_eliminate", altered)
-            with pytest.raises(DegreeMismatch):
-                build_relation_set(5, 1)
+    packing, rows, dens = expansion(5, 1)
+    c2 = packing.pack(((2, 0),))
+    # every row homogeneous of degree d + 1, or every other row: the
+    # twelve largest monomials, the pivots, have degree 6
+    altered = [[{m + c2: c for m, c in row.items()} if i % k == 0 else row
+                for i, row in enumerate(rows)] for k in (1, 2)]
+    # c2(0) itself in every row, below the pivots: R1..R3 hold degree 1
+    altered.append([{**row, c2: i + 1} for i, row in enumerate(rows)])
+    for new, degree in zip(altered, (6, 6, 1)):
+        monkeypatch.setattr(relations, "_REL_CACHE", {})
+        monkeypatch.setattr(relations, "_expansion", lambda d, chi: (packing, new, dens))
+        with pytest.raises(DegreeMismatch, match=f"degree {degree} != 5"):
+            build_relation_set(5, 1)
 
 
 # -- the factor table and the packed R1..R3 against the graded-algebra oracle --
@@ -532,7 +568,7 @@ BLOCK_POINTS = [(5, 1), (9, 8), (13, 2), (16, 3)]
 def test_point_read_blocks_match_projection_of_reference_relations(d, chi):
     rel = build_relation_set(d, chi)
     ref = oracle_relation_set(d, chi)
-    blk = rel.block()
+    blk = rel.block
     M, N = matrices_M(blk), matrices_N(blk)
     for i, R in enumerate((ref.R1, ref.R2, ref.R3)):
         assert M[i] == project_block(R, tk_basis(d - 2), t2_basis())
@@ -546,7 +582,7 @@ def test_packed_relations_render_as_reference_relations(d, chi):
     js = rel.to_json()
     refs = (ref.R1, ref.R2, ref.R3)
     assert [js["R1"], js["R2"], js["R3"]] == [str(R) for R in refs]
-    assert rel.block().leading_monos() == [R.leading_term()[0] for R in refs]
+    assert rel.block.leading_monos() == [R.leading_term()[0] for R in refs]
 
 
 # -- the one-pass expansion and the leading-column elimination against the
@@ -554,26 +590,25 @@ def test_packed_relations_render_as_reference_relations(d, chi):
 
 
 def dense_echelon(rows) -> tuple:
-    """(pivots, echelon rows) of eliminate_dense in _eliminate's shape."""
+    """(pivots, echelon rows) of eliminate_dense: the pivots as packed
+    monomials, each echelon row {packed monomial: int}, primitive and
+    positive at its pivot, with descending keys."""
     found, columns = eliminate_dense(rows)
     return ([columns[col] for col, _ in found],
             [{columns[j]: x for j, x in enumerate(row) if x} for _, row in found])
 
 
-def assert_same_echelon(got, want):
-    assert got[0] == want[0]
-    # the same rows with the same keys in the same (descending) order
-    assert [list(row.items()) for row in got[1]] == [list(row.items()) for row in want[1]]
-
-
 @pytest.mark.parametrize("d, chi", [(5, 1), (9, 8), (13, 2), (16, 3), (20, 3)])
 def test_eliminate_matches_dense_oracle(d, chi):
+    # the build's R1..R3, combinations of the rows found by eliminating
+    # the block's columns 0..11, against the elimination of every column
     rel = build_relation_set(d, chi)
-    want = dense_echelon(rel.rows)
-    assert_same_echelon(_eliminate(rel.rows, slice(None)), want)
-    assert rel.pivot_monos == tuple(rel.packing.unpack(m, d) for m in want[0])
-    assert [list(row.items()) for row in rel.R_rows] == [list(row.items()) for row in want[1][9:12]]
-    assert rel.R_pivots == tuple(row[m] for row, m in zip(want[1][9:12], want[0][9:12]))
+    pivots, echelon = dense_echelon(expansion(d, chi)[1])
+    assert [rel.packing.unpack(m, d) for m in pivots] == tracked_monos(d)[:12]
+    assert rel.block.pivots == tuple(range(12))
+    # the same rows with the same keys in the same (descending) order
+    assert [list(row.items()) for row in rel.R_rows] == [list(row.items()) for row in echelon[9:12]]
+    assert rel.R_pivots == tuple(row[m] for row, m in zip(echelon[9:12], pivots[9:12]))
 
 
 @pytest.mark.parametrize("d", range(5, 14))
@@ -604,94 +639,40 @@ def test_one_pass_series_matches_one_n_oracle(d):
             assert set(part) == set().union(*want)
 
 
-def widening_rows(n: int) -> list:
-    """n rows whose n leading keys span rank 1: each row holds 1 at keys
-    100, 99, 98 and 2 at its own key i < n."""
-    return [{100: 1, 99: 1, 98: 1, i: 2} for i in range(n)]
-
-
-keys = st.integers(0, 12)
-sparse_rows = st.lists(st.dictionaries(keys, st.integers(-4, 4).filter(bool), max_size=6),
-                       min_size=1, max_size=6)
-
-
-@st.composite
-def dependent_rows(draw):
-    """Sparse rows, some of them integer combinations of the others, so
-    that the leading block and the rows may have rank < n."""
-    rows = draw(sparse_rows)
-    for _ in range(draw(st.integers(0, 3))):
-        f, g = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-        combo = {m: f * a.get(m, 0) + g * b.get(m, 0) for m in set(a) | set(b)}
-        rows.insert(draw(st.integers(0, len(rows))), {m: c for m, c in combo.items() if c})
-    return rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(dependent_rows())
-@example(widening_rows(3))
-@example([{7: 1, 3: 2}, {7: 2, 3: 4}, {}])  # rank 1 of 3
-@example([{}, {}])
-def test_eliminate_matches_dense_oracle_on_sparse_rows(rows):
-    want = dense_echelon(rows)
-    assert_same_echelon(_eliminate(rows, slice(None)), want)
-    for keep in (slice(0), slice(1, 3), slice(len(rows) - 1, None)):
-        pivots, kept = _eliminate(rows, keep)
-        assert pivots == want[0] and kept == want[1][keep]
-
-
-def test_eliminate_widens_when_the_leading_block_has_low_rank(monkeypatch):
-    # one int_gauss_jordan on the leading block when it has full rank,
-    # a second over every key when it does not
-    from tautrel import linalg, relations
-
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows[0]))
-        return linalg.int_gauss_jordan(rows)
-
-    monkeypatch.setattr(relations, "int_gauss_jordan", counted)
-    rows = widening_rows(3)
-    pivots, kept = _eliminate(rows, slice(None))
-    assert calls == [3 + 3, 6 + 3] and pivots == [100, 2, 1]
-    assert_same_echelon((pivots, kept), dense_echelon(rows))
-    calls.clear()
-    assert _eliminate([{9: 1, 1: 1}, {8: 1}], slice(None))[0] == [9, 8]
-    assert calls == [2 + 2]
-
-
 def test_cached_relation_set_is_immutable(monkeypatch):
     from tautrel import relations
 
     monkeypatch.setattr(relations, "_REL_CACHE", {})
     rel = build_relation_set(7, 2)
-    want = (rel.to_json(), verify_rank12(rel.block()), matrices_M(rel.block()))
-    key = next(iter(rel.R_rows[0]))
+    want = (rel.to_json(), verify_rank12(rel.block), matrices_M(rel.block))
+    rows = rel.R_rows
+    key = next(iter(rows[0]))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        rel.det1 = Rat(0)
+        rel.block = tracked_block(7, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rel.block.det1 = Rat(0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         rel.R_rows = ({}, {}, {})
-    for rows in (rel.rows, rel.R_rows):
-        # a read-only mapping refuses item assignment and deletion: by
-        # TypeError, or IndexError for an int key too large for an index
-        with pytest.raises((TypeError, IndexError)):
-            rows[0][key] = 0
-        with pytest.raises(TypeError):
-            rows[0][1] = 0
-        with pytest.raises((TypeError, IndexError)):
-            del rows[-1][next(iter(rows[-1]))]
-        with pytest.raises(TypeError):
-            rows[0] = {}
-        assert not hasattr(rows[0], "pop") and not hasattr(rows[0], "update")
+    with pytest.raises(TypeError):
+        rel.block.rows[0][0] = Rat(0)
+    # a read-only mapping refuses item assignment and deletion: by
+    # TypeError, or IndexError for an int key too large for an index
+    with pytest.raises((TypeError, IndexError)):
+        rows[0][key] = 0
+    with pytest.raises(TypeError):
+        rows[0][1] = 0
+    with pytest.raises((TypeError, IndexError)):
+        del rows[-1][next(iter(rows[-1]))]
+    with pytest.raises(TypeError):
+        rows[0] = {}
+    assert not hasattr(rows[0], "pop") and not hasattr(rows[0], "update")
     again = build_relation_set(7, 2)
     assert again is rel
-    assert (again.to_json(), verify_rank12(again.block()), matrices_M(again.block())) == want
+    assert (again.to_json(), verify_rank12(again.block), matrices_M(again.block)) == want
     monkeypatch.setattr(relations, "_REL_CACHE", {})
     fresh = build_relation_set(7, 2)
     assert fresh is not rel
-    assert (fresh.to_json(), verify_rank12(fresh.block()), matrices_M(fresh.block())) == want
+    assert (fresh.to_json(), verify_rank12(fresh.block), matrices_M(fresh.block)) == want
 
 
 # -- the closed form of exp(L) at the 27 tracked columns against the recurrence --
@@ -703,26 +684,20 @@ def coprime_points(dmin: int, dmax: int) -> list:
 
 
 def block_differences(d: int, chi: int) -> list:
-    """What of tracked_block(d, chi) differs, by ==, from the build at
-    (d, chi): each of the twelve rows at the 27 columns, det1 and det2,
-    the pivots (the twelve layout pivots, columns 0..11), R1..R3 at the 27
-    columns (read off the build's own packed R1..R3, the recurrence's
-    elimination) and the leading monomials (the largest key of each
-    packed R_i); and what of RelationSet.block(), which eliminates the
-    build's rows at the 27 columns, differs in its pivots and R1..R3."""
+    """What of tracked_block(d, chi) differs, by ==, from the block the
+    build at (d, chi) made of its rows: each of the twelve rows at the 27
+    columns, det1 and det2, and the leading monomials (the largest key of
+    each of the build's packed R_i); and what of either block differs
+    from the build's own packed R1..R3 (the combinations of its rows) at
+    the 27 columns, or has pivots other than columns 0..11."""
     rel = build_relation_set(d, chi)
-    blk = tracked_block(d, chi)
-    own = rel.block()
-    monos = tracked_monos(d)
-    out = [f"row {i}" for i, (got, want) in
-           enumerate(zip(blk.rows, _entries(rel.packing, rel.rows, rel.dens, monos)))
-           if list(got) != want]
-    out += [name for name, got, want in (("det1", blk.det1, rel.det1),
-                                         ("det2", blk.det2, rel.det2)) if got != want]
-    out += [name for name, b in (("pivots", blk), ("block() pivots", own))
+    blk, own = tracked_block(d, chi), rel.block
+    out = [f"row {i}" for i, (got, want) in enumerate(zip(blk.rows, own.rows)) if got != want]
+    out += [name for name in ("det1", "det2") if getattr(blk, name) != getattr(own, name)]
+    out += [name for name, b in (("pivots", blk), ("build pivots", own))
             if b.pivots != tuple(range(12))]
-    R = _entries(rel.packing, rel.R_rows, rel.R_pivots, monos)
-    for name, b in (("R", blk), ("block() R", own)):
+    R = entries(rel.packing, rel.R_rows, rel.R_pivots, tracked_monos(d))
+    for name, b in (("R", blk), ("build R", own)):
         out += [f"{name}{i + 1}" for i, (got, want) in enumerate(zip(b.R, R)) if list(got) != want]
     if blk.leading_monos() != [rel.packing.unpack(max(row), d) for row in rel.R_rows]:
         out.append("leading monomials")
@@ -812,11 +787,11 @@ def test_the_twelve_largest_columns_are_the_pivots(d):
     for chi in range(1, d):
         if math.gcd(d, chi) != 1:
             continue
-        rel = build_relation_set(d, chi)
-        top = sorted(set().union(*rel.rows), reverse=True)[:12]
-        assert tuple(rel.packing.unpack(m, d) for m in top) == rel.pivot_monos
-        assert list(rel.pivot_monos) == tracked_monos(d)[:12]
-        assert set(rel.pivot_monos) == set(mon1(d) + mon2(d))
+        packing, rows, _ = expansion(d, chi)
+        top = sorted(set().union(*rows), reverse=True)[:12]
+        assert [packing.unpack(m, d) for m in top] == tracked_monos(d)[:12]
+        assert set(tracked_monos(d)[:12]) == set(mon1(d) + mon2(d))
+        assert build_relation_set(d, chi).block.pivots == tuple(range(12))
 
 
 def test_tracked_block_refuses_the_points_the_build_refuses():

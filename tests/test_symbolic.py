@@ -57,7 +57,7 @@ def test_symbolic_blocks_specialize_to_concrete():
               if math.gcd(d, chi) == 1] + [(9, 1), (16, 3), (20, 3)]
     for (d, chi) in points:
         rel = build_relation_set(d, chi)
-        blk = rel.block()
+        blk = rel.block
         Mc, Nc = matrices_M(blk), matrices_N(blk)
         Me, Ne = symbolic_matrices_at(d, chi)
         for i in range(3):
@@ -148,7 +148,7 @@ def test_symbolic_chi_slice_matches_symbolic_chi_mode():
         if math.gcd(chi, d) != 1:
             continue
         rel = build_relation_set(d, chi)
-        blk = rel.block()
+        blk = rel.block
         Mc, Nc = matrices_M(blk), matrices_N(blk)
         for i in range(3):
             for s in range(3):

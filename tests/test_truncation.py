@@ -18,7 +18,7 @@ from tautrel.truncation import (
 
 def test_reference_entries_at_5_1():
     rel = build_relation_set(5, 1)
-    M = matrices_M(rel.block())
+    M = matrices_M(rel.block)
     assert M[2][2, 0] == Rat(2, 3)
     assert M[2][2, 2] == Rat(-73, 120)
     assert M[2][0, 2] == 1 and M[2][0, 0] == 0 and M[2][0, 1] == 0
@@ -28,7 +28,7 @@ def test_reference_entries_at_5_1():
 
 def test_echelon_first_rows():
     rel = build_relation_set(6, 1)
-    M = matrices_M(rel.block())
+    M = matrices_M(rel.block)
     for i in range(3):
         for t in range(3):
             assert M[i][0, t] == (1 if t == i else 0)
@@ -39,12 +39,12 @@ def test_checkpoint_reference_M_range():
         for chi in range(1, d):
             if math.gcd(d, chi) != 1:
                 continue
-            rep = checkpoint_reference_M(build_relation_set(d, chi).block())
+            rep = checkpoint_reference_M(build_relation_set(d, chi).block)
             assert rep["status"] == "pass" and rep["entries_checked"] == 27
 
 
 def test_checkpoint_detects_mutation():
-    blk = build_relation_set(5, 1).block()
+    blk = build_relation_set(5, 1).block
     # M1[0][1], the coefficient of c4(0)*c2(1) in R1, moved by 1
     j = tracked_monos(5).index(((4, 0), (2, 1)))
     R1 = list(blk.R[0])
@@ -57,7 +57,7 @@ def test_checkpoint_detects_mutation():
 def test_dets_nonzero_and_values():
     for (d, chi) in [(5, 1), (6, 1), (7, 3), (8, 5)]:
         rel = build_relation_set(d, chi)
-        M = matrices_M(rel.block())
+        M = matrices_M(rel.block)
         X = Rat(chi * (d - chi) * (d - 2 * chi))
         assert M[0].det() == -(X * X) / Rat(16 * d**6)
         assert M[1].det() == X * Rat(d * d + 8 * d - 16) / Rat(8 * (d - 2) * d**3)
@@ -66,14 +66,14 @@ def test_dets_nonzero_and_values():
 
 def test_matrices_N_zero_poly():
     # zero relations read as zero blocks
-    blk = build_relation_set(5, 1).block()
+    blk = build_relation_set(5, 1).block
     broken = dataclasses.replace(blk, R=((Rat(0),) * 27,) * 3)
     for m in matrices_N(broken):
         assert all(m[i, j] == 0 for i in range(3) for j in range(3))
 
 
 def test_block_json_serialization():
-    blk = truncation_block(build_relation_set(5, 1).block())
+    blk = truncation_block(build_relation_set(5, 1).block)
     js = blk.to_json()
     assert js["M"][2][2][0] == "2/3"
     assert js["schema"] == "tautrel/matrices/1"
