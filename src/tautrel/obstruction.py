@@ -29,6 +29,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from .cubicext import CubicField, factor_t3_minus_r
 from .linalg import ExactMatrix
@@ -131,21 +132,22 @@ def side(M: list, N: list) -> _Side:
     """The side of the blocks (M, N).  Its cubic det(sum x_i M_i) is
     nodal at [0:0:1] (analyze_node) with nonzero x1^3 and x2^3
     coefficients: since dC/dx3 = c111*x1*x2, those make [0:0:1] its only
-    singular point."""
+    singular point.  The blocks are kept as tuples and the cubic as a
+    read-only mapping, so no reader can change a side."""
     cubic = cubic_det(M)
     analyze_node(cubic, M[0].field)
     if (3, 0, 0) not in cubic or (0, 3, 0) not in cubic:
         raise NoCandidate("x1^3 or x2^3 coefficient vanishes: the node "
                           "is not the only singular point")
-    return _Side(M, N, cubic)
+    return _Side(tuple(M), tuple(N), MappingProxyType(cubic))
 
 
 @lru_cache(maxsize=128)
 def side_at(d: int, chi: int) -> _Side:
     """The side at a point (d, chi) over QQ, made once per process: a
     sweep at d uses each side in phi(d) pairs, and none of its objects
-    depends on the other side.  Its callers only read a _Side, so the
-    cache gives every caller the same answer."""
+    depends on the other side.  No part of a _Side can be changed (side),
+    so the cache gives every caller the same answer."""
     return side(*symbolic_matrices_at(d, chi))
 
 

@@ -55,17 +55,19 @@ exp(lam).  So the closed form runs on Laurent polynomials in (d, chi1),
 the ell_g of n over the lcm den of factor_table's denominators,
 exp(lam) over 2 den^2, and a product over the product of the
 denominators, with no gcd until each entry is made primitive.  The
-12x27 matrix is built as immutable Laurent entries, each over an
-integer den with its column sign folded in (_laurent_rows).  The
-symbolic path turns each entry into a RatFunc once: with
-k = max(0, -min e_d), it is (d^k lau) / (den d^k).  When k > 0 some term
-of d^k lau is free of d, so d does not divide it; the irreducible
-factors of den d^k are d and primes, so the only common factor left is
-the integer gcd of den and the coefficients.  Dividing it out, with the
-sign on den, gives the canonical pair of RatFunc directly.  The point
-path evaluates the same entries at (d, chi) over the integers, each row
-scaled by d^k and the lcm of its denominators, both nonzero at d >= 5
-(tracked_rows_at).
+12x27 matrix is made once per process (_laurent_rows, cached by
+_laurent_matrix) as rows of plain ints: each row holds its 27 entries
+over one positive integer den, the lcm of the entries' denominators,
+their column and Rc signs folded into the coefficients, and the row's
+k = max(0, -min e_d).  The symbolic path turns each entry into a
+RatFunc once (_laurent_ratfunc): with k its own max(0, -min e_d), it is
+(d^k lau) / (den d^k).  When k > 0 some term of d^k lau is free of d,
+so d does not divide it; the irreducible factors of den d^k are d and
+primes, so the only common factor left is the integer gcd of den and
+the coefficients.  Dividing it out, with the sign on den, gives the
+canonical pair of RatFunc directly.  The point path evaluates the same
+rows at (d, chi) over the integers, each times den d^k, nonzero at
+d >= 5 (tracked_rows_at).
 
 Exact specialization.  The 12x27 matrix A over QQ(d, chi1) has its
 pivots on columns 0..11 (symbolic_MN checks this), so its echelon form
@@ -93,13 +95,13 @@ The point elimination itself (point_echelon: int_gauss_jordan, then
 one division of each of rows 9..11 by its pivot) is exact integer
 arithmetic; every relations.TrackedBlock is made by it too.  The blocks
 M_i and N_i of any R1..R3, over QQ(d, chi1) or at a point, are read by
-one reader, mn_blocks.
+one reader, mn_blocks, as rows of tuples that no caller of the cached
+ones can change.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from functools import lru_cache
 
 from .linalg import ExactMatrix, int_gauss_jordan
@@ -239,38 +241,40 @@ def _col_sign(large, small) -> int:
     return -1 if s else 1
 
 
-# a term c * d^e_d * chi1^e_chi1 of a Laurent entry, packed as (e_d, e_chi1, c)
-_TERM = struct.Struct("bbh")
-_ZERO_ENTRY = (1, b"")
-
-
 def _entry(coefficient, beta: int, sign: int) -> tuple:
-    """The Laurent entry of sign times the beta^beta component of a
-    _coefficient: (den, terms), made primitive, the sign on den."""
+    """(den, lau): sign times the beta^beta component of a _coefficient,
+    lau/den made primitive, den > 0."""
     den, series = coefficient
     lau = _nonzero(series[beta])
     if not lau:
-        return _ZERO_ENTRY
+        return 1, {}
     g = math.gcd(den, *lau.values())
-    return sign * den // g, b"".join(_TERM.pack(a, b, c // g) for (a, b), c in lau.items())
+    return den // g, {e: sign * (c // g) for e, c in lau.items()}
+
+
+def _row(entries) -> tuple:
+    """(den, k, terms) of a row of _entry pairs: den the lcm of their
+    denominators, k = max(0, -min e_d) over the row, and each entry
+    times den as a tuple of (e_d, e_chi1, c)."""
+    den = math.lcm(*(e for e, _ in entries))
+    k = max(0, -min((a for _, lau in entries for a, _ in lau), default=0))
+    return den, k, tuple(tuple((a, b, den // e * c) for (a, b), c in lau.items())
+                         for e, lau in entries)
 
 
 def _laurent_rows() -> tuple:
     """The 12x27 matrix whose echelon form holds the blocks, in the
-    columns of tautalg.TRACKED, as rows of Laurent entries (den, terms):
-    the sum of the terms c * d^e_d * chi1^e_chi1 over the integer den,
-    its column sign folded into den, the terms packed by _TERM.  Rows:
-    c2(0)*Ra^n and c0(2)*Ra^n for n = 1, 2, 3, then Rb^1..Rb^3 and
-    Rc^1..Rc^3, by the closed form (module docstring).  Tuples and
-    bytes only, so no reader can change it.
+    columns of tautalg.TRACKED, as rows (den, k, terms): terms holds the
+    row's 27 entries, each the sum of c * d^e_d * chi1^e_chi1 over its
+    tuple of (e_d, e_chi1, c), over the positive integer den, and no e_d
+    of the row is below -k (_row).  The column sign and the Rc sign are
+    folded into c.  Rows: c2(0)*Ra^n and c0(2)*Ra^n for n = 1, 2, 3, then
+    Rb^1..Rb^3 and Rc^1..Rc^3, by the closed form (module docstring).
+    Tuples of ints only, so no reader can change it.
 
-    The terms are packed because the point path holds the matrix for
-    the life of the process: as ((e_d, e_chi1), c) tuples it took
-    0.18 MB (tracemalloc), packed 0.03 MB.  A value out of range raises
-    struct.error.  Each entry is made primitive over its den before it
-    is packed, since the products it comes from have coefficients far
-    outside the packed range: its exponents lie in -5..4 (e_d) and 0..5
-    (e_chi1), its coefficients in -2808..2808 (checked in the tests)."""
+    Each entry is made primitive before it is scaled to the row's den,
+    so den is the lcm of the entries' reduced denominators, not of the
+    far larger ones their products come with."""
     ra, rb, rc = [], [], []
     for n in (1, 2, 3):
         form = _exponent(n)
@@ -285,49 +289,42 @@ def _laurent_rows() -> tuple:
                     row.append(_entry(_coefficient(scalar, form, large, rest), 2,
                                       _col_sign(large, rest)))
                 else:
-                    row.append(_ZERO_ENTRY)
-            ra.append(tuple(row))
+                    row.append((1, {}))
+            ra.append(_row(row))
         b, c = [], []
         for large, small in TRACKED:
             coefficient, sign = _coefficient(scalar, form, large, small), _col_sign(large, small)
             b.append(_entry(coefficient, 1, sign))
             c.append(_entry(coefficient, 2, -sign))
-        rb.append(tuple(b))
-        rc.append(tuple(c))
+        rb.append(_row(b))
+        rc.append(_row(c))
     return tuple(ra + rb + rc)
 
 
-# the point path's copy, held for the life of the process.  symbolic_MN
-# expands its own and drops it: with a copy shared by both, held through
-# the elimination over QQ(d, chi1), the peak RSS of perfbench p1 was no
-# lower and spread wider, and the second expansion takes about 6 ms
+# held for the life of the process: the point path and symbolic_MN read it
 _laurent_matrix = lru_cache(maxsize=1)(_laurent_rows)
 
 
-def _unpacked(terms: bytes) -> dict:
-    """The Laurent polynomial {(e_d, e_chi1): c} of packed terms."""
-    return {(a, b): c for a, b, c in _TERM.iter_unpack(terms)}
-
-
 def _sym_matrix() -> ExactMatrix:
-    """The matrix of _laurent_rows over QQ(d, chi1), each entry turned
+    """The matrix of _laurent_matrix over QQ(d, chi1), each entry turned
     into a RatFunc once."""
-    return ExactMatrix._of(SYM_FIELD, [[_laurent_ratfunc(_unpacked(terms), den)
-                                        for den, terms in row] for row in _laurent_rows()])
+    return ExactMatrix._of(SYM_FIELD, [[_laurent_ratfunc({(a, b): c for a, b, c in terms}, den)
+                                        for terms in row] for den, _, row in _laurent_matrix()])
 
 
 def mn_blocks(R, field) -> tuple:
     """(M_1..M_3, N_1..N_3) over field, read from R1..R3, the echelon
     rows 9..11 at the 27 tracked columns, which hold elements of field:
-    an entry at (large, small) is R_i's at the column large * small."""
+    an entry at (large, small) is R_i's at the column large * small.
+    Tuples of blocks with tuple rows, so no reader can change them."""
     index = {col: i for i, col in enumerate(TRACKED)}
 
     def block(row, smalls):
-        return ExactMatrix._of(field, [[row[index[(large, small)]] for small in smalls]
-                                       for large in LARGE[2]])
+        return ExactMatrix._of(field, tuple(tuple(row[index[(large, small)]] for small in smalls)
+                                            for large in LARGE[2]))
 
-    return ([block(row, [(u,) for u in DEG2]) for row in R],
-            [block(row, SQUARES) for row in R])
+    return (tuple(block(row, [(u,) for u in DEG2]) for row in R),
+            tuple(block(row, SQUARES) for row in R))
 
 
 @lru_cache(maxsize=1)
@@ -341,19 +338,14 @@ def symbolic_MN() -> tuple:
 
 
 def tracked_rows_at(d: int, chi: int) -> tuple:
-    """(rows, scales): the matrix of _laurent_rows at (d, chi1 = chi),
-    d != 0, as integer rows, each the row evaluated times its scale, the
-    lcm of its denominators times d^k, k = max(0, -min e_d) over the
-    row.  In the plain basis the twelve relations at the tracked
-    monomials are (-1)^d rows[i] / scales[i] (module docstring)."""
+    """(rows, scales): the matrix of _laurent_matrix at (d, chi1 = chi),
+    d != 0, as integer rows, each row (den, k, terms) evaluated times its
+    scale den * d^k.  In the plain basis the twelve relations at the
+    tracked monomials are (-1)^d rows[i] / scales[i] (module docstring)."""
     rows, scales = [], []
-    for row in _laurent_matrix():
-        lcm = math.lcm(*(den for den, _ in row))
-        k = max(0, -min((a for _, terms in row for a, _, _ in _TERM.iter_unpack(terms)), default=0))
-        rows.append([lcm // den * sum(c * d ** (a + k) * chi ** b
-                                      for a, b, c in _TERM.iter_unpack(terms))
-                     for den, terms in row])
-        scales.append(lcm * d ** k)
+    for den, k, row in _laurent_matrix():
+        rows.append([sum(c * d ** (a + k) * chi ** b for a, b, c in terms) for terms in row])
+        scales.append(den * d ** k)
     return rows, scales
 
 

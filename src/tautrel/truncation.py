@@ -35,7 +35,7 @@ class CheckpointMismatch(AssertionError):
     pass
 
 
-def matrices_M(block: TrackedBlock) -> list:
+def matrices_M(block: TrackedBlock) -> tuple:
     """Rows indexed by the degree-(d-2) generators, columns by the
     degree-2 ones: M_i[s][t] = [c_{d-1-s}(s) c_{3-t}(t)] R_i.  This is
     the orientation under which the change-of-relations equation reads
@@ -43,7 +43,7 @@ def matrices_M(block: TrackedBlock) -> list:
     return mn_blocks(block.R, QQ)[0]
 
 
-def matrices_N(block: TrackedBlock) -> list:
+def matrices_N(block: TrackedBlock) -> tuple:
     return mn_blocks(block.R, QQ)[1]
 
 
@@ -51,8 +51,8 @@ def matrices_N(block: TrackedBlock) -> list:
 class TruncationBlock:
     d: int
     chi: object
-    M: list
-    N: list
+    M: tuple
+    N: tuple
 
     def to_json(self) -> dict:
         return {

@@ -20,22 +20,30 @@ def pytest_addoption(parser):
                           "no result can depend on what an earlier test left there")
 
 
+def clear_caches(keep=None) -> None:
+    """Empty every cache of CACHES but keep."""
+    for cache in CACHES:
+        if cache is not keep:
+            (cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)()
+
+
 @pytest.fixture(autouse=True)
 def _cold_caches(request):
     if request.config.getoption("--cold-caches"):
-        for cache in CACHES:
-            (cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)()
+        clear_caches()
     yield
 
 
 @pytest.fixture
 def uncached_laurent_matrix(monkeypatch):
-    """symbolic's point path expands the Laurent matrix on every call, so
-    that a patched closed form reaches relations.tracked_block, and the
-    cached matrix is left as it was."""
-    from tautrel import symbolic
-
+    """symbolic expands the Laurent matrix on every call, so that a
+    patched closed form reaches relations.tracked_block and symbolic_MN.
+    Every cache is emptied before and after the test, so that no answer
+    of the patched form is read before it or outlives it."""
     monkeypatch.setattr(symbolic, "_laurent_matrix", symbolic._laurent_rows)
+    clear_caches()
+    yield
+    clear_caches()
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ is slow but independent of the closed form and of the Laurent helpers.
 sym_relation returns the relations in the twisted basis, each
 coefficient a canonical RatFunc; laurent_matrix assembles the twelve
 rows at the 27 columns with their column signs, and differences
-compares a packed matrix of tautrel.symbolic with it.
+compares the Laurent matrix of tautrel.symbolic with it.
 
 column_keys is the list of the 27 tracked columns as tautrel.symbolic
 wrote it by hand, sorted into descending order by an explicit key,
@@ -43,7 +43,7 @@ import math
 from functools import lru_cache
 
 from tautrel.rat import Rat
-from tautrel.symbolic import SYM_FIELD, _laurent_ratfunc, _unpacked
+from tautrel.symbolic import SYM_FIELD, _laurent_ratfunc
 from tautrel.tautalg import LARGE, gen_key
 
 # the small part of a tracked monomial has degree at most SMALL_DEGREE,
@@ -258,13 +258,13 @@ def laurent_matrix() -> tuple:
 
 
 def differences(rows) -> list:
-    """The (row, column) of each entry of the packed Laurent matrix rows
-    (tautrel.symbolic._laurent_rows) whose RatFunc differs from
-    laurent_matrix by == or by its printed form."""
+    """The (row, column) of each entry of the Laurent matrix rows
+    (tautrel.symbolic._laurent_rows: rows (den, k, terms)) whose RatFunc
+    differs from laurent_matrix by == or by its printed form."""
     out = []
-    for i, (got_row, want_row) in enumerate(zip(rows, laurent_matrix(), strict=True)):
-        for j, ((den, terms), want) in enumerate(zip(got_row, want_row, strict=True)):
-            got = _laurent_ratfunc(_unpacked(terms), den)
+    for i, ((den, _, got_row), want_row) in enumerate(zip(rows, laurent_matrix(), strict=True)):
+        for j, (terms, want) in enumerate(zip(got_row, want_row, strict=True)):
+            got = _laurent_ratfunc({(a, b): c for a, b, c in terms}, den)
             if got != want or str(got) != str(want):
                 out.append((i, j))
     return out

@@ -493,6 +493,25 @@ def test_cached_side_is_unchanged_by_decide(cold_sides):
         sides[0].cubic = None
 
 
+def test_cached_blocks_and_sides_refuse_changes():
+    # symbolic_MN and side_at hand every caller the same objects: a write
+    # into any of them raises, and a later decide reads what it read before
+    want = json.dumps(decide(7, 1, 2).to_json(), sort_keys=True)
+    M, N = symbolic_MN()
+    s = side_at(7, 1)
+    for m in M + N + s.M + s.N:
+        with pytest.raises(TypeError):
+            m.data[0][0] = m[0, 1]
+        with pytest.raises(TypeError):
+            m.data[0] = m.data[1]
+    for mats in (M, N, s.M, s.N):
+        with pytest.raises(TypeError):
+            mats[0] = mats[1]
+    with pytest.raises(TypeError):
+        s.cubic[(3, 0, 0)] = s.cubic[(0, 3, 0)]
+    assert json.dumps(decide(7, 1, 2).to_json(), sort_keys=True) == want
+
+
 def _candidate_strs(cands):
     return [(c.root_label, str(c.r), [str(x) for row in c.S.data for x in row])
             for c in cands]

@@ -12,7 +12,7 @@ from tautrel.obstruction import coprime_pairs, decide
 from tautrel.rat import QQ, Rat
 from tautrel.ratfunc import RatFunc
 from tautrel.tautalg import TRACKED
-from tautrel.relations import build_relation_set
+from tautrel.relations import build_relation_set, tracked_block
 from tautrel.symbolic import SYM_FIELD, symbolic_MN, symbolic_matrices_at
 from tautrel.truncation import matrices_M, matrices_N
 
@@ -82,8 +82,8 @@ def test_point_blocks_equal_symbolic_MN_at_the_point():
             if math.gcd(d, chi) != 1:
                 continue
             at = {"d": d, "chi1": chi}
-            want = tuple([ExactMatrix(QQ, [[x.eval(at) for x in row] for row in m.data])
-                          for m in mats] for mats in (M, N))
+            want = tuple(tuple(ExactMatrix(QQ, [[x.eval(at) for x in row] for row in m.data])
+                               for m in mats) for mats in (M, N))
             got = symbolic_matrices_at(d, chi)
             assert got == want, (d, chi)
             assert [str(x) for x in _entries(got)] == [str(x) for x in _entries(want)], (d, chi)
@@ -114,13 +114,15 @@ def test_decide_runs_no_symbolic_elimination(monkeypatch):
 
 
 def test_returned_blocks_are_fresh():
-    # a reader that changes a returned block changes no later answer
+    # no reader can change a returned block, so none changes a later answer
     first = symbolic_matrices_at(7, 2)
     want = [str(x) for x in _entries(first)]
     for mats in first:
         for m in mats:
-            m.data[0][0] = m.field.coerce(99)
-            m.data[1] = m.data[2]
+            with pytest.raises(TypeError):
+                m.data[0][0] = m.field.coerce(99)
+            with pytest.raises(TypeError):
+                m.data[1] = m.data[2]
     assert [str(x) for x in _entries(symbolic_matrices_at(7, 2))] == want
 
 
@@ -175,19 +177,42 @@ def test_laurent_rows_match_ratfunc_oracle():
     # all 324 entries of the closed form, each turned into a RatFunc,
     # against the partition truncation over RatFuncs
     rows = symbolic._laurent_rows()
-    assert len(rows) == 12 and all(len(row) == 27 for row in rows)
+    assert len(rows) == 12 and all(len(row) == 27 for _, _, row in rows)
+    for den, k, row in rows:
+        # _laurent_rows' docstring: plain ints over a positive den, no
+        # e_d below -k, and k is the least such
+        assert den > 0 and k >= 0
+        assert all(type(x) is int for terms in row for term in terms for x in term)
+        assert k == max(0, -min((a for terms in row for a, _, _ in terms), default=0))
     assert symbolic_oracle.differences(rows) == []
 
 
-def test_packed_terms_stay_inside_the_stated_ranges():
-    # _laurent_rows' docstring: each entry primitive over its den, e_d in
-    # -5..4, e_chi1 in 0..5, coefficients in -2808..2808
-    for row in symbolic._laurent_rows():
-        for den, terms in row:
-            lau = symbolic._unpacked(terms)
-            assert math.gcd(den, *lau.values()) == 1
-            for (a, b), c in lau.items():
-                assert -5 <= a <= 4 and 0 <= b <= 5 and 0 < abs(c) <= 2808
+def test_tracked_rows_at_equal_the_oracle_at_every_point():
+    # the raw rows over their scales, the column and Rc signs and the
+    # power of d folded in, against the partition truncation evaluated
+    want = symbolic_oracle.laurent_matrix()
+    for d in range(5, 13):
+        for chi in range(1, d):
+            if math.gcd(d, chi) != 1:
+                continue
+            rows, scales = symbolic.tracked_rows_at(d, chi)
+            at = {"d": d, "chi1": chi}
+            for row, scale, want_row in zip(rows, scales, want, strict=True):
+                assert all(type(x) is int for x in row) and type(scale) is int
+                assert [Rat(x, scale) for x in row] == [x.eval(at) for x in want_row], (d, chi)
+
+
+def test_one_expansion_per_process(monkeypatch):
+    # symbolic_MN and the point path read the one cached Laurent matrix
+    made = []
+    exponent = symbolic._exponent
+    monkeypatch.setattr(symbolic, "_exponent", lambda n: made.append(n) or exponent(n))
+    symbolic_MN.cache_clear()
+    symbolic._laurent_matrix.cache_clear()
+    symbolic_MN()
+    tracked_block(9, 2)
+    symbolic_matrices_at(9, 2)
+    assert made == [1, 2, 3]
 
 
 laurents = st.dictionaries(
