@@ -62,3 +62,17 @@ def test_emit_relations_matches_recorded_digests(tmp_path, monkeypatch):
         d, chi = key.split()
         fresh = emit_to(tmp_path, "emit", "--what", "relations", "--d", d, "--chi", chi)
         assert hashlib.sha256(fresh).hexdigest() == want, key
+
+
+# sha256 of `constraint --d D --format json` for d = 5..16, recorded while
+# P1 and its checks were still computed on sparse polynomials
+CONSTRAINT_DIGESTS = os.path.join(FIXTURES, "constraint_d5_16.sha256.json")
+
+
+def test_constraint_matches_recorded_digests(tmp_path):
+    with open(CONSTRAINT_DIGESTS) as fh:
+        digests = json.load(fh)
+    assert sorted(map(int, digests)) == list(range(5, 17))
+    for d, want in digests.items():
+        fresh = emit_to(tmp_path, "constraint", "--d", d, "--format", "json")
+        assert hashlib.sha256(fresh).hexdigest() == want, d
