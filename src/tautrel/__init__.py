@@ -4,7 +4,6 @@ relation obstruction for moduli of one-dimensional plane sheaves."""
 __version__ = "0.1.0"
 
 from .rat import QQ, Rat
-from .mpoly import MPoly
 from .ratfunc import FracField, RatFunc, mpoly_gcd
 from .cubicext import CubicExt, CubicField, NotInvertible, factor_t3_minus_r
 from .linalg import DimensionMismatch, ExactMatrix, NonSquareDet
@@ -16,7 +15,6 @@ from .constraint import constraint_analysis
 __all__ = [
     "QQ",
     "Rat",
-    "MPoly",
     "FracField",
     "RatFunc",
     "mpoly_gcd",

@@ -31,6 +31,8 @@ import math
 import multiprocessing
 import os
 import sys
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 
 from .constraint import constraint_analysis
 from .obstruction import (
@@ -211,6 +213,16 @@ def cmd_decide(args) -> int:
                          0 if v.agrees else MATH_ERROR)
 
 
+def _error_row(task, error: str, message: str, tb) -> dict:
+    """The row of a pair that has no verdict: the pair, the error, its
+    message and the frame of the traceback entry tb."""
+    d, c1, c2 = task
+    code = tb.tb_frame.f_code
+    return {"d": d, "chi1": c1, "chi2": c2, "error": error, "message": message,
+            "raised_at": f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} "
+                         f"in {code.co_name}"}
+
+
 def _sweep_worker(task):
     """The verdict row of one pair, or an error row that names the pair,
     the exception type and the frame that raised it, so that one failing
@@ -222,11 +234,62 @@ def _sweep_worker(task):
         tb = e.__traceback__
         while tb.tb_next is not None:
             tb = tb.tb_next
-        code = tb.tb_frame.f_code
-        return {"d": d, "chi1": c1, "chi2": c2, "error": type(e).__name__,
-                "message": str(e),
-                "raised_at": f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} "
-                             f"in {code.co_name}"}
+        return _error_row(task, type(e).__name__, str(e), tb)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of worker processes started fresh (spawn), not forked from
+    this process, whose pool runs a thread of its own."""
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+
+def _pool_run(todo: list, jobs: int, rows: dict) -> list:
+    """Decides the pairs popped off todo in one pool of jobs worker
+    processes, at most jobs of them given out at a time, into rows, until
+    todo is empty or a worker dies.  A dead worker breaks the pool, and
+    every pair then given out is lost with it: returns those."""
+    with _pool(jobs) as pool:
+        out = {}
+        while todo or out:
+            while todo and len(out) < jobs:
+                task = todo.pop()
+                out[pool.submit(_sweep_worker, task)] = task
+            done, _ = wait(out, return_when=FIRST_COMPLETED)
+            if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
+                done, _ = wait(out)
+            lost = []
+            for fut in done:
+                task = out.pop(fut)
+                if isinstance(fut.exception(), BrokenProcessPool):
+                    lost.append(task)
+                else:
+                    rows[task] = fut.result()
+            if lost:
+                return lost
+    return []
+
+
+def _alone(task) -> dict:
+    """The row of a pair whose worker died, decided once more by a fresh
+    worker of its own; a WorkerDied error row if that one dies too."""
+    with _pool(1) as pool:
+        try:
+            return pool.submit(_sweep_worker, task).result()
+        except BrokenProcessPool as e:
+            return _error_row(task, "WorkerDied", f"its worker process died twice: {e}",
+                              e.__traceback__)
+
+
+def _pooled_rows(tasks: list, jobs: int) -> list:
+    """The rows of tasks, in their order, from jobs worker processes.  A
+    worker that dies, by a crash or a kill, loses only the pairs given
+    out when it died: each is decided once more, alone, and the rest go
+    on in a fresh pool, so the sweep never waits on a dead worker."""
+    rows, todo = {}, tasks[::-1]
+    while todo:
+        for task in _pool_run(todo, jobs, rows):
+            rows[task] = _alone(task)
+    return [rows[t] for t in tasks]
 
 
 def cmd_sweep(args) -> int:
@@ -245,8 +308,7 @@ def cmd_sweep(args) -> int:
     cpus = os.cpu_count() or 1
     jobs = min(args.jobs or cpus, cpus, len(tasks))
     if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_sweep_worker, tasks)
+        rows = _pooled_rows(tasks, jobs)
     else:
         rows = [_sweep_worker(t) for t in tasks]
     rows.sort(key=lambda r: (r["d"], r["chi1"], r["chi2"]))

@@ -39,7 +39,10 @@ the closed forms at d.
 
 The quartic P1 is the primitive part of the numerator of c2, which is
 free of chi2: P at d, up to its content.  The chi2-content of the
-numerator of c1 is chi (d - chi) P1, which cross-checks it.
+numerator of c1 is chi (d - chi) P1, which cross-checks it.  P1 and
+every check on it are polynomial RatFuncs in chi1, like all polynomials
+of the package: its symmetry about d/2 is checked at deg P1 + 1 points,
+which is exact, as P1(chi) - P1(d - chi) has degree at most deg P1.
 
 Non-congruent pairs.  At a concrete pair the candidate lives over a
 factor of t^3 - r, with r = X(chi)/X(chi') and X(c) = c (d-c)(d-2c),
@@ -80,10 +83,9 @@ from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
 from .linalg import ExactMatrix
-from .mpoly import ExactDivisionError, MPoly
 from .obstruction import CandidateS, coprime_chis, side_at, solve_AB, solve_S, solve_UV
-from .rat import QQ, Rat, rational_cube_root
-from .ratfunc import FracField, mpoly_gcd
+from .rat import Rat, rational_cube_root
+from .ratfunc import FracField, RatFunc, mpoly_gcd
 
 
 class EliminationFailure(ArithmeticError):
@@ -137,6 +139,8 @@ def _column0_elimination(cand: CandidateS, A: ExactMatrix):
 # -- the coordinates in closed form ------------------------------------------------
 
 BI_FIELD = FracField(("chi1", "chi2"))
+# P1 and the slices' numerators are polynomials in chi1 alone
+CHI1_FIELD = FracField(("chi1",))
 
 # d -> the t and t^2 coordinates of the compatibility resultant over Q(chi1, chi2)
 _SLICE_CACHE: dict = {}
@@ -182,7 +186,7 @@ def _coordinates(d: int) -> tuple:
 @dataclass
 class ConstraintReport:
     d: int
-    P1: MPoly = None
+    P1: RatFunc = None
     P1_checks: dict = dc_field(default_factory=dict)
     structure_checks: dict = dc_field(default_factory=dict)
     pair_agreement: list = dc_field(default_factory=list)
@@ -198,9 +202,10 @@ class ConstraintReport:
 _REPORT_CACHE: dict = {}
 
 
-def _primitive(poly: MPoly) -> MPoly:
-    """The primitive part of a polynomial in chi1, positive at 0."""
-    P = poly.with_vars(("chi1",)).over(QQ).rational_content()[1]
+def _primitive(poly: RatFunc) -> RatFunc:
+    """The primitive part of a polynomial in chi1, positive at 0: its gcd
+    with 0, up to sign."""
+    P = mpoly_gcd(poly, CHI1_FIELD.zero)
     return -P if P.eval({"chi1": 0}) < 0 else P
 
 
@@ -248,22 +253,26 @@ def _analysis(d: int) -> ConstraintReport:
     """The report of constraint_analysis(d), computed."""
     coord_t, coord_t2 = _coordinates(d)
     report = ConstraintReport(d=d)
-    x = MPoly.variable("chi1")
-    dd = MPoly.constant(d, ("chi1",))
+    x = CHI1_FIELD.gen("chi1")
 
-    # P1 from the t^2 coordinate, cross-validated against the chi2-content
-    # of the t one, which carries the factor chi (d - chi) as well
-    P1 = _primitive(coord_t2.num)
-    content = reduce(mpoly_gcd, coord_t.num.over(QQ).as_univariate("chi2").values(),
-                     MPoly.constant(0, ("chi1",)))
-    try:
-        P1_alt = _primitive(content.exact_div(x * (dd - x)))
-    except ExactDivisionError:
-        P1_alt = None
+    # P1 from the t^2 coordinate, which is free of chi2, cross-validated
+    # against the chi2-content of the t one, which carries the factor
+    # chi (d - chi) as well.  That content is the gcd of the numerator's
+    # values at deg + 1 points of chi2: they span the same space over Q as
+    # its coefficients in chi2 (Vandermonde), so they have the same gcd
+    P1 = _primitive(coord_t2.num.eval({"chi2": 0}))
+    num_t = coord_t.num
+    content = reduce(mpoly_gcd, (num_t.eval({"chi2": b})
+                                 for b in range(num_t.degree_in("chi2") + 1)), CHI1_FIELD.zero)
+    quotient = content / (x * (d - x))
+    P1_alt = _primitive(quotient) if quotient.den == 1 else None
     report.P1 = P1
     report.P1_checks = {
         "degree_4": P1.degree_in("chi1") == 4,
-        "symmetric": P1.eval({"chi1": dd - x}) == P1,
+        # P1(chi) - P1(d - chi) has degree at most that of P1, so it
+        # vanishes if it vanishes at one point more
+        "symmetric": all(P1.eval({"chi1": a}) == P1.eval({"chi1": d - a})
+                         for a in range(P1.degree_in("chi1") + 1)),
         "positive_at_0": P1.eval({"chi1": 0}) > 0,
         "negative_at_1": P1.eval({"chi1": 1}) < 0,
         "both_coordinates_agree": P1 == P1_alt,
@@ -272,23 +281,19 @@ def _analysis(d: int) -> ConstraintReport:
     # the chi'-slices at the first three valid b: the canonical numerators
     # of the coordinates at chi2 = b (see the module docstring)
     valid_bs = [b for b in range(1, d) if 2 * b != d]
-    slices = [(b, *(c.eval({"chi2": b}).num.over(QQ) for c in (coord_t, coord_t2)))
+    slices = [(b, *(c.eval({"chi2": b}).num for c in (coord_t, coord_t2)))
               for b in valid_bs[:3]]
 
-    # slice structure: num2 = c_b * P1 and num1 = c_b' * chi (d - chi) P1
+    # slice structure: num2 = c_b * P1 and num1 = c_b' * chi (d - chi) P1,
+    # so both quotients are constants
     structure_ok = True
     constants_nonzero = True
     for b, num1, num2 in slices:
-        try:
-            c2 = num2.exact_div(P1)
-            c1 = num1.exact_div(P1 * x * (dd - x))
-        except ExactDivisionError:
+        c2, c1 = num2 / P1, num1 / (P1 * x * (d - x))
+        if c2.degree_in("chi1") > 0 or c1.degree_in("chi1") > 0:
             structure_ok = False
             continue
-        if not (c2.is_constant() and c1.is_constant()):
-            structure_ok = False
-            continue
-        if c1.constant_value() == 0 or c2.constant_value() == 0:
+        if not c1 or not c2:
             constants_nonzero = False
 
     # rejection of non-congruent pairs: the held-back pair is compatible

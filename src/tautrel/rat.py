@@ -7,7 +7,8 @@ expansions run on packed Python ints; Rat carries the coefficients of
 tautalg.factor_table, the entries of every relations.TrackedBlock and
 the point blocks of symbolic_matrices_at, the linear algebra over QQ
 (the pencil, S and the minors of verify_rank12), the coefficients
-CubicExt reads out, MPoly over QQ and the values of RatFunc.eval.
+CubicExt reads out and the values of RatFunc.eval, P1's at the
+constraint's sign checks among them.
 """
 
 from __future__ import annotations

@@ -5,13 +5,17 @@ A RatFunc holds its canonical variable tuple and its numerator and
 denominator as dense integer polynomials in those variables (the form
 below, level = number of variables), with no common factor over the
 integers, content included, and the denominator's leading coefficient
-positive under graded lex (MPoly.leading's order, not the dense
-outermost-variable order).  That is the same normal form as
-"polynomial gcd cancelled, both parts integer primitive with coprime
-contents", so str, == and hash read as they would over QQ.  num and den
-read the pair as MPolys over ZZ, built on demand; the arithmetic never
-does.  Values leave the integers only at the QQ boundary: eval returns
-Rats, and the public mpoly_gcd takes and returns polynomials over QQ.
+positive under graded lex (total degree first, then the exponent tuple
+in variable order; not the dense outermost-variable order).  That is
+the same normal form as "polynomial gcd cancelled, both parts integer
+primitive with coprime contents", so str, == and hash read as they
+would over QQ.  This dense pair is the package's only polynomial
+representation: a polynomial is a RatFunc over denominator 1, num and
+den are such RatFuncs, and str, == and hash read the pair directly, the
+last two alike across variable tuples.  FracField's gen and coerce make
+every RatFunc the arithmetic starts from.  Values leave the integers
+only at the QQ boundary: eval returns Rats.  The public mpoly_gcd takes
+and returns polynomial RatFuncs.
 
 The gcd underneath is the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
 J. Symb. Comp. 7, 1989): the outermost variable is evaluated at a large
@@ -29,16 +33,16 @@ subresultant polynomial remainder sequence (Collins; Brown and Traub) in
 the outermost variable computes the gcd on the same dense integer form
 instead, its contents taken one level down through the same gcd, and
 exact division gives the cofactors.  The version of that fallback on
-MPolys over QQ is the reference in tests/ratfunc_oracle.py.  No
-factorization is ever needed.
+sparse polynomials over QQ is the reference in tests/ratfunc_oracle.py.
+No factorization is ever needed.
 """
 
 from __future__ import annotations
 
 import math
 
-from .mpoly import MPoly, canonical_vars
-from .rat import QQ, ZZ, Rat, is_rational, rat
+from .mpoly import canonical_vars, signed_term
+from .rat import Rat, is_rational, rat
 
 
 # -- gcd over the integers: GCDHEU and its subresultant fallback --------------
@@ -358,37 +362,74 @@ def _constant(p, k):
 
 def _leading(p, k) -> tuple:
     """(total degree, exponents, coefficient) of the leading term of the
-    nonzero level-k p in MPoly.leading's graded-lex order (the exponent
-    tuple ends with the outermost variable's).  Terms differ in (degree,
-    exponents), so max never compares coefficients."""
+    nonzero level-k p in graded-lex order (the exponent tuple ends with
+    the outermost variable's).  Terms differ in (degree, exponents), so
+    max never compares coefficients."""
     if k == 0:
         return 0, (), p
     return max((deg + j, exps + (j,), c)
                for j, q in enumerate(p) if q for deg, exps, c in [_leading(q, k - 1)])
 
 
-def _mpoly(p, vars: tuple) -> MPoly:
-    """The dense polynomial p in vars as an MPoly over ZZ."""
-    return MPoly._of(vars, dict(_dense_terms(p, len(vars))), ZZ)
+def _primitive(p, k):
+    """The level-k p over the gcd of its coefficients, its graded-lex
+    leading coefficient made positive; zero stays zero."""
+    if not p:
+        return p
+    c = math.gcd(*_coeffs(p, k))
+    return _quo_int(p, -c if _leading(p, k)[2] < 0 else c, k)
 
 
-def _zz_dense(f: MPoly):
-    """The dense form of f, whose coefficients are integers."""
-    return _to_dense({e: int(c) for e, c in f.terms.items()}, len(f.vars))
+def _widened(p, vars: tuple, to: tuple):
+    """The dense p in vars as a dense polynomial in to, which holds vars."""
+    if vars == to:
+        return p
+    at = [to.index(name) for name in vars]
+    terms = {}
+    for e, c in _dense_terms(p, len(vars)):
+        wide = [0] * len(to)
+        for i, n in zip(at, e):
+            wide[i] = n
+        terms[tuple(wide)] = c
+    return _to_dense(terms, len(to))
 
 
-def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Primitive, positive-leading gcd of two rational-coefficient MPolys."""
-    if f.domain is not QQ or g.domain is not QQ:
-        raise TypeError("gcd is defined over the rational coefficient domain")
-    vars = canonical_vars(f.vars + g.vars)
-    f, g = f.with_vars(vars), g.with_vars(vars)
-    if not f or not g:
-        return (f or g).rational_content()[1]
+def _poly_str(p, vars: tuple) -> tuple:
+    """(text, number of terms) of the dense p in vars: its terms in
+    descending graded-lex order, each through signed_term, "0" for zero."""
+    terms = sorted(_dense_terms(p, len(vars)), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
+    parts = []
+    for e, c in terms:
+        body = "*".join(f"{v}^{n}" if n > 1 else v for v, n in zip(vars, e) if n)
+        parts.append(signed_term(c, body, bool(parts)))
+    return "".join(parts) or "0", len(terms)
+
+
+def _hash_key(p, vars: tuple, den: int):
+    """What the polynomial p/den, p dense in vars, hashes as: a constant
+    as its Rat, else the set of its terms, each by the variables it
+    involves and its coefficient, so that the key is the same whatever
+    the variable tuple."""
     k = len(vars)
-    h = _cofactors(*(_zz_dense(p.rational_content()[1]) for p in (f, g)), k)[0]
-    c = math.gcd(*_coeffs(h, k))
-    return _mpoly(_quo_int(h, -c if _leading(h, k)[2] < 0 else c, k), vars).over(QQ)
+    c = _constant(p, k) if p else 0
+    if c is not None:
+        return Rat(c, den)
+    return frozenset((frozenset((v, n) for v, n in zip(vars, e) if n), Rat(c, den))
+                     for e, c in _dense_terms(p, k))
+
+
+def mpoly_gcd(f: "RatFunc", g: "RatFunc") -> "RatFunc":
+    """The gcd of two polynomial RatFuncs (constant denominators) as a
+    polynomial RatFunc in the union of their variables: primitive over
+    the integers, its graded-lex leading coefficient positive, and zero
+    only when both are."""
+    if any(_constant(p._den, len(p.vars)) is None for p in (f, g)):
+        raise TypeError("gcd is defined for polynomials")
+    vars = canonical_vars(f.vars + g.vars)
+    k = len(vars)
+    a, b = (_widened(p._num, p.vars, vars) for p in (f, g))
+    h = _cofactors(a, b, k)[0] if a and b else a or b
+    return RatFunc._raw(vars, _primitive(h, k), _constant_poly(1, k))
 
 
 def _cofactors(a, b, k) -> tuple:
@@ -436,29 +477,13 @@ class RatFunc:
 
     Equivalently: the polynomial gcd cancelled, both parts integer
     primitive up to coprime integer contents.  Both are held densely in
-    vars (see the module docstring); num and den read them as MPolys
-    over ZZ.  Operands are cancelled with the cofactors GCDHEU returns
-    along with the gcd, so no polynomial division is needed unless
-    GCDHEU gives up."""
+    vars (see the module docstring); num and den read them as
+    polynomial RatFuncs.  Operands are cancelled with the cofactors
+    GCDHEU returns along with the gcd, so no polynomial division is
+    needed unless GCDHEU gives up.  FracField makes the generators and
+    the rational constants; every other RatFunc is computed from them."""
 
     __slots__ = ("vars", "_num", "_den")
-
-    def __init__(self, num, den=None):
-        if not isinstance(num, MPoly):
-            num = MPoly.constant(rat(num))
-        if den is None:
-            den = MPoly.constant(1, num.vars, ZZ)
-        elif not isinstance(den, MPoly):
-            den = MPoly.constant(rat(den))
-        if num.domain not in (QQ, ZZ) or den.domain not in (QQ, ZZ):
-            raise TypeError("rational functions take polynomials over QQ or ZZ")
-        vars = canonical_vars(num.vars + den.vars)
-        num, den = num.with_vars(vars), den.with_vars(vars)
-        # both times the least positive integer that clears their denominators
-        scale = math.lcm(*(int(c.denominator) for p in (num, den) for c in p.terms.values()))
-        num, den = (_zz_dense(p * scale) for p in (num, den))
-        out = _reduced(vars, num, den)
-        self.vars, self._num, self._den = out.vars, out._num, out._den
 
     @classmethod
     def _raw(cls, vars: tuple, num, den) -> "RatFunc":
@@ -482,14 +507,23 @@ class RatFunc:
     # -- queries ---------------------------------------------------------
 
     @property
-    def num(self) -> MPoly:
-        """The numerator as an MPoly over ZZ, built on each read."""
-        return _mpoly(self._num, self.vars)
+    def num(self) -> "RatFunc":
+        """The numerator, a polynomial RatFunc in vars over denominator 1."""
+        return RatFunc._raw(self.vars, self._num, _constant_poly(1, len(self.vars)))
 
     @property
-    def den(self) -> MPoly:
-        """The denominator as an MPoly over ZZ, built on each read."""
-        return _mpoly(self._den, self.vars)
+    def den(self) -> "RatFunc":
+        """The denominator, a polynomial RatFunc in vars over denominator 1."""
+        return RatFunc._raw(self.vars, self._den, _constant_poly(1, len(self.vars)))
+
+    def degree_in(self, name: str) -> int:
+        """The larger of the degrees of num and den in name, -1 for zero."""
+        if not self._num:
+            return -1
+        if name not in self.vars:
+            return 0
+        k, j = len(self.vars), self.vars.index(name)
+        return max(_degree(self._num, k, j), _degree(self._den, k, j))
 
     def is_zero(self) -> bool:
         return not self._num
@@ -502,8 +536,6 @@ class RatFunc:
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, MPoly):
-            return RatFunc(other)
         if is_rational(other):
             return RatFunc._of_rational(other, self.vars)
         return NotImplemented
@@ -513,7 +545,8 @@ class RatFunc:
         if self.vars == o.vars:
             return self.vars, self._num, self._den, o._num, o._den
         vars = canonical_vars(self.vars + o.vars)
-        return (vars, *(_zz_dense(p.with_vars(vars)) for p in (self.num, self.den, o.num, o.den)))
+        return (vars, *(_widened(p, r.vars, vars)
+                        for r in (self, o) for p in (r._num, r._den)))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -596,13 +629,12 @@ class RatFunc:
         return a == c and b == d
 
     def __hash__(self):
-        # over a constant denominator k, the hash of the equal MPoly num/k
-        # over QQ (of the equal Rat when num is constant too)
-        num, den = self.num, self.den
-        if den.is_constant():
-            k = den.constant_value()
-            return hash(MPoly._of(num.vars, {e: Rat(c, k) for e, c in num.terms.items()}))
-        return hash((num, den))
+        # over a constant denominator k, the hash of the polynomial num/k
+        # (of the equal Rat when num is constant too), else of the pair
+        k = _constant(self._den, len(self.vars))
+        if k is not None:
+            return hash(_hash_key(self._num, self.vars, k))
+        return hash((_hash_key(self._num, self.vars, 1), _hash_key(self._den, self.vars, 1)))
 
     # -- substitution -------------------------------------------------------
 
@@ -629,14 +661,15 @@ class RatFunc:
         return Rat(num, den)
 
     def __str__(self):
+        num, num_terms = _poly_str(self._num, self.vars)
         if _constant(self._den, len(self.vars)) == 1:
-            return self.num.to_str()
+            return num
         # a sum, or a product in the denominator, is parenthesized:
         # a/8*d would read as (a/8)*d
-        num, den = self.num.to_str(), self.den.to_str()
-        if len(self.num.terms) > 1:
+        den, den_terms = _poly_str(self._den, self.vars)
+        if num_terms > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1 or "*" in den:
+        if den_terms > 1 or "*" in den:
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -683,14 +716,17 @@ class FracField:
     def coerce(self, x) -> RatFunc:
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, MPoly):
-            return RatFunc(x)
         if is_rational(x):
             return RatFunc._of_rational(x, self.vars)
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
     def gen(self, name: str) -> RatFunc:
-        return RatFunc(MPoly.variable(name, self.vars))
+        """The variable name, a generator of the field."""
+        if name not in self.vars:
+            raise ValueError(f"variable {name!r} not among {self.vars}")
+        k = len(self.vars)
+        exp = tuple(int(v == name) for v in self.vars)
+        return RatFunc._raw(self.vars, _to_dense({exp: 1}, k), _constant_poly(1, k))
 
     @staticmethod
     def is_zero(x) -> bool:

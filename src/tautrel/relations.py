@@ -142,7 +142,7 @@ from functools import reduce
 from types import MappingProxyType
 
 from .linalg import ExactMatrix, int_gauss_jordan
-from .mpoly import _signed_term
+from .mpoly import signed_term
 from .rat import QQ, ZZ, Rat
 from .symbolic import point_echelon, tracked_rows_at
 from .tautalg import (
@@ -460,7 +460,7 @@ class RelationSet:
             parts = []
             for m in sorted(row, reverse=True):
                 body = mono_str(self.packing.unpack(m, self.d))
-                parts.append(_signed_term(Rat(row[m], pivot), body, bool(parts)))
+                parts.append(signed_term(Rat(row[m], pivot), body, bool(parts)))
             out[f"R{i}"] = "".join(parts) or "0"
         return out
 

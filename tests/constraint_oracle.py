@@ -20,12 +20,12 @@ against:
 from dataclasses import dataclass
 from functools import lru_cache
 
+from mpoly_oracle import ExactDivisionError, MPoly, gcd, mpoly
 from tautrel.constraint import BI_FIELD, EliminationFailure, _column0_elimination
 from tautrel.linalg import ExactMatrix
-from tautrel.mpoly import ExactDivisionError, MPoly
 from tautrel.obstruction import side, solve_AB, solve_S
 from tautrel.rat import QQ, Rat
-from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
+from tautrel.ratfunc import FracField, RatFunc
 from tautrel.symbolic import SYM_FIELD, symbolic_MN
 
 UNI_FIELD = FracField(("chi1",))
@@ -144,7 +144,7 @@ def constraint_slice(d: int, b: int, *, _blocks: tuple = None) -> ConstraintSlic
         )
     if c1.is_zero() and c2.is_zero():
         raise EliminationFailure(f"slice constraint vanished identically at chi'={b}")
-    out = ConstraintSlice(d, b, c1.num.over(QQ), c2.num.over(QQ))
+    out = ConstraintSlice(d, b, mpoly(c1.num).over(QQ), mpoly(c2.num).over(QQ))
     _SLICE_CACHE[key] = out
     return out
 
@@ -171,7 +171,7 @@ def _recover_P1(d: int, nums: list) -> MPoly:
     given slice numerators and normalize the sign at 0."""
     acc = None
     for p in nums:
-        acc = p if acc is None else mpoly_gcd(acc, p)
+        acc = p if acc is None else gcd(acc, p)
         if acc.is_constant():
             break
     P1 = _strip_factors(acc.rational_content()[1], _chi1_junk_factors(d))

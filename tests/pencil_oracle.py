@@ -11,9 +11,9 @@ tautrel.obstruction proves it from the node.
 
 from collections import namedtuple
 
+from mpoly_oracle import MPoly
 from tautrel.cubicext import CubicField, factor_t3_minus_r
 from tautrel.linalg import ExactMatrix
-from tautrel.mpoly import MPoly
 from tautrel.obstruction import NoCandidate, analyze_node, cubic_det
 
 # the parts of obstruction.CandidateS that the comparison reads

@@ -1,6 +1,6 @@
 """Reference rational functions for the tests: numerator and denominator
-over QQ, cancelled by the public mpoly_gcd and MPoly.exact_div and
-normalized by rational_content.
+MPolys over QQ, cancelled by the public mpoly_gcd (through
+mpoly_oracle.gcd) and MPoly.exact_div and normalized by rational_content.
 
 This is the representation tautrel.ratfunc.RatFunc used before it moved
 to polynomials over ZZ cancelled with GCDHEU's cofactors.  The canonical
@@ -12,9 +12,9 @@ subresultant_gcd below is the reference for the package's gcd: the
 fallback of GCDHEU as it was computed on MPolys over QQ.
 """
 
-from tautrel.mpoly import MPoly, canonical_vars
+from mpoly_oracle import MPoly, gcd, num_den, ratfunc
+from tautrel.mpoly import canonical_vars
 from tautrel.rat import QQ, Rat, is_rational, rat
-from tautrel.ratfunc import RatFunc, mpoly_gcd
 
 
 def _normalized(num: MPoly, den: MPoly) -> tuple:
@@ -27,7 +27,7 @@ def _normalized(num: MPoly, den: MPoly) -> tuple:
 def _cancelled(a: MPoly, b: MPoly) -> tuple:
     if a.is_constant() or b.is_constant():
         return a, b
-    g = mpoly_gcd(a, b)
+    g = gcd(a, b)
     if g.is_constant():
         return a, b
     return a.exact_div(g), b.exact_div(g)
@@ -126,14 +126,13 @@ def eval_over_qq(rf, assignment: dict):
     """RatFunc.eval as it was before it substituted into the integer
     polynomials: numerator and denominator converted to QQ and evaluated
     by MPoly.eval, one MPoly per term for a partial assignment."""
-    num = rf.num.over(QQ).eval(assignment)
-    den = rf.den.over(QQ).eval(assignment)
+    num, den = (p.over(QQ).eval(assignment) for p in num_den(rf))
     if isinstance(num, MPoly) or isinstance(den, MPoly):
         if not isinstance(num, MPoly):
             num = MPoly.constant(num)
         if not isinstance(den, MPoly):
             den = MPoly.constant(den)
-        return RatFunc(num, den)
+        return ratfunc(num, den)
     if den == 0:
         raise ZeroDivisionError("denominator vanishes at the given point")
     return num / den

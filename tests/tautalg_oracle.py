@@ -217,11 +217,11 @@ class GradedPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        from tautrel.mpoly import _signed_term
+        from tautrel.mpoly import signed_term
 
         parts = []
         for m in self.monomials_desc():
-            parts.append(_signed_term(self.terms[m], mono_str(m) if m else "", bool(parts)))
+            parts.append(signed_term(self.terms[m], mono_str(m) if m else "", bool(parts)))
         return "".join(parts)
 
     def __repr__(self):

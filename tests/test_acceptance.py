@@ -193,13 +193,13 @@ def test_decide_matches_recorded_digests_d9_12():
 
 
 def test_criterion_8_P1_property_suite():
+    from mpoly_oracle import MPoly, mpoly
     from tautrel.constraint import constraint_analysis
-    from tautrel.mpoly import MPoly
 
     ok = True
     for d in range(5, 13):
         rep = constraint_analysis(d)
-        P1 = rep.P1
+        P1 = mpoly(rep.P1)
         x = MPoly.variable("chi1")
         dd = MPoly.constant(d, ("chi1",))
         ok = ok and P1.degree_in("chi1") == 4
@@ -216,8 +216,9 @@ def test_criterion_9_property_suites():
     rng = random.Random(23)
     ok = True
 
-    # exact-arith ring axioms
-    from tautrel.mpoly import MPoly
+    # exact-arith ring axioms, of the reference polynomials and of the
+    # same polynomials as RatFuncs
+    from mpoly_oracle import MPoly, ratfunc
 
     def rand_poly():
         terms = {}
@@ -227,10 +228,11 @@ def test_criterion_9_property_suites():
         return MPoly(("d", "chi1", "chi2"), {e: c for e, c in terms.items() if c})
 
     for _ in range(40):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
-        ok = ok and (a + b) * c == a * c + b * c
-        ok = ok and (a * b) * c == a * (b * c)
-        ok = ok and a * b == b * a
+        polys = [rand_poly(), rand_poly(), rand_poly()]
+        for a, b, c in (polys, [ratfunc(p) for p in polys]):
+            ok = ok and (a + b) * c == a * c + b * c
+            ok = ok and (a * b) * c == a * (b * c)
+            ok = ok and a * b == b * a
 
     # rref idempotence and determinant oracle
     from tautrel.linalg import ExactMatrix

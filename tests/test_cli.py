@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -288,13 +291,13 @@ def test_sweep_small_serial_and_parallel_agree():
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """The worker counts the sweep asks multiprocessing.Pool for; the fake
-    pool maps inline, so no process starts."""
+    """The worker counts the sweep asks ProcessPoolExecutor for; the fake
+    pool runs each pair inline when it is given out, so no process starts."""
     asked = []
 
     class FakePool:
-        def __init__(self, processes):
-            asked.append(processes)
+        def __init__(self, max_workers, mp_context):
+            asked.append(max_workers)
 
         def __enter__(self):
             return self
@@ -302,10 +305,12 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def submit(self, fn, task):
+            done = Future()
+            done.set_result(fn(task))
+            return done
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     return asked
 
 
@@ -375,6 +380,70 @@ def test_sweep_failing_pair_gives_error_row(monkeypatch):
     assert code == 1
     assert "got RuntimeError: injected fault (raised at test_cli.py:" in out
     assert f"in flaky)  (d=5,chi1={c1},chi2={c2})" in out
+
+
+# a sweep whose worker process exits at (7, 2, 3), on every try; the
+# workers start by importing this script, which patches them too
+DYING_SWEEP = """
+import os, sys
+from tautrel import cli
+
+real = cli._sweep_worker
+
+
+def dying(task):
+    if tuple(task) == (7, 2, 3):
+        os._exit(1)
+    return real(task)
+
+
+cli._sweep_worker = dying
+
+if __name__ == "__main__":
+    sys.exit(cli.main(["sweep", "--dmin", "5", "--dmax", "7", "--jobs", "2",
+                       "--format", "json"]))
+"""
+
+
+def test_sweep_survives_a_dead_worker(tmp_path):
+    """A pair whose worker process dies, and dies again on its retry, gets
+    a WorkerDied error row: the sweep neither waits forever nor loses
+    another pair, exits 1 without a traceback, and leaves no process
+    running."""
+    script = tmp_path / "dying_sweep.py"
+    script.write_text(DYING_SWEEP)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.Popen([sys.executable, str(script)], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 1 and "Traceback" not in err
+    rows = json.loads(out)["results"]
+    dead = [r for r in rows if "error" in r]
+    assert dead == [{"d": 7, "chi1": 2, "chi2": 3, "error": "WorkerDied",
+                     "message": dead[0]["message"], "raised_at": dead[0]["raised_at"]}]
+    assert dead[0]["message"].startswith("its worker process died twice")
+    assert dead[0]["raised_at"].startswith("cli.py:")
+    assert dead[0]["raised_at"].endswith(" in _alone")
+    want = json.loads(run_cli("sweep", "--dmin", "5", "--dmax", "7", "--jobs", "1",
+                              "--format", "json")[1])["results"]
+    assert len(rows) == len(want) == 34
+    assert [r for r in rows if "error" not in r] == [
+        r for r in want if (r["d"], r["chi1"], r["chi2"]) != (7, 2, 3)]
+    # the workers ran in the sweep's session, and none outlives it
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a worker process outlived the sweep"
+        time.sleep(0.1)
 
 
 UNWRITABLE = "/nonexistent-dir/x.json"

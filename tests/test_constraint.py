@@ -5,25 +5,28 @@ import sys
 import pytest
 
 import constraint_oracle
+from mpoly_oracle import MPoly, mpoly
 from tautrel import constraint
 from tautrel.constraint import (
     BI_FIELD,
+    CHI1_FIELD,
     _branch_pair_compatibility,
     _coordinates,
     c1_formula,
     c2_formula,
     constraint_analysis,
 )
-from tautrel.mpoly import MPoly
 from tautrel.obstruction import decide, side_at
 from tautrel.rat import QQ, Rat, rational_cube_root
+from tautrel.ratfunc import RatFunc
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _at_chi2(d: int, b: int) -> tuple:
     """The canonical numerators of the per-d coordinates at chi2 = b."""
-    return tuple(c.eval({"chi2": b}).num.over(QQ) for c in constraint_oracle.coordinates(d))
+    return tuple(mpoly(c.eval({"chi2": b}).num).over(QQ)
+                 for c in constraint_oracle.coordinates(d))
 
 
 def test_closed_forms_are_the_generic_type_II_coordinates():
@@ -61,7 +64,8 @@ def test_generic_coordinates_match_the_slice_oracle(d):
     # the per-d elimination over Q(chi1, chi2) against the slices over Q(chi1):
     # the same P1, and at every valid b the slice's numerators
     P1, P1_alt = constraint_oracle.slice_P1(d)
-    assert constraint_analysis(d).P1 == P1 == P1_alt
+    got = constraint_analysis(d).P1
+    assert got.vars == ("chi1",) and mpoly(got) == P1 == P1_alt
     for b in range(1, d):
         if 2 * b == d:
             continue
@@ -71,35 +75,37 @@ def test_generic_coordinates_match_the_slice_oracle(d):
 
 def test_symbolic_report_d5():
     rep = constraint_analysis(5)
-    assert rep.P1 == MPoly(
+    assert mpoly(rep.P1) == MPoly(
         ("chi1",),
         {(4,): 1705, (3,): -17050, (2,): 55772, (1,): -65735, (0,): 16200},
     )
+    assert str(rep.P1) == "1705*chi1^4 - 17050*chi1^3 + 55772*chi1^2 - 65735*chi1 + 16200"
     assert rep.ok()
     assert all(rep.P1_checks.values())
     assert rep.P1_checks["both_coordinates_agree"]
 
 
 def _raise_on(divisor):
-    real = MPoly.exact_div
+    real = RatFunc.__truediv__
 
-    def exact_div(self, other):
+    def truediv(self, other):
         if other == divisor:
-            raise RuntimeError("fault in exact_div")
+            raise RuntimeError("fault in division")
         return real(self, other)
 
-    return exact_div
+    return truediv
 
 
 def test_exact_div_faults_propagate(monkeypatch):
-    # with the coordinates cached, the slice-shape check is the first to
-    # divide by P1, and the cross-check the first to divide by chi (5 - chi)
+    # the slice-shape check divides by P1, and the cross-check divides the
+    # t coordinate's chi2-content by chi (5 - chi): a fault in either
+    # division reaches the caller
     P1 = constraint_analysis(5).P1
-    x = MPoly.variable("chi1")
+    x = CHI1_FIELD.gen("chi1")
     for divisor in (P1, x * (5 - x)):
         with monkeypatch.context() as m:
             m.delitem(constraint._REPORT_CACHE, 5)
-            m.setattr(MPoly, "exact_div", _raise_on(divisor))
+            m.setattr(RatFunc, "__truediv__", _raise_on(divisor))
             with pytest.raises(RuntimeError):
                 constraint_analysis(5)
 
@@ -107,7 +113,7 @@ def test_exact_div_faults_propagate(monkeypatch):
 def test_P1_range():
     for d in (5, 6, 7):
         rep = constraint_analysis(d)
-        P1 = rep.P1
+        P1 = mpoly(rep.P1)
         x = MPoly.variable("chi1")
         dd = MPoly.constant(d, ("chi1",))
         assert P1.degree_in("chi1") == 4
@@ -225,7 +231,7 @@ def test_a_changed_report_cannot_change_a_later_one():
     got.pair_agreement[0]["agrees"] = False
     got.pair_agreement[0]["branches"].clear()
     got.pair_agreement.pop()
-    got.P1 = MPoly.constant(0, ("chi1",))
+    got.P1 = CHI1_FIELD.zero
     assert not got.ok()
     again = constraint_analysis(5)
     assert again is not got and again.ok()

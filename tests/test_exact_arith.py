@@ -7,13 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from cubicext_oracle import upoly_mul
 from linalg_oracle import det_cofactor, identity, kernel, rank, solve
+from mpoly_oracle import ExactDivisionError, MPoly, gcd, mpoly, ratfunc
 from ratfunc_oracle import subresultant_gcd
 from tautrel.cubicext import CubicField, NotInvertible, _trim, factor_t3_minus_r, upoly_divmod
 from tautrel.linalg import ExactMatrix, NonSquareDet, int_gauss_jordan
-from tautrel.mpoly import ExactDivisionError, MPoly
 from tautrel.rat import QQ, Rat, rat, rational_cube_root
-from tautrel import ratfunc
-from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
+from tautrel import ratfunc as ratfunc_module
+from tautrel.ratfunc import FracField, mpoly_gcd
 
 VARS = ("d", "chi1", "chi2")
 
@@ -73,12 +73,12 @@ def test_det1_formula_evaluation():
 
 def test_ratfunc_normalize_examples():
     d = MPoly.variable("d")
-    assert str(RatFunc(d * d - 4, d - 2)) == "d + 2"
-    assert str(RatFunc(MPoly.constant(0, ("d",)), d**3)) == "0"
-    rf = RatFunc((d - 4) * (d - 2), (d - 2) * (d - 2) * 8)
+    assert str(ratfunc(d * d - 4, d - 2)) == "d + 2"
+    assert str(ratfunc(MPoly.constant(0, ("d",)), d**3)) == "0"
+    rf = ratfunc((d - 4) * (d - 2), (d - 2) * (d - 2) * 8)
     assert str(rf) == "(d - 4)/(8*d - 16)"
     with pytest.raises(ZeroDivisionError):
-        RatFunc(d, MPoly.constant(0, ("d",)))
+        ratfunc(d, MPoly.constant(0, ("d",)))
 
 
 def test_mpoly_ring_axioms_random():
@@ -98,8 +98,9 @@ def test_eval_is_ring_homomorphism(a0, a1, b0, b1):
     p = a0 + a1 * d * chi + d**2
     q = b0 + b1 * chi**2 - d
     pt = {"d": Rat(2), "chi1": Rat(-3), "chi2": Rat(1)}
-    assert (p * q).eval(pt) == p.eval(pt) * q.eval(pt)
-    assert (p + q).eval(pt) == p.eval(pt) + q.eval(pt)
+    for a, b in ((p, q), (ratfunc(p), ratfunc(q))):
+        assert (a * b).eval(pt) == a.eval(pt) * b.eval(pt)
+        assert (a + b).eval(pt) == a.eval(pt) + b.eval(pt)
 
 
 def test_gcd_products_random():
@@ -108,7 +109,7 @@ def test_gcd_products_random():
         f, g, h = rand_poly(rng), rand_poly(rng), rand_poly(rng, 1, 2)
         if f.is_zero() or g.is_zero() or h.is_zero():
             continue
-        G = mpoly_gcd(f * h, g * h)
+        G = gcd(f * h, g * h)
         assert divides(h.rational_content()[1], G)
         (f * h).exact_div(G)
         (g * h).exact_div(G)
@@ -155,10 +156,12 @@ def test_gcd_matches_subresultant_oracle(case):
     against the subresultant gcd on MPolys over QQ."""
     A, B, h = case
     oracle = subresultant_gcd(A, B)
-    for max_bits in (ratfunc.HEU_MAX_BITS, 0):
-        with mock.patch.object(ratfunc, "HEU_MAX_BITS", max_bits):
-            G = mpoly_gcd(A, B)
-        assert G == oracle and G.vars == oracle.vars and G.domain is QQ
+    a, b = ratfunc(A), ratfunc(B)
+    for max_bits in (ratfunc_module.HEU_MAX_BITS, 0):
+        with mock.patch.object(ratfunc_module, "HEU_MAX_BITS", max_bits):
+            g = mpoly_gcd(a, b)
+        G = mpoly(g).over(QQ)
+        assert G == oracle and g.vars == G.vars == oracle.vars
         if not (A.is_zero() or B.is_zero() or h.is_zero()):
             assert divides(h.rational_content()[1], G)
 
@@ -171,18 +174,18 @@ def test_gcd_fallback_when_heuristic_gives_up(monkeypatch):
             f, g, h = (rand_poly(rng, vars=vars) for _ in range(3))
             if not (f.is_zero() or g.is_zero() or h.is_zero()):
                 cases.append((f * h, g * h))
-    expected = [mpoly_gcd(A, B) for A, B in cases]
+    expected = [gcd(A, B) for A, B in cases]
     fallbacks = []
-    real = ratfunc._subresultant_gcd
+    real = ratfunc_module._subresultant_gcd
 
     def counted(a, b, k):
         fallbacks.append(k)
         return real(a, b, k)
 
     # no xi is small enough, so every non-trivial call gives up
-    monkeypatch.setattr(ratfunc, "HEU_MAX_BITS", 0)
-    monkeypatch.setattr(ratfunc, "_subresultant_gcd", counted)
-    assert [mpoly_gcd(A, B) for A, B in cases] == expected
+    monkeypatch.setattr(ratfunc_module, "HEU_MAX_BITS", 0)
+    monkeypatch.setattr(ratfunc_module, "_subresultant_gcd", counted)
+    assert [gcd(A, B) for A, B in cases] == expected
     assert [subresultant_gcd(A, B) for A, B in cases] == expected
     # the contents are taken through the fallback one level down
     assert {1, 2, 3} <= set(fallbacks)
@@ -195,10 +198,10 @@ def test_ratfunc_inverse_roundtrip_random():
         f, g = rand_poly(rng), rand_poly(rng)
         if f.is_zero() or g.is_zero():
             continue
-        r = RatFunc(f, g)
+        r = ratfunc(f, g)
         if r.is_zero():
             continue
-        assert r * (RatFunc(g, f)) == RatFunc(MPoly.constant(1, VARS))
+        assert r * (ratfunc(g, f)) == ratfunc(MPoly.constant(1, VARS))
         count += 1
     assert count > 40
 
@@ -570,28 +573,30 @@ def _equal_cubic_fields(base):
 def one_value_many_ways(draw):
     """Groups of equal values, each an anchor and the ways it is written.
     A polynomial p in (d, chi1), possibly constant or free of one
-    variable: as MPolys over wider variable tuples, as RatFuncs (over a
-    constant denominator too) and as base elements of two equal cubic
-    fields over Q(d, chi1).  A constant p also as an MPoly in another
-    variable, an int when integral, and a base element of two equal
-    cubic fields over QQ.  And t + p in the two equal fields over
-    Q(d, chi1)."""
+    variable: as RatFuncs over wider variable tuples (over a constant
+    denominator too) and as base elements of two equal cubic fields over
+    Q(d, chi1); and as the reference MPoly over a wider variable tuple.
+    A constant p also as an MPoly and a RatFunc in another variable, an
+    int when integral, and a base element of two equal cubic fields over
+    QQ.  And t + p in the two equal fields over Q(d, chi1)."""
     small = st.fractions(-4, 4, max_denominator=3).map(lambda f: Rat(f.numerator, f.denominator))
     exps = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)])
     p = MPoly(("d", "chi1"), draw(st.dictionaries(exps, small, max_size=3)))
     k = draw(st.integers(1, 5))
     function_fields = _equal_cubic_fields(FracField(("d", "chi1")))
-    groups = [(RatFunc(p), [p, p.with_vars(VARS), RatFunc(p.with_vars(VARS)),
-                            RatFunc(p * k, MPoly.constant(k, ("chi1", "chi2"))),
-                            FracField(VARS).coerce(p)]
-               + [E.coerce(RatFunc(p)) for E in function_fields])]
+    r = ratfunc(p)
+    groups = [(r, [ratfunc(p.with_vars(VARS)),
+                   ratfunc(p * k, MPoly.constant(k, ("chi1", "chi2")))]
+               + [E.coerce(r) for E in function_fields]),
+              (p, [p.with_vars(VARS)])]
     if p.is_constant():
         q = p.constant_value()
-        ways = [MPoly.constant(q, ("chi2",))] + [E.coerce(q) for E in _equal_cubic_fields(QQ)]
+        ways = [MPoly.constant(q, ("chi2",)), ratfunc(MPoly.constant(q, ("chi2",))), r]
+        ways += [E.coerce(q) for E in _equal_cubic_fields(QQ)]
         if q.denominator == 1:
             ways.append(int(q))
         groups.append((q, ways))
-    shifted = [E.t + RatFunc(p) for E in function_fields]
+    shifted = [E.t + r for E in function_fields]
     groups.append((shifted[0], shifted))
     return groups
 

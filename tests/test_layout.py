@@ -53,20 +53,18 @@ ALLOWED = {}
 
 # importer -> the single-underscore names of other modules it may import,
 # each with its reason; no other cross-module import of a private name
-PRIVATE_IMPORTS = {
-    "relations": {"mpoly._signed_term": "the relations' text form writes each term "
-                                        "as an MPoly's str does"},
-}
+PRIVATE_IMPORTS = {}
 
 # shared method name -> the classes whose method is read through receivers
 # of unknown class
 SHARED = {
     "add": {"Report"},
     "coerce": {"RationalField", "IntegerRing", "FracField", "CubicField"},
-    "eval": {"MPoly", "RatFunc"},
+    "den": {"RatFunc"},
     "inverse": {"ExactMatrix", "CubicExt"},
-    "is_zero": {"RationalField", "IntegerRing", "MPoly", "RatFunc", "FracField",
+    "is_zero": {"RationalField", "IntegerRing", "RatFunc", "FracField",
                 "CubicExt", "CubicField"},
+    "num": {"RatFunc"},
     "to_json": {"Check", "Report", "RelationSet", "TruncationBlock", "Verdict"},
 }
 
@@ -351,6 +349,19 @@ def test_no_private_names_imported_across_modules():
     assert not unlisted, "private names imported from another module: " + ", ".join(unlisted)
     listed = {(mod, name) for mod, names in PRIVATE_IMPORTS.items() for name in names}
     assert listed == set(found), "stale PRIVATE_IMPORTS entries"
+
+
+def test_one_polynomial_representation():
+    """Every polynomial of the package is a RatFunc: no module defines or
+    imports the sparse MPoly, which is the tests' reference now
+    (tests/mpoly_oracle.py), and the package does not export it."""
+    for mod, tree in _modules(SRC):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                assert node.name != "MPoly", mod
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert "MPoly" not in {a.name for a in node.names}, mod
+    assert "MPoly" not in tautrel.__all__ and not hasattr(tautrel, "MPoly")
 
 
 def test_guard_flags_a_private_import(tmp_path):

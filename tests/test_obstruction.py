@@ -9,7 +9,6 @@ from tautrel import obstruction, relations
 from tautrel.constraint import BI_FIELD
 from tautrel.cubicext import factor_t3_minus_r
 from tautrel.linalg import ExactMatrix
-from tautrel.mpoly import MPoly
 from tautrel.obstruction import (
     NoCandidate,
     NotCoprime,
@@ -33,6 +32,7 @@ from tautrel.symbolic import symbolic_MN, symbolic_matrices_at
 import ab_oracle
 from constraint_oracle import GEN_FIELD, generic_sides, lifted, uni_blocks
 from linalg_oracle import identity
+from mpoly_oracle import MPoly
 import pencil_oracle
 from pencil_oracle import S_VARS, _coeff_equations_table, _partial, _pencil_rhs_poly
 from uv_oracle import uv_oracle

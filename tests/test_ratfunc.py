@@ -1,5 +1,5 @@
 """RatFunc over ZZ against the QQ reference, its GCDHEU fallback, the QQ
-boundary, and the nonzero-terms invariant of MPoly._of."""
+boundary, and the nonzero-terms invariant of the reference MPoly._of."""
 
 import operator
 import random
@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import constraint_oracle
 import ratfunc_oracle
+from mpoly_oracle import MPoly, from_dense, mpoly, num_den, ratfunc, ratfunc_hash, to_dense
 from ratfunc_oracle import OracleRatFunc, eval_over_qq
-from tautrel import ratfunc
-from tautrel.mpoly import MPoly
+from tautrel import ratfunc as ratfunc_module
 from tautrel.rat import QQ, ZZ, Rat
 from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
 
@@ -28,7 +28,7 @@ def _is_zz(p: MPoly) -> bool:
 
 
 def _qq(rf) -> tuple:
-    return rf.num.over(QQ), rf.den.over(QQ)
+    return tuple(p.over(QQ) for p in num_den(rf))
 
 
 @st.composite
@@ -53,17 +53,62 @@ def ratfunc_pairs(draw):
 
 def _agrees(new, old):
     assert str(new) == str(old)
-    assert _is_zz(new.num) and _is_zz(new.den)
-    assert new.num.vars == old.num.vars and new.den.vars == old.den.vars
+    num, den = num_den(new)
+    assert _is_zz(num) and _is_zz(den)
+    assert num.vars == old.num.vars and den.vars == old.den.vars
     n, d = _qq(new)
     assert n * old.den == old.num * d
-    wide = RatFunc(old.num.with_vars(WIDE_VARS), old.den.with_vars(WIDE_VARS))
+    assert hash(new) == ratfunc_hash(old.num, old.den)
+    wide = ratfunc(old.num.with_vars(WIDE_VARS), old.den.with_vars(WIDE_VARS))
     assert new == wide and hash(new) == hash(wide)
     for pt in POINTS:
         if old.den.eval(pt) != 0:
             v = new.eval(pt)
             assert type(v) is RAT and v == old.eval(pt)
             break
+
+
+@st.composite
+def polynomial_quotients(draw):
+    """(p, q): two MPolys over one to three of (d, chi1, chi2), in any
+    order, with integer or rational coefficients; either may be constant
+    or zero."""
+    vars = tuple(draw(st.lists(st.sampled_from(GCD_VARS[-1]), min_size=1, max_size=3,
+                               unique=True)))
+    coeffs = st.fractions(-9, 9, max_denominator=draw(st.sampled_from([1, 4])))
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+
+    def poly():
+        terms = draw(st.dictionaries(exps, coeffs, max_size=4))
+        return MPoly(vars, {e: Rat(c.numerator, c.denominator) for e, c in terms.items()})
+
+    return poly(), poly()
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_quotients())
+@example((MPoly.constant(Rat(-7, 4), ("chi2",)), MPoly.constant(0, ("chi2",))))
+@example((MPoly.variable("chi1") * 3 - 3, MPoly.constant(6, ("chi1",))))
+def test_dense_str_eq_and_hash_match_the_mpoly_path(case):
+    """The polynomial p and the quotient p/q as RatFuncs against the
+    reference path, whose parts are MPolys: str byte for byte, the parts'
+    str, == and hash with the same function over a wider variable tuple,
+    the hash RatFunc had over MPolys, and a constant equal to its Rat and
+    hashing as it."""
+    p, q = case
+    pairs = [(p, MPoly.constant(1, p.vars))] + ([(p, q)] if q else [])
+    for num, den in pairs:
+        r, o = ratfunc(num, den), OracleRatFunc(num, den)
+        assert str(r) == str(o)
+        assert (str(r.num), str(r.den)) == (str(o.num), str(o.den))
+        assert hash(r) == ratfunc_hash(o.num, o.den)
+        wide = ratfunc(num.with_vars(WIDE_VARS), den.with_vars(WIDE_VARS))
+        assert wide.vars == WIDE_VARS and r.vars == o.vars
+        assert r == wide and hash(r) == hash(wide)
+        assert (r == wide + 1) is False
+        if o.num.is_constant() and o.den.is_constant():
+            value = o.num.constant_value() / o.den.constant_value()
+            assert r == value and hash(r) == hash(value)
 
 
 OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
@@ -78,7 +123,7 @@ _x = MPoly.variable("chi1", ("d", "chi1"))
 @example(((_x * 0, _d), (_d * Rat(1, 2), _x * Rat(-4, 7))), 2)
 def test_ratfunc_matches_qq_oracle(pairs, n):
     (a_num, a_den), (b_num, b_den) = pairs
-    a, b = RatFunc(a_num, a_den), RatFunc(b_num, b_den)
+    a, b = ratfunc(a_num, a_den), ratfunc(b_num, b_den)
     oa, ob = OracleRatFunc(a_num, a_den), OracleRatFunc(b_num, b_den)
     _agrees(a, oa)
     _agrees(b, ob)
@@ -107,7 +152,7 @@ def test_eval_matches_qq_path(pairs, data):
     empty assignments, rational values with denominators, zero
     denominators included."""
     for num, den in pairs:
-        r = RatFunc(num, den)
+        r = ratfunc(num, den)
         names = data.draw(st.lists(st.sampled_from(r.vars + ("chi2",)), unique=True))
         drawn = {v: data.draw(values) for v in names}
         for pt in ({"d": 2}, {"d": Rat(1, 2), "chi1": -1}, {}, drawn):
@@ -120,7 +165,7 @@ def test_eval_matches_qq_path(pairs, data):
             got = r.eval(pt)
             assert type(got) is type(want) and got == want and str(got) == str(want)
             if isinstance(got, RatFunc):
-                assert got.vars == want.vars and _is_zz(got.num) and _is_zz(got.den)
+                assert got.vars == want.vars and all(map(_is_zz, num_den(got)))
 
 
 def _fallback_cases():
@@ -137,7 +182,7 @@ def _fallback_cases():
 
 
 def _operands(cases):
-    return [(RatFunc(num, den), RatFunc(den + 1, num * 2)) for num, den in cases]
+    return [(ratfunc(num, den), ratfunc(den + 1, num * 2)) for num, den in cases]
 
 
 def _ops(operands):
@@ -151,15 +196,15 @@ def _counting_fallback(monkeypatch):
     """Forces every non-trivial gcd onto the dense fallback; returns the
     list that records its calls."""
     calls = []
-    real = ratfunc._subresultant_gcd
+    real = ratfunc_module._subresultant_gcd
 
     def counted(a, b, k):
         calls.append(k)
         return real(a, b, k)
 
     # no xi is small enough, so every non-trivial gcd takes the fallback
-    monkeypatch.setattr(ratfunc, "HEU_MAX_BITS", 0)
-    monkeypatch.setattr(ratfunc, "_subresultant_gcd", counted)
+    monkeypatch.setattr(ratfunc_module, "HEU_MAX_BITS", 0)
+    monkeypatch.setattr(ratfunc_module, "_subresultant_gcd", counted)
     return calls
 
 
@@ -171,7 +216,7 @@ def test_ratfunc_fallback_gives_same_results(monkeypatch):
     assert fallbacks
     for r, e in zip(got, expected):
         assert str(r) == str(e) and r == e and hash(r) == hash(e)
-        assert _is_zz(r.num) and _is_zz(r.den)
+        assert all(map(_is_zz, num_den(r)))
 
 
 def test_fallback_arithmetic_builds_no_mpoly(monkeypatch):
@@ -223,8 +268,8 @@ def test_subresultant_tail_matches_the_mpoly_sequence():
         one = MPoly.constant(1, rest)
         want = ratfunc_oracle._subresultant_pp_gcd(
             A.as_univariate(main), B.as_univariate(main), one)
-        tail = ratfunc._subresultant_tail(*(ratfunc._zz_dense(p) for p in (A, B)), len(vars))
-        got = {i: ratfunc._mpoly(c, rest) for i, c in enumerate(tail) if c}
+        tail = ratfunc_module._subresultant_tail(*(to_dense(p) for p in (A, B)), len(vars))
+        got = {i: from_dense(c, rest) for i, c in enumerate(tail) if c}
         assert got == want, (A, B)
         count += len(tail) > 1
     assert count >= 6
@@ -234,9 +279,9 @@ def test_rational_boundary_returns_rat():
     F = FracField(("d", "chi1"))
     origin = {"d": 0, "chi1": 0}
     assert type(F.coerce(Rat(2, 3)).eval(origin)) is RAT
-    third = RatFunc(MPoly.constant(1, ("d",)), MPoly.constant(3, ("d",)))
+    third = ratfunc(MPoly.constant(1, ("d",)), MPoly.constant(3, ("d",)))
     assert third.eval(origin) == Rat(1, 3) and type(third.eval(origin)) is RAT
-    assert type(RatFunc(MPoly.constant(6, ("d",))).eval(origin)) is RAT
+    assert type(ratfunc(MPoly.constant(6, ("d",))).eval(origin)) is RAT
     assert type(F.zero.eval(origin)) is RAT
     r = (F.gen("d") + 1) / (F.gen("chi1") * 2)
     v = r.eval({"d": 3, "chi1": 2})
@@ -244,7 +289,7 @@ def test_rational_boundary_returns_rat():
     v = r.eval({"d": Rat(1, 2), "chi1": 5})
     assert v == Rat(3, 20) and type(v) is RAT
     partial = r.eval({"d": Rat(1, 2)})
-    assert isinstance(partial, RatFunc) and _is_zz(partial.num)
+    assert isinstance(partial, RatFunc) and _is_zz(mpoly(partial.num))
     # an integer polynomial compares with a non-integral rational
     assert third.den == 3 and third.den != Rat(1, 3) and (r.num == Rat(1, 2)) is False
 
@@ -253,13 +298,16 @@ def test_qq_boundary_of_slices_and_gcd():
     # the constraint's coordinates are integer pairs; their chi'-slice
     # numerators leave them at the QQ boundary
     coords = constraint_oracle.coordinates(5)
-    assert all(_is_zz(c.num) and _is_zz(c.den) for c in coords)
-    num1, num2 = (c.eval({"chi2": 2}).num.over(QQ) for c in coords)
+    assert all(_is_zz(p) for c in coords for p in num_den(c))
+    num1, num2 = (mpoly(c.eval({"chi2": 2}).num).over(QQ) for c in coords)
     assert num1.domain is QQ and num2.domain is QQ
     assert all(type(c) is RAT for c in num2.terms.values())
-    x = MPoly.variable("chi1")
+    # the gcd takes polynomials over QQ and returns one over ZZ
+    x = FracField(("chi1",)).gen("chi1")
     g = mpoly_gcd((x - 1) * (x + Rat(1, 2)), (x + Rat(1, 2)) * 4)
-    assert g.domain is QQ and str(g) == "2*chi1 + 1"
+    assert g.den == 1 and str(g) == "2*chi1 + 1"
+    with pytest.raises(TypeError):
+        mpoly_gcd(x, 1 / x)
 
 
 @st.composite
@@ -291,7 +339,7 @@ def test_of_outputs_hold_no_zero_coefficient(data):
 
 
 def _both(num, den):
-    return RatFunc(num, den), OracleRatFunc(num, den)
+    return ratfunc(num, den), OracleRatFunc(num, den)
 
 
 # denominators with a negative graded-lex leading coefficient; in the last
@@ -317,13 +365,13 @@ def test_sign_normalization_matches_qq_oracle():
         for num in nums:
             r, o = _both(num, den)
             _agrees(r, o)
-            assert r.den.leading()[1] > 0
-            assert r == RatFunc(-num, -den) and hash(r) == hash(RatFunc(num * 2, den * 2))
-            _agrees(r + RatFunc(_x, den), o + OracleRatFunc(_x, den))
-            _agrees(r * RatFunc(den, _d - 3), o * OracleRatFunc(den, _d - 3))
+            assert mpoly(r.den).leading()[1] > 0
+            assert r == ratfunc(-num, -den) and hash(r) == hash(ratfunc(num * 2, den * 2))
+            _agrees(r + ratfunc(_x, den), o + OracleRatFunc(_x, den))
+            _agrees(r * ratfunc(den, _d - 3), o * OracleRatFunc(den, _d - 3))
             _agrees(r**-1, o**-1)
     for a, b in zip(NEGATIVE_LEADS, NEGATIVE_LEADS[1:]):
-        r, s = RatFunc(_d, a), RatFunc(_x + 2, b)
+        r, s = ratfunc(_d, a), ratfunc(_x + 2, b)
         o, p = OracleRatFunc(_d, a), OracleRatFunc(_x + 2, b)
         for op in OPS:
             _agrees(op(r, s), op(o, p))
@@ -353,18 +401,18 @@ def test_mixed_variable_sets_match_qq_oracle():
         _agrees(r + 3, o + 3)
         _agrees(r * Rat(-5, 4), o * Rat(-5, 4))
     # the same function over different variable sets compares equal
-    assert RatFunc(_y + 1) == RatFunc(_x + 1) and RatFunc(_y, _y) == 1
-    assert RatFunc(_x * 0 + 3, _x - _x + 2) == RatFunc(MPoly.constant(Rat(3, 2)))
+    assert ratfunc(_y + 1) == ratfunc(_x + 1) and ratfunc(_y, _y) == 1
+    assert ratfunc(_x * 0 + 3, _x - _x + 2) == ratfunc(MPoly.constant(Rat(3, 2)))
 
 
 def test_partial_eval_returns_ratfunc_in_the_rest():
-    r = RatFunc((_x**2 - 4) * _d, (_d - _x * 2) * (_x + 1))
+    r = ratfunc((_x**2 - 4) * _d, (_d - _x * 2) * (_x + 1))
     o = OracleRatFunc((_x**2 - 4) * _d, (_d - _x * 2) * (_x + 1))
     got = r.eval({"d": Rat(4)})
     assert isinstance(got, RatFunc) and got.vars == ("chi1",)
     want = eval_over_qq(r, {"d": Rat(4)})
     assert str(got) == str(want) == "(-2*chi1 - 4)/(chi1 + 1)"
-    assert got == want and hash(got) == hash(want) and _is_zz(got.num)
+    assert got == want and hash(got) == hash(want) and _is_zz(mpoly(got.num))
     # the result combines with univariate and bivariate operands
     s, p = _both(_y + 2, _y - 3)
     _agrees(got * s, OracleRatFunc(*_qq(got)) * p)
