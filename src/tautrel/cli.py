@@ -31,8 +31,6 @@ import math
 import multiprocessing
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
 from .constraint import constraint_analysis
 from .obstruction import (
@@ -237,58 +235,50 @@ def _sweep_worker(task):
         return _error_row(task, type(e).__name__, str(e), tb)
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int):
     """A pool of worker processes started fresh (spawn), not forked from
     this process, whose pool runs a thread of its own."""
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
 
 
-def _pool_run(todo: list, jobs: int, rows: dict) -> list:
-    """Decides the pairs popped off todo in one pool of jobs worker
-    processes, at most jobs of them given out at a time, into rows, until
-    todo is empty or a worker dies.  A dead worker breaks the pool, and
-    every pair then given out is lost with it: returns those."""
-    with _pool(jobs) as pool:
-        out = {}
-        while todo or out:
-            while todo and len(out) < jobs:
-                task = todo.pop()
-                out[pool.submit(_sweep_worker, task)] = task
-            done, _ = wait(out, return_when=FIRST_COMPLETED)
-            if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
-                done, _ = wait(out)
-            lost = []
-            for fut in done:
-                task = out.pop(fut)
-                if isinstance(fut.exception(), BrokenProcessPool):
-                    lost.append(task)
-                else:
-                    rows[task] = fut.result()
-            if lost:
-                return lost
-    return []
-
-
-def _alone(task) -> dict:
-    """The row of a pair whose worker died, decided once more by a fresh
-    worker of its own; a WorkerDied error row if that one dies too."""
-    with _pool(1) as pool:
-        try:
-            return pool.submit(_sweep_worker, task).result()
-        except BrokenProcessPool as e:
-            return _error_row(task, "WorkerDied", f"its worker process died twice: {e}",
-                              e.__traceback__)
-
-
 def _pooled_rows(tasks: list, jobs: int) -> list:
-    """The rows of tasks, in their order, from jobs worker processes.  A
-    worker that dies, by a crash or a kill, loses only the pairs given
-    out when it died: each is decided once more, alone, and the rest go
-    on in a fresh pool, so the sweep never waits on a dead worker."""
+    """The rows of tasks, in their order, from pools of jobs worker
+    processes, each pool given at most jobs pairs at a time.  A worker
+    that dies, by a crash or a kill, breaks its pool and loses only the
+    pairs then given out, so the sweep never waits on a dead worker: each
+    lost pair is decided once more by a fresh worker of its own, and gets
+    a WorkerDied error row if that one dies too, and the rest go on in a
+    fresh pool."""
+    # loaded here, with the logging they import, for a parallel sweep only
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
     rows, todo = {}, tasks[::-1]
     while todo:
-        for task in _pool_run(todo, jobs, rows):
-            rows[task] = _alone(task)
+        lost, out = [], {}
+        with _pool(jobs) as pool:
+            while (todo or out) and not lost:
+                while todo and len(out) < jobs:
+                    task = todo.pop()
+                    out[pool.submit(_sweep_worker, task)] = task
+                done, _ = wait(out, return_when=FIRST_COMPLETED)
+                if any(isinstance(f.exception(), BrokenExecutor) for f in done):
+                    done, _ = wait(out)  # the pool is broken: every pair out ends
+                for fut in done:
+                    task = out.pop(fut)
+                    if isinstance(fut.exception(), BrokenExecutor):
+                        lost.append(task)
+                    else:
+                        rows[task] = fut.result()
+        for task in lost:
+            with _pool(1) as pool:
+                try:
+                    rows[task] = pool.submit(_sweep_worker, task).result()
+                except BrokenExecutor as e:
+                    rows[task] = _error_row(task, "WorkerDied",
+                                            f"its worker process died twice: {e}",
+                                            e.__traceback__)
     return [rows[t] for t in tasks]
 
 

@@ -291,13 +291,13 @@ def test_sweep_small_serial_and_parallel_agree():
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """The worker counts the sweep asks ProcessPoolExecutor for; the fake
+    """The worker counts the sweep asks its process pool for; the fake
     pool runs each pair inline when it is given out, so no process starts."""
     asked = []
 
     class FakePool:
-        def __init__(self, max_workers, mp_context):
-            asked.append(max_workers)
+        def __init__(self, workers):
+            asked.append(workers)
 
         def __enter__(self):
             return self
@@ -310,7 +310,7 @@ def fake_pool(monkeypatch):
             done.set_result(fn(task))
             return done
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_pool", FakePool)
     return asked
 
 
@@ -429,7 +429,7 @@ def test_sweep_survives_a_dead_worker(tmp_path):
                      "message": dead[0]["message"], "raised_at": dead[0]["raised_at"]}]
     assert dead[0]["message"].startswith("its worker process died twice")
     assert dead[0]["raised_at"].startswith("cli.py:")
-    assert dead[0]["raised_at"].endswith(" in _alone")
+    assert dead[0]["raised_at"].endswith(" in _pooled_rows")
     want = json.loads(run_cli("sweep", "--dmin", "5", "--dmax", "7", "--jobs", "1",
                               "--format", "json")[1])["results"]
     assert len(rows) == len(want) == 34
