@@ -18,6 +18,8 @@ package with this reference:
   by FracField generators and RatFunc arithmetic alone;
 - mpoly(p) reads a polynomial RatFunc back as an MPoly over ZZ, and
   num_den(r) reads r's numerator and denominator so;
+- from_dense and to_dense convert between an MPoly over ZZ and the dense
+  integer form of tautrel.ratfunc's private helpers;
 - gcd(f, g) is mpoly_gcd on MPolys over QQ;
 - ratfunc_hash(num, den) is the hash RatFunc had when it read its parts
   as MPolys.

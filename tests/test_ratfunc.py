@@ -219,28 +219,22 @@ def test_ratfunc_fallback_gives_same_results(monkeypatch):
         assert all(map(_is_zz, num_den(r)))
 
 
-def test_fallback_arithmetic_builds_no_mpoly(monkeypatch):
+def test_fallback_arithmetic_stays_dense(monkeypatch):
     """+ - * / ** on operands over one variable tuple, every gcd on the
-    fallback, construct no MPoly: the fallback runs on the dense form."""
+    fallback, never leave the dense form: no polynomial is read out as
+    terms or built from them."""
     operands = _operands(_fallback_cases())
     expected = _ops(operands)
     fallbacks = _counting_fallback(monkeypatch)
-    built = []
-    real_init, real_of = MPoly.__init__, MPoly._of.__func__
-
-    def init(self, *args, **kwargs):
-        built.append("__init__")
-        real_init(self, *args, **kwargs)
-
-    def of(cls, *args, **kwargs):
-        built.append("_of")
-        return real_of(cls, *args, **kwargs)
-
-    monkeypatch.setattr(MPoly, "__init__", init)
-    monkeypatch.setattr(MPoly, "_of", classmethod(of))
+    converted = []
+    for name in ("_dense_terms", "_to_dense"):
+        def recorded(*args, _real=getattr(ratfunc_module, name), _name=name):
+            converted.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(ratfunc_module, name, recorded)
     got = _ops(operands)
+    assert converted == [] and fallbacks
     assert all(r == e for r, e in zip(got, expected))
-    assert built == [] and fallbacks
 
 
 def _tail_cases():
