@@ -250,20 +250,25 @@ def _pooled_rows(tasks: list, jobs: int) -> list:
     pairs then given out, so the sweep never waits on a dead worker: each
     lost pair is decided once more by a fresh worker of its own, and gets
     a WorkerDied error row if that one dies too, and the rest go on in a
-    fresh pool."""
+    fresh pool.  A pool found broken when given a pair loses none."""
     # loaded here, with the logging they import, for a parallel sweep only
     from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 
     rows, todo = {}, tasks[::-1]
     while todo:
-        lost, out = [], {}
+        lost, out, broken = [], {}, False
         with _pool(jobs) as pool:
-            while (todo or out) and not lost:
-                while todo and len(out) < jobs:
+            while (todo or out) and not broken:
+                while todo and len(out) < jobs and not broken:
                     task = todo.pop()
-                    out[pool.submit(_sweep_worker, task)] = task
+                    try:
+                        out[pool.submit(_sweep_worker, task)] = task
+                    except BrokenExecutor:  # a worker died between two pairs
+                        todo.append(task)
+                        broken = True
                 done, _ = wait(out, return_when=FIRST_COMPLETED)
-                if any(isinstance(f.exception(), BrokenExecutor) for f in done):
+                if broken or any(isinstance(f.exception(), BrokenExecutor) for f in done):
+                    broken = True
                     done, _ = wait(out)  # the pool is broken: every pair out ends
                 for fut in done:
                     task = out.pop(fut)

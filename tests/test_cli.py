@@ -314,6 +314,40 @@ def fake_pool(monkeypatch):
     return asked
 
 
+def test_sweep_replaces_a_pool_that_broke_between_pairs(monkeypatch):
+    """A pool that refuses a pair because one of its workers died while
+    idle loses no pair: a fresh pool decides that pair and the rest."""
+    from concurrent.futures import BrokenExecutor
+
+    pools = []
+
+    class BreakingPool:
+        def __init__(self, workers):
+            pools.append(workers)
+            self.given = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            self.given += 1
+            if len(pools) == 1 and self.given == 3:
+                raise BrokenExecutor("a worker died")
+            done = Future()
+            done.set_result(fn(task))
+            return done
+
+    monkeypatch.setattr(cli, "_pool", BreakingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ("sweep", "--dmin", "5", "--dmax", "5", "--format", "json", "--jobs")
+    code, out, _ = run_cli(*argv, "2")
+    assert code == 0 and pools == [2, 2]
+    assert json.loads(out)["results"] == json.loads(run_cli(*argv, "1")[1])["results"]
+
+
 def test_sweep_starts_no_more_workers_than_pairs(monkeypatch, fake_pool):
     """--jobs 64 over d = 5's 10 pairs, on 64 CPUs, asks for 10 workers
     and reports what --jobs 1 reports, --jobs included."""
