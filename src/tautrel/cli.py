@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
 
@@ -238,6 +237,8 @@ def _sweep_worker(task):
 def _pool(workers: int):
     """A pool of worker processes started fresh (spawn), not forked from
     this process, whose pool runs a thread of its own."""
+    # loaded here, for a parallel sweep only: no other command starts a process
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))

@@ -13,7 +13,10 @@ monomials, beside an identity, whose part records the integer
 combinations of the rows that give R1..R3 over every monomial.  Over
 each candidate's extension it eliminates the 27x18 (A, B) system of
 obstruction.solve_AB, pivoting on every column but a33, and the (U, V)
-block of obstruction.solve_UV.
+block of obstruction.solve_UV.  Over QQ(d, chi1) it eliminates the same
+12x27 matrix once per process, for symbolic.symbolic_MN, in the field
+of ratfunc.FormField, whose denominators are powers of eight linear
+forms.
 The pivot rule:
 rows are visited top to bottom, so a caller that wants another order
 orders its rows; each is reduced against the pivot rows found so far,

@@ -35,6 +35,12 @@ instead, its contents taken one level down through the same gcd, and
 exact division gives the cofactors.  The version of that fallback on
 sparse polynomials over QQ is the reference in tests/ratfunc_oracle.py.
 No factorization is ever needed.
+
+FormField is the smaller field of the rational functions whose
+denominators are an integer times powers of fixed linear forms, on the
+same dense integers.  It takes no gcd: it cancels by exact division by
+a form, and only where the numerator vanishes on that form's line.
+symbolic_MN eliminates in it; to_ratfunc gives the canonical RatFunc.
 """
 
 from __future__ import annotations
@@ -493,12 +499,6 @@ class RatFunc:
         return out
 
     @classmethod
-    def _of_terms(cls, vars: tuple, num: dict, den: dict) -> "RatFunc":
-        """Internal: wrap an already-canonical pair given as
-        {exponent tuple: nonzero int} in vars."""
-        return cls._raw(vars, _to_dense(num, len(vars)), _to_dense(den, len(vars)))
-
-    @classmethod
     def _of_rational(cls, q, vars: tuple) -> "RatFunc":
         q = rat(q)
         num, den = (_constant_poly(int(c), len(vars)) for c in (q.numerator, q.denominator))
@@ -740,3 +740,216 @@ class FracField:
 
     def __hash__(self):
         return hash(("FracField", self.vars))
+
+
+# -- fractions over products of fixed linear forms ----------------------------
+#
+# An element of a FormField is num / (c * prod_i l_i^e_i): num a dense
+# integer polynomial, c a positive int and e a tuple of exponents, one per
+# linear form l_i of the field.  Every element is kept reduced: no form
+# with e_i > 0 divides num, and c is coprime to num's content.  As the
+# forms are irreducible, num and the denominator then have no common
+# factor at all.  A form divides num only if num vanishes on the line
+# l_i = 0, so at one point of it: _divide_out tests that modulo a prime
+# (_residue) before it tries the exact division.
+
+_RESIDUE_PRIME = (1 << 61) - 1
+
+
+def _residue(p, xs: tuple, k) -> int:
+    """The level-k p at the point xs (ints) modulo _RESIDUE_PRIME, by Horner."""
+    x, acc = xs[k - 1], 0
+    if k == 1:
+        for c in reversed(p):
+            acc = (acc * x + c) % _RESIDUE_PRIME
+    else:
+        for c in reversed(p):
+            acc = (acc * x + _residue(c, xs, k - 1)) % _RESIDUE_PRIME
+    return acc
+
+
+def _divide_out(field: "FormField", num, i: int, most):
+    """(num / l_i^n, n): the level-k num divided by the field's form l_i
+    as often as it divides, at most most times (None: no bound)."""
+    k, form, point = len(field.vars), field.forms[i], field.points[i]
+    n = 0
+    while (most is None or n < most) and _residue(num, point, k) == 0:
+        quo = _exact_quo(num, form, k)
+        if quo is None:
+            break
+        num, n = quo, n + 1
+    return num, n
+
+
+def _content_quo(num, c: int, k) -> tuple:
+    """(num / g, c // g) for g the gcd of the int c and num's content."""
+    g = math.gcd(c, *_coeffs(num, k)) if c != 1 else 1
+    return (num, c) if g == 1 else (_quo_int(num, g, k), c // g)
+
+
+def _times_forms(p, field: "FormField", exps) -> list:
+    """The level-k p times prod_i l_i^exps[i]."""
+    k = len(field.vars)
+    for form, n in zip(field.forms, exps):
+        for _ in range(n):
+            p = _mul(p, form, k)
+    return p
+
+
+def _cancelled(field: "FormField", num, c: int, exps: list, check) -> "FormFrac":
+    """The reduced FormFrac num / (c prod l_i^exps[i]), c > 0, for num
+    already free of every form l_i with exps[i] > 0 but those in check."""
+    k = len(field.vars)
+    if not num:
+        return field.zero
+    for i in check:
+        if exps[i]:
+            num, n = _divide_out(field, num, i, exps[i])
+            exps[i] -= n
+    num, c = _content_quo(num, c, k)
+    return FormFrac._raw(field, num, c, tuple(exps))
+
+
+class FormField:
+    """The rational functions in vars whose denominators are an integer
+    times a product of powers of the given linear forms: a field for an
+    elimination whose every pivot has such a numerator too.
+
+    forms are polynomial RatFuncs of degree 1 with integer content 1, so
+    irreducible, in variables among vars.  Products and sums add, or
+    take the larger of, the exponent vectors and the integer parts, and
+    cancel against each form only where it can divide (the comment
+    above _residue); no polynomial gcd is taken.  Division divides the
+    divisor's numerator by the forms and raises ArithmeticError when a
+    non-constant cofactor is left: such a quotient is outside the field,
+    and is never approximated."""
+
+    def __init__(self, vars: tuple, forms):
+        self.vars = vars
+        k = len(vars)
+        dense, points = [], []
+        for form in forms:
+            p = _widened(form._num, form.vars, vars)
+            if _constant(form._den, len(form.vars)) != 1:
+                raise ValueError(f"{form} is not a polynomial")
+            coeffs = [0] * (k + 1)  # of each variable, then the constant
+            for e, c in _dense_terms(p, k):
+                if sum(e) > 1:
+                    raise ValueError(f"{form} is not linear")
+                coeffs[e.index(1) if any(e) else k] = c
+            if not any(coeffs[:k]) or math.gcd(*coeffs) != 1:
+                raise ValueError(f"{form} is not a primitive linear form")
+            # a point of l = 0 mod the prime: fixed residues for every
+            # variable but the last the form holds, solved for that one
+            j = max(i for i in range(k) if coeffs[i])
+            xs = [pow(7, 101 + i, _RESIDUE_PRIME) for i in range(k)]
+            rest = coeffs[k] + sum(coeffs[i] * xs[i] for i in range(k) if i != j)
+            xs[j] = -rest * pow(coeffs[j], -1, _RESIDUE_PRIME) % _RESIDUE_PRIME
+            dense.append(p)
+            points.append(tuple(xs))
+        self.forms, self.points = tuple(dense), tuple(points)
+        none = (0,) * len(self.forms)
+        self.zero = FormFrac._raw(self, _constant_poly(0, k), 1, none)
+        self.one = FormFrac._raw(self, _constant_poly(1, k), 1, none)
+
+    def frac(self, terms: dict, den: int) -> "FormFrac":
+        """The element sum c x^e / den over terms {exponent tuple in vars:
+        int}, den a nonzero int.  Exponents may be negative in a variable
+        that is one of the forms; in any other it raises ArithmeticError."""
+        k = len(self.vars)
+        shift = [max(0, -min((e[j] for e in terms), default=0)) for j in range(k)]
+        exps = [0] * len(self.forms)
+        for j, n in enumerate(shift):
+            if n:
+                gen = _to_dense({tuple(int(i == j) for i in range(k)): 1}, k)
+                if gen not in self.forms:
+                    raise ArithmeticError(f"{self.vars[j]} is none of the forms")
+                exps[self.forms.index(gen)] = n
+        num = _to_dense({tuple(a + n for a, n in zip(e, shift)): c
+                         for e, c in terms.items() if c}, k)
+        if den < 0:
+            num, den = _scale(num, -1, k), -den
+        return _cancelled(self, num, den, exps, range(len(exps)))
+
+
+class FormFrac:
+    """An element of a FormField, reduced: see the comment above _residue."""
+
+    __slots__ = ("field", "num", "c", "e")
+
+    @classmethod
+    def _raw(cls, field: FormField, num, c: int, e: tuple) -> "FormFrac":
+        out = cls.__new__(cls)
+        out.field, out.num, out.c, out.e = field, num, c, e
+        return out
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def _plus(self, o: "FormFrac", sign: int) -> "FormFrac":
+        """self + sign * o, for sign 1 or -1."""
+        if not o.num:
+            return self
+        field = self.field
+        k = len(field.vars)
+        if not self.num:
+            return o if sign == 1 else FormFrac._raw(field, _scale(o.num, -1, k), o.c, o.e)
+        c = math.lcm(self.c, o.c)
+        a, b = self.num, _scale(o.num, sign * c // o.c, k)
+        if c != self.c:
+            a = _scale(a, c // self.c, k)
+        # over the common denominator only a form of equal exponents on
+        # both sides can divide the sum: the other side is free of it
+        a = _times_forms(a, field, [max(0, y - x) for x, y in zip(self.e, o.e)])
+        b = _times_forms(b, field, [max(0, x - y) for x, y in zip(self.e, o.e)])
+        same = [i for i, (x, y) in enumerate(zip(self.e, o.e)) if x == y and x]
+        return _cancelled(field, _add(a, b, k), c, list(map(max, self.e, o.e)), same)
+
+    def __add__(self, o: "FormFrac") -> "FormFrac":
+        return self._plus(o, 1)
+
+    def __sub__(self, o: "FormFrac") -> "FormFrac":
+        return self._plus(o, -1)
+
+    def __mul__(self, o: "FormFrac") -> "FormFrac":
+        if not self.num or not o.num:
+            return self.field.zero
+        field = self.field
+        k = len(field.vars)
+        # cross-cancel: each numerator against the other's denominator
+        a, b = self.num, o.num
+        exps = list(map(int.__add__, self.e, o.e))
+        for i, (x, y) in enumerate(zip(self.e, o.e)):
+            if y and not x:
+                a, n = _divide_out(field, a, i, y)
+                exps[i] -= n
+            elif x and not y:
+                b, n = _divide_out(field, b, i, x)
+                exps[i] -= n
+        a, oc = _content_quo(a, o.c, k)
+        b, sc = _content_quo(b, self.c, k)
+        return FormFrac._raw(field, _mul(a, b, k), sc * oc, tuple(exps))
+
+    def __truediv__(self, o: "FormFrac") -> "FormFrac":
+        if not o.num:
+            raise ZeroDivisionError("division by zero")
+        field = self.field
+        k = len(field.vars)
+        num, powers = o.num, []
+        for i in range(len(field.forms)):
+            num, n = _divide_out(field, num, i, None)
+            powers.append(n)
+        unit = _constant(num, k)
+        if unit is None:
+            raise ArithmeticError(f"{_reduced(field.vars, o.num, _constant_poly(1, k))} "
+                                  f"has a factor that is none of the forms")
+        # 1/o = c prod l^e / (unit prod l^powers), reduced as o is
+        top, den = _content_quo(_constant_poly(o.c if unit > 0 else -o.c, k), abs(unit), k)
+        return self * FormFrac._raw(field, _times_forms(top, field, o.e), den, tuple(powers))
+
+    def to_ratfunc(self) -> RatFunc:
+        """The canonical RatFunc of the same value."""
+        field = self.field
+        k = len(field.vars)
+        den = _times_forms(_constant_poly(self.c, k), field, self.e)
+        return _reduced(field.vars, self.num, den)

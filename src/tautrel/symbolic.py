@@ -40,12 +40,13 @@ and the blocks read from it.
 What checks the derivation.  relations.tracked_block, which verify and
 emit --what matrices read, and the point path, which decide reads, both
 evaluate this one matrix, and symbolic_MN eliminates it over QQ(d,
-chi1).  verify --mode symbolic compares symbolic_MN at a point with
-the blocks of relations.build_relation_set, the full expansion by the
-recurrence, which does not use this closed form.  In tier-1, the blocks
-at every coprime point of d = 5..16 are compared with the recurrence,
-and every entry of the matrix with the partition truncation over
-RatFuncs (tests/symbolic_oracle.py), each by ==.
+chi1), its denominators kept as powers of linear forms (below).  verify
+--mode symbolic compares symbolic_MN at a point with the blocks of
+relations.build_relation_set, the full expansion by the recurrence,
+which does not use this closed form.  In tier-1, the blocks at every
+coprime point of d = 5..16 are compared with the recurrence, and every
+entry of the matrix with the partition truncation over RatFuncs
+(tests/symbolic_oracle.py), each by ==.
 
 Laurent polynomials.  Every coefficient has a denominator that is a
 power of d times an integer: the factor coefficients ha/d, c1 =
@@ -59,15 +60,37 @@ denominators, with no gcd until each entry is made primitive.  The
 _laurent_matrix) as rows of plain ints: each row holds its 27 entries
 over one positive integer den, the lcm of the entries' denominators,
 their column and Rc signs folded into the coefficients, and the row's
-k = max(0, -min e_d).  The symbolic path turns each entry into a
-RatFunc once (_laurent_ratfunc): with k its own max(0, -min e_d), it is
-(d^k lau) / (den d^k).  When k > 0 some term of d^k lau is free of d,
-so d does not divide it; the irreducible factors of den d^k are d and
-primes, so the only common factor left is the integer gcd of den and
-the coefficients.  Dividing it out, with the sign on den, gives the
-canonical pair of RatFunc directly.  The point path evaluates the same
-rows at (d, chi) over the integers, each times den d^k, nonzero at
-d >= 5 (tracked_rows_at).
+k = max(0, -min e_d).  symbolic_MN writes each entry as an element
+of ELIM_FIELD, (d^k lau) / (den d^k) with k its own max(0, -min e_d)
+(below).  The point path evaluates the same rows at (d, chi) over the
+integers, each times den d^k, nonzero at d >= 5 (tracked_rows_at).
+
+The elimination over QQ(d, chi1).  symbolic_MN runs the one elimination
+loop, ExactMatrix.rref, on the 12x27 matrix A over ELIM_FIELD
+(ratfunc.FormField): an entry is num / (c prod l_i^e_i), num an integer
+polynomial, c a positive integer and l_i the eight linear forms of
+FORMS, d, chi1, d-1, d-2, d-chi1, d-2 chi1, 2d-chi1 and 3d-2 chi1.
+Sums and products add, or take the larger of, the exponent vectors and
+the integer parts, and cancel by exact division by a form only where
+num vanishes on its line: no polynomial gcd is taken, where the
+elimination in RatFunc arithmetic spent most of its time in GCDHEU.
+Rows 9..11 are turned into canonical RatFuncs once, for mn_blocks.
+Where the forms come from: rows are visited top to bottom and the k-th
+row pivots on column k-1 (checked below), so after k rows the pivot
+rows are P_k^-1 times those rows, P_k the leading k x k block of the
+pivot block P, and a later row reduced against them holds minors of A
+over D_k = det P_k (Cramer's rule, Sylvester's identity); the k-th
+pivot is D_k / D_(k-1).  So every denominator divides an input
+denominator 2^a d^m times some D_k, and the irreducible factors of
+D_1..D_12 are the eight forms: the six of D_12 = det P (below), 3d-2
+chi1, which divides D_1..D_3, and 2d-chi1, which divides D_10.  A pivot
+is inverted by dividing its numerator by the forms; a non-constant
+cofactor left over is a factor the field cannot hold, and the division
+raises ArithmeticError.  So a change to the closed form that brings a
+new factor fails loudly, and never gives a wrong block; the tests check
+that leaving out any one form makes symbolic_MN raise, and compare its
+blocks with the elimination in RatFunc arithmetic
+(tests/symbolic_oracle.py) by == and str.
 
 Exact specialization.  The 12x27 matrix A over QQ(d, chi1) has its
 pivots on columns 0..11 (symbolic_MN checks this), so its echelon form
@@ -106,11 +129,15 @@ from functools import lru_cache
 
 from .linalg import ExactMatrix, int_gauss_jordan
 from .rat import QQ, Rat
-from .ratfunc import FracField, RatFunc
+from .ratfunc import FormField, FracField
 from .tautalg import DEG1, DEG2, LARGE, SQUARES, TRACKED, factor_table
 
 SYM_FIELD = FracField(("d", "chi1"))
-_ZERO = SYM_FIELD.zero
+_D, _CHI = SYM_FIELD.gen("d"), SYM_FIELD.gen("chi1")
+# every denominator of the elimination of symbolic_MN is an integer times
+# a product of powers of these (module docstring)
+FORMS = (_D, _CHI, _D - 1, _D - 2, _D - _CHI, _D - 2 * _CHI, 2 * _D - _CHI, 3 * _D - 2 * _CHI)
+ELIM_FIELD = FormField(SYM_FIELD.vars, FORMS)
 
 # A Laurent polynomial is {(e_d, e_chi1): int} with e_d possibly
 # negative; a beta-series is the triple of its beta^0..2 components.
@@ -139,21 +166,6 @@ def _nonzero(lau: dict) -> dict:
 
 def _scaled(lau: dict, c) -> dict:
     return {e: c * x for e, x in lau.items()}
-
-
-def _laurent_ratfunc(lau: dict, den: int) -> RatFunc:
-    """The canonical RatFunc lau/den, for int coefficients and den != 0,
-    with no polynomial gcd: see the module docstring."""
-    lau = _nonzero(lau)
-    if not lau:
-        return _ZERO
-    k = max(0, -min(a for a, _ in lau))
-    g = math.gcd(den, *lau.values())
-    if den < 0:
-        g = -g
-    return RatFunc._of_terms(
-        SYM_FIELD.vars, {(a + k, b): x // g for (a, b), x in lau.items()}, {(k, 0): den // g}
-    )
 
 
 # -- the closed form of exp(L) at the tracked columns ----------------------
@@ -305,13 +317,6 @@ def _laurent_rows() -> tuple:
 _laurent_matrix = lru_cache(maxsize=1)(_laurent_rows)
 
 
-def _sym_matrix() -> ExactMatrix:
-    """The matrix of _laurent_matrix over QQ(d, chi1), each entry turned
-    into a RatFunc once."""
-    return ExactMatrix._of(SYM_FIELD, [[_laurent_ratfunc({(a, b): c for a, b, c in terms}, den)
-                                        for terms in row] for den, _, row in _laurent_matrix()])
-
-
 def mn_blocks(R, field) -> tuple:
     """(M_1..M_3, N_1..N_3) over field, read from R1..R3, the echelon
     rows 9..11 at the 27 tracked columns, which hold elements of field:
@@ -330,11 +335,14 @@ def mn_blocks(R, field) -> tuple:
 @lru_cache(maxsize=1)
 def symbolic_MN() -> tuple:
     """(M_1..M_3, N_1..N_3) as 3x3 matrices of rational functions in
-    (d, chi1), from the elimination of the closed form over QQ(d, chi1)."""
-    R, pivots = _sym_matrix().rref()
-    if len(pivots) != 12 or pivots[9:12] != [9, 10, 11]:
+    (d, chi1), from the elimination of the closed form over QQ(d, chi1),
+    its denominators kept as powers of FORMS (module docstring)."""
+    A = [[ELIM_FIELD.frac({(a, b): c for a, b, c in terms}, den) for terms in row]
+         for den, _, row in _laurent_matrix()]
+    R, pivots = ExactMatrix._of(ELIM_FIELD, A).rref()
+    if pivots != list(range(12)):
         raise AssertionError(f"unexpected symbolic echelon pivots: {pivots}")
-    return mn_blocks(R.data[9:12], SYM_FIELD)
+    return mn_blocks([[x.to_ratfunc() for x in row] for row in R.data[9:12]], SYM_FIELD)
 
 
 def tracked_rows_at(d: int, chi: int) -> tuple:

@@ -37,13 +37,21 @@ compares the Laurent matrix of tautrel.symbolic with it.
 column_keys is the list of the 27 tracked columns as tautrel.symbolic
 wrote it by hand, sorted into descending order by an explicit key,
 before it read the columns from the layout in tautalg.
+
+laurent_ratfunc, sym_matrix and ratfunc_MN are the elimination that
+tautrel.symbolic.symbolic_MN ran before it kept its denominators as
+powers of linear forms: each entry of the Laurent matrix turned into a
+canonical RatFunc once, and the 12x27 rref over QQ(d, chi1) in RatFunc
+arithmetic, a polynomial gcd per operation.
 """
 
 import math
 from functools import lru_cache
 
+from tautrel.linalg import ExactMatrix
 from tautrel.rat import Rat
-from tautrel.symbolic import SYM_FIELD, _laurent_ratfunc
+from tautrel.ratfunc import RatFunc, _to_dense
+from tautrel.symbolic import SYM_FIELD, _laurent_matrix, mn_blocks
 from tautrel.tautalg import LARGE, gen_key
 
 # the small part of a tracked monomial has degree at most SMALL_DEGREE,
@@ -264,7 +272,41 @@ def differences(rows) -> list:
     out = []
     for i, ((den, _, got_row), want_row) in enumerate(zip(rows, laurent_matrix(), strict=True)):
         for j, (terms, want) in enumerate(zip(got_row, want_row, strict=True)):
-            got = _laurent_ratfunc({(a, b): c for a, b, c in terms}, den)
+            got = laurent_ratfunc({(a, b): c for a, b, c in terms}, den)
             if got != want or str(got) != str(want):
                 out.append((i, j))
     return out
+
+
+def laurent_ratfunc(lau: dict, den: int) -> RatFunc:
+    """The canonical RatFunc lau/den, for int coefficients and den != 0,
+    with no polynomial gcd.  With k = max(0, -min e_d) it is (d^k lau) /
+    (den d^k).  When k > 0 some term of d^k lau is free of d, so d does
+    not divide it; the irreducible factors of den d^k are d and primes,
+    so the only common factor left is the integer gcd of den and the
+    coefficients.  Dividing it out, with the sign on den, gives the
+    canonical pair directly."""
+    lau = {e: x for e, x in lau.items() if x}
+    if not lau:
+        return SYM_FIELD.zero
+    k = max(0, -min(a for a, _ in lau))
+    g = math.gcd(den, *lau.values())
+    if den < 0:
+        g = -g
+    num = {(a + k, b): x // g for (a, b), x in lau.items()}
+    return RatFunc._raw(SYM_FIELD.vars, _to_dense(num, 2), _to_dense({(k, 0): den // g}, 2))
+
+
+def sym_matrix() -> ExactMatrix:
+    """The matrix of tautrel.symbolic._laurent_matrix over QQ(d, chi1),
+    each entry turned into a RatFunc once."""
+    return ExactMatrix._of(SYM_FIELD, [[laurent_ratfunc({(a, b): c for a, b, c in terms}, den)
+                                        for terms in row] for den, _, row in _laurent_matrix()])
+
+
+def ratfunc_MN() -> tuple:
+    """(M_1..M_3, N_1..N_3) over QQ(d, chi1) from the rref of sym_matrix
+    in RatFunc arithmetic, its pivots checked on columns 0..11."""
+    R, pivots = sym_matrix().rref()
+    assert pivots == list(range(12)), pivots
+    return mn_blocks(R.data[9:12], SYM_FIELD)

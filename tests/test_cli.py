@@ -664,3 +664,16 @@ def test_python_dash_m_entrypoint():
     )
     assert proc.returncode == 0
     assert "overall: pass" in proc.stdout
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only a parallel sweep starts processes, so only it loads
+    # multiprocessing: every other command, and every import, goes without
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tautrel.cli; "
+                               "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """RatFunc over ZZ against the QQ reference, its GCDHEU fallback, the QQ
 boundary, and the nonzero-terms invariant of the reference MPoly._of."""
 
+import math
 import operator
 import random
 
@@ -13,7 +14,8 @@ from mpoly_oracle import MPoly, from_dense, mpoly, num_den, ratfunc, ratfunc_has
 from ratfunc_oracle import OracleRatFunc, eval_over_qq
 from tautrel import ratfunc as ratfunc_module
 from tautrel.rat import QQ, ZZ, Rat
-from tautrel.ratfunc import FracField, RatFunc, mpoly_gcd
+from tautrel.ratfunc import FormField, FracField, RatFunc, mpoly_gcd
+from tautrel.symbolic import FORMS as FORMS_SYM, SYM_FIELD
 
 GCD_VARS = (("chi1",), ("d", "chi1"), ("d", "chi1", "chi2"))
 WIDE_VARS = ("d", "chi1", "chi2", "t")
@@ -412,3 +414,79 @@ def test_partial_eval_returns_ratfunc_in_the_rest():
     _agrees(got * s, OracleRatFunc(*_qq(got)) * p)
     _agrees(got - r, OracleRatFunc(*_qq(got)) - o)
     assert got.eval({"chi1": Rat(1, 2)}) == r.eval({"d": 4, "chi1": Rat(1, 2)}) == Rat(-10, 3)
+
+
+# -- FormField: fractions over products of fixed linear forms ----------------
+
+_D, _CHI = SYM_FIELD.gen("d"), SYM_FIELD.gen("chi1")
+# the eight forms of symbolic.FORMS as {(e_d, e_chi1): int}
+FORM_TERMS = ({(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): -2},
+              {(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): -2}, {(1, 0): 2, (0, 1): -1},
+              {(1, 0): 3, (0, 1): -2})
+FORMS = FormField(SYM_FIELD.vars, FORMS_SYM)
+
+
+def _laurent(terms: dict):
+    """sum c d^a chi1^b over terms, by RatFunc arithmetic."""
+    return sum((c * _D**a * _CHI**b for (a, b), c in terms.items()), SYM_FIELD.zero)
+
+
+@st.composite
+def form_fracs(draw, divisor=False):
+    """(FormFrac, RatFunc) of one value: an integer Laurent polynomial in
+    (d, chi1) times up to two of the forms, over a nonzero integer,
+    negative ones included, times up to three forms.  A divisor's
+    polynomial is one term, so that its numerator is a product of forms."""
+    keys = st.tuples(st.integers(-2, 2), st.integers(-1, 2))
+    if divisor:
+        terms = draw(st.dictionaries(keys, st.integers(-6, 6).filter(bool), min_size=1, max_size=1))
+    else:
+        terms = draw(st.dictionaries(keys, st.integers(-6, 6), max_size=4))
+    den = draw(st.integers(-12, 12).filter(bool))
+    x, want = FORMS.frac(terms, den), _laurent(terms) / den
+    for i in draw(st.lists(st.integers(0, 7), max_size=2)):
+        x, want = x * FORMS.frac(FORM_TERMS[i], 1), want * FORMS_SYM[i]
+    for i in draw(st.lists(st.integers(0, 7), max_size=3)):
+        x, want = x / FORMS.frac(FORM_TERMS[i], 1), want / FORMS_SYM[i]
+    return x, want
+
+
+def _check_form_frac(x, want):
+    """x is reduced, its integer part positive, and equals want by == and str."""
+    got = x.to_ratfunc()
+    assert got == want and str(got) == str(want)
+    assert x.c > 0
+    if x:
+        den = x.c * math.prod((f**n for f, n in zip(FORMS_SYM, x.e)), start=SYM_FIELD.one)
+        assert got.den == den, (str(got), x.c, x.e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_fracs(), form_fracs(), form_fracs(divisor=True))
+@example((FORMS.frac({(-2, 1): 3, (0, 0): -6}, -4), (3 * _CHI / _D**2 - 6) / -4),
+         (FORMS.frac({(1, 0): 1}, 1), _D), (FORMS.frac({(0, 1): -2}, 3), -2 * _CHI / 3))
+def test_form_field_matches_ratfunc(a, b, divisor):
+    # +, -, * and / against RatFunc arithmetic, and sums that cancel to 0
+    (x, rx), (y, ry), (v, rv) = a, b, divisor
+    for got, want in ((x, rx), (y, ry), (v, rv), (x + y, rx + ry), (x - y, rx - ry),
+                      (x * y, rx * ry), (x / v, rx / rv), (x - x, SYM_FIELD.zero),
+                      ((x + y) - (y + x), SYM_FIELD.zero), ((x * v) / v - x, SYM_FIELD.zero)):
+        _check_form_frac(got, want)
+
+
+def test_form_field_refuses_what_it_cannot_hold():
+    # a pivot whose numerator has a factor other than the forms, and a
+    # negative power of a variable that is no form, raise; nothing is
+    # approximated
+    with pytest.raises(ArithmeticError, match="none of the forms"):
+        FORMS.one / FORMS.frac({(1, 0): 1, (0, 1): 1}, 1)
+    with pytest.raises(ArithmeticError, match="none of the forms"):
+        FORMS.one / FORMS.frac({(2, 0): 1, (0, 0): -1}, 1)  # (d - 1)(d + 1)
+    with pytest.raises(ZeroDivisionError):
+        FORMS.one / FORMS.zero
+    no_d = FormField(SYM_FIELD.vars, FORMS_SYM[1:])
+    with pytest.raises(ArithmeticError, match="none of the forms"):
+        no_d.frac({(-1, 0): 1}, 1)
+    for bad in (_D * _CHI, 2 * _D - 4, _D / 2, SYM_FIELD.one):
+        with pytest.raises(ValueError):
+            FormField(SYM_FIELD.vars, (bad,))

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import os
 import re
 
 import pytest
@@ -11,7 +14,7 @@ from tautrel import symbolic
 from tautrel.linalg import ExactMatrix
 from tautrel.obstruction import coprime_pairs, decide
 from tautrel.rat import QQ, Rat
-from tautrel.ratfunc import RatFunc
+from tautrel.ratfunc import FormField, RatFunc
 from tautrel.tautalg import TRACKED
 from tautrel.relations import build_relation_set, tracked_block
 from tautrel.symbolic import SYM_FIELD, symbolic_MN, symbolic_matrices_at
@@ -227,15 +230,49 @@ laurents = st.dictionaries(
 @example({(2, 0): 2, (1, 1): 4}, {(-3, 0): 1}, 6, 1)
 def test_laurent_helpers_match_ratfunc(p, q, den, sign):
     rp, rq = _as_ratfunc_by_field(p, 1), _as_ratfunc_by_field(q, 1)
-    conv = symbolic._laurent_ratfunc(dict(p), den * sign)
+    conv = symbolic_oracle.laurent_ratfunc(dict(p), den * sign)
     assert conv == _as_ratfunc_by_field(p, den * sign)
     assert str(conv) == str(_as_ratfunc_by_field(p, den * sign))
     prod: dict = {}
     symbolic._laurent_mul_into(prod, p, q)
-    assert symbolic._laurent_ratfunc(prod, den) == rp * rq / den
+    assert symbolic_oracle.laurent_ratfunc(prod, den) == rp * rq / den
     total = dict(p)
     symbolic._laurent_add_into(total, q)
-    assert symbolic._laurent_ratfunc(total, den) == (rp + rq) / den
+    assert symbolic_oracle.laurent_ratfunc(total, den) == (rp + rq) / den
+
+
+# sha256 of the str of symbolic_MN's 54 entries, M_1..M_3 then N_1..N_3,
+# each row by row, joined by newlines; recorded while symbolic_MN ran its
+# elimination in RatFunc arithmetic
+MN_DIGEST = os.path.join(os.path.dirname(__file__), "fixtures", "symbolic_mn.sha256.json")
+
+
+def test_symbolic_MN_equals_the_ratfunc_elimination():
+    # the elimination over products of linear forms against the rref in
+    # RatFunc arithmetic, entry by entry, by == and by the printed form
+    got, want = _entries(symbolic_MN()), _entries(symbolic_oracle.ratfunc_MN())
+    assert len(got) == len(want) == 54
+    for x, y in zip(got, want):
+        assert isinstance(x, RatFunc) and x == y and str(x) == str(y)
+    with open(MN_DIGEST) as fh:
+        digest = json.load(fh)["symbolic_MN"]
+    assert hashlib.sha256("\n".join(map(str, got)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("drop", range(len(symbolic.FORMS)))
+def test_symbolic_MN_refuses_a_missing_form(monkeypatch, drop):
+    # with any one of the eight forms left out, some denominator of the
+    # elimination is no product of the others: symbolic_MN raises, and
+    # caches no blocks
+    forms = symbolic.FORMS[:drop] + symbolic.FORMS[drop + 1:]
+    monkeypatch.setattr(symbolic, "ELIM_FIELD", FormField(SYM_FIELD.vars, forms))
+    symbolic_MN.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="none of the forms"):
+            symbolic_MN()
+        assert symbolic_MN.cache_info().currsize == 0
+    finally:
+        symbolic_MN.cache_clear()
 
 
 def test_symbolic_cold_and_warm_agree():
@@ -255,7 +292,7 @@ def test_symbolic_cold_and_warm_agree():
 
 
 def test_pivot_minor_has_no_zero_at_coprime_points():
-    mat = symbolic._sym_matrix()
+    mat = symbolic_oracle.sym_matrix()
     assert (mat.rows, mat.cols) == (12, 27) and len(TRACKED) == 27
     # the input denominators are 2^a d^k
     for row in mat.data:
