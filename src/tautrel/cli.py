@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from .constraint import constraint_analysis
 from .obstruction import (
@@ -42,7 +43,7 @@ from .obstruction import (
     cubic_det,
     decide,
 )
-from .rat import QQ, Rat
+from .rat import QQ, ZZ, Rat
 from .relations import (
     build_relation_set,
     det1_formula,
@@ -52,7 +53,7 @@ from .relations import (
     verify_rank12,
 )
 from .report import Report
-from .symbolic import SYM_FIELD, symbolic_MN
+from .symbolic import M_COLS, SYM_FIELD, read_blocks, symbolic_MN
 from .truncation import (
     CheckpointMismatch,
     checkpoint_reference_M,
@@ -85,8 +86,7 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
     leads = block.leading_monos()
     expected = mon2(d)[3:]
     report.add("echelon_leading_terms", leads == expected, expected, leads, loc)
-    M = matrices_M(block)
-    cubic = cubic_det(M)
+    cubic = _pencil(block)
     try:
         node = analyze_node(cubic, QQ)
         coeff = node["coefficient"]
@@ -98,6 +98,16 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
     for i, key in enumerate(((3, 0, 0), (0, 3, 0))):
         det = cubic.get(key, QQ.zero)
         report.add(f"detM{i + 1}_nonzero", det != 0, "nonzero", det, loc)
+
+
+def _pencil(block) -> dict:
+    """The coefficients of det(x1 M_1 + x2 M_2 + x3 M_3) for the M_i of
+    block: cubic_det of the integer numerators of R1..R3's M blocks, the
+    coefficient of x1^u x2^v x3^w divided once by p1^u p2^v p3^w, p_i
+    the pivot entry R_i is over."""
+    p1, p2, p3 = block.R_dens
+    return {(u, v, w): Rat(c, p1**u * p2**v * p3**w)
+            for (u, v, w), c in cubic_det(read_blocks(block.R, M_COLS, ZZ)).items()}
 
 
 def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:
@@ -397,7 +407,11 @@ def _write_output(text: str, out, code: int) -> int:
     return code
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and kept for
+    the life of the process: parsing changes no state of it, and each
+    command's function reads the module's names when it runs."""
     p = argparse.ArgumentParser(prog="tautrel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

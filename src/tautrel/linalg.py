@@ -27,7 +27,10 @@ the pivot rows, sorted by column, are the unique reduced row echelon
 form.  Rows are updated only where the row they subtract is nonzero, so
 zero entries cost no arithmetic; entries are tested for zero by their
 truth value.  Division is exact, so every result is deterministic.  det
-runs its own forward elimination.
+runs its own forward elimination, and int_det is its fraction-free twin
+over the integers (Bareiss 1968): it takes the minors of the point path's
+integer rows, det1, det2 and the Mon1 minor of relations.TrackedBlock,
+each divided once by the product of its rows' scales.
 """
 
 from __future__ import annotations
@@ -85,6 +88,41 @@ def _int_reduce(row, prow, f, p) -> list:
     out = [a * x - b * y for x, y in zip(row, prow)]
     c = gcd(*out)  # 0 when row was a multiple of prow
     return [x // c for x in out] if c > 1 else out
+
+
+def int_det(rows) -> int:
+    """The determinant of a square matrix of ints, by fraction-free
+    forward elimination (Bareiss 1968).
+
+    Column by column, the first row at or below the diagonal with a
+    nonzero entry there is swapped up, flipping the sign; below it each
+    entry becomes (p a - f b) / q, for p the pivot, f the row's entry in
+    the pivot column, a and b the entries of the row and the pivot row,
+    and q the previous pivot (1 at the start).  The division is exact,
+    since every entry is then a minor of the input, so the entries stay
+    as small as the minors and no fraction is made.  The input rows are
+    not changed.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise NonSquareDet(f"{n}-row matrix is not square")
+    M = [list(row) for row in rows]
+    sign, q = 1, 1
+    for k in range(n - 1):
+        i = next((i for i in range(k, n) if M[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            M[k], M[i] = M[i], M[k]
+            sign = -sign
+        prow = M[k]
+        p = prow[k]
+        for row in M[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * prow[j]) // q
+        q = p
+    return sign * M[-1][-1] if n else 1
 
 
 class DimensionMismatch(ValueError):

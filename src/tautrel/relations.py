@@ -5,8 +5,11 @@ Every consumer reads the twelve degree-d relations at (d, chi) as one
 of tautalg's layout.  One constructor, _block, makes every block from
 its twelve integer rows over their scales, by one elimination: its
 pivots, and R1..R3 at the 27 columns as rows 9-11 of the rows' reduced
-row echelon form (symbolic.point_echelon), and det1 and det2, the
-minors of the rows (_dets).  Two functions give it the rows:
+row echelon form (symbolic.point_echelon), integer rows over their pivot
+entries, and det1 and det2, the minors of the rows (_dets), each one
+linalg.int_det of the integer rows divided once by the product of their
+scales.  The block keeps its rows as ints: a value becomes a Rat only
+where it is read.  Two functions give it the rows:
 
 - tracked_block(d, chi) evaluates the closed form of exp(L) at the
   tracked columns, derived once in symbolic's docstring, at the point,
@@ -123,8 +126,9 @@ into the c_k(j) basis (_factors).
 
 One elimination per block.  verify_rank12 reads the rank as the number
 of the block's pivots, which the elimination that made the block found,
-and computes only the Mon1 minor, which must be det1^2; the Mon2 minor
-of rows 6-11 is det2 itself, since _dets took det2 from the same rows.
+and computes only the Mon1 minor (one int_det), which must be det1^2;
+the Mon2 minor of rows 6-11 is det2 itself, since _dets took det2 from
+the same rows.
 The rank is that of the block's rows at the 27 columns: a lower bound of
 the rank of the full rows, equal to it when it is 12.  At a valid point
 it is 12 (symbolic's docstring), so only a broken block reports less,
@@ -141,9 +145,9 @@ from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
 
-from .linalg import ExactMatrix, int_gauss_jordan
+from .linalg import int_det, int_gauss_jordan
 from .mpoly import signed_term
-from .rat import QQ, ZZ, Rat
+from .rat import ZZ, Rat
 from .symbolic import point_echelon, tracked_rows_at
 from .tautalg import (
     DEG1,
@@ -376,17 +380,21 @@ def _numerators(packing: _Packing, rows, monos) -> list:
 class TrackedBlock:
     """The twelve degree-d relations at (d, chi), in the order of
     _expansion, at the 27 tracked monomials tracked_monos(d): rows is
-    12 tuples of 27 rationals; pivots are the pivot columns of their
-    reduced row echelon form, as many as its rank; R holds R1, R2, R3 at
-    the same columns, its rows 9-11 (a zero row past the rank); det1 and
-    det2 are the minors of rows (_dets).  _block makes every block, all
-    of it from the rows, by one elimination."""
+    12 tuples of 27 ints, row i over scales[i]; pivots are the pivot
+    columns of their reduced row echelon form, as many as its rank; R
+    holds R1, R2, R3 at the same columns, its rows 9-11 (a zero row past
+    the rank), as primitive integer rows, R_i over R_dens[i]; det1 and
+    det2 are the minors of the rows (_dets).  _block makes every block,
+    all of it from the rows, by one elimination; a value is made a Rat
+    only where it is read (truncation.matrices_M, the minors)."""
 
     d: int
     chi: int
     rows: tuple
+    scales: tuple
     pivots: tuple
     R: tuple
+    R_dens: tuple
     det1: object
     det2: object
 
@@ -397,18 +405,22 @@ class TrackedBlock:
         return [next((m for m, x in zip(monos, row) if x), None) for row in self.R]
 
 
-def _minor(rows, d: int, monos):
-    """The determinant of rows at the tracked monomials monos of d."""
+def _minor(rows, scales, d: int, monos):
+    """The determinant of the integer rows, row i over scales[i], at the
+    tracked monomials monos of d: one int_det, divided once by the
+    product of the scales."""
     index = {m: i for i, m in enumerate(tracked_monos(d))}
     cols = [index[m] for m in monos]
-    return ExactMatrix._of(QQ, [[row[j] for j in cols] for row in rows]).det()
+    return Rat(int_det([[row[j] for j in cols] for row in rows]), math.prod(scales))
 
 
-def _dets(rows, d: int) -> tuple:
-    """(det1, det2) of the twelve rows at the tracked monomials of d:
-    det1 the minor of Ra^n at LARGE[1], read off the c2(0) Ra^n rows at
-    LARGE[1] x c2(0), and det2 that of Rb^n, Rc^n at mon2(d)."""
-    return _minor(rows[0:6:2], d, mon1(d)[0::2]), _minor(rows[6:12], d, mon2(d))
+def _dets(rows, scales, d: int) -> tuple:
+    """(det1, det2) of the twelve integer rows over their scales at the
+    tracked monomials of d: det1 the minor of Ra^n at LARGE[1], read off
+    the c2(0) Ra^n rows at LARGE[1] x c2(0), and det2 that of Rb^n, Rc^n
+    at mon2(d)."""
+    return (_minor(rows[0:6:2], scales[0:6:2], d, mon1(d)[0::2]),
+            _minor(rows[6:12], scales[6:12], d, mon2(d)))
 
 
 def _block(d: int, chi: int, ints, scales) -> TrackedBlock:
@@ -416,8 +428,8 @@ def _block(d: int, chi: int, ints, scales) -> TrackedBlock:
     monomials of d, row i over scales[i]: its pivots and R1..R3 from one
     elimination of ints (symbolic.point_echelon), det1 and det2 the
     minors of its rows (_dets)."""
-    rows = tuple(tuple(Rat(x, s) for x in row) for row, s in zip(ints, scales))
-    return TrackedBlock(d, chi, rows, *point_echelon(ints), *_dets(rows, d))
+    rows, scales = tuple(map(tuple, ints)), tuple(scales)
+    return TrackedBlock(d, chi, rows, scales, *point_echelon(rows), *_dets(rows, scales, d))
 
 
 def tracked_block(d: int, chi: int) -> TrackedBlock:
@@ -575,7 +587,7 @@ def verify_rank12(block: TrackedBlock):
     rank = len(block.pivots)
     # Mon1 minor: rows c2(0)Ra^n, c0(2)Ra^n interleaved match the column
     # pairing of Mon1, giving a block structure with determinant det1^2.
-    m1 = _minor(block.rows[0:6], d, mon1(d))
+    m1 = _minor(block.rows[0:6], block.scales[0:6], d, mon1(d))
     ok = rank == 12 and m1 == block.det1 * block.det1
     trace = {
         "rank": rank,

@@ -114,12 +114,13 @@ at the sampled ones:
   det P times some 2^a d^k, so it is defined at (d, chi), and its value
   there is the entry of P(d, chi)^-1 A(d, chi).
 
-The point elimination itself (point_echelon: int_gauss_jordan, then
-one division of each of rows 9..11 by its pivot) is exact integer
-arithmetic; every relations.TrackedBlock is made by it too.  The blocks
-M_i and N_i of any R1..R3, over QQ(d, chi1) or at a point, are read by
-one reader, mn_blocks, as rows of tuples that no caller of the cached
-ones can change.
+The point elimination itself (point_echelon: int_gauss_jordan, whose
+rows 9..11 are kept as integers over their pivot entries) is exact
+integer arithmetic; every relations.TrackedBlock is made by it too.  The
+blocks M_i and N_i of any R1..R3, over QQ(d, chi1) or at a point, are
+read by one reader, read_blocks (both kinds: mn_blocks), as rows of
+tuples that no caller of the cached ones can change; at a point it
+divides each entry it reads by its row's pivot entry, once.
 """
 
 from __future__ import annotations
@@ -193,6 +194,7 @@ def _exponent(n: int) -> tuple:
     # ct_0(1), the scalar -d, is read as a generator until the end
     ell = {g: ({}, {}, {}) for g in ((0, 1),) + DEG1 + DEG2}
     ell_large = {o: ({}, {}, {}) for group in LARGE for o in group}
+    ratios = {}  # _large_ratio of the 5 distinct values of a - offset, of 24 read
     for beta, lau, offset, j in table:
         c = {e: int(x * den) for e, x in lau.items()}
         # ct_k(j) is a term of F_s, s = k - offset, of weight (s-1)!
@@ -201,7 +203,9 @@ def _exponent(n: int) -> tuple:
                 _laurent_add_into(series[beta], _scaled(c, math.factorial(k - offset - 1)))
         for (a, jj), series in ell_large.items():
             if jj == j:
-                _laurent_mul_into(series[beta], c, _large_ratio(a - offset))
+                if a - offset not in ratios:
+                    ratios[a - offset] = _large_ratio(a - offset)
+                _laurent_mul_into(series[beta], c, ratios[a - offset])
     lam = tuple({(a + 1, b): -x for (a, b), x in p.items() if x} for p in ell.pop((0, 1)))
     if lam[0]:
         raise ValueError("the scalar part of L has a beta^0 term")
@@ -291,15 +295,18 @@ def _laurent_rows() -> tuple:
     for n in (1, 2, 3):
         form = _exponent(n)
         scalar = _exp_lambda(*form[:2])
+        ra_entries = {}  # the two rows read 18 columns over mult, 9 of them distinct
         for mult in DEG1:
             # mult Ra^n at a column is Ra^n at the column over mult
             row = []
             for large, small in TRACKED:
                 if mult in small:
                     i = small.index(mult)
-                    rest = small[:i] + small[i + 1:]
-                    row.append(_entry(_coefficient(scalar, form, large, rest), 2,
-                                      _col_sign(large, rest)))
+                    col = (large, small[:i] + small[i + 1:])
+                    if col not in ra_entries:
+                        ra_entries[col] = _entry(_coefficient(scalar, form, *col), 2,
+                                                 _col_sign(*col))
+                    row.append(ra_entries[col])
                 else:
                     row.append((1, {}))
             ra.append(_row(row))
@@ -317,19 +324,35 @@ def _laurent_rows() -> tuple:
 _laurent_matrix = lru_cache(maxsize=1)(_laurent_rows)
 
 
-def mn_blocks(R, field) -> tuple:
-    """(M_1..M_3, N_1..N_3) over field, read from R1..R3, the echelon
-    rows 9..11 at the 27 tracked columns, which hold elements of field:
-    an entry at (large, small) is R_i's at the column large * small.
-    Tuples of blocks with tuple rows, so no reader can change them."""
+def _block_columns(smalls) -> tuple:
+    """The columns of TRACKED that a block reads: a tuple per large
+    generator of LARGE[2], its rows, of a column per small monomial of
+    smalls."""
     index = {col: i for i, col in enumerate(TRACKED)}
+    return tuple(tuple(index[(large, small)] for small in smalls) for large in LARGE[2])
 
-    def block(row, smalls):
-        return ExactMatrix._of(field, tuple(tuple(row[index[(large, small)]] for small in smalls)
-                                            for large in LARGE[2]))
 
-    return (tuple(block(row, [(u,) for u in DEG2]) for row in R),
-            tuple(block(row, SQUARES) for row in R))
+# the columns of M_i (LARGE[2] x DEG2) and of N_i (LARGE[2] x SQUARES)
+M_COLS, N_COLS = _block_columns([(u,) for u in DEG2]), _block_columns(SQUARES)
+
+
+def read_blocks(R, cols, field, dens=None) -> tuple:
+    """The blocks of R1..R3 at cols, M_COLS or N_COLS, over field: R
+    holds the echelon rows 9..11 at the 27 tracked columns, elements of
+    field, and an entry at (large, small) is R_i's at the column large *
+    small.  With dens, R holds integer rows, R_i over dens[i], and field
+    is QQ: each entry read is divided once, into a Rat.  Tuples of blocks
+    with tuple rows, so no reader can change them."""
+    if dens is None:
+        return tuple(ExactMatrix._of(field, tuple(tuple(row[j] for j in js) for js in cols))
+                     for row in R)
+    return tuple(ExactMatrix._of(field, tuple(tuple(Rat(row[j], den) for j in js) for js in cols))
+                 for row, den in zip(R, dens))
+
+
+def mn_blocks(R, field, dens=None) -> tuple:
+    """(M_1..M_3, N_1..N_3) of R1..R3 over field (read_blocks)."""
+    return read_blocks(R, M_COLS, field, dens), read_blocks(R, N_COLS, field, dens)
 
 
 @lru_cache(maxsize=1)
@@ -349,23 +372,36 @@ def tracked_rows_at(d: int, chi: int) -> tuple:
     """(rows, scales): the matrix of _laurent_matrix at (d, chi1 = chi),
     d != 0, as integer rows, each row (den, k, terms) evaluated times its
     scale den * d^k.  In the plain basis the twelve relations at the
-    tracked monomials are (-1)^d rows[i] / scales[i] (module docstring)."""
+    tracked monomials are (-1)^d rows[i] / scales[i] (module docstring).
+    The powers of d and chi come from two tables, made once per call:
+    an exponent past them, e_d + k > 9 or e_chi1 > 5, raises IndexError."""
+    dp = [d ** e for e in range(10)]
+    cp = [chi ** e for e in range(6)]
     rows, scales = [], []
     for den, k, row in _laurent_matrix():
-        rows.append([sum(c * d ** (a + k) * chi ** b for a, b, c in terms) for terms in row])
-        scales.append(den * d ** k)
+        out = []
+        for terms in row:
+            acc = 0
+            for a, b, c in terms:
+                acc += c * dp[a + k] * cp[b]
+            out.append(acc)
+        rows.append(out)
+        scales.append(den * dp[k])
     return rows, scales
 
 
 def point_echelon(ints) -> tuple:
-    """(pivots, R) of integer rows at the 27 tracked columns: the pivot
-    columns of their reduced row echelon form over QQ and its rows 9-11
-    (a zero row past the rank), from one int_gauss_jordan, each row
-    divided by its pivot entry.  relations._block and
-    symbolic_matrices_at eliminate by it."""
+    """(pivots, R, dens) of integer rows at the 27 tracked columns: the
+    pivot columns of their reduced row echelon form over QQ, and its rows
+    9-11 as primitive integer rows R over their pivot entries dens (a
+    zero row over 1 past the rank), from one int_gauss_jordan.
+    relations._block and symbolic_matrices_at eliminate by it."""
     found = int_gauss_jordan(ints)
-    R = tuple(tuple(Rat(x, row[col]) for x in row) for col, row in found[9:12])
-    return tuple(col for col, _ in found), R + ((Rat(0),) * len(TRACKED),) * (3 - len(R))
+    R = tuple(tuple(row) for _, row in found[9:12])
+    dens = tuple(row[col] for col, row in found[9:12])
+    pad = 3 - len(R)
+    return (tuple(col for col, _ in found), R + ((0,) * len(TRACKED),) * pad,
+            dens + (1,) * pad)
 
 
 def symbolic_matrices_at(d: int, chi: int) -> tuple:
@@ -379,7 +415,7 @@ def symbolic_matrices_at(d: int, chi: int) -> tuple:
     (d, chi): see the module docstring."""
     if not isinstance(chi, int) or d < 5 or math.gcd(d, chi) != 1 or not 0 < chi < d:
         raise ValueError(f"d >= 5 and a coprime 0 < chi < d required (d={d}, chi={chi})")
-    pivots, R = point_echelon(tracked_rows_at(d, chi)[0])
+    pivots, R, dens = point_echelon(tracked_rows_at(d, chi)[0])
     if pivots != tuple(range(12)):
         raise AssertionError(f"unexpected echelon pivots at (d, chi) = ({d}, {chi}): {pivots}")
-    return mn_blocks(R, QQ)
+    return mn_blocks(R, QQ, dens)

@@ -7,15 +7,17 @@ The bases of both blocks are the layout of the truncated system in
 tautalg: rows LARGE[2] at d, columns DEG2 and SQUARES.  Both blocks are
 read from R1, R2, R3 of a relations.TrackedBlock, rows 9-11 of the
 echelon form of the twelve relations at the 27 tracked monomials, by
-symbolic.mn_blocks, the one reader of the blocks, which symbolic_MN and
-the point path use too: the entry at (left, right) is R_i's coefficient
-of the product monomial.  Every consumer here reads a block, whichever
-path gave its rows; each block is made by one elimination
+symbolic.read_blocks, the one reader of the blocks, which symbolic_MN
+and the point path use too (through symbolic.mn_blocks): the entry at
+(left, right) is R_i's coefficient of the product monomial, the block's
+integer numerator divided once by R_i's pivot entry.  Every consumer
+here reads a block, whichever path gave its rows; each block is made by one elimination
 (relations._block): relations.tracked_block (the closed form, which
 verify and emit --what matrices read) or the block a RelationSet keeps,
 RelationSet.block (the full expansion's, made once by the build, which
 verify --mode symbolic and the tests read).  The M_i
-have known closed forms which are kept here as templates and checked
+have known closed forms which are kept here as templates, one code path
+at a point and over QQ(d, chi1) (one division per entry), and checked
 entry by entry; the N_i are produced by the pipeline itself and
 validated by an independent elimination path plus their downstream
 behaviour.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from .linalg import ExactMatrix
 from .rat import QQ
 from .relations import TrackedBlock
-from .symbolic import mn_blocks
+from .symbolic import M_COLS, N_COLS, read_blocks
 
 
 class CheckpointMismatch(AssertionError):
@@ -40,11 +42,11 @@ def matrices_M(block: TrackedBlock) -> tuple:
     degree-2 ones: M_i[s][t] = [c_{d-1-s}(s) c_{3-t}(t)] R_i.  This is
     the orientation under which the change-of-relations equation reads
     A^T M_i B = sum_j s_ij M'_j."""
-    return mn_blocks(block.R, QQ)[0]
+    return read_blocks(block.R, M_COLS, QQ, block.R_dens)
 
 
 def matrices_N(block: TrackedBlock) -> tuple:
-    return mn_blocks(block.R, QQ)[1]
+    return read_blocks(block.R, N_COLS, QQ, block.R_dens)
 
 
 @dataclass
@@ -74,57 +76,41 @@ def truncation_block(block: TrackedBlock) -> TruncationBlock:
 def reference_M_templates(d, chi, field=QQ):
     """The known closed forms of M_1, M_2, M_3 as field elements.
 
-    d and chi may be numbers or field generators (symbolic check).
+    d and chi are ints (over QQ) or the generators of field (the
+    symbolic check).  Each entry is a numerator over a denominator,
+    polynomials in d and chi computed in their own ring (the integers at
+    a point), divided once in field.
     """
-    d = field.coerce(d)
-    x = field.coerce(chi)
+    x = chi
+    one, zero = field.one, field.zero
+
+    def q(num, den):
+        return field.coerce(num) / den
 
     M1 = [
-        [field.one, field.zero, field.zero],
-        [
-            field.zero,
-            field.zero,
-            # (x - d) orientation, matching entry [2][1]: forced by the
-            # x1*x2*x3 coefficient of det(sum x_i M_i)
-            (d - 2) * (d - 2 * x) * x * (x - d) / (8 * d**3),
-        ],
-        [
-            (d - 4) / (8 * d - 16),
-            (d - 2 * x) * x * (x - d) / (2 * (d - 2) * d**3),
-            (
-                (-6 * x - 1) * d**5
-                + (6 * x**2 + 6 * x + 3) * d**4
-                + 18 * x**2 * d**3
-                - (48 * x**3 + 48 * x**2) * d**2
-                + (24 * x**4 + 96 * x**3) * d
-                - 48 * x**4
-            )
-            / (32 * (d - 2) * d**4),
-        ],
+        [one, zero, zero],
+        # (x - d) orientation, matching entry [2][1]: forced by the
+        # x1*x2*x3 coefficient of det(sum x_i M_i)
+        [zero, zero, q((d - 2) * (d - 2 * x) * x * (x - d), 8 * d**3)],
+        [q(d - 4, 8 * d - 16),
+         q((d - 2 * x) * x * (x - d), 2 * (d - 2) * d**3),
+         q((-6 * x - 1) * d**5 + (6 * x**2 + 6 * x + 3) * d**4 + 18 * x**2 * d**3
+           - (48 * x**3 + 48 * x**2) * d**2 + (24 * x**4 + 96 * x**3) * d - 48 * x**4,
+           32 * (d - 2) * d**4)],
     ]
     M2 = [
-        [field.zero, field.one, field.zero],
-        [
-            field.one,
-            field.zero,
-            ((-6 * x - 1) * d**2 + (6 * x**2 + 12 * x) * d - 12 * x**2) / (8 * d**2),
-        ],
-        [
-            field.zero,
-            (24 * x**2 - 24 * x * d - d**3 + 2 * d**2) / (8 * (d - 2) * d**2),
-            x * (d**2 + 8 * d - 16) * (2 * x - d) * (d - x) / (8 * (d - 2) * d**3),
-        ],
+        [zero, one, zero],
+        [one, zero, q((-6 * x - 1) * d**2 + (6 * x**2 + 12 * x) * d - 12 * x**2, 8 * d**2)],
+        [zero,
+         q(24 * x**2 - 24 * x * d - d**3 + 2 * d**2, 8 * (d - 2) * d**2),
+         q(x * (d**2 + 8 * d - 16) * (2 * x - d) * (d - x), 8 * (d - 2) * d**3)],
     ]
     M3 = [
-        [field.zero, field.zero, field.one],
-        [field.zero, field.zero, field.zero],
-        [
-            2 / (d - 2) * field.one,
-            field.zero,
-            (12 * x**2 - 12 * x * d - d**2) / (8 * (d - 2) * d),
-        ],
+        [zero, zero, one],
+        [zero, zero, zero],
+        [q(2, d - 2), zero, q(12 * x**2 - 12 * x * d - d**2, 8 * (d - 2) * d)],
     ]
-    return [ExactMatrix(field, M) for M in (M1, M2, M3)]
+    return [ExactMatrix._of(field, M) for M in (M1, M2, M3)]
 
 
 def checkpoint_reference_M(block: TrackedBlock) -> dict:

@@ -1,13 +1,14 @@
 import pytest
 
-from tautrel import constraint, obstruction, relations, symbolic
+from tautrel import cli, constraint, obstruction, relations, symbolic
 
 ACCEPTANCE_LINES = []
 
 # every cache of tautrel, which --cold-caches empties: the module-level
 # *_CACHE dicts and the lru_caches (test_layout checks that none is missing)
 CACHES = (relations._REL_CACHE, constraint._SLICE_CACHE, constraint._REPORT_CACHE,
-          symbolic.symbolic_MN, symbolic._laurent_matrix, obstruction.side_at)
+          symbolic.symbolic_MN, symbolic._laurent_matrix, obstruction.side_at,
+          cli.build_parser)
 
 
 def record_acceptance(line: str) -> None:

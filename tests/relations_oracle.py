@@ -326,11 +326,16 @@ def expansion(d: int, chi: int) -> tuple:
     return packing, tuple(map(MappingProxyType, rows)), tuple(dens)
 
 
+def rat_rows(rows, dens) -> list:
+    """The integer rows, row i over dens[i], as lists of Rats: a
+    TrackedBlock's rows over its scales, or its R over its R_dens."""
+    return [[Rat(x, den) for x in row] for row, den in zip(rows, dens)]
+
+
 def entries(packing, rows, dens, monos) -> list:
     """The rational coefficients of the packed rows (row i over dens[i])
     at the tuple monomials monos, one numerator divided per entry."""
-    return [[Rat(x, den) for x in row]
-            for row, den in zip(_numerators(packing, rows, monos), dens)]
+    return rat_rows(_numerators(packing, rows, monos), dens)
 
 
 def block_of_rows(d: int, chi: int, rows):

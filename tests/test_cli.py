@@ -46,6 +46,25 @@ def test_decide_witness_cases():
     assert v["witness"]["A"] == [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
 
 
+def test_main_keeps_its_parser_and_reads_patched_names(monkeypatch):
+    # the parser is built by the first main and kept; each later call
+    # still reaches a patched module name of cli, and prints the same
+    # usage error, byte for byte
+    cli.build_parser.cache_clear()
+    calls = []
+    real = cli.decide
+    monkeypatch.setattr(cli, "decide", lambda *pair: calls.append(pair) or real(*pair))
+    runs = [run_cli("decide", "--d", "5", "--chi1", "1", "--chi2", "2", "--format", "json")
+            for _ in range(2)]
+    assert calls == [(5, 1, 2)] * 2
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    errors = [run_cli("verify", "--d", "5", "--mode", "numeric") for _ in range(2)]
+    assert errors[0] == errors[1] and errors[0][0] == 2
+    assert errors[0][1] == "" and "invalid choice: 'numeric'" in errors[0][2]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_verify_pass_and_rejections():
     code, out, _ = run_cli("verify", "--d", "5", "--chi", "1")
     assert code == 0

@@ -10,7 +10,7 @@ from linalg_oracle import det_cofactor, identity, kernel, rank, solve
 from mpoly_oracle import ExactDivisionError, MPoly, gcd, mpoly, ratfunc
 from ratfunc_oracle import subresultant_gcd
 from tautrel.cubicext import CubicField, NotInvertible, _trim, factor_t3_minus_r, upoly_divmod
-from tautrel.linalg import ExactMatrix, NonSquareDet, int_gauss_jordan
+from tautrel.linalg import ExactMatrix, NonSquareDet, int_det, int_gauss_jordan
 from tautrel.rat import QQ, Rat, rat, rational_cube_root
 from tautrel import ratfunc as ratfunc_module
 from tautrel.ratfunc import FracField, mpoly_gcd
@@ -514,6 +514,54 @@ def test_int_gauss_jordan_ignores_row_scaling(rows, scales):
     assert len(rows) <= len(scales)
     scaled = [[f * x for x in row] for row, f in zip(rows, scales)]
     assert int_gauss_jordan(scaled) == int_gauss_jordan(rows)
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """Square integer matrices, 1x1 to 7x7, with negative entries and
+    entries past 2^64; some made singular (a row a combination of two
+    others, or a zero column), and some with zeros put on the leading
+    diagonal entries, so that the elimination must swap rows."""
+    big = st.integers(2**64, 2**80)
+    entries = st.one_of(st.integers(-5, 5), big, big.map(lambda x: -x))
+    n = draw(st.integers(1, 7))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    for k in range(draw(st.integers(0, n - 1))):
+        rows[k][k] = 0
+        if draw(st.booleans()):
+            rows[k] = [0] * (k + 1) + rows[k][k + 1:]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_integer_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[0, 2, 3], [0, 5, 7], [4, 1, 1]])
+@example([[2**70, -(2**65)], [-(2**66), 2**64 + 1]])
+@example([[3]])
+def test_int_det_matches_field_det(rows):
+    before = [row[:] for row in rows]
+    got = int_det(rows)
+    assert rows == before
+    assert type(got) is int
+    assert got == ExactMatrix(QQ, rows).det()
+
+
+def test_int_det_refuses_a_non_square_matrix():
+    assert int_det([]) == 1
+    with pytest.raises(NonSquareDet):
+        int_det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(NonSquareDet):
+        int_det([[1, 2], [3]])
 
 
 def test_linalg_examples():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -76,3 +77,25 @@ def test_constraint_matches_recorded_digests(tmp_path):
     for d, want in digests.items():
         fresh = emit_to(tmp_path, "constraint", "--d", d, "--format", "json")
         assert hashlib.sha256(fresh).hexdigest() == want, d
+
+
+# sha256 of `verify --d D --chi CHI --format json` at every coprime point of
+# d = 5..24 (key "D CHI"), and with --chi2 at every coprime pair of d = 7
+# and 11 (key "D CHI CHI2"), recorded while the point checkpoints were
+# still computed on Fractions
+VERIFY_DIGESTS = os.path.join(FIXTURES, "verify_d5_24.sha256.json")
+
+
+def test_verify_matches_recorded_digests(capsys):
+    with open(VERIFY_DIGESTS) as fh:
+        digests = json.load(fh)
+    points = [(d, chi) for d in range(5, 25) for chi in range(1, d) if math.gcd(d, chi) == 1]
+    triples = [(d, a, b) for d in (7, 11) for a in range(1, d) for b in range(1, d)
+               if math.gcd(d, a) == math.gcd(d, b) == 1]
+    assert list(digests) == [" ".join(map(str, key)) for key in points + triples]
+    for key, want in digests.items():
+        d, chi, *chi2 = key.split()
+        argv = ["verify", "--d", d, "--chi", chi, "--format", "json"]
+        assert main(argv + (["--chi2", *chi2] if chi2 else [])) == 0, key
+        fresh = capsys.readouterr().out.encode()
+        assert hashlib.sha256(fresh).hexdigest() == want, key

@@ -25,6 +25,7 @@ from relations_oracle import (
     expansion,
     oracle_relation_set,
     packed_series,
+    rat_rows,
     sym2_basis,
     t2_basis,
     tk_basis,
@@ -316,20 +317,24 @@ def test_verify_rank12_zero_relations_guard():
 def test_verify_rank12_runs_no_second_elimination(monkeypatch):
     # the rank is the number of the block's pivots: tracked_block makes its
     # block by one int_gauss_jordan, the build keeps the block it made
-    # (test_build_makes_its_block_once), and verify_rank12 runs none and
-    # takes no determinant larger than the 6x6 Mon1 minor
+    # (test_build_makes_its_block_once), and verify_rank12 runs none, takes
+    # no determinant over QQ and no int_det larger than the 6x6 Mon1 minor
     from tautrel import linalg, relations
 
     rel = build_relation_set(7, 3)
-    eliminations, dets = [], []
-    int_gauss_jordan, det = linalg.int_gauss_jordan, ExactMatrix.det
+    eliminations, dets, field_dets = [], [], []
+    int_gauss_jordan, int_det, det = linalg.int_gauss_jordan, linalg.int_det, ExactMatrix.det
 
     def counted(rows):
         eliminations.append(len(rows))
         return int_gauss_jordan(rows)
 
-    def sized(self):
-        dets.append(self.rows)
+    def sized(rows):
+        dets.append(len(rows))
+        return int_det(rows)
+
+    def field_det(self):
+        field_dets.append(self.rows)
         return det(self)
 
     def no_elimination(self, *args, **kwargs):
@@ -337,10 +342,12 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
 
     for module in (linalg, relations, symbolic):
         monkeypatch.setattr(module, "int_gauss_jordan", counted)
-    monkeypatch.setattr(ExactMatrix, "det", sized)
+    for module in (linalg, relations):
+        monkeypatch.setattr(module, "int_det", sized)
+    monkeypatch.setattr(ExactMatrix, "det", field_det)
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
     blocks = [tracked_block(7, 3)]
-    assert eliminations == [12]
+    assert eliminations == [12] and sorted(dets) == [3, 6]
     blocks.append(build_relation_set(7, 3).block)
     assert blocks[1] is rel.block
     eliminations.clear()
@@ -350,6 +357,38 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
         assert ok
         assert trace["rank"] == 12
     assert eliminations == [] and dets and max(dets) <= 6
+    assert field_dets == []
+
+
+@pytest.mark.parametrize("d", range(5, 17))
+def test_integer_checkpoints_match_the_fraction_ones(d):
+    # det1, det2, the Mon1 minor, R1..R3, the M blocks and the pencil of
+    # verify, each from integers divided once, against the same values
+    # computed from the block's rows as Rats: minors by ExactMatrix.det,
+    # R1..R3 by rref over QQ and the pencil by cubic_det of the Rat blocks
+    from tautrel import cli
+    from tautrel.obstruction import cubic_det
+    from tautrel.symbolic import mn_blocks
+
+    index = {m: j for j, m in enumerate(tracked_monos(d))}
+
+    def minor(rows, monos):
+        return ExactMatrix(QQ, [[row[index[m]] for m in monos] for row in rows]).det()
+
+    for chi in range(1, d):
+        if math.gcd(d, chi) != 1:
+            continue
+        blk = tracked_block(d, chi)
+        rows = rat_rows(blk.rows, blk.scales)
+        assert blk.det1 == minor(rows[0:6:2], mon1(d)[0::2]), (d, chi)
+        assert blk.det2 == minor(rows[6:12], mon2(d)), (d, chi)
+        assert verify_rank12(blk)[1]["mon1_minor_det"] == minor(rows[0:6], mon1(d)), (d, chi)
+        R = ExactMatrix(QQ, rows).rref()[0].data[9:12]
+        assert rat_rows(blk.R, blk.R_dens) == R, (d, chi)
+        M = mn_blocks(R, QQ)[0]
+        assert matrices_M(blk) == M, (d, chi)
+        got, want = cli._pencil(blk), cubic_det(M)
+        assert list(got.items()) == list(want.items()), (d, chi)
 
 
 def test_build_makes_its_block_once(monkeypatch):
@@ -367,9 +406,9 @@ def test_build_makes_its_block_once(monkeypatch):
         shapes.append((len(rows), len(rows[0])))
         return int_gauss_jordan(rows)
 
-    def counted_dets(rows, d):
+    def counted_dets(rows, scales, d):
         dets.append(d)
-        return real_dets(rows, d)
+        return real_dets(rows, scales, d)
 
     def no_elimination(self, *args, **kwargs):
         raise AssertionError("the build eliminated over the field")
@@ -500,7 +539,8 @@ def test_twelve_entries_match_the_products(d, chi):
     for monos in (tracked_monos(d), mon1(d), mon2(d), every):
         got = entries(*expansion(d, chi), monos)
         assert got == [[p.coeff(m) for m in monos] for p in rows]
-    assert list(map(list, rel.block.rows)) == entries(*expansion(d, chi), tracked_monos(d))
+    assert (rat_rows(rel.block.rows, rel.block.scales)
+            == entries(*expansion(d, chi), tracked_monos(d)))
 
 
 def test_verify_rank12_forms_no_products(monkeypatch):
@@ -654,7 +694,7 @@ def test_cached_relation_set_is_immutable(monkeypatch):
     with pytest.raises(dataclasses.FrozenInstanceError):
         rel.R_rows = ({}, {}, {})
     with pytest.raises(TypeError):
-        rel.block.rows[0][0] = Rat(0)
+        rel.block.rows[0][0] = 0
     # a read-only mapping refuses item assignment and deletion: by
     # TypeError, or IndexError for an int key too large for an index
     with pytest.raises((TypeError, IndexError)):
@@ -692,13 +732,15 @@ def block_differences(d: int, chi: int) -> list:
     the 27 columns, or has pivots other than columns 0..11."""
     rel = build_relation_set(d, chi)
     blk, own = tracked_block(d, chi), rel.block
-    out = [f"row {i}" for i, (got, want) in enumerate(zip(blk.rows, own.rows)) if got != want]
+    rows = [rat_rows(b.rows, b.scales) for b in (blk, own)]
+    out = [f"row {i}" for i, (got, want) in enumerate(zip(*rows)) if got != want]
     out += [name for name in ("det1", "det2") if getattr(blk, name) != getattr(own, name)]
     out += [name for name, b in (("pivots", blk), ("build pivots", own))
             if b.pivots != tuple(range(12))]
     R = entries(rel.packing, rel.R_rows, rel.R_pivots, tracked_monos(d))
     for name, b in (("R", blk), ("build R", own)):
-        out += [f"{name}{i + 1}" for i, (got, want) in enumerate(zip(b.R, R)) if list(got) != want]
+        out += [f"{name}{i + 1}" for i, (got, want) in enumerate(zip(rat_rows(b.R, b.R_dens), R))
+                if got != want]
     if blk.leading_monos() != [rel.packing.unpack(max(row), d) for row in rel.R_rows]:
         out.append("leading monomials")
     return out

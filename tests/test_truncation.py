@@ -45,10 +45,11 @@ def test_checkpoint_reference_M_range():
 
 def test_checkpoint_detects_mutation():
     blk = build_relation_set(5, 1).block
-    # M1[0][1], the coefficient of c4(0)*c2(1) in R1, moved by 1
+    # M1[0][1], the coefficient of c4(0)*c2(1) in R1, moved by 1: R1 is
+    # integers over R_dens[0]
     j = tracked_monos(5).index(((4, 0), (2, 1)))
     R1 = list(blk.R[0])
-    R1[j] += 1
+    R1[j] += blk.R_dens[0]
     broken = dataclasses.replace(blk, R=(tuple(R1),) + blk.R[1:])
     with pytest.raises(CheckpointMismatch):
         checkpoint_reference_M(broken)
@@ -67,7 +68,7 @@ def test_dets_nonzero_and_values():
 def test_matrices_N_zero_poly():
     # zero relations read as zero blocks
     blk = build_relation_set(5, 1).block
-    broken = dataclasses.replace(blk, R=((Rat(0),) * 27,) * 3)
+    broken = dataclasses.replace(blk, R=((0,) * 27,) * 3)
     for m in matrices_N(broken):
         assert all(m[i, j] == 0 for i in range(3) for j in range(3))
 
@@ -89,3 +90,24 @@ def test_templates_match_symbolically():
         for s in range(3):
             for t in range(3):
                 assert M[i][s, t] == T[i][s, t]
+
+
+def test_templates_at_a_point_match_the_symbolic_ones():
+    # one code path for both: at every coprime point of d = 5..40 the
+    # templates made from ints, one division per entry, are Rats equal to
+    # the templates over QQ(d, chi1) evaluated there
+    from tautrel.symbolic import SYM_FIELD
+
+    T = reference_M_templates(SYM_FIELD.gen("d"), SYM_FIELD.gen("chi1"), SYM_FIELD)
+    for d in range(5, 41):
+        for chi in range(1, d):
+            if math.gcd(d, chi) != 1:
+                continue
+            at = {"d": d, "chi1": chi}
+            got = reference_M_templates(d, chi)
+            for i in range(3):
+                for s in range(3):
+                    for t in range(3):
+                        x = got[i][s, t]
+                        assert type(x) is type(Rat(0)), (d, chi, i, s, t)
+                        assert x == T[i][s, t].eval(at), (d, chi, i, s, t)
