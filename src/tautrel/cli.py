@@ -10,11 +10,13 @@
 emit reads --chi2 for verdicts only, where --chi and --chi2 name one
 pair and neither gives all of d's pairs.
 
-verify and emit --what matrices read the twelve degree-d relations at
-the 27 tracked monomials from relations.tracked_block, and decide and
-sweep read their blocks from symbolic.symbolic_matrices_at: both
-evaluate one closed form of exp(L) at the point (symbolic), at about
-the same cost for every d, and build no full relation set.  The full
+verify, emit --what matrices, decide and sweep read the twelve
+degree-d relations at the 27 tracked monomials from one
+relations.tracked_block per point (decide and sweep through
+obstruction.side_at): the closed form of exp(L) (symbolic) evaluated
+and eliminated at the point, at about the same cost for every d,
+without building a full relation set.  verify and side_at take the
+block's pencil cubic from one function, obstruction.pencil.  The full
 expansion by the recurrence, build_relation_set, serves emit --what
 relations and verify --mode symbolic, which checks the symbolic blocks
 against it.
@@ -40,10 +42,10 @@ from .obstruction import (
     congruent,
     coprime_chis,
     coprime_pairs,
-    cubic_det,
     decide,
+    pencil,
 )
-from .rat import QQ, ZZ, Rat
+from .rat import QQ, Rat
 from .relations import (
     build_relation_set,
     det1_formula,
@@ -53,7 +55,7 @@ from .relations import (
     verify_rank12,
 )
 from .report import Report
-from .symbolic import M_COLS, SYM_FIELD, read_blocks, symbolic_MN
+from .symbolic import SYM_FIELD, symbolic_MN
 from .truncation import (
     CheckpointMismatch,
     checkpoint_reference_M,
@@ -86,7 +88,7 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
     leads = block.leading_monos()
     expected = mon2(d)[3:]
     report.add("echelon_leading_terms", leads == expected, expected, leads, loc)
-    cubic = _pencil(block)
+    cubic = pencil(block)
     try:
         node = analyze_node(cubic, QQ)
         coeff = node["coefficient"]
@@ -98,16 +100,6 @@ def _verify_pair(report: Report, d: int, chi: int) -> None:
     for i, key in enumerate(((3, 0, 0), (0, 3, 0))):
         det = cubic.get(key, QQ.zero)
         report.add(f"detM{i + 1}_nonzero", det != 0, "nonzero", det, loc)
-
-
-def _pencil(block) -> dict:
-    """The coefficients of det(x1 M_1 + x2 M_2 + x3 M_3) for the M_i of
-    block: cubic_det of the integer numerators of R1..R3's M blocks, the
-    coefficient of x1^u x2^v x3^w divided once by p1^u p2^v p3^w, p_i
-    the pivot entry R_i is over."""
-    p1, p2, p3 = block.R_dens
-    return {(u, v, w): Rat(c, p1**u * p2**v * p3**w)
-            for (u, v, w), c in cubic_det(read_blocks(block.R, M_COLS, ZZ)).items()}
 
 
 def _verify_triple(report: Report, d: int, chi1: int, chi2: int) -> None:

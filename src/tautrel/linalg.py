@@ -4,9 +4,9 @@ All elimination except the determinant's runs through one row-by-row
 Gauss-Jordan loop, ExactMatrix.gauss_jordan, over any field, and its
 fraction-free twin over the integers, int_gauss_jordan.  It
 eliminates the twelve relations at the 27 tracked monomials, scaled to
-integers, once per block, in symbolic.point_echelon: for the pivots
+integers, once per block, in relations.point_echelon: for the pivots
 and R1..R3 of every relations.TrackedBlock, whose pivots give
-verify_rank12 its rank, and for the blocks of symbolic_matrices_at.
+verify_rank12 its rank and whose blocks every side of decide reads.
 In relations.build_relation_set it eliminates the block's columns
 0..11, the numerators of the full rows at their twelve leading
 monomials, beside an identity, whose part records the integer
@@ -28,7 +28,7 @@ form.  Rows are updated only where the row they subtract is nonzero, so
 zero entries cost no arithmetic; entries are tested for zero by their
 truth value.  Division is exact, so every result is deterministic.  det
 runs its own forward elimination, and int_det is its fraction-free twin
-over the integers (Bareiss 1968): it takes the minors of the point path's
+over the integers (Bareiss 1968): it takes the minors of a block's
 integer rows, det1, det2 and the Mon1 minor of relations.TrackedBlock,
 each divided once by the product of its rows' scales.
 """

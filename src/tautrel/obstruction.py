@@ -13,13 +13,13 @@ candidate is checked against the whole identity.  Each candidate
 carries its extended system over its extension, built once: the
 chi-side blocks M_i and N_i lifted there, P_i = sum_j s_ij M'_j and
 Q_i = sum_j s_ij N'_j.  Each side's pencil cubic does not depend on the
-extension: it is computed over the field of the blocks (side), once per
-(d, chi) and process (side_at) for every caller at a point.  One
-elimination of the 27x18 homogeneous system A^T M_i = P_i B^-1, with
-a33 normalized to 1, gives the (A, B) solution or, when there is none,
-the a33 certificate; finally A^T M_i U + A^T N_i V = Q_i decides
-solvability.  Witnesses and inconsistency certificates are re-verified
-by direct substitution.
+extension: at a point it is made once per (d, chi) and process
+(side_at), with the blocks, from the one relations.tracked_block there
+(pencil).  One elimination of the 27x18 homogeneous system
+A^T M_i = P_i B^-1, with a33 normalized to 1, gives the (A, B) solution
+or, when there is none, the a33 certificate; finally
+A^T M_i U + A^T N_i V = Q_i decides solvability.  Witnesses and
+inconsistency certificates are re-verified by direct substitution.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ from types import MappingProxyType
 
 from .cubicext import CubicField, factor_t3_minus_r
 from .linalg import ExactMatrix
-from .rat import Rat
-from .symbolic import symbolic_matrices_at
+from .rat import ZZ, Rat
+from .relations import TrackedBlock, tracked_block
+from .symbolic import M_COLS, read_blocks
+from .truncation import matrices_M, matrices_N
 
 
 class NotNodal(ArithmeticError):
@@ -74,6 +76,16 @@ def cubic_det(Ms: list) -> dict:
         prev = out.get(key)
         out[key] = v if prev is None else prev + v
     return {k: v for k, v in out.items() if v}
+
+
+def pencil(block: TrackedBlock) -> dict:
+    """cubic_det of the M_i of block, over QQ: cubic_det of the integer
+    numerators of R1..R3's M blocks, the coefficient of x1^u x2^v x3^w
+    divided once by p1^u p2^v p3^w, p_i the pivot entry R_i is over.
+    Its keys come in the order cubic_det of the M_i gives them."""
+    p1, p2, p3 = block.R_dens
+    return {(u, v, w): Rat(c, p1**u * p2**v * p3**w)
+            for (u, v, w), c in cubic_det(read_blocks(block.R, M_COLS, ZZ)).items()}
 
 
 def analyze_node(cubic: dict, field) -> dict:
@@ -128,13 +140,14 @@ _NODAL_TERMS = ((3, 0, 0), (0, 3, 0), (2, 1, 0), (1, 2, 0), (1, 1, 1))
 _Side = namedtuple("_Side", "M N cubic")
 
 
-def side(M: list, N: list) -> _Side:
-    """The side of the blocks (M, N).  Its cubic det(sum x_i M_i) is
-    nodal at [0:0:1] (analyze_node) with nonzero x1^3 and x2^3
-    coefficients: since dC/dx3 = c111*x1*x2, those make [0:0:1] its only
-    singular point.  The blocks are kept as tuples and the cubic as a
-    read-only mapping, so no reader can change a side."""
-    cubic = cubic_det(M)
+def side(M: list, N: list, cubic: dict) -> _Side:
+    """The side of the blocks (M, N) and their pencil cubic
+    det(sum x_i M_i), which the caller gives: pencil(block) at a point,
+    cubic_det(M) over any other field.  The cubic must be nodal at
+    [0:0:1] (analyze_node) with nonzero x1^3 and x2^3 coefficients:
+    since dC/dx3 = c111*x1*x2, those make [0:0:1] its only singular
+    point.  The blocks are kept as tuples and the cubic as a read-only
+    mapping, so no reader can change a side."""
     analyze_node(cubic, M[0].field)
     if (3, 0, 0) not in cubic or (0, 3, 0) not in cubic:
         raise NoCandidate("x1^3 or x2^3 coefficient vanishes: the node "
@@ -146,9 +159,17 @@ def side(M: list, N: list) -> _Side:
 def side_at(d: int, chi: int) -> _Side:
     """The side at a point (d, chi) over QQ, made once per process: a
     sweep at d uses each side in phi(d) pairs, and none of its objects
-    depends on the other side.  No part of a _Side can be changed (side),
-    so the cache gives every caller the same answer."""
-    return side(*symbolic_matrices_at(d, chi))
+    depends on the other side.  Blocks and cubic are read from the one
+    relations.tracked_block(d, chi), which refuses any point but d >= 5
+    and a coprime 0 < chi < d, its pivots checked on columns 0..11
+    (symbolic's docstring shows they always are).  No part of a _Side
+    can be changed (side), so the cache gives every caller the same
+    answer."""
+    block = tracked_block(d, chi)
+    if block.pivots != tuple(range(12)):
+        raise AssertionError(f"unexpected echelon pivots at (d, chi) = ({d}, {chi}): "
+                             f"{block.pivots}")
+    return side(matrices_M(block), matrices_N(block), pencil(block))
 
 
 def _cube(value, coeff, unknown: str):
@@ -502,12 +523,12 @@ def _matrix_json(mat: ExactMatrix) -> list:
 def decide(d: int, chi1: int, chi2: int) -> Verdict:
     """Decide whether the truncated relation systems at (d, chi1) and
     (d, chi2) admit a full change-of-relations witness (S, A, B, U, V).
-    The blocks M, N of each side are symbolic_matrices_at(d, chi mod d):
-    one integer elimination of the truncated matrix at the point, equal
-    to the symbolic blocks evaluated there.  Neither the relation
-    expansion nor the elimination over QQ(d, chi1) is run.  Each side,
-    with its pencil cubic, comes from side_at, which makes it once per
-    process."""
+    Each side, its blocks M, N and its pencil cubic, comes from
+    side_at(d, chi mod d), which makes it once per process from
+    relations.tracked_block: one integer elimination of the closed form
+    at the point, whose blocks equal the symbolic blocks evaluated there.
+    Neither the relation expansion nor the elimination over QQ(d, chi1)
+    is run."""
     _require_positive(d)
     if math.gcd(d, chi1) != 1 or math.gcd(d, chi2) != 1:
         raise NotCoprime(f"chi1={chi1}, chi2={chi2} must be coprime to d={d}")

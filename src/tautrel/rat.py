@@ -3,15 +3,14 @@
 Rat is gmpy2's mpq when available and fractions.Fraction otherwise.
 Both keep values reduced with a positive denominator, so the canonical
 text form "p/q" (q omitted when 1) is just str().  The relation
-expansions and the point path run on Python ints (a
-relations.TrackedBlock keeps integer rows over their scales, its minors
-are linalg.int_det divided once); Rat carries the coefficients of
-tautalg.factor_table, the values verify reports or compares (the
-minors, the M blocks, the pencil's coefficients, the reference
-templates), the point blocks of symbolic_matrices_at, the linear
-algebra over QQ (S among it), the coefficients CubicExt reads out and
-the values of RatFunc.eval, P1's at the constraint's sign checks among
-them.
+expansions run on Python ints (a relations.TrackedBlock keeps integer
+rows over their scales, its minors are linalg.int_det divided once);
+Rat carries the coefficients of tautalg.factor_table, the values a
+block is read into (the minors, the M and N blocks, the pencil's
+coefficients), which verify reports and decide's sides hold, the
+reference templates, the linear algebra over QQ (S among it), the
+coefficients CubicExt reads out and the values of RatFunc.eval, P1's at
+the constraint's sign checks among them.
 """
 
 from __future__ import annotations

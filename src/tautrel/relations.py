@@ -5,7 +5,7 @@ Every consumer reads the twelve degree-d relations at (d, chi) as one
 of tautalg's layout.  One constructor, _block, makes every block from
 its twelve integer rows over their scales, by one elimination: its
 pivots, and R1..R3 at the 27 columns as rows 9-11 of the rows' reduced
-row echelon form (symbolic.point_echelon), integer rows over their pivot
+row echelon form (point_echelon), integer rows over their pivot
 entries, and det1 and det2, the minors of the rows (_dets), each one
 linalg.int_det of the integer rows divided once by the product of their
 scales.  The block keeps its rows as ints: a value becomes a Rat only
@@ -13,8 +13,8 @@ where it is read.  Two functions give it the rows:
 
 - tracked_block(d, chi) evaluates the closed form of exp(L) at the
   tracked columns, derived once in symbolic's docstring, at the point,
-  in about the same time at every d.  verify and emit --what matrices
-  read it.
+  in about the same time at every d.  verify, emit --what matrices and
+  each side of decide (obstruction.side_at) read it.
 - build_relation_set(d, chi) expands every relation in full by the
   recurrence below, which does not use the closed form.  It serves
   emit --what relations, which prints whole rows, and verify --mode
@@ -148,11 +148,12 @@ from types import MappingProxyType
 from .linalg import int_det, int_gauss_jordan
 from .mpoly import signed_term
 from .rat import ZZ, Rat
-from .symbolic import point_echelon, tracked_rows_at
+from .symbolic import tracked_rows_at
 from .tautalg import (
     DEG1,
     DEG2,
     LARGE,
+    TRACKED,
     DegreeMismatch,
     factor_table,
     gen_degree,
@@ -423,10 +424,23 @@ def _dets(rows, scales, d: int) -> tuple:
             _minor(rows[6:12], scales[6:12], d, mon2(d)))
 
 
+def point_echelon(ints) -> tuple:
+    """(pivots, R, dens) of integer rows at the 27 tracked columns: the
+    pivot columns of their reduced row echelon form over QQ, and its rows
+    9-11 as primitive integer rows R over their pivot entries dens (a
+    zero row over 1 past the rank), from one int_gauss_jordan."""
+    found = int_gauss_jordan(ints)
+    R = tuple(tuple(row) for _, row in found[9:12])
+    dens = tuple(row[col] for col, row in found[9:12])
+    pad = 3 - len(R)
+    return (tuple(col for col, _ in found), R + ((0,) * len(TRACKED),) * pad,
+            dens + (1,) * pad)
+
+
 def _block(d: int, chi: int, ints, scales) -> TrackedBlock:
     """The block of the twelve integer rows ints at the 27 tracked
     monomials of d, row i over scales[i]: its pivots and R1..R3 from one
-    elimination of ints (symbolic.point_echelon), det1 and det2 the
+    elimination of ints (point_echelon), det1 and det2 the
     minors of its rows (_dets)."""
     rows, scales = tuple(map(tuple, ints)), tuple(scales)
     return TrackedBlock(d, chi, rows, scales, *point_echelon(rows), *_dets(rows, scales, d))

@@ -37,16 +37,16 @@ tracked monomials in the plain basis (relations.tracked_block).  The
 parity is the same for every entry, so it cancels in the echelon form
 and the blocks read from it.
 
-What checks the derivation.  relations.tracked_block, which verify and
-emit --what matrices read, and the point path, which decide reads, both
-evaluate this one matrix, and symbolic_MN eliminates it over QQ(d,
-chi1), its denominators kept as powers of linear forms (below).  verify
---mode symbolic compares symbolic_MN at a point with the blocks of
-relations.build_relation_set, the full expansion by the recurrence,
-which does not use this closed form.  In tier-1, the blocks at every
-coprime point of d = 5..16 are compared with the recurrence, and every
-entry of the matrix with the partition truncation over RatFuncs
-(tests/symbolic_oracle.py), each by ==.
+What checks the derivation.  relations.tracked_block, which verify,
+emit --what matrices and each side of decide (obstruction.side_at)
+read, evaluates this one matrix at a point, and symbolic_MN eliminates
+it over QQ(d, chi1), its denominators kept as powers of linear forms
+(below).  verify --mode symbolic compares symbolic_MN at a point with
+the blocks of relations.build_relation_set, the full expansion by the
+recurrence, which does not use this closed form.  In tier-1, the blocks
+at every coprime point of d = 5..16 are compared with the recurrence,
+and every entry of the matrix with the partition truncation over
+RatFuncs (tests/symbolic_oracle.py), each by ==.
 
 Laurent polynomials.  Every coefficient has a denominator that is a
 power of d times an integer: the factor coefficients ha/d, c1 =
@@ -62,8 +62,9 @@ over one positive integer den, the lcm of the entries' denominators,
 their column and Rc signs folded into the coefficients, and the row's
 k = max(0, -min e_d).  symbolic_MN writes each entry as an element
 of ELIM_FIELD, (d^k lau) / (den d^k) with k its own max(0, -min e_d)
-(below).  The point path evaluates the same rows at (d, chi) over the
-integers, each times den d^k, nonzero at d >= 5 (tracked_rows_at).
+(below).  relations.tracked_block evaluates the same rows at (d, chi)
+over the integers, each times den d^k, nonzero at d >= 5
+(tracked_rows_at).
 
 The elimination over QQ(d, chi1).  symbolic_MN runs the one elimination
 loop, ExactMatrix.rref, on the 12x27 matrix A over ELIM_FIELD
@@ -74,7 +75,7 @@ Sums and products add, or take the larger of, the exponent vectors and
 the integer parts, and cancel by exact division by a form only where
 num vanishes on its line: no polynomial gcd is taken, where the
 elimination in RatFunc arithmetic spent most of its time in GCDHEU.
-Rows 9..11 are turned into canonical RatFuncs once, for mn_blocks.
+Rows 9..11 are turned into canonical RatFuncs once, for read_blocks.
 Where the forms come from: rows are visited top to bottom and the k-th
 row pivots on column k-1 (checked below), so after k rows the pivot
 rows are P_k^-1 times those rows, P_k the leading k x k block of the
@@ -105,21 +106,23 @@ d = 2.  The entries of A have denominators 2^a d^k, nonzero there too.
 This closed form is why two things hold at every such point, not only
 at the sampled ones:
 
-- the point path's pivot check never fails.  Its rows are those of
-  A(d, chi) times nonzero integers, and P(d, chi) is invertible, so the
-  echelon form of A(d, chi) has its pivots on columns 0..11 and equals
+- obstruction.side_at's pivot check never fails.  The rows of
+  relations.tracked_block are those of A(d, chi) times nonzero
+  integers, and P(d, chi) is invertible, so the echelon form of
+  A(d, chi) has its pivots on columns 0..11 and equals
   P(d, chi)^-1 A(d, chi);
-- the point path and symbolic_MN evaluated at (d, chi) agree.  Each
-  entry of P^-1 A = adj(P) A / det P has a reduced denominator dividing
-  det P times some 2^a d^k, so it is defined at (d, chi), and its value
-  there is the entry of P(d, chi)^-1 A(d, chi).
+- the blocks of relations.tracked_block and symbolic_MN evaluated at
+  (d, chi) agree.  Each entry of P^-1 A = adj(P) A / det P has a
+  reduced denominator dividing det P times some 2^a d^k, so it is
+  defined at (d, chi), and its value there is the entry of
+  P(d, chi)^-1 A(d, chi).
 
-The point elimination itself (point_echelon: int_gauss_jordan, whose
-rows 9..11 are kept as integers over their pivot entries) is exact
-integer arithmetic; every relations.TrackedBlock is made by it too.  The
-blocks M_i and N_i of any R1..R3, over QQ(d, chi1) or at a point, are
-read by one reader, read_blocks (both kinds: mn_blocks), as rows of
-tuples that no caller of the cached ones can change; at a point it
+The point elimination itself (relations.point_echelon:
+int_gauss_jordan, whose rows 9..11 are kept as integers over their pivot
+entries) is exact integer arithmetic; it makes every
+relations.TrackedBlock.  The blocks M_i and N_i of any R1..R3, over
+QQ(d, chi1) or at a point, are read by one reader, read_blocks, as rows
+of tuples that no caller of the cached ones can change; at a point it
 divides each entry it reads by its row's pivot entry, once.
 """
 
@@ -128,8 +131,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .linalg import ExactMatrix, int_gauss_jordan
-from .rat import QQ, Rat
+from .linalg import ExactMatrix
+from .rat import Rat
 from .ratfunc import FormField, FracField
 from .tautalg import DEG1, DEG2, LARGE, SQUARES, TRACKED, factor_table
 
@@ -320,7 +323,7 @@ def _laurent_rows() -> tuple:
     return tuple(ra + rb + rc)
 
 
-# held for the life of the process: the point path and symbolic_MN read it
+# held for the life of the process: tracked_rows_at and symbolic_MN read it
 _laurent_matrix = lru_cache(maxsize=1)(_laurent_rows)
 
 
@@ -350,11 +353,6 @@ def read_blocks(R, cols, field, dens=None) -> tuple:
                  for row, den in zip(R, dens))
 
 
-def mn_blocks(R, field, dens=None) -> tuple:
-    """(M_1..M_3, N_1..N_3) of R1..R3 over field (read_blocks)."""
-    return read_blocks(R, M_COLS, field, dens), read_blocks(R, N_COLS, field, dens)
-
-
 @lru_cache(maxsize=1)
 def symbolic_MN() -> tuple:
     """(M_1..M_3, N_1..N_3) as 3x3 matrices of rational functions in
@@ -365,7 +363,8 @@ def symbolic_MN() -> tuple:
     R, pivots = ExactMatrix._of(ELIM_FIELD, A).rref()
     if pivots != list(range(12)):
         raise AssertionError(f"unexpected symbolic echelon pivots: {pivots}")
-    return mn_blocks([[x.to_ratfunc() for x in row] for row in R.data[9:12]], SYM_FIELD)
+    R = [[x.to_ratfunc() for x in row] for row in R.data[9:12]]
+    return read_blocks(R, M_COLS, SYM_FIELD), read_blocks(R, N_COLS, SYM_FIELD)
 
 
 def tracked_rows_at(d: int, chi: int) -> tuple:
@@ -388,34 +387,3 @@ def tracked_rows_at(d: int, chi: int) -> tuple:
         rows.append(out)
         scales.append(den * dp[k])
     return rows, scales
-
-
-def point_echelon(ints) -> tuple:
-    """(pivots, R, dens) of integer rows at the 27 tracked columns: the
-    pivot columns of their reduced row echelon form over QQ, and its rows
-    9-11 as primitive integer rows R over their pivot entries dens (a
-    zero row over 1 past the rank), from one int_gauss_jordan.
-    relations._block and symbolic_matrices_at eliminate by it."""
-    found = int_gauss_jordan(ints)
-    R = tuple(tuple(row) for _, row in found[9:12])
-    dens = tuple(row[col] for col, row in found[9:12])
-    pad = 3 - len(R)
-    return (tuple(col for col, _ in found), R + ((0,) * len(TRACKED),) * pad,
-            dens + (1,) * pad)
-
-
-def symbolic_matrices_at(d: int, chi: int) -> tuple:
-    """The blocks (M, N) at d >= 5 and a coprime 0 < chi < d, over the
-    rationals; other points, chi = None among them, raise ValueError.
-
-    They come from one elimination over the integers at the point: the
-    rows of tracked_rows_at, eliminated by point_echelon, with the
-    pivots checked to lie on columns 0..11.  They equal symbolic_MN
-    evaluated at (d, chi) and the blocks of the relation set built at
-    (d, chi): see the module docstring."""
-    if not isinstance(chi, int) or d < 5 or math.gcd(d, chi) != 1 or not 0 < chi < d:
-        raise ValueError(f"d >= 5 and a coprime 0 < chi < d required (d={d}, chi={chi})")
-    pivots, R, dens = point_echelon(tracked_rows_at(d, chi)[0])
-    if pivots != tuple(range(12)):
-        raise AssertionError(f"unexpected echelon pivots at (d, chi) = ({d}, {chi}): {pivots}")
-    return mn_blocks(R, QQ, dens)

@@ -8,12 +8,13 @@ tautalg: rows LARGE[2] at d, columns DEG2 and SQUARES.  Both blocks are
 read from R1, R2, R3 of a relations.TrackedBlock, rows 9-11 of the
 echelon form of the twelve relations at the 27 tracked monomials, by
 symbolic.read_blocks, the one reader of the blocks, which symbolic_MN
-and the point path use too (through symbolic.mn_blocks): the entry at
-(left, right) is R_i's coefficient of the product monomial, the block's
-integer numerator divided once by R_i's pivot entry.  Every consumer
-here reads a block, whichever path gave its rows; each block is made by one elimination
+and obstruction.pencil use too: the entry at (left, right) is R_i's
+coefficient of the product monomial, the block's integer numerator
+divided once by R_i's pivot entry.  Every consumer here reads a block,
+whichever path gave its rows; each block is made by one elimination
 (relations._block): relations.tracked_block (the closed form, which
-verify and emit --what matrices read) or the block a RelationSet keeps,
+verify, emit --what matrices and each side of decide, through
+obstruction.side_at, read) or the block a RelationSet keeps,
 RelationSet.block (the full expansion's, made once by the build, which
 verify --mode symbolic and the tests read).  The M_i
 have known closed forms which are kept here as templates, one code path

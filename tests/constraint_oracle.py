@@ -23,7 +23,7 @@ from functools import lru_cache
 from mpoly_oracle import ExactDivisionError, MPoly, gcd, mpoly
 from tautrel.constraint import BI_FIELD, EliminationFailure, _column0_elimination
 from tautrel.linalg import ExactMatrix
-from tautrel.obstruction import side, solve_AB, solve_S
+from tautrel.obstruction import cubic_det, side, solve_AB, solve_S
 from tautrel.rat import QQ, Rat
 from tautrel.ratfunc import FracField, RatFunc
 from tautrel.symbolic import SYM_FIELD, symbolic_MN
@@ -52,11 +52,17 @@ def lifted(mats: list, field: FracField, rename: bool) -> list:
                                  for x in row] for row in m.data]) for m in mats]
 
 
+def field_side(M: list, N: list):
+    """The side of the blocks (M, N) over any field, its cubic
+    cubic_det(M)."""
+    return side(M, N, cubic_det(M))
+
+
 def generic_sides(blocks: tuple, field: FracField) -> tuple:
     """The chi side of the blocks (M, N), and the chi' side: the same
     blocks with chi1 renamed to chi2, both over field."""
-    return (side(*(lifted(mats, field, False) for mats in blocks)),
-            side(*(lifted(mats, field, True) for mats in blocks)))
+    return (field_side(*(lifted(mats, field, False) for mats in blocks)),
+            field_side(*(lifted(mats, field, True) for mats in blocks)))
 
 
 def type_II_coordinates(blocks: tuple, field: FracField) -> tuple:
@@ -128,7 +134,7 @@ def constraint_slice(d: int, b: int, *, _blocks: tuple = None) -> ConstraintSlic
     M, N = uni_blocks(d) if _blocks is None else _blocks
     Mp = [_evaluated(m, b) for m in M]
     Np = [_evaluated(n, b) for n in N]
-    cands = solve_S("II", side(M, N), side(Mp, Np))
+    cands = solve_S("II", field_side(M, N), field_side(Mp, Np))
     if len(cands) != 1:
         raise EliminationFailure(f"{len(cands)} slice candidates at chi'={b}")
     cand = cands[0]

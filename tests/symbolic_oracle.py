@@ -51,7 +51,7 @@ from functools import lru_cache
 from tautrel.linalg import ExactMatrix
 from tautrel.rat import Rat
 from tautrel.ratfunc import RatFunc, _to_dense
-from tautrel.symbolic import SYM_FIELD, _laurent_matrix, mn_blocks
+from tautrel.symbolic import M_COLS, N_COLS, SYM_FIELD, _laurent_matrix, read_blocks
 from tautrel.tautalg import LARGE, gen_key
 
 # the small part of a tracked monomial has degree at most SMALL_DEGREE,
@@ -309,4 +309,5 @@ def ratfunc_MN() -> tuple:
     in RatFunc arithmetic, its pivots checked on columns 0..11."""
     R, pivots = sym_matrix().rref()
     assert pivots == list(range(12)), pivots
-    return mn_blocks(R.data[9:12], SYM_FIELD)
+    R = R.data[9:12]
+    return read_blocks(R, M_COLS, SYM_FIELD), read_blocks(R, N_COLS, SYM_FIELD)

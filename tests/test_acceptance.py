@@ -135,8 +135,10 @@ def test_criterion_6_type_I_contradiction():
         for c1 in chis:
             for c2 in chis:
                 rel1, rel2 = build_relation_set(d, c1), build_relation_set(d, c2)
-                sides = [side(matrices_M(blk), matrices_N(blk))
-                         for blk in (rel1.block, rel2.block)]
+                sides = []
+                for blk in (rel1.block, rel2.block):
+                    M = matrices_M(blk)
+                    sides.append(side(M, matrices_N(blk), cubic_det(M)))
                 for cand in solve_S("I", *sides):
                     ab = solve_AB(cand)
                     ok = ok and ab.status == "no_invertible" and ab.kernel_dim == 0
@@ -176,20 +178,24 @@ def test_criterion_7_congruence_sweep():
 
 
 # the same digests for every coprime pair at d = 9..12, recorded before
-# solve_AB became one elimination of the 27x18 system
-DECIDE_DIGESTS_9_12 = os.path.join(os.path.dirname(__file__), "fixtures",
-                                   "decide_d9_12.sha256.json")
+# solve_AB became one elimination of the 27x18 system, and at d = 13..16,
+# recorded before each side was read from relations.tracked_block
+DECIDE_DIGESTS_9_16 = [(os.path.join(os.path.dirname(__file__), "fixtures", name), ds, n)
+                       for name, ds, n in (("decide_d9_12.sha256.json", range(9, 13), 96),
+                                           ("decide_d13_16.sha256.json", range(13, 17), 171))]
 
 
 def test_decide_matches_recorded_digests_d9_12():
-    with open(DECIDE_DIGESTS_9_12) as fh:
-        digests = json.load(fh)
-    got = {}
-    for d in range(9, 13):
-        for (c1, c2) in coprime_pairs(d):
-            body = json.dumps(decide(d, c1, c2).to_json(), sort_keys=True, separators=(",", ":"))
-            got[f"{d} {c1} {c2}"] = hashlib.sha256(body.encode()).hexdigest()
-    assert len(digests) == 96 and got == digests
+    for path, ds, n in DECIDE_DIGESTS_9_16:
+        with open(path) as fh:
+            digests = json.load(fh)
+        got = {}
+        for d in ds:
+            for (c1, c2) in coprime_pairs(d):
+                body = json.dumps(decide(d, c1, c2).to_json(), sort_keys=True,
+                                  separators=(",", ":"))
+                got[f"{d} {c1} {c2}"] = hashlib.sha256(body.encode()).hexdigest()
+        assert len(digests) == n and got == digests, path
 
 
 def test_criterion_8_P1_property_suite():

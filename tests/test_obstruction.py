@@ -28,15 +28,15 @@ from tautrel.obstruction import (
     _solve_uv_block,
 )
 from tautrel.rat import QQ, Rat
-from tautrel.symbolic import symbolic_MN, symbolic_matrices_at
+from tautrel.symbolic import symbolic_MN
 import ab_oracle
-from constraint_oracle import GEN_FIELD, generic_sides, lifted, uni_blocks
+from constraint_oracle import GEN_FIELD, field_side, generic_sides, lifted, uni_blocks
 from linalg_oracle import identity
 from mpoly_oracle import MPoly
 import pencil_oracle
 from pencil_oracle import S_VARS, _coeff_equations_table, _partial, _pencil_rhs_poly
 from uv_oracle import uv_oracle
-from tautrel.relations import build_relation_set
+from tautrel.relations import build_relation_set, tracked_block
 from tautrel.truncation import matrices_M, matrices_N
 
 
@@ -47,7 +47,7 @@ def blocks(d, chi):
 
 def block_side(d, chi):
     """The side of the blocks of the relation set at (d, chi)."""
-    return side(*blocks(d, chi))
+    return field_side(*blocks(d, chi))
 
 
 def leibniz_cubic(Ms, field):
@@ -148,8 +148,7 @@ def nested_split_equations(C, Cp, field):
 
 
 def test_coeff_equations_match_the_nested_split():
-    cases = [(symbolic_matrices_at(5, a)[0], symbolic_matrices_at(5, b)[0], QQ)
-             for a, b in coprime_pairs(5)]
+    cases = [(side_at(5, a).M, side_at(5, b).M, QQ) for a, b in coprime_pairs(5)]
     (M, _), (Mp, _) = generic_blocks(5)
     cases.append((M, Mp, BI_FIELD))
     for M, Mp, field in cases:
@@ -200,7 +199,7 @@ ZERO_PATTERNS = [
 
 
 def test_partial_matches_the_regrouped_eval():
-    cases = [(symbolic_matrices_at(d, a)[0], symbolic_matrices_at(d, b)[0], QQ)
+    cases = [(side_at(d, a).M, side_at(d, b).M, QQ)
              for d in range(5, 8) for a, b in coprime_pairs(d)]
     (M, _), (Mp, _) = generic_blocks(5)
     cases.append((M, Mp, BI_FIELD))
@@ -306,7 +305,7 @@ def test_solve_AB_matches_the_two_step_oracle():
     # separate a33 certificate gave, by ==, for every candidate at every
     # coprime pair of d = 5..12 and over Q(chi1, chi2) at d = 5 and 8
     cases = [(side_at(d, a), side_at(d, b)) for d in range(5, 13) for a, b in coprime_pairs(d)]
-    cases += [tuple(side(*pair) for pair in generic_blocks(d)) for d in (5, 8)]
+    cases += [tuple(field_side(*pair) for pair in generic_blocks(d)) for d in (5, 8)]
     statuses = []
     for s, s_p in cases:
         for stype in ("I", "II"):
@@ -418,11 +417,11 @@ def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
     # and forms P and Q once; solve_AB and solve_UV read them from the
     # candidate.  A cold cache per pair makes decide
     # evaluate each distinct side once: twice for (1, 2), once for (1, 1)
-    sides, lifted, combined = [], [], []
+    made, lifted, combined = [], [], []
 
     def recorded(d, chi):
-        sides.append(symbolic_matrices_at(d, chi))
-        return sides[-1]
+        made.append(chi)
+        return tracked_block(d, chi)
 
     class Counted(ExactMatrix):
         __slots__ = ()
@@ -435,22 +434,21 @@ def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
         combined.append(mats)
         return _s_combination(S, mats)
 
-    monkeypatch.setattr(obstruction, "symbolic_matrices_at", recorded)
+    monkeypatch.setattr(obstruction, "tracked_block", recorded)
     monkeypatch.setattr(obstruction, "ExactMatrix", Counted)
     monkeypatch.setattr(obstruction, "_s_combination", counted)
     for pair in [(1, 2), (1, 1), (1, 4), (2, 3)]:
         side_at.cache_clear()
-        sides.clear(), lifted.clear(), combined.clear()
+        made.clear(), lifted.clear(), combined.clear()
         v = decide(5, *pair)
         n = len(v.kernel_dims)
         # both the a33 certificate (kernel 0) and a solution that reached
         # solve_UV (kernel 1)
         assert v.agrees and {0, 1} <= set(v.kernel_dims.values())
-        if pair[0] == pair[1]:
-            (M, N), = sides
-            Mp, Np = M, N
-        else:
-            (M, N), (Mp, Np) = sides
+        assert made == list(dict.fromkeys(pair))
+        # the sides decide read, from the cache it filled
+        (M, N), (Mp, Np) = ((side_at(5, c).M, side_at(5, c).N) for c in pair)
+        if pair[0] != pair[1]:
             for m in Mp + Np:
                 assert not any(data is m.data for data in lifted)
         for m in M + N:
@@ -487,8 +485,8 @@ def test_cached_side_is_unchanged_by_decide(cold_sides):
         assert decide(d, a, b).agrees
         assert all(side_at(d, c) is s for c, s in zip((a, b), sides))
         assert [_side_snapshot(s) for s in sides] == before
-        # and equal to a side made afresh from the blocks
-        assert _side_snapshot(side(*symbolic_matrices_at(d, a))) == before[0]
+        # and equal to a side made afresh, past the cache
+        assert _side_snapshot(side_at.__wrapped__(d, a)) == before[0]
     with pytest.raises(AttributeError):
         sides[0].cubic = None
 
@@ -520,14 +518,13 @@ def _candidate_strs(cands):
 def test_solve_S_matches_the_equation_oracle():
     # the candidates read from the five coefficients are the ones the ten
     # coefficient equations give, entry by entry and in the same order
-    cases = [(symbolic_matrices_at(d, a), symbolic_matrices_at(d, b))
-             for d in range(5, 11) for a, b in coprime_pairs(d)]
-    cases += [generic_blocks(5), generic_blocks(8)]
+    cases = [(side_at(d, a), side_at(d, b)) for d in range(5, 11) for a, b in coprime_pairs(d)]
+    cases += [tuple(field_side(*pair) for pair in generic_blocks(d)) for d in (5, 8)]
     count = 0
-    for pair, pair_p in cases:
+    for s, s_p in cases:
         for stype in ("I", "II"):
-            got = solve_S(stype, side(*pair), side(*pair_p))
-            want = pencil_oracle.solve_S(stype, pair[0], pair_p[0])
+            got = solve_S(stype, s, s_p)
+            want = pencil_oracle.solve_S(stype, s.M, s_p.M)
             assert _candidate_strs(got) == _candidate_strs(want)
             count += len(got)
     assert len(cases) == 77 and count == 197
@@ -561,15 +558,13 @@ def test_solve_S_rejects_a_broken_pencil():
         solve_S("II", broken(s, bad), s_p)
 
 
-def test_pencil_requires_both_cube_coefficients(monkeypatch):
+def test_pencil_requires_both_cube_coefficients():
     # without x1^3 the cubic has a second singular point on the line
     # x2 = 0, and S^T need not fix [0:0:1]
     M, N = blocks(5, 1)
-    exact = obstruction.cubic_det
-    monkeypatch.setattr(obstruction, "cubic_det",
-                        lambda Ms: {k: v for k, v in exact(Ms).items() if k != (3, 0, 0)})
+    cubic = {k: v for k, v in cubic_det(M).items() if k != (3, 0, 0)}
     with pytest.raises(NoCandidate, match="x1\\^3 or x2\\^3 coefficient vanishes"):
-        side(M, N)
+        side(M, N, cubic)
 
 
 def _same_uv(got, want):

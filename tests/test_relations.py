@@ -340,7 +340,7 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
     def no_elimination(self, *args, **kwargs):
         raise AssertionError("verify_rank12 eliminated the 12xN matrix again")
 
-    for module in (linalg, relations, symbolic):
+    for module in (linalg, relations):
         monkeypatch.setattr(module, "int_gauss_jordan", counted)
     for module in (linalg, relations):
         monkeypatch.setattr(module, "int_det", sized)
@@ -362,13 +362,11 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
 
 @pytest.mark.parametrize("d", range(5, 17))
 def test_integer_checkpoints_match_the_fraction_ones(d):
-    # det1, det2, the Mon1 minor, R1..R3, the M blocks and the pencil of
-    # verify, each from integers divided once, against the same values
-    # computed from the block's rows as Rats: minors by ExactMatrix.det,
-    # R1..R3 by rref over QQ and the pencil by cubic_det of the Rat blocks
-    from tautrel import cli
-    from tautrel.obstruction import cubic_det
-    from tautrel.symbolic import mn_blocks
+    # det1, det2, the Mon1 minor, R1..R3 and the M blocks, each from
+    # integers divided once, against the same values computed from the
+    # block's rows as Rats: minors by ExactMatrix.det and R1..R3 by rref
+    # over QQ (the pencil: test_point_pencil_matches_cubic_det)
+    from tautrel.symbolic import M_COLS, read_blocks
 
     index = {m: j for j, m in enumerate(tracked_monos(d))}
 
@@ -385,10 +383,25 @@ def test_integer_checkpoints_match_the_fraction_ones(d):
         assert verify_rank12(blk)[1]["mon1_minor_det"] == minor(rows[0:6], mon1(d)), (d, chi)
         R = ExactMatrix(QQ, rows).rref()[0].data[9:12]
         assert rat_rows(blk.R, blk.R_dens) == R, (d, chi)
-        M = mn_blocks(R, QQ)[0]
-        assert matrices_M(blk) == M, (d, chi)
-        got, want = cli._pencil(blk), cubic_det(M)
-        assert list(got.items()) == list(want.items()), (d, chi)
+        assert matrices_M(blk) == read_blocks(R, M_COLS, QQ), (d, chi)
+
+
+def test_point_pencil_matches_cubic_det():
+    # the pencil verify and every side at a point read, cubic_det of the
+    # integer numerators divided once, against cubic_det of the Rat
+    # blocks, values and key order, at every coprime point of d = 5..40
+    from tautrel.obstruction import cubic_det, pencil
+
+    points = 0
+    for d in range(5, 41):
+        for chi in range(1, d):
+            if math.gcd(d, chi) != 1:
+                continue
+            blk = tracked_block(d, chi)
+            got, want = pencil(blk), cubic_det(matrices_M(blk))
+            assert list(got.items()) == list(want.items()), (d, chi)
+            points += 1
+    assert points == 484
 
 
 def test_build_makes_its_block_once(monkeypatch):
@@ -413,7 +426,7 @@ def test_build_makes_its_block_once(monkeypatch):
     def no_elimination(self, *args, **kwargs):
         raise AssertionError("the build eliminated over the field")
 
-    for module in (linalg, relations, symbolic):
+    for module in (linalg, relations):
         monkeypatch.setattr(module, "int_gauss_jordan", counted)
     monkeypatch.setattr(relations, "_dets", counted_dets)
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)

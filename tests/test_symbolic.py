@@ -12,12 +12,12 @@ import symbolic_oracle
 from mpoly_oracle import mpoly
 from tautrel import symbolic
 from tautrel.linalg import ExactMatrix
-from tautrel.obstruction import coprime_pairs, decide
+from tautrel.obstruction import coprime_pairs, decide, side_at
 from tautrel.rat import QQ, Rat
 from tautrel.ratfunc import FormField, RatFunc
 from tautrel.tautalg import TRACKED
 from tautrel.relations import build_relation_set, tracked_block
-from tautrel.symbolic import SYM_FIELD, symbolic_MN, symbolic_matrices_at
+from tautrel.symbolic import SYM_FIELD, symbolic_MN
 from tautrel.truncation import matrices_M, matrices_N
 
 
@@ -63,7 +63,7 @@ def test_symbolic_blocks_specialize_to_concrete():
         rel = build_relation_set(d, chi)
         blk = rel.block
         Mc, Nc = matrices_M(blk), matrices_N(blk)
-        Me, Ne = symbolic_matrices_at(d, chi)
+        Me, Ne, _ = side_at(d, chi)
         for i in range(3):
             for s in range(3):
                 for t in range(3):
@@ -78,8 +78,8 @@ def _entries(blocks) -> list:
 
 
 def test_point_blocks_equal_symbolic_MN_at_the_point():
-    # the integer elimination at the point against the symbolic
-    # elimination evaluated there, the oracle
+    # the blocks of decide's sides, from the integer elimination at the
+    # point, against the symbolic elimination evaluated there, the oracle
     M, N = symbolic_MN()
     for d in list(range(5, 17)) + [20, 30, 101]:
         for chi in range(1, d):
@@ -88,7 +88,7 @@ def test_point_blocks_equal_symbolic_MN_at_the_point():
             at = {"d": d, "chi1": chi}
             want = tuple(tuple(ExactMatrix(QQ, [[x.eval(at) for x in row] for row in m.data])
                                for m in mats) for mats in (M, N))
-            got = symbolic_matrices_at(d, chi)
+            got = tuple(side_at(d, chi)[:2])
             assert got == want, (d, chi)
             assert [str(x) for x in _entries(got)] == [str(x) for x in _entries(want)], (d, chi)
 
@@ -119,7 +119,8 @@ def test_decide_runs_no_symbolic_elimination(monkeypatch):
 
 def test_returned_blocks_are_fresh():
     # no reader can change a returned block, so none changes a later answer
-    first = symbolic_matrices_at(7, 2)
+    blk = tracked_block(7, 2)
+    first = (matrices_M(blk), matrices_N(blk))
     want = [str(x) for x in _entries(first)]
     for mats in first:
         for m in mats:
@@ -127,20 +128,25 @@ def test_returned_blocks_are_fresh():
                 m.data[0][0] = m.field.coerce(99)
             with pytest.raises(TypeError):
                 m.data[1] = m.data[2]
-    assert [str(x) for x in _entries(symbolic_matrices_at(7, 2))] == want
+    assert [str(x) for x in _entries((matrices_M(blk), matrices_N(blk)))] == want
 
 
 def test_symbolic_blocks_refuse_points_outside_the_exactness_argument():
-    # below d = 5 the truncation, and at a non-coprime or out-of-range
-    # chi the pivot minor, no longer covers the point
+    # side_at, where decide reads the blocks: below d = 5 the truncation,
+    # and at a non-coprime or out-of-range chi the pivot minor, no longer
+    # covers the point
     for (d, chi) in [(4, 1), (3, 1), (6, 2), (5, 7), (6, 3), (5, 0), (5, -1)]:
         with pytest.raises(ValueError):
-            symbolic_matrices_at(d, chi)
+            side_at(d, chi)
     # chi left symbolic is no point either: the constraint evaluates closed
-    # forms, and the blocks over Q(chi1) are an oracle's
-    for d in (4, 5, 6):
+    # forms, and the blocks over Q(chi1) are an oracle's.  d < 5 is
+    # refused first, and at d >= 5 chi = None is no integer
+    for d in (3, 4):
         with pytest.raises(ValueError):
-            symbolic_matrices_at(d, None)
+            side_at(d, None)
+    for d in (5, 6):
+        with pytest.raises(TypeError):
+            side_at(d, None)
     M, N = constraint_oracle.uni_blocks(6)
     assert M[0].field == N[0].field == constraint_oracle.UNI_FIELD
 
@@ -207,15 +213,17 @@ def test_tracked_rows_at_equal_the_oracle_at_every_point():
 
 
 def test_one_expansion_per_process(monkeypatch):
-    # symbolic_MN and the point path read the one cached Laurent matrix
+    # symbolic_MN, tracked_block and the sides read the one cached
+    # Laurent matrix
     made = []
     exponent = symbolic._exponent
     monkeypatch.setattr(symbolic, "_exponent", lambda n: made.append(n) or exponent(n))
     symbolic_MN.cache_clear()
     symbolic._laurent_matrix.cache_clear()
+    side_at.cache_clear()
     symbolic_MN()
     tracked_block(9, 2)
-    symbolic_matrices_at(9, 2)
+    side_at(9, 2)
     assert made == [1, 2, 3]
 
 
