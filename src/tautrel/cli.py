@@ -309,7 +309,6 @@ def cmd_sweep(args) -> int:
         rows = _pooled_rows(tasks, jobs)
     else:
         rows = [_sweep_worker(t) for t in tasks]
-    rows.sort(key=lambda r: (r["d"], r["chi1"], r["chi2"]))
     report.results = rows
     agree = sum(1 for r in rows if r.get("agrees"))
     report.add("agreement", agree == len(rows), f"{len(rows)}/{len(rows)}",

@@ -143,10 +143,6 @@ class CubicField:
         """The distinguished cube root of r in this extension."""
         return self.from_coeffs([self.base.zero, self.base.one])
 
-    @staticmethod
-    def is_zero(x) -> bool:
-        return x.is_zero()
-
     def modulus_str(self) -> str:
         names = {1: "t", 2: "t^2", 3: "t^3"}
         parts = []

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from math import gcd
-from operator import add, sub
+from operator import add
 
 
 def int_gauss_jordan(rows) -> list:
@@ -174,9 +174,6 @@ class ExactMatrix:
             )
         )
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.data))
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
@@ -184,12 +181,6 @@ class ExactMatrix:
             raise DimensionMismatch("matrix addition shape mismatch")
         return ExactMatrix._of(
             self.field, [list(map(add, a, b)) for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return ExactMatrix._of(
-            self.field, [list(map(sub, a, b)) for a, b in zip(self.data, other.data)])
 
     def __mul__(self, other):
         """The matrix product; a scalar multiple is scale."""

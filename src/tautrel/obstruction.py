@@ -155,11 +155,15 @@ def side(M: list, N: list, cubic: dict) -> _Side:
     return _Side(tuple(M), tuple(N), MappingProxyType(cubic))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1024)
 def side_at(d: int, chi: int) -> _Side:
     """The side at a point (d, chi) over QQ, made once per process: a
     sweep at d uses each side in phi(d) pairs, and none of its objects
-    depends on the other side.  Blocks and cubic are read from the one
+    depends on the other side.  The cache holds all phi(d) sides of any
+    d <= 1024 (about 6 KB a side at d = 199): the pairs of a sweep at d
+    visit them in a cycle of phi(d) sides, so a smaller cache would drop
+    each side before its next use once phi(d) exceeds its size.  Blocks
+    and cubic are read from the one
     relations.tracked_block(d, chi), which refuses any point but d >= 5
     and a coprime 0 < chi < d, its pivots checked on columns 0..11
     (symbolic's docstring shows they always are).  No part of a _Side

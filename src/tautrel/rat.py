@@ -108,8 +108,5 @@ class IntegerRing:
     def is_zero(x) -> bool:
         return x == 0
 
-    def __repr__(self):
-        return "ZZ"
-
 
 ZZ = IntegerRing()

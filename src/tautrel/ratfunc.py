@@ -816,8 +816,9 @@ class FormField:
     elimination whose every pivot has such a numerator too.
 
     forms are polynomial RatFuncs of degree 1 with integer content 1, so
-    irreducible, in variables among vars.  Products and sums add, or
-    take the larger of, the exponent vectors and the integer parts, and
+    irreducible, in variables among vars.  Products and differences add,
+    or take the larger of, the exponent vectors and the integer parts
+    (the elimination subtracts and never adds, so there is no sum), and
     cancel against each form only where it can divide (the comment
     above _residue); no polynomial gcd is taken.  Division divides the
     divisor's numerator by the forms and raises ArithmeticError when a
@@ -886,16 +887,15 @@ class FormFrac:
     def __bool__(self):
         return bool(self.num)
 
-    def _plus(self, o: "FormFrac", sign: int) -> "FormFrac":
-        """self + sign * o, for sign 1 or -1."""
+    def __sub__(self, o: "FormFrac") -> "FormFrac":
         if not o.num:
             return self
         field = self.field
         k = len(field.vars)
         if not self.num:
-            return o if sign == 1 else FormFrac._raw(field, _scale(o.num, -1, k), o.c, o.e)
+            return FormFrac._raw(field, _scale(o.num, -1, k), o.c, o.e)
         c = math.lcm(self.c, o.c)
-        a, b = self.num, _scale(o.num, sign * c // o.c, k)
+        a, b = self.num, _scale(o.num, -(c // o.c), k)
         if c != self.c:
             a = _scale(a, c // self.c, k)
         # over the common denominator only a form of equal exponents on
@@ -904,12 +904,6 @@ class FormFrac:
         b = _times_forms(b, field, [max(0, x - y) for x, y in zip(self.e, o.e)])
         same = [i for i, (x, y) in enumerate(zip(self.e, o.e)) if x == y and x]
         return _cancelled(field, _add(a, b, k), c, list(map(max, self.e, o.e)), same)
-
-    def __add__(self, o: "FormFrac") -> "FormFrac":
-        return self._plus(o, 1)
-
-    def __sub__(self, o: "FormFrac") -> "FormFrac":
-        return self._plus(o, -1)
 
     def __mul__(self, o: "FormFrac") -> "FormFrac":
         if not self.num or not o.num:

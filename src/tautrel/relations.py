@@ -6,10 +6,12 @@ of tautalg's layout.  One constructor, _block, makes every block from
 its twelve integer rows over their scales, by one elimination: its
 pivots, and R1..R3 at the 27 columns as rows 9-11 of the rows' reduced
 row echelon form (point_echelon), integer rows over their pivot
-entries, and det1 and det2, the minors of the rows (_dets), each one
-linalg.int_det of the integer rows divided once by the product of their
-scales.  The block keeps its rows as ints: a value becomes a Rat only
-where it is read.  Two functions give it the rows:
+entries.  Its minors det1 and det2, each one linalg.int_det of the
+integer rows divided once by the product of their scales, are made on
+their first read: verify's checks, the build's refusal and
+RelationSet.to_json read them, no side of decide does.  The block
+keeps its rows as ints: a value becomes a Rat only where it is read.
+Two functions give it the rows:
 
 - tracked_block(d, chi) evaluates the closed form of exp(L) at the
   tracked columns, derived once in symbolic's docstring, at the point,
@@ -127,8 +129,8 @@ into the c_k(j) basis (_factors).
 One elimination per block.  verify_rank12 reads the rank as the number
 of the block's pivots, which the elimination that made the block found,
 and computes only the Mon1 minor (one int_det), which must be det1^2;
-the Mon2 minor of rows 6-11 is det2 itself, since _dets took det2 from
-the same rows.
+the Mon2 minor of rows 6-11 is det2 itself, which is taken from the
+same rows.
 The rank is that of the block's rows at the 27 columns: a lower bound of
 the rank of the full rows, equal to it when it is 12.  At a valid point
 it is 12 (symbolic's docstring), so only a broken block reports less,
@@ -142,7 +144,7 @@ import math
 import operator
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from types import MappingProxyType
 
 from .linalg import int_det, int_gauss_jordan
@@ -385,9 +387,10 @@ class TrackedBlock:
     columns of their reduced row echelon form, as many as its rank; R
     holds R1, R2, R3 at the same columns, its rows 9-11 (a zero row past
     the rank), as primitive integer rows, R_i over R_dens[i]; det1 and
-    det2 are the minors of the rows (_dets).  _block makes every block,
-    all of it from the rows, by one elimination; a value is made a Rat
-    only where it is read (truncation.matrices_M, the minors)."""
+    det2 are the minors of the rows, each made on its first read.
+    _block makes every block, all of it from the rows, by one
+    elimination; a value is made a Rat only where it is read
+    (truncation.matrices_M, the minors)."""
 
     d: int
     chi: int
@@ -396,8 +399,17 @@ class TrackedBlock:
     pivots: tuple
     R: tuple
     R_dens: tuple
-    det1: object
-    det2: object
+
+    @cached_property
+    def det1(self):
+        """The minor of Ra^n at LARGE[1], read off the c2(0) Ra^n rows at
+        LARGE[1] x c2(0)."""
+        return _minor(self.rows[0:6:2], self.scales[0:6:2], self.d, mon1(self.d)[0::2])
+
+    @cached_property
+    def det2(self):
+        """The minor of Rb^n, Rc^n at mon2(d)."""
+        return _minor(self.rows[6:12], self.scales[6:12], self.d, mon2(self.d))
 
     def leading_monos(self) -> list:
         """The leading monomials of R1, R2, R3 (None for a zero row): each
@@ -413,15 +425,6 @@ def _minor(rows, scales, d: int, monos):
     index = {m: i for i, m in enumerate(tracked_monos(d))}
     cols = [index[m] for m in monos]
     return Rat(int_det([[row[j] for j in cols] for row in rows]), math.prod(scales))
-
-
-def _dets(rows, scales, d: int) -> tuple:
-    """(det1, det2) of the twelve integer rows over their scales at the
-    tracked monomials of d: det1 the minor of Ra^n at LARGE[1], read off
-    the c2(0) Ra^n rows at LARGE[1] x c2(0), and det2 that of Rb^n, Rc^n
-    at mon2(d)."""
-    return (_minor(rows[0:6:2], scales[0:6:2], d, mon1(d)[0::2]),
-            _minor(rows[6:12], scales[6:12], d, mon2(d)))
 
 
 def point_echelon(ints) -> tuple:
@@ -440,10 +443,9 @@ def point_echelon(ints) -> tuple:
 def _block(d: int, chi: int, ints, scales) -> TrackedBlock:
     """The block of the twelve integer rows ints at the 27 tracked
     monomials of d, row i over scales[i]: its pivots and R1..R3 from one
-    elimination of ints (point_echelon), det1 and det2 the
-    minors of its rows (_dets)."""
+    elimination of ints (point_echelon)."""
     rows, scales = tuple(map(tuple, ints)), tuple(scales)
-    return TrackedBlock(d, chi, rows, scales, *point_echelon(rows), *_dets(rows, scales, d))
+    return TrackedBlock(d, chi, rows, scales, *point_echelon(rows))
 
 
 def tracked_block(d: int, chi: int) -> TrackedBlock:
@@ -593,7 +595,7 @@ def verify_rank12(block: TrackedBlock):
     Returns (ok, trace).  trace records the rank, the number of the
     block's pivots (must be 12), the Mon1 minor determinant (must be
     det1^2) and the Mon2 minor determinant of rows 6-11, Rb^n and Rc^n,
-    which is det2: _dets took it from the same rows.  Nothing is
+    which is det2: it is taken from the same rows.  Nothing is
     eliminated: the block's one elimination gave its pivots (module
     docstring).
     """

@@ -676,3 +676,14 @@ def test_equal_values_hash_alike_examples():
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b), (a, b)
+
+
+def test_reprs():
+    # the repr contract of the field descriptors and value types: what a
+    # failing assertion or a debugger shows
+    F = FracField(("d",))
+    K = CubicField(QQ, 2, (-2, 0, 0, 1))
+    assert (repr(QQ), repr(F), repr(K)) == ("QQ", "QQ(d)", "QQ[t]/(t^3 + -2)")
+    assert repr(K.t + 1) == "CubicExt('1 + (1)*t')"
+    assert repr((F.gen("d") + 1) / 2) == "RatFunc('(d + 1)/2')"
+    assert repr(ExactMatrix(QQ, [[1, Rat(1, 2)]])) == "ExactMatrix(1x2: [1, 1/2])"

@@ -62,8 +62,7 @@ SHARED = {
     "coerce": {"RationalField", "IntegerRing", "FracField", "CubicField"},
     "den": {"RatFunc"},
     "inverse": {"ExactMatrix", "CubicExt"},
-    "is_zero": {"RationalField", "IntegerRing", "RatFunc", "FracField",
-                "CubicExt", "CubicField"},
+    "is_zero": {"RationalField", "IntegerRing", "RatFunc", "FracField", "CubicExt"},
     "num": {"RatFunc"},
     "to_json": {"Check", "Report", "RelationSet", "TruncationBlock", "Verdict"},
 }

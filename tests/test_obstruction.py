@@ -412,6 +412,39 @@ def test_decide_computes_the_pencil_once(monkeypatch, cold_sides):
     assert len(solve_S("II", s, s)) == 2 and len(calls) == 1
 
 
+def test_side_takes_no_minor(monkeypatch):
+    # a side reads the block's pivots, R1..R3 and pencil, never det1 or
+    # det2, so making one at a point calls int_det 0 times
+    from tautrel import linalg
+
+    dets, int_det = [], linalg.int_det
+
+    def counted(rows):
+        dets.append(len(rows))
+        return int_det(rows)
+
+    for module in (linalg, relations):
+        monkeypatch.setattr(module, "int_det", counted)
+    assert side_at.__wrapped__(11, 4).cubic and dets == []
+
+
+def test_side_cache_holds_every_side_of_a_sweep(monkeypatch, cold_sides):
+    # decide's pairs at d visit the phi(d) sides in a cycle of phi(d), so
+    # the side cache must hold them all: at d = 131, phi = 130, one block
+    # per side in decide's pair order, as a sweep reads them
+    built = []
+
+    def counted(d, chi):
+        built.append(chi)
+        return tracked_block(d, chi)
+
+    monkeypatch.setattr(obstruction, "tracked_block", counted)
+    for pair in coprime_pairs(131):
+        for chi in pair:
+            side_at(131, chi)
+    assert len(built) == len(set(built)) == 130
+
+
 def test_decide_builds_each_candidate_system_once(monkeypatch, cold_sides):
     # solve_S lifts each chi-side block to the candidate's extension once
     # and forms P and Q once; solve_AB and solve_UV read them from the

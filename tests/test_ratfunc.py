@@ -466,11 +466,15 @@ def _check_form_frac(x, want):
 @example((FORMS.frac({(-2, 1): 3, (0, 0): -6}, -4), (3 * _CHI / _D**2 - 6) / -4),
          (FORMS.frac({(1, 0): 1}, 1), _D), (FORMS.frac({(0, 1): -2}, 3), -2 * _CHI / 3))
 def test_form_field_matches_ratfunc(a, b, divisor):
-    # +, -, * and / against RatFunc arithmetic, and sums that cancel to 0
+    # -, * and / against RatFunc arithmetic, a sum as the difference with
+    # a negated term (the field has no +: symbolic_MN's elimination only
+    # subtracts), and differences that cancel to 0
     (x, rx), (y, ry), (v, rv) = a, b, divisor
-    for got, want in ((x, rx), (y, ry), (v, rv), (x + y, rx + ry), (x - y, rx - ry),
+    zero = FORMS.zero
+    for got, want in ((x, rx), (y, ry), (v, rv), (x - (zero - y), rx + ry), (x - y, rx - ry),
                       (x * y, rx * ry), (x / v, rx / rv), (x - x, SYM_FIELD.zero),
-                      ((x + y) - (y + x), SYM_FIELD.zero), ((x * v) / v - x, SYM_FIELD.zero)):
+                      ((x - y) - (zero - (y - x)), SYM_FIELD.zero),
+                      ((x * v) / v - x, SYM_FIELD.zero)):
         _check_form_frac(got, want)
 
 

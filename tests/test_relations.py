@@ -283,7 +283,7 @@ def test_verify_rank12():
 
 
 def test_verify_rank12_requires_the_mon2_minor_to_be_det2(monkeypatch, capsys):
-    # a block's Mon2 minor and its det2 are one computation (_dets), so a
+    # a block's Mon2 minor and its det2 are one computation, so a
     # changed numerator of Rb^1 at a Mon2 column changes det2 itself: the
     # rank stays 12 and verify_rank12 passes, but verify's check of det2
     # against det2_formula fails on that block
@@ -316,7 +316,8 @@ def test_verify_rank12_zero_relations_guard():
 
 def test_verify_rank12_runs_no_second_elimination(monkeypatch):
     # the rank is the number of the block's pivots: tracked_block makes its
-    # block by one int_gauss_jordan, the build keeps the block it made
+    # block by one int_gauss_jordan and takes no minor (det1 and det2 are
+    # made on their first read), the build keeps the block it made
     # (test_build_makes_its_block_once), and verify_rank12 runs none, takes
     # no determinant over QQ and no int_det larger than the 6x6 Mon1 minor
     from tautrel import linalg, relations
@@ -347,7 +348,7 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "det", field_det)
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
     blocks = [tracked_block(7, 3)]
-    assert eliminations == [12] and sorted(dets) == [3, 6]
+    assert eliminations == [12] and dets == []
     blocks.append(build_relation_set(7, 3).block)
     assert blocks[1] is rel.block
     eliminations.clear()
@@ -405,33 +406,35 @@ def test_point_pencil_matches_cubic_det():
 
 
 def test_build_makes_its_block_once(monkeypatch):
-    # one build takes det1 and det2 once (_dets), eliminates its block once
-    # (12x27) and eliminates the block's columns 0..11 beside the 12x12
-    # identity once (12x24) for R1..R3; its block is _block of the
-    # expansion's numerators at the 27 tracked monomials
+    # one build takes det1 (3x3) and det2 (6x6) once each, for its
+    # refusal of a singular point, eliminates its block once (12x27) and
+    # eliminates the block's columns 0..11 beside the 12x12 identity once
+    # (12x24) for R1..R3; its block is _block of the expansion's
+    # numerators at the 27 tracked monomials
     from tautrel import linalg, relations
 
     monkeypatch.setattr(relations, "_REL_CACHE", {})
     shapes, dets = [], []
-    int_gauss_jordan, real_dets = linalg.int_gauss_jordan, relations._dets
+    int_gauss_jordan, int_det = linalg.int_gauss_jordan, linalg.int_det
 
     def counted(rows):
         shapes.append((len(rows), len(rows[0])))
         return int_gauss_jordan(rows)
 
-    def counted_dets(rows, scales, d):
-        dets.append(d)
-        return real_dets(rows, scales, d)
+    def counted_dets(rows):
+        dets.append(len(rows))
+        return int_det(rows)
 
     def no_elimination(self, *args, **kwargs):
         raise AssertionError("the build eliminated over the field")
 
     for module in (linalg, relations):
         monkeypatch.setattr(module, "int_gauss_jordan", counted)
-    monkeypatch.setattr(relations, "_dets", counted_dets)
+    monkeypatch.setattr(relations, "int_det", counted_dets)
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
     rel = build_relation_set(7, 3)
-    assert dets == [7]
+    assert sorted(dets) == [3, 6]
+    assert rel.to_json()["det1"] == str(rel.block.det1) and sorted(dets) == [3, 6]
     assert sorted(shapes) == [(12, 24), (12, 27)]
     packing, rows, dens = expansion(7, 3)
     assert rel.block == _block(7, 3, _numerators(packing, rows, tracked_monos(7)), dens)
