@@ -82,7 +82,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, cross
 from .obstruction import CandidateS, coprime_chis, side_at, solve_AB, solve_S, solve_UV
 from .rat import Rat, rational_cube_root
 from .ratfunc import FracField, RatFunc, mpoly_gcd
@@ -98,7 +98,8 @@ def _column0_elimination(cand: CandidateS, A: ExactMatrix):
     in terms of v2 := the bottom entry of V's first column.  Returns
     ((AA, BB), (CC, DD))."""
     E, Ms, Ns = cand.field, cand.M, cand.N
-    A_inv_t = A.inverse().transpose()
+    a = A.data  # A^-T is A's cofactor matrix: solve_AB checked det(A) = 1
+    A_inv_t = ExactMatrix._of(E, [cross(a[1], a[2]), cross(a[2], a[0]), cross(a[0], a[1])])
     w = [A_inv_t * q for q in cand.Q]
 
     def equation(i, r):

@@ -45,7 +45,8 @@ read them or compare the normal forms, are unchanged.
 Over any other base (Q(chi1, chi2) in constraint) an element holds one
 base coefficient per power of t, and a product folds the top degrees
 back with the modulus itself.  inverse takes the first column of the
-adjugate of the multiplication matrix over the base.  Zero tests use the
+adjugate of the multiplication matrix over the base (for a cubic, a
+cross product of two of its rows: linalg.cross).  Zero tests use the
 coefficients' truth value.
 """
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 from operator import add, neg, sub
 
+from .linalg import cross
 from .rat import Rat, RationalField, rat, rational_cube_root
 
 
@@ -450,15 +452,16 @@ def _sum(field, xs, dx: int, ys, dy: int, negate: bool) -> CubicExt:
 
 def _adjugate_column(cols: list) -> tuple:
     """(first column of adj(A), det A) for the n x n matrix A, n <= 3,
-    whose column j is cols[j]."""
+    whose column j is cols[j].  For n = 3 the column is the cross
+    product of rows 1 and 2 of A, and det A is row 0 dotted with it."""
     if len(cols) == 1:
         return [1], cols[0][0]
     if len(cols) == 2:
         (a, c), (b, d) = cols  # A = [[a, b], [c, d]]
         return [d, -c], a * d - b * c
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols  # row i of A: ai, bi, ci
-    adj = [b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2]
-    return adj, a0 * adj[0] + b0 * adj[1] + c0 * adj[2]
+    row0, row1, row2 = zip(*cols)
+    adj = cross(row1, row2)
+    return adj, row0[0] * adj[0] + row0[1] * adj[1] + row0[2] * adj[2]
 
 
 def _fold_mul(field, xs, ys) -> tuple:

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over any field in the coefficient tower.
 
-All elimination except the determinant's runs through one row-by-row
-Gauss-Jordan loop, ExactMatrix.gauss_jordan, over any field, and its
+All elimination but int_det's runs through one row-by-row Gauss-Jordan
+loop, ExactMatrix.gauss_jordan, over any field, and its
 fraction-free twin over the integers, int_gauss_jordan.  It
 eliminates the twelve relations at the 27 tracked monomials, scaled to
 integers, once per block, in relations.point_echelon: for the pivots
@@ -26,11 +26,17 @@ default); a row with no such entry is set aside.  With the default
 the pivot rows, sorted by column, are the unique reduced row echelon
 form.  Rows are updated only where the row they subtract is nonzero, so
 zero entries cost no arithmetic; entries are tested for zero by their
-truth value.  Division is exact, so every result is deterministic.  det
-runs its own forward elimination, and int_det is its fraction-free twin
-over the integers (Bareiss 1968): it takes the minors of a block's
-integer rows, det1, det2 and the Mon1 minor of relations.TrackedBlock,
-each divided once by the product of its rows' scales.
+truth value.  Division is exact, so every result is deterministic.
+int_det is a fraction-free forward elimination over the integers
+(Bareiss 1968): it takes the minors of a block's integer rows, det1,
+det2 and the Mon1 minor of relations.TrackedBlock, each divided once by
+the product of its rows' scales.  No determinant or inverse over a
+field is eliminated: each one the package takes is 3x3 and read off
+cross products (cross), by cofactors.  They are the 27 determinants of
+a pencil (obstruction.cubic_det), det(A) = det(B^-1) = 1 and
+B = adj(B^-1) in obstruction.solve_AB, A^-T in the constraint, and the
+inverse of an element of a cubic extension of a field of rational
+functions (cubicext).
 """
 
 from __future__ import annotations
@@ -125,6 +131,18 @@ def int_det(rows) -> int:
     return sign * M[-1][-1] if n else 1
 
 
+def cross(u, v) -> tuple:
+    """The cross product u x v of two 3-vectors over any ring.
+
+    w . (u x v) is the determinant of the 3x3 matrix with rows w, u, v;
+    so for rows r0, r1, r2 the cross products r1 x r2, r2 x r0 and
+    r0 x r1 are the rows of the cofactor matrix, the transpose of the
+    adjugate, and r0 . (r1 x r2) is the determinant."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 class DimensionMismatch(ValueError):
     pass
 
@@ -153,9 +171,6 @@ class ExactMatrix:
         out.rows = len(data)
         out.cols = len(data[0]) if data else 0
         return out
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix._of(self.field, [row[:] for row in self.data])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -264,56 +279,6 @@ class ExactMatrix:
             pivots.append((lead, row))
             supports.append(supp)
         return pivots, rest
-
-    def rref(self, with_transform: bool = False):
-        """Reduced row echelon form.
-
-        Returns (R, pivots) or (R, pivots, T) with T @ self == R.
-        """
-        found, rest = self.gauss_jordan(with_transform=with_transform)
-        found.sort(key=lambda cr: cr[0])
-        pivots = [col for col, _ in found]
-        rows = [row for _, row in found] + rest
-        if not with_transform:
-            return ExactMatrix._of(self.field, rows), pivots
-        R = ExactMatrix._of(self.field, [row[:self.cols] for row in rows])
-        return R, pivots, ExactMatrix._of(self.field, [row[self.cols:] for row in rows])
-
-    def det(self):
-        if self.rows != self.cols:
-            raise NonSquareDet(f"{self.rows}x{self.cols} matrix has no determinant")
-        M = self.copy()
-        n = self.rows
-        det = self.field.one
-        for col in range(n):
-            pivot_row = None
-            for i in range(col, n):
-                if M.data[i][col]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.field.zero
-            if pivot_row != col:
-                M.data[col], M.data[pivot_row] = M.data[pivot_row], M.data[col]
-                det = -det
-            p = M.data[col][col]
-            det = det * p
-            inv = self.field.one / p
-            for i in range(col + 1, n):
-                f = M.data[i][col]
-                if not f:
-                    continue
-                f = f * inv
-                M.data[i] = [a - f * b for a, b in zip(M.data[i], M.data[col])]
-        return det
-
-    def inverse(self) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise NonSquareDet("only square matrices invert")
-        R, pivots, T = self.rref(with_transform=True)
-        if len(pivots) != self.rows:
-            raise ZeroDivisionError("singular matrix")
-        return T
 
     def __repr__(self):
         body = "; ".join(

@@ -32,7 +32,7 @@ from itertools import product
 from types import MappingProxyType
 
 from .cubicext import CubicField, factor_t3_minus_r
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, cross
 from .rat import ZZ, Rat
 from .relations import TrackedBlock, tracked_block
 from .symbolic import M_COLS, read_blocks
@@ -60,22 +60,21 @@ def cubic_det(Ms: list) -> dict:
     The determinant whose row r is row r of M_{i_r} is row 0 of M_{i_0}
     dotted with the cross product of the other two rows; the nine cross
     products are shared by the 27 determinants."""
-    cross = {}
-    for i1, i2 in product(range(3), repeat=2):
-        b, c = Ms[i1].data[1], Ms[i2].data[2]
-        cross[i1, i2] = (b[1] * c[2] - b[2] * c[1],
-                         b[2] * c[0] - b[0] * c[2],
-                         b[0] * c[1] - b[1] * c[0])
+    crosses = {(i1, i2): cross(Ms[i1].data[1], Ms[i2].data[2])
+               for i1, i2 in product(range(3), repeat=2)}
     out: dict = {}
     for rows in product(range(3), repeat=3):
-        a, x = Ms[rows[0]].data[0], cross[rows[1], rows[2]]
-        v = a[0] * x[0] + a[1] * x[1] + a[2] * x[2]
+        v = _dot(Ms[rows[0]].data[0], crosses[rows[1], rows[2]])
         if not v:
             continue
         key = (rows.count(0), rows.count(1), rows.count(2))
         prev = out.get(key)
         out[key] = v if prev is None else prev + v
     return {k: v for k, v in out.items() if v}
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def pencil(block: TrackedBlock) -> dict:
@@ -317,7 +316,8 @@ def solve_AB(cand: CandidateS) -> ABResult:
     - The held-back row and every set-aside row vanish on the line: the
       kernel is that line (kernel_dim 1).  A and B^-1 are read off it,
       normalized so a11 = s22 (top-left entry of A equals the middle
-      entry of S) and det(A) = det(B) = 1, and verified by substitution.
+      entry of S) and det(A) = det(B) = 1, both by cofactors, and
+      verified by substitution; B is adj(B^-1), with no division.
     - Otherwise a33 = 0, so every unknown is 0 and no (A, B) exists
       (kernel_dim 0).  The certificate is the held-back row evaluated on
       the line, (coefficient) * a33.  Under this pivot recipe it comes
@@ -366,12 +366,15 @@ def solve_AB(cand: CandidateS) -> ABResult:
     mu = cand.S[1, 1] / anchor
     A = A.scale(mu)
     Binv = Binv.scale(mu)
-    if A.det() != E.one or Binv.det() != E.one:
+    # B^-1's cofactor rows: with det(B^-1) = 1 their transpose is B
+    a, b = A.data, Binv.data
+    cof = [cross(b[1], b[2]), cross(b[2], b[0]), cross(b[0], b[1])]
+    if _dot(a[0], cross(a[1], a[2])) != E.one or _dot(b[0], cof[0]) != E.one:
         return ABResult(
             "anomaly", 1,
             certificate={"note": "normalized solution has det(A) or det(B^-1) != 1"},
         )
-    B = Binv.inverse()
+    B = ExactMatrix._of(E, cof).transpose()
     At = A.transpose()
     for i in range(3):
         if not (At * Ms[i] * B) == Ps[i]:

@@ -67,7 +67,7 @@ over the integers, each times den d^k, nonzero at d >= 5
 (tracked_rows_at).
 
 The elimination over QQ(d, chi1).  symbolic_MN runs the one elimination
-loop, ExactMatrix.rref, on the 12x27 matrix A over ELIM_FIELD
+loop, ExactMatrix.gauss_jordan, on the 12x27 matrix A over ELIM_FIELD
 (ratfunc.FormField): an entry is num / (c prod l_i^e_i), num an integer
 polynomial, c a positive integer and l_i the eight linear forms of
 FORMS, d, chi1, d-1, d-2, d-chi1, d-2 chi1, 2d-chi1 and 3d-2 chi1.
@@ -360,10 +360,12 @@ def symbolic_MN() -> tuple:
     its denominators kept as powers of FORMS (module docstring)."""
     A = [[ELIM_FIELD.frac({(a, b): c for a, b, c in terms}, den) for terms in row]
          for den, _, row in _laurent_matrix()]
-    R, pivots = ExactMatrix._of(ELIM_FIELD, A).rref()
+    found, _ = ExactMatrix._of(ELIM_FIELD, A).gauss_jordan()
+    found.sort(key=lambda cr: cr[0])
+    pivots = [col for col, _ in found]
     if pivots != list(range(12)):
         raise AssertionError(f"unexpected symbolic echelon pivots: {pivots}")
-    R = [[x.to_ratfunc() for x in row] for row in R.data[9:12]]
+    R = [[x.to_ratfunc() for x in row] for _, row in found[9:12]]
     return read_blocks(R, M_COLS, SYM_FIELD), read_blocks(R, N_COLS, SYM_FIELD)
 
 

@@ -14,14 +14,14 @@ second elimination of the 27x18 system gives the a33 certificate
 
 from itertools import product
 
-from linalg_oracle import kernel
+from linalg_oracle import det, inverse, kernel
 from tautrel.linalg import ExactMatrix
 from tautrel.obstruction import ABResult
 
 
 def solve_AB(cand) -> ABResult:
     E, Ms, Ps = cand.field, cand.M, cand.P
-    M1_inv = Ms[0].inverse()
+    M1_inv = inverse(Ms[0])
     rows = []
     for i in (1, 2):
         Q = (M1_inv * Ms[i]).data
@@ -50,10 +50,10 @@ def solve_AB(cand) -> ABResult:
         return ABResult("anomaly", 1, certificate={"note": "kernel vector has a11 = 0"})
     mu = cand.S[1, 1] / anchor
     A, Binv = A.scale(mu), Binv.scale(mu)
-    if A.det() != E.one or Binv.det() != E.one:
+    if det(A) != E.one or det(Binv) != E.one:
         return ABResult("anomaly", 1, certificate={
             "note": "normalized solution has det(A) or det(B^-1) != 1"})
-    return ABResult("solution", 1, A=A, B=Binv.inverse())
+    return ABResult("solution", 1, A=A, B=inverse(Binv))
 
 
 def a33_certificate(cand) -> dict:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType, SimpleNamespace
 
+from linalg_oracle import det
 from tautalg_oracle import (
     BetaClass,
     GradedPoly,
@@ -368,9 +369,9 @@ def oracle_relation_set(d: int, chi: int):
         Ra[n] = as_poly(beta_pushforward(G[d + 1], 0), den1, packing, d - 1, ctx)
         Rb[n] = as_poly(beta_pushforward(G[d + 1], 1), den1, packing, d, ctx)
         Rc[n] = as_poly(G[d + 2], den2, packing, d, ctx)
-    det1 = coeff_matrix([Ra[n] for n in (1, 2, 3)],
-                        [(g,) for g in high_generators(d)["deg_d_minus_1"]]).det()
-    det2 = coeff_matrix([Rb[1], Rb[2], Rb[3], Rc[1], Rc[2], Rc[3]], mon2(d)).det()
+    det1 = det(coeff_matrix([Ra[n] for n in (1, 2, 3)],
+                            [(g,) for g in high_generators(d)["deg_d_minus_1"]]))
+    det2 = det(coeff_matrix([Rb[1], Rb[2], Rb[3], Rc[1], Rc[2], Rc[3]], mon2(d)))
     rows = [GradedPoly(ctx, {_mono_insert(m, g): c for m, c in Ra[n].terms.items()})
             for n in (1, 2, 3) for g in _RA_FACTORS]
     rows += [Rb[n] for n in (1, 2, 3)] + [Rc[n] for n in (1, 2, 3)]

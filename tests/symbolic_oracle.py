@@ -48,6 +48,7 @@ arithmetic, a polynomial gcd per operation.
 import math
 from functools import lru_cache
 
+from linalg_oracle import rref
 from tautrel.linalg import ExactMatrix
 from tautrel.rat import Rat
 from tautrel.ratfunc import RatFunc, _to_dense
@@ -307,7 +308,7 @@ def sym_matrix() -> ExactMatrix:
 def ratfunc_MN() -> tuple:
     """(M_1..M_3, N_1..N_3) over QQ(d, chi1) from the rref of sym_matrix
     in RatFunc arithmetic, its pivots checked on columns 0..11."""
-    R, pivots = sym_matrix().rref()
+    R, pivots = rref(sym_matrix())
     assert pivots == list(range(12)), pivots
     R = R.data[9:12]
     return read_blocks(R, M_COLS, SYM_FIELD), read_blocks(R, N_COLS, SYM_FIELD)

@@ -85,6 +85,14 @@ STALE_GROUP_NAMES = {
     "mpoly.MPoly.__mul__",
     "mpoly.MPoly.__rmul__",
     "mpoly.MPoly.exact_div",
+    # CHANGES.md FOUND: linalg.rref.cubic.*, linalg.det.cubic.* and
+    # linalg.inverse.calls read 0 since every 3x3 determinant and inverse
+    # is taken by cofactors (linalg.cross); symbolic_MN sorts the pivots
+    # of gauss_jordan itself, and rref, det and inverse are functions of
+    # tests/linalg_oracle.py
+    "linalg.ExactMatrix.rref",
+    "linalg.ExactMatrix.det",
+    "linalg.ExactMatrix.inverse",
 }
 
 

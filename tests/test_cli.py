@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -696,3 +697,28 @@ def test_cli_import_loads_no_multiprocessing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# cheap commands, one of each kind: no byte they print may hang on the
+# iteration order of a set or of a dict built from hashed keys
+HASH_SEED_COMMANDS = (
+    "decide --d 7 --chi1 1 --chi2 2 --format json",
+    "verify --d 7 --chi 1 --chi2 2 --format json",
+    "constraint --d 7 --format json",
+    "emit --what relations --d 5 --chi 1",
+)
+
+
+@pytest.mark.parametrize("argv", HASH_SEED_COMMANDS)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # the bytes each command prints in process, and in a fresh process
+    # under PYTHONHASHSEED 0 and 12345, one process at a time
+    code, out, _ = run_cli(*argv.split())
+    want = hashlib.sha256(out.encode()).hexdigest()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "tautrel", *argv.split()],
+                              capture_output=True, timeout=120, env=env)
+        assert proc.returncode == code, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == want, (argv, seed)

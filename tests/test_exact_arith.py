@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubicext_oracle import upoly_mul
-from linalg_oracle import det_cofactor, identity, kernel, rank, solve
+from linalg_oracle import copy, det, det_cofactor, identity, inverse, kernel, rank, rref, solve
 from mpoly_oracle import ExactDivisionError, MPoly, gcd, mpoly, ratfunc
 from ratfunc_oracle import subresultant_gcd
 from tautrel.cubicext import CubicField, NotInvertible, _trim, factor_t3_minus_r, upoly_divmod
-from tautrel.linalg import ExactMatrix, NonSquareDet, int_det, int_gauss_jordan
+from tautrel.linalg import ExactMatrix, NonSquareDet, cross, int_det, int_gauss_jordan
 from tautrel.rat import QQ, Rat, rat, rational_cube_root
 from tautrel import ratfunc as ratfunc_module
 from tautrel.ratfunc import FracField, mpoly_gcd
@@ -313,9 +313,9 @@ def test_cubic_arith_matches_division_oracle(case):
 
 
 def rref_oracle(M: ExactMatrix, cols=None):
-    """The column-by-column elimination with row swaps that ExactMatrix.rref
-    ran before the row-by-row loop: (R, pivots), pivoting only in cols."""
-    R = M.copy()
+    """The column-by-column elimination with row swaps that rref ran
+    before the row-by-row loop: (R, pivots), pivoting only in cols."""
+    R = copy(M)
     pivots = []
     pr = 0
     for col in range(M.cols) if cols is None else cols:
@@ -380,8 +380,8 @@ def systems(draw):
 @given(systems())
 def test_elimination_kernel_against_oracle(system):
     A, b = system
-    R, pivots, T = A.rref(with_transform=True)
-    assert (R, pivots) == rref_oracle(A) == A.rref()
+    R, pivots, T = rref(A, with_transform=True)
+    assert (R, pivots) == rref_oracle(A) == rref(A)
     assert T * A == R
     assert rank(A) == len(pivots)
     ker_A = kernel(A)
@@ -411,7 +411,7 @@ def test_gauss_jordan_leaves_matrix_unchanged(system, with_transform):
     assert A.data == before and all(r is s for r, s in zip(A.data, rows))
     assert not any(row is r for _, row in pivots for r in A.data)
     assert Ar.gauss_jordan(with_transform=with_transform) == (pivots, rest)
-    A.rref(with_transform=True)
+    rref(A, with_transform=True)
     solve(A, b)
     assert A.data == before
 
@@ -493,7 +493,7 @@ def test_int_gauss_jordan_matches_field_rref(rows):
     found = int_gauss_jordan(rows)
     assert rows == before
     M = ExactMatrix(QQ, rows)
-    R, pivots = M.rref()
+    R, pivots = rref(M)
     R_oracle, pivots_oracle = rref_oracle(M)
     cols = [col for col, _ in found]
     assert cols == pivots == pivots_oracle
@@ -553,7 +553,7 @@ def test_int_det_matches_field_det(rows):
     got = int_det(rows)
     assert rows == before
     assert type(got) is int
-    assert got == ExactMatrix(QQ, rows).det()
+    assert got == det(ExactMatrix(QQ, rows))
 
 
 def test_int_det_refuses_a_non_square_matrix():
@@ -566,11 +566,55 @@ def test_int_det_refuses_a_non_square_matrix():
 
 def test_linalg_examples():
     I3 = identity(QQ, 3)
-    assert I3.det() == 1
+    assert det(I3) == 1
     M = ExactMatrix(QQ, [[1, 2], [3, 4]])
-    assert M.det() == -2
+    assert det(M) == -2
     with pytest.raises(NonSquareDet):
-        ExactMatrix(QQ, [[1, 2, 3], [4, 5, 6]]).det()
+        det(ExactMatrix(QQ, [[1, 2, 3], [4, 5, 6]]))
+
+
+@st.composite
+def cofactor_matrices(draw):
+    """3x3 matrices over QQ, over Q(chi1) and over each extension of
+    ORACLE_FIELDS (of QQ and of Q(chi1)); about half of them singular,
+    one row a combination of the other two."""
+    F = draw(st.sampled_from([QQ, _F1] + ORACLE_FIELDS))
+    if F is QQ:
+        entry = _rat_coeffs()
+    elif F is _F1:
+        entry = st.builds(lambda a, b, c: (a + b * _X) / (1 + c * _X),
+                          _rat_coeffs(), _rat_coeffs(), _rat_coeffs())
+    else:
+        entry = ext_elements(F)
+    rows = [[F.coerce(draw(entry)) for _ in range(3)] for _ in range(3)]
+    if draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(3)))
+        a, b = F.coerce(draw(entry)), F.coerce(draw(entry))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return ExactMatrix(F, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cofactor_matrices())
+@example(ExactMatrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+@example(ExactMatrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 0, 0]]))
+def test_cross_gives_det_and_adjugate(M):
+    # the cofactor rows r1 x r2, r2 x r0 and r0 x r1 against the forward
+    # elimination and the expansion of linalg_oracle: r0 . (r1 x r2) is
+    # det M, their transpose adj satisfies adj M = M adj = det(M) I, and
+    # adj / det M is the inverse when det M != 0
+    F, (r0, r1, r2) = M.field, M.data
+    cof = ExactMatrix(F, [cross(r1, r2), cross(r2, r0), cross(r0, r1)])
+    want = det(M)
+    assert want == det_cofactor(M)
+    assert r0[0] * cof[0, 0] + r0[1] * cof[0, 1] + r0[2] * cof[0, 2] == want
+    adj = cof.transpose()
+    assert adj * M == identity(F, 3).scale(want) == M * adj
+    if want:
+        assert adj.scale(F.one / want) == inverse(M)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            inverse(M)
 
 
 def test_rref_idempotence_and_det_oracle_random():
@@ -580,11 +624,11 @@ def test_rref_idempotence_and_det_oracle_random():
             M = ExactMatrix(
                 QQ, [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             )
-            R, piv = M.rref()
-            R2, piv2 = R.rref()
+            R, piv = rref(M)
+            R2, piv2 = rref(R)
             assert R == R2 and piv == piv2
             assert rank(M) == rank(R)
-            assert M.det() == det_cofactor(M)
+            assert det(M) == det_cofactor(M)
 
 
 def test_solve_and_kernel():

@@ -61,7 +61,6 @@ SHARED = {
     "add": {"Report"},
     "coerce": {"RationalField", "IntegerRing", "FracField", "CubicField"},
     "den": {"RatFunc"},
-    "inverse": {"ExactMatrix", "CubicExt"},
     "is_zero": {"RationalField", "IntegerRing", "RatFunc", "FracField", "CubicExt"},
     "num": {"RatFunc"},
     "to_json": {"Check", "Report", "RelationSet", "TruncationBlock", "Verdict"},

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from itertools import permutations, product
@@ -5,7 +6,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautrel import obstruction, relations
+from tautrel import linalg, obstruction, relations
 from tautrel.constraint import BI_FIELD
 from tautrel.cubicext import factor_t3_minus_r
 from tautrel.linalg import ExactMatrix
@@ -24,6 +25,7 @@ from tautrel.obstruction import (
     solve_AB,
     solve_S,
     solve_UV,
+    _check_uv_certificate,
     _s_combination,
     _solve_uv_block,
 )
@@ -31,7 +33,7 @@ from tautrel.rat import QQ, Rat
 from tautrel.symbolic import symbolic_MN
 import ab_oracle
 from constraint_oracle import GEN_FIELD, field_side, generic_sides, lifted, uni_blocks
-from linalg_oracle import identity
+from linalg_oracle import identity, inverse
 from mpoly_oracle import MPoly
 import pencil_oracle
 from pencil_oracle import S_VARS, _coeff_equations_table, _partial, _pencil_rhs_poly
@@ -350,6 +352,96 @@ def test_solve_UV_identity_and_inconsistent():
     uv = solve_UV(cand, ab.A)
     assert uv.status == "inconsistent"
     assert uv.certificate is not None
+
+
+def _witness_candidate(d, chi1, chi2):
+    """The candidate of a congruent pair that has an (A, B) witness, and
+    its solve_AB result."""
+    for stype in ("I", "II"):
+        for cand in solve_S(stype, side_at(d, chi1), side_at(d, chi2)):
+            ab = solve_AB(cand)
+            if ab.status == "solution":
+                return cand, ab
+    raise AssertionError(f"no (A, B) witness at {(d, chi1, chi2)}")
+
+
+# Each re-check of the verifier fires on a planted fault: a doctored
+# input, or one solver's output patched; the package itself is unchanged.
+
+def test_solve_AB_det_check_fires():
+    # S[1, 1] doubled doubles the scale a11 = s22 puts on the kernel line,
+    # so det(A) = 8: the det(A) = det(B^-1) = 1 check refuses the solution
+    cand, _ = _witness_candidate(7, 2, 5)
+    S = [list(row) for row in cand.S.data]
+    S[1][1] = S[1][1] + S[1][1]
+    ab = solve_AB(dataclasses.replace(cand, S=ExactMatrix(cand.field, S)))
+    assert (ab.status, ab.kernel_dim, ab.A, ab.B) == ("anomaly", 1, None, None)
+    assert "det(A)" in ab.certificate["note"]
+
+
+def test_solve_AB_witness_check_fires(monkeypatch):
+    # B is the transpose of B^-1's cofactor rows; a cross product that gets
+    # the row r2 x r0 wrong, which neither determinant reads, passes the
+    # det check and leaves A^T M_i B != P_i
+    cand, ab = _witness_candidate(7, 2, 5)
+    r0, _, r2 = inverse(ab.B).data
+    cross, wrong = linalg.cross, []
+
+    def perturbed(u, v):
+        out = cross(u, v)
+        if list(u) == list(r2) and list(v) == list(r0):
+            wrong.append(out)
+            return (out[0] + cand.field.one,) + out[1:]
+        return out
+
+    monkeypatch.setattr(obstruction, "cross", perturbed)
+    with pytest.raises(AssertionError, match="witness unsound"):
+        solve_AB(cand)
+    assert len(wrong) == 1
+
+
+def test_solve_UV_witness_check_fires(monkeypatch):
+    # the (U, V) block's first pivot row with its first right-hand-side
+    # entry changed gives U or V a wrong entry at its pivot unknown
+    cand, ab = _witness_candidate(7, 2, 5)
+    assert solve_UV(cand, ab.A).status == "solvable"
+    gauss_jordan = ExactMatrix.gauss_jordan
+
+    def perturbed(self, *args, **kwargs):
+        pivots, rest = gauss_jordan(self, *args, **kwargs)
+        row = pivots[0][1]
+        row[6] = row[6] + self.field.one
+        return pivots, rest
+
+    monkeypatch.setattr(ExactMatrix, "gauss_jordan", perturbed)
+    with pytest.raises(AssertionError, match="U, V verification failed"):
+        solve_UV(cand, ab.A)
+
+
+def test_uv_certificate_check_fires():
+    # the inconsistency certificate of a non-congruent pair passes the
+    # check; with any one entry changed whose row of the 27x18 system is
+    # nonzero left of the bar, it does not, nor does the zero row, which
+    # annihilates the right-hand side too
+    cand = solve_S("II", side_at(7, 1), side_at(7, 3))[0]
+    ab = solve_AB(cand)
+    assert ab.status == "solution"
+    E, At = cand.field, ab.A.transpose()
+    AM, AN = [At * m for m in cand.M], [At * n for n in cand.N]
+    lam = _solve_uv_block(E, AM, AN, cand.Q).certificate
+    _check_uv_certificate(E, AM, AN, cand.Q, lam)
+    changed = 0
+    for q in range(27):
+        i, r = divmod(q // 3, 3)
+        if not any(AM[i].data[r]) and not any(AN[i].data[r]):
+            continue
+        bad = lam[:q] + [lam[q] + E.one] + lam[q + 1:]
+        with pytest.raises(AssertionError, match="certificate unsound"):
+            _check_uv_certificate(E, AM, AN, cand.Q, bad)
+        changed += 1
+    assert changed
+    with pytest.raises(AssertionError, match=r"unsound \(rhs\)"):
+        _check_uv_certificate(E, AM, AN, cand.Q, [E.zero] * 27)
 
 
 def test_decide_examples():

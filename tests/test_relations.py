@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import symbolic_oracle
-from linalg_oracle import rank
+from linalg_oracle import det, rank, rref
 from relations_oracle import (
     PartitionTuple,
     beta_one,
@@ -319,12 +319,13 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
     # block by one int_gauss_jordan and takes no minor (det1 and det2 are
     # made on their first read), the build keeps the block it made
     # (test_build_makes_its_block_once), and verify_rank12 runs none, takes
-    # no determinant over QQ and no int_det larger than the 6x6 Mon1 minor
-    from tautrel import linalg, relations
+    # no determinant over QQ (each is a cofactor one, by linalg.cross) and
+    # no int_det larger than the 6x6 Mon1 minor
+    from tautrel import constraint, cubicext, linalg, obstruction, relations
 
     rel = build_relation_set(7, 3)
-    eliminations, dets, field_dets = [], [], []
-    int_gauss_jordan, int_det, det = linalg.int_gauss_jordan, linalg.int_det, ExactMatrix.det
+    eliminations, dets, crosses = [], [], []
+    int_gauss_jordan, int_det, cross = linalg.int_gauss_jordan, linalg.int_det, linalg.cross
 
     def counted(rows):
         eliminations.append(len(rows))
@@ -334,9 +335,9 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
         dets.append(len(rows))
         return int_det(rows)
 
-    def field_det(self):
-        field_dets.append(self.rows)
-        return det(self)
+    def counted_cross(u, v):
+        crosses.append(len(u))
+        return cross(u, v)
 
     def no_elimination(self, *args, **kwargs):
         raise AssertionError("verify_rank12 eliminated the 12xN matrix again")
@@ -345,7 +346,8 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
         monkeypatch.setattr(module, "int_gauss_jordan", counted)
     for module in (linalg, relations):
         monkeypatch.setattr(module, "int_det", sized)
-    monkeypatch.setattr(ExactMatrix, "det", field_det)
+    for module in (linalg, obstruction, constraint, cubicext):
+        monkeypatch.setattr(module, "cross", counted_cross)
     monkeypatch.setattr(ExactMatrix, "gauss_jordan", no_elimination)
     blocks = [tracked_block(7, 3)]
     assert eliminations == [12] and dets == []
@@ -358,21 +360,21 @@ def test_verify_rank12_runs_no_second_elimination(monkeypatch):
         assert ok
         assert trace["rank"] == 12
     assert eliminations == [] and dets and max(dets) <= 6
-    assert field_dets == []
+    assert crosses == []
 
 
 @pytest.mark.parametrize("d", range(5, 17))
 def test_integer_checkpoints_match_the_fraction_ones(d):
     # det1, det2, the Mon1 minor, R1..R3 and the M blocks, each from
     # integers divided once, against the same values computed from the
-    # block's rows as Rats: minors by ExactMatrix.det and R1..R3 by rref
+    # block's rows as Rats: minors by linalg_oracle.det and R1..R3 by rref
     # over QQ (the pencil: test_point_pencil_matches_cubic_det)
     from tautrel.symbolic import M_COLS, read_blocks
 
     index = {m: j for j, m in enumerate(tracked_monos(d))}
 
     def minor(rows, monos):
-        return ExactMatrix(QQ, [[row[index[m]] for m in monos] for row in rows]).det()
+        return det(ExactMatrix(QQ, [[row[index[m]] for m in monos] for row in rows]))
 
     for chi in range(1, d):
         if math.gcd(d, chi) != 1:
@@ -382,7 +384,7 @@ def test_integer_checkpoints_match_the_fraction_ones(d):
         assert blk.det1 == minor(rows[0:6:2], mon1(d)[0::2]), (d, chi)
         assert blk.det2 == minor(rows[6:12], mon2(d)), (d, chi)
         assert verify_rank12(blk)[1]["mon1_minor_det"] == minor(rows[0:6], mon1(d)), (d, chi)
-        R = ExactMatrix(QQ, rows).rref()[0].data[9:12]
+        R = rref(ExactMatrix(QQ, rows))[0].data[9:12]
         assert rat_rows(blk.R, blk.R_dens) == R, (d, chi)
         assert matrices_M(blk) == read_blocks(R, M_COLS, QQ), (d, chi)
 
@@ -494,11 +496,11 @@ def test_packed_rows_build_matches_reference_build(d, chi):
 
 @pytest.mark.parametrize("d, chi", [(5, 1), (9, 2), (11, 4), (13, 5)])
 def test_build_matches_field_rref(d, chi):
-    # the fraction-free build against ExactMatrix.rref over Fraction
+    # the fraction-free build against linalg_oracle.rref over Fraction
     rel = build_relation_set(d, chi)
     rows = twelve_relations(rel)
     monos = sorted({m for p in rows for m in p.terms}, key=mono_key, reverse=True)
-    R, pivots = coeff_matrix(rows, monos).rref()
+    R, pivots = rref(coeff_matrix(rows, monos))
     assert tracked_monos(d)[:12] == [monos[p] for p in pivots]
     for i, got in zip(range(9, 12), reduced_relations(rel)):
         want = GradedPoly(got.ctx, {m: c for m, c in zip(monos, R.data[i]) if c})

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from linalg_oracle import det
 from tautrel.rat import QQ, Rat
 from tautrel.relations import build_relation_set
 from tautrel.tautalg import tracked_monos
@@ -60,9 +61,9 @@ def test_dets_nonzero_and_values():
         rel = build_relation_set(d, chi)
         M = matrices_M(rel.block)
         X = Rat(chi * (d - chi) * (d - 2 * chi))
-        assert M[0].det() == -(X * X) / Rat(16 * d**6)
-        assert M[1].det() == X * Rat(d * d + 8 * d - 16) / Rat(8 * (d - 2) * d**3)
-        assert M[2].det() == 0
+        assert det(M[0]) == -(X * X) / Rat(16 * d**6)
+        assert det(M[1]) == X * Rat(d * d + 8 * d - 16) / Rat(8 * (d - 2) * d**3)
+        assert det(M[2]) == 0
 
 
 def test_matrices_N_zero_poly():
